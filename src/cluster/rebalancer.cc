@@ -8,9 +8,9 @@ namespace sedna::cluster {
 namespace {
 
 /// Traffic score of one load window: reads + writes. Misses are already
-/// counted inside reads; capacity is deliberately ignored here — the
-/// count-based rebalancer (ring::Rebalancer) keeps vnode *counts* even,
-/// this planner evens out *request* load.
+/// counted inside reads; capacity is deliberately ignored here — this
+/// planner evens out *request* load, while vnode counts are levelled only
+/// by membership changes (ring::Rebalancer's join/leave plans).
 [[nodiscard]] std::uint64_t row_traffic(const ring::VnodeLoadRow& v) {
   return v.reads + v.writes;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <deque>
 #include <map>
 #include <memory>
 
@@ -15,6 +14,55 @@ namespace {
 
 /// How long a positive ZooKeeper liveness check suppresses re-checking.
 constexpr SimDuration kAliveVerifyTtl = sim_ms(500);
+
+/// Concurrent slice transfers during join and restart hydration ("the
+/// data retrieving threads number could be 16 or 8", Section III.D).
+constexpr std::size_t kTransferParallelism = 8;
+
+/// Runs `task(i, done)` for every i in [0, count) with at most
+/// kTransferParallelism tasks in flight, then calls `all_done` once.
+void run_bounded(std::size_t count,
+                 std::function<void(std::size_t, std::function<void()>)> task,
+                 std::function<void()> all_done) {
+  if (count == 0) {
+    all_done();
+    return;
+  }
+  auto next = std::make_shared<std::size_t>(0);
+  auto in_flight = std::make_shared<std::size_t>(0);
+  auto pump = std::make_shared<std::function<void()>>();
+  // The pump holds only a weak self-reference (a strong one would be a
+  // shared_ptr cycle and leak); each in-flight task's callback pins it.
+  *pump = [count, next, in_flight, task = std::move(task),
+           all_done = std::move(all_done),
+           weak = std::weak_ptr<std::function<void()>>(pump)] {
+    while (*next < count && *in_flight < kTransferParallelism) {
+      ++*in_flight;
+      task((*next)++, [count, next, in_flight, all_done,
+                       pump = weak.lock()] {
+        --*in_flight;
+        if (*next >= count && *in_flight == 0) {
+          all_done();
+          return;
+        }
+        (*pump)();
+      });
+    }
+  };
+  (*pump)();
+}
+
+/// Live data-node ids from the children of the kZkRealNodes registry
+/// (ephemeral "node-<id>" entries; "load-<id>" rows are skipped).
+std::vector<NodeId> live_node_ids(const std::vector<std::string>& children) {
+  std::vector<NodeId> live;
+  for (const auto& name : children) {
+    if (name.rfind("node-", 0) != 0) continue;
+    live.push_back(
+        static_cast<NodeId>(std::strtoul(name.c_str() + 5, nullptr, 10)));
+  }
+  return live;
+}
 
 }  // namespace
 
@@ -92,13 +140,6 @@ void SednaNode::start(ReadyCallback on_ready) {
                                              set_trace_context({});
                                              report_load();
                                            });
-                   if (config_.rebalance_interval > 0) {
-                     sim().schedule_periodic(config_.rebalance_interval,
-                                             [this] {
-                                               set_trace_context({});
-                                               rebalance_tick();
-                                             });
-                   }
                    if (config_.traffic_rebalance_interval > 0) {
                      traffic_rebalance_timer_.cancel();
                      traffic_rebalance_timer_ = sim().schedule_periodic(
@@ -147,96 +188,83 @@ void SednaNode::start_and_join(ReadyCallback on_ready) {
       on_ready(st);
       return;
     }
-    auto moves = ring::Rebalancer::plan_join(metadata_.table(), id());
-    metrics_.counter("join.vnodes_planned").add(moves.size());
-    claim_vnodes(std::move(moves), 0, 0, on_ready);
+    auto moves = std::make_shared<std::vector<ring::VnodeMove>>(
+        ring::Rebalancer::plan_join(metadata_.table(), id()));
+    metrics_.counter("join.vnodes_planned").add(moves->size());
+    run_bounded(
+        moves->size(),
+        [this, moves](std::size_t i, std::function<void()> done) {
+          claim_one((*moves)[i], std::move(done));
+        },
+        [on_ready] { on_ready(Status::Ok()); });
   });
-}
-
-void SednaNode::claim_vnodes(std::vector<ring::VnodeMove> moves,
-                             std::size_t next, std::uint32_t in_flight,
-                             ReadyCallback on_done) {
-  // Window of `takeover_parallelism` concurrent claims — the paper's
-  // parallel data-retrieving threads.
-  if (next >= moves.size() && in_flight == 0) {
-    on_done(Status::Ok());
-    return;
-  }
-  auto shared_moves =
-      std::make_shared<std::vector<ring::VnodeMove>>(std::move(moves));
-  auto pending = std::make_shared<std::uint32_t>(in_flight);
-  auto cursor = std::make_shared<std::size_t>(next);
-
-  // Pump-style scheduler: keep `takeover_parallelism` claims in flight.
-  // The lambda holds itself only weakly; the strong references live in the
-  // in-flight claim callbacks, so the closure is freed once the last claim
-  // completes (a self-capturing shared_ptr would never be released).
-  auto pump = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> weak_pump = pump;
-  *pump = [this, shared_moves, pending, cursor, on_done, weak_pump]() {
-    auto self = weak_pump.lock();
-    if (!self) return;
-    while (*cursor < shared_moves->size() &&
-           *pending < config_.takeover_parallelism) {
-      const auto move = (*shared_moves)[(*cursor)++];
-      ++*pending;
-      claim_one(move, [pending, self] {
-        --*pending;
-        (*self)();
-      });
-    }
-    if (*cursor >= shared_moves->size() && *pending == 0) {
-      on_done(Status::Ok());
-    }
-  };
-  (*pump)();
 }
 
 void SednaNode::claim_one(const ring::VnodeMove& move,
                           std::function<void()> done) {
-  // CAS the vnode znode from the current owner to us, journal the change,
-  // then pull the data from the previous owner.
-  zk_.get(vnode_znode(move.vnode),
-          [this, move, done = std::move(done)](
+  // Pull sources: the donor, then the slice's other pre-move replicas in
+  // case the donor dies between the cutover and the fetch.
+  std::vector<NodeId> sources{move.from};
+  for (NodeId n : metadata_.table().replicas_for_vnode(move.vnode)) {
+    if (n != move.from) sources.push_back(n);
+  }
+  cas_vnode_owner(
+      move.vnode, move.from, id(),
+      [this, move, sources = std::move(sources),
+       done = std::move(done)](const CasResult& cas) {
+        if (cas.outcome != CasOutcome::kCommitted) {
+          done();  // table changed under us or lost the race; skip it
+          return;
+        }
+        metrics_.counter("join.vnodes_claimed").add(1);
+        append_change_journal(move.vnode, id(), [this, move, sources, done] {
+          fetch_vnode_from(move.vnode, sources, 0,
+                           [this, move, done](bool fetched, std::uint64_t) {
+                             if (fetched) {
+                               // The old owner may now drop its redundant
+                               // copy of the slice.
+                               PurgeVnodeRequest purge{move.vnode, id()};
+                               send_oneway(move.from, kMsgPurgeVnode,
+                                           purge.encode());
+                             }
+                             done();
+                           });
+        });
+      });
+}
+
+void SednaNode::cas_vnode_owner(VnodeId vnode, NodeId expected,
+                                NodeId new_owner,
+                                std::function<void(const CasResult&)> cb) {
+  zk_.get(vnode_znode(vnode),
+          [this, vnode, expected, new_owner, cb = std::move(cb)](
               const Result<std::pair<std::string, zk::ZnodeStat>>& got) {
             if (!got.ok()) {
-              done();
+              cb({CasOutcome::kGetFailed, kInvalidNode, got.status()});
               return;
             }
             BinaryReader r(got->first);
             const NodeId current = r.get_u32();
-            if (r.failed() || current != move.from) {
-              done();  // table changed under us; skip this vnode
+            if (r.failed() || current != expected) {
+              cb({CasOutcome::kStale, r.failed() ? kInvalidNode : current});
               return;
             }
             BinaryWriter w;
-            w.put_u32(id());
-            zk_.set(vnode_znode(move.vnode), std::move(w).take(),
+            w.put_u32(new_owner);
+            zk_.set(vnode_znode(vnode), std::move(w).take(),
                     got->second.version,
-                    [this, move, done](const Result<zk::ZnodeStat>& set) {
-                      if (!set.ok()) {
-                        done();  // lost the race
+                    [this, vnode, new_owner, cb](
+                        const Result<zk::ZnodeStat>& set) {
+                      if (set.ok()) {
+                        metadata_.apply_local(vnode, new_owner);
+                        cb({CasOutcome::kCommitted});
                         return;
                       }
-                      metadata_.apply_local(move.vnode, id());
-                      metrics_.counter("join.vnodes_claimed").add(1);
-                      append_change_journal(
-                          move.vnode, id(), [this, move, done] {
-                            fetch_vnode_from(
-                                move.vnode, {move.from}, 0,
-                                [this, move, done](bool fetched,
-                                                   std::uint64_t) {
-                                  if (fetched) {
-                                    // The old owner may now drop its
-                                    // redundant copy of the slice.
-                                    PurgeVnodeRequest purge{move.vnode,
-                                                            id()};
-                                    send_oneway(move.from, kMsgPurgeVnode,
-                                                purge.encode());
-                                  }
-                                  done();
-                                });
-                          });
+                      const bool lost =
+                          set.status().is(StatusCode::kFailure) ||
+                          set.status().is(StatusCode::kNotFound);
+                      cb({lost ? CasOutcome::kLost : CasOutcome::kAmbiguous,
+                          kInvalidNode, set.status()});
                     });
           });
 }
@@ -566,7 +594,7 @@ void SednaNode::on_crash() {
 
 void SednaNode::hydrate_after_restart(std::function<void()> done) {
   needs_hydration_ = false;
-  auto todo = std::make_shared<std::deque<VnodeId>>();
+  auto todo = std::make_shared<std::vector<VnodeId>>();
   const std::uint32_t total = metadata_.table().total_vnodes();
   for (VnodeId v = 0; v < total; ++v) {
     const auto replicas = metadata_.table().replicas_for_vnode(v);
@@ -575,42 +603,20 @@ void SednaNode::hydrate_after_restart(std::function<void()> done) {
       todo->push_back(v);
     }
   }
-  if (todo->empty()) {
-    done();
-    return;
-  }
-  const std::size_t fanout =
-      config_.restart_hydration_fanout > 0 ? config_.restart_hydration_fanout
-                                           : 1;
-  auto outstanding = std::make_shared<std::size_t>(0);
-  auto pump = std::make_shared<std::function<void()>>();
-  // The pump holds only a weak self-reference (a strong one would be a
-  // shared_ptr cycle and leak); each in-flight fetch callback pins it.
-  *pump = [this, todo, outstanding, fanout,
-           weak = std::weak_ptr<std::function<void()>>(pump),
-           done = std::move(done)] {
-    while (!todo->empty() && *outstanding < fanout) {
-      const VnodeId v = todo->front();
-      todo->pop_front();
-      ++*outstanding;
-      fetch_vnode_from(
-          v, metadata_.table().replicas_for_vnode(v), 0,
-          [this, todo, outstanding, pump = weak.lock(),
-           done](bool ok, std::uint64_t) {
-            --*outstanding;
-            metrics_
-                .counter(ok ? "restart.vnodes_hydrated"
-                            : "restart.hydration_failed")
-                .add(1);
-            if (todo->empty() && *outstanding == 0) {
-              done();
-              return;
-            }
-            (*pump)();
-          });
-    }
-  };
-  (*pump)();
+  run_bounded(
+      todo->size(),
+      [this, todo](std::size_t i, std::function<void()> fetched) {
+        const VnodeId v = (*todo)[i];
+        fetch_vnode_from(v, metadata_.table().replicas_for_vnode(v), 0,
+                         [this, fetched](bool ok, std::uint64_t) {
+                           metrics_
+                               .counter(ok ? "restart.vnodes_hydrated"
+                                           : "restart.hydration_failed")
+                               .add(1);
+                           fetched();
+                         });
+      },
+      std::move(done));
 }
 
 StatusCode SednaNode::apply_write(const WriteRequest& req) {
@@ -1350,16 +1356,9 @@ void SednaNode::start_recovery(VnodeId vnode, NodeId dead) {
           finish_recovery(vnode);
           return;
         }
-        // Live node set from the ephemeral registry.
-        std::vector<NodeId> live;
-        for (const auto& name : kids.value()) {
-          if (name.rfind("node-", 0) != 0) continue;
-          live.push_back(static_cast<NodeId>(
-              std::strtoul(name.c_str() + 5, nullptr, 10)));
-        }
         // Candidates: live nodes not already holding this slice.
         std::vector<NodeId> candidates;
-        for (NodeId n : live) {
+        for (NodeId n : live_node_ids(kids.value())) {
           if (n != dead &&
               std::find(sources.begin(), sources.end(), n) ==
                   sources.end()) {
@@ -1387,50 +1386,33 @@ void SednaNode::start_recovery(VnodeId vnode, NodeId dead) {
         }
         // CAS the vnode znode: first coordinator to notice wins; losers
         // observe the new owner and stand down.
-        zk_.get(
-            vnode_znode(vnode),
-            [this, vnode, dead, target, sources](
-                const Result<std::pair<std::string, zk::ZnodeStat>>& got) {
-              if (!got.ok()) {
+        cas_vnode_owner(
+            vnode, dead, target,
+            [this, vnode, target, sources](const CasResult& cas) {
+              if (cas.outcome != CasOutcome::kCommitted) {
+                if (cas.outcome == CasOutcome::kStale) {
+                  // Someone already recovered it.
+                  if (cas.observed != kInvalidNode) {
+                    metadata_.apply_local(vnode, cas.observed);
+                  }
+                } else if (cas.outcome != CasOutcome::kGetFailed) {
+                  metadata_.sync_now();  // lost or ambiguous set: resync
+                }
                 finish_recovery(vnode);
                 return;
               }
-              BinaryReader r(got->first);
-              const NodeId current = r.get_u32();
-              if (r.failed() || current != dead) {
-                // Someone already recovered it.
-                if (!r.failed()) metadata_.apply_local(vnode, current);
+              metrics_.counter("failure.recoveries_completed").add(1);
+              instant_span("recovery.reassigned", "ok", TraceStage::kRepair);
+              append_change_journal(vnode, target, [this, vnode, target,
+                                                    sources] {
+                // Tell the new owner to pull the slice from the surviving
+                // replicas (async duplication task, Section III.C).
+                TakeoverRequest req;
+                req.vnode = vnode;
+                req.sources = sources;
+                send_oneway(target, kMsgTakeoverVnode, req.encode());
                 finish_recovery(vnode);
-                return;
-              }
-              BinaryWriter w;
-              w.put_u32(target);
-              zk_.set(
-                  vnode_znode(vnode), std::move(w).take(),
-                  got->second.version,
-                  [this, vnode, target, sources](
-                      const Result<zk::ZnodeStat>& set) {
-                    if (!set.ok()) {
-                      metadata_.sync_now();
-                      finish_recovery(vnode);
-                      return;
-                    }
-                    metadata_.apply_local(vnode, target);
-                    metrics_.counter("failure.recoveries_completed").add(1);
-                    instant_span("recovery.reassigned", "ok",
-                                 TraceStage::kRepair);
-                    append_change_journal(vnode, target, [this, vnode,
-                                                          target, sources] {
-                      // Tell the new owner to pull the slice from the
-                      // surviving replicas (async duplication task,
-                      // Section III.C).
-                      TakeoverRequest req;
-                      req.vnode = vnode;
-                      req.sources = sources;
-                      send_oneway(target, kMsgTakeoverVnode, req.encode());
-                      finish_recovery(vnode);
-                    });
-                  });
+              });
             });
       });
 }
@@ -1447,90 +1429,6 @@ void SednaNode::append_change_journal(VnodeId vnode, NodeId owner,
              [done = std::move(done)](const Result<std::string>&) {
                if (done) done();
              });
-}
-
-void SednaNode::rebalance_tick() {
-  if (!alive() || !ready_) return;
-  zk_.children(
-      kZkRealNodes, [this](const Result<std::vector<std::string>>& kids) {
-        if (!kids.ok()) return;
-        std::vector<NodeId> live;
-        for (const auto& name : kids.value()) {
-          if (name.rfind("node-", 0) != 0) continue;
-          live.push_back(static_cast<NodeId>(
-              std::strtoul(name.c_str() + 5, nullptr, 10)));
-        }
-        // Single deterministic actor: the lowest live node id.
-        if (live.empty() ||
-            *std::min_element(live.begin(), live.end()) != id()) {
-          return;
-        }
-        auto moves = ring::Rebalancer::plan_rebalance(
-            metadata_.table(), config_.rebalance_tolerance);
-        // Only shuffle between live nodes; dead holders are the recovery
-        // path's business, not ours.
-        std::erase_if(moves, [&live](const ring::VnodeMove& m) {
-          return std::find(live.begin(), live.end(), m.from) == live.end() ||
-                 std::find(live.begin(), live.end(), m.to) == live.end();
-        });
-        if (moves.empty()) return;
-        if (moves.size() > config_.rebalance_max_moves) {
-          moves.resize(config_.rebalance_max_moves);
-        }
-        metrics_.counter("rebalance.rounds").add(1);
-        execute_moves(std::make_shared<std::vector<ring::VnodeMove>>(
-                          std::move(moves)),
-                      0);
-      });
-}
-
-void SednaNode::execute_moves(
-    std::shared_ptr<std::vector<ring::VnodeMove>> moves, std::size_t next) {
-  if (next >= moves->size()) return;
-  execute_move((*moves)[next], [this, moves, next] {
-    execute_moves(moves, next + 1);
-  });
-}
-
-void SednaNode::execute_move(const ring::VnodeMove& move,
-                             std::function<void()> done) {
-  // CAS-guarded reassignment, mirroring the join/recovery flows, but
-  // initiated by the balancer on behalf of a third node.
-  zk_.get(vnode_znode(move.vnode),
-          [this, move, done = std::move(done)](
-              const Result<std::pair<std::string, zk::ZnodeStat>>& got) {
-            if (!got.ok()) {
-              done();
-              return;
-            }
-            BinaryReader r(got->first);
-            const NodeId current = r.get_u32();
-            if (r.failed() || current != move.from) {
-              done();  // the table changed under the plan
-              return;
-            }
-            BinaryWriter w;
-            w.put_u32(move.to);
-            zk_.set(vnode_znode(move.vnode), std::move(w).take(),
-                    got->second.version,
-                    [this, move, done](const Result<zk::ZnodeStat>& set) {
-                      if (!set.ok()) {
-                        done();
-                        return;
-                      }
-                      metadata_.apply_local(move.vnode, move.to);
-                      metrics_.counter("rebalance.moves").add(1);
-                      append_change_journal(
-                          move.vnode, move.to, [this, move, done] {
-                            TakeoverRequest req;
-                            req.vnode = move.vnode;
-                            req.sources = {move.from};
-                            send_oneway(move.to, kMsgTakeoverVnode,
-                                        req.encode());
-                            done();
-                          });
-                    });
-          });
 }
 
 void SednaNode::handle_fetch_vnode(const sim::Message& msg) {
@@ -2235,12 +2133,7 @@ void SednaNode::traffic_rebalance_tick() {
   zk_.children(
       kZkRealNodes, [this](const Result<std::vector<std::string>>& kids) {
         if (!kids.ok() || !alive() || !ready_) return;
-        std::vector<NodeId> live;
-        for (const auto& name : kids.value()) {
-          if (name.rfind("node-", 0) != 0) continue;
-          live.push_back(static_cast<NodeId>(
-              std::strtoul(name.c_str() + 5, nullptr, 10)));
-        }
+        std::vector<NodeId> live = live_node_ids(kids.value());
         // Single deterministic actor: the lowest live node id.
         if (live.empty() ||
             *std::min_element(live.begin(), live.end()) != id()) {
@@ -2412,102 +2305,82 @@ void SednaNode::begin_migration(
           // vnode znode to us under its version.
           const SimTime cut_start = now();
           const SpanId cutover = enter_phase("migrate.cutover");
-          zk_.get(
-              vnode_znode(vnode),
+          cas_vnode_owner(
+              vnode, from, id(),
               [this, vnode, from, state, finish, cut_start, enter_phase,
-               cutover](
-                  const Result<std::pair<std::string, zk::ZnodeStat>>& got) {
+               cutover](const CasResult& cas) {
                 if (!migrating_in_.contains(vnode)) return;
-                if (!got.ok()) {
-                  end_span(cutover, "failure");
-                  // Unknown outcome territory (ZK unreachable): keep the
-                  // pulled data — it is never wrong to hold extra
-                  // replicas — and let the leader retry later.
-                  state->status = StatusCode::kUnavailable;
-                  finish(false);
-                  return;
+                switch (cas.outcome) {
+                  case CasOutcome::kCommitted:
+                    break;
+                  case CasOutcome::kGetFailed:
+                    end_span(cutover, "failure");
+                    // Unknown outcome territory (ZK unreachable): keep the
+                    // pulled data — it is never wrong to hold extra
+                    // replicas — and let the leader retry later.
+                    state->status = StatusCode::kUnavailable;
+                    finish(false);
+                    return;
+                  case CasOutcome::kStale:
+                  case CasOutcome::kLost:
+                    // Definite no-go: the plan went stale (the slice moved
+                    // under the leader's feet) or the CAS lost (the
+                    // version moved), so ownership is provably elsewhere.
+                    // Drop the pulled copy (unless the walk keeps us as a
+                    // successor replica).
+                    end_span(cutover, cas.outcome == CasOutcome::kStale
+                                          ? "stale"
+                                          : "failure");
+                    state->status = StatusCode::kRefused;
+                    purge_local_vnode(vnode);
+                    finish(false);
+                    return;
+                  case CasOutcome::kAmbiguous:
+                    // Timeout / partition: the CAS may have committed on
+                    // the other side. KEEP the data — purging here could
+                    // orphan acked writes if we are in fact the new owner
+                    // — and resync the table so a committed cutover
+                    // surfaces.
+                    end_span(cutover, cas.status.is(StatusCode::kTimeout)
+                                          ? "timeout"
+                                          : "failure");
+                    state->status = StatusCode::kUnavailable;
+                    metadata_.sync_now();
+                    finish(false);
+                    return;
                 }
-                BinaryReader r(got->first);
-                const NodeId current = r.get_u32();
-                if (r.failed() || current != from) {
-                  // Plan went stale: the slice moved under the leader's
-                  // feet. Definite no-go — drop the pulled copy (unless
-                  // the walk keeps us as a successor replica).
-                  end_span(cutover, "stale");
-                  state->status = StatusCode::kRefused;
-                  purge_local_vnode(vnode);
-                  finish(false);
-                  return;
-                }
-                BinaryWriter w;
-                w.put_u32(id());
-                zk_.set(
-                    vnode_znode(vnode), std::move(w).take(),
-                    got->second.version,
-                    [this, vnode, from, state, finish, cut_start,
-                     enter_phase, cutover](const Result<zk::ZnodeStat>& set) {
-                      if (!migrating_in_.contains(vnode)) return;
-                      if (!set.ok()) {
-                        end_span(cutover,
-                                 set.status().is(StatusCode::kTimeout)
-                                     ? "timeout"
-                                     : "failure");
-                        if (set.status().is(StatusCode::kFailure) ||
-                            set.status().is(StatusCode::kNotFound)) {
-                          // Definite CAS loss: the version moved, so
-                          // ownership is provably elsewhere.
-                          state->status = StatusCode::kRefused;
-                          purge_local_vnode(vnode);
-                        } else {
-                          // Timeout / partition: the CAS may have
-                          // committed on the other side. KEEP the data —
-                          // purging here could orphan acked writes if we
-                          // are in fact the new owner — and resync the
-                          // table so a committed cutover surfaces.
-                          state->status = StatusCode::kUnavailable;
-                          metadata_.sync_now();
-                        }
-                        finish(false);
-                        return;
-                      }
-                      metadata_.apply_local(vnode, id());
-                      state->cutover_us = now() - cut_start;
-                      metrics_.histogram("rebalance.cutover_latency_us")
-                          .record(state->cutover_us,
-                                  trace_context().trace_id);
-                      end_span(cutover, "ok");
-                      append_change_journal(vnode, id(), [this, vnode, from,
-                                                          state, finish,
-                                                          enter_phase] {
+                state->cutover_us = now() - cut_start;
+                metrics_.histogram("rebalance.cutover_latency_us")
+                    .record(state->cutover_us, trace_context().trace_id);
+                end_span(cutover, "ok");
+                append_change_journal(vnode, id(), [this, vnode, from, state,
+                                                    finish, enter_phase] {
+                  if (!migrating_in_.contains(vnode)) return;
+                  // Phase 4: drain catch-up — writes the old owner acked
+                  // between phase 2 and the cutover landing. Best-effort:
+                  // a miss here is converged later by anti-entropy against
+                  // the surviving replicas.
+                  const SpanId drain = enter_phase("migrate.drain");
+                  migration_catchup(
+                      vnode, from,
+                      [this, vnode, from, state, finish, drain](
+                          bool, std::size_t keys) {
                         if (!migrating_in_.contains(vnode)) return;
-                        // Phase 4: drain catch-up — writes the old owner
-                        // acked between phase 2 and the cutover landing.
-                        // Best-effort: a miss here is converged later by
-                        // anti-entropy against the surviving replicas.
-                        const SpanId drain = enter_phase("migrate.drain");
-                        migration_catchup(
-                            vnode, from,
-                            [this, vnode, from, state, finish, drain](
-                                bool, std::size_t keys) {
-                              if (!migrating_in_.contains(vnode)) return;
-                              end_span(drain);
-                              state->items += keys;
-                              // Phase 5: invite the old owner to drop its
-                              // copy (it re-checks replica membership
-                              // before deleting anything).
-                              PurgeVnodeRequest purge{vnode, id()};
-                              send_oneway(from, kMsgPurgeVnode,
-                                          purge.encode());
-                              state->status = StatusCode::kOk;
-                              metrics_
-                                  .counter("rebalance.migrations_completed")
-                                  .add(1);
-                              metrics_.counter("rebalance.bytes_moved")
-                                  .add(state->bytes);
-                              finish(true);
-                            });
+                        end_span(drain);
+                        state->items += keys;
+                        // Phase 5: invite the old owner to drop its copy
+                        // (it re-checks replica membership before
+                        // deleting anything).
+                        PurgeVnodeRequest purge{vnode, id()};
+                        send_oneway(from, kMsgPurgeVnode, purge.encode());
+                        state->status = StatusCode::kOk;
+                        metrics_.counter("rebalance.migrations_completed")
+                            .add(1);
+                        metrics_.counter("rebalance.bytes_moved")
+                            .add(state->bytes);
+                        finish(true);
                       });
-                    });
+                });
               });
         });
       });

@@ -15,9 +15,12 @@
 //                             journals the change, and tells the new owner
 //                             to pull the slice from healthy replicas
 //                             (Sections III.C/III.D);
-//   * join protocol         — a late-joining node steals vnodes with a
-//                             configurable number of parallel "data
+//   * join protocol         — a late-joining node steals vnodes with
+//                             kTransferParallelism parallel "data
 //                             retrieving threads" (Section III.D).
+//
+// Join, recovery and traffic migration all change vnode ownership through
+// one versioned-CAS cutover (cas_vnode_owner).
 #pragma once
 
 #include <cstdint>
@@ -50,27 +53,15 @@ struct SednaNodeConfig {
   wal::PersistenceConfig persistence;
   /// Snapshot cadence under PersistMode::kPeriodicFlush.
   SimDuration flush_interval = sim_sec(30);
-  /// Parallel vnode-claim transfers during join ("the data retrieving
-  /// threads number could be 16 or 8", Section III.D).
-  std::uint32_t takeover_parallelism = 8;
   /// Push the imbalance-table row to ZooKeeper this often (Section III.B).
   SimDuration load_report_interval = sim_sec(5);
-  /// Imbalance-driven rebalancing (the "data balance" pluggable module of
-  /// Fig. 2): the lowest-id live node periodically checks the vnode
-  /// spread and shifts slices from the most to the least loaded node.
-  /// 0 disables (the default — membership churn alone keeps the paper's
-  /// clusters balanced; enable for long-lived skew).
-  SimDuration rebalance_interval = 0;
-  /// Move only while max-min vnode count exceeds this.
-  std::uint32_t rebalance_tolerance = 2;
-  /// Moves executed per rebalance round (bounds transfer burstiness).
-  std::uint32_t rebalance_max_moves = 4;
 
   // --- Traffic-aware rebalancer (closes the telemetry loop) -------------
-  /// The lowest-id live node periodically reads every node's imbalance
-  /// row from ZooKeeper and migrates the hottest vnodes of overloaded
-  /// nodes to the coldest *healthy* nodes via the multi-phase migration
-  /// protocol. 0 disables (the default).
+  /// The imbalance-driven "data balance" module of Fig. 2: the lowest-id
+  /// live node periodically reads every node's imbalance row from
+  /// ZooKeeper and migrates the hottest vnodes of overloaded nodes to the
+  /// coldest *healthy* nodes via the multi-phase migration protocol.
+  /// 0 disables (the default).
   SimDuration traffic_rebalance_interval = 0;
   /// Planner policy: CV trigger, headroom, per-round caps, cooldown,
   /// isolate ("split") path for persistently-hot single vnodes.
@@ -122,8 +113,6 @@ struct SednaNodeConfig {
   /// anti-entropy — a rolling restart then strips a replica set bare one
   /// node at a time and reads start answering confident not-found.
   bool restart_hydration = true;
-  /// Concurrent slice fetches during hydration.
-  std::uint32_t restart_hydration_fanout = 8;
 
   // --- Consistency observability (staleness auditor + t-visibility) -----
   /// Coordinator-side staleness sampling, per-vnode replication-lag
@@ -262,6 +251,28 @@ class SednaNode : public sim::Host {
   void start_recovery(VnodeId vnode, NodeId dead);
   void finish_recovery(VnodeId vnode);
 
+  /// Outcome of one ownership cutover attempt.
+  enum class CasOutcome {
+    kCommitted,  // znode now names the new owner; local table updated
+    kStale,      // znode named someone other than `expected`
+    kGetFailed,  // could not read the znode (ZK unreachable)
+    kLost,       // versioned set refused: ownership provably elsewhere
+    kAmbiguous,  // set timed out / errored: it may have committed
+  };
+  struct CasResult {
+    CasOutcome outcome = CasOutcome::kGetFailed;
+    /// kStale: the owner the znode named (kInvalidNode if undecodable).
+    NodeId observed = kInvalidNode;
+    /// kGetFailed / kLost / kAmbiguous: the ZooKeeper error.
+    Status status;
+  };
+  /// The one vnode cutover shared by join, recovery and migration: read
+  /// the vnode znode, check it still names `expected`, set it to
+  /// `new_owner` under the read version, and on commit apply the change
+  /// to the local table before reporting.
+  void cas_vnode_owner(VnodeId vnode, NodeId expected, NodeId new_owner,
+                       std::function<void(const CasResult&)> cb);
+
   /// Read repair: push the freshest value to replicas that answered with
   /// stale or missing data.
   void read_repair(const std::string& key,
@@ -274,17 +285,16 @@ class SednaNode : public sim::Host {
                           const store::CausalRecord& fresh,
                           const std::vector<NodeId>& stale);
 
-  /// Join: claim the vnodes in `moves` with bounded parallelism.
-  void claim_vnodes(std::vector<ring::VnodeMove> moves, std::size_t next,
-                    std::uint32_t in_flight, ReadyCallback on_done);
+  /// Join: CAS one vnode from its donor to us, journal it, then pull the
+  /// slice (donor first, its other pre-move replicas as fallbacks).
   void claim_one(const ring::VnodeMove& move, std::function<void()> done);
 
-  /// Pulls `vnode`'s items from the first healthy node in `sources`.
-  /// `done` receives success plus the approximate payload bytes applied.
   /// Restart hydration: re-fetch every owned vnode slice (bounded
   /// concurrency), then invoke done. Best effort — unreachable slices are
   /// left to read repair and anti-entropy.
   void hydrate_after_restart(std::function<void()> done);
+  /// Pulls `vnode`'s items from the first healthy node in `sources`.
+  /// `done` receives success plus the approximate payload bytes applied.
   void fetch_vnode_from(VnodeId vnode, std::vector<NodeId> sources,
                         std::size_t idx,
                         std::function<void(bool, std::uint64_t)> done);
@@ -346,12 +356,6 @@ class SednaNode : public sim::Host {
                            std::function<void()> done);
   void pull_key(NodeId peer, const std::string& key, bool want_list,
                 bool want_causal, std::function<void()> done);
-
-  /// Rebalance daemon: runs on the lowest-id live node only.
-  void rebalance_tick();
-  void execute_moves(std::shared_ptr<std::vector<ring::VnodeMove>> moves,
-                     std::size_t next);
-  void execute_move(const ring::VnodeMove& move, std::function<void()> done);
 
   // ---- Traffic-aware rebalancer ------------------------------------------
   /// Leader tick (lowest live id): gather the imbalance rows from

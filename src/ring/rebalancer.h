@@ -6,9 +6,10 @@
 //   * join: a new node steals vnodes from the most loaded nodes until
 //     loads level out — incremental scalability with minimal movement;
 //   * leave/failure: the dead node's vnodes are spread over the least
-//     loaded survivors;
-//   * imbalance-driven rebalance: when the imbalance table reports skew
-//     beyond a threshold, move just enough vnodes from hot to cold nodes.
+//     loaded survivors.
+//
+// Imbalance-driven rebalancing lives in cluster::TrafficRebalancer, which
+// moves vnodes by measured request load rather than by vnode count.
 //
 // All plans are deterministic functions of their inputs (ties broken by
 // id), so every node computes identical plans from identical ZooKeeper
@@ -49,12 +50,6 @@ class Rebalancer {
   /// survivors.
   static std::vector<VnodeMove> plan_leave(const VnodeTable& table,
                                            NodeId leaver);
-
-  /// Load-driven moves: while the spread between the largest and smallest
-  /// holder exceeds `tolerance` vnodes, shift one vnode from the largest
-  /// to the smallest.
-  static std::vector<VnodeMove> plan_rebalance(const VnodeTable& table,
-                                               std::uint32_t tolerance = 1);
 
   static void apply(VnodeTable& table, const std::vector<VnodeMove>& moves);
 };

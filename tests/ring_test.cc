@@ -203,28 +203,6 @@ TEST(Rebalancer, LeaveWithNoSurvivorsIsEmpty) {
   EXPECT_TRUE(Rebalancer::plan_leave(table, 100).empty());
 }
 
-TEST(Rebalancer, RebalanceFlattensSkew) {
-  VnodeTable table(60, 3);
-  // 50 vnodes on node 1, 10 on node 2, none on node 3.
-  for (VnodeId v = 0; v < 50; ++v) table.assign(v, 1);
-  for (VnodeId v = 50; v < 60; ++v) table.assign(v, 2);
-  table.assign(59, 3);
-  const auto moves = Rebalancer::plan_rebalance(table, 1);
-  Rebalancer::apply(table, moves);
-  const auto counts = table.counts();
-  std::uint32_t lo = UINT32_MAX, hi = 0;
-  for (const auto& [node, count] : counts) {
-    lo = std::min(lo, count);
-    hi = std::max(hi, count);
-  }
-  EXPECT_LE(hi - lo, 1u);
-}
-
-TEST(Rebalancer, RebalanceNoopWhenBalanced) {
-  auto table = Rebalancer::initial_assignment(64, 3, make_nodes(4));
-  EXPECT_TRUE(Rebalancer::plan_rebalance(table, 1).empty());
-}
-
 // ---- Imbalance table ---------------------------------------------------------------
 
 TEST(Imbalance, RowCodecRoundTrip) {
