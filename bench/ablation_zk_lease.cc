@@ -93,7 +93,8 @@ class WatcherHost : public sim::Host {
       if (mode_ == Mode::kAdaptiveLease) {
         const bool changed =
             got.ok() &&
-            got.value().second.version != last_seen_version_;
+            static_cast<std::uint64_t>(got.value().second.version) !=
+                last_seen_version_;
         zk_.note_sync_changes(changed ? 1 : 0);
       }
       if (got.ok()) {

@@ -27,7 +27,7 @@ void MemcacheClient::set(const std::string& key, const std::string& value,
 }
 
 void MemcacheClient::get(const std::string& key, GetCallback cb) {
-  get_chain(key, 1, 0, Status::NotFound(), std::move(cb));
+  get_chain(key, 1, 0, std::move(cb));
 }
 
 void MemcacheClient::set_n(const std::string& key, const std::string& value,
@@ -37,7 +37,7 @@ void MemcacheClient::set_n(const std::string& key, const std::string& value,
 
 void MemcacheClient::get_n(const std::string& key, std::uint32_t copies,
                            GetCallback cb) {
-  get_chain(key, copies, 0, Status::NotFound(), std::move(cb));
+  get_chain(key, copies, 0, std::move(cb));
 }
 
 void MemcacheClient::set_chain(const std::string& key,
@@ -77,8 +77,7 @@ void MemcacheClient::set_chain(const std::string& key,
 }
 
 void MemcacheClient::get_chain(const std::string& key, std::uint32_t copies,
-                               std::uint32_t idx, Result<std::string> last,
-                               GetCallback cb) {
+                               std::uint32_t idx, GetCallback cb) {
   const NodeId server = ring_.server_for(key, idx);
   if (server == kInvalidNode) {
     cb(Status::Unavailable("no memcached servers"));
@@ -105,7 +104,7 @@ void MemcacheClient::get_chain(const std::string& key, std::uint32_t copies,
            cb(result);
            return;
          }
-         get_chain(key, copies, idx + 1, std::move(result), std::move(cb));
+         get_chain(key, copies, idx + 1, std::move(cb));
        });
 }
 

@@ -147,8 +147,10 @@ class MemcacheClient : public sim::Host {
  private:
   void set_chain(const std::string& key, const std::string& value,
                  std::uint32_t copies, std::uint32_t idx, SetCallback cb);
+  /// Reads copy `idx`, then the next; the last copy's result is the
+  /// answer.
   void get_chain(const std::string& key, std::uint32_t copies,
-                 std::uint32_t idx, Result<std::string> last, GetCallback cb);
+                 std::uint32_t idx, GetCallback cb);
 
   MemcacheClientConfig config_;
   KetamaRing ring_;

@@ -93,11 +93,15 @@ SednaClient::WriteCallback SednaClient::traced_write(const char* op,
   const TraceContext root = begin_trace(op, TraceStage::kService);
   const SimTime started = now();
   return [this, root, started, cb = std::move(cb)](const Status& st) {
-    metrics_.histogram("client.write_latency_us")
-        .record(now() - started, root.trace_id);
-    end_span(root.span_id, std::string(to_string(st.code())));
+    write_latency_->record(now() - started, root.trace_id);
+    end_span(root.span_id, to_string(st.code()));
     cb(st);
   };
+}
+
+SpanId SednaClient::attempt_span(const char* prefix, int attempt) {
+  if (!tracer().enabled()) return 0;
+  return begin_span(prefix + std::to_string(attempt), TraceStage::kService);
 }
 
 SimDuration SednaClient::retry_backoff(int next_attempt) {
@@ -149,8 +153,7 @@ void SednaClient::do_write_full(
   }
   // Attempt span: one per coordinator tried. Siblings under the op root,
   // so a retried write reads as attempt#0 (timeout) then attempt#1 (ok).
-  const SpanId span = begin_span(
-      "client.write.attempt#" + std::to_string(attempt), TraceStage::kService);
+  const SpanId span = attempt_span("client.write.attempt#", attempt);
   const TraceContext parent = enter_span(span);
   // Encode before the lambda capture moves `req` (argument evaluation
   // order is unspecified).
@@ -176,9 +179,9 @@ void SednaClient::do_write_full(
            if (rep.ok() && rep->status != StatusCode::kUnavailable &&
                rep->status != StatusCode::kFailure &&
                rep->status != StatusCode::kOverloaded) {
-             metrics_.counter("client.writes").add(1);
+             writes_->add(1);
              refill_retry_budget();
-             end_span(span, std::string(to_string(rep->status)));
+             end_span(span, to_string(rep->status));
              cb(std::move(rep));
              return;
            }
@@ -234,8 +237,7 @@ void SednaClient::do_read(ReadRequest req, int attempt, SimTime deadline,
     cb(Status::Timeout("op deadline exceeded"));
     return;
   }
-  const SpanId span = begin_span(
-      "client.read.attempt#" + std::to_string(attempt), TraceStage::kService);
+  const SpanId span = attempt_span("client.read.attempt#", attempt);
   const TraceContext parent = enter_span(span);
   std::string payload = req.encode();
   call_with_timeout(
@@ -250,7 +252,7 @@ void SednaClient::do_read(ReadRequest req, int attempt, SimTime deadline,
            if (rep.ok() && rep->status != StatusCode::kUnavailable &&
                rep->status != StatusCode::kFailure &&
                rep->status != StatusCode::kOverloaded) {
-             metrics_.counter("client.reads").add(1);
+             reads_->add(1);
              if (rep->stale) {
                metrics_.counter("client.stale_reads").add(1);
                // The coordinator's staleness bound rides the reply when
@@ -265,7 +267,7 @@ void SednaClient::do_read(ReadRequest req, int attempt, SimTime deadline,
                }
              }
              refill_retry_budget();
-             end_span(span, std::string(to_string(rep->status)));
+             end_span(span, to_string(rep->status));
              cb(std::move(rep));
              return;
            }
@@ -321,10 +323,9 @@ void SednaClient::put_causal(const std::string& key, const std::string& value,
   do_write_full(
       std::move(req), 0, op_deadline(),
       [this, root, started, cb = std::move(cb)](const Result<WriteReply>& rep) {
-        metrics_.histogram("client.write_latency_us")
-            .record(now() - started, root.trace_id);
+        write_latency_->record(now() - started, root.trace_id);
         const StatusCode code = rep.ok() ? rep->status : rep.status().code();
-        end_span(root.span_id, std::string(to_string(code)));
+        end_span(root.span_id, to_string(code));
         if (!rep.ok()) {
           cb(rep.status(), {});
           return;
@@ -345,11 +346,9 @@ void SednaClient::get_causal(const std::string& key, GetCausalCallback cb) {
   do_read(std::move(req), 0, op_deadline(),
           [this, root, started,
            cb = std::move(cb)](const Result<ReadReply>& rep) {
-            metrics_.histogram("client.read_latency_us")
-                .record(now() - started, root.trace_id);
-            end_span(root.span_id,
-                     std::string(to_string(rep.ok() ? rep->status
-                                                    : rep.status().code())));
+            read_latency_->record(now() - started, root.trace_id);
+            end_span(root.span_id, to_string(rep.ok() ? rep->status
+                                                      : rep.status().code()));
             if (!rep.ok()) {
               cb(rep.status());
               return;
@@ -518,11 +517,9 @@ void SednaClient::read_latest(const std::string& key, ReadLatestCallback cb) {
   do_read(std::move(req), 0, op_deadline(),
           [this, root, started,
            cb = std::move(cb)](const Result<ReadReply>& rep) {
-            metrics_.histogram("client.read_latency_us")
-                .record(now() - started, root.trace_id);
-            end_span(root.span_id,
-                     std::string(to_string(rep.ok() ? rep->status
-                                                    : rep.status().code())));
+            read_latency_->record(now() - started, root.trace_id);
+            end_span(root.span_id, to_string(rep.ok() ? rep->status
+                                                      : rep.status().code()));
             if (!rep.ok()) {
               cb(rep.status());
               return;
@@ -547,11 +544,9 @@ void SednaClient::read_all(const std::string& key, ReadAllCallback cb) {
   do_read(std::move(req), 0, op_deadline(),
           [this, root, started,
            cb = std::move(cb)](const Result<ReadReply>& rep) {
-            metrics_.histogram("client.read_latency_us")
-                .record(now() - started, root.trace_id);
-            end_span(root.span_id,
-                     std::string(to_string(rep.ok() ? rep->status
-                                                    : rep.status().code())));
+            read_latency_->record(now() - started, root.trace_id);
+            end_span(root.span_id, to_string(rep.ok() ? rep->status
+                                                      : rep.status().code()));
             if (!rep.ok()) {
               cb(rep.status());
               return;

@@ -204,10 +204,19 @@ class SednaClient : public sim::Host {
   /// client.retry_backoff_us histogram.
   [[nodiscard]] SimDuration retry_backoff(int next_attempt);
 
+  /// Opens the span for one attempt, `prefix` + attempt number; builds
+  /// the name only while the tracer is on.
+  SpanId attempt_span(const char* prefix, int attempt);
+
   SednaClientConfig config_;
   zk::ZkClient zk_;
   MetadataCache metadata_;
   MetricRegistry metrics_;
+  // Per-op metrics, resolved once.
+  MetricHandle<Counter> writes_{metrics_, "client.writes"};
+  MetricHandle<Counter> reads_{metrics_, "client.reads"};
+  MetricHandle<Histogram> write_latency_{metrics_, "client.write_latency_us"};
+  MetricHandle<Histogram> read_latency_{metrics_, "client.read_latency_us"};
   bool ready_ = false;
   std::uint16_t write_seq_ = 0;
   /// Retry-budget token bucket; starts full so a cold client can still

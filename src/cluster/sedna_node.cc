@@ -246,7 +246,8 @@ void SednaNode::cas_vnode_owner(VnodeId vnode, NodeId expected,
             BinaryReader r(got->first);
             const NodeId current = r.get_u32();
             if (r.failed() || current != expected) {
-              cb({CasOutcome::kStale, r.failed() ? kInvalidNode : current});
+              cb({CasOutcome::kStale, r.failed() ? kInvalidNode : current,
+                  Status::Ok()});
               return;
             }
             BinaryWriter w;
@@ -257,7 +258,8 @@ void SednaNode::cas_vnode_owner(VnodeId vnode, NodeId expected,
                         const Result<zk::ZnodeStat>& set) {
                       if (set.ok()) {
                         metadata_.apply_local(vnode, new_owner);
-                        cb({CasOutcome::kCommitted});
+                        cb({CasOutcome::kCommitted, kInvalidNode,
+                            Status::Ok()});
                         return;
                       }
                       const bool lost =
@@ -702,10 +704,9 @@ void SednaNode::handle_replica_write(const sim::Message& msg) {
     rep.status = StatusCode::kInvalidArgument;
   } else {
     rep.status = apply_write(*req);
-    metrics_.counter("replica.writes").add(1);
+    replica_writes_->add(1);
   }
-  instant_span("replica.write", std::string(to_string(rep.status)),
-               TraceStage::kService);
+  instant_span("replica.write", to_string(rep.status), TraceStage::kService);
   reply(msg, rep.encode());
 }
 
@@ -717,10 +718,9 @@ void SednaNode::handle_replica_read(const sim::Message& msg) {
     reply(msg, rep.encode());
     return;
   }
-  metrics_.counter("replica.reads").add(1);
+  replica_reads_->add(1);
   ReadReply rep = local_read(*req);
-  instant_span("replica.read", std::string(to_string(rep.status)),
-               TraceStage::kService);
+  instant_span("replica.read", to_string(rep.status), TraceStage::kService);
   reply(msg, rep.encode());
 }
 
@@ -765,46 +765,64 @@ void SednaNode::handle_client_write(const sim::Message& msg) {
 
   const VnodeId vnode = metadata_.table().vnode_for_key(req.key);
   const auto replicas = metadata_.table().replicas_for_vnode(vnode);
-  const auto cfg = metadata_.config();
-  metrics_.counter("coordinator.writes").add(1);
+  coordinator_writes_->add(1);
   if (config_.hot_key_capacity > 0) hot_keys_.record(req.key);
-  const SimTime started = now();
-  const TraceId trace = trace_context().trace_id;
   const SpanId coord_span = begin_span("coord.write", TraceStage::kService);
   const TraceContext prev_ctx = enter_span(coord_span);
 
+  // One state per fan-out, shared by the settle closure and every replica
+  // callback, which reach the request and reply header through it.
   struct WriteState {
+    WriteRequest req;
+    sim::Message origin;  // reply header only
+    ClusterConfig cfg;
+    std::uint32_t total = 0;
+    SimTime started = 0;
+    VnodeId vnode = 0;
+    TraceId trace = 0;
+    SpanId coord_span = 0;
+    bool causal_put = false;
+    bool deadline_bounded = false;
+    store::VersionVector causal_clock;
     std::uint32_t acks = 0;
     std::uint32_t outdated = 0;
     std::uint32_t failures = 0;
     std::uint32_t responses = 0;
     bool replied = false;
+    std::function<void()> settle;
   };
   auto state = std::make_shared<WriteState>();
-  const sim::Message origin = msg;
-  const auto total = static_cast<std::uint32_t>(replicas.size());
+  state->req = std::move(req);
+  state->origin = msg.header();
+  state->cfg = metadata_.config();
+  state->total = static_cast<std::uint32_t>(replicas.size());
+  state->started = now();
+  state->vnode = vnode;
+  state->trace = prev_ctx.trace_id;
+  state->coord_span = coord_span;
+  state->causal_put = causal_put;
+  state->causal_clock = std::move(causal_clock);
 
-  auto settle = [this, state, origin, cfg, total, started, vnode, trace,
-                 coord_span, key = req.key, causal_put, causal_clock,
-                 wts = req.ts]() {
+  state->settle = [this, state = state.get()]() {
     if (state->replied) return;
     WriteReply rep;
-    if (state->acks >= cfg.write_quorum) {
+    if (state->acks >= state->cfg.write_quorum) {
       rep.status = StatusCode::kOk;
-      if (causal_put) {
+      if (state->causal_put) {
         // Hand the post-write clock back as the client's next context.
         rep.has_ctx = true;
-        rep.ctx = causal_clock;
+        rep.ctx = state->causal_clock;
       }
       // t-visibility probe (PBS-style): sample acked LWW writes and check
       // back on every replica at fixed offsets to measure how quickly an
       // acknowledged write becomes readable cluster-wide. Causal puts are
       // excluded — their convergence is vector-clock joins, not a single
       // timestamp, so "ts >= wts" is not the right visibility predicate.
-      if (auditor_ != nullptr && !causal_put && auditor_->should_probe()) {
-        probe_visibility(key, wts, vnode, now());
+      if (auditor_ != nullptr && !state->causal_put &&
+          auditor_->should_probe()) {
+        probe_visibility(state->req.key, state->req.ts, state->vnode, now());
       }
-    } else if (state->responses < total) {
+    } else if (state->responses < state->total) {
       return;  // still waiting and quorum still possible
     } else if (state->outdated > 0) {
       rep.status = StatusCode::kOutdated;
@@ -813,10 +831,9 @@ void SednaNode::handle_client_write(const sim::Message& msg) {
       metrics_.counter("coordinator.write_quorum_failures").add(1);
     }
     state->replied = true;
-    metrics_.histogram("coordinator.write_latency_us")
-        .record(now() - started, trace);
-    end_span(coord_span, std::string(to_string(rep.status)));
-    reply(origin, rep.encode());
+    coordinator_write_latency_->record(now() - state->started, state->trace);
+    end_span(state->coord_span, to_string(rep.status));
+    reply(state->origin, rep.encode());
   };
 
   // Deadline-aware fan-out: the replica RPC timeout never extends past the
@@ -826,19 +843,18 @@ void SednaNode::handle_client_write(const sim::Message& msg) {
   // must not feed the failure detector or queue hints (suspecting healthy
   // nodes and replaying hints during overload would amplify the overload).
   SimDuration fanout_timeout = config().rpc_timeout_us;
-  if (origin.deadline != 0 && origin.deadline > now()) {
+  if (msg.deadline != 0 && msg.deadline > now()) {
     fanout_timeout =
-        std::min<SimDuration>(fanout_timeout, origin.deadline - now());
+        std::min<SimDuration>(fanout_timeout, msg.deadline - now());
   }
-  const bool deadline_bounded =
-      origin.deadline != 0 && fanout_timeout < config().rpc_timeout_us;
+  state->deadline_bounded =
+      msg.deadline != 0 && fanout_timeout < config().rpc_timeout_us;
 
-  const std::string payload = req.encode();
+  const std::string payload = state->req.encode();
   for (NodeId replica : replicas) {
     if (replica == id()) {
-      const StatusCode st = apply_write(req);
-      instant_span("coord.local_write", std::string(to_string(st)),
-                   TraceStage::kService);
+      const StatusCode st = apply_write(state->req);
+      instant_span("coord.local_write", to_string(st), TraceStage::kService);
       ++state->responses;
       if (st == StatusCode::kOk) {
         ++state->acks;
@@ -847,21 +863,20 @@ void SednaNode::handle_client_write(const sim::Message& msg) {
       } else {
         ++state->failures;
       }
-      settle();
+      state->settle();
       continue;
     }
     call_with_timeout(
         replica, kMsgReplicaWrite, payload, fanout_timeout,
-        [this, state, settle, replica, vnode, req, deadline_bounded](
-            const Status& st, const std::string& body) {
+        [this, state, replica](const Status& st, const std::string& body) {
           ++state->responses;
           if (!st.ok()) {
             ++state->failures;
-            if (!deadline_bounded) {
+            if (!state->deadline_bounded) {
               // The replica missed an acknowledged-at-W write: remember it
               // and replay once the replica re-registers (hinted handoff).
-              queue_hint(replica, req);
-              suspect_node(replica, vnode);
+              queue_hint(replica, state->req);
+              suspect_node(replica, state->vnode);
             }
           } else {
             auto rep = WriteReply::decode(body);
@@ -873,9 +888,9 @@ void SednaNode::handle_client_write(const sim::Message& msg) {
               ++state->failures;
             }
           }
-          settle();
+          state->settle();
         },
-        origin.deadline);
+        msg.deadline);
   }
   set_trace_context(prev_ctx);
 }
@@ -889,18 +904,25 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
     reply(msg, rep.encode());
     return;
   }
-  const ReadRequest req = std::move(decoded).value();
+  ReadRequest req = std::move(decoded).value();
   const VnodeId vnode = metadata_.table().vnode_for_key(req.key);
   const auto replicas = metadata_.table().replicas_for_vnode(vnode);
-  const auto cfg = metadata_.config();
-  metrics_.counter("coordinator.reads").add(1);
+  coordinator_reads_->add(1);
   if (config_.hot_key_capacity > 0) hot_keys_.record(req.key);
-  const SimTime started = now();
-  const TraceId trace = trace_context().trace_id;
   const SpanId coord_span = begin_span("coord.read", TraceStage::kService);
   const TraceContext prev_ctx = enter_span(coord_span);
 
+  // One state per fan-out; see handle_client_write.
   struct ReadState {
+    ReadRequest req;
+    sim::Message origin;  // reply header only
+    ClusterConfig cfg;
+    std::uint32_t total = 0;
+    SimTime started = 0;
+    VnodeId vnode = 0;
+    TraceId trace = 0;
+    SpanId coord_span = 0;
+    bool deadline_bounded = false;
     std::vector<std::pair<NodeId, ReadReply>> replies;
     std::uint32_t responses = 0;
     std::uint32_t failures = 0;
@@ -919,16 +941,24 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
     bool audited = false;
     bool served_stale = false;
     SimTime settled_at = 0;
+    /// Runs after every response (with this state): settle the read, then
+    /// emit the audit sample once all replicas have answered.
+    std::function<void(ReadState*)> on_response;
   };
   auto state = std::make_shared<ReadState>();
-  const sim::Message origin = msg;
-  const auto total = static_cast<std::uint32_t>(replicas.size());
+  state->req = std::move(req);
+  state->origin = msg.header();
+  state->cfg = metadata_.config();
+  state->total = static_cast<std::uint32_t>(replicas.size());
+  state->started = now();
+  state->vnode = vnode;
+  state->trace = prev_ctx.trace_id;
+  state->coord_span = coord_span;
 
-  auto settle = [this, state, origin, cfg, total, started, trace, coord_span,
-                 req, vnode]() {
+  auto settle = [this](ReadState* state) {
     if (state->replied) return;
 
-    if (req.causal) {
+    if (state->req.causal) {
       // Causal quorum read: R *positive* replies settle (the same
       // positive-only rule as the LWW path — a fresh replica-set member
       // legitimately lacks the key). The answer is the semilattice join
@@ -940,10 +970,12 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
       for (const auto& [node, rep] : state->replies) {
         if (rep.has_causal) ++positives;
       }
-      if (positives < cfg.read_quorum && state->responses < total) return;
+      if (positives < state->cfg.read_quorum &&
+          state->responses < state->total) {
+        return;
+      }
       state->replied = true;
-      metrics_.histogram("coordinator.read_latency_us")
-          .record(now() - started, trace);
+      coordinator_read_latency_->record(now() - state->started, state->trace);
       ReadReply out;
       store::CausalRecord merged;
       for (const auto& [node, rep] : state->replies) {
@@ -953,13 +985,13 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
         out.status = StatusCode::kOk;
         out.has_causal = true;
         out.causal = merged;
-        if (positives < cfg.read_quorum) {
+        if (positives < state->cfg.read_quorum) {
           out.stale = true;
           if (auditor_ != nullptr) {
-            out.staleness_us = auditor_->on_stale_serve(vnode, now());
+            out.staleness_us = auditor_->on_stale_serve(state->vnode, now());
           }
         } else if (auditor_ != nullptr) {
-          auditor_->on_full_quorum(vnode, now());
+          auditor_->on_full_quorum(state->vnode, now());
         }
         state->has_causal_answer = true;
         state->merged = merged;
@@ -971,18 +1003,18 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
             stale.push_back(node);
           }
         }
-        if (!stale.empty()) read_repair_causal(req.key, merged, stale);
+        if (!stale.empty()) read_repair_causal(state->req.key, merged, stale);
       } else if (state->failures > 0) {
         out.status = StatusCode::kFailure;
       } else {
         out.status = StatusCode::kNotFound;
       }
-      end_span(coord_span, std::string(to_string(out.status)));
-      reply(origin, out.encode());
+      end_span(state->coord_span, to_string(out.status));
+      reply(state->origin, out.encode());
       return;
     }
 
-    if (req.mode == ReadMode::kLatest) {
+    if (state->req.mode == ReadMode::kLatest) {
       // Quorum rule (Section III.C): R replies carrying the *same
       // timestamp* settle the read. Only *positive* replies may settle
       // early — concluding "not found" from R misses while a replica that
@@ -995,18 +1027,20 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
         for (const auto& [other_node, other] : state->replies) {
           if (other.has_latest && rep.latest.ts == other.latest.ts) ++agree;
         }
-        if (agree >= cfg.read_quorum) {
+        if (agree >= state->cfg.read_quorum) {
           state->replied = true;
           state->has_answer = true;
           state->answer = rep.latest;
           state->settled_at = now();
-          if (auditor_ != nullptr) auditor_->on_full_quorum(vnode, now());
-          metrics_.histogram("coordinator.read_latency_us")
-              .record(now() - started, trace);
+          if (auditor_ != nullptr) {
+            auditor_->on_full_quorum(state->vnode, now());
+          }
+          coordinator_read_latency_->record(now() - state->started,
+                                            state->trace);
           ReadReply out = rep;
           out.status = StatusCode::kOk;
-          end_span(coord_span, "ok");
-          reply(origin, out.encode());
+          end_span(state->coord_span, "ok");
+          reply(state->origin, out.encode());
           // Repair stragglers that have older (or no) data.
           std::vector<NodeId> stale;
           for (const auto& [other_node, other] : state->replies) {
@@ -1014,7 +1048,7 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
               stale.push_back(other_node);
             }
           }
-          if (!stale.empty()) read_repair(req.key, rep.latest, stale);
+          if (!stale.empty()) read_repair(state->req.key, rep.latest, stale);
           return;
         }
       }
@@ -1025,7 +1059,7 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
       // the op ride out every timeout and fail. Keyspace-style trade:
       // availability bought with labeled staleness.
       if (config_.degraded_reads &&
-          state->failures + cfg.read_quorum > total) {
+          state->failures + state->cfg.read_quorum > state->total) {
         const ReadReply* freshest = nullptr;
         for (const auto& [node, rep] : state->replies) {
           if (rep.has_latest &&
@@ -1040,23 +1074,23 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
           state->served_stale = true;
           state->settled_at = now();
           metrics_.counter("coordinator.degraded_reads").add(1);
-          metrics_.histogram("coordinator.read_latency_us")
-              .record(now() - started, trace);
+          coordinator_read_latency_->record(now() - state->started,
+                                            state->trace);
           ReadReply out = *freshest;
           out.status = StatusCode::kOk;
           out.stale = true;
           // Bounded staleness: the served value is no older than the time
-          // since this vnode last confirmed a full read quorum, so hand
+          // since this state->vnode last confirmed a full read quorum, so hand
           // the client that bound alongside the stale tag.
           if (auditor_ != nullptr) {
-            out.staleness_us = auditor_->on_stale_serve(vnode, now());
+            out.staleness_us = auditor_->on_stale_serve(state->vnode, now());
           }
-          end_span(coord_span, "ok");
-          reply(origin, out.encode());
+          end_span(state->coord_span, "ok");
+          reply(state->origin, out.encode());
           return;
         }
       }
-      if (state->responses < total) return;  // keep waiting
+      if (state->responses < state->total) return;  // keep waiting
       // All replicas answered without an R-sized agreeing set: return the
       // freshest value (eventual consistency) and repair the rest.
       const ReadReply* freshest = nullptr;
@@ -1067,8 +1101,7 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
         }
       }
       state->replied = true;
-      metrics_.histogram("coordinator.read_latency_us")
-          .record(now() - started, trace);
+      coordinator_read_latency_->record(now() - state->started, state->trace);
       ReadReply out;
       if (freshest != nullptr) {
         out = *freshest;
@@ -1082,7 +1115,7 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
         state->served_stale = true;
         state->settled_at = now();
         if (auditor_ != nullptr) {
-          out.staleness_us = auditor_->on_stale_serve(vnode, now());
+          out.staleness_us = auditor_->on_stale_serve(state->vnode, now());
         }
         std::vector<NodeId> stale;
         for (const auto& [node, rep] : state->replies) {
@@ -1090,14 +1123,14 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
             stale.push_back(node);
           }
         }
-        if (!stale.empty()) read_repair(req.key, out.latest, stale);
+        if (!stale.empty()) read_repair(state->req.key, out.latest, stale);
       } else if (state->failures > 0) {
         out.status = StatusCode::kFailure;
       } else {
         out.status = StatusCode::kNotFound;
       }
-      end_span(coord_span, std::string(to_string(out.status)));
-      reply(origin, out.encode());
+      end_span(state->coord_span, to_string(out.status));
+      reply(state->origin, out.encode());
       return;
     }
 
@@ -1109,11 +1142,10 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
         ++successes;
       }
     }
-    const bool exhausted = state->responses >= total;
-    if (successes < cfg.read_quorum && !exhausted) return;
+    const bool exhausted = state->responses >= state->total;
+    if (successes < state->cfg.read_quorum && !exhausted) return;
     state->replied = true;
-    metrics_.histogram("coordinator.read_latency_us")
-        .record(now() - started, trace);
+    coordinator_read_latency_->record(now() - state->started, state->trace);
     ReadReply out;
     std::map<NodeId, store::SourceValue> merged;
     for (const auto& [node, rep] : state->replies) {
@@ -1128,8 +1160,8 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
                        ? StatusCode::kFailure
                        : StatusCode::kNotFound;
     }
-    end_span(coord_span, std::string(to_string(out.status)));
-    reply(origin, out.encode());
+    end_span(state->coord_span, to_string(out.status));
+    reply(state->origin, out.encode());
   };
 
   // Staleness sample: once every replica has answered (call_with_timeout
@@ -1137,15 +1169,15 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
   // the client was served against the freshest timestamp any replica
   // reported. The gap — versions behind, and wall-clock µs behind — is a
   // *measured* staleness observation, not a bound.
-  auto audit_finalize = [this, state, total, vnode,
-                         causal = req.causal, mode = req.mode]() {
-    if (auditor_ == nullptr || state->audited || state->responses < total ||
-        causal || mode != ReadMode::kLatest || !state->has_answer) {
+  auto audit_finalize = [this](ReadState* state) {
+    if (auditor_ == nullptr || state->audited ||
+        state->responses < state->total || state->req.causal ||
+        state->req.mode != ReadMode::kLatest || !state->has_answer) {
       return;
     }
     state->audited = true;
     ReadAuditSample s;
-    s.vnode = vnode;
+    s.vnode = state->vnode;
     s.served_ts = state->answer.ts;
     s.stale = state->served_stale;
     s.confirm_lag_us =
@@ -1163,37 +1195,40 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
     }
     auditor_->on_read_final(s);
   };
+  state->on_response = [settle, audit_finalize](ReadState* state) {
+    settle(state);
+    audit_finalize(state);
+  };
 
   // Deadline-aware fan-out; see handle_client_write. Deadline-shortened
   // timeouts are abandonment, not failure evidence.
   SimDuration fanout_timeout = config().rpc_timeout_us;
-  if (origin.deadline != 0 && origin.deadline > now()) {
+  if (msg.deadline != 0 && msg.deadline > now()) {
     fanout_timeout =
-        std::min<SimDuration>(fanout_timeout, origin.deadline - now());
+        std::min<SimDuration>(fanout_timeout, msg.deadline - now());
   }
-  const bool deadline_bounded =
-      origin.deadline != 0 && fanout_timeout < config().rpc_timeout_us;
+  state->deadline_bounded =
+      msg.deadline != 0 && fanout_timeout < config().rpc_timeout_us;
 
-  const std::string payload = req.encode();
+  const std::string payload = state->req.encode();
   for (NodeId replica : replicas) {
     if (replica == id()) {
-      ReadReply rep = local_read(req);
-      instant_span("coord.local_read", std::string(to_string(rep.status)),
+      ReadReply rep = local_read(state->req);
+      instant_span("coord.local_read", to_string(rep.status),
                    TraceStage::kService);
       state->replies.emplace_back(id(), std::move(rep));
       ++state->responses;
-      settle();
-      audit_finalize();
+      state->on_response(state.get());
       continue;
     }
     call_with_timeout(
         replica, kMsgReplicaRead, payload, fanout_timeout,
-        [this, state, settle, audit_finalize, replica, vnode, key = req.key,
-         deadline_bounded](const Status& st, const std::string& body) {
+        [this, state, replica](const Status& st, const std::string& body) {
+          const std::string& key = state->req.key;
           ++state->responses;
           if (!st.ok()) {
             ++state->failures;
-            if (!deadline_bounded) suspect_node(replica, vnode);
+            if (!state->deadline_bounded) suspect_node(replica, state->vnode);
           } else {
             auto rep = ReadReply::decode(body);
             if (rep.ok() && rep->status == StatusCode::kOverloaded) {
@@ -1221,10 +1256,9 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
               ++state->failures;
             }
           }
-          settle();
-          audit_finalize();
+          state->on_response(state.get());
         },
-        origin.deadline);
+        msg.deadline);
   }
   set_trace_context(prev_ctx);
 }
@@ -1795,7 +1829,7 @@ void SednaNode::handle_hint_deliver(const sim::Message& msg) {
     rep.status = apply_write(req->write);
     metrics_.counter("replica.hints_received").add(1);
   }
-  instant_span("replica.hint_apply", std::string(to_string(rep.status)),
+  instant_span("replica.hint_apply", to_string(rep.status),
                TraceStage::kHintReplay);
   reply(msg, rep.encode());
 }

@@ -379,6 +379,15 @@ class SednaNode : public sim::Host {
   zk::ZkClient zk_;
   MetadataCache metadata_;
   MetricRegistry metrics_;
+  // Per-op metrics, resolved once.
+  MetricHandle<Counter> coordinator_writes_{metrics_, "coordinator.writes"};
+  MetricHandle<Counter> coordinator_reads_{metrics_, "coordinator.reads"};
+  MetricHandle<Counter> replica_writes_{metrics_, "replica.writes"};
+  MetricHandle<Counter> replica_reads_{metrics_, "replica.reads"};
+  MetricHandle<Histogram> coordinator_write_latency_{
+      metrics_, "coordinator.write_latency_us"};
+  MetricHandle<Histogram> coordinator_read_latency_{
+      metrics_, "coordinator.read_latency_us"};
   bool ready_ = false;
   /// Set by on_crash: the next start() must hydrate the empty store from
   /// peer replicas before reporting ready (see restart_hydration).

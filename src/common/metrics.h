@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace sedna {
@@ -150,6 +151,36 @@ class MetricRegistry {
  private:
   std::map<std::string, Counter> counters_;
   std::map<std::string, Histogram> histograms_;
+};
+
+/// A registry metric looked up by name on first use and cached after, for
+/// hot paths. std::map never relocates its nodes, so the cached reference
+/// stays valid until the registry's reset(). Resolving lazily, not at
+/// construction, leaves the registry's key set exactly what by-name
+/// lookups would have created.
+template <typename Metric>
+class MetricHandle {
+ public:
+  MetricHandle(MetricRegistry& registry, const char* name)
+      : registry_(&registry), name_(name) {}
+
+  Metric* operator->() { return &get(); }
+
+ private:
+  Metric& get() {
+    if (metric_ == nullptr) {
+      if constexpr (std::is_same_v<Metric, Counter>) {
+        metric_ = &registry_->counter(name_);
+      } else {
+        metric_ = &registry_->histogram(name_);
+      }
+    }
+    return *metric_;
+  }
+
+  MetricRegistry* registry_;
+  const char* name_;
+  Metric* metric_ = nullptr;
 };
 
 /// Cluster-wide metrics registry: names each per-node MetricRegistry with

@@ -34,6 +34,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -157,7 +158,7 @@ class Tracer {
   }
 
   /// Opens a new trace with a root span. Returns {0,0} while disabled.
-  TraceContext start_trace(const std::string& name, NodeId node, SimTime now,
+  TraceContext start_trace(std::string_view name, NodeId node, SimTime now,
                            TraceStage stage = TraceStage::kUnknown) {
     if (!enabled_) return {};
     const TraceId trace = next_trace_++;
@@ -167,7 +168,7 @@ class Tracer {
   /// Opens a child span under `parent`. Returns 0 (a no-op id) while
   /// disabled, when the parent context carries no trace, or when the
   /// parent span's trace has already been evicted.
-  SpanId begin(const TraceContext& parent, const std::string& name,
+  SpanId begin(const TraceContext& parent, std::string_view name,
                NodeId node, SimTime now,
                TraceStage stage = TraceStage::kUnknown) {
     if (!enabled_ || !parent.active() || parent.span_id == 0) return 0;
@@ -179,7 +180,7 @@ class Tracer {
   /// spans (first close wins, so a response beats its raced timeout).
   /// Closing a root span finalizes its trace: the finished hook fires and
   /// the retention tiers admit (or evict) it.
-  void end(SpanId span, SimTime now, const std::string& status = "ok") {
+  void end(SpanId span, SimTime now, std::string_view status = "ok") {
     if (span == 0) return;
     const auto it = span_index_.find(span);
     if (it == span_index_.end()) return;
@@ -193,7 +194,7 @@ class Tracer {
 
   /// Attaches a cause annotation ("vnode=7 from=102") to an open or
   /// closed span. No-op on id 0 / evicted spans.
-  void annotate(SpanId span, const std::string& cause) {
+  void annotate(SpanId span, std::string_view cause) {
     if (span == 0) return;
     const auto it = span_index_.find(span);
     if (it == span_index_.end()) return;
@@ -202,8 +203,8 @@ class Tracer {
   }
 
   /// Zero-duration annotation (e.g. a network drop).
-  void instant(const TraceContext& parent, const std::string& name,
-               NodeId node, SimTime now, const std::string& status = "ok",
+  void instant(const TraceContext& parent, std::string_view name,
+               NodeId node, SimTime now, std::string_view status = "ok",
                TraceStage stage = TraceStage::kUnknown) {
     end(begin(parent, name, node, now, stage), now, status);
   }
@@ -343,7 +344,7 @@ class Tracer {
     return a.trace < b.trace;
   }
 
-  SpanId add_span(TraceId trace, SpanId parent, const std::string& name,
+  SpanId add_span(TraceId trace, SpanId parent, std::string_view name,
                   NodeId node, SimTime now, TraceStage stage) {
     const SpanId id = next_span_++;
     TraceRecord& rec = traces_[trace];
@@ -351,8 +352,8 @@ class Tracer {
       rec.op = name;
       rec.start_us = now;
     }
-    rec.spans.push_back(Span{trace, id, parent, name, node, now, 0, {},
-                             stage, {}});
+    rec.spans.push_back(Span{trace, id, parent, std::string(name), node, now,
+                             0, {}, stage, {}});
     span_index_.emplace(id, trace);
     ++live_spans_;
     enforce_span_cap();

@@ -37,6 +37,7 @@
 #include <deque>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -86,10 +87,10 @@ class Host {
     net_.attach(id_, this);
   }
   virtual ~Host() {
-    // Invalidate every event lambda that still points at this host (CPU
-    // dispatches, RPC timeouts): hosts may die while the simulation runs
+    // Cancel every event that still points at this host (the service
+    // completion, RPC timeouts): hosts may die while the simulation runs
     // on (e.g. a short-lived bootstrap client).
-    *live_ = false;
+    cpu_timer_.cancel();
     for (auto& [rpc_id, pending] : pending_) pending.timeout.cancel();
     net_.detach(id_);
   }
@@ -119,7 +120,7 @@ class Host {
     for (auto& q : queues_) q.clear();
     queued_ = 0;
     cpu_busy_ = false;
-    ++cpu_epoch_;  // orphan any in-flight service completion event
+    cpu_timer_.cancel();  // drop the message in service
     trace_ctx_ = {};
     on_crash();
   }
@@ -131,7 +132,7 @@ class Host {
 
   /// Entry point used by Network: admit (or shed) the message, then queue
   /// it behind the CPU in its priority class.
-  void deliver(const Message& msg) {
+  void deliver(Message msg) {
     if (!alive_) return;
     const std::size_t prio = clamp_priority(message_priority(msg));
     if (!msg.is_response && config_.max_ingress_queue > 0) {
@@ -146,11 +147,8 @@ class Host {
     // Service cost is drawn at arrival (not at dequeue) so the shared RNG
     // stream is consumed in network-delivery order — the same order the
     // pre-queue timeline model used.
-    QueuedMessage item;
-    item.msg = msg;
-    item.arrival = sim().now();
-    item.cost = service_cost(msg);
-    queues_[prio].push_back(std::move(item));
+    const SimDuration cost = service_cost(msg);
+    queues_[prio].push_back(QueuedMessage{std::move(msg), sim().now(), cost});
     ++queued_;
     if (!cpu_busy_) start_next();
   }
@@ -169,10 +167,12 @@ class Host {
                          SimTime deadline = 0) {
     const std::uint64_t rpc_id = next_rpc_id_++;
     const TraceContext caller_ctx = trace_ctx_;
-    const SpanId rpc_span = tracer().begin(caller_ctx, rpc_span_name(type),
-                                           id_, now(), rpc_span_stage(type));
-    auto timer = sim().schedule(timeout, [this, live = live_, rpc_id]() {
-      if (!*live) return;
+    const SpanId rpc_span =
+        tracer().enabled()
+            ? tracer().begin(caller_ctx, rpc_span_name(type), id_, now(),
+                             rpc_span_stage(type))
+            : 0;
+    auto timer = sim().schedule(timeout, [this, rpc_id]() {
       auto it = pending_.find(rpc_id);
       if (it == pending_.end()) return;
       Pending pending = std::move(it->second);
@@ -227,13 +227,13 @@ class Host {
   void set_trace_context(TraceContext ctx) { trace_ctx_ = ctx; }
 
   /// Opens a fresh trace rooted at this host and makes it current.
-  TraceContext begin_trace(const std::string& name,
+  TraceContext begin_trace(std::string_view name,
                            TraceStage stage = TraceStage::kUnknown) {
     trace_ctx_ = tracer().start_trace(name, id_, now(), stage);
     return trace_ctx_;
   }
   /// Child span of the current context. Does not change the context.
-  SpanId begin_span(const std::string& name,
+  SpanId begin_span(std::string_view name,
                     TraceStage stage = TraceStage::kUnknown) {
     return tracer().begin(trace_ctx_, name, id_, now(), stage);
   }
@@ -244,12 +244,11 @@ class Host {
     if (span != 0) trace_ctx_ = TraceContext{prev.trace_id, span};
     return prev;
   }
-  void end_span(SpanId span, const std::string& status = "ok") {
+  void end_span(SpanId span, std::string_view status = "ok") {
     tracer().end(span, now(), status);
   }
   /// Zero-duration annotation under the current context.
-  void instant_span(const std::string& name,
-                    const std::string& status = "ok",
+  void instant_span(std::string_view name, std::string_view status = "ok",
                     TraceStage stage = TraceStage::kUnknown) {
     tracer().instant(trace_ctx_, name, id_, now(), status, stage);
   }
@@ -348,19 +347,23 @@ class Host {
         continue;
       }
       cpu_busy_ = true;
-      const SimTime start = now();
-      sim().schedule(
-          item.cost,
-          [this, live = live_, epoch = cpu_epoch_, item = std::move(item),
-           start]() mutable {
-            if (!*live || epoch != cpu_epoch_) return;
-            cpu_busy_ = false;
-            if (alive_) dispatch(item.msg, item.arrival, start, item.cost);
-            if (alive_ && !cpu_busy_) start_next();
-          });
+      in_service_ = std::move(item);
+      service_start_ = now();
+      cpu_timer_ =
+          sim().schedule(in_service_.cost, [this] { finish_service(); });
       return;
     }
     cpu_busy_ = false;
+  }
+
+  /// Service completion of in_service_. crash() and the destructor cancel
+  /// the event, so it only runs on the incarnation that started it.
+  void finish_service() {
+    cpu_busy_ = false;
+    // Moved out: the handler may start the next message.
+    const QueuedMessage item = std::move(in_service_);
+    if (alive_) dispatch(item.msg, item.arrival, service_start_, item.cost);
+    if (alive_ && !cpu_busy_) start_next();
   }
 
   void dispatch(const Message& msg, SimTime arrival, SimTime start,
@@ -407,17 +410,16 @@ class Host {
   Network& net_;
   NodeId id_;
   HostConfig config_;
-  /// Shared liveness token: lambdas queued in the simulation check it so
-  /// a destroyed host is never dereferenced.
-  std::shared_ptr<bool> live_ = std::make_shared<bool>(true);
   bool alive_ = true;
   /// Real ingress queues, one per priority class, drained by one core.
   std::array<std::deque<QueuedMessage>, kHostPriorities> queues_;
   std::size_t queued_ = 0;
   bool cpu_busy_ = false;
-  /// Bumped on crash so an in-flight service-completion event from the
-  /// previous incarnation cannot touch the restarted host.
-  std::uint64_t cpu_epoch_ = 0;
+  /// The message the CPU is servicing, its start time and its completion
+  /// event.
+  QueuedMessage in_service_;
+  SimTime service_start_ = 0;
+  TimerHandle cpu_timer_;
   std::uint64_t shed_queue_full_ = 0;
   std::uint64_t shed_deadline_ = 0;
   std::uint64_t next_rpc_id_ = 1;

@@ -40,6 +40,12 @@ struct Message {
   /// the modeled fixed header, like the trace context.
   SimTime deadline = 0;
 
+  /// Copy of every field but the payload: enough to reply() to a request.
+  [[nodiscard]] Message header() const {
+    return Message{from,     to,      type,    rpc_id, is_response, {},
+                   trace_id, span_id, deadline};
+  }
+
   [[nodiscard]] std::size_t wire_size() const {
     // Headers modeled as a fixed 32-byte cost, roughly an Ethernet+IP+TCP
     // header share plus framing, matching the 1 GbE testbed assumption.

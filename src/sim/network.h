@@ -93,11 +93,18 @@ class Network {
 
   [[nodiscard]] SimDuration delivery_delay(const Message& msg);
 
+  /// Delivery event of the message parked in in_flight_[slot].
+  void arrive(std::uint32_t slot);
+
   Simulation& sim_;
   NetworkConfig config_;
   std::unordered_map<NodeId, Host*> hosts_;
   std::set<NodeId> down_;
   std::set<std::pair<NodeId, NodeId>> partitions_;
+  /// Messages on the wire, moved in by send() and out at delivery; the
+  /// delivery event carries only the slot index.
+  std::vector<Message> in_flight_;
+  std::vector<std::uint32_t> free_in_flight_;
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;

@@ -23,20 +23,19 @@ TEST(LossyNetwork, OperationsSucceedViaRetries) {
   auto& client = cluster.make_client();
 
   cluster.network().set_loss_prob(0.05);  // 5% of messages vanish
-  int ok = 0;
+  std::vector<std::string> acked;
   for (int i = 0; i < 100; ++i) {
-    if (cluster.write_latest(client, "lossy-" + std::to_string(i),
-                             "v").ok()) {
-      ++ok;
-    }
+    const std::string key = "lossy-" + std::to_string(i);
+    if (cluster.write_latest(client, key, "v").ok()) acked.push_back(key);
   }
-  EXPECT_GE(ok, 95);  // retries mask almost everything
+  EXPECT_GE(acked.size(), 95u);  // retries mask almost everything
 
   cluster.network().set_loss_prob(0.0);
-  for (int i = 0; i < 100; ++i) {
-    auto got = cluster.read_latest(client, "lossy-" + std::to_string(i));
-    // Anything acknowledged must be readable.
-    if (got.ok()) EXPECT_EQ(got->value, "v");
+  // Anything acknowledged must be readable.
+  for (const std::string& key : acked) {
+    auto got = cluster.read_latest(client, key);
+    ASSERT_TRUE(got.ok()) << key << ": " << got.status().to_string();
+    EXPECT_EQ(got->value, "v") << key;
   }
 }
 

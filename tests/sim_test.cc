@@ -56,6 +56,70 @@ TEST(Simulation, PeriodicFiresRepeatedlyUntilCancelled) {
   EXPECT_EQ(fires, 4);
 }
 
+TEST(Simulation, StaleHandleNeverCancelsAReusedSlot) {
+  Simulation sim;
+  bool cancelled_ran = false;
+  bool fresh_ran = false;
+  auto stale = sim.schedule(10, [&] { cancelled_ran = true; });
+  stale.cancel();  // releases the slot at once
+  auto fresh = sim.schedule(20, [&] { fresh_ran = true; });  // reuses it
+  stale.cancel();
+  EXPECT_FALSE(stale.active());
+  EXPECT_TRUE(fresh.active());
+  sim.run();
+  EXPECT_FALSE(cancelled_ran);
+  EXPECT_TRUE(fresh_ran);
+
+  // Same for the handle of an event that already fired.
+  bool next_ran = false;
+  auto next = sim.schedule(5, [&] { next_ran = true; });
+  fresh.cancel();
+  EXPECT_TRUE(next.active());
+  sim.run();
+  EXPECT_TRUE(next_ran);
+}
+
+TEST(Simulation, PeriodicCancelledInsideItsCallbackStops) {
+  Simulation sim;
+  int fires = 0;
+  TimerHandle handle;
+  handle = sim.schedule_periodic(100, [&] {
+    if (++fires == 3) handle.cancel();
+  });
+  EXPECT_EQ(sim.run(), 3u);
+  EXPECT_EQ(fires, 3);
+  EXPECT_FALSE(handle.active());
+  // The re-arm entry is still pushed, as a stale entry: it pops at 400.
+  EXPECT_EQ(sim.now(), 400u);
+}
+
+TEST(Simulation, OneShotHandleInactiveOnceFired) {
+  Simulation sim;
+  bool active_in_callback = true;
+  TimerHandle handle;
+  handle = sim.schedule(10, [&] { active_in_callback = handle.active(); });
+  EXPECT_TRUE(handle.active());
+  sim.run();
+  EXPECT_FALSE(active_in_callback);
+  EXPECT_FALSE(handle.active());
+}
+
+TEST(Simulation, CancelledEventsStayQueuedAndAdvanceTheClock) {
+  Simulation sim;
+  bool ran = false;
+  auto late = sim.schedule(50, [] {});
+  sim.schedule(10, [&] { ran = true; });
+  late.cancel();
+  EXPECT_EQ(sim.pending_events(), 2u);  // lazy deletion: still in the heap
+  EXPECT_TRUE(sim.step());
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(sim.now(), 10u);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_FALSE(sim.step());  // pops the cancelled entry, runs nothing
+  EXPECT_EQ(sim.now(), 50u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
 TEST(Simulation, RunUntilAdvancesClockEvenWhenIdle) {
   Simulation sim;
   sim.run_until(500);
@@ -368,18 +432,63 @@ TEST(Rpc, CrashClearsPendingCallbacks) {
   EXPECT_FALSE(fired);  // the whole host died; no stray callback
 }
 
+/// Host that counts the requests it handles into an outside counter, so
+/// the count survives the host.
+class CountingHost : public Host {
+ public:
+  CountingHost(Network& net, NodeId id, HostConfig cfg, int* handled)
+      : Host(net, id, cfg), handled_(handled) {}
+
+ protected:
+  void on_message(const Message&) override { ++*handled_; }
+
+ private:
+  int* handled_;
+};
+
+HostConfig slow_cpu() {
+  HostConfig cfg;
+  cfg.base_service_us = 1000;
+  cfg.service_jitter_frac = 0.0;
+  return cfg;
+}
+
 TEST(Rpc, DestroyedHostNeverTouchedBySim) {
   Simulation sim;
   Network net(sim);
   EchoHost server(net, 1);
+  int handled = 0;
   {
-    SinkHost client(net, 2);
+    CountingHost client(net, 2, slow_cpu(), &handled);
     client.call(1, 900, "ping", [](const Status&, const std::string&) {
       FAIL() << "callback on a destroyed host";
     });
-  }  // client destroyed with the RPC in flight
-  sim.run();  // must not crash or fire the callback
-  SUCCEED();
+    server.send_oneway(2, 901, "work");
+    // The one-way message lands at ~120 us and holds the CPU for 1 ms;
+    // the echo lands behind it.
+    sim.run_until(500);
+    EXPECT_EQ(client.queue_depth(), 1u);
+    EXPECT_EQ(client.pending_rpcs(), 1u);
+  }  // destroyed with a message in service, one queued and an RPC pending
+  sim.run();  // must not crash, dispatch, or fire the callback
+  EXPECT_EQ(handled, 0);
+}
+
+TEST(Host, CrashDropsTheMessageInService) {
+  Simulation sim;
+  Network net(sim);
+  SinkHost sender(net, 1);
+  int handled = 0;
+  CountingHost host(net, 2, slow_cpu(), &handled);
+  sender.send_oneway(2, 901, "work");
+  sim.run_until(500);  // in service until ~1120 us
+  host.crash();
+  host.restart();
+  sim.run();
+  EXPECT_EQ(handled, 0);  // the old incarnation's work never completes
+  sender.send_oneway(2, 901, "again");
+  sim.run();
+  EXPECT_EQ(handled, 1);  // the restarted host serves normally
 }
 
 }  // namespace

@@ -102,8 +102,8 @@ TEST(Lru, EvictionFollowsExactAccessOrder) {
   }
   ASSERT_EQ(store.size(), 4u);
   // Touch 0 and 1 so 2 becomes the coldest.
-  store.get("sample-0");
-  store.get("sample-1");
+  (void)store.get("sample-0");
+  (void)store.get("sample-1");
   store.set("sample-4", std::string(100, 'v'));  // forces one eviction
   EXPECT_FALSE(store.get("sample-2").ok());  // the coldest went
   EXPECT_TRUE(store.get("sample-0").ok());
