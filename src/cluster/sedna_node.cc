@@ -19,6 +19,62 @@ constexpr SimDuration kAliveVerifyTtl = sim_ms(500);
 /// data retrieving threads number could be 16 or 8", Section III.D).
 constexpr std::size_t kTransferParallelism = 8;
 
+/// Snapshot cadence under PersistMode::kPeriodicFlush.
+constexpr SimDuration kFlushInterval = sim_sec(30);
+
+/// End-to-end deadline the leader grants one vnode migration (snapshot +
+/// delta catch-up + cutover + drain).
+constexpr SimDuration kMigrationTimeout = sim_sec(10);
+
+/// Hints delivered to one target per replay round (rate bound).
+constexpr std::size_t kHintReplayBatch = 32;
+
+/// Digest buckets per vnode in the LocalStore Merkle tree.
+constexpr std::uint32_t kDigestBuckets = 16;
+
+/// Key summaries per digest reply (bounds message size per round).
+constexpr std::size_t kAntiEntropyMaxKeys = 512;
+
+/// Tracked entries in the coordinator's SpaceSaving hot-key sketch (keys
+/// whose client-request frequency exceeds requests/capacity are
+/// guaranteed tracked).
+constexpr std::size_t kHotKeyCapacity = 64;
+
+/// Write that carries one LWW value with its original timestamp pinned,
+/// so replaying it anywhere is idempotent.
+WriteRequest latest_write(const std::string& key,
+                          const store::VersionedValue& v) {
+  WriteRequest w;
+  w.mode = WriteMode::kLatest;
+  w.key = key;
+  w.value = v.value;
+  w.ts = v.ts;
+  w.flags = v.flags;
+  return w;
+}
+
+/// Write that carries one write_all value-list entry.
+WriteRequest list_write(const std::string& key, const store::SourceValue& sv) {
+  WriteRequest w;
+  w.mode = WriteMode::kAll;
+  w.key = key;
+  w.value = sv.value;
+  w.ts = sv.ts;
+  w.source = sv.source;
+  return w;
+}
+
+/// Write that carries a whole causal record; receivers join it into their
+/// own, so it can never clobber a concurrent sibling.
+WriteRequest causal_write(const std::string& key,
+                          const store::CausalRecord& record) {
+  WriteRequest w;
+  w.key = key;
+  w.causal_tag = WriteRequest::kCausalRecord;
+  w.record = record;
+  return w;
+}
+
 /// Runs `task(i, done)` for every i in [0, count) with at most
 /// kTransferParallelism tasks in flight, then calls `all_done` once.
 void run_bounded(std::size_t count,
@@ -76,7 +132,7 @@ SednaNode::SednaNode(sim::Network& net, NodeId id, SednaNodeConfig config)
             return zc;
           }()),
       metadata_(zk_, *this),
-      hot_keys_(config_.hot_key_capacity),
+      hot_keys_(kHotKeyCapacity),
       traffic_rebalancer_(config_.traffic_rebalance) {
   store_ = std::make_unique<store::LocalStore>(
       config_.store, [this] { return sim().now(); });
@@ -134,7 +190,7 @@ void SednaNode::start(ReadyCallback on_ready) {
                    // Merkle leaf cells sized to the ring; rebuilt from the
                    // (possibly persistence-recovered) store content.
                    store_->enable_digests(metadata_.table().total_vnodes(),
-                                          config_.digest_buckets);
+                                          kDigestBuckets);
                    sim().schedule_periodic(config_.load_report_interval,
                                            [this] {
                                              set_trace_context({});
@@ -276,7 +332,7 @@ void SednaNode::schedule_flush() {
       config_.persistence.mode != wal::PersistMode::kPeriodicFlush) {
     return;
   }
-  sim().schedule_periodic(config_.flush_interval, [this] {
+  sim().schedule_periodic(kFlushInterval, [this] {
     if (!alive()) return;
     set_trace_context({});
     if (persistence_->flush_snapshot().ok()) {
@@ -596,15 +652,8 @@ void SednaNode::on_crash() {
 
 void SednaNode::hydrate_after_restart(std::function<void()> done) {
   needs_hydration_ = false;
-  auto todo = std::make_shared<std::vector<VnodeId>>();
-  const std::uint32_t total = metadata_.table().total_vnodes();
-  for (VnodeId v = 0; v < total; ++v) {
-    const auto replicas = metadata_.table().replicas_for_vnode(v);
-    if (std::find(replicas.begin(), replicas.end(), id()) !=
-        replicas.end()) {
-      todo->push_back(v);
-    }
-  }
+  auto todo = std::make_shared<std::vector<VnodeId>>(
+      metadata_.table().replica_vnodes_of(id()));
   run_bounded(
       todo->size(),
       [this, todo](std::size_t i, std::function<void()> fetched) {
@@ -633,15 +682,8 @@ StatusCode SednaNode::apply_write(const WriteRequest& req) {
   }
   Status st;
   if (req.causal_tag == WriteRequest::kCausalRecord) {
-    // Replica-side causal apply: a semilattice join with the pushed
-    // record. The WAL logs the *incoming* record only when the join moved
-    // local state — replay re-joins the same records, so recovery cannot
-    // lose siblings that were acked.
     bool changed = false;
-    st = store_->merge_causal(req.key, req.record, &changed);
-    if (st.ok() && changed && persistence_ != nullptr) {
-      persistence_->on_write_causal(req.key, req.record);
-    }
+    st = apply_causal(req.key, req.record, changed);
   } else if (req.mode == WriteMode::kLatest) {
     st = store_->write_latest(req.key, req.value, req.ts, req.flags,
                               req.ttl);
@@ -655,6 +697,43 @@ StatusCode SednaNode::apply_write(const WriteRequest& req) {
     }
   }
   return st.code();
+}
+
+Status SednaNode::apply_causal(const std::string& key,
+                               const store::CausalRecord& record,
+                               bool& changed) {
+  // A semilattice join with the incoming record. The WAL logs the
+  // *incoming* record only when the join moved local state — replay
+  // re-joins the same records, so recovery cannot lose siblings that were
+  // acked. Transfers and pulls call this directly, not apply_write:
+  // apply_write also counts a write in vnode_status_, whose rows feed the
+  // imbalance table the rebalancer plans from, and moved causal records
+  // have never been counted there.
+  Status st = store_->merge_causal(key, record, &changed);
+  if (st.ok() && changed && persistence_ != nullptr) {
+    persistence_->on_write_causal(key, record);
+  }
+  return st;
+}
+
+void SednaNode::apply_value_list(const std::string& key,
+                                 const std::vector<store::SourceValue>& list) {
+  for (const auto& sv : list) apply_write(list_write(key, sv));
+}
+
+void SednaNode::for_each_in_vnode(
+    VnodeId vnode, const std::set<std::uint32_t>* buckets,
+    const std::function<void(const store::Item&)>& fn) {
+  const auto& table = metadata_.table();
+  const std::uint32_t bucket_count = store_->digest_buckets_per_vnode();
+  store_->for_each_matching(
+      [&table, buckets, bucket_count, vnode](std::string_view key) {
+        return table.vnode_for_key(key) == vnode &&
+               (buckets == nullptr ||
+                buckets->contains(
+                    store::LocalStore::digest_bucket_of(key, bucket_count)));
+      },
+      fn);
 }
 
 ReadReply SednaNode::local_read(const ReadRequest& req) {
@@ -766,7 +845,7 @@ void SednaNode::handle_client_write(const sim::Message& msg) {
   const VnodeId vnode = metadata_.table().vnode_for_key(req.key);
   const auto replicas = metadata_.table().replicas_for_vnode(vnode);
   coordinator_writes_->add(1);
-  if (config_.hot_key_capacity > 0) hot_keys_.record(req.key);
+  hot_keys_.record(req.key);
   const SpanId coord_span = begin_span("coord.write", TraceStage::kService);
   const TraceContext prev_ctx = enter_span(coord_span);
 
@@ -908,7 +987,7 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
   const VnodeId vnode = metadata_.table().vnode_for_key(req.key);
   const auto replicas = metadata_.table().replicas_for_vnode(vnode);
   coordinator_reads_->add(1);
-  if (config_.hot_key_capacity > 0) hot_keys_.record(req.key);
+  hot_keys_.record(req.key);
   const SpanId coord_span = begin_span("coord.read", TraceStage::kService);
   const TraceContext prev_ctx = enter_span(coord_span);
 
@@ -1003,7 +1082,9 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
             stale.push_back(node);
           }
         }
-        if (!stale.empty()) read_repair_causal(state->req.key, merged, stale);
+        if (!stale.empty()) {
+          read_repair(causal_write(state->req.key, merged), stale);
+        }
       } else if (state->failures > 0) {
         out.status = StatusCode::kFailure;
       } else {
@@ -1048,7 +1129,9 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
               stale.push_back(other_node);
             }
           }
-          if (!stale.empty()) read_repair(state->req.key, rep.latest, stale);
+          if (!stale.empty()) {
+            read_repair(latest_write(state->req.key, rep.latest), stale);
+          }
           return;
         }
       }
@@ -1123,7 +1206,9 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
             stale.push_back(node);
           }
         }
-        if (!stale.empty()) read_repair(state->req.key, out.latest, stale);
+        if (!stale.empty()) {
+          read_repair(latest_write(state->req.key, out.latest), stale);
+        }
       } else if (state->failures > 0) {
         out.status = StatusCode::kFailure;
       } else {
@@ -1244,12 +1329,12 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
               if (state->replied && state->has_answer &&
                   (!rep->has_latest ||
                    rep->latest.ts < state->answer.ts)) {
-                read_repair(key, state->answer, {replica});
+                read_repair(latest_write(key, state->answer), {replica});
               }
               if (state->replied && state->has_causal_answer &&
                   (!rep->has_causal ||
                    !(rep->causal == state->merged))) {
-                read_repair_causal(key, state->merged, {replica});
+                read_repair(causal_write(key, state->merged), {replica});
               }
               state->replies.emplace_back(replica, std::move(rep).value());
             } else {
@@ -1263,52 +1348,18 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
   set_trace_context(prev_ctx);
 }
 
-void SednaNode::read_repair(const std::string& key,
-                            const store::VersionedValue& fresh,
+void SednaNode::read_repair(const WriteRequest& fresh,
                             const std::vector<NodeId>& stale) {
   metrics_.counter("coordinator.read_repairs").add(1);
   // The repair span closes when the last stale replica has been pushed,
   // so its duration covers the backfill round trips.
   const SpanId span = begin_span("coord.read_repair", TraceStage::kRepair);
   const TraceContext prev = enter_span(span);
-  WriteRequest req;
-  req.mode = WriteMode::kLatest;
-  req.key = key;
-  req.value = fresh.value;
-  req.ts = fresh.ts;
-  req.flags = fresh.flags;
-  const std::string payload = req.encode();
+  const std::string payload = fresh.encode();
   auto remaining = std::make_shared<std::size_t>(stale.size());
   for (NodeId node : stale) {
     if (node == id()) {
-      apply_write(req);
-      if (--*remaining == 0) end_span(span);
-    } else {
-      call(node, kMsgReplicaWrite, payload,
-           [this, span, remaining](const Status&, const std::string&) {
-             if (--*remaining == 0) end_span(span);
-           });
-    }
-  }
-  set_trace_context(prev);
-}
-
-void SednaNode::read_repair_causal(const std::string& key,
-                                   const store::CausalRecord& fresh,
-                                   const std::vector<NodeId>& stale) {
-  metrics_.counter("coordinator.read_repairs").add(1);
-  const SpanId span = begin_span("coord.read_repair", TraceStage::kRepair);
-  const TraceContext prev = enter_span(span);
-  WriteRequest req;
-  req.mode = WriteMode::kLatest;
-  req.key = key;
-  req.causal_tag = WriteRequest::kCausalRecord;
-  req.record = fresh;
-  const std::string payload = req.encode();
-  auto remaining = std::make_shared<std::size_t>(stale.size());
-  for (NodeId node : stale) {
-    if (node == id()) {
-      apply_write(req);
+      apply_write(fresh);
       if (--*remaining == 0) end_span(span);
     } else {
       call(node, kMsgReplicaWrite, payload,
@@ -1473,21 +1524,15 @@ void SednaNode::handle_fetch_vnode(const sim::Message& msg) {
     reply(msg, rep.encode());
     return;
   }
-  const VnodeId vnode = req->vnode;
-  const auto& table = metadata_.table();
-  store_->for_each_matching(
-      [&table, vnode](std::string_view key) {
-        return table.vnode_for_key(key) == vnode;
-      },
-      [&rep](const store::Item& item) {
-        TransferItem out;
-        out.key = item.key;
-        out.has_latest = item.has_latest;
-        out.latest = item.latest;
-        out.value_list = item.value_list;
-        out.causal = item.causal;
-        rep.items.push_back(std::move(out));
-      });
+  for_each_in_vnode(req->vnode, nullptr, [&rep](const store::Item& item) {
+    TransferItem out;
+    out.key = item.key;
+    out.has_latest = item.has_latest;
+    out.latest = item.latest;
+    out.value_list = item.value_list;
+    out.causal = item.causal;
+    rep.items.push_back(std::move(out));
+  });
   metrics_.counter("transfer.vnodes_served").add(1);
   metrics_.counter("transfer.items_served").add(rep.items.size());
   reply(msg, rep.encode());
@@ -1532,19 +1577,16 @@ void SednaNode::handle_purge_vnode(const sim::Message& msg) {
 }
 
 void SednaNode::purge_local_vnode(VnodeId vnode) {
-  const auto& table = metadata_.table();
   // Only purge if we are truly out of the slice's replica set now; the
   // previous owner often remains a successor replica on the walk.
-  const auto replicas = table.replicas_for_vnode(vnode);
+  const auto replicas = metadata_.table().replicas_for_vnode(vnode);
   if (std::find(replicas.begin(), replicas.end(), id()) != replicas.end()) {
     return;
   }
   std::vector<std::string> doomed;
-  store_->for_each_matching(
-      [&table, vnode](std::string_view key) {
-        return table.vnode_for_key(key) == vnode;
-      },
-      [&doomed](const store::Item& item) { doomed.push_back(item.key); });
+  for_each_in_vnode(vnode, nullptr, [&doomed](const store::Item& item) {
+    doomed.push_back(item.key);
+  });
   for (const auto& key : doomed) store_->del(key);
   metrics_.counter("transfer.purged_items").add(doomed.size());
 }
@@ -1608,28 +1650,11 @@ void SednaNode::fetch_vnode_from(VnodeId vnode, std::vector<NodeId> sources,
              // Causal item: join the record; the LWW mirror refreshes
              // from the winner, so no separate kLatest apply is needed.
              bool changed = false;
-             store_->merge_causal(item.key, item.causal, &changed);
-             if (changed && persistence_ != nullptr) {
-               persistence_->on_write_causal(item.key, item.causal);
-             }
+             apply_causal(item.key, item.causal, changed);
            } else if (item.has_latest) {
-             WriteRequest w;
-             w.mode = WriteMode::kLatest;
-             w.key = item.key;
-             w.value = item.latest.value;
-             w.ts = item.latest.ts;
-             w.flags = item.latest.flags;
-             apply_write(w);
+             apply_write(latest_write(item.key, item.latest));
            }
-           for (const auto& sv : item.value_list) {
-             WriteRequest w;
-             w.mode = WriteMode::kAll;
-             w.key = item.key;
-             w.value = sv.value;
-             w.ts = sv.ts;
-             w.source = sv.source;
-             apply_write(w);
-           }
+           apply_value_list(item.key, item.value_list);
          }
          metrics_.counter("transfer.items_received").add(rep->items.size());
          done(true, bytes);
@@ -1750,7 +1775,7 @@ void SednaNode::replay_hints_to(NodeId target) {
   q.in_flight = true;
   std::vector<std::string> batch;
   for (const auto& [key, hint] : q.hints) {
-    if (batch.size() >= config_.hint_replay_batch) break;
+    if (batch.size() >= kHintReplayBatch) break;
     batch.push_back(key);
   }
   if (batch.empty()) {
@@ -1908,27 +1933,20 @@ void SednaNode::sync_vnode_peer(VnodeId vnode,
   auto next = [this, vnode, peers, idx, done = std::move(done)] {
     sync_vnode_peer(vnode, peers, idx + 1, done);
   };
-  VnodeDigestRequest req;
-  req.vnode = vnode;
-  req.root = store_->digest_root(vnode);
-  req.buckets = store_->digest_buckets(vnode);
   metrics_.counter("antientropy.digest_requests").add(1);
-  call(peer, kMsgVnodeDigest, req.encode(),
-       [this, vnode, peer, next = std::move(next)](const Status& st,
-                                                   const std::string& body) {
-         if (!st.ok()) {
-           metrics_.counter("antientropy.peer_timeouts").add(1);
-           next();
-           return;
-         }
-         auto rep = VnodeDigestReply::decode(body);
-         if (!rep.ok() || rep->status != StatusCode::kOk || rep->match) {
-           next();
-           return;
-         }
-         metrics_.counter("antientropy.digest_mismatches").add(1);
-         reconcile_with_peer(vnode, peer, *rep, next);
-       });
+  request_digest(vnode, peer,
+                 [this, vnode, peer, next = std::move(next)](
+                     const Status& st, const VnodeDigestReply* rep) {
+                   if (!st.ok()) {
+                     metrics_.counter("antientropy.peer_timeouts").add(1);
+                   }
+                   if (rep == nullptr || rep->match) {
+                     next();
+                     return;
+                   }
+                   metrics_.counter("antientropy.digest_mismatches").add(1);
+                   reconcile_with_peer(vnode, peer, *rep, next);
+                 });
 }
 
 void SednaNode::reconcile_with_peer(VnodeId vnode, NodeId peer,
@@ -1936,7 +1954,47 @@ void SednaNode::reconcile_with_peer(VnodeId vnode, NodeId peer,
                                     std::function<void()> done) {
   const SpanId span = begin_span("antientropy.reconcile", TraceStage::kRepair);
   const TraceContext prev = enter_span(span);
+  const VnodeDelta delta = diff_vnode(vnode, rep);
+  if (rep.truncated) metrics_.counter("antientropy.truncated_replies").add(1);
+  // One slot per push, one for the pull batch, one guard.
+  auto outstanding = std::make_shared<std::size_t>(delta.pushes.size() + 2);
+  auto finish = [this, span, outstanding, done = std::move(done)] {
+    if (--*outstanding == 0) {
+      end_span(span);
+      done();
+    }
+  };
+  for (const WriteRequest& w : delta.pushes) {
+    metrics_.counter("antientropy.keys_pushed").add(1);
+    call(peer, kMsgReplicaWrite, w.encode(),
+         [finish](const Status&, const std::string&) { finish(); });
+  }
+  pull_keys(peer, delta.pulls, finish);
+  set_trace_context(prev);
+  finish();  // releases the guard
+}
 
+void SednaNode::request_digest(
+    VnodeId vnode, NodeId peer,
+    std::function<void(const Status&, const VnodeDigestReply*)> done) {
+  VnodeDigestRequest req;
+  req.vnode = vnode;
+  req.root = store_->digest_root(vnode);
+  req.buckets = store_->digest_buckets(vnode);
+  call(peer, kMsgVnodeDigest, req.encode(),
+       [done = std::move(done)](const Status& st, const std::string& body) {
+         if (!st.ok()) {
+           done(st, nullptr);
+           return;
+         }
+         auto rep = VnodeDigestReply::decode(body);
+         const bool usable = rep.ok() && rep->status == StatusCode::kOk;
+         done(st, usable ? &*rep : nullptr);
+       });
+}
+
+SednaNode::VnodeDelta SednaNode::diff_vnode(VnodeId vnode,
+                                            const VnodeDigestReply& rep) {
   // Local view of the mismatched buckets.
   struct LocalKey {
     bool has_latest = false;
@@ -1946,209 +2004,127 @@ void SednaNode::reconcile_with_peer(VnodeId vnode, NodeId peer,
     store::CausalRecord causal;
     std::uint64_t causal_digest = 0;
   };
-  std::set<std::uint32_t> mismatched(rep.mismatched.begin(),
-                                     rep.mismatched.end());
-  const std::uint32_t bucket_count = store_->digest_buckets_per_vnode();
-  const auto& table = metadata_.table();
+  const std::set<std::uint32_t> mismatched(rep.mismatched.begin(),
+                                           rep.mismatched.end());
   std::map<std::string, LocalKey> local;
-  store_->for_each_matching(
-      [&table, &mismatched, bucket_count, vnode](std::string_view key) {
-        return table.vnode_for_key(key) == vnode &&
-               mismatched.contains(
-                   store::LocalStore::digest_bucket_of(key, bucket_count));
-      },
-      [&local](const store::Item& item) {
-        LocalKey lk;
-        lk.has_latest = item.has_latest;
-        lk.latest = item.latest;
-        lk.list = item.value_list;
-        lk.list_digest = store::LocalStore::value_list_digest(item.value_list);
-        if (!item.causal.empty()) {
-          lk.causal = item.causal;
-          lk.causal_digest = item.causal.digest();
-        }
-        local.emplace(item.key, std::move(lk));
-      });
+  for_each_in_vnode(vnode, &mismatched, [&local](const store::Item& item) {
+    LocalKey lk;
+    lk.has_latest = item.has_latest;
+    lk.latest = item.latest;
+    lk.list = item.value_list;
+    lk.list_digest = store::LocalStore::value_list_digest(item.value_list);
+    if (!item.causal.empty()) {
+      lk.causal = item.causal;
+      lk.causal_digest = item.causal.digest();
+    }
+    local.emplace(item.key, std::move(lk));
+  });
 
   // Decide per key: push what we have newer, pull what the peer has
-  // newer; a value-list digest mismatch reconciles both directions (the
-  // per-source LWW merge makes the union converge).
-  std::vector<WriteRequest> pushes;
-  // key, pull value list, pull causal record
-  std::vector<std::tuple<std::string, bool, bool>> pulls;
+  // newer; a value-list digest mismatch reconciles both directions for
+  // LWW and causal keys alike (the per-source LWW merge makes the union
+  // converge).
+  VnodeDelta delta;
   std::set<std::string> peer_keys;
   for (const KeySummary& ks : rep.keys) {
     peer_keys.insert(ks.key);
     const auto it = local.find(ks.key);
-    const std::uint64_t local_causal =
-        it == local.end() ? 0 : it->second.causal_digest;
-    const bool causal_key = local_causal != 0 || ks.causal_digest != 0;
-    const std::uint64_t local_list =
-        it == local.end() ? 0 : it->second.list_digest;
-    const bool list_diff = local_list != ks.list_digest;
-    if (causal_key) {
-      // Causal keys reconcile by exchanging records: timestamp ordering
-      // cannot rank concurrent siblings, but the semilattice join
-      // converges from both directions. Equal digests mean converged.
-      const bool causal_diff = local_causal != ks.causal_digest;
-      if (causal_diff) {
+    const LocalKey* mine = it == local.end() ? nullptr : &it->second;
+    const std::uint64_t local_causal = mine ? mine->causal_digest : 0;
+    const bool list_diff = (mine ? mine->list_digest : 0) != ks.list_digest;
+    bool pull = list_diff;
+    bool pull_causal = false;
+    if (local_causal != 0 || ks.causal_digest != 0) {
+      // Causal keys reconcile by exchanging records (Preguiça et al.):
+      // timestamp ordering cannot rank concurrent siblings, but the
+      // semilattice join converges from both directions. Equal digests
+      // mean converged.
+      if (local_causal != ks.causal_digest) {
         if (local_causal != 0) {
-          WriteRequest w;
-          w.key = ks.key;
-          w.causal_tag = WriteRequest::kCausalRecord;
-          w.record = it->second.causal;
-          pushes.push_back(std::move(w));
+          delta.pushes.push_back(causal_write(ks.key, mine->causal));
         }
-        if (ks.causal_digest != 0) {
-          pulls.emplace_back(ks.key, list_diff, true);
-        }
-      } else if (list_diff) {
-        pulls.emplace_back(ks.key, true, false);
+        pull_causal = ks.causal_digest != 0;
       }
     } else {
-      const bool local_has = it != local.end() && it->second.has_latest;
-      const Timestamp local_ts = local_has ? it->second.latest.ts : 0;
-      if ((ks.has_latest && (!local_has || local_ts < ks.latest_ts)) ||
-          list_diff) {
-        pulls.emplace_back(ks.key, list_diff, false);
-      }
+      const bool local_has = mine != nullptr && mine->has_latest;
+      const Timestamp local_ts = local_has ? mine->latest.ts : 0;
+      if (ks.has_latest && (!local_has || local_ts < ks.latest_ts)) pull = true;
       if (local_has && (!ks.has_latest || ks.latest_ts < local_ts)) {
-        WriteRequest w;
-        w.mode = WriteMode::kLatest;
-        w.key = ks.key;
-        w.value = it->second.latest.value;
-        w.ts = it->second.latest.ts;
-        w.flags = it->second.latest.flags;
-        pushes.push_back(std::move(w));
+        delta.pushes.push_back(latest_write(ks.key, mine->latest));
       }
     }
-    if (list_diff && it != local.end()) {
-      for (const auto& sv : it->second.list) {
-        WriteRequest w;
-        w.mode = WriteMode::kAll;
-        w.key = ks.key;
-        w.value = sv.value;
-        w.ts = sv.ts;
-        w.source = sv.source;
-        pushes.push_back(std::move(w));
+    if (pull || pull_causal) {
+      delta.pulls.push_back(KeyPull{ks.key, list_diff, pull_causal});
+    }
+    if (list_diff && mine != nullptr) {
+      for (const auto& sv : mine->list) {
+        delta.pushes.push_back(list_write(ks.key, sv));
       }
     }
   }
   // Keys the peer did not list at all are missing there — unless its
-  // summary was truncated, in which case absence proves nothing and the
-  // next rounds will cover the remainder.
-  if (!rep.truncated) {
-    for (const auto& [key, lk] : local) {
-      if (peer_keys.contains(key)) continue;
-      if (lk.causal_digest != 0) {
-        // Missing causal key: push the whole record (subsumes the
-        // mirror, which the peer rebuilds from the winner).
-        WriteRequest w;
-        w.key = key;
-        w.causal_tag = WriteRequest::kCausalRecord;
-        w.record = lk.causal;
-        pushes.push_back(std::move(w));
-      } else if (lk.has_latest) {
-        WriteRequest w;
-        w.mode = WriteMode::kLatest;
-        w.key = key;
-        w.value = lk.latest.value;
-        w.ts = lk.latest.ts;
-        w.flags = lk.latest.flags;
-        pushes.push_back(std::move(w));
-      }
-      for (const auto& sv : lk.list) {
-        WriteRequest w;
-        w.mode = WriteMode::kAll;
-        w.key = key;
-        w.value = sv.value;
-        w.ts = sv.ts;
-        w.source = sv.source;
-        pushes.push_back(std::move(w));
-      }
+  // summary was truncated: then absence proves nothing, and an unlisted
+  // key is reconciled only once a later reply lists it.
+  if (rep.truncated) return delta;
+  for (const auto& [key, lk] : local) {
+    if (peer_keys.contains(key)) continue;
+    if (lk.causal_digest != 0) {
+      // Missing causal key: push the whole record (subsumes the mirror,
+      // which the peer rebuilds from the winner).
+      delta.pushes.push_back(causal_write(key, lk.causal));
+    } else if (lk.has_latest) {
+      delta.pushes.push_back(latest_write(key, lk.latest));
     }
-  } else {
-    metrics_.counter("antientropy.truncated_replies").add(1);
+    for (const auto& sv : lk.list) {
+      delta.pushes.push_back(list_write(key, sv));
+    }
   }
+  return delta;
+}
 
-  auto outstanding = std::make_shared<std::size_t>(1);
-  auto finish = [this, span, prev, outstanding,
-                 done = std::move(done)] {
-    if (--*outstanding == 0) {
-      end_span(span);
-      done();
-    }
+void SednaNode::pull_keys(NodeId peer, const std::vector<KeyPull>& pulls,
+                          std::function<void()> done) {
+  auto outstanding = std::make_shared<std::size_t>(pulls.size() + 1);
+  auto finish = [outstanding, done = std::move(done)] {
+    if (--*outstanding == 0) done();
   };
-  for (const WriteRequest& w : pushes) {
-    ++*outstanding;
-    metrics_.counter("antientropy.keys_pushed").add(1);
-    call(peer, kMsgReplicaWrite, w.encode(),
-         [finish](const Status&, const std::string&) { finish(); });
-  }
-  for (const auto& [key, want_list, want_causal] : pulls) {
-    ++*outstanding;
-    pull_key(peer, key, want_list, want_causal, finish);
-  }
-  set_trace_context(prev);
+  for (const KeyPull& pull : pulls) pull_key(peer, pull, finish);
   finish();  // releases the +1 guard
 }
 
-void SednaNode::pull_key(NodeId peer, const std::string& key, bool want_list,
-                         bool want_causal, std::function<void()> done) {
+void SednaNode::pull_key(NodeId peer, const KeyPull& pull,
+                         std::function<void()> done) {
   ReadRequest latest_req;
   latest_req.mode = ReadMode::kLatest;
-  latest_req.key = key;
-  latest_req.causal = want_causal;
+  latest_req.key = pull.key;
+  latest_req.causal = pull.want_causal;
   call(peer, kMsgReplicaRead, latest_req.encode(),
-       [this, peer, key, want_list, want_causal, done = std::move(done)](
-           const Status& st, const std::string& body) {
+       [this, peer, pull, done = std::move(done)](const Status& st,
+                                                  const std::string& body) {
          if (st.ok()) {
            auto rep = ReadReply::decode(body);
-           if (want_causal) {
-             if (rep.ok() && rep->has_causal) {
-               bool changed = false;
-               store_->merge_causal(key, rep->causal, &changed);
-               if (changed) {
-                 if (persistence_ != nullptr) {
-                   persistence_->on_write_causal(key, rep->causal);
-                 }
-                 metrics_.counter("antientropy.keys_pulled").add(1);
-               }
-             }
-           } else if (rep.ok() && rep->has_latest) {
-             WriteRequest w;
-             w.mode = WriteMode::kLatest;
-             w.key = key;
-             w.value = rep->latest.value;
-             w.ts = rep->latest.ts;  // pinned: replay is idempotent
-             w.flags = rep->latest.flags;
-             if (apply_write(w) == StatusCode::kOk) {
-               metrics_.counter("antientropy.keys_pulled").add(1);
-             }
+           bool pulled = false;
+           if (rep.ok() && pull.want_causal && rep->has_causal) {
+             apply_causal(pull.key, rep->causal, pulled);
+           } else if (rep.ok() && !pull.want_causal && rep->has_latest) {
+             pulled = apply_write(latest_write(pull.key, rep->latest)) ==
+                      StatusCode::kOk;
            }
+           if (pulled) metrics_.counter("antientropy.keys_pulled").add(1);
          }
-         if (!want_list) {
+         if (!pull.want_list) {
            done();
            return;
          }
          ReadRequest list_req;
          list_req.mode = ReadMode::kAll;
-         list_req.key = key;
+         list_req.key = pull.key;
          call(peer, kMsgReplicaRead, list_req.encode(),
-              [this, key, done](const Status& st2, const std::string& body2) {
+              [this, key = pull.key, done](const Status& st2,
+                                           const std::string& body2) {
                 if (st2.ok()) {
                   auto rep2 = ReadReply::decode(body2);
-                  if (rep2.ok()) {
-                    for (const auto& sv : rep2->value_list) {
-                      WriteRequest w;
-                      w.mode = WriteMode::kAll;
-                      w.key = key;
-                      w.value = sv.value;
-                      w.ts = sv.ts;
-                      w.source = sv.source;
-                      apply_write(w);
-                    }
-                  }
+                  if (rep2.ok()) apply_value_list(key, rep2->value_list);
                 }
                 done();
               });
@@ -2222,7 +2198,7 @@ void SednaNode::run_traffic_plan(const ring::ImbalanceTable& table,
                           " to=" + std::to_string(m.to));
     MigrateVnodeRequest req{m.vnode, m.from};
     call_with_timeout(
-        m.to, kMsgMigrateVnode, req.encode(), config_.migration_timeout,
+        m.to, kMsgMigrateVnode, req.encode(), kMigrationTimeout,
         [this, root = mroot.span_id](const Status& st,
                                      const std::string& body) {
           if (migrations_dispatched_ > 0) --migrations_dispatched_;
@@ -2422,94 +2398,27 @@ void SednaNode::begin_migration(
 
 void SednaNode::migration_catchup(VnodeId vnode, NodeId from,
                                   std::function<void(bool, std::size_t)> done) {
-  VnodeDigestRequest req;
-  req.vnode = vnode;
-  req.root = store_->digest_root(vnode);
-  req.buckets = store_->digest_buckets(vnode);
-  call(from, kMsgVnodeDigest, req.encode(), [this, vnode, from,
-                                             done = std::move(done)](
-                                                const Status& st,
-                                                const std::string& body) {
-    if (!st.ok()) {
-      done(false, 0);
-      return;
-    }
-    auto rep = VnodeDigestReply::decode(body);
-    if (!rep.ok() || rep->status != StatusCode::kOk) {
-      done(false, 0);
-      return;
-    }
-    if (rep->match) {
-      done(true, 0);
-      return;
-    }
-    // Local view of the mismatched buckets — the same scan as the
-    // anti-entropy reconcile but pull-only: the source stays authoritative
-    // until cutover, so nothing is pushed back. A truncated digest reply
-    // leaves a remainder for the post-cutover drain pass (and ultimately
-    // anti-entropy) to cover.
-    struct LocalKey {
-      bool has_latest = false;
-      Timestamp ts = 0;
-      std::uint64_t list_digest = 0;
-      std::uint64_t causal_digest = 0;
-    };
-    std::set<std::uint32_t> mismatched(rep->mismatched.begin(),
-                                       rep->mismatched.end());
-    const std::uint32_t bucket_count = store_->digest_buckets_per_vnode();
-    const auto& table = metadata_.table();
-    std::map<std::string, LocalKey> local;
-    store_->for_each_matching(
-        [&table, &mismatched, bucket_count, vnode](std::string_view key) {
-          return table.vnode_for_key(key) == vnode &&
-                 mismatched.contains(
-                     store::LocalStore::digest_bucket_of(key, bucket_count));
-        },
-        [&local](const store::Item& item) {
-          local.emplace(
-              item.key,
-              LocalKey{item.has_latest, item.has_latest ? item.latest.ts : 0,
-                       store::LocalStore::value_list_digest(item.value_list),
-                       item.causal.empty() ? 0 : item.causal.digest()});
-        });
-    // key, pull value list, pull causal record
-    std::vector<std::tuple<std::string, bool, bool>> pulls;
-    for (const KeySummary& ks : rep->keys) {
-      const auto it = local.find(ks.key);
-      const std::uint64_t local_causal =
-          it == local.end() ? 0 : it->second.causal_digest;
-      const std::uint64_t local_list =
-          it == local.end() ? 0 : it->second.list_digest;
-      const bool list_diff = local_list != ks.list_digest;
-      if (ks.causal_digest != 0 || local_causal != 0) {
-        // Causal key: pull the peer's record when the digests differ —
-        // the local join absorbs it without ranking siblings.
-        if (ks.causal_digest != 0 && ks.causal_digest != local_causal) {
-          pulls.emplace_back(ks.key, list_diff, true);
-        } else if (list_diff) {
-          pulls.emplace_back(ks.key, true, false);
-        }
-        continue;
-      }
-      const bool local_has = it != local.end() && it->second.has_latest;
-      const Timestamp local_ts = local_has ? it->second.ts : 0;
-      if ((ks.has_latest && (!local_has || local_ts < ks.latest_ts)) ||
-          list_diff) {
-        pulls.emplace_back(ks.key, list_diff, false);
-      }
-    }
-    metrics_.counter("rebalance.catchup_keys").add(pulls.size());
-    const std::size_t pulled = pulls.size();
-    auto outstanding = std::make_shared<std::size_t>(1);
-    auto finish = [outstanding, pulled, done = std::move(done)] {
-      if (--*outstanding == 0) done(true, pulled);
-    };
-    for (const auto& [key, want_list, want_causal] : pulls) {
-      ++*outstanding;
-      pull_key(from, key, want_list, want_causal, finish);
-    }
-    finish();  // releases the +1 guard
-  });
+  request_digest(vnode, from,
+                 [this, vnode, from, done = std::move(done)](
+                     const Status&, const VnodeDigestReply* rep) {
+                   if (rep == nullptr) {
+                     done(false, 0);
+                     return;
+                   }
+                   if (rep->match) {
+                     done(true, 0);
+                     return;
+                   }
+                   // Pull-only: the source stays authoritative until
+                   // cutover, so the pushes are dropped. A truncated reply
+                   // leaves a remainder for the drain pass (and ultimately
+                   // anti-entropy) to cover.
+                   const VnodeDelta delta = diff_vnode(vnode, *rep);
+                   const std::size_t pulled = delta.pulls.size();
+                   metrics_.counter("rebalance.catchup_keys").add(pulled);
+                   pull_keys(from, delta.pulls,
+                             [done, pulled] { done(true, pulled); });
+                 });
 }
 
 void SednaNode::handle_vnode_digest(const sim::Message& msg) {
@@ -2529,38 +2438,26 @@ void SednaNode::handle_vnode_digest(const sim::Message& msg) {
     reply(msg, rep.encode());
     return;
   }
+  // A bucket-count mismatch marks every bucket divergent.
+  const bool same_shape = local.size() == req->buckets.size();
   std::set<std::uint32_t> mismatched;
-  if (local.size() != req->buckets.size()) {
-    // Bucket-count mismatch (config drift): treat everything as divergent.
-    for (std::uint32_t b = 0; b < local.size(); ++b) mismatched.insert(b);
-  } else {
-    for (std::uint32_t b = 0; b < local.size(); ++b) {
-      if (local[b] != req->buckets[b]) mismatched.insert(b);
-    }
+  for (std::uint32_t b = 0; b < local.size(); ++b) {
+    if (!same_shape || local[b] != req->buckets[b]) mismatched.insert(b);
   }
   rep.mismatched.assign(mismatched.begin(), mismatched.end());
-  const std::uint32_t bucket_count = store_->digest_buckets_per_vnode();
-  const auto& table = metadata_.table();
-  const VnodeId vnode = req->vnode;
-  store_->for_each_matching(
-      [&table, &mismatched, bucket_count, vnode](std::string_view key) {
-        return table.vnode_for_key(key) == vnode &&
-               mismatched.contains(
-                   store::LocalStore::digest_bucket_of(key, bucket_count));
-      },
-      [this, &rep](const store::Item& item) {
-        if (rep.keys.size() >= config_.anti_entropy_max_keys) {
-          rep.truncated = true;
-          return;
-        }
-        KeySummary ks;
-        ks.key = item.key;
-        ks.has_latest = item.has_latest;
-        ks.latest_ts = item.has_latest ? item.latest.ts : 0;
-        ks.list_digest = store::LocalStore::value_list_digest(item.value_list);
-        if (!item.causal.empty()) ks.causal_digest = item.causal.digest();
-        rep.keys.push_back(std::move(ks));
-      });
+  for_each_in_vnode(req->vnode, &mismatched, [&rep](const store::Item& item) {
+    if (rep.keys.size() >= kAntiEntropyMaxKeys) {
+      rep.truncated = true;
+      return;
+    }
+    KeySummary ks;
+    ks.key = item.key;
+    ks.has_latest = item.has_latest;
+    ks.latest_ts = item.has_latest ? item.latest.ts : 0;
+    ks.list_digest = store::LocalStore::value_list_digest(item.value_list);
+    if (!item.causal.empty()) ks.causal_digest = item.causal.digest();
+    rep.keys.push_back(std::move(ks));
+  });
   instant_span("antientropy.digest_mismatch", "ok", TraceStage::kRepair);
   reply(msg, rep.encode());
 }

@@ -20,7 +20,10 @@
 //                             retrieving threads" (Section III.D).
 //
 // Join, recovery and traffic migration all change vnode ownership through
-// one versioned-CAS cutover (cas_vnode_owner).
+// one versioned-CAS cutover (cas_vnode_owner). Two replicas of a vnode
+// reconcile through one digest exchange (request_digest → diff_vnode →
+// pull_keys): anti-entropy runs it both ways, migration catch-up runs it
+// pull-only.
 #pragma once
 
 #include <cstdint>
@@ -51,8 +54,6 @@ struct SednaNodeConfig {
   std::vector<NodeId> zk_ensemble;
   store::LocalStoreConfig store;
   wal::PersistenceConfig persistence;
-  /// Snapshot cadence under PersistMode::kPeriodicFlush.
-  SimDuration flush_interval = sim_sec(30);
   /// Push the imbalance-table row to ZooKeeper this often (Section III.B).
   SimDuration load_report_interval = sim_sec(5);
 
@@ -66,9 +67,6 @@ struct SednaNodeConfig {
   /// Planner policy: CV trigger, headroom, per-round caps, cooldown,
   /// isolate ("split") path for persistently-hot single vnodes.
   TrafficRebalancerConfig traffic_rebalance;
-  /// End-to-end deadline the leader grants one vnode migration
-  /// (snapshot + delta catch-up + cutover + drain).
-  SimDuration migration_timeout = sim_sec(10);
 
   // --- Repair subsystem (hinted handoff + Merkle anti-entropy) ----------
   /// Max hints held across all targets (capped coordinator memory);
@@ -81,20 +79,10 @@ struct SednaNodeConfig {
   /// or deliveries keep failing (doubles up to the max, ±25% jitter).
   SimDuration hint_backoff_initial = sim_ms(100);
   SimDuration hint_backoff_max = sim_sec(5);
-  /// Hints delivered to one target per replay round (rate bound).
-  std::uint32_t hint_replay_batch = 32;
   /// Anti-entropy daemon tick: each round syncs the least-recently-synced
   /// replicated vnodes against the other replica holders. 0 disables.
   SimDuration anti_entropy_interval = sim_sec(2);
   std::uint32_t anti_entropy_vnodes_per_round = 1;
-  /// Digest buckets per vnode in the LocalStore Merkle tree.
-  std::uint32_t digest_buckets = 16;
-  /// Key summaries per digest reply (bounds message size per round).
-  std::uint32_t anti_entropy_max_keys = 512;
-  /// Tracked entries in the coordinator's SpaceSaving hot-key sketch
-  /// (keys whose client-request frequency exceeds requests/capacity are
-  /// guaranteed tracked). 0 disables hot-key detection.
-  std::size_t hot_key_capacity = 64;
 
   // --- Overload safety (admission control + degraded reads) -------------
   // The ingress-queue bound itself lives in `host.max_ingress_queue`
@@ -243,6 +231,18 @@ class SednaNode : public sim::Host {
   /// Applies a write to the local store + persistence. Used by both the
   /// replica handler and the coordinator's own local copy.
   StatusCode apply_write(const WriteRequest& req);
+  /// Joins a causal record into the store, WAL-logging it when the join
+  /// moved local state; `changed` reports whether it did.
+  Status apply_causal(const std::string& key,
+                      const store::CausalRecord& record, bool& changed);
+  /// Applies every entry of a write_all value list (per-source LWW).
+  void apply_value_list(const std::string& key,
+                        const std::vector<store::SourceValue>& list);
+  /// Visits the local items of `vnode`; with `buckets`, only those in
+  /// the listed digest buckets.
+  void for_each_in_vnode(VnodeId vnode,
+                         const std::set<std::uint32_t>* buckets,
+                         const std::function<void(const store::Item&)>& fn);
   [[nodiscard]] ReadReply local_read(const ReadRequest& req);
 
   /// Failure evidence from the data path: verify via ZooKeeper and kick
@@ -273,17 +273,11 @@ class SednaNode : public sim::Host {
   void cas_vnode_owner(VnodeId vnode, NodeId expected, NodeId new_owner,
                        std::function<void(const CasResult&)> cb);
 
-  /// Read repair: push the freshest value to replicas that answered with
-  /// stale or missing data.
-  void read_repair(const std::string& key,
-                   const store::VersionedValue& fresh,
+  /// Read repair: push the answer `fresh` (the freshest LWW value, or the
+  /// joined causal record, which replicas fold in with a semilattice merge)
+  /// to replicas that answered with stale or missing data.
+  void read_repair(const WriteRequest& fresh,
                    const std::vector<NodeId>& stale);
-  /// Causal variant: pushes the joined record — replicas fold it in with
-  /// a semilattice merge, so repair can never clobber a concurrent write
-  /// the way a timestamp overwrite could.
-  void read_repair_causal(const std::string& key,
-                          const store::CausalRecord& fresh,
-                          const std::vector<NodeId>& stale);
 
   /// Join: CAS one vnode from its donor to us, journal it, then pull the
   /// slice (donor first, its other pre-move replicas as fallbacks).
@@ -354,8 +348,34 @@ class SednaNode : public sim::Host {
   void reconcile_with_peer(VnodeId vnode, NodeId peer,
                            const VnodeDigestReply& rep,
                            std::function<void()> done);
-  void pull_key(NodeId peer, const std::string& key, bool want_list,
-                bool want_causal, std::function<void()> done);
+
+  // ---- Digest reconcile (shared by anti-entropy and migration) -----------
+  /// One key to fetch from the peer.
+  struct KeyPull {
+    std::string key;
+    bool want_list = false;
+    bool want_causal = false;
+  };
+  /// What one digest exchange found: keys to pull from the peer, and the
+  /// writes that would bring the peer up to date with us.
+  struct VnodeDelta {
+    std::vector<KeyPull> pulls;
+    std::vector<WriteRequest> pushes;
+  };
+  /// Step 1: sends our Merkle digest of `vnode` to `peer`. `done` gets the
+  /// transport status and the decoded reply (nullptr when the call failed
+  /// or the peer could not serve it).
+  void request_digest(
+      VnodeId vnode, NodeId peer,
+      std::function<void(const Status&, const VnodeDigestReply*)> done);
+  /// Step 2: scans the local copies of the reply's mismatched buckets and
+  /// decides every key's pulls and pushes.
+  VnodeDelta diff_vnode(VnodeId vnode, const VnodeDigestReply& rep);
+  /// Step 3: pulls each key from `peer`; `done` fires once all finished.
+  void pull_keys(NodeId peer, const std::vector<KeyPull>& pulls,
+                 std::function<void()> done);
+  void pull_key(NodeId peer, const KeyPull& pull,
+                std::function<void()> done);
 
   // ---- Traffic-aware rebalancer ------------------------------------------
   /// Leader tick (lowest live id): gather the imbalance rows from
@@ -364,7 +384,7 @@ class SednaNode : public sim::Host {
   void traffic_rebalance_tick();
   void run_traffic_plan(const ring::ImbalanceTable& table,
                         std::vector<NodeId> live);
-  /// Pull-only Merkle reconcile of `vnode` against `from` (the delta
+  /// The digest reconcile of `vnode` against `from`, pull-only (the delta
   /// catch-up phases of a migration). `done` receives success plus the
   /// number of keys pulled.
   void migration_catchup(VnodeId vnode, NodeId from,

@@ -3,7 +3,8 @@
 // guard, isolate path), a Zipf-load convergence property, the end-to-end
 // multi-phase migration protocol, and a fault-injection suite (source
 // crash mid-snapshot, destination crash mid-migration, ZooKeeper
-// partition during cutover, writes racing the migration).
+// partition during cutover, writes racing the migration, and a catch-up
+// that never pushes back to the source).
 //
 // The safety invariant every fault test asserts: an acked write stays
 // readable at quorum after recovery, ownership never forks (no vnode
@@ -562,33 +563,30 @@ TEST(MigrationFaults, ZkPartitionAtCutoverKeepsDataAndRetryCommits) {
   expect_all_readable(cluster, client, acked, "after healed retry");
 }
 
-TEST(MigrationFaults, WritesRacingTheMigrationAllSurvive) {
-  SednaCluster cluster(migration_config(44));
-  ASSERT_TRUE(cluster.boot().ok());
-  auto& client = cluster.make_client();
-  const MigrationPick pick = pick_migration(cluster);
+/// Migrates `pick.vnode` to `pick.dst` while client writes race it: 10
+/// keys of the vnode are written up front, then 30 more plus rewrites of
+/// the first 10 while the migration is in flight. Returns key → last
+/// acked value; `out` receives the migration's reply.
+std::map<std::string, std::string> race_writes_with_migration(
+    SednaCluster& cluster, SednaClient& client, const MigrationPick& pick,
+    std::optional<MigrateVnodeReply>& out) {
   const ring::VnodeTable table = cluster.node(0).metadata().table();
-
-  // Pre-collect 40 keys of the migrating vnode; write the first 10 up
-  // front, the rest (plus overwrites of the first ones) while the
-  // migration is in flight.
   std::vector<std::string> keys;
   for (int i = 0; keys.size() < 40 && i < 400000; ++i) {
     const std::string key = "race-" + std::to_string(i);
     if (table.vnode_for_key(key) == pick.vnode) keys.push_back(key);
   }
-  ASSERT_EQ(keys.size(), 40u);
+  EXPECT_EQ(keys.size(), 40u);
 
   std::map<std::string, std::string> acked;
   for (std::size_t i = 0; i < 10; ++i) {
-    ASSERT_TRUE(cluster.write_latest(client, keys[i], "before").ok());
+    EXPECT_TRUE(cluster.write_latest(client, keys[i], "before").ok());
     acked[keys[i]] = "before";
   }
 
-  std::optional<MigrateVnodeReply> out;
   cluster.node(pick.dst_idx)
       .begin_migration(pick.vnode, pick.from,
-                       [&](const MigrateVnodeReply& rep) { out = rep; });
+                       [&out](const MigrateVnodeReply& rep) { out = rep; });
   // Each synchronous write steps the event loop, interleaving client
   // traffic with the migration's snapshot / catch-up / cutover phases.
   for (std::size_t i = 10; i < keys.size(); ++i) {
@@ -601,7 +599,18 @@ TEST(MigrationFaults, WritesRacingTheMigrationAllSurvive) {
       acked[keys[i]] = "rewrite";
     }
   }
-  ASSERT_TRUE(cluster.run_until([&] { return out.has_value(); }));
+  EXPECT_TRUE(cluster.run_until([&out] { return out.has_value(); }));
+  return acked;
+}
+
+TEST(MigrationFaults, WritesRacingTheMigrationAllSurvive) {
+  SednaCluster cluster(migration_config(44));
+  ASSERT_TRUE(cluster.boot().ok());
+  auto& client = cluster.make_client();
+  const MigrationPick pick = pick_migration(cluster);
+  std::optional<MigrateVnodeReply> out;
+  const auto acked = race_writes_with_migration(cluster, client, pick, out);
+  ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->status, StatusCode::kOk);
 
   // Views settle (journal sync + a few anti-entropy rounds), then the
@@ -610,6 +619,42 @@ TEST(MigrationFaults, WritesRacingTheMigrationAllSurvive) {
   expect_single_owner(cluster, pick.vnode, pick.dst);
   ASSERT_GE(acked.size(), 40u);
   expect_all_readable(cluster, client, acked, "after racing writes");
+}
+
+TEST(MigrationFaults, CatchUpPullsRacingWritesAndNeverPushes) {
+  // Anti-entropy off: the digest reconcile runs only as the migration's
+  // catch-up. The destination holds a stray copy of a key the source
+  // lacks (what an aborted migration can leave behind), so the reconcile
+  // finds something to push; catch-up is pull-only and must drop it,
+  // because the source stays authoritative until the cutover.
+  SednaClusterConfig cfg = migration_config(44);
+  cfg.node_template.anti_entropy_interval = 0;
+  SednaCluster cluster(cfg);
+  ASSERT_TRUE(cluster.boot().ok());
+  auto& client = cluster.make_client();
+  const MigrationPick pick = pick_migration(cluster);
+  const ring::VnodeTable table = cluster.node(0).metadata().table();
+  std::string stray;
+  for (int i = 0; stray.empty() && i < 100000; ++i) {
+    const std::string key = "stray-" + std::to_string(i);
+    if (table.vnode_for_key(key) == pick.vnode) stray = key;
+  }
+  ASSERT_TRUE(cluster.node(pick.dst_idx)
+                  .local_store()
+                  .write_latest(stray, "stray", 1)
+                  .ok());
+
+  std::optional<MigrateVnodeReply> out;
+  (void)race_writes_with_migration(cluster, client, pick, out);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->status, StatusCode::kOk);
+
+  auto& dst = cluster.node(pick.dst_idx).metrics();
+  EXPECT_GT(dst.counter("rebalance.catchup_keys").value(), 0u);
+  EXPECT_EQ(dst.counter("antientropy.keys_pushed").value(), 0u);
+  EXPECT_FALSE(
+      cluster.node(pick.from_idx).local_store().read_latest(stray).ok())
+      << "catch-up pushed the stray key to the source";
 }
 
 // ---- leader-driven convergence ------------------------------------------

@@ -1,5 +1,6 @@
 // Repair-subsystem tests: LocalStore Merkle digests, hinted handoff,
-// anti-entropy convergence with zero reads, hint eviction fallback,
+// anti-entropy convergence with zero reads (also past a truncated digest
+// reply), hint eviction fallback,
 // client retry backoff, and the per-reason network drop counters.
 //
 // The convergence tests deliberately never read the keys under test:
@@ -343,6 +344,44 @@ TEST(AntiEntropy, CoversHintsLostToEviction) {
   // Merkle repair backfills what the evicted hints lost: every key is
   // back at full replication without a single read.
   ClusterInspector inspector(cluster);
+  EXPECT_EQ(inspector.under_replicated(keys, 3), 0u);
+}
+
+TEST(AntiEntropy, TruncatedDigestReplyStillConverges) {
+  SednaClusterConfig cfg = base_config();
+  cfg.cluster.total_vnodes = 4;  // hundreds of keys land in one vnode
+  cfg.node_template.hint_max_queued = 0;  // isolate the Merkle path
+  SednaCluster cluster(cfg);
+  ASSERT_TRUE(cluster.boot().ok());
+  auto& client = cluster.make_client();
+
+  const ring::VnodeTable table = cluster.node(0).metadata().table();
+  const VnodeId vnode = 0;
+  const auto replicas = table.replicas_for_vnode(vnode);
+  ASSERT_EQ(replicas.size(), 3u);
+
+  // One replica misses 600 writes to the vnode: more divergent keys than
+  // one digest reply may summarize (512), so the reply is truncated and
+  // the initiator must not read absence from it as "missing at peer".
+  cluster.network().partition(replicas[2], replicas[0]);
+  cluster.network().partition(replicas[2], replicas[1]);
+  std::vector<std::string> keys;
+  for (int i = 0; keys.size() < 600 && i < 100000; ++i) {
+    std::string key = "trunc-" + std::to_string(i);
+    if (table.vnode_for_key(key) != vnode) continue;
+    ASSERT_TRUE(cluster.write_latest(client, key, "v").ok());
+    keys.push_back(std::move(key));
+  }
+  ASSERT_EQ(keys.size(), 600u);
+  cluster.run_for(sim_ms(200));
+  ClusterInspector inspector(cluster);
+  EXPECT_EQ(inspector.under_replicated(keys, 3), keys.size());
+
+  // Ten anti-entropy rounds: the truncated exchange pulls the summarized
+  // keys, later rounds cover the remainder.
+  cluster.network().heal_all();
+  cluster.run_for(sim_sec(5));
+  EXPECT_GE(sum_counter(cluster, "antientropy.truncated_replies"), 1u);
   EXPECT_EQ(inspector.under_replicated(keys, 3), 0u);
 }
 
