@@ -556,11 +556,13 @@ struct VnodeDigestReply {
   StatusCode status = StatusCode::kOk;
   /// True when the peer's root digest matches the request's (no walk).
   bool match = false;
-  /// Bucket indices whose digests differ.
+  /// Bucket indices whose digests differ and whose keys are listed; on a
+  /// truncated reply, only the whole buckets that fit under the key cap.
   std::vector<std::uint32_t> mismatched;
-  /// Peer's key summaries for the mismatched buckets (capped; see
+  /// Peer's key summaries for the `mismatched` buckets (capped; see
   /// `truncated`).
   std::vector<KeySummary> keys;
+  /// Some divergent bucket or key was left out of this reply.
   bool truncated = false;
 
   [[nodiscard]] std::string encode() const {

@@ -724,16 +724,27 @@ void SednaNode::apply_value_list(const std::string& key,
 void SednaNode::for_each_in_vnode(
     VnodeId vnode, const std::set<std::uint32_t>* buckets,
     const std::function<void(const store::Item&)>& fn) {
-  const auto& table = metadata_.table();
+  if (!store_->digests_enabled()) {
+    // Only a node that was never ready lacks the index (the store keeps
+    // its digest tree across crash()), and only a purge reaches it there;
+    // digest buckets, and so `buckets`, exist only once digests do.
+    const auto& table = metadata_.table();
+    store_->for_each_matching(
+        [&table, vnode](std::string_view key) {
+          return table.vnode_for_key(key) == vnode;
+        },
+        fn);
+    return;
+  }
+  if (buckets == nullptr) {
+    store_->for_each_in_vnode(vnode, fn);
+    return;
+  }
   const std::uint32_t bucket_count = store_->digest_buckets_per_vnode();
-  store_->for_each_matching(
-      [&table, buckets, bucket_count, vnode](std::string_view key) {
-        return table.vnode_for_key(key) == vnode &&
-               (buckets == nullptr ||
-                buckets->contains(
-                    store::LocalStore::digest_bucket_of(key, bucket_count)));
-      },
-      fn);
+  store_->for_each_in_vnode(
+      vnode, [buckets, bucket_count, &fn](const store::Item& item) {
+        if (buckets->contains(item.digest_cell % bucket_count)) fn(item);
+      });
 }
 
 ReadReply SednaNode::local_read(const ReadRequest& req) {
@@ -1867,23 +1878,25 @@ void SednaNode::anti_entropy_tick() {
   if (!alive() || !ready_ || ae_in_flight_ || !store_->digests_enabled()) {
     return;
   }
-  auto mine = metadata_.table().replica_vnodes_of(id());
-  if (mine.empty()) return;
+  const auto replicated = metadata_.table().replica_vnodes_of(id());
+  if (replicated.empty()) return;
   // Least-recently-synced first (never-synced counts as time 0), vnode id
-  // as the deterministic tie-break.
-  std::sort(mine.begin(), mine.end(), [this](VnodeId a, VnodeId b) {
-    const auto ita = ae_last_synced_.find(a);
-    const auto itb = ae_last_synced_.find(b);
-    const SimTime ta = ita == ae_last_synced_.end() ? 0 : ita->second;
-    const SimTime tb = itb == ae_last_synced_.end() ? 0 : itb->second;
-    if (ta != tb) return ta < tb;
-    return a < b;
-  });
+  // as the deterministic tie-break: a strict total order, so only the
+  // `take` front entries need sorting.
+  std::vector<std::pair<SimTime, VnodeId>> order;
+  order.reserve(replicated.size());
+  for (const VnodeId v : replicated) {
+    const auto it = ae_last_synced_.find(v);
+    order.emplace_back(it == ae_last_synced_.end() ? 0 : it->second, v);
+  }
   const std::size_t take =
-      std::min<std::size_t>(mine.size(),
+      std::min<std::size_t>(order.size(),
                             std::max<std::uint32_t>(
                                 1, config_.anti_entropy_vnodes_per_round));
-  mine.resize(take);
+  std::partial_sort(order.begin(), order.begin() + take, order.end());
+  std::vector<VnodeId> mine;
+  mine.reserve(take);
+  for (std::size_t i = 0; i < take; ++i) mine.push_back(order[i].second);
   ae_in_flight_ = true;
   metrics_.counter("antientropy.rounds").add(1);
   sync_vnodes(std::make_shared<std::vector<VnodeId>>(std::move(mine)), 0);
@@ -2444,20 +2457,47 @@ void SednaNode::handle_vnode_digest(const sim::Message& msg) {
   for (std::uint32_t b = 0; b < local.size(); ++b) {
     if (!same_shape || local[b] != req->buckets[b]) mismatched.insert(b);
   }
-  rep.mismatched.assign(mismatched.begin(), mismatched.end());
-  for_each_in_vnode(req->vnode, &mismatched, [&rep](const store::Item& item) {
-    if (rep.keys.size() >= kAntiEntropyMaxKeys) {
-      rep.truncated = true;
-      return;
+  // Summaries in store visit order, each tagged with its bucket. Past the
+  // key cap, list whole mismatched buckets, lowest first, while they fit,
+  // and name only those: the initiator reconciles every key of a listed
+  // bucket, so the next round's mismatch set drops it and the listing
+  // moves on. A first bucket over the cap alone is listed up to the cap.
+  std::vector<std::pair<std::uint32_t, KeySummary>> found;
+  const auto n = static_cast<std::uint32_t>(local.size());
+  for_each_in_vnode(req->vnode, &mismatched,
+                    [&found, n](const store::Item& item) {
+                      KeySummary ks;
+                      ks.key = item.key;
+                      ks.has_latest = item.has_latest;
+                      ks.latest_ts = item.has_latest ? item.latest.ts : 0;
+                      ks.list_digest = store::LocalStore::value_list_digest(
+                          item.value_list);
+                      if (!item.causal.empty()) {
+                        ks.causal_digest = item.causal.digest();
+                      }
+                      found.emplace_back(item.digest_cell % n, std::move(ks));
+                    });
+  std::set<std::uint32_t> listed;
+  if (found.size() <= kAntiEntropyMaxKeys) {
+    listed = std::move(mismatched);
+  } else {
+    std::vector<std::size_t> per_bucket(n, 0);
+    for (const auto& [b, ks] : found) ++per_bucket[b];
+    std::size_t fits = 0;
+    for (const std::uint32_t b : mismatched) {
+      if (!listed.empty() && fits + per_bucket[b] > kAntiEntropyMaxKeys) {
+        break;
+      }
+      listed.insert(b);
+      fits += per_bucket[b];
     }
-    KeySummary ks;
-    ks.key = item.key;
-    ks.has_latest = item.has_latest;
-    ks.latest_ts = item.has_latest ? item.latest.ts : 0;
-    ks.list_digest = store::LocalStore::value_list_digest(item.value_list);
-    if (!item.causal.empty()) ks.causal_digest = item.causal.digest();
-    rep.keys.push_back(std::move(ks));
-  });
+    rep.truncated = true;
+  }
+  rep.mismatched.assign(listed.begin(), listed.end());
+  for (auto& [b, ks] : found) {
+    if (rep.keys.size() >= kAntiEntropyMaxKeys) break;
+    if (listed.contains(b)) rep.keys.push_back(std::move(ks));
+  }
   instant_span("antientropy.digest_mismatch", "ok", TraceStage::kRepair);
   reply(msg, rep.encode());
 }

@@ -46,6 +46,10 @@ struct Item {
 
   VersionedValue latest;
   bool has_latest = false;
+  /// Merkle digest cell (`vnode * buckets + bucket`) while the store keeps
+  /// digests; cached so a mutation never re-hashes the key to find it.
+  /// Sits in the padding after `has_latest`.
+  std::uint32_t digest_cell = 0;
 
   std::vector<SourceValue> value_list;
 
@@ -67,6 +71,9 @@ struct Item {
   /// for unwatched keys.
   bool dirty = false;
   bool monitored = false;
+  /// Position in the per-vnode item index (guarded by the index lock, not
+  /// the shard lock). Sits in the padding after `monitored`.
+  std::uint32_t index_slot = 0;
 
   // Intrusive chaining: hash bucket list and LRU list.
   Item* hash_next = nullptr;
@@ -86,5 +93,12 @@ struct Item {
     return sizeof(Item) + key.size() + value_bytes();
   }
 };
+
+// total_bytes() feeds slab accounting, the per-vnode byte rows and the
+// rebalancer's capacity column, so a bigger Item would move every seeded
+// output that reports them. New per-item fields go into padding holes.
+#if defined(__GLIBCXX__) && UINTPTR_MAX == UINT64_MAX
+static_assert(sizeof(Item) == 208, "Item layout changed: see total_bytes()");
+#endif
 
 }  // namespace sedna::store

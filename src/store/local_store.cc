@@ -56,13 +56,19 @@ void refresh_causal_mirror(Item& it) {
 /// item's content digest under the owning shard's lock, so a cell is the
 /// XOR of the digests of the items currently in that (vnode, bucket)
 /// slice — identical cells ⇒ identical replicated content.
+///
+/// Beside the cells sits a per-vnode item index (one row of item pointers
+/// per vnode), so a per-vnode visit costs O(items in vnode). Rows are
+/// shared by every shard; they change under the owning shard's lock plus
+/// `index_mu`, always taken in that order.
 struct LocalStore::DigestTree {
   DigestTree(std::uint32_t v, std::uint32_t b)
       : vnodes(v),
         buckets(b),
         cells(std::make_unique<std::atomic<std::uint64_t>[]>(
             static_cast<std::size_t>(v) * b)),
-        vbytes(std::make_unique<std::atomic<std::uint64_t>[]>(v)) {
+        vbytes(std::make_unique<std::atomic<std::uint64_t>[]>(v)),
+        rows(v) {
     const std::size_t n = static_cast<std::size_t>(v) * b;
     for (std::size_t i = 0; i < n; ++i) {
       cells[i].store(0, std::memory_order_relaxed);
@@ -72,27 +78,53 @@ struct LocalStore::DigestTree {
     }
   }
 
-  void toggle(std::string_view key, std::uint64_t digest) {
-    const auto vnode = static_cast<std::size_t>(ring_hash(key) % vnodes);
-    const std::size_t bucket = digest_bucket_of(key, buckets);
-    cells[vnode * buckets + bucket].fetch_xor(digest,
-                                              std::memory_order_relaxed);
+  [[nodiscard]] std::uint32_t cell_of(std::string_view key) const {
+    const auto vnode = static_cast<std::uint32_t>(ring_hash(key) % vnodes);
+    return vnode * buckets + digest_bucket_of(key, buckets);
+  }
+
+  void toggle(const Item& it, std::uint64_t digest) {
+    cells[it.digest_cell].fetch_xor(digest, std::memory_order_relaxed);
   }
 
   // Per-vnode resident-byte tallies, maintained on the same mutation
   // paths as the digest cells (so they track the replicated content
   // exactly). Feeds the imbalance row's per-vnode capacity column.
-  void add_bytes(std::string_view key, std::uint64_t n) {
-    vbytes[ring_hash(key) % vnodes].fetch_add(n, std::memory_order_relaxed);
+  void add_bytes(const Item& it, std::uint64_t n) {
+    vbytes[it.digest_cell / buckets].fetch_add(n, std::memory_order_relaxed);
   }
-  void sub_bytes(std::string_view key, std::uint64_t n) {
-    vbytes[ring_hash(key) % vnodes].fetch_sub(n, std::memory_order_relaxed);
+  void sub_bytes(const Item& it, std::uint64_t n) {
+    vbytes[it.digest_cell / buckets].fetch_sub(n, std::memory_order_relaxed);
   }
+
+  /// Files a new item (its `digest_cell` already set) under its vnode.
+  void index_add(Item* it) {
+    std::lock_guard lock(index_mu);
+    auto& row = rows[it->digest_cell / buckets];
+    // Start at 16 slots rather than doubling up from one: fewer
+    // reallocations on the insert path.
+    if (row.capacity() == 0) row.reserve(kMinRowCapacity);
+    it->index_slot = static_cast<std::uint32_t>(row.size());
+    row.push_back(it);
+  }
+  /// Swap-removes an item from its vnode's row.
+  void index_remove(Item* it) {
+    std::lock_guard lock(index_mu);
+    auto& row = rows[it->digest_cell / buckets];
+    Item* last = row.back();
+    row[it->index_slot] = last;
+    last->index_slot = it->index_slot;
+    row.pop_back();
+  }
+
+  static constexpr std::size_t kMinRowCapacity = 16;
 
   std::uint32_t vnodes;
   std::uint32_t buckets;
   std::unique_ptr<std::atomic<std::uint64_t>[]> cells;
   std::unique_ptr<std::atomic<std::uint64_t>[]> vbytes;
+  std::mutex index_mu;
+  std::vector<std::vector<Item*>> rows;
 };
 
 struct LocalStore::Shard {
@@ -166,8 +198,8 @@ struct LocalStore::Shard {
     bytes += n;
     slabs.charge(n);
     if (digests != nullptr) {
-      digests->toggle(it->key, LocalStore::item_digest(*it));
-      digests->add_bytes(it->key, n);
+      digests->toggle(*it, LocalStore::item_digest(*it));
+      digests->add_bytes(*it, n);
     }
   }
 
@@ -176,8 +208,8 @@ struct LocalStore::Shard {
     bytes -= std::min(bytes, n);
     slabs.release(n);
     if (digests != nullptr) {
-      digests->toggle(it->key, LocalStore::item_digest(*it));
-      digests->sub_bytes(it->key, n);
+      digests->toggle(*it, LocalStore::item_digest(*it));
+      digests->sub_bytes(*it, n);
     }
   }
 
@@ -193,8 +225,8 @@ struct LocalStore::Shard {
     bytes -= std::min(bytes, old_total);
     slabs.release(old_total);
     if (digests != nullptr) {
-      digests->toggle(it->key, old_digest);
-      digests->sub_bytes(it->key, old_total);
+      digests->toggle(*it, old_digest);
+      digests->sub_bytes(*it, old_total);
     }
     account_insert(it);
   }
@@ -211,6 +243,7 @@ struct LocalStore::Shard {
     unlink_from_bucket(it, bucket_hash(it->key));
     lru_unlink(it);
     account_remove(it);
+    if (digests != nullptr) digests->index_remove(it);
     stats.siblings -= sibling_excess(*it);
     --item_count;
     delete it;
@@ -242,6 +275,10 @@ struct LocalStore::Shard {
     lru_push_front(it);
     ++item_count;
     ++stats.total_items;
+    if (digests != nullptr) {
+      it->digest_cell = digests->cell_of(key);
+      digests->index_add(it);
+    }
     account_insert(it);
     maybe_grow();
     return it;
@@ -319,11 +356,14 @@ LocalStore::LocalStore(LocalStoreConfig config, ClockFn clock)
 
 LocalStore::~LocalStore() = default;
 
+std::size_t LocalStore::shard_index(std::uint64_t hash) const {
+  return mix64(hash) & shard_mask_;
+}
 LocalStore::Shard& LocalStore::shard_for(std::string_view key) {
-  return *shards_[mix64(bucket_hash(key)) & shard_mask_];
+  return *shards_[shard_index(bucket_hash(key))];
 }
 const LocalStore::Shard& LocalStore::shard_for(std::string_view key) const {
-  return *shards_[mix64(bucket_hash(key)) & shard_mask_];
+  return *shards_[shard_index(bucket_hash(key))];
 }
 
 std::uint64_t LocalStore::clock_now() const {
@@ -862,8 +902,9 @@ void LocalStore::clear() {
         // clear() bypasses Shard::erase, so keep the digest cells honest
         // here too.
         if (s->digests != nullptr) {
-          s->digests->toggle(head->key, item_digest(*head));
-          s->digests->sub_bytes(head->key, head->total_bytes());
+          s->digests->toggle(*head, item_digest(*head));
+          s->digests->sub_bytes(*head, head->total_bytes());
+          s->digests->index_remove(head);
         }
         delete head;
         head = next;
@@ -900,8 +941,10 @@ void LocalStore::enable_digests(std::uint32_t vnodes,
     s->digests = tree.get();
     for (Item* head : s->buckets) {
       for (Item* it = head; it != nullptr; it = it->hash_next) {
-        tree->toggle(it->key, item_digest(*it));
-        tree->add_bytes(it->key, it->total_bytes());
+        it->digest_cell = tree->cell_of(it->key);
+        tree->index_add(it);
+        tree->toggle(*it, item_digest(*it));
+        tree->add_bytes(*it, it->total_bytes());
       }
     }
   }
@@ -995,6 +1038,46 @@ std::uint64_t LocalStore::value_list_digest(
     acc ^= e;
   }
   return acc;
+}
+
+void LocalStore::for_each_in_vnode(
+    VnodeId vnode, const std::function<void(const Item&)>& fn) const {
+  DigestTree* tree = digests_.get();
+  if (tree == nullptr || vnode >= tree->vnodes) return;
+  // Snapshot the row as (shard, bucket hash) pairs; the keys stay valid
+  // while index_mu pins the row. Each shard then walks only the chains
+  // those hashes land in, in bucket order, and keeps the items whose
+  // cached cell lies in this vnode: exactly the items, in exactly the
+  // order, of a whole-store for_each_matching on "key is in vnode".
+  std::vector<std::pair<std::size_t, std::uint64_t>> hashes;
+  {
+    std::lock_guard lock(tree->index_mu);
+    const auto& row = tree->rows[vnode];
+    hashes.reserve(row.size());
+    for (const Item* it : row) {
+      const std::uint64_t h = bucket_hash(it->key);
+      hashes.emplace_back(shard_index(h), h);
+    }
+  }
+  std::sort(hashes.begin(), hashes.end());
+  const std::uint32_t base = vnode * tree->buckets;
+  std::vector<std::size_t> chains;
+  for (std::size_t i = 0; i < hashes.size();) {
+    const std::size_t shard = hashes[i].first;
+    const Shard& s = *shards_[shard];
+    std::lock_guard lock(s.mu);
+    chains.clear();
+    for (; i < hashes.size() && hashes[i].first == shard; ++i) {
+      chains.push_back(s.bucket_index(hashes[i].second));
+    }
+    std::sort(chains.begin(), chains.end());
+    chains.erase(std::unique(chains.begin(), chains.end()), chains.end());
+    for (const std::size_t b : chains) {
+      for (Item* it = s.buckets[b]; it != nullptr; it = it->hash_next) {
+        if (it->digest_cell - base < tree->buckets) fn(*it);
+      }
+    }
+  }
 }
 
 void LocalStore::for_each_matching(

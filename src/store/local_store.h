@@ -167,8 +167,18 @@ class LocalStore {
   /// shard under that shard's lock.
   void for_each(const std::function<void(const Item&)>& fn) const;
 
-  /// Visits items whose key satisfies `pred` (e.g. "belongs to vnode V").
+  /// Visits items whose key satisfies `pred`: a whole-store scan calling
+  /// `pred` once per item (prefix scans). Per-vnode visits go through
+  /// for_each_in_vnode instead.
   void for_each_matching(const std::function<bool(std::string_view)>& pred,
+                         const std::function<void(const Item&)>& fn) const;
+
+  /// Visits the items of one vnode through the per-vnode index kept with
+  /// the digest tree, in the order for_each_matching would visit them
+  /// (shard, bucket slot, chain position): truncated digest listings and
+  /// anti-entropy push order depend on it. Costs O(items in the vnode).
+  /// Visits nothing while digests are off.
+  void for_each_in_vnode(VnodeId vnode,
                          const std::function<void(const Item&)>& fn) const;
 
   /// Monotonically increasing timestamp for local-origin writes.
@@ -183,8 +193,9 @@ class LocalStore {
   // divergence to ~items/(vnodes*buckets) keys. Cheap enough to keep on
   // for every simulated node: one 64-bit hash + one atomic XOR per write.
 
-  /// Enables (or rebuilds) the digest tree: `vnodes` must match the
-  /// cluster's total_vnodes so key→vnode mapping agrees across replicas.
+  /// Enables (or rebuilds) the digest tree and the per-vnode item index:
+  /// `vnodes` must match the cluster's total_vnodes so key→vnode mapping
+  /// agrees across replicas.
   void enable_digests(std::uint32_t vnodes,
                       std::uint32_t buckets_per_vnode = 16);
   [[nodiscard]] bool digests_enabled() const;
@@ -220,6 +231,8 @@ class LocalStore {
   Status concat_impl(std::string_view key, std::string_view piece,
                      bool after);
 
+  /// Shard owning a key with bucket hash `hash`.
+  [[nodiscard]] std::size_t shard_index(std::uint64_t hash) const;
   [[nodiscard]] Shard& shard_for(std::string_view key);
   [[nodiscard]] const Shard& shard_for(std::string_view key) const;
   [[nodiscard]] std::uint64_t clock_now() const;

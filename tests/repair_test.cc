@@ -1,6 +1,6 @@
 // Repair-subsystem tests: LocalStore Merkle digests, hinted handoff,
-// anti-entropy convergence with zero reads (also past a truncated digest
-// reply), hint eviction fallback,
+// anti-entropy convergence with zero reads (also past truncated digest
+// replies), hint eviction fallback,
 // client retry backoff, and the per-reason network drop counters.
 //
 // The convergence tests deliberately never read the keys under test:
@@ -383,6 +383,54 @@ TEST(AntiEntropy, TruncatedDigestReplyStillConverges) {
   cluster.run_for(sim_sec(5));
   EXPECT_GE(sum_counter(cluster, "antientropy.truncated_replies"), 1u);
   EXPECT_EQ(inspector.under_replicated(keys, 3), 0u);
+}
+
+TEST(AntiEntropy, TruncatedRepliesAdvancePastConvergedKeys) {
+  SednaClusterConfig cfg = base_config();
+  cfg.cluster.total_vnodes = 4;  // hundreds of keys land in one vnode
+  cfg.node_template.hint_max_queued = 0;  // isolate the Merkle path
+  SednaCluster cluster(cfg);
+  ASSERT_TRUE(cluster.boot().ok());
+  auto& client = cluster.make_client();
+
+  const ring::VnodeTable table = cluster.node(0).metadata().table();
+  const VnodeId vnode = 0;
+  const auto replicas = table.replicas_for_vnode(vnode);
+  ASSERT_EQ(replicas.size(), 3u);
+  std::vector<std::string> keys;
+  for (int i = 0; keys.size() < 600 && i < 100000; ++i) {
+    std::string key = "stall-" + std::to_string(i);
+    if (table.vnode_for_key(key) != vnode) continue;
+    ASSERT_TRUE(cluster.write_latest(client, key, "v1").ok());
+    keys.push_back(std::move(key));
+  }
+  ASSERT_EQ(keys.size(), 600u);
+  cluster.run_for(sim_ms(200));
+
+  // Every key exists everywhere, but one replica misses the overwrite of
+  // all 600: every digest bucket diverges and each reply is truncated.
+  // Listing the first 512 keys in store order lists the same keys round
+  // after round once those converge; listing whole buckets moves on.
+  cluster.network().partition(replicas[2], replicas[0]);
+  cluster.network().partition(replicas[2], replicas[1]);
+  for (const auto& key : keys) {
+    ASSERT_TRUE(cluster.write_latest(client, key, "v2").ok());
+  }
+  cluster.run_for(sim_ms(200));
+  auto stale = [&] {
+    std::size_t n = 0;
+    for (const auto& key : keys) {
+      if (replicas_holding(cluster, key, "v2") != 3) ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(stale(), keys.size());
+
+  // Ten anti-entropy rounds (500 ms each).
+  cluster.network().heal_all();
+  cluster.run_for(sim_sec(5));
+  EXPECT_GE(sum_counter(cluster, "antientropy.truncated_replies"), 1u);
+  EXPECT_EQ(stale(), 0u);
 }
 
 // ---- Client retry backoff ----------------------------------------------

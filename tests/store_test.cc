@@ -1,10 +1,14 @@
 // Unit and property tests for the LocalStore engine: memcached surface,
 // Sedna LWW / value-list semantics, expiry, LRU eviction, slab accounting,
-// dirty-table change capture, and thread safety.
+// dirty-table change capture, the per-vnode item index, and thread
+// safety.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <random>
 #include <thread>
 
+#include "common/hash.h"
 #include "store/local_store.h"
 
 namespace sedna::store {
@@ -443,6 +447,141 @@ TEST(Iteration, ForEachMatchingFilters) {
   EXPECT_EQ(visited, 2u);
 }
 
+// ---- per-vnode item index ---------------------------------------------------
+
+std::vector<std::string> keys_in_vnode(const LocalStore& store, VnodeId v) {
+  std::vector<std::string> keys;
+  store.for_each_in_vnode(v, [&](const Item& it) { keys.push_back(it.key); });
+  return keys;
+}
+
+std::vector<std::string> keys_scanned(const LocalStore& store, VnodeId v,
+                                      std::uint32_t vnodes) {
+  std::vector<std::string> keys;
+  store.for_each_matching(
+      [v, vnodes](std::string_view k) { return ring_hash(k) % vnodes == v; },
+      [&](const Item& it) { keys.push_back(it.key); });
+  return keys;
+}
+
+/// The index visits exactly what a whole-store scan on "key is in vnode v"
+/// visits, in the same order; the incrementally kept digest roots and
+/// per-vnode bytes equal those of a store rebuilt from the same content.
+void expect_index_matches_scan(const LocalStore& store, std::uint32_t vnodes,
+                               std::uint32_t buckets) {
+  for (VnodeId v = 0; v < vnodes; ++v) {
+    ASSERT_EQ(keys_in_vnode(store, v), keys_scanned(store, v, vnodes))
+        << "vnode " << v;
+  }
+  struct Content {
+    std::string key;
+    bool has_latest;
+    VersionedValue latest;
+    std::vector<SourceValue> list;
+  };
+  std::vector<Content> content;
+  store.for_each([&](const Item& it) {
+    content.push_back({it.key, it.has_latest, it.latest, it.value_list});
+  });
+  LocalStore fresh;
+  for (const Content& c : content) {
+    if (c.has_latest) {
+      ASSERT_TRUE(fresh.write_latest(c.key, c.latest.value, c.latest.ts,
+                                     c.latest.flags)
+                      .ok());
+    }
+    for (const SourceValue& sv : c.list) {
+      ASSERT_TRUE(fresh.write_all(c.key, sv.source, sv.value, sv.ts).ok());
+    }
+  }
+  fresh.enable_digests(vnodes, buckets);
+  for (VnodeId v = 0; v < vnodes; ++v) {
+    EXPECT_EQ(store.digest_root(v), fresh.digest_root(v)) << "vnode " << v;
+  }
+  EXPECT_EQ(store.vnode_bytes_all(), fresh.vnode_bytes_all());
+}
+
+TEST(VnodeIndex, MatchesWholeStoreScanThroughEveryMutationPath) {
+  constexpr std::uint32_t kVnodes = 16;
+  constexpr std::uint32_t kBuckets = 8;
+  std::uint64_t now = 1;
+  LocalStoreConfig cfg;
+  cfg.shards = 4;
+  cfg.initial_buckets_per_shard = 8;  // inserts force maybe_grow rehashes
+  cfg.memory_budget_bytes = 4 * 256 * 1024;
+  LocalStore store(cfg, [&now] { return now; });
+  store.enable_digests(kVnodes, kBuckets);
+  std::mt19937 rng(7);
+  auto key = [&rng](int space) {
+    return "k" + std::to_string(rng() % static_cast<unsigned>(space));
+  };
+
+  // Inserts through every write API.
+  for (int i = 0; i < 600; ++i) {
+    const std::string k = key(1000);
+    switch (i % 3) {
+      case 0: ASSERT_TRUE(store.set(k, "v").ok()); break;
+      case 1: (void)store.write_latest(k, "w", 100 + i); break;
+      default:
+        ASSERT_TRUE(store.write_all(k, static_cast<NodeId>(i % 4), "l",
+                                    100 + i).ok());
+    }
+  }
+  ASSERT_GT(store.size(), 4u * 8 * 2);  // past the 8-bucket grow threshold
+  expect_index_matches_scan(store, kVnodes, kBuckets);
+
+  // Overwrites and deletes.
+  for (int i = 0; i < 800; ++i) {
+    const std::string k = key(1000);
+    if (i % 4 == 0) {
+      (void)store.del(k);
+    } else {
+      ASSERT_TRUE(store.set(k, std::string(i % 50, 'x')).ok());
+    }
+  }
+  expect_index_matches_scan(store, kVnodes, kBuckets);
+
+  // LRU eviction under the byte budget.
+  for (int i = 0; i < 600; ++i) {
+    ASSERT_TRUE(store.set("big" + std::to_string(i), std::string(2048, 'b'))
+                    .ok());
+  }
+  ASSERT_GT(store.stats().evictions, 0u);
+  expect_index_matches_scan(store, kVnodes, kBuckets);
+
+  // Lazy TTL expiry: reads find the items expired and erase them.
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(store.set("ttl" + std::to_string(i), "t", 0, 10).ok());
+  }
+  now += 20;
+  for (int i = 0; i < 100; i += 2) {
+    EXPECT_FALSE(store.get("ttl" + std::to_string(i)).ok());
+  }
+  ASSERT_GE(store.stats().expired, 50u);
+  expect_index_matches_scan(store, kVnodes, kBuckets);
+
+  store.clear();
+  expect_index_matches_scan(store, kVnodes, kBuckets);
+  for (int i = 0; i < 200; ++i) ASSERT_TRUE(store.set(key(1000), "v").ok());
+  expect_index_matches_scan(store, kVnodes, kBuckets);
+}
+
+TEST(VnodeIndex, EnableDigestsIndexesAPopulatedStoreAndReindexes) {
+  LocalStoreConfig cfg;
+  cfg.shards = 4;
+  cfg.initial_buckets_per_shard = 8;
+  LocalStore store(cfg);
+  for (int i = 0; i < 500; ++i) store.set("k" + std::to_string(i), "v");
+  EXPECT_TRUE(keys_in_vnode(store, 0).empty());  // no index while off
+  store.enable_digests(16, 8);
+  expect_index_matches_scan(store, 16, 8);
+  // A second enable_digests rebuilds under a different shape.
+  store.enable_digests(7, 4);
+  expect_index_matches_scan(store, 7, 4);
+  for (int i = 0; i < 500; i += 3) store.del("k" + std::to_string(i));
+  expect_index_matches_scan(store, 7, 4);
+}
+
 TEST(Misc, ClearEmptiesEverything) {
   LocalStoreConfig cfg;
   cfg.track_changes = true;
@@ -578,6 +717,54 @@ TEST(Concurrency, CasLosesExactlyNMinus1PerRound) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(store.get("counter")->value,
             std::to_string(kThreads * kIncrements));
+}
+
+TEST(Concurrency, VnodeVisitsRaceMutationsAcrossShards) {
+  constexpr std::uint32_t kVnodes = 8;
+  LocalStoreConfig cfg;
+  cfg.shards = 8;
+  cfg.initial_buckets_per_shard = 16;
+  LocalStore store(cfg);
+  store.enable_digests(kVnodes, 4);
+  constexpr int kWriters = 4;
+  std::atomic<bool> go{false};
+  std::atomic<int> writers_left{kWriters};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kWriters; ++t) {
+    threads.emplace_back([&store, &go, &writers_left, t] {
+      while (!go.load()) std::this_thread::yield();
+      for (int i = 0; i < 20000; ++i) {
+        // Inserts, overwrites and deletes over a small per-thread key set
+        // whose keys spread over every shard and vnode.
+        const std::string k =
+            "c" + std::to_string(t) + "-" + std::to_string(i % 300);
+        if (i % 7 == 3) {
+          (void)store.del(k);
+        } else {
+          store.set(k, std::string(i % 40, 'v'));
+        }
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  std::size_t misplaced = 0;
+  std::size_t sweeps = 0;
+  threads.emplace_back([&] {
+    while (!go.load()) std::this_thread::yield();
+    while (writers_left.load() > 0) {
+      for (VnodeId v = 0; v < kVnodes; ++v) {
+        store.for_each_in_vnode(v, [&](const Item& it) {
+          if (ring_hash(it.key) % kVnodes != v) ++misplaced;
+        });
+      }
+      ++sweeps;
+    }
+  });
+  go.store(true);
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(misplaced, 0u);
+  EXPECT_GT(sweeps, 0u);
+  expect_index_matches_scan(store, kVnodes, 4);
 }
 
 }  // namespace
