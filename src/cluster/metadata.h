@@ -91,6 +91,11 @@ class MetadataCache {
     if (vnode < table_.total_vnodes()) table_.assign(vnode, owner);
   }
 
+  /// Re-reads one vnode's znode and applies the owner it names: the way
+  /// to act on a peer's ownership claim without trusting it (the claim
+  /// may be older than a change the journal already delivered).
+  void refresh_vnode(VnodeId v, std::function<void()> done);
+
   [[nodiscard]] std::uint64_t syncs_run() const { return syncs_; }
   [[nodiscard]] std::uint64_t vnodes_refreshed() const { return refreshed_; }
   [[nodiscard]] std::uint64_t last_seen_change() const {
@@ -101,7 +106,6 @@ class MetadataCache {
   void load_vnodes(std::uint32_t next, ReadyCallback on_ready);
   void schedule_sync();
   void run_sync(std::function<void()> done);
-  void refresh_vnode(VnodeId v, std::function<void()> done);
 
   zk::ZkClient& zk_;
   sim::Host& host_;

@@ -2,8 +2,8 @@
 //
 // Clients route requests directly to the primary replica of a key's vnode
 // (zero-hop DHT, Section VII); that node coordinates the N-replica quorum
-// (Section III.C). Recovery traffic (vnode takeover + item transfer) uses
-// the same link layer.
+// (Section III.C). Vnode transfers (join, recovery and traffic migration:
+// dispatch, item pull, catch-up and purge) use the same link layer.
 #pragma once
 
 #include <cstdint>
@@ -30,13 +30,12 @@ constexpr sim::MessageType kMsgClientWrite = 200;
 constexpr sim::MessageType kMsgClientRead = 201;
 constexpr sim::MessageType kMsgReplicaWrite = 210;
 constexpr sim::MessageType kMsgReplicaRead = 211;
-constexpr sim::MessageType kMsgFetchVnode = 220;   // new owner → survivor
-constexpr sim::MessageType kMsgTakeoverVnode = 221;  // coordinator → new owner
+constexpr sim::MessageType kMsgFetchVnode = 220;   // new owner → source
 constexpr sim::MessageType kMsgPurgeVnode = 222;   // new owner → old owner
 constexpr sim::MessageType kMsgScan = 230;         // client → every node
 constexpr sim::MessageType kMsgHintDeliver = 240;  // coordinator → healed replica
 constexpr sim::MessageType kMsgVnodeDigest = 241;  // anti-entropy digest exchange
-constexpr sim::MessageType kMsgMigrateVnode = 250;  // rebalance leader → destination
+constexpr sim::MessageType kMsgMigrateVnode = 250;  // leader or recovering coordinator → new owner
 
 enum class WriteMode : std::uint8_t { kLatest = 0, kAll = 1 };
 enum class ReadMode : std::uint8_t { kLatest = 0, kAll = 1 };
@@ -411,8 +410,10 @@ struct ScanReply {
 };
 
 /// Asks a previous owner to drop its now-redundant copy of a vnode's
-/// data. Carries the new owner so the receiver can update its cached
-/// table before deciding whether it still belongs to the replica set.
+/// data. The receiver re-reads the vnode's znode before deciding whether
+/// it still belongs to the replica set: `new_owner` is the sender's claim
+/// at send time, and a purge that arrives after a later move must not
+/// roll the routing table back to it.
 struct PurgeVnodeRequest {
   VnodeId vnode = kInvalidVnode;
   NodeId new_owner = kInvalidNode;
@@ -430,32 +431,6 @@ struct PurgeVnodeRequest {
     req.vnode = r.get_u32();
     req.new_owner = r.get_u32();
     if (r.failed()) return Status::Corruption("bad purge request");
-    return req;
-  }
-};
-
-struct TakeoverRequest {
-  VnodeId vnode = kInvalidVnode;
-  /// Healthy replicas to pull the data from, in preference order.
-  std::vector<NodeId> sources;
-
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w(16);
-    w.put_u32(vnode);
-    w.put_u32(static_cast<std::uint32_t>(sources.size()));
-    for (NodeId n : sources) w.put_u32(n);
-    return std::move(w).take();
-  }
-
-  static Result<TakeoverRequest> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    TakeoverRequest req;
-    req.vnode = r.get_u32();
-    const std::uint32_t n = r.get_u32();
-    for (std::uint32_t i = 0; i < n && !r.failed(); ++i) {
-      req.sources.push_back(r.get_u32());
-    }
-    if (r.failed()) return Status::Corruption("bad takeover request");
     return req;
   }
 };
@@ -630,21 +605,32 @@ struct VnodeDigestReply {
   }
 };
 
-/// Traffic-aware rebalancing: the rebalance leader asks a destination
-/// node to *pull* one vnode through the multi-phase migration protocol
-/// (snapshot transfer → Merkle delta catch-up → versioned ZK cutover →
-/// old-owner drain). The destination drives every phase, so a leader
-/// crash mid-migration at worst orphans an in-flight pull.
+/// Vnode transfer dispatch: asks the destination to pull one vnode, catch
+/// up and CAS itself in as the owner (snapshot → Merkle delta catch-up →
+/// versioned ZK cutover → drain → old-owner purge). Two senders use it:
+/// the rebalance leader for a traffic move, and a recovering coordinator
+/// that re-homes a dead owner's vnode. The destination drives every phase,
+/// so a sender crash mid-transfer at worst orphans an in-flight pull.
 struct MigrateVnodeRequest {
   VnodeId vnode = kInvalidVnode;
-  /// Current owner, per the leader's plan; the destination re-verifies
-  /// against ZooKeeper at cutover time (versioned CAS).
+  /// Owner the cutover expects (the leader's plan, or the dead node); the
+  /// destination re-verifies against ZooKeeper at cutover time.
   NodeId from = kInvalidNode;
+  /// Nodes to pull from, in preference order; empty means `{from}`. A
+  /// recovering coordinator names the surviving replicas here. Trailing
+  /// optional section, emitted only when it says more than `{from}`, so a
+  /// leader's request keeps its 8-byte layout.
+  std::vector<NodeId> sources;
 
   [[nodiscard]] std::string encode() const {
     BinaryWriter w(8);
     w.put_u32(vnode);
     w.put_u32(from);
+    if (!sources.empty() && sources != std::vector<NodeId>{from}) {
+      w.put_vector(sources, [](BinaryWriter& out, NodeId n) {
+        out.put_u32(n);
+      });
+    }
     return std::move(w).take();
   }
 
@@ -653,6 +639,10 @@ struct MigrateVnodeRequest {
     MigrateVnodeRequest req;
     req.vnode = r.get_u32();
     req.from = r.get_u32();
+    if (!r.failed() && !r.exhausted()) {
+      req.sources = r.get_vector<NodeId>(
+          [](BinaryReader& in) { return in.get_u32(); });
+    }
     if (r.failed()) return Status::Corruption("bad migrate request");
     return req;
   }

@@ -22,8 +22,9 @@ constexpr std::size_t kTransferParallelism = 8;
 /// Snapshot cadence under PersistMode::kPeriodicFlush.
 constexpr SimDuration kFlushInterval = sim_sec(30);
 
-/// End-to-end deadline the leader grants one vnode migration (snapshot +
-/// delta catch-up + cutover + drain).
+/// End-to-end deadline a dispatcher (the rebalance leader or a recovering
+/// coordinator) grants one vnode transfer (snapshot + delta catch-up +
+/// cutover + drain).
 constexpr SimDuration kMigrationTimeout = sim_sec(10);
 
 /// Hints delivered to one target per replay round (rate bound).
@@ -250,43 +251,27 @@ void SednaNode::start_and_join(ReadyCallback on_ready) {
     run_bounded(
         moves->size(),
         [this, moves](std::size_t i, std::function<void()> done) {
-          claim_one((*moves)[i], std::move(done));
+          const ring::VnodeMove& move = (*moves)[i];
+          // Pull from the donor first, then from the slice's other
+          // pre-move replicas in case the donor dies mid-transfer.
+          std::vector<NodeId> sources{move.from};
+          for (NodeId n : metadata_.table().replicas_for_vnode(move.vnode)) {
+            if (n != move.from) sources.push_back(n);
+          }
+          // Each claimed vnode is its own trace, not a child of the last.
+          set_trace_context({});
+          const bool started = transfer_vnode(
+              move.vnode, move.from, std::move(sources),
+              [this, done](const MigrateVnodeReply& rep) {
+                if (rep.status == StatusCode::kOk) {
+                  metrics_.counter("join.vnodes_claimed").add(1);
+                }
+                done();
+              });
+          if (!started) done();
         },
         [on_ready] { on_ready(Status::Ok()); });
   });
-}
-
-void SednaNode::claim_one(const ring::VnodeMove& move,
-                          std::function<void()> done) {
-  // Pull sources: the donor, then the slice's other pre-move replicas in
-  // case the donor dies between the cutover and the fetch.
-  std::vector<NodeId> sources{move.from};
-  for (NodeId n : metadata_.table().replicas_for_vnode(move.vnode)) {
-    if (n != move.from) sources.push_back(n);
-  }
-  cas_vnode_owner(
-      move.vnode, move.from, id(),
-      [this, move, sources = std::move(sources),
-       done = std::move(done)](const CasResult& cas) {
-        if (cas.outcome != CasOutcome::kCommitted) {
-          done();  // table changed under us or lost the race; skip it
-          return;
-        }
-        metrics_.counter("join.vnodes_claimed").add(1);
-        append_change_journal(move.vnode, id(), [this, move, sources, done] {
-          fetch_vnode_from(move.vnode, sources, 0,
-                           [this, move, done](bool fetched, std::uint64_t) {
-                             if (fetched) {
-                               // The old owner may now drop its redundant
-                               // copy of the slice.
-                               PurgeVnodeRequest purge{move.vnode, id()};
-                               send_oneway(move.from, kMsgPurgeVnode,
-                                           purge.encode());
-                             }
-                             done();
-                           });
-        });
-      });
 }
 
 void SednaNode::cas_vnode_owner(VnodeId vnode, NodeId expected,
@@ -296,14 +281,13 @@ void SednaNode::cas_vnode_owner(VnodeId vnode, NodeId expected,
           [this, vnode, expected, new_owner, cb = std::move(cb)](
               const Result<std::pair<std::string, zk::ZnodeStat>>& got) {
             if (!got.ok()) {
-              cb({CasOutcome::kGetFailed, kInvalidNode, got.status()});
+              cb({CasOutcome::kGetFailed, got.status()});
               return;
             }
             BinaryReader r(got->first);
             const NodeId current = r.get_u32();
             if (r.failed() || current != expected) {
-              cb({CasOutcome::kStale, r.failed() ? kInvalidNode : current,
-                  Status::Ok()});
+              cb({CasOutcome::kStale, Status::Ok()});
               return;
             }
             BinaryWriter w;
@@ -314,15 +298,14 @@ void SednaNode::cas_vnode_owner(VnodeId vnode, NodeId expected,
                         const Result<zk::ZnodeStat>& set) {
                       if (set.ok()) {
                         metadata_.apply_local(vnode, new_owner);
-                        cb({CasOutcome::kCommitted, kInvalidNode,
-                            Status::Ok()});
+                        cb({CasOutcome::kCommitted, Status::Ok()});
                         return;
                       }
                       const bool lost =
                           set.status().is(StatusCode::kFailure) ||
                           set.status().is(StatusCode::kNotFound);
                       cb({lost ? CasOutcome::kLost : CasOutcome::kAmbiguous,
-                          kInvalidNode, set.status()});
+                          set.status()});
                     });
           });
 }
@@ -499,9 +482,6 @@ void SednaNode::on_message(const sim::Message& msg) {
     case kMsgFetchVnode:
       handle_fetch_vnode(msg);
       break;
-    case kMsgTakeoverVnode:
-      handle_takeover(msg);
-      break;
     case kMsgPurgeVnode:
       handle_purge_vnode(msg);
       break;
@@ -580,7 +560,6 @@ std::size_t SednaNode::message_priority(const sim::Message& msg) const {
     case kMsgVnodeDigest:
       return 2;  // repair / anti-entropy
     case kMsgFetchVnode:
-    case kMsgTakeoverVnode:
     case kMsgPurgeVnode:
     case kMsgMigrateVnode:
       return 3;  // migration bulk loses its queue slots first
@@ -637,7 +616,7 @@ void SednaNode::on_crash() {
   ae_in_flight_ = false;
   hint_timer_.cancel();
   ae_timer_.cancel();
-  // Migration state is volatile too: a crashed destination simply never
+  // Transfer state is volatile too: a crashed destination simply never
   // reaches cutover (the source keeps serving), and a crashed leader's
   // in-flight round is forgotten (the next leader replans from fresh
   // telemetry).
@@ -659,10 +638,11 @@ void SednaNode::hydrate_after_restart(std::function<void()> done) {
       [this, todo](std::size_t i, std::function<void()> fetched) {
         const VnodeId v = (*todo)[i];
         fetch_vnode_from(v, metadata_.table().replicas_for_vnode(v), 0,
-                         [this, fetched](bool ok, std::uint64_t) {
+                         [this, fetched](NodeId source, std::uint64_t) {
                            metrics_
-                               .counter(ok ? "restart.vnodes_hydrated"
-                                           : "restart.hydration_failed")
+                               .counter(source != kInvalidNode
+                                            ? "restart.vnodes_hydrated"
+                                            : "restart.hydration_failed")
                                .add(1);
                            fetched();
                          });
@@ -1461,8 +1441,8 @@ void SednaNode::start_recovery(VnodeId vnode, NodeId dead) {
             candidates.push_back(n);
           }
         }
-        if (candidates.empty()) {
-          // Not enough distinct nodes to restore full replication; stay
+        if (sources.empty() || candidates.empty()) {
+          // Nothing left to copy from, or nowhere to copy to: stay
           // degraded (quorum reads/writes continue on the survivors).
           metrics_.counter("failure.recovery_degraded").add(1);
           finish_recovery(vnode);
@@ -1480,35 +1460,26 @@ void SednaNode::start_recovery(VnodeId vnode, NodeId dead) {
             target = n;
           }
         }
-        // CAS the vnode znode: first coordinator to notice wins; losers
-        // observe the new owner and stand down.
-        cas_vnode_owner(
-            vnode, dead, target,
-            [this, vnode, target, sources](const CasResult& cas) {
-              if (cas.outcome != CasOutcome::kCommitted) {
-                if (cas.outcome == CasOutcome::kStale) {
-                  // Someone already recovered it.
-                  if (cas.observed != kInvalidNode) {
-                    metadata_.apply_local(vnode, cas.observed);
-                  }
-                } else if (cas.outcome != CasOutcome::kGetFailed) {
-                  metadata_.sync_now();  // lost or ambiguous set: resync
-                }
-                finish_recovery(vnode);
-                return;
+        // The target pulls the slice from the survivors and only then
+        // CASes itself in (transfer_vnode, Section III.C's async
+        // duplication task). If several coordinators noticed, exactly one
+        // CAS wins and the losing targets purge their copies.
+        MigrateVnodeRequest req{vnode, dead, sources};
+        call_with_timeout(
+            target, kMsgMigrateVnode, req.encode(), kMigrationTimeout,
+            [this, vnode](const Status& st, const std::string& body) {
+              auto rep = st.ok() ? MigrateVnodeReply::decode(body)
+                                 : Result<MigrateVnodeReply>(st);
+              if (rep.ok() && rep->status == StatusCode::kOk) {
+                metrics_.counter("failure.recoveries_completed").add(1);
+                instant_span("recovery.reassigned", "ok",
+                             TraceStage::kRepair);
               }
-              metrics_.counter("failure.recoveries_completed").add(1);
-              instant_span("recovery.reassigned", "ok", TraceStage::kRepair);
-              append_change_journal(vnode, target, [this, vnode, target,
-                                                    sources] {
-                // Tell the new owner to pull the slice from the surviving
-                // replicas (async duplication task, Section III.C).
-                TakeoverRequest req;
-                req.vnode = vnode;
-                req.sources = sources;
-                send_oneway(target, kMsgTakeoverVnode, req.encode());
-                finish_recovery(vnode);
-              });
+              // Learn the outcome from the znode, not from the reply: a
+              // refused or timed-out transfer may still have lost to (or
+              // be) a committed one.
+              metadata_.refresh_vnode(vnode,
+                                      [this, vnode] { finish_recovery(vnode); });
             });
       });
 }
@@ -1581,10 +1552,11 @@ void SednaNode::handle_scan(const sim::Message& msg) {
 void SednaNode::handle_purge_vnode(const sim::Message& msg) {
   auto req = PurgeVnodeRequest::decode(msg.payload);
   if (!req.ok()) return;
-  // Refresh the local view first: the journal entry naming the new owner
-  // may not have reached us yet.
-  metadata_.apply_local(req->vnode, req->new_owner);
-  purge_local_vnode(req->vnode);
+  // Re-read the znode first: the journal entry naming the new owner may
+  // not have reached us yet, and the sender's claim may be older than a
+  // later move we already applied.
+  const VnodeId vnode = req->vnode;
+  metadata_.refresh_vnode(vnode, [this, vnode] { purge_local_vnode(vnode); });
 }
 
 void SednaNode::purge_local_vnode(VnodeId vnode) {
@@ -1602,43 +1574,20 @@ void SednaNode::purge_local_vnode(VnodeId vnode) {
   metrics_.counter("transfer.purged_items").add(doomed.size());
 }
 
-void SednaNode::handle_takeover(const sim::Message& msg) {
-  auto req = TakeoverRequest::decode(msg.payload);
-  if (!req.ok()) return;
-  const VnodeId vnode = req->vnode;
-  const auto sources = req->sources;
-  fetch_vnode_from(vnode, sources, 0,
-                   [this, vnode, sources](bool ok, std::uint64_t) {
-    metrics_.counter(ok ? "transfer.takeovers_ok" : "transfer.takeovers_failed")
-        .add(1);
-    if (!ok) return;
-    // Invite ex-holders to drop their copies. Each source re-checks its
-    // own membership in the slice's replica set before deleting anything,
-    // so this is a no-op for sources that remain replicas (recovery) and
-    // a cleanup for true ex-owners (rebalancing).
-    PurgeVnodeRequest purge{vnode, id()};
-    for (NodeId source : sources) {
-      if (source != id() && network().node_up(source)) {
-        send_oneway(source, kMsgPurgeVnode, purge.encode());
-      }
-    }
-  });
-}
-
-void SednaNode::fetch_vnode_from(VnodeId vnode, std::vector<NodeId> sources,
-                                 std::size_t idx,
-                                 std::function<void(bool, std::uint64_t)> done) {
+void SednaNode::fetch_vnode_from(
+    VnodeId vnode, std::vector<NodeId> sources, std::size_t idx,
+    std::function<void(NodeId, std::uint64_t)> done) {
   // Skip ourselves (we may appear in a replica walk) and exhausted lists.
   while (idx < sources.size() && sources[idx] == id()) ++idx;
   if (idx >= sources.size()) {
-    done(false, 0);
+    done(kInvalidNode, 0);
     return;
   }
   FetchVnodeRequest req;
   req.vnode = vnode;
   const NodeId source = sources[idx];  // read before the capture moves it
   call(source, kMsgFetchVnode, req.encode(),
-       [this, vnode, sources = std::move(sources), idx,
+       [this, vnode, source, sources = std::move(sources), idx,
         done = std::move(done)](const Status& st,
                                 const std::string& body) mutable {
          if (!st.ok()) {
@@ -1668,7 +1617,7 @@ void SednaNode::fetch_vnode_from(VnodeId vnode, std::vector<NodeId> sources,
            apply_value_list(item.key, item.value_list);
          }
          metrics_.counter("transfer.items_received").add(rep->items.size());
-         done(true, bytes);
+         done(source, bytes);
        });
 }
 
@@ -2209,7 +2158,7 @@ void SednaNode::run_traffic_plan(const ring::ImbalanceTable& table,
                       "vnode=" + std::to_string(m.vnode) +
                           " from=" + std::to_string(m.from) +
                           " to=" + std::to_string(m.to));
-    MigrateVnodeRequest req{m.vnode, m.from};
+    MigrateVnodeRequest req{m.vnode, m.from, {}};
     call_with_timeout(
         m.to, kMsgMigrateVnode, req.encode(), kMigrationTimeout,
         [this, root = mroot.span_id](const Status& st,
@@ -2234,23 +2183,48 @@ void SednaNode::run_traffic_plan(const ring::ImbalanceTable& table,
 void SednaNode::handle_migrate_vnode(const sim::Message& msg) {
   auto req = MigrateVnodeRequest::decode(msg.payload);
   if (!req.ok()) return;
-  begin_migration(req->vnode, req->from,
-                  [this, msg](const MigrateVnodeReply& rep) {
-                    reply(msg, rep.encode());
-                  });
+  auto respond = [this, msg](const MigrateVnodeReply& rep) {
+    reply(msg, rep.encode());
+  };
+  // No source list: a leader's traffic move out of the current owner.
+  if (req->sources.empty()) {
+    begin_migration(req->vnode, req->from, respond);
+  } else if (!transfer_vnode(req->vnode, req->from, std::move(req->sources),
+                             respond)) {
+    respond(MigrateVnodeReply{StatusCode::kRefused});
+  }
 }
 
 void SednaNode::begin_migration(
     VnodeId vnode, NodeId from,
     std::function<void(const MigrateVnodeReply&)> done) {
-  auto state = std::make_shared<MigrateVnodeReply>();
-  if (!ready_ || from == id() || migrating_in_.contains(vnode) ||
-      metadata_.table().owner(vnode) == id()) {
-    state->status = StatusCode::kRefused;
-    done(*state);
+  // The transfer's trace, once it has opened one: the cutover histogram's
+  // exemplar.
+  auto trace = std::make_shared<TraceId>(0);
+  const bool started = transfer_vnode(
+      vnode, from, {from},
+      [this, vnode, trace, done](const MigrateVnodeReply& rep) {
+        const bool committed = rep.status == StatusCode::kOk;
+        if (committed) {
+          metrics_.histogram("rebalance.cutover_latency_us")
+              .record(rep.cutover_us, *trace);
+          metrics_.counter("rebalance.migrations_completed").add(1);
+          metrics_.counter("rebalance.bytes_moved").add(rep.bytes);
+        } else {
+          metrics_.counter("rebalance.migrations_aborted").add(1);
+        }
+        if (flight_ != nullptr) {
+          flight_->record(now(), "migration", "node-" + std::to_string(id()),
+                          committed ? "migration-commit" : "migration-abort",
+                          "vnode=" + std::to_string(vnode));
+        }
+        done(rep);
+      });
+  if (!started) {
+    done(MigrateVnodeReply{StatusCode::kRefused});
     return;
   }
-  migrating_in_.insert(vnode);
+  *trace = trace_context().trace_id;
   metrics_.counter("rebalance.migrations_accepted").add(1);
   if (flight_ != nullptr) {
     flight_->record(now(), "migration", "node-" + std::to_string(id()),
@@ -2258,10 +2232,22 @@ void SednaNode::begin_migration(
                     "vnode=" + std::to_string(vnode) +
                         " from=" + std::to_string(from));
   }
-  // Trace continuation: a leader-dispatched migration arrives with the
-  // leader's context stamped on the RPC — run as a child span so the
-  // whole protocol is one tree rooted at the leader. Direct invocations
-  // (tests, joins) open their own root. No-op while the tracer is off.
+}
+
+bool SednaNode::transfer_vnode(
+    VnodeId vnode, NodeId expected, std::vector<NodeId> sources,
+    std::function<void(const MigrateVnodeReply&)> done) {
+  if (!ready_ || expected == id() || migrating_in_.contains(vnode) ||
+      metadata_.table().owner(vnode) == id()) {
+    return false;
+  }
+  migrating_in_.insert(vnode);
+  auto state = std::make_shared<MigrateVnodeReply>();
+  // Trace continuation: a dispatched transfer arrives with the sender's
+  // context stamped on the RPC — run as a child span so the whole
+  // protocol is one tree rooted at the leader (or the recovering
+  // coordinator). Direct invocations (tests, joins) open their own root.
+  // No-op while the tracer is off.
   SpanId root = 0;
   if (trace_context().active()) {
     root = begin_span("migration.run", TraceStage::kMigration);
@@ -2270,9 +2256,9 @@ void SednaNode::begin_migration(
     root = begin_trace("rebalance.migration", TraceStage::kMigration).span_id;
   }
   tracer().annotate(root, "vnode=" + std::to_string(vnode) +
-                              " from=" + std::to_string(from));
+                              " from=" + std::to_string(expected));
   const TraceContext mctx = trace_context();
-  // Opens a protocol-phase span under the migration root and makes it
+  // Opens a protocol-phase span under the transfer root and makes it
   // current, so each phase's RPCs parent beneath it.
   auto enter_phase = [this, mctx](const char* name) {
     const SpanId s =
@@ -2286,25 +2272,20 @@ void SednaNode::begin_migration(
   auto finish = [this, vnode, root, state,
                  done = std::move(done)](bool committed) {
     migrating_in_.erase(vnode);
-    if (!committed) metrics_.counter("rebalance.migrations_aborted").add(1);
-    if (flight_ != nullptr) {
-      flight_->record(now(), "migration", "node-" + std::to_string(id()),
-                      committed ? "migration-commit" : "migration-abort",
-                      "vnode=" + std::to_string(vnode));
-    }
     end_span(root, committed ? "ok" : "failure");
     set_trace_context({});
     done(*state);
   };
-  // Phase 1: bulk snapshot pull from the current owner.
+  // Phase 1: bulk snapshot from the first source that can serve it. Every
+  // later phase reads from that same source.
   const SpanId snap = enter_phase("migrate.snapshot");
   fetch_vnode_from(
-      vnode, {from}, 0,
-      [this, vnode, from, state, finish, enter_phase,
-       snap](bool fetched, std::uint64_t bytes) {
+      vnode, std::move(sources), 0,
+      [this, vnode, expected, state, finish, enter_phase,
+       snap](NodeId source, std::uint64_t bytes) {
         if (!migrating_in_.contains(vnode)) return;
-        end_span(snap, fetched ? "ok" : "failure");
-        if (!fetched) {
+        end_span(snap, source != kInvalidNode ? "ok" : "failure");
+        if (source == kInvalidNode) {
           state->status = StatusCode::kUnavailable;
           finish(false);
           return;
@@ -2313,9 +2294,10 @@ void SednaNode::begin_migration(
         // Phase 2: delta catch-up — writes that landed at the source while
         // the snapshot was in flight.
         const SpanId catchup = enter_phase("migrate.catchup");
-        migration_catchup(vnode, from, [this, vnode, from, state, finish,
-                                        enter_phase, catchup](
-                                           bool caught, std::size_t keys) {
+        migration_catchup(vnode, source, [this, vnode, expected, source,
+                                          state, finish, enter_phase,
+                                          catchup](bool caught,
+                                                   std::size_t keys) {
           if (!migrating_in_.contains(vnode)) return;
           end_span(catchup, caught ? "ok" : "failure");
           if (!caught) {
@@ -2325,29 +2307,58 @@ void SednaNode::begin_migration(
           }
           state->items += keys;
           // Phase 3: atomic cutover — re-verify the owner, then CAS the
-          // vnode znode to us under its version.
+          // vnode znode to us under its version. The only ownership write.
           const SimTime cut_start = now();
           const SpanId cutover = enter_phase("migrate.cutover");
+          // What follows a cutover that committed: journal it, then
+          // phase 4, the drain catch-up — writes the source acked between
+          // phase 2 and the cutover landing. Best-effort: a miss here is
+          // converged later by anti-entropy against the surviving
+          // replicas. Then phase 5: invite the ex-owner to drop its copy
+          // (it re-checks replica membership before deleting anything).
+          auto commit = [this, vnode, expected, source, state, finish,
+                         enter_phase, cut_start] {
+            state->cutover_us = now() - cut_start;
+            append_change_journal(vnode, id(), [this, vnode, expected, source,
+                                                state, finish, enter_phase] {
+              if (!migrating_in_.contains(vnode)) return;
+              const SpanId drain = enter_phase("migrate.drain");
+              migration_catchup(
+                  vnode, source,
+                  [this, vnode, expected, state, finish, drain](
+                      bool, std::size_t keys) {
+                    if (!migrating_in_.contains(vnode)) return;
+                    end_span(drain);
+                    state->items += keys;
+                    PurgeVnodeRequest purge{vnode, id()};
+                    send_oneway(expected, kMsgPurgeVnode, purge.encode());
+                    state->status = StatusCode::kOk;
+                    finish(true);
+                  });
+            });
+          };
           cas_vnode_owner(
-              vnode, from, id(),
-              [this, vnode, from, state, finish, cut_start, enter_phase,
-               cutover](const CasResult& cas) {
+              vnode, expected, id(),
+              [this, vnode, state, finish, cutover,
+               commit](const CasResult& cas) {
                 if (!migrating_in_.contains(vnode)) return;
                 switch (cas.outcome) {
                   case CasOutcome::kCommitted:
-                    break;
+                    end_span(cutover, "ok");
+                    commit();
+                    return;
                   case CasOutcome::kGetFailed:
                     end_span(cutover, "failure");
                     // Unknown outcome territory (ZK unreachable): keep the
                     // pulled data — it is never wrong to hold extra
-                    // replicas — and let the leader retry later.
+                    // replicas — and let the caller retry later.
                     state->status = StatusCode::kUnavailable;
                     finish(false);
                     return;
                   case CasOutcome::kStale:
                   case CasOutcome::kLost:
                     // Definite no-go: the plan went stale (the slice moved
-                    // under the leader's feet) or the CAS lost (the
+                    // under the caller's feet) or the CAS lost (the
                     // version moved), so ownership is provably elsewhere.
                     // Drop the pulled copy (unless the walk keeps us as a
                     // successor replica).
@@ -2362,57 +2373,34 @@ void SednaNode::begin_migration(
                     // Timeout / partition: the CAS may have committed on
                     // the other side. KEEP the data — purging here could
                     // orphan acked writes if we are in fact the new owner
-                    // — and resync the table so a committed cutover
-                    // surfaces.
+                    // — and re-read the znode: a set whose reply was lost
+                    // has no journal entry, so no journal sync could ever
+                    // surface it. If it names us, finish the commit.
                     end_span(cutover, cas.status.is(StatusCode::kTimeout)
                                           ? "timeout"
                                           : "failure");
-                    state->status = StatusCode::kUnavailable;
-                    metadata_.sync_now();
-                    finish(false);
+                    metadata_.refresh_vnode(vnode, [this, vnode, state,
+                                                    finish, commit] {
+                      if (!migrating_in_.contains(vnode)) return;
+                      if (metadata_.table().owner(vnode) == id()) {
+                        commit();
+                        return;
+                      }
+                      state->status = StatusCode::kUnavailable;
+                      finish(false);
+                    });
                     return;
                 }
-                state->cutover_us = now() - cut_start;
-                metrics_.histogram("rebalance.cutover_latency_us")
-                    .record(state->cutover_us, trace_context().trace_id);
-                end_span(cutover, "ok");
-                append_change_journal(vnode, id(), [this, vnode, from, state,
-                                                    finish, enter_phase] {
-                  if (!migrating_in_.contains(vnode)) return;
-                  // Phase 4: drain catch-up — writes the old owner acked
-                  // between phase 2 and the cutover landing. Best-effort:
-                  // a miss here is converged later by anti-entropy against
-                  // the surviving replicas.
-                  const SpanId drain = enter_phase("migrate.drain");
-                  migration_catchup(
-                      vnode, from,
-                      [this, vnode, from, state, finish, drain](
-                          bool, std::size_t keys) {
-                        if (!migrating_in_.contains(vnode)) return;
-                        end_span(drain);
-                        state->items += keys;
-                        // Phase 5: invite the old owner to drop its copy
-                        // (it re-checks replica membership before
-                        // deleting anything).
-                        PurgeVnodeRequest purge{vnode, id()};
-                        send_oneway(from, kMsgPurgeVnode, purge.encode());
-                        state->status = StatusCode::kOk;
-                        metrics_.counter("rebalance.migrations_completed")
-                            .add(1);
-                        metrics_.counter("rebalance.bytes_moved")
-                            .add(state->bytes);
-                        finish(true);
-                      });
-                });
               });
         });
       });
+  return true;
 }
 
-void SednaNode::migration_catchup(VnodeId vnode, NodeId from,
+void SednaNode::migration_catchup(VnodeId vnode, NodeId source,
                                   std::function<void(bool, std::size_t)> done) {
-  request_digest(vnode, from,
-                 [this, vnode, from, done = std::move(done)](
+  request_digest(vnode, source,
+                 [this, vnode, source, done = std::move(done)](
                      const Status&, const VnodeDigestReply* rep) {
                    if (rep == nullptr) {
                      done(false, 0);
@@ -2429,7 +2417,7 @@ void SednaNode::migration_catchup(VnodeId vnode, NodeId from,
                    const VnodeDelta delta = diff_vnode(vnode, *rep);
                    const std::size_t pulled = delta.pulls.size();
                    metrics_.counter("rebalance.catchup_keys").add(pulled);
-                   pull_keys(from, delta.pulls,
+                   pull_keys(source, delta.pulls,
                              [done, pulled] { done(true, pulled); });
                  });
 }

@@ -11,18 +11,19 @@
 //                             of Section III.C;
 //   * failure detector + recovery — a replica timeout makes the
 //                             coordinator check the ephemeral znode; if
-//                             gone, it CASes the vnode to a new owner,
-//                             journals the change, and tells the new owner
-//                             to pull the slice from healthy replicas
-//                             (Sections III.C/III.D);
+//                             gone, it picks a new owner and dispatches a
+//                             transfer to it, naming the surviving
+//                             replicas as sources (Sections III.C/III.D);
 //   * join protocol         — a late-joining node steals vnodes with
 //                             kTransferParallelism parallel "data
 //                             retrieving threads" (Section III.D).
 //
 // Join, recovery and traffic migration all change vnode ownership through
-// one versioned-CAS cutover (cas_vnode_owner). Two replicas of a vnode
+// one transfer run by the new owner (transfer_vnode): pull the slice,
+// catch up, and only then the versioned-CAS cutover (cas_vnode_owner), so
+// ownership never moves ahead of the data. Two replicas of a vnode
 // reconcile through one digest exchange (request_digest → diff_vnode →
-// pull_keys): anti-entropy runs it both ways, migration catch-up runs it
+// pull_keys): anti-entropy runs it both ways, transfer catch-up runs it
 // pull-only.
 #pragma once
 
@@ -169,17 +170,16 @@ class SednaNode : public sim::Host {
     health_provider_ = std::move(provider);
   }
 
-  /// Runs the multi-phase migration protocol with this node as the
-  /// destination: snapshot pull from `from`, Merkle delta catch-up,
-  /// versioned ZK cutover, post-cutover drain catch-up, old-owner purge.
-  /// The reply's status is kOk on committed cutover, kRefused when the
-  /// plan went stale, other codes on pre-cutover failure (ownership then
-  /// stays with `from`). Public so tests can drive single migrations.
+  /// A traffic migration of `vnode` from its owner `from` to this node:
+  /// transfer_vnode with `from` as the only source, counted as a rebalance
+  /// move and logged to the flight recorder. The reply's status is kOk on committed cutover,
+  /// kRefused when the plan went stale, other codes on failure (ownership
+  /// then stays with `from`). Public so tests can drive single migrations.
   void begin_migration(VnodeId vnode, NodeId from,
                        std::function<void(const MigrateVnodeReply&)> done);
 
-  /// Migrations this node is currently involved in: leader-side
-  /// dispatched-and-unanswered plus destination-side in-progress pulls.
+  /// Transfers this node is currently involved in: leader-side
+  /// dispatched-and-unanswered migrations plus in-progress pulls here.
   [[nodiscard]] std::size_t migrations_active() const {
     return migrations_dispatched_ + migrating_in_.size();
   }
@@ -219,13 +219,12 @@ class SednaNode : public sim::Host {
   void handle_replica_read(const sim::Message& msg);
   // Recovery / transfer paths.
   void handle_fetch_vnode(const sim::Message& msg);
-  void handle_takeover(const sim::Message& msg);
   void handle_purge_vnode(const sim::Message& msg);
   void handle_scan(const sim::Message& msg);
   // Repair paths.
   void handle_hint_deliver(const sim::Message& msg);
   void handle_vnode_digest(const sim::Message& msg);
-  // Traffic-aware migration path.
+  // Transfer dispatch (rebalance leader or recovering coordinator).
   void handle_migrate_vnode(const sim::Message& msg);
 
   /// Applies a write to the local store + persistence. Used by both the
@@ -261,15 +260,13 @@ class SednaNode : public sim::Host {
   };
   struct CasResult {
     CasOutcome outcome = CasOutcome::kGetFailed;
-    /// kStale: the owner the znode named (kInvalidNode if undecodable).
-    NodeId observed = kInvalidNode;
     /// kGetFailed / kLost / kAmbiguous: the ZooKeeper error.
     Status status;
   };
-  /// The one vnode cutover shared by join, recovery and migration: read
-  /// the vnode znode, check it still names `expected`, set it to
-  /// `new_owner` under the read version, and on commit apply the change
-  /// to the local table before reporting.
+  /// The one vnode cutover, run by transfer_vnode: read the vnode znode,
+  /// check it still names `expected`, set it to `new_owner` under the read
+  /// version, and on commit apply the change to the local table before
+  /// reporting.
   void cas_vnode_owner(VnodeId vnode, NodeId expected, NodeId new_owner,
                        std::function<void(const CasResult&)> cb);
 
@@ -279,19 +276,31 @@ class SednaNode : public sim::Host {
   void read_repair(const WriteRequest& fresh,
                    const std::vector<NodeId>& stale);
 
-  /// Join: CAS one vnode from its donor to us, journal it, then pull the
-  /// slice (donor first, its other pre-move replicas as fallbacks).
-  void claim_one(const ring::VnodeMove& move, std::function<void()> done);
+  /// The one way vnode ownership changes, run by the node that will own
+  /// `vnode` (join, recovery and migration all call it): snapshot from the
+  /// first node in `sources` that can serve it, pull-only catch-up against
+  /// that same source, CAS the znode from `expected` to us, journal, drain
+  /// once more, then invite `expected` to purge its copy. `done` gets kOk
+  /// on a committed cutover (an ambiguous CAS counts once a znode re-read
+  /// shows it committed); kRefused when ownership is provably elsewhere
+  /// (the pulled copy is purged unless the walk keeps us); other codes
+  /// otherwise (the copy is kept). Returns false, without calling `done`,
+  /// when the transfer cannot start here (not ready, already the owner,
+  /// or `vnode` already in transfer).
+  bool transfer_vnode(VnodeId vnode, NodeId expected,
+                      std::vector<NodeId> sources,
+                      std::function<void(const MigrateVnodeReply&)> done);
 
   /// Restart hydration: re-fetch every owned vnode slice (bounded
   /// concurrency), then invoke done. Best effort — unreachable slices are
   /// left to read repair and anti-entropy.
   void hydrate_after_restart(std::function<void()> done);
   /// Pulls `vnode`'s items from the first healthy node in `sources`.
-  /// `done` receives success plus the approximate payload bytes applied.
+  /// `done` receives the node that served (kInvalidNode if none could)
+  /// plus the approximate payload bytes applied.
   void fetch_vnode_from(VnodeId vnode, std::vector<NodeId> sources,
                         std::size_t idx,
-                        std::function<void(bool, std::uint64_t)> done);
+                        std::function<void(NodeId, std::uint64_t)> done);
 
   void append_change_journal(VnodeId vnode, NodeId owner,
                              std::function<void()> done);
@@ -384,10 +393,10 @@ class SednaNode : public sim::Host {
   void traffic_rebalance_tick();
   void run_traffic_plan(const ring::ImbalanceTable& table,
                         std::vector<NodeId> live);
-  /// The digest reconcile of `vnode` against `from`, pull-only (the delta
-  /// catch-up phases of a migration). `done` receives success plus the
-  /// number of keys pulled.
-  void migration_catchup(VnodeId vnode, NodeId from,
+  /// The digest reconcile of `vnode` against `source`, pull-only (the
+  /// delta catch-up phases of a transfer). `done` receives success plus
+  /// the number of keys pulled.
+  void migration_catchup(VnodeId vnode, NodeId source,
                          std::function<void(bool, std::size_t)> done);
   /// Drops the local copy of `vnode` unless this node is (still) in its
   /// replica set.
@@ -419,7 +428,8 @@ class SednaNode : public sim::Host {
   /// bench ground truth — client requests per key — matches what the
   /// sketch observes without replica-fan-out inflation).
   SpaceSavingSketch hot_keys_;
-  /// Vnodes with an in-flight recovery (dedupe concurrent suspicion).
+  /// Vnodes with an in-flight recovery (dedupe concurrent suspicion): held
+  /// until the dispatched transfer answers or times out.
   std::set<VnodeId> recovering_;
   /// Nodes recently verified alive — damps repeated ZK existence checks.
   std::map<NodeId, SimTime> verified_alive_;
@@ -442,7 +452,7 @@ class SednaNode : public sim::Host {
   /// report, so each row carries per-window deltas (a migrated vnode's
   /// history must not keep its old owner looking hot forever).
   std::vector<ring::VnodeStatus> reported_status_;
-  /// Vnodes this node is currently pulling in as a migration destination.
+  /// Vnodes this node is currently pulling in (transfer_vnode).
   std::set<VnodeId> migrating_in_;
   /// Leader-side: dispatched migration RPCs not yet answered.
   std::size_t migrations_dispatched_ = 0;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/sedna_cluster.h"
+#include "ring/rebalancer.h"
 
 namespace sedna::cluster {
 namespace {
@@ -77,7 +78,7 @@ TEST(Purge, ReplicaSetMembersNeverPurgeTheirCopies) {
   EXPECT_EQ(copies, 3u);
 }
 
-TEST(Join, DonorCrashAfterCutoverFallsBackToOtherReplicas) {
+TEST(Join, DonorCrashMidSnapshotFallsBackToOtherReplicas) {
   SednaClusterConfig cfg = base_config();
   // Isolate the join transfer: no anti-entropy to paper over a failed
   // fetch afterwards.
@@ -94,38 +95,45 @@ TEST(Join, DonorCrashAfterCutoverFallsBackToOtherReplicas) {
   const ring::VnodeTable before = cluster.node(0).metadata().table();
   const std::size_t joiner_idx = cluster.data_node_count();
 
-  // Crash the donor of the first claimed vnode the moment its cutover
-  // commits: the joiner's pull from the donor must then fail over.
-  VnodeId claimed = kInvalidVnode;
+  // Crash the donor of the first claimed vnode while the joiner's
+  // snapshot request to it is still on the wire: the pull must fail over
+  // to the slice's other replicas, and the claim must still commit.
+  ring::VnodeMove first;
+  std::size_t donor_idx = SIZE_MAX;
   sim::TimerHandle poll =
       cluster.sim().schedule_periodic(sim_us(10), [&] {
-        if (claimed != kInvalidVnode ||
-            cluster.data_node_count() <= joiner_idx) {
+        if (donor_idx != SIZE_MAX ||
+            cluster.data_node_count() <= joiner_idx ||
+            cluster.node(joiner_idx).migrations_active() == 0) {
           return;
         }
-        SednaNode& joiner = cluster.node(joiner_idx);
-        if (joiner.metrics().counter("join.vnodes_claimed").value() == 0) {
-          return;
+        first = ring::Rebalancer::plan_join(before,
+                                            cluster.node(joiner_idx).id())
+                    .front();
+        for (std::size_t i = 0; i < joiner_idx; ++i) {
+          if (cluster.node(i).id() == first.from) donor_idx = i;
         }
-        for (VnodeId v = 0; v < before.total_vnodes(); ++v) {
-          if (joiner.metadata().table().owner(v) == joiner.id()) {
-            claimed = v;
-            break;
-          }
-        }
-        cluster.crash_node(before.owner(claimed) - 100);
+        cluster.crash_node(donor_idx);
       });
   ASSERT_TRUE(cluster.join_new_node().ok());
   poll.cancel();
-  ASSERT_NE(claimed, kInvalidVnode);
+  ASSERT_NE(donor_idx, SIZE_MAX);
+  // The donor died before it could serve a single snapshot.
+  EXPECT_EQ(cluster.node(donor_idx)
+                .metrics()
+                .counter("transfer.vnodes_served")
+                .value(),
+            0u);
 
+  SednaNode& joiner = cluster.node(joiner_idx);
+  EXPECT_EQ(joiner.metadata().table().owner(first.vnode), joiner.id());
+  EXPECT_EQ(joiner.metrics().counter("join.vnodes_claimed").value(),
+            joiner.metrics().counter("join.vnodes_planned").value());
   std::size_t slice_keys = 0;
   for (const auto& key : keys) {
-    if (before.vnode_for_key(key) != claimed) continue;
+    if (before.vnode_for_key(key) != first.vnode) continue;
     ++slice_keys;
-    EXPECT_TRUE(
-        cluster.node(joiner_idx).local_store().read_latest(key).ok())
-        << key;
+    EXPECT_TRUE(joiner.local_store().read_latest(key).ok()) << key;
   }
   EXPECT_GT(slice_keys, 0u);
 }

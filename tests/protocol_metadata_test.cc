@@ -77,14 +77,26 @@ TEST(Protocol, FetchVnodeReplyRoundTrip) {
   EXPECT_EQ(back->items[0].value_list[0].source, 3u);
 }
 
-TEST(Protocol, TakeoverAndPurgeRoundTrip) {
-  TakeoverRequest take;
-  take.vnode = 42;
-  take.sources = {7, 8, 9};
-  auto take_back = TakeoverRequest::decode(take.encode());
-  ASSERT_TRUE(take_back.ok());
-  EXPECT_EQ(take_back->vnode, 42u);
-  EXPECT_EQ(take_back->sources, take.sources);
+TEST(Protocol, MigrateAndPurgeRoundTrip) {
+  // A leader's move carries no source list and keeps its 8-byte layout.
+  MigrateVnodeRequest move{42, 7, {}};
+  EXPECT_EQ(move.encode().size(), 8u);
+  EXPECT_EQ((MigrateVnodeRequest{42, 7, {7}}).encode(), move.encode());
+  auto move_back = MigrateVnodeRequest::decode(move.encode());
+  ASSERT_TRUE(move_back.ok());
+  EXPECT_EQ(move_back->vnode, 42u);
+  EXPECT_EQ(move_back->from, 7u);
+  EXPECT_TRUE(move_back->sources.empty());
+
+  // A recovery names the survivors in the trailing section.
+  MigrateVnodeRequest recover{42, 7, {8, 9}};
+  auto recover_back = MigrateVnodeRequest::decode(recover.encode());
+  ASSERT_TRUE(recover_back.ok());
+  EXPECT_EQ(recover_back->from, 7u);
+  EXPECT_EQ(recover_back->sources, recover.sources);
+  const std::string bytes = recover.encode();
+  EXPECT_FALSE(
+      MigrateVnodeRequest::decode(bytes.substr(0, bytes.size() - 1)).ok());
 
   PurgeVnodeRequest purge{11, 200};
   auto purge_back = PurgeVnodeRequest::decode(purge.encode());

@@ -4,7 +4,10 @@
 // multi-phase migration protocol, and a fault-injection suite (source
 // crash mid-snapshot, destination crash mid-migration, ZooKeeper
 // partition during cutover, writes racing the migration, and a catch-up
-// that never pushes back to the source).
+// that never pushes back to the source). The same transfer serves joins
+// and recoveries: for every caller the cutover never precedes the data,
+// a join and a recovery racing for one vnode commit once, and a lost CAS
+// reply at a recovery cutover keeps the data and still surfaces the owner.
 //
 // The safety invariant every fault test asserts: an acked write stays
 // readable at quorum after recovery, ownership never forks (no vnode
@@ -22,6 +25,8 @@
 #include "cluster/monitor.h"
 #include "cluster/rebalancer.h"
 #include "cluster/sedna_cluster.h"
+#include "common/trace.h"
+#include "ring/rebalancer.h"
 #include "ring/imbalance.h"
 #include "ring/vnode_table.h"
 
@@ -655,6 +660,344 @@ TEST(MigrationFaults, CatchUpPullsRacingWritesAndNeverPushes) {
   EXPECT_FALSE(
       cluster.node(pick.from_idx).local_store().read_latest(stray).ok())
       << "catch-up pushed the stray key to the source";
+}
+
+// ---- one transfer for join, recovery and migration ----------------------
+
+/// The owner `vnode`'s znode names on ZooKeeper member `member`
+/// (kInvalidNode when unreadable).
+NodeId znode_owner(SednaCluster& cluster, std::size_t member, VnodeId vnode) {
+  auto got = cluster.zk_member(member).tree().get(vnode_znode(vnode));
+  if (!got.ok()) return kInvalidNode;
+  BinaryReader r(got->first);
+  const NodeId owner = r.get_u32();
+  return r.failed() ? kInvalidNode : owner;
+}
+
+/// The owners the change journal names for `vnode`, oldest first.
+std::vector<NodeId> journaled_owners(SednaCluster& cluster, VnodeId vnode) {
+  const zk::ZnodeTree& tree = cluster.zk_member(0).tree();
+  std::vector<NodeId> owners;
+  auto kids = tree.children(kZkChanges);
+  if (!kids.ok()) return owners;
+  for (const auto& name : kids.value()) {
+    auto got = tree.get(std::string(kZkChanges) + "/" + name);
+    if (!got.ok()) continue;
+    BinaryReader r(got->first);
+    const VnodeId v = r.get_u32();
+    const NodeId owner = r.get_u32();
+    if (!r.failed() && v == vnode) owners.push_back(owner);
+  }
+  return owners;
+}
+
+/// Watches the znodes of the vnodes in `acked` on every ZooKeeper member,
+/// once per simulated microsecond. The first instant any member names a
+/// vnode's owner as someone other than its owner at construction is that
+/// vnode's cutover; the watch records the new owner and how many of the
+/// vnode's acked keys the new owner's store lacked at that instant.
+class CutoverWatch {
+ public:
+  struct Cutover {
+    NodeId owner = kInvalidNode;
+    std::size_t missing = 0;
+  };
+
+  CutoverWatch(SednaCluster& cluster,
+               std::map<VnodeId, std::vector<std::string>> acked)
+      : cluster_(cluster), acked_(std::move(acked)) {
+    for (const auto& entry : acked_) {
+      before_[entry.first] = znode_owner(cluster_, 0, entry.first);
+    }
+    poll_ = cluster_.sim().schedule_periodic(sim_us(1), [this] { check(); });
+  }
+  ~CutoverWatch() { poll_.cancel(); }
+  CutoverWatch(const CutoverWatch&) = delete;
+  CutoverWatch& operator=(const CutoverWatch&) = delete;
+
+  [[nodiscard]] const std::map<VnodeId, Cutover>& cutovers() const {
+    return seen_;
+  }
+
+ private:
+  void check() {
+    for (const auto& [vnode, keys] : acked_) {
+      if (seen_.contains(vnode)) continue;
+      for (std::size_t m = 0; m < cluster_.zk_ids().size(); ++m) {
+        const NodeId owner = znode_owner(cluster_, m, vnode);
+        if (owner == before_[vnode] || owner == kInvalidNode) continue;
+        Cutover cut;
+        cut.owner = owner;
+        auto& store = cluster_.node(node_index(cluster_, owner)).local_store();
+        for (const auto& key : keys) {
+          if (!store.read_latest(key).ok()) ++cut.missing;
+        }
+        seen_[vnode] = cut;
+        break;
+      }
+    }
+    if (seen_.size() == acked_.size()) poll_.cancel();
+  }
+
+  SednaCluster& cluster_;
+  std::map<VnodeId, std::vector<std::string>> acked_;
+  std::map<VnodeId, NodeId> before_;
+  std::map<VnodeId, Cutover> seen_;
+  sim::TimerHandle poll_;
+};
+
+/// The id the next joiner gets (data-node ids are handed out in order).
+NodeId next_joiner_id(SednaCluster& cluster) {
+  return cluster.node(cluster.data_node_count() - 1).id() + 1;
+}
+
+/// One case per caller of the transfer: a join claim, a read-triggered
+/// recovery, a traffic migration.
+class Transfer : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(Transfer, CutoverNeverPrecedesData) {
+  const std::string caller = GetParam();
+  SednaClusterConfig cfg = migration_config(51);
+  cfg.node_template.anti_entropy_interval = 0;  // only the transfer copies
+  SednaCluster cluster(cfg);
+  ASSERT_TRUE(cluster.boot().ok());
+  auto& client = cluster.make_client();
+  const ring::VnodeTable table = cluster.node(0).metadata().table();
+
+  // The vnodes that will move, each with keys acked before the transfer.
+  // With four nodes and N=3, a recovery's only candidate is the one node
+  // outside the replica set, which is what pick_migration returns.
+  const MigrationPick pick = pick_migration(cluster);
+  std::vector<VnodeId> moving{pick.vnode};
+  if (caller == "join") {
+    moving.clear();
+    for (const auto& move :
+         ring::Rebalancer::plan_join(table, next_joiner_id(cluster))) {
+      moving.push_back(move.vnode);
+    }
+    ASSERT_FALSE(moving.empty());
+  }
+  std::map<VnodeId, std::vector<std::string>> acked;
+  for (VnodeId v : moving) {
+    for (const auto& [key, value] :
+         write_vnode_keys(cluster, client, table, v, 10, "cut")) {
+      acked[v].push_back(key);
+    }
+  }
+  cluster.run_for(sim_ms(100));  // every replica holds every acked write
+  if (caller == "recovery") {
+    cluster.crash_node(pick.from_idx);
+    cluster.run_for(sim_sec(4));  // session expiry
+  }
+
+  CutoverWatch watch(cluster, acked);
+  if (caller == "join") {
+    ASSERT_TRUE(cluster.join_new_node().ok());
+  } else if (caller == "recovery") {
+    // A read of the dead owner's vnode triggers the recovery.
+    (void)cluster.read_latest(client, acked[pick.vnode].front());
+    ASSERT_TRUE(
+        cluster.run_until([&] { return !watch.cutovers().empty(); }));
+  } else {
+    std::optional<MigrateVnodeReply> out;
+    cluster.node(pick.dst_idx)
+        .begin_migration(pick.vnode, pick.from,
+                         [&](const MigrateVnodeReply& rep) { out = rep; });
+    ASSERT_TRUE(cluster.run_until([&] { return out.has_value(); }));
+    EXPECT_EQ(out->status, StatusCode::kOk);
+  }
+
+  ASSERT_EQ(watch.cutovers().size(), moving.size());
+  for (const auto& [vnode, cut] : watch.cutovers()) {
+    if (caller != "join") {
+      EXPECT_EQ(cut.owner, pick.dst);
+    }
+    EXPECT_EQ(cut.missing, 0u)
+        << caller << ": vnode " << vnode << " cut over to node "
+        << cut.owner << " while its store lacked acked keys";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Callers, Transfer,
+    ::testing::Values(std::string("join"), std::string("recovery"),
+                      std::string("migration")),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
+
+TEST(Purge, StalePurgeNeverRewritesTheRoutingTable) {
+  SednaClusterConfig cfg = migration_config(52);
+  cfg.data_nodes = 5;
+  SednaCluster cluster(cfg);
+  ASSERT_TRUE(cluster.boot().ok());
+
+  // Move one vnode A → B, then B → C, and let every table learn C.
+  const MigrationPick first = pick_migration(cluster);
+  std::optional<MigrateVnodeReply> out;
+  cluster.node(first.dst_idx)
+      .begin_migration(first.vnode, first.from,
+                       [&](const MigrateVnodeReply& rep) { out = rep; });
+  ASSERT_TRUE(cluster.run_until([&] { return out.has_value(); }));
+  ASSERT_EQ(out->status, StatusCode::kOk);
+  cluster.run_for(sim_sec(3));
+  const auto replicas =
+      cluster.node(0).metadata().table().replicas_for_vnode(first.vnode);
+  std::size_t c_idx = SIZE_MAX;
+  for (std::size_t i = 0; i < cluster.data_node_count(); ++i) {
+    const NodeId n = cluster.node(i).id();
+    if (n != first.from &&
+        std::find(replicas.begin(), replicas.end(), n) == replicas.end()) {
+      c_idx = i;
+    }
+  }
+  ASSERT_NE(c_idx, SIZE_MAX);
+  const NodeId c = cluster.node(c_idx).id();
+  out.reset();
+  cluster.node(c_idx).begin_migration(
+      first.vnode, first.dst,
+      [&](const MigrateVnodeReply& rep) { out = rep; });
+  ASSERT_TRUE(cluster.run_until([&] { return out.has_value(); }));
+  ASSERT_EQ(out->status, StatusCode::kOk);
+  cluster.run_for(sim_sec(3));
+  SednaNode& a = cluster.node(first.from_idx);
+  ASSERT_EQ(a.metadata().table().owner(first.vnode), c);
+
+  // The first move's purge arrives late, after A already applied both
+  // journal entries: it must not roll A's table back to B, and no lease
+  // sync would ever repair it if it did.
+  PurgeVnodeRequest late{first.vnode, first.dst};
+  a.send_oneway(a.id(), kMsgPurgeVnode, late.encode());
+  cluster.run_for(sim_ms(100));
+  std::optional<bool> synced;
+  a.metadata().sync_now([&] { synced = true; });
+  ASSERT_TRUE(cluster.run_until([&] { return synced.has_value(); }));
+  EXPECT_EQ(a.metadata().table().owner(first.vnode), c);
+  EXPECT_EQ(znode_owner(cluster, 0, first.vnode), c);
+}
+
+TEST(TransferFaults, JoinAndRecoveryRaceForADeadDonorsVnode) {
+  SednaClusterConfig cfg = migration_config(53);
+  cfg.data_nodes = 5;
+  cfg.node_template.anti_entropy_interval = 0;  // only transfers copy
+  SednaCluster cluster(cfg);
+  ASSERT_TRUE(cluster.boot().ok());
+  auto& client = cluster.make_client();
+  const ring::VnodeTable table = cluster.node(0).metadata().table();
+  const NodeId joiner = next_joiner_id(cluster);
+  const auto moves = ring::Rebalancer::plan_join(table, joiner);
+  ASSERT_FALSE(moves.empty());
+  const VnodeId vnode = moves.front().vnode;
+  const NodeId donor = moves.front().from;
+  auto survivors = table.replicas_for_vnode(vnode);
+  std::erase(survivors, donor);
+  ASSERT_EQ(survivors.size(), 2u);
+  const auto acked =
+      write_vnode_keys(cluster, client, table, vnode, 10, "race");
+  cluster.run_for(sim_ms(100));
+
+  cluster.crash_node(node_index(cluster, donor));
+  cluster.run_for(sim_sec(4));  // session expiry
+
+  // A read of the vnode starts the recovery; wait for its target to begin
+  // pulling.
+  std::optional<bool> read_done;
+  client.read_latest(acked.begin()->first,
+                     [&](const Result<store::VersionedValue>&) {
+                       read_done = true;
+                     });
+  std::size_t target_idx = SIZE_MAX;
+  ASSERT_TRUE(cluster.run_until([&] {
+    for (std::size_t i = 0; i < cluster.data_node_count(); ++i) {
+      if (cluster.node(i).alive() && cluster.node(i).migrations_active() > 0) {
+        target_idx = i;
+        return true;
+      }
+    }
+    return false;
+  }));
+  const NodeId target = cluster.node(target_idx).id();
+  // Its first survivor stops answering it, so its snapshot falls over to
+  // the second one an RPC timeout later. Meanwhile the joiner claims the
+  // same vnode from the dead donor and falls over the same way: both
+  // transfers pull, and both reach the cutover.
+  cluster.network().partition(target, survivors[0]);
+  ASSERT_TRUE(cluster.join_new_node().ok());
+  cluster.network().heal_all();
+  ASSERT_TRUE(cluster.run_until([&] { return read_done.has_value(); }));
+  cluster.run_for(sim_sec(3));  // lease syncs
+
+  // Exactly one cutover committed, and every view names its winner.
+  const NodeId winner = znode_owner(cluster, 0, vnode);
+  ASSERT_TRUE(winner == joiner || winner == target) << winner;
+  EXPECT_EQ(journaled_owners(cluster, vnode), std::vector<NodeId>{winner});
+  expect_single_owner(cluster, vnode, winner);
+
+  // The winner holds the slice; the loser's pulled copy is gone unless
+  // the winner's replica walk keeps the loser.
+  const NodeId loser = winner == joiner ? target : joiner;
+  const auto walk =
+      cluster.node(0).metadata().table().replicas_for_vnode(vnode);
+  const bool kept = std::find(walk.begin(), walk.end(), loser) != walk.end();
+  auto& winner_store = cluster.node(node_index(cluster, winner)).local_store();
+  auto& loser_store = cluster.node(node_index(cluster, loser)).local_store();
+  for (const auto& [key, value] : acked) {
+    EXPECT_TRUE(winner_store.read_latest(key).ok()) << key;
+    EXPECT_EQ(loser_store.read_latest(key).ok(), kept) << key;
+  }
+  expect_all_readable(cluster, client, acked, "after the race");
+}
+
+TEST(TransferFaults, ZkPartitionAtRecoveryCutoverKeepsDataAndOwnerSurfaces) {
+  SednaClusterConfig cfg = migration_config(54);
+  cfg.node_template.anti_entropy_interval = 0;
+  SednaCluster cluster(cfg);
+  ASSERT_TRUE(cluster.boot().ok());
+  auto& client = cluster.make_client();
+  // Four nodes, N=3: the recovery's only candidate is pick.dst.
+  const MigrationPick pick = pick_migration(cluster);
+  const auto acked = write_vnode_keys(
+      cluster, client, cluster.node(0).metadata().table(), pick.vnode, 15,
+      "amb");
+  cluster.run_for(sim_ms(100));
+  cluster.crash_node(pick.from_idx);
+  cluster.run_for(sim_sec(4));  // session expiry
+
+  // Trace the recovery so the test can see the target's cutover.
+  Tracer& tracer = cluster.sim().tracer();
+  tracer.set_enabled(true);
+  auto open_span = [&](const char* name) {
+    for (const Span& s : tracer.spans()) {
+      if (s.name == name && s.node == pick.dst && !s.finished()) return true;
+    }
+    return false;
+  };
+  (void)cluster.read_latest(client, acked.begin()->first);
+  // The instant the cutover's versioned set is on the wire, cut the
+  // target off from the whole ensemble: the set commits, but its reply is
+  // lost, so the target cannot tell whether it owns the vnode.
+  ASSERT_TRUE(cluster.run_until([&] { return open_span("zk.set"); }));
+  for (NodeId z : cluster.zk_ids()) cluster.network().partition(pick.dst, z);
+  ASSERT_TRUE(
+      cluster.run_until([&] { return !open_span("migrate.cutover"); }));
+  for (const Span& s : tracer.spans()) {
+    if (s.name == "migrate.cutover" && s.node == pick.dst) {
+      EXPECT_NE(s.status, "ok") << "the cutover's outcome was known";
+    }
+  }
+  EXPECT_EQ(znode_owner(cluster, 0, pick.vnode), pick.dst);
+  // The target kept everything it pulled.
+  for (const auto& [key, value] : acked) {
+    auto got = cluster.node(pick.dst_idx).local_store().read_latest(key);
+    EXPECT_TRUE(got.ok() && got->value == value) << key;
+  }
+
+  // Heal: the committed owner surfaces on every view.
+  cluster.network().heal_all();
+  tracer.set_enabled(false);
+  cluster.run_for(sim_sec(3));
+  expect_single_owner(cluster, pick.vnode, pick.dst);
+  expect_all_readable(cluster, client, acked, "after the healed partition");
 }
 
 // ---- leader-driven convergence ------------------------------------------

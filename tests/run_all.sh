@@ -3,7 +3,9 @@
 # the failure drill twice and diffs its monitor output (determinism gate:
 # the dashboard, time-series CSV, latency-attribution CSV and Prometheus
 # dump must be byte-identical), lints the Prometheus dump with promlint,
-# then repeats the test run under AddressSanitizer + UBSan via
+# double-runs the rebalancer ablation, the chaos scenario suite and the
+# failure ablation (each must pass its own gates and agree byte for
+# byte), then repeats the test run under AddressSanitizer + UBSan via
 # run_sanitized.sh.
 # Usage: tests/run_all.sh [extra ctest args...]
 set -euo pipefail
@@ -98,5 +100,23 @@ diff "${drill_tmp}/ss1/scenario_incidents.csv" \
 "${build_dir}/tests/promlint" "${drill_tmp}/ss1/scenario_suite_metrics.prom" \
                               "${drill_tmp}/ss1/ablation_dvv_metrics.prom"
 echo "scenario suite determinism gate: OK"
+
+# Failure ablation: the only end-to-end gate on read-triggered recovery.
+# It exits non-zero unless reads survive the crash, recovery runs, most
+# sampled keys regain three copies, the tail cause flips back to service
+# and the repair ablation converges. Two runs must agree byte for byte.
+for run in 1 2; do
+  mkdir -p "${drill_tmp}/af${run}"
+  (cd "${drill_tmp}/af${run}" &&
+   SEDNA_OUT_DIR="${drill_tmp}/af${run}" \
+   "${build_dir}/bench/ablation_failure" > stdout.txt) \
+    || { echo "ablation_failure gates failed (run ${run})"; exit 1; }
+done
+for out in stdout.txt ablation_failure.csv ablation_failure_attribution.csv \
+           ablation_repair.csv; do
+  diff "${drill_tmp}/af1/${out}" "${drill_tmp}/af2/${out}" \
+    || { echo "ablation_failure ${out} is not deterministic"; exit 1; }
+done
+echo "failure ablation gate: OK"
 
 "${repo_root}/tests/run_sanitized.sh" "$@"
