@@ -6,8 +6,7 @@
 //   * key-placement imbalance (coefficient of variation of keys/node);
 //   * fraction of vnodes (≈ data) moved when one node joins — the
 //     consistent-hashing promise is ≈ 1/(n+1), against the ~50% a naive
-//     mod-n rehash would move;
-//   * fraction moved when one node leaves.
+//     mod-n rehash would move.
 #include <cmath>
 #include <cstdio>
 #include <map>
@@ -49,11 +48,11 @@ double key_imbalance(const VnodeTable& table, std::uint64_t keys) {
 
 int main() {
   std::printf("Ablation: virtual-node count vs balance and movement\n");
-  std::printf("%-8s %-8s %12s %14s %14s\n", "nodes", "vnodes",
-              "key_cv", "join_moved%", "leave_moved%");
+  std::printf("%-8s %-8s %12s %14s\n", "nodes", "vnodes", "key_cv",
+              "join_moved%");
 
   std::FILE* csv = std::fopen(sedna::out_path("ablation_ring.csv").c_str(), "w");
-  if (csv) std::fprintf(csv, "nodes,vnodes,key_cv,join_moved,leave_moved\n");
+  if (csv) std::fprintf(csv, "nodes,vnodes,key_cv,join_moved\n");
 
   bool sane = true;
   for (std::uint32_t nodes : {4u, 8u, 16u, 64u}) {
@@ -71,29 +70,21 @@ int main() {
       const double join_moved =
           100.0 * VnodeTable::moved_vnodes(table, joined) / vnodes;
 
-      // Leave movement.
-      VnodeTable left = table;
-      Rebalancer::apply(left, Rebalancer::plan_leave(left, ids[0]));
-      const double leave_moved =
-          100.0 * VnodeTable::moved_vnodes(table, left) / vnodes;
-
-      std::printf("%-8u %-8u %12.4f %13.1f%% %13.1f%%\n", nodes, vnodes,
-                  cv, join_moved, leave_moved);
+      std::printf("%-8u %-8u %12.4f %13.1f%%\n", nodes, vnodes, cv,
+                  join_moved);
       if (csv) {
-        std::fprintf(csv, "%u,%u,%.5f,%.3f,%.3f\n", nodes, vnodes, cv,
-                     join_moved, leave_moved);
+        std::fprintf(csv, "%u,%u,%.5f,%.3f\n", nodes, vnodes, cv,
+                     join_moved);
       }
 
       // Consistency-hash sanity: join moves ≈ 100/(n+1) percent, never
       // the ~(1 - 1/n)·100 a naive rehash would.
       const double ideal = 100.0 / (nodes + 1);
       if (join_moved > 2.5 * ideal + 5.0) sane = false;
-      // Leaving a node moves exactly its share.
-      if (leave_moved > 100.0 / nodes + 5.0) sane = false;
     }
   }
   if (csv) std::fclose(csv);
-  std::printf("\nshape: join/leave movement stays near the consistent-"
-              "hashing ideal: %s\n", sane ? "yes" : "NO");
+  std::printf("\nshape: join movement stays near the consistent-hashing "
+              "ideal: %s\n", sane ? "yes" : "NO");
   return sane ? 0 : 1;
 }

@@ -88,17 +88,6 @@ TraceStage SednaClient::rpc_span_stage(sim::MessageType type) const {
   }
 }
 
-SednaClient::WriteCallback SednaClient::traced_write(const char* op,
-                                                     WriteCallback cb) {
-  const TraceContext root = begin_trace(op, TraceStage::kService);
-  const SimTime started = now();
-  return [this, root, started, cb = std::move(cb)](const Status& st) {
-    write_latency_->record(now() - started, root.trace_id);
-    end_span(root.span_id, to_string(st.code()));
-    cb(st);
-  };
-}
-
 SpanId SednaClient::attempt_span(const char* prefix, int attempt) {
   if (!tracer().enabled()) return 0;
   return begin_span(prefix + std::to_string(attempt), TraceStage::kService);
@@ -128,17 +117,37 @@ NodeId SednaClient::coordinator_for(const std::string& key,
   return replicas[static_cast<std::size_t>(attempt) % replicas.size()];
 }
 
-void SednaClient::do_write(WriteRequest req, int attempt, SimTime deadline,
-                           WriteCallback cb) {
-  do_write_full(std::move(req), attempt, deadline,
-                [cb = std::move(cb)](const Result<WriteReply>& rep) {
-                  cb(rep.ok() ? Status(rep->status) : rep.status());
-                });
+namespace {
+
+/// kUnavailable (node not ready), kFailure (quorum broken — often stale
+/// routing at the coordinator while recovery is in flight) and kOverloaded
+/// (explicit shed) are retryable. A write's timestamp is pinned at the
+/// first attempt, so a replayed write is idempotent under LWW (and a causal
+/// replay re-sends the same context — the coordinator mints a fresh dot,
+/// but the earlier attempt's ack never reached the client, so the extra
+/// sibling is pruned by the client's next contextual put).
+bool retryable(StatusCode code) {
+  return code == StatusCode::kUnavailable || code == StatusCode::kFailure ||
+         code == StatusCode::kOverloaded;
 }
 
-void SednaClient::do_write_full(
-    WriteRequest req, int attempt, SimTime deadline,
-    std::function<void(const Result<WriteReply>&)> cb) {
+}  // namespace
+
+const SednaClient::AttemptKind SednaClient::kWriteKind{
+    kMsgClientWrite,         "client.write.attempt#",
+    "write attempts exhausted", "client.write_retries",
+    "client.write_failures", &SednaClient::writes_,
+    &SednaClient::write_latency_};
+const SednaClient::AttemptKind SednaClient::kReadKind{
+    kMsgClientRead,         "client.read.attempt#",
+    "read attempts exhausted", "client.read_retries",
+    "client.read_failures", &SednaClient::reads_,
+    &SednaClient::read_latency_};
+
+template <typename Rep, typename Req>
+void SednaClient::run_attempt(Req req, int attempt, SimTime deadline,
+                              ReplyCallback<Rep> cb) {
+  const AttemptKind& kind = kind_of(req);
   const NodeId coordinator = coordinator_for(req.key, attempt);
   if (coordinator == kInvalidNode) {
     cb(Status::Unavailable("no replicas for key"));
@@ -147,39 +156,27 @@ void SednaClient::do_write_full(
   // The whole-op deadline may have lapsed during a backoff sleep; give up
   // here rather than launch an attempt whose answer nobody wants.
   if (deadline != 0 && now() >= deadline) {
-    metrics_.counter("client.write_failures").add(1);
+    metrics_.counter(kind.failures).add(1);
     cb(Status::Timeout("op deadline exceeded"));
     return;
   }
   // Attempt span: one per coordinator tried. Siblings under the op root,
-  // so a retried write reads as attempt#0 (timeout) then attempt#1 (ok).
-  const SpanId span = attempt_span("client.write.attempt#", attempt);
+  // so a retried op reads as attempt#0 (timeout) then attempt#1 (ok).
+  const SpanId span = attempt_span(kind.span_prefix, attempt);
   const TraceContext parent = enter_span(span);
   // Encode before the lambda capture moves `req` (argument evaluation
   // order is unspecified).
   std::string payload = req.encode();
   call_with_timeout(
-      coordinator, kMsgClientWrite, std::move(payload),
-      attempt_timeout(deadline),
-      [this, req = std::move(req), attempt, deadline, span, parent,
+      coordinator, kind.type, std::move(payload), attempt_timeout(deadline),
+      [this, &kind, req = std::move(req), attempt, deadline, span, parent,
        cb = std::move(cb)](const Status& st,
                            const std::string& body) mutable {
-         Result<WriteReply> final =
-             Status::Failure("write attempts exhausted");
+         Result<Rep> final = Status::Failure(kind.exhausted);
          if (st.ok()) {
-           auto rep = WriteReply::decode(body);
-           // kUnavailable (node not ready), kFailure (quorum broken —
-           // often stale routing at the coordinator while recovery is in
-           // flight) and kOverloaded (explicit shed) are retryable: the
-           // timestamp is pinned at the first attempt, so a replayed
-           // write is idempotent under LWW (and a causal replay re-sends
-           // the same context — the coordinator mints a fresh dot, but
-           // the earlier attempt's ack never reached the client, so the
-           // extra sibling is pruned by the client's next contextual put).
-           if (rep.ok() && rep->status != StatusCode::kUnavailable &&
-               rep->status != StatusCode::kFailure &&
-               rep->status != StatusCode::kOverloaded) {
-             writes_->add(1);
+           auto rep = Rep::decode(body);
+           if (rep.ok() && !retryable(rep->status)) {
+             (this->*kind.successes)->add(1);
              refill_retry_budget();
              end_span(span, to_string(rep->status));
              cb(std::move(rep));
@@ -188,20 +185,20 @@ void SednaClient::do_write_full(
            if (rep.ok()) final = Status(rep->status);
          }
          if (attempt + 1 >= config_.max_attempts) {
-           metrics_.counter("client.write_failures").add(1);
+           metrics_.counter(kind.failures).add(1);
            end_span(span, "failure");
            cb(final);
            return;
          }
          if (!spend_retry_token()) {
-           metrics_.counter("client.write_failures").add(1);
+           metrics_.counter(kind.failures).add(1);
            end_span(span, "overloaded");
            cb(Status::Overloaded("retry budget exhausted"));
            return;
          }
          // Refresh routing state, wait out the jittered backoff, then
          // retry via the next replica.
-         metrics_.counter("client.write_retries").add(1);
+         metrics_.counter(kind.retries).add(1);
          end_span(span, st.ok() ? "retry" : "timeout");
          const SimDuration backoff = retry_backoff(attempt + 1);
          // The metadata re-sync + backoff sleep before the next attempt
@@ -216,8 +213,8 @@ void SednaClient::do_write_full(
                                     cb = std::move(cb)]() mutable {
              tracer().end(wait, now());
              set_trace_context(parent);
-             do_write_full(std::move(req), attempt + 1, deadline,
-                           std::move(cb));
+             run_attempt<Rep>(std::move(req), attempt + 1, deadline,
+                              std::move(cb));
            });
          });
        },
@@ -225,107 +222,72 @@ void SednaClient::do_write_full(
   set_trace_context(parent);
 }
 
-void SednaClient::do_read(ReadRequest req, int attempt, SimTime deadline,
-                          std::function<void(const Result<ReadReply>&)> cb) {
-  const NodeId coordinator = coordinator_for(req.key, attempt);
-  if (coordinator == kInvalidNode) {
-    cb(Status::Unavailable("no replicas for key"));
-    return;
-  }
-  if (deadline != 0 && now() >= deadline) {
-    metrics_.counter("client.read_failures").add(1);
-    cb(Status::Timeout("op deadline exceeded"));
-    return;
-  }
-  const SpanId span = attempt_span("client.read.attempt#", attempt);
-  const TraceContext parent = enter_span(span);
-  std::string payload = req.encode();
-  call_with_timeout(
-      coordinator, kMsgClientRead, std::move(payload),
-      attempt_timeout(deadline),
-      [this, req = std::move(req), attempt, deadline, span, parent,
-       cb = std::move(cb)](const Status& st,
-                           const std::string& body) mutable {
-         Status final = Status::Failure("read attempts exhausted");
-         if (st.ok()) {
-           auto rep = ReadReply::decode(body);
-           if (rep.ok() && rep->status != StatusCode::kUnavailable &&
-               rep->status != StatusCode::kFailure &&
-               rep->status != StatusCode::kOverloaded) {
-             reads_->add(1);
-             if (rep->stale) {
-               metrics_.counter("client.stale_reads").add(1);
-               // The coordinator's staleness bound rides the reply when
-               // auditing is on; a stale read *without* one is exactly the
-               // unlabeled-staleness hole the auditor exists to close, so
-               // count the two cases apart.
-               if (rep->staleness_us > 0) {
-                 metrics_.histogram("client.staleness_bound_us")
-                     .record(rep->staleness_us);
-               } else {
-                 metrics_.counter("client.stale_unbounded").add(1);
-               }
-             }
-             refill_retry_budget();
-             end_span(span, to_string(rep->status));
-             cb(std::move(rep));
-             return;
-           }
-           if (rep.ok()) final = Status(rep->status);
-         }
-         if (attempt + 1 >= config_.max_attempts) {
-           metrics_.counter("client.read_failures").add(1);
-           end_span(span, "failure");
-           cb(final);
-           return;
-         }
-         if (!spend_retry_token()) {
-           metrics_.counter("client.read_failures").add(1);
-           end_span(span, "overloaded");
-           cb(Status::Overloaded("retry budget exhausted"));
-           return;
-         }
-         metrics_.counter("client.read_retries").add(1);
-         end_span(span, st.ok() ? "retry" : "timeout");
-         const SimDuration backoff = retry_backoff(attempt + 1);
-         const SpanId wait = tracer().begin(parent, "client.retry_wait", id(),
-                                            now(), TraceStage::kRetry);
-         metadata_.sync_now([this, req = std::move(req), attempt, deadline,
-                             parent, backoff, wait,
-                             cb = std::move(cb)]() mutable {
-           sim().schedule(backoff, [this, req = std::move(req), attempt,
-                                    deadline, parent, wait,
-                                    cb = std::move(cb)]() mutable {
-             tracer().end(wait, now());
-             set_trace_context(parent);
-             do_read(std::move(req), attempt + 1, deadline, std::move(cb));
-           });
-         });
-       },
-      deadline);
-  set_trace_context(parent);
+template <typename Rep, typename Req, typename Callback>
+void SednaClient::submit(Req req, const char* op, Callback cb) {
+  const TraceContext root = begin_trace(op, TraceStage::kService);
+  const SimTime started = now();
+  const auto latency = kind_of(req).latency;
+  run_attempt<Rep>(
+      std::move(req), 0, op_deadline(),
+      [this, root, started, latency,
+       cb = std::move(cb)](const Result<Rep>& rep) {
+        (this->*latency)->record(now() - started, root.trace_id);
+        end_span(root.span_id,
+                 to_string(rep.ok() ? rep->status : rep.status().code()));
+        cb(rep);
+      });
+}
+
+void SednaClient::submit_write(WriteRequest req, const char* op,
+                               WriteCallback cb) {
+  submit<WriteReply>(std::move(req), op,
+                     [cb = std::move(cb)](const Result<WriteReply>& rep) {
+                       cb(rep.ok() ? Status(rep->status) : rep.status());
+                     });
+}
+
+template <typename Callback>
+void SednaClient::submit_read(ReadRequest req, const char* op, Callback cb) {
+  submit<ReadReply>(
+      std::move(req), op,
+      [this, cb = std::move(cb)](const Result<ReadReply>& rep) {
+        if (rep.ok() && rep->stale) {
+          metrics_.counter("client.stale_reads").add(1);
+          // The coordinator's staleness bound rides the reply when auditing
+          // is on; a stale read *without* one is exactly the
+          // unlabeled-staleness hole the auditor exists to close, so count
+          // the two cases apart.
+          if (rep->staleness_us > 0) {
+            metrics_.histogram("client.staleness_bound_us")
+                .record(rep->staleness_us);
+          } else {
+            metrics_.counter("client.stale_unbounded").add(1);
+          }
+        }
+        cb(rep);
+      });
+}
+
+WriteRequest SednaClient::make_write(WriteMode mode, const std::string& key,
+                                     const std::string& value) {
+  WriteRequest req;
+  req.mode = mode;
+  req.key = key;
+  req.value = value;
+  req.ts = next_ts();
+  req.source = id();
+  return req;
 }
 
 void SednaClient::put_causal(const std::string& key, const std::string& value,
                              const store::VersionVector& ctx,
                              PutCausalCallback cb) {
-  WriteRequest req;
-  req.mode = WriteMode::kLatest;
-  req.key = key;
-  req.value = value;
-  req.ts = next_ts();
-  req.source = id();
+  WriteRequest req = make_write(WriteMode::kLatest, key, value);
   req.causal_tag = WriteRequest::kCausalCtx;
   req.ctx = ctx;
-  const TraceContext root =
-      begin_trace("client.put_causal", TraceStage::kService);
-  const SimTime started = now();
-  do_write_full(
-      std::move(req), 0, op_deadline(),
-      [this, root, started, cb = std::move(cb)](const Result<WriteReply>& rep) {
-        write_latency_->record(now() - started, root.trace_id);
-        const StatusCode code = rep.ok() ? rep->status : rep.status().code();
-        end_span(root.span_id, to_string(code));
+  submit<WriteReply>(
+      std::move(req), "client.put_causal",
+      [cb = std::move(cb)](const Result<WriteReply>& rep) {
         if (!rep.ok()) {
           cb(rep.status(), {});
           return;
@@ -340,34 +302,27 @@ void SednaClient::get_causal(const std::string& key, GetCausalCallback cb) {
   req.mode = ReadMode::kLatest;
   req.key = key;
   req.causal = true;
-  const TraceContext root =
-      begin_trace("client.get_causal", TraceStage::kService);
-  const SimTime started = now();
-  do_read(std::move(req), 0, op_deadline(),
-          [this, root, started,
-           cb = std::move(cb)](const Result<ReadReply>& rep) {
-            read_latency_->record(now() - started, root.trace_id);
-            end_span(root.span_id, to_string(rep.ok() ? rep->status
-                                                      : rep.status().code()));
-            if (!rep.ok()) {
-              cb(rep.status());
-              return;
-            }
-            if (rep->status != StatusCode::kOk || !rep->has_causal) {
-              cb(Status(rep->status == StatusCode::kOk
-                            ? StatusCode::kNotFound
-                            : rep->status));
-              return;
-            }
-            CausalRead out;
-            out.siblings = rep->causal.siblings;
-            out.ctx = rep->causal.clock;
-            out.stale = rep->stale;
-            if (out.siblings.size() > 1) {
-              metrics_.counter("client.sibling_reads").add(1);
-            }
-            cb(out);
-          });
+  submit_read(
+      std::move(req), "client.get_causal",
+      [this, cb = std::move(cb)](const Result<ReadReply>& rep) {
+        if (!rep.ok()) {
+          cb(rep.status());
+          return;
+        }
+        if (rep->status != StatusCode::kOk || !rep->has_causal) {
+          cb(Status(rep->status == StatusCode::kOk ? StatusCode::kNotFound
+                                                   : rep->status));
+          return;
+        }
+        CausalRead out;
+        out.siblings = rep->causal.siblings;
+        out.ctx = rep->causal.clock;
+        out.stale = rep->stale;
+        if (out.siblings.size() > 1) {
+          metrics_.counter("client.sibling_reads").add(1);
+        }
+        cb(out);
+      });
 }
 
 store::Sibling SednaClient::resolve(const CausalRead& read) {
@@ -388,28 +343,16 @@ store::Sibling SednaClient::resolve(const CausalRead& read) {
 
 void SednaClient::write_latest(const std::string& key,
                                const std::string& value, WriteCallback cb) {
-  WriteRequest req;
-  req.mode = WriteMode::kLatest;
-  req.key = key;
-  req.value = value;
-  req.ts = next_ts();
-  req.source = id();
-  do_write(std::move(req), 0, op_deadline(),
-           traced_write("client.write_latest", std::move(cb)));
+  submit_write(make_write(WriteMode::kLatest, key, value),
+               "client.write_latest", std::move(cb));
 }
 
 void SednaClient::write_latest_ttl(const std::string& key,
                                    const std::string& value,
                                    std::uint64_t ttl_us, WriteCallback cb) {
-  WriteRequest req;
-  req.mode = WriteMode::kLatest;
-  req.key = key;
-  req.value = value;
-  req.ts = next_ts();
-  req.source = id();
+  WriteRequest req = make_write(WriteMode::kLatest, key, value);
   req.ttl = ttl_us;
-  do_write(std::move(req), 0, op_deadline(),
-           traced_write("client.write_latest_ttl", std::move(cb)));
+  submit_write(std::move(req), "client.write_latest_ttl", std::move(cb));
 }
 
 void SednaClient::scan(const std::string& prefix, ScanCallback cb,
@@ -457,14 +400,8 @@ void SednaClient::scan(const std::string& prefix, ScanCallback cb,
 
 void SednaClient::write_all(const std::string& key, const std::string& value,
                             WriteCallback cb) {
-  WriteRequest req;
-  req.mode = WriteMode::kAll;
-  req.key = key;
-  req.value = value;
-  req.ts = next_ts();
-  req.source = id();
-  do_write(std::move(req), 0, op_deadline(),
-           traced_write("client.write_all", std::move(cb)));
+  submit_write(make_write(WriteMode::kAll, key, value), "client.write_all",
+               std::move(cb));
 }
 
 void SednaClient::write_latest_batch(
@@ -511,53 +448,39 @@ void SednaClient::read_latest(const std::string& key, ReadLatestCallback cb) {
   ReadRequest req;
   req.mode = ReadMode::kLatest;
   req.key = key;
-  const TraceContext root =
-      begin_trace("client.read_latest", TraceStage::kService);
-  const SimTime started = now();
-  do_read(std::move(req), 0, op_deadline(),
-          [this, root, started,
-           cb = std::move(cb)](const Result<ReadReply>& rep) {
-            read_latency_->record(now() - started, root.trace_id);
-            end_span(root.span_id, to_string(rep.ok() ? rep->status
-                                                      : rep.status().code()));
-            if (!rep.ok()) {
-              cb(rep.status());
-              return;
-            }
-            if (rep->status != StatusCode::kOk || !rep->has_latest) {
-              cb(Status(rep->status == StatusCode::kOk
-                            ? StatusCode::kNotFound
-                            : rep->status));
-              return;
-            }
-            cb(rep->latest);
-          });
+  submit_read(std::move(req), "client.read_latest",
+              [cb = std::move(cb)](const Result<ReadReply>& rep) {
+                if (!rep.ok()) {
+                  cb(rep.status());
+                  return;
+                }
+                if (rep->status != StatusCode::kOk || !rep->has_latest) {
+                  cb(Status(rep->status == StatusCode::kOk
+                                ? StatusCode::kNotFound
+                                : rep->status));
+                  return;
+                }
+                cb(rep->latest);
+              });
 }
 
 void SednaClient::read_all(const std::string& key, ReadAllCallback cb) {
   ReadRequest req;
   req.mode = ReadMode::kAll;
   req.key = key;
-  const TraceContext root =
-      begin_trace("client.read_all", TraceStage::kService);
-  const SimTime started = now();
-  do_read(std::move(req), 0, op_deadline(),
-          [this, root, started,
-           cb = std::move(cb)](const Result<ReadReply>& rep) {
-            read_latency_->record(now() - started, root.trace_id);
-            end_span(root.span_id, to_string(rep.ok() ? rep->status
-                                                      : rep.status().code()));
-            if (!rep.ok()) {
-              cb(rep.status());
-              return;
-            }
-            if (rep->status != StatusCode::kOk &&
-                rep->value_list.empty()) {
-              cb(Status(rep->status));
-              return;
-            }
-            cb(rep->value_list);
-          });
+  submit_read(std::move(req), "client.read_all",
+              [cb = std::move(cb)](const Result<ReadReply>& rep) {
+                if (!rep.ok()) {
+                  cb(rep.status());
+                  return;
+                }
+                if (rep->status != StatusCode::kOk &&
+                    rep->value_list.empty()) {
+                  cb(Status(rep->status));
+                  return;
+                }
+                cb(rep->value_list);
+              });
 }
 
 }  // namespace sedna::cluster

@@ -11,6 +11,12 @@
 //   write_all(k, v)     → ok | outdated | failure   (source = this client)
 //   read_latest(k)      → freshest value regardless of writer
 //   read_all(k)         → the full per-source value list
+//
+// Every call, causal ones included, runs through one attempt driver
+// (run_attempt): the same coordinator choice, deadline check, retryable-
+// status test, retry budget, metadata re-sync and backoff for reads and
+// writes. A read differs only in its message type and counter names, and
+// in the stale-read accounting its caller adds on top.
 #pragma once
 
 #include <algorithm>
@@ -170,18 +176,49 @@ class SednaClient : public sim::Host {
       sim::MessageType type) const override;
 
  private:
-  /// Opens a root span for one public write op and returns a callback
-  /// wrapper that closes it with the op's final status code.
-  [[nodiscard]] WriteCallback traced_write(const char* op, WriteCallback cb);
+  template <typename Rep>
+  using ReplyCallback = std::function<void(const Result<Rep>&)>;
 
-  void do_write(WriteRequest req, int attempt, SimTime deadline,
-                WriteCallback cb);
-  /// Full-reply variant of do_write (same retry machinery): causal puts
-  /// need the trailing context section, not just the status.
-  void do_write_full(WriteRequest req, int attempt, SimTime deadline,
-                     std::function<void(const Result<WriteReply>&)> cb);
-  void do_read(ReadRequest req, int attempt, SimTime deadline,
-               std::function<void(const Result<ReadReply>&)> cb);
+  /// What a read attempt and a write attempt differ in. Counter names are
+  /// looked up on first use, so an op that never retries or fails adds no
+  /// zero-valued row to the metric dumps.
+  struct AttemptKind {
+    sim::MessageType type;
+    const char* span_prefix;  // + attempt number
+    const char* exhausted;    // status text when every attempt failed
+    const char* retries;
+    const char* failures;
+    MetricHandle<Counter> SednaClient::*successes;
+    MetricHandle<Histogram> SednaClient::*latency;
+  };
+  static const AttemptKind kWriteKind;
+  static const AttemptKind kReadKind;
+  static const AttemptKind& kind_of(const WriteRequest&) { return kWriteKind; }
+  static const AttemptKind& kind_of(const ReadRequest&) { return kReadKind; }
+
+  /// The one attempt driver for reads and writes: picks attempt k's
+  /// coordinator, gives up once the op deadline has passed, opens the
+  /// attempt span, and on a retryable answer (or a timeout) spends a retry
+  /// token, re-syncs the metadata, backs off and tries the next replica.
+  template <typename Rep, typename Req>
+  void run_attempt(Req req, int attempt, SimTime deadline,
+                   ReplyCallback<Rep> cb);
+  /// One public op: opens its root span, runs the driver from attempt 0
+  /// under the op deadline, then records the op latency and closes the
+  /// span with the final status code. `cb` takes a `const Result<Rep>&`;
+  /// it is held by value, so an op builds one std::function, not one per
+  /// wrapper layer.
+  template <typename Rep, typename Req, typename Callback>
+  void submit(Req req, const char* op, Callback cb);
+  /// submit for writes whose caller wants only the status.
+  void submit_write(WriteRequest req, const char* op, WriteCallback cb);
+  /// submit for reads, plus the stale-read and staleness-bound accounting.
+  template <typename Callback>
+  void submit_read(ReadRequest req, const char* op, Callback cb);
+  /// A write of `value` from this client, stamped with a fresh timestamp.
+  [[nodiscard]] WriteRequest make_write(WriteMode mode,
+                                        const std::string& key,
+                                        const std::string& value);
 
   /// Absolute deadline for an op starting now (0 when deadlines are off).
   [[nodiscard]] SimTime op_deadline() const {

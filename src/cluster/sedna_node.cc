@@ -794,6 +794,115 @@ void SednaNode::handle_replica_read(const sim::Message& msg) {
   reply(msg, rep.encode());
 }
 
+// ---- quorum coordinator -------------------------------------------------
+
+/// The header every coordinator fan-out carries. One state per fan-out,
+/// shared by the reply closure of every replica call, which reach the
+/// request and the client's reply header through it.
+struct SednaNode::Fanout {
+  sim::Message origin;  // reply header only
+  ClusterConfig cfg;
+  std::uint32_t total = 0;
+  SimTime started = 0;
+  VnodeId vnode = 0;
+  TraceId trace = 0;
+  SpanId span = 0;
+  /// The replica timeout was cut to the client's remaining budget.
+  bool deadline_bounded = false;
+  std::uint32_t responses = 0;
+  std::uint32_t failures = 0;
+  bool replied = false;
+};
+
+struct SednaNode::WriteFanout : Fanout {
+  WriteRequest req;
+  bool causal_put = false;
+  store::VersionVector causal_clock;
+  std::uint32_t acks = 0;
+  std::uint32_t outdated = 0;
+};
+
+struct SednaNode::ReadFanout : Fanout {
+  ReadRequest req;
+  std::vector<std::pair<NodeId, ReadReply>> replies;
+  /// The answer served to the client — the LWW value (`answer`, kLatest
+  /// mode) or the joined causal record (`merged`) — kept for repairing
+  /// replicas that are behind it, late arrivals included.
+  bool has_answer = false;
+  store::VersionedValue answer;
+  store::CausalRecord merged;
+  /// Consistency-auditor bookkeeping: whether the final audit sample has
+  /// been emitted, whether the reply went out stale-tagged, and when the
+  /// reply was sent (for the confirmation-lag measurement).
+  bool audited = false;
+  bool served_stale = false;
+  SimTime settled_at = 0;
+
+  /// The straggler-repair predicate: `rep` is older than, or missing, the
+  /// answer served.
+  [[nodiscard]] bool behind(const ReadReply& rep) const {
+    if (req.causal) return !rep.has_causal || !(rep.causal == merged);
+    return !rep.has_latest || rep.latest.ts < answer.ts;
+  }
+  [[nodiscard]] WriteRequest answer_write() const {
+    return req.causal ? causal_write(req.key, merged)
+                      : latest_write(req.key, answer);
+  }
+};
+
+template <typename State, typename Local, typename Remote>
+void SednaNode::fan_out(const sim::Message& msg,
+                        const std::shared_ptr<State>& state,
+                        const char* span_name, sim::MessageType type,
+                        Local local, Remote remote) {
+  const VnodeId vnode = metadata_.table().vnode_for_key(state->req.key);
+  const auto replicas = metadata_.table().replicas_for_vnode(vnode);
+  hot_keys_.record(state->req.key);
+  const SpanId span = begin_span(span_name, TraceStage::kService);
+  const TraceContext prev_ctx = enter_span(span);
+  state->origin = msg.header();
+  state->cfg = metadata_.config();
+  state->total = static_cast<std::uint32_t>(replicas.size());
+  state->started = now();
+  state->vnode = vnode;
+  state->trace = prev_ctx.trace_id;
+  state->span = span;
+
+  // Deadline-aware fan-out: the replica RPC timeout never extends past the
+  // client's remaining budget — once the deadline passes, waiting longer
+  // can only produce an answer nobody wants. A timeout that fired early
+  // *because* of the deadline is abandonment, not failure evidence, so it
+  // must not feed the failure detector or queue hints (suspecting healthy
+  // nodes and replaying hints during overload would amplify the overload).
+  // The host sheds a request whose deadline passed while it queued, but
+  // one can still lapse during its own service time: that leaves no
+  // budget at all, and counts as bounded too.
+  SimDuration timeout = config().rpc_timeout_us;
+  if (msg.deadline != 0) {
+    timeout = std::min<SimDuration>(
+        timeout, msg.deadline > now() ? msg.deadline - now() : 0);
+  }
+  state->deadline_bounded =
+      msg.deadline != 0 && timeout < config().rpc_timeout_us;
+
+  const std::string payload = state->req.encode();
+  for (NodeId replica : replicas) {
+    if (replica == id()) {
+      ++state->responses;
+      local(*state);
+      continue;
+    }
+    call_with_timeout(
+        replica, type, payload, timeout,
+        [state, replica, remote](const Status& st, const std::string& body) {
+          ++state->responses;
+          remote(*state, replica, st, body);
+        },
+        msg.deadline);
+  }
+  set_trace_context(prev_ctx);
+}
+
 void SednaNode::handle_client_write(const sim::Message& msg) {
   auto decoded = WriteRequest::decode(msg.payload);
   if (!decoded.ok() || !ready_) {
@@ -803,7 +912,9 @@ void SednaNode::handle_client_write(const sim::Message& msg) {
     reply(msg, rep.encode());
     return;
   }
-  WriteRequest req = std::move(decoded).value();
+  auto state = std::make_shared<WriteFanout>();
+  state->req = std::move(decoded).value();
+  WriteRequest& req = state->req;
   if (req.ts == 0) req.ts = next_ts();
   if (req.source == kInvalidNode) req.source = msg.from;
 
@@ -811,11 +922,9 @@ void SednaNode::handle_client_write(const sim::Message& msg) {
   // the siblings covered by the client's read context and appending the
   // new value — then fans out the full post-update record, so replicas
   // join states instead of racing on timestamps. The local apply in the
-  // fan-out loop below sees the rewritten record and is an idempotent
-  // no-op join that still counts as this replica's ack.
-  const bool causal_put = req.causal_tag == WriteRequest::kCausalCtx;
-  store::VersionVector causal_clock;
-  if (causal_put) {
+  // fan-out sees the rewritten record and is an idempotent no-op join
+  // that still counts as this replica's ack.
+  if (req.causal_tag == WriteRequest::kCausalCtx) {
     auto minted = store_->write_causal(req.key, req.ctx, req.value, req.ts,
                                        req.flags, id());
     if (!minted.ok()) {
@@ -827,142 +936,75 @@ void SednaNode::handle_client_write(const sim::Message& msg) {
     if (persistence_ != nullptr) {
       persistence_->on_write_causal(req.key, minted.value());
     }
-    causal_clock = minted.value().clock;
+    state->causal_put = true;
+    state->causal_clock = minted.value().clock;
     req.causal_tag = WriteRequest::kCausalRecord;
     req.record = std::move(minted).value();
     req.ctx = {};
   }
 
-  const VnodeId vnode = metadata_.table().vnode_for_key(req.key);
-  const auto replicas = metadata_.table().replicas_for_vnode(vnode);
   coordinator_writes_->add(1);
-  hot_keys_.record(req.key);
-  const SpanId coord_span = begin_span("coord.write", TraceStage::kService);
-  const TraceContext prev_ctx = enter_span(coord_span);
+  fan_out(
+      msg, state, "coord.write", kMsgReplicaWrite,
+      [this](WriteFanout& s) {
+        const StatusCode st = apply_write(s.req);
+        instant_span("coord.local_write", to_string(st),
+                     TraceStage::kService);
+        settle_write(s, st);
+      },
+      [this](WriteFanout& s, NodeId replica, const Status& st,
+             const std::string& body) {
+        StatusCode answer = StatusCode::kFailure;
+        if (st.ok()) {
+          auto rep = WriteReply::decode(body);
+          if (rep.ok()) answer = rep->status;
+        } else if (!s.deadline_bounded) {
+          // The replica missed an acknowledged-at-W write: remember it
+          // and replay once the replica re-registers (hinted handoff).
+          queue_hint(replica, s.req);
+          suspect_node(replica, s.vnode);
+        }
+        settle_write(s, answer);
+      });
+}
 
-  // One state per fan-out, shared by the settle closure and every replica
-  // callback, which reach the request and reply header through it.
-  struct WriteState {
-    WriteRequest req;
-    sim::Message origin;  // reply header only
-    ClusterConfig cfg;
-    std::uint32_t total = 0;
-    SimTime started = 0;
-    VnodeId vnode = 0;
-    TraceId trace = 0;
-    SpanId coord_span = 0;
-    bool causal_put = false;
-    bool deadline_bounded = false;
-    store::VersionVector causal_clock;
-    std::uint32_t acks = 0;
-    std::uint32_t outdated = 0;
-    std::uint32_t failures = 0;
-    std::uint32_t responses = 0;
-    bool replied = false;
-    std::function<void()> settle;
-  };
-  auto state = std::make_shared<WriteState>();
-  state->req = std::move(req);
-  state->origin = msg.header();
-  state->cfg = metadata_.config();
-  state->total = static_cast<std::uint32_t>(replicas.size());
-  state->started = now();
-  state->vnode = vnode;
-  state->trace = prev_ctx.trace_id;
-  state->coord_span = coord_span;
-  state->causal_put = causal_put;
-  state->causal_clock = std::move(causal_clock);
-
-  state->settle = [this, state = state.get()]() {
-    if (state->replied) return;
-    WriteReply rep;
-    if (state->acks >= state->cfg.write_quorum) {
-      rep.status = StatusCode::kOk;
-      if (state->causal_put) {
-        // Hand the post-write clock back as the client's next context.
-        rep.has_ctx = true;
-        rep.ctx = state->causal_clock;
-      }
-      // t-visibility probe (PBS-style): sample acked LWW writes and check
-      // back on every replica at fixed offsets to measure how quickly an
-      // acknowledged write becomes readable cluster-wide. Causal puts are
-      // excluded — their convergence is vector-clock joins, not a single
-      // timestamp, so "ts >= wts" is not the right visibility predicate.
-      if (auditor_ != nullptr && !state->causal_put &&
-          auditor_->should_probe()) {
-        probe_visibility(state->req.key, state->req.ts, state->vnode, now());
-      }
-    } else if (state->responses < state->total) {
-      return;  // still waiting and quorum still possible
-    } else if (state->outdated > 0) {
-      rep.status = StatusCode::kOutdated;
-    } else {
-      rep.status = StatusCode::kFailure;  // recovery already triggered
-      metrics_.counter("coordinator.write_quorum_failures").add(1);
-    }
-    state->replied = true;
-    coordinator_write_latency_->record(now() - state->started, state->trace);
-    end_span(state->coord_span, to_string(rep.status));
-    reply(state->origin, rep.encode());
-  };
-
-  // Deadline-aware fan-out: the replica RPC timeout never extends past the
-  // client's remaining budget — once the deadline passes, waiting longer
-  // can only produce an answer nobody wants. A timeout that fired early
-  // *because* of the deadline is abandonment, not failure evidence, so it
-  // must not feed the failure detector or queue hints (suspecting healthy
-  // nodes and replaying hints during overload would amplify the overload).
-  SimDuration fanout_timeout = config().rpc_timeout_us;
-  if (msg.deadline != 0 && msg.deadline > now()) {
-    fanout_timeout =
-        std::min<SimDuration>(fanout_timeout, msg.deadline - now());
+void SednaNode::settle_write(WriteFanout& s, StatusCode answer) {
+  if (answer == StatusCode::kOk) {
+    ++s.acks;
+  } else if (answer == StatusCode::kOutdated) {
+    ++s.outdated;
+  } else {
+    ++s.failures;
   }
-  state->deadline_bounded =
-      msg.deadline != 0 && fanout_timeout < config().rpc_timeout_us;
-
-  const std::string payload = state->req.encode();
-  for (NodeId replica : replicas) {
-    if (replica == id()) {
-      const StatusCode st = apply_write(state->req);
-      instant_span("coord.local_write", to_string(st), TraceStage::kService);
-      ++state->responses;
-      if (st == StatusCode::kOk) {
-        ++state->acks;
-      } else if (st == StatusCode::kOutdated) {
-        ++state->outdated;
-      } else {
-        ++state->failures;
-      }
-      state->settle();
-      continue;
+  if (s.replied) return;
+  WriteReply rep;
+  if (s.acks >= s.cfg.write_quorum) {
+    rep.status = StatusCode::kOk;
+    if (s.causal_put) {
+      // Hand the post-write clock back as the client's next context.
+      rep.has_ctx = true;
+      rep.ctx = s.causal_clock;
     }
-    call_with_timeout(
-        replica, kMsgReplicaWrite, payload, fanout_timeout,
-        [this, state, replica](const Status& st, const std::string& body) {
-          ++state->responses;
-          if (!st.ok()) {
-            ++state->failures;
-            if (!state->deadline_bounded) {
-              // The replica missed an acknowledged-at-W write: remember it
-              // and replay once the replica re-registers (hinted handoff).
-              queue_hint(replica, state->req);
-              suspect_node(replica, state->vnode);
-            }
-          } else {
-            auto rep = WriteReply::decode(body);
-            if (rep.ok() && rep->status == StatusCode::kOk) {
-              ++state->acks;
-            } else if (rep.ok() && rep->status == StatusCode::kOutdated) {
-              ++state->outdated;
-            } else {
-              ++state->failures;
-            }
-          }
-          state->settle();
-        },
-        msg.deadline);
+    // t-visibility probe (PBS-style): sample acked LWW writes and check
+    // back on every replica at fixed offsets to measure how quickly an
+    // acknowledged write becomes readable cluster-wide. Causal puts are
+    // excluded — their convergence is vector-clock joins, not a single
+    // timestamp, so "ts >= wts" is not the right visibility predicate.
+    if (auditor_ != nullptr && !s.causal_put && auditor_->should_probe()) {
+      probe_visibility(s.req.key, s.req.ts, s.vnode, now());
+    }
+  } else if (s.responses < s.total) {
+    return;  // still waiting and quorum still possible
+  } else if (s.outdated > 0) {
+    rep.status = StatusCode::kOutdated;
+  } else {
+    rep.status = StatusCode::kFailure;  // recovery already triggered
+    metrics_.counter("coordinator.write_quorum_failures").add(1);
   }
-  set_trace_context(prev_ctx);
+  s.replied = true;
+  coordinator_write_latency_->record(now() - s.started, s.trace);
+  end_span(s.span, to_string(rep.status));
+  reply(s.origin, rep.encode());
 }
 
 void SednaNode::handle_client_read(const sim::Message& msg) {
@@ -974,369 +1016,243 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
     reply(msg, rep.encode());
     return;
   }
-  ReadRequest req = std::move(decoded).value();
-  const VnodeId vnode = metadata_.table().vnode_for_key(req.key);
-  const auto replicas = metadata_.table().replicas_for_vnode(vnode);
+  auto state = std::make_shared<ReadFanout>();
+  state->req = std::move(decoded).value();
   coordinator_reads_->add(1);
-  hot_keys_.record(req.key);
-  const SpanId coord_span = begin_span("coord.read", TraceStage::kService);
-  const TraceContext prev_ctx = enter_span(coord_span);
+  fan_out(
+      msg, state, "coord.read", kMsgReplicaRead,
+      [this](ReadFanout& s) {
+        ReadReply rep = local_read(s.req);
+        instant_span("coord.local_read", to_string(rep.status),
+                     TraceStage::kService);
+        s.replies.emplace_back(id(), std::move(rep));
+        settle_read(s);
+        audit_read(s);
+      },
+      [this](ReadFanout& s, NodeId replica, const Status& st,
+             const std::string& body) {
+        if (!st.ok()) {
+          ++s.failures;
+          if (!s.deadline_bounded) suspect_node(replica, s.vnode);
+        } else {
+          auto rep = ReadReply::decode(body);
+          if (rep.ok() && rep->status == StatusCode::kOverloaded) {
+            // An overloaded replica is alive but shedding: count it as
+            // failed for quorum purposes, but do not suspect it and do
+            // not read-repair it (pushing writes at a node that just
+            // shed a read would deepen the overload).
+            ++s.failures;
+          } else if (rep.ok()) {
+            // Replies arriving after the read settled still feed read
+            // repair: a replica that is behind (or brand new, after a
+            // membership change) gets the answer pushed.
+            if (s.replied && s.has_answer && s.behind(*rep)) {
+              read_repair(s.answer_write(), {replica});
+            }
+            s.replies.emplace_back(replica, std::move(rep).value());
+          } else {
+            ++s.failures;
+          }
+        }
+        settle_read(s);
+        audit_read(s);
+      });
+}
 
-  // One state per fan-out; see handle_client_write.
-  struct ReadState {
-    ReadRequest req;
-    sim::Message origin;  // reply header only
-    ClusterConfig cfg;
-    std::uint32_t total = 0;
-    SimTime started = 0;
-    VnodeId vnode = 0;
-    TraceId trace = 0;
-    SpanId coord_span = 0;
-    bool deadline_bounded = false;
-    std::vector<std::pair<NodeId, ReadReply>> replies;
-    std::uint32_t responses = 0;
-    std::uint32_t failures = 0;
-    bool replied = false;
-    /// Value returned to the client (kLatest mode), for repairing
-    /// replicas whose replies arrive after the quorum settled.
-    bool has_answer = false;
-    store::VersionedValue answer;
-    /// Joined record returned to the client (causal mode), for repairing
-    /// divergent replicas — including late arrivals.
-    bool has_causal_answer = false;
-    store::CausalRecord merged;
-    /// Consistency-auditor bookkeeping: whether the final audit sample
-    /// has been emitted, whether the reply went out stale-tagged, and
-    /// when the reply was sent (for the confirmation-lag measurement).
-    bool audited = false;
-    bool served_stale = false;
-    SimTime settled_at = 0;
-    /// Runs after every response (with this state): settle the read, then
-    /// emit the audit sample once all replicas have answered.
-    std::function<void(ReadState*)> on_response;
-  };
-  auto state = std::make_shared<ReadState>();
-  state->req = std::move(req);
-  state->origin = msg.header();
-  state->cfg = metadata_.config();
-  state->total = static_cast<std::uint32_t>(replicas.size());
-  state->started = now();
-  state->vnode = vnode;
-  state->trace = prev_ctx.trace_id;
-  state->coord_span = coord_span;
+void SednaNode::settle_read(ReadFanout& s) {
+  if (s.replied) return;
 
-  auto settle = [this](ReadState* state) {
-    if (state->replied) return;
-
-    if (state->req.causal) {
-      // Causal quorum read: R *positive* replies settle (the same
-      // positive-only rule as the LWW path — a fresh replica-set member
-      // legitimately lacks the key). The answer is the semilattice join
-      // of every record in hand: with R+W > N the R positives intersect
-      // every write quorum, so the join covers every acked write —
-      // concurrent writes surface as siblings instead of one silently
-      // shadowing the other.
-      std::uint32_t positives = 0;
-      for (const auto& [node, rep] : state->replies) {
-        if (rep.has_causal) ++positives;
+  if (s.req.causal) {
+    // Causal quorum read: R *positive* replies settle (the same
+    // positive-only rule as the LWW path — a fresh replica-set member
+    // legitimately lacks the key). The answer is the semilattice join of
+    // every record in hand: with R+W > N the R positives intersect every
+    // write quorum, so the join covers every acked write — concurrent
+    // writes surface as siblings instead of one silently shadowing the
+    // other.
+    std::uint32_t positives = 0;
+    for (const auto& [node, rep] : s.replies) {
+      if (rep.has_causal) ++positives;
+    }
+    if (positives < s.cfg.read_quorum && s.responses < s.total) return;
+    s.replied = true;
+    coordinator_read_latency_->record(now() - s.started, s.trace);
+    ReadReply out;
+    for (const auto& [node, rep] : s.replies) {
+      if (rep.has_causal) s.merged.merge(rep.causal);
+    }
+    if (!s.merged.empty()) {
+      out.status = StatusCode::kOk;
+      out.has_causal = true;
+      out.causal = s.merged;
+      if (positives < s.cfg.read_quorum) {
+        out.stale = true;
+        if (auditor_ != nullptr) {
+          out.staleness_us = auditor_->on_stale_serve(s.vnode, now());
+        }
+      } else if (auditor_ != nullptr) {
+        auditor_->on_full_quorum(s.vnode, now());
       }
-      if (positives < state->cfg.read_quorum &&
-          state->responses < state->total) {
+      s.has_answer = true;
+      // Repair replicas whose record is missing or diverged: push the
+      // join, which each replica folds in idempotently.
+      repair_behind(s);
+    } else if (s.failures > 0) {
+      out.status = StatusCode::kFailure;
+    } else {
+      out.status = StatusCode::kNotFound;
+    }
+    end_span(s.span, to_string(out.status));
+    reply(s.origin, out.encode());
+    return;
+  }
+
+  if (s.req.mode == ReadMode::kLatest) {
+    // Quorum rule (Section III.C): R replies carrying the *same
+    // timestamp* settle the read. Only *positive* replies may settle
+    // early — concluding "not found" from R misses while a replica that
+    // does hold the value has yet to answer would lose data during
+    // membership changes (a fresh replica-set member legitimately lacks
+    // the key until read repair backfills it).
+    const ReadReply* freshest = nullptr;
+    for (const auto& [node, rep] : s.replies) {
+      if (!rep.has_latest) continue;
+      std::uint32_t agree = 0;
+      for (const auto& [other_node, other] : s.replies) {
+        if (other.has_latest && rep.latest.ts == other.latest.ts) ++agree;
+      }
+      if (agree >= s.cfg.read_quorum) {
+        serve_latest(s, &rep, LwwServe::kQuorum);
         return;
       }
-      state->replied = true;
-      coordinator_read_latency_->record(now() - state->started, state->trace);
-      ReadReply out;
-      store::CausalRecord merged;
-      for (const auto& [node, rep] : state->replies) {
-        if (rep.has_causal) merged.merge(rep.causal);
+      if (freshest == nullptr || rep.latest.ts > freshest->latest.ts) {
+        freshest = &rep;
       }
-      if (!merged.empty()) {
-        out.status = StatusCode::kOk;
-        out.has_causal = true;
-        out.causal = merged;
-        if (positives < state->cfg.read_quorum) {
-          out.stale = true;
-          if (auditor_ != nullptr) {
-            out.staleness_us = auditor_->on_stale_serve(state->vnode, now());
-          }
-        } else if (auditor_ != nullptr) {
-          auditor_->on_full_quorum(state->vnode, now());
-        }
-        state->has_causal_answer = true;
-        state->merged = merged;
-        // Repair replicas whose record is missing or diverged: push the
-        // join, which each replica folds in idempotently.
-        std::vector<NodeId> stale;
-        for (const auto& [node, rep] : state->replies) {
-          if (!rep.has_causal || !(rep.causal == merged)) {
-            stale.push_back(node);
-          }
-        }
-        if (!stale.empty()) {
-          read_repair(causal_write(state->req.key, merged), stale);
-        }
-      } else if (state->failures > 0) {
-        out.status = StatusCode::kFailure;
-      } else {
-        out.status = StatusCode::kNotFound;
-      }
-      end_span(state->coord_span, to_string(out.status));
-      reply(state->origin, out.encode());
+    }
+    // Degraded mode: once enough replicas have failed (timed out, shed
+    // with kOverloaded, or sit behind a partition) that a full R-sized
+    // agreeing set is impossible, answer from the freshest positive reply
+    // in hand and *say so* via the stale tag, instead of letting the op
+    // ride out every timeout and fail. Keyspace-style trade: availability
+    // bought with labeled staleness.
+    if (freshest != nullptr && config_.degraded_reads &&
+        s.failures + s.cfg.read_quorum > s.total) {
+      serve_latest(s, freshest, LwwServe::kDegraded);
       return;
     }
+    if (s.responses < s.total) return;  // keep waiting
+    // All replicas answered without an R-sized agreeing set: return the
+    // freshest value (eventual consistency) and repair the rest.
+    serve_latest(s, freshest, LwwServe::kBelowQuorum);
+    return;
+  }
 
-    if (state->req.mode == ReadMode::kLatest) {
-      // Quorum rule (Section III.C): R replies carrying the *same
-      // timestamp* settle the read. Only *positive* replies may settle
-      // early — concluding "not found" from R misses while a replica that
-      // does hold the value has yet to answer would lose data during
-      // membership changes (a fresh replica-set member legitimately lacks
-      // the key until read repair backfills it).
-      for (const auto& [node, rep] : state->replies) {
-        if (!rep.has_latest) continue;
-        std::uint32_t agree = 0;
-        for (const auto& [other_node, other] : state->replies) {
-          if (other.has_latest && rep.latest.ts == other.latest.ts) ++agree;
-        }
-        if (agree >= state->cfg.read_quorum) {
-          state->replied = true;
-          state->has_answer = true;
-          state->answer = rep.latest;
-          state->settled_at = now();
-          if (auditor_ != nullptr) {
-            auditor_->on_full_quorum(state->vnode, now());
-          }
-          coordinator_read_latency_->record(now() - state->started,
-                                            state->trace);
-          ReadReply out = rep;
-          out.status = StatusCode::kOk;
-          end_span(state->coord_span, "ok");
-          reply(state->origin, out.encode());
-          // Repair stragglers that have older (or no) data.
-          std::vector<NodeId> stale;
-          for (const auto& [other_node, other] : state->replies) {
-            if (!other.has_latest || other.latest.ts < rep.latest.ts) {
-              stale.push_back(other_node);
-            }
-          }
-          if (!stale.empty()) {
-            read_repair(latest_write(state->req.key, rep.latest), stale);
-          }
-          return;
-        }
-      }
-      // Degraded mode: once enough replicas have failed (timed out, shed
-      // with kOverloaded, or sit behind a partition) that a full R-sized
-      // agreeing set is impossible, answer from the freshest positive
-      // reply in hand and *say so* via the stale tag, instead of letting
-      // the op ride out every timeout and fail. Keyspace-style trade:
-      // availability bought with labeled staleness.
-      if (config_.degraded_reads &&
-          state->failures + state->cfg.read_quorum > state->total) {
-        const ReadReply* freshest = nullptr;
-        for (const auto& [node, rep] : state->replies) {
-          if (rep.has_latest &&
-              (freshest == nullptr || rep.latest.ts > freshest->latest.ts)) {
-            freshest = &rep;
-          }
-        }
-        if (freshest != nullptr) {
-          state->replied = true;
-          state->has_answer = true;
-          state->answer = freshest->latest;
-          state->served_stale = true;
-          state->settled_at = now();
-          metrics_.counter("coordinator.degraded_reads").add(1);
-          coordinator_read_latency_->record(now() - state->started,
-                                            state->trace);
-          ReadReply out = *freshest;
-          out.status = StatusCode::kOk;
-          out.stale = true;
-          // Bounded staleness: the served value is no older than the time
-          // since this state->vnode last confirmed a full read quorum, so hand
-          // the client that bound alongside the stale tag.
-          if (auditor_ != nullptr) {
-            out.staleness_us = auditor_->on_stale_serve(state->vnode, now());
-          }
-          end_span(state->coord_span, "ok");
-          reply(state->origin, out.encode());
-          return;
-        }
-      }
-      if (state->responses < state->total) return;  // keep waiting
-      // All replicas answered without an R-sized agreeing set: return the
-      // freshest value (eventual consistency) and repair the rest.
-      const ReadReply* freshest = nullptr;
-      for (const auto& [node, rep] : state->replies) {
-        if (rep.has_latest &&
-            (freshest == nullptr || rep.latest.ts > freshest->latest.ts)) {
-          freshest = &rep;
-        }
-      }
-      state->replied = true;
-      coordinator_read_latency_->record(now() - state->started, state->trace);
-      ReadReply out;
-      if (freshest != nullptr) {
-        out = *freshest;
-        out.status = StatusCode::kOk;
-        // Below-quorum agreement: the answer is the freshest available
-        // but unconfirmed — label it rather than pass it off as a quorum
-        // read.
-        out.stale = true;
-        state->has_answer = true;
-        state->answer = freshest->latest;
-        state->served_stale = true;
-        state->settled_at = now();
-        if (auditor_ != nullptr) {
-          out.staleness_us = auditor_->on_stale_serve(state->vnode, now());
-        }
-        std::vector<NodeId> stale;
-        for (const auto& [node, rep] : state->replies) {
-          if (!rep.has_latest || rep.latest.ts < out.latest.ts) {
-            stale.push_back(node);
-          }
-        }
-        if (!stale.empty()) {
-          read_repair(latest_write(state->req.key, out.latest), stale);
-        }
-      } else if (state->failures > 0) {
-        out.status = StatusCode::kFailure;
+  // read_all: wait for R successful replies, then merge the value lists
+  // (newest timestamp wins per source).
+  std::uint32_t successes = 0;
+  for (const auto& [node, rep] : s.replies) {
+    if (rep.status == StatusCode::kOk || !rep.value_list.empty()) {
+      ++successes;
+    }
+  }
+  const bool exhausted = s.responses >= s.total;
+  if (successes < s.cfg.read_quorum && !exhausted) return;
+  s.replied = true;
+  coordinator_read_latency_->record(now() - s.started, s.trace);
+  ReadReply out;
+  std::map<NodeId, store::SourceValue> merged;
+  for (const auto& [node, rep] : s.replies) {
+    for (const auto& sv : rep.value_list) {
+      auto [it, inserted] = merged.try_emplace(sv.source, sv);
+      if (!inserted && sv.ts > it->second.ts) it->second = sv;
+    }
+  }
+  for (auto& [source, sv] : merged) out.value_list.push_back(sv);
+  if (out.value_list.empty()) {
+    out.status = s.failures > 0 && successes == 0 ? StatusCode::kFailure
+                                                  : StatusCode::kNotFound;
+  }
+  end_span(s.span, to_string(out.status));
+  reply(s.origin, out.encode());
+}
+
+void SednaNode::serve_latest(ReadFanout& s, const ReadReply* pick,
+                             LwwServe how) {
+  s.replied = true;
+  coordinator_read_latency_->record(now() - s.started, s.trace);
+  ReadReply out;
+  if (pick != nullptr) {
+    out = *pick;
+    out.status = StatusCode::kOk;
+    // Anything short of an R-sized agreeing set is the freshest value in
+    // hand but unconfirmed: label it rather than pass it off as a quorum
+    // read.
+    out.stale = how != LwwServe::kQuorum;
+    s.has_answer = true;
+    s.answer = pick->latest;
+    s.served_stale = out.stale;
+    s.settled_at = now();
+    if (how == LwwServe::kDegraded) {
+      metrics_.counter("coordinator.degraded_reads").add(1);
+    }
+    // Bounded staleness: a stale answer is no older than the time since
+    // this vnode last confirmed a full read quorum, so hand the client
+    // that bound alongside the stale tag.
+    if (auditor_ != nullptr) {
+      if (out.stale) {
+        out.staleness_us = auditor_->on_stale_serve(s.vnode, now());
       } else {
-        out.status = StatusCode::kNotFound;
+        auditor_->on_full_quorum(s.vnode, now());
       }
-      end_span(state->coord_span, to_string(out.status));
-      reply(state->origin, out.encode());
-      return;
     }
+    // Below quorum the repair goes out before the reply; after a quorum
+    // agreed, behind it. A degraded early settle repairs only the late
+    // arrivals.
+    if (how == LwwServe::kBelowQuorum) repair_behind(s);
+  } else {
+    out.status = s.failures > 0 ? StatusCode::kFailure : StatusCode::kNotFound;
+  }
+  end_span(s.span, to_string(out.status));
+  reply(s.origin, out.encode());
+  if (how == LwwServe::kQuorum) repair_behind(s);
+}
 
-    // read_all: wait for R successful replies, then merge the value lists
-    // (newest timestamp wins per source).
-    std::uint32_t successes = 0;
-    for (const auto& [node, rep] : state->replies) {
-      if (rep.status == StatusCode::kOk || !rep.value_list.empty()) {
-        ++successes;
-      }
-    }
-    const bool exhausted = state->responses >= state->total;
-    if (successes < state->cfg.read_quorum && !exhausted) return;
-    state->replied = true;
-    coordinator_read_latency_->record(now() - state->started, state->trace);
-    ReadReply out;
-    std::map<NodeId, store::SourceValue> merged;
-    for (const auto& [node, rep] : state->replies) {
-      for (const auto& sv : rep.value_list) {
-        auto [it, inserted] = merged.try_emplace(sv.source, sv);
-        if (!inserted && sv.ts > it->second.ts) it->second = sv;
-      }
-    }
-    for (auto& [source, sv] : merged) out.value_list.push_back(sv);
-    if (out.value_list.empty()) {
-      out.status = state->failures > 0 && successes == 0
-                       ? StatusCode::kFailure
-                       : StatusCode::kNotFound;
-    }
-    end_span(state->coord_span, to_string(out.status));
-    reply(state->origin, out.encode());
-  };
+void SednaNode::repair_behind(const ReadFanout& s) {
+  std::vector<NodeId> stale;
+  for (const auto& [node, rep] : s.replies) {
+    if (s.behind(rep)) stale.push_back(node);
+  }
+  if (!stale.empty()) read_repair(s.answer_write(), stale);
+}
 
+void SednaNode::audit_read(ReadFanout& s) {
   // Staleness sample: once every replica has answered (call_with_timeout
   // always fires, so responses always reaches total), compare the value
   // the client was served against the freshest timestamp any replica
   // reported. The gap — versions behind, and wall-clock µs behind — is a
   // *measured* staleness observation, not a bound.
-  auto audit_finalize = [this](ReadState* state) {
-    if (auditor_ == nullptr || state->audited ||
-        state->responses < state->total || state->req.causal ||
-        state->req.mode != ReadMode::kLatest || !state->has_answer) {
-      return;
-    }
-    state->audited = true;
-    ReadAuditSample s;
-    s.vnode = state->vnode;
-    s.served_ts = state->answer.ts;
-    s.stale = state->served_stale;
-    s.confirm_lag_us =
-        now() > state->settled_at ? now() - state->settled_at : 0;
-    for (const auto& [node, rep] : state->replies) {
-      if (!rep.has_latest) continue;
-      ++s.positives;
-      if (s.positives == 1) {
-        s.freshest_ts = s.oldest_ts = rep.latest.ts;
-      } else {
-        s.freshest_ts = std::max(s.freshest_ts, rep.latest.ts);
-        s.oldest_ts = std::min(s.oldest_ts, rep.latest.ts);
-      }
-      if (rep.latest.ts > state->answer.ts) ++s.newer;
-    }
-    auditor_->on_read_final(s);
-  };
-  state->on_response = [settle, audit_finalize](ReadState* state) {
-    settle(state);
-    audit_finalize(state);
-  };
-
-  // Deadline-aware fan-out; see handle_client_write. Deadline-shortened
-  // timeouts are abandonment, not failure evidence.
-  SimDuration fanout_timeout = config().rpc_timeout_us;
-  if (msg.deadline != 0 && msg.deadline > now()) {
-    fanout_timeout =
-        std::min<SimDuration>(fanout_timeout, msg.deadline - now());
+  if (auditor_ == nullptr || s.audited || s.responses < s.total ||
+      s.req.causal || s.req.mode != ReadMode::kLatest || !s.has_answer) {
+    return;
   }
-  state->deadline_bounded =
-      msg.deadline != 0 && fanout_timeout < config().rpc_timeout_us;
-
-  const std::string payload = state->req.encode();
-  for (NodeId replica : replicas) {
-    if (replica == id()) {
-      ReadReply rep = local_read(state->req);
-      instant_span("coord.local_read", to_string(rep.status),
-                   TraceStage::kService);
-      state->replies.emplace_back(id(), std::move(rep));
-      ++state->responses;
-      state->on_response(state.get());
-      continue;
+  s.audited = true;
+  ReadAuditSample sample;
+  sample.vnode = s.vnode;
+  sample.served_ts = s.answer.ts;
+  sample.stale = s.served_stale;
+  sample.confirm_lag_us = now() > s.settled_at ? now() - s.settled_at : 0;
+  for (const auto& [node, rep] : s.replies) {
+    if (!rep.has_latest) continue;
+    ++sample.positives;
+    if (sample.positives == 1) {
+      sample.freshest_ts = sample.oldest_ts = rep.latest.ts;
+    } else {
+      sample.freshest_ts = std::max(sample.freshest_ts, rep.latest.ts);
+      sample.oldest_ts = std::min(sample.oldest_ts, rep.latest.ts);
     }
-    call_with_timeout(
-        replica, kMsgReplicaRead, payload, fanout_timeout,
-        [this, state, replica](const Status& st, const std::string& body) {
-          const std::string& key = state->req.key;
-          ++state->responses;
-          if (!st.ok()) {
-            ++state->failures;
-            if (!state->deadline_bounded) suspect_node(replica, state->vnode);
-          } else {
-            auto rep = ReadReply::decode(body);
-            if (rep.ok() && rep->status == StatusCode::kOverloaded) {
-              // An overloaded replica is alive but shedding: count it as
-              // failed for quorum purposes, but do not suspect it and do
-              // not read-repair it (pushing writes at a node that just
-              // shed a read would deepen the overload).
-              ++state->failures;
-            } else if (rep.ok()) {
-              // Replies arriving after the quorum already settled still
-              // feed read repair: a replica that is behind (or brand
-              // new, after a membership change) gets the answer pushed.
-              if (state->replied && state->has_answer &&
-                  (!rep->has_latest ||
-                   rep->latest.ts < state->answer.ts)) {
-                read_repair(latest_write(key, state->answer), {replica});
-              }
-              if (state->replied && state->has_causal_answer &&
-                  (!rep->has_causal ||
-                   !(rep->causal == state->merged))) {
-                read_repair(causal_write(key, state->merged), {replica});
-              }
-              state->replies.emplace_back(replica, std::move(rep).value());
-            } else {
-              ++state->failures;
-            }
-          }
-          state->on_response(state.get());
-        },
-        msg.deadline);
+    if (rep.latest.ts > s.answer.ts) ++sample.newer;
   }
-  set_trace_context(prev_ctx);
+  auditor_->on_read_final(sample);
 }
 
 void SednaNode::read_repair(const WriteRequest& fresh,

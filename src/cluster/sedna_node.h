@@ -8,7 +8,9 @@
 //   * quorum coordinator    — the node fields client requests for keys
 //                             whose primary vnode it owns, fans them out
 //                             to the N replicas and applies the R/W rules
-//                             of Section III.C;
+//                             of Section III.C. Reads and writes share one
+//                             fan-out (fan_out), and an LWW read answers
+//                             through one serve step (serve_latest);
 //   * failure detector + recovery — a replica timeout makes the
 //                             coordinator check the ephemeral znode; if
 //                             gone, it picks a new owner and dispatches a
@@ -211,9 +213,38 @@ class SednaNode : public sim::Host {
   void on_shed(const sim::Message& msg, sim::ShedReason reason) override;
 
  private:
-  // Coordinator paths.
+  // Coordinator paths: reads and writes share one fan-out; each keeps only
+  // its own per-reply handling and settle rule.
   void handle_client_write(const sim::Message& msg);
   void handle_client_read(const sim::Message& msg);
+  struct Fanout;  // the header every fan-out state carries
+  struct WriteFanout;
+  struct ReadFanout;
+  /// The one coordinator fan-out: looks up the key's replicas, opens the
+  /// coordinator span, fills the state header, bounds the replica timeout
+  /// by the client's deadline, then serves the local replica in place
+  /// (`local`) and calls every other one (`remote` gets its answer).
+  template <typename State, typename Local, typename Remote>
+  void fan_out(const sim::Message& msg, const std::shared_ptr<State>& state,
+               const char* span_name, sim::MessageType type, Local local,
+               Remote remote);
+  /// Counts one replica's write answer; replies once W acks are in or the
+  /// quorum is lost.
+  void settle_write(WriteFanout& s, StatusCode answer);
+  /// Replies once the read's mode-specific quorum rule is met.
+  void settle_read(ReadFanout& s);
+  /// How an LWW read settled: R replicas agreed, a degraded early settle,
+  /// or every replica answered below quorum.
+  enum class LwwServe { kQuorum, kDegraded, kBelowQuorum };
+  /// The one LWW serve step: answers with `pick` (nullptr: nothing to
+  /// serve), stale-tagged unless a quorum agreed. Repair order stays per
+  /// settle kind: after the reply on a quorum, before it below quorum, and
+  /// none on a degraded settle.
+  void serve_latest(ReadFanout& s, const ReadReply* pick, LwwServe how);
+  /// Pushes the served answer to every replica in hand that is behind it.
+  void repair_behind(const ReadFanout& s);
+  /// The auditor's measured-staleness sample, once every replica answered.
+  void audit_read(ReadFanout& s);
   // Replica paths.
   void handle_replica_write(const sim::Message& msg);
   void handle_replica_read(const sim::Message& msg);

@@ -94,30 +94,6 @@ std::vector<VnodeMove> Rebalancer::plan_join(const VnodeTable& table,
   return moves;
 }
 
-std::vector<VnodeMove> Rebalancer::plan_leave(const VnodeTable& table,
-                                              NodeId leaver) {
-  std::vector<VnodeMove> moves;
-  const auto orphans = table.vnodes_of(leaver);
-  if (orphans.empty()) return moves;
-
-  // Min-heap behaviour over survivor loads via a sorted map we update.
-  std::map<NodeId, std::uint32_t> counts;
-  for (const auto& [node, count] : table.counts()) {
-    if (node != leaver) counts[node] = count;
-  }
-  if (counts.empty()) return moves;  // nowhere to go
-
-  for (VnodeId v : orphans) {
-    auto coldest = counts.begin();
-    for (auto it = counts.begin(); it != counts.end(); ++it) {
-      if (it->second < coldest->second) coldest = it;
-    }
-    moves.push_back({v, leaver, coldest->first});
-    ++coldest->second;
-  }
-  return moves;
-}
-
 void Rebalancer::apply(VnodeTable& table,
                        const std::vector<VnodeMove>& moves) {
   for (const auto& move : moves) table.assign(move.vnode, move.to);

@@ -4,9 +4,7 @@
 //   * initial assignment when the cluster first boots (nodes "ask for
 //     virtual nodes and store them locally");
 //   * join: a new node steals vnodes from the most loaded nodes until
-//     loads level out — incremental scalability with minimal movement;
-//   * leave/failure: the dead node's vnodes are spread over the least
-//     loaded survivors.
+//     loads level out — incremental scalability with minimal movement.
 //
 // Imbalance-driven rebalancing lives in cluster::TrafficRebalancer, which
 // moves vnodes by measured request load rather than by vnode count.
@@ -45,11 +43,6 @@ class Rebalancer {
   /// ceil(total/(n+1)) vnodes taken from the currently largest holders.
   static std::vector<VnodeMove> plan_join(const VnodeTable& table,
                                           NodeId joiner);
-
-  /// Moves reassigning every vnode of `leaver` to the least-loaded
-  /// survivors.
-  static std::vector<VnodeMove> plan_leave(const VnodeTable& table,
-                                           NodeId leaver);
 
   static void apply(VnodeTable& table, const std::vector<VnodeMove>& moves);
 };

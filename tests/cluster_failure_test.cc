@@ -1,7 +1,10 @@
 // Failure-injection tests beyond the basic crash cases: lossy networks,
-// partitions, coordinator failures, restarts, stale routing state, and
+// partitions, coordinator failures, the client's attempt driver (retry,
+// deadline and retry-budget exits), restarts, stale routing state, and
 // double faults leaving the cluster degraded but available.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "cluster/sedna_cluster.h"
 
@@ -99,6 +102,135 @@ TEST(CoordinatorCrash, ClientFailsOverToAnotherReplica) {
   EXPECT_EQ(got->value, "v");
   EXPECT_GT(client.metrics().counter("client.read_retries").value(), 0u);
 }
+
+// ---- client attempt driver ----------------------------------------------------
+
+/// Reads and writes share one attempt driver; every case runs for both.
+class AttemptDriver : public ::testing::TestWithParam<const char*> {
+ protected:
+  [[nodiscard]] bool is_read() const {
+    return std::string(GetParam()) == "read";
+  }
+  /// One op on `key`; reads go through read_latest, writes write_latest.
+  Status run_op(SednaCluster& cluster, SednaClient& client,
+                const std::string& key) const {
+    if (is_read()) return cluster.read_latest(client, key).status();
+    return cluster.write_latest(client, key, "v");
+  }
+  [[nodiscard]] std::uint64_t client_counter(SednaClient& client,
+                                             const char* what) const {
+    const std::string name =
+        std::string("client.") + GetParam() + "_" + what;
+    const auto& counters = client.metrics().counters();
+    const auto it = counters.find(name);
+    return it == counters.end() ? 0 : it->second.value();
+  }
+};
+
+std::size_t index_of(SednaCluster& cluster, NodeId id) {
+  for (std::size_t i = 0; i < cluster.data_node_count(); ++i) {
+    if (cluster.node(i).id() == id) return i;
+  }
+  ADD_FAILURE() << "no node with id " << id;
+  return 0;
+}
+
+/// Total client requests the data nodes coordinated (reads or writes).
+std::uint64_t coordinated(SednaCluster& cluster, bool reads) {
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < cluster.data_node_count(); ++i) {
+    total += cluster.node(i)
+                 .metrics()
+                 .counter(reads ? "coordinator.reads" : "coordinator.writes")
+                 .value();
+  }
+  return total;
+}
+
+TEST_P(AttemptDriver, DeadFirstCoordinatorCostsOneRetry) {
+  SednaCluster cluster(base_config());
+  ASSERT_TRUE(cluster.boot().ok());
+  auto& client = cluster.make_client();
+  const std::string key = "driver-dead";
+  ASSERT_TRUE(cluster.write_latest(client, key, "v").ok());
+  const auto replicas = client.metadata().table().replicas_for_key(key);
+  cluster.crash_node(index_of(cluster, replicas[0]));
+
+  EXPECT_TRUE(run_op(cluster, client, key).ok());
+  EXPECT_EQ(client_counter(client, "retries"), 1u);
+  EXPECT_EQ(client_counter(client, "failures"), 0u);
+}
+
+TEST_P(AttemptDriver, EveryAttemptFailingReturnsTheLastStatus) {
+  SednaClusterConfig cfg = base_config();
+  cfg.node_template.host.rpc_timeout_us = 20'000;
+  SednaCluster cluster(cfg);
+  ASSERT_TRUE(cluster.boot().ok());
+  auto& client = cluster.make_client();
+  // The key exists nowhere and no replica reaches another: each
+  // coordinator answers kFailure (a read finds no positive reply, a write
+  // gets one ack of W=2), which the driver retries on every replica.
+  const std::string key = "driver-split";
+  const auto replicas = client.metadata().table().replicas_for_key(key);
+  for (std::size_t a = 0; a < replicas.size(); ++a) {
+    for (std::size_t b = a + 1; b < replicas.size(); ++b) {
+      cluster.network().partition(replicas[a], replicas[b]);
+    }
+  }
+
+  const Status st = run_op(cluster, client, key);
+  EXPECT_EQ(st.code(), StatusCode::kFailure);
+  // The coordinator's answer, not the driver's own "attempts exhausted".
+  EXPECT_EQ(st.message().find("exhausted"), std::string::npos);
+  EXPECT_EQ(client_counter(client, "retries"), 2u);
+  EXPECT_EQ(client_counter(client, "failures"), 1u);
+}
+
+TEST_P(AttemptDriver, DeadlineLapsedDuringBackoffEndsTheOp) {
+  SednaClusterConfig cfg = base_config();
+  // Attempt 0 times out at 250 ms; the ~100 ms backoff then outlives the
+  // 260 ms op deadline.
+  cfg.client_template.op_deadline_us = 260'000;
+  cfg.client_template.retry_backoff_initial_us = 100'000;
+  SednaCluster cluster(cfg);
+  ASSERT_TRUE(cluster.boot().ok());
+  auto& client = cluster.make_client();
+  const std::string key = "driver-deadline";
+  ASSERT_TRUE(cluster.write_latest(client, key, "v").ok());
+  const auto replicas = client.metadata().table().replicas_for_key(key);
+  cluster.crash_node(index_of(cluster, replicas[0]));
+  const std::uint64_t before = coordinated(cluster, is_read());
+
+  EXPECT_EQ(run_op(cluster, client, key).code(), StatusCode::kTimeout);
+  EXPECT_EQ(client_counter(client, "retries"), 1u);
+  EXPECT_EQ(client_counter(client, "failures"), 1u);
+  // No attempt went out after the backoff.
+  EXPECT_EQ(coordinated(cluster, is_read()), before);
+}
+
+TEST_P(AttemptDriver, EmptyRetryBudgetFailsFastWithOverloaded) {
+  SednaClusterConfig cfg = base_config();
+  cfg.client_template.retry_budget_capacity = 0.5;  // under one token
+  cfg.client_template.retry_budget_refill = 0.0;
+  SednaCluster cluster(cfg);
+  ASSERT_TRUE(cluster.boot().ok());
+  auto& client = cluster.make_client();
+  const std::string key = "driver-budget";
+  ASSERT_TRUE(cluster.write_latest(client, key, "v").ok());
+  const auto replicas = client.metadata().table().replicas_for_key(key);
+  cluster.crash_node(index_of(cluster, replicas[0]));
+
+  EXPECT_EQ(run_op(cluster, client, key).code(), StatusCode::kOverloaded);
+  EXPECT_EQ(client_counter(client, "retries"), 0u);
+  EXPECT_EQ(client_counter(client, "failures"), 1u);
+  EXPECT_EQ(client.metrics().counter("node.shed.retry_budget").value(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Ops, AttemptDriver,
+                         ::testing::Values("read", "write"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
 
 TEST(Restart, NodeRejoinsAndServesAgain) {
   SednaCluster cluster(base_config());

@@ -1,10 +1,13 @@
 // Overload-safety tests: bounded priority-classed ingress queues,
 // deadline propagation and expiry shedding, client retry budgets,
-// degraded (stale) reads, and a miniature retry-storm metastability
+// degraded (stale) reads and the outcome of every read-settle branch, a
+// deadline that lapses inside the coordinator, and a miniature retry-storm metastability
 // experiment proving the defenses change the outcome, not just the
 // numbers.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -267,6 +270,206 @@ TEST(DegradedReads, BelowQuorumFallbackIsTaggedStaleEvenWhenDisabled) {
   const auto it = counters.find("client.stale_reads");
   ASSERT_NE(it, counters.end());
   EXPECT_GE(it->second.value(), 1u);
+}
+
+// ---- read settle outcomes ---------------------------------------------------
+
+/// Counter value, 0 when the counter was never created.
+std::uint64_t counter_value(const MetricRegistry& metrics,
+                            const std::string& name) {
+  const auto it = metrics.counters().find(name);
+  return it == metrics.counters().end() ? 0 : it->second.value();
+}
+
+/// One read-settle shape over a key's three replicas (replicas[0]
+/// coordinates): the version each replica holds before the read, and what
+/// the read must serve, tag and repair.
+struct SettleCase {
+  const char* name;
+  bool causal;
+  bool degraded_on;  // node config degraded_reads
+  std::uint32_t read_quorum;  // N = 3, W = N - R + 1
+  std::array<int, 3> held;    // version held per replica (1 or 2)
+  bool cut_last;  // partition replicas[0] from replicas[2]
+  bool stale;     // served with the stale tag
+  std::uint64_t read_repairs;
+  std::uint64_t degraded_reads;
+  std::size_t lagging;  // the replica holding version 1
+  int lagging_after;    // the version it holds once the read settled
+};
+
+class ReadSettle : public ::testing::TestWithParam<SettleCase> {};
+
+TEST_P(ReadSettle, PinsServedValueTagAndRepairs) {
+  const SettleCase& c = GetParam();
+  SednaClusterConfig cfg = small_config();
+  cfg.cluster.read_quorum = c.read_quorum;
+  cfg.cluster.write_quorum = 3 - c.read_quorum + 1;
+  cfg.node_template.degraded_reads = c.degraded_on;
+  cfg.node_template.host.rpc_timeout_us = 20'000;
+  // No latency jitter: replica replies reach the coordinator in replica
+  // order, so in quorum_agree the lagging replicas[1] answers before the
+  // settle and is repaired by it, not as a late arrival.
+  cfg.network.jitter_frac = 0.0;
+  cfg.node_template.host.service_jitter_frac = 0.0;
+  cfg.node_template.audit.enabled = true;
+  cfg.node_template.audit.probe_sample_every = 0;
+  // Only the read under test may repair the lagging replica.
+  cfg.node_template.anti_entropy_interval = 0;
+  SednaCluster cluster(cfg);
+  ASSERT_TRUE(cluster.boot().ok());
+  auto& client = cluster.make_client();
+
+  const std::string key = "settle";
+  const auto replicas = client.metadata().table().replicas_for_key(key);
+  ASSERT_EQ(replicas.size(), 3u);
+  std::array<store::LocalStore*, 3> stores{};
+  for (std::size_t i = 0; i < 3; ++i) {
+    stores[i] = &cluster.node(node_index(cluster, replicas[i])).local_store();
+  }
+  // Version 2 supersedes version 1: a newer timestamp for LWW, a dot minted
+  // from version 1's context for causal reads.
+  const Timestamp ts1 = make_timestamp(cluster.sim().now(), 1);
+  const Timestamp ts2 = make_timestamp(cluster.sim().now(), 2);
+  store::CausalRecord v1_record;
+  store::CausalRecord v2_record;
+  if (c.causal) {
+    ASSERT_EQ(c.held[0], 2);  // the coordinator mints both versions
+    v1_record = stores[0]->write_causal(key, {}, "v1", ts1, 0, replicas[0])
+                    .value();
+    v2_record = stores[0]
+                    ->write_causal(key, v1_record.clock, "v2", ts2, 0,
+                                   replicas[0])
+                    .value();
+  }
+  for (std::size_t i = 0; i < 3; ++i) {
+    const bool newest = c.held[i] == 2;
+    if (c.causal) {
+      ASSERT_TRUE(
+          stores[i]->merge_causal(key, newest ? v2_record : v1_record).ok());
+    } else {
+      ASSERT_TRUE(stores[i]
+                      ->write_latest(key, newest ? "v2" : "v1",
+                                     newest ? ts2 : ts1)
+                      .ok());
+    }
+  }
+  if (c.cut_last) cluster.network().partition(replicas[0], replicas[2]);
+
+  std::string served;
+  bool served_stale = false;
+  if (c.causal) {
+    std::optional<Result<SednaClient::CausalRead>> got;
+    client.get_causal(key, [&](const Result<SednaClient::CausalRead>& r) {
+      got = r;
+    });
+    cluster.run_until([&] { return got.has_value(); });
+    ASSERT_TRUE(got.has_value() && got->ok());
+    ASSERT_EQ((*got)->siblings.size(), 1u);
+    served = (*got)->siblings[0].value;
+    served_stale = (*got)->stale;
+  } else {
+    const auto got = cluster.read_latest(client, key);
+    ASSERT_TRUE(got.ok());
+    served = got->value;
+  }
+  // Let repairs and late replies land.
+  cluster.run_for(sim_ms(100));
+
+  EXPECT_EQ(served, "v2");
+  const auto& cm = client.metrics();
+  EXPECT_EQ(counter_value(cm, "client.stale_reads"), c.stale ? 1u : 0u);
+  if (c.causal) {
+    EXPECT_EQ(served_stale, c.stale);
+  }
+  if (c.stale) {
+    // Auditing on: the stale answer carries a non-zero staleness bound.
+    const auto it = cm.histograms().find("client.staleness_bound_us");
+    ASSERT_NE(it, cm.histograms().end());
+    EXPECT_EQ(it->second.count(), 1u);
+    EXPECT_GT(it->second.min(), 0u);
+    EXPECT_EQ(counter_value(cm, "client.stale_unbounded"), 0u);
+  }
+  const auto& nm =
+      cluster.node(node_index(cluster, replicas[0])).metrics();
+  EXPECT_EQ(counter_value(nm, "coordinator.read_repairs"), c.read_repairs);
+  EXPECT_EQ(counter_value(nm, "coordinator.degraded_reads"),
+            c.degraded_reads);
+
+  store::LocalStore& lagging = *stores[c.lagging];
+  if (c.causal) {
+    const auto rec = lagging.read_causal(key);
+    ASSERT_TRUE(rec.ok());
+    EXPECT_TRUE(rec.value() == (c.lagging_after == 2 ? v2_record : v1_record));
+  } else {
+    const auto got = lagging.read_latest(key);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->value, "v" + std::to_string(c.lagging_after));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, ReadSettle,
+    ::testing::Values(
+        // R=2 agree on v2 while replicas[1] lags: served unmarked, the
+        // straggler repaired.
+        SettleCase{"quorum_agree", false, false, 2, {2, 1, 2}, false, false,
+                   1, 0, 1, 2},
+        // R=3 with replicas[2] cut off: the degraded settle serves v2
+        // stale-tagged and repairs nothing, so replicas[1] keeps v1.
+        SettleCase{"degraded_settle", false, true, 3, {2, 1, 2}, true, true,
+                   0, 1, 1, 1},
+        // The same shape with degraded reads off: every replica answered
+        // below quorum, so v2 is served stale and replicas[1] repaired.
+        SettleCase{"below_quorum", false, false, 3, {2, 1, 2}, true, true, 1,
+                   0, 1, 2},
+        // R=1: the coordinator's own copy settles the read, so every
+        // replica reply is a late arrival; the lagging one is repaired.
+        SettleCase{"late_arrival_lww", false, false, 1, {2, 2, 1}, false,
+                   false, 1, 0, 2, 2},
+        SettleCase{"late_arrival_causal", true, false, 1, {2, 2, 1}, false,
+                   false, 1, 0, 2, 2}),
+    [](const ::testing::TestParamInfo<SettleCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// ---- deadline-bounded fan-out -----------------------------------------------
+
+TEST(DeadlineFanout, DeadlineLapsedInServiceIsNotFailureEvidence) {
+  // The host sheds a request whose deadline passed while it queued, but a
+  // deadline can still lapse during the request's own service time. Its
+  // fan-out then has no budget left: the replica timeouts that follow are
+  // abandonment, so they must neither queue a hint nor suspect the dead
+  // replica.
+  SednaClusterConfig cfg = small_config();
+  cfg.network.jitter_frac = 0.0;
+  cfg.node_template.host.base_service_us = 200;
+  cfg.node_template.host.service_jitter_frac = 0.0;
+  // The write reaches the coordinator after ~120 us and is handled 200 us
+  // later: a 220 us deadline is live at dequeue, gone in the handler.
+  cfg.client_template.op_deadline_us = 220;
+  SednaCluster cluster(cfg);
+  ASSERT_TRUE(cluster.boot().ok());
+  auto& client = cluster.make_client();
+
+  const std::string key = "expiring";
+  const auto replicas = client.metadata().table().replicas_for_key(key);
+  ASSERT_EQ(replicas.size(), 3u);
+  SednaNode& coordinator = cluster.node(node_index(cluster, replicas[0]));
+  cluster.crash_node(node_index(cluster, replicas[1]));
+  const auto& metrics = coordinator.metrics();
+  const std::uint64_t writes_before =
+      counter_value(metrics, "coordinator.writes");
+
+  EXPECT_EQ(cluster.write_latest(client, key, "v").code(),
+            StatusCode::kTimeout);
+  cluster.run_for(sim_ms(200));  // past every replica RPC timeout
+
+  // The coordinator ran the write: its deadline was live at dequeue.
+  EXPECT_EQ(counter_value(metrics, "coordinator.writes"), writes_before + 1);
+  EXPECT_EQ(coordinator.hints_pending(), 0u);
+  EXPECT_EQ(counter_value(metrics, "coordinator.hints_queued"), 0u);
+  EXPECT_EQ(counter_value(metrics, "failure.suspicions"), 0u);
 }
 
 // ---- retry-storm metastability (miniature) ----------------------------------

@@ -134,34 +134,11 @@ TEST_P(RebalanceSweep, JoinLevelsLoadWithMinimalMovement) {
   }
 }
 
-TEST_P(RebalanceSweep, LeaveRedistributesOnlyTheLeaver) {
-  const auto [n, v] = GetParam();
-  if (n < 2) return;
-  auto table = Rebalancer::initial_assignment(v, 3, make_nodes(n));
-  const VnodeTable before = table;
-  const NodeId leaver = 100;
-  const auto share = table.vnodes_of(leaver).size();
-  const auto moves = Rebalancer::plan_leave(table, leaver);
-  Rebalancer::apply(table, moves);
-
-  EXPECT_EQ(moves.size(), share);
-  EXPECT_TRUE(table.vnodes_of(leaver).empty());
-  EXPECT_EQ(VnodeTable::moved_vnodes(before, table), share);
-  // Survivors stay balanced.
-  const auto counts = table.counts();
-  for (const auto& [node, count] : counts) {
-    EXPECT_GE(count, v / n);                // at least their old share
-    EXPECT_LE(count, v / (n - 1) + 2);
-  }
-}
-
 TEST_P(RebalanceSweep, PlansAreDeterministic) {
   const auto [n, v] = GetParam();
   auto table = Rebalancer::initial_assignment(v, 3, make_nodes(n));
   EXPECT_EQ(Rebalancer::plan_join(table, 999),
             Rebalancer::plan_join(table, 999));
-  EXPECT_EQ(Rebalancer::plan_leave(table, 100),
-            Rebalancer::plan_leave(table, 100));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -196,11 +173,6 @@ TEST(Rebalancer, JoinSpreadsClaimsAcrossTheRing) {
     if (claimed[i] == claimed[i - 1] + 1) ++consecutive_pairs;
   }
   EXPECT_LE(consecutive_pairs, claimed.size() / 4);
-}
-
-TEST(Rebalancer, LeaveWithNoSurvivorsIsEmpty) {
-  auto table = Rebalancer::initial_assignment(16, 3, make_nodes(1));
-  EXPECT_TRUE(Rebalancer::plan_leave(table, 100).empty());
 }
 
 // ---- Imbalance table ---------------------------------------------------------------
