@@ -77,9 +77,8 @@ void MetadataCache::load_vnodes(std::uint32_t next, ReadyCallback on_ready) {
              on_ready](const Result<std::pair<std::string,
                                               zk::ZnodeStat>>& got) mutable {
               if (got.ok()) {
-                BinaryReader r(got->first);
-                const NodeId owner = r.get_u32();
-                if (!r.failed()) table_.assign(v, owner);
+                const auto body = VnodeZnode::decode(got->first);
+                if (body.ok()) table_.assign(v, body->owner);
               } else if (!got.status().is(StatusCode::kNotFound)) {
                 *failed = true;
               }
@@ -154,10 +153,8 @@ void MetadataCache::run_sync(std::function<void()> done) {
                         const Result<std::pair<std::string,
                                                zk::ZnodeStat>>& got) mutable {
         if (got.ok()) {
-          BinaryReader r(got->first);
-          const VnodeId vnode = r.get_u32();
-          const NodeId owner = r.get_u32();
-          if (!r.failed()) (*updates)[seq] = {vnode, owner};
+          const auto entry = ChangeJournalEntry::decode(got->first);
+          if (entry.ok()) (*updates)[seq] = {entry->vnode, entry->owner};
         } else {
           // Entry vanished or unreadable: remember we passed it so we do
           // not refetch forever.
@@ -174,10 +171,9 @@ void MetadataCache::refresh_vnode(VnodeId v, std::function<void()> done) {
           [this, v, done = std::move(done)](
               const Result<std::pair<std::string, zk::ZnodeStat>>& got) {
             if (got.ok()) {
-              BinaryReader r(got->first);
-              const NodeId owner = r.get_u32();
-              if (!r.failed()) {
-                apply_local(v, owner);
+              const auto body = VnodeZnode::decode(got->first);
+              if (body.ok()) {
+                apply_local(v, body->owner);
                 ++refreshed_;
               }
             }

@@ -41,24 +41,13 @@ struct ClusterConfig {
            write_quorum <= replicas;
   }
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w(16);
-    w.put_u32(total_vnodes);
-    w.put_u32(replicas);
-    w.put_u32(read_quorum);
-    w.put_u32(write_quorum);
-    return std::move(w).take();
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.total_vnodes, m.replicas, m.read_quorum, m.write_quorum);
   }
-
+  [[nodiscard]] std::string encode() const { return codec::encode(*this); }
   static Result<ClusterConfig> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    ClusterConfig cfg;
-    cfg.total_vnodes = r.get_u32();
-    cfg.replicas = r.get_u32();
-    cfg.read_quorum = r.get_u32();
-    cfg.write_quorum = r.get_u32();
-    if (r.failed()) return Status::Corruption("bad cluster config");
-    return cfg;
+    return codec::decode<ClusterConfig>(bytes, "bad cluster config");
   }
 };
 

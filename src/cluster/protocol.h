@@ -17,13 +17,6 @@
 #include "store/dvv.h"
 #include "store/item.h"
 
-// Causal (DVV) wire extensions ride in *trailing optional sections*: they
-// are encoded only when actually carrying causal state, and decoders read
-// them only when bytes remain after the legacy layout. Messages on the
-// default LWW path therefore keep their exact pre-causal byte size, which
-// matters because the simulated network charges delivery delay by payload
-// size — an unconditional field would shift every seeded benchmark.
-
 namespace sedna::cluster {
 
 constexpr sim::MessageType kMsgClientWrite = 200;
@@ -39,6 +32,11 @@ constexpr sim::MessageType kMsgMigrateVnode = 250;  // leader or recovering coor
 
 enum class WriteMode : std::uint8_t { kLatest = 0, kAll = 1 };
 enum class ReadMode : std::uint8_t { kLatest = 0, kAll = 1 };
+constexpr WriteMode wire_last(WriteMode) { return WriteMode::kAll; }
+constexpr ReadMode wire_last(ReadMode) { return ReadMode::kAll; }
+
+// Every record below states its layout once, in `wire` (common/codec.h);
+// causal, audit and recovery state rides in trailing sections.
 
 struct WriteRequest {
   WriteMode mode = WriteMode::kLatest;
@@ -68,45 +66,23 @@ struct WriteRequest {
   store::VersionVector ctx;
   store::CausalRecord record;
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w(key.size() + value.size() + 40);
-    w.put_u8(static_cast<std::uint8_t>(mode));
-    w.put_string(key);
-    w.put_string(value);
-    w.put_u64(ts);
-    w.put_u32(flags);
-    w.put_u32(source);
-    w.put_u64(ttl);
-    if (causal_tag != kCausalNone) {
-      w.put_u8(causal_tag);
-      if (causal_tag == kCausalCtx) ctx.encode(w);
-      if (causal_tag == kCausalRecord) record.encode(w);
-    }
-    return std::move(w).take();
-  }
-
-  static Result<WriteRequest> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    WriteRequest req;
-    req.mode = static_cast<WriteMode>(r.get_u8());
-    req.key = r.get_string();
-    req.value = r.get_string();
-    req.ts = r.get_u64();
-    req.flags = r.get_u32();
-    req.source = r.get_u32();
-    req.ttl = r.get_u64();
-    if (!r.failed() && !r.exhausted()) {
-      req.causal_tag = r.get_u8();
-      if (req.causal_tag == kCausalCtx) {
-        req.ctx = store::VersionVector::decode(r);
-      } else if (req.causal_tag == kCausalRecord) {
-        req.record = store::CausalRecord::decode(r);
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.mode, m.key, m.value, m.ts, m.flags, m.source, m.ttl);
+    io.trailing(m.causal_tag != kCausalNone, [&] {
+      io(m.causal_tag);
+      if (m.causal_tag == kCausalCtx) {
+        io(m.ctx);
+      } else if (m.causal_tag == kCausalRecord) {
+        io(m.record);
       } else {
-        r.mark_failed();
+        io.fail();
       }
-    }
-    if (r.failed()) return Status::Corruption("bad write request");
-    return req;
+    });
+  }
+  [[nodiscard]] std::string encode() const { return codec::encode(*this); }
+  static Result<WriteRequest> decode(std::string_view bytes) {
+    return codec::decode<WriteRequest>(bytes, "bad write request");
   }
 };
 
@@ -119,23 +95,17 @@ struct WriteReply {
   bool has_ctx = false;
   store::VersionVector ctx;
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w(1);
-    w.put_u8(static_cast<std::uint8_t>(status));
-    if (has_ctx) ctx.encode(w);
-    return std::move(w).take();
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.status);
+    io.trailing(m.has_ctx, [&] {
+      io(m.ctx);
+      if constexpr (IO::kReading) m.has_ctx = true;
+    });
   }
-
+  [[nodiscard]] std::string encode() const { return codec::encode(*this); }
   static Result<WriteReply> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    WriteReply rep;
-    rep.status = static_cast<StatusCode>(r.get_u8());
-    if (!r.failed() && !r.exhausted()) {
-      rep.ctx = store::VersionVector::decode(r);
-      rep.has_ctx = !r.failed();
-    }
-    if (r.failed()) return Status::Corruption("bad write reply");
-    return rep;
+    return codec::decode<WriteReply>(bytes, "bad write reply");
   }
 };
 
@@ -146,22 +116,14 @@ struct ReadRequest {
   /// siblings) instead of the LWW projection.
   bool causal = false;
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w(key.size() + 8);
-    w.put_u8(static_cast<std::uint8_t>(mode));
-    w.put_string(key);
-    if (causal) w.put_bool(true);
-    return std::move(w).take();
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.mode, m.key);
+    io.trailing(m.causal, [&] { io(m.causal); });
   }
-
+  [[nodiscard]] std::string encode() const { return codec::encode(*this); }
   static Result<ReadRequest> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    ReadRequest req;
-    req.mode = static_cast<ReadMode>(r.get_u8());
-    req.key = r.get_string();
-    if (!r.failed() && !r.exhausted()) req.causal = r.get_bool();
-    if (r.failed()) return Status::Corruption("bad read request");
-    return req;
+    return codec::decode<ReadRequest>(bytes, "bad read request");
   }
 };
 
@@ -185,72 +147,30 @@ struct ReadReply {
   /// this much", not just "stale". 0 = not measured (auditing off).
   std::uint64_t staleness_us = 0;
 
-  // Trailing sections share one tag byte so they compose: bit 0 =
-  // causal record follows, bit 1 = staleness bound precedes it. The tag
-  // (and everything after) is emitted only when a section carries
-  // state, so plain LWW replies — and *every* reply with auditing off —
-  // stay byte-identical with the legacy layout (the PR 7 rule: payload
-  // size feeds the network delay model, so an unconditional byte would
-  // shift every seeded run).
+  /// The trailing sections share one tag byte so they compose: bit 0 =
+  /// causal record follows, bit 1 = staleness bound precedes it.
   static constexpr std::uint8_t kTrailCausal = 1;
   static constexpr std::uint8_t kTrailAudit = 2;
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w(latest.value.size() + 32);
-    w.put_u8(static_cast<std::uint8_t>(status));
-    w.put_bool(has_latest);
-    w.put_string(latest.value);
-    w.put_u64(latest.ts);
-    w.put_u32(latest.flags);
-    w.put_vector(value_list,
-                 [](BinaryWriter& out, const store::SourceValue& sv) {
-                   out.put_u32(sv.source);
-                   out.put_string(sv.value);
-                   out.put_u64(sv.ts);
-                 });
-    w.put_bool(stale);
-    const std::uint8_t trail =
-        static_cast<std::uint8_t>((has_causal ? kTrailCausal : 0) |
-                                  (staleness_us != 0 ? kTrailAudit : 0));
-    if (trail != 0) {
-      w.put_u8(trail);
-      if ((trail & kTrailAudit) != 0) w.put_u64(staleness_us);
-      if ((trail & kTrailCausal) != 0) causal.encode(w);
-    }
-    return std::move(w).take();
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.status, m.has_latest, m.latest, m.value_list, m.stale);
+    auto trail =
+        static_cast<std::uint8_t>((m.has_causal ? kTrailCausal : 0) |
+                                  (m.staleness_us != 0 ? kTrailAudit : 0));
+    io.trailing(trail != 0, [&] {
+      io(trail);
+      if (trail == 0 || (trail & ~(kTrailCausal | kTrailAudit)) != 0) {
+        return io.fail();
+      }
+      if ((trail & kTrailAudit) != 0) io(m.staleness_us);
+      if ((trail & kTrailCausal) != 0) io(m.causal);
+      if constexpr (IO::kReading) m.has_causal = (trail & kTrailCausal) != 0;
+    });
   }
-
+  [[nodiscard]] std::string encode() const { return codec::encode(*this); }
   static Result<ReadReply> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    ReadReply rep;
-    rep.status = static_cast<StatusCode>(r.get_u8());
-    rep.has_latest = r.get_bool();
-    rep.latest.value = r.get_string();
-    rep.latest.ts = r.get_u64();
-    rep.latest.flags = r.get_u32();
-    rep.value_list = r.get_vector<store::SourceValue>(
-        [](BinaryReader& in) {
-          store::SourceValue sv;
-          sv.source = in.get_u32();
-          sv.value = in.get_string();
-          sv.ts = in.get_u64();
-          return sv;
-        });
-    rep.stale = r.get_bool();
-    if (!r.failed() && !r.exhausted()) {
-      const std::uint8_t trail = r.get_u8();
-      if (trail == 0 ||
-          (trail & ~(kTrailCausal | kTrailAudit)) != 0) {
-        return Status::Corruption("bad read reply trailer");
-      }
-      if ((trail & kTrailAudit) != 0) rep.staleness_us = r.get_u64();
-      if ((trail & kTrailCausal) != 0) {
-        rep.causal = store::CausalRecord::decode(r);
-        rep.has_causal = !r.failed();
-      }
-    }
-    if (r.failed()) return Status::Corruption("bad read reply");
-    return rep;
+    return codec::decode<ReadReply>(bytes, "bad read reply");
   }
 };
 
@@ -261,25 +181,26 @@ struct TransferItem {
   store::VersionedValue latest;
   std::vector<store::SourceValue> value_list;
   /// Causal record; empty for LWW items. Carried in FetchVnodeReply's
-  /// trailing parallel section (the per-item layout is not individually
-  /// framed, so it cannot grow in place without breaking old readers).
+  /// sparse trailing section: the per-item layout is not individually
+  /// framed, so it cannot grow in place without breaking old readers.
   store::CausalRecord causal;
+
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.key, m.has_latest, m.latest, m.value_list);
+  }
 };
 
 struct FetchVnodeRequest {
   VnodeId vnode = kInvalidVnode;
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w(4);
-    w.put_u32(vnode);
-    return std::move(w).take();
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.vnode);
   }
+  [[nodiscard]] std::string encode() const { return codec::encode(*this); }
   static Result<FetchVnodeRequest> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    FetchVnodeRequest req;
-    req.vnode = r.get_u32();
-    if (r.failed()) return Status::Corruption("bad fetch request");
-    return req;
+    return codec::decode<FetchVnodeRequest>(bytes, "bad fetch request");
   }
 };
 
@@ -287,74 +208,14 @@ struct FetchVnodeReply {
   StatusCode status = StatusCode::kOk;
   std::vector<TransferItem> items;
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w;
-    w.put_u8(static_cast<std::uint8_t>(status));
-    w.put_vector(items, [](BinaryWriter& out, const TransferItem& item) {
-      out.put_string(item.key);
-      out.put_bool(item.has_latest);
-      out.put_string(item.latest.value);
-      out.put_u64(item.latest.ts);
-      out.put_u32(item.latest.flags);
-      out.put_vector(item.value_list,
-                     [](BinaryWriter& o2, const store::SourceValue& sv) {
-                       o2.put_u32(sv.source);
-                       o2.put_string(sv.value);
-                       o2.put_u64(sv.ts);
-                     });
-    });
-    // Trailing parallel causal section: (item index, record) pairs for
-    // the items that have causal state; omitted entirely when none do.
-    std::uint32_t causal_count = 0;
-    for (const auto& item : items) {
-      if (!item.causal.empty()) ++causal_count;
-    }
-    if (causal_count > 0) {
-      w.put_u32(causal_count);
-      for (std::uint32_t i = 0; i < items.size(); ++i) {
-        if (items[i].causal.empty()) continue;
-        w.put_u32(i);
-        items[i].causal.encode(w);
-      }
-    }
-    return std::move(w).take();
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.status, m.items);
+    io.sparse(m.items, &TransferItem::causal);
   }
-
+  [[nodiscard]] std::string encode() const { return codec::encode(*this); }
   static Result<FetchVnodeReply> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    FetchVnodeReply rep;
-    rep.status = static_cast<StatusCode>(r.get_u8());
-    rep.items = r.get_vector<TransferItem>([](BinaryReader& in) {
-      TransferItem item;
-      item.key = in.get_string();
-      item.has_latest = in.get_bool();
-      item.latest.value = in.get_string();
-      item.latest.ts = in.get_u64();
-      item.latest.flags = in.get_u32();
-      item.value_list = in.get_vector<store::SourceValue>(
-          [](BinaryReader& in2) {
-            store::SourceValue sv;
-            sv.source = in2.get_u32();
-            sv.value = in2.get_string();
-            sv.ts = in2.get_u64();
-            return sv;
-          });
-      return item;
-    });
-    if (!r.failed() && !r.exhausted()) {
-      const std::uint32_t n = r.get_u32();
-      for (std::uint32_t i = 0; i < n && !r.failed(); ++i) {
-        const std::uint32_t idx = r.get_u32();
-        store::CausalRecord rec = store::CausalRecord::decode(r);
-        if (idx < rep.items.size()) {
-          rep.items[idx].causal = std::move(rec);
-        } else {
-          r.mark_failed();
-        }
-      }
-    }
-    if (r.failed()) return Status::Corruption("bad fetch reply");
-    return rep;
+    return codec::decode<FetchVnodeReply>(bytes, "bad fetch reply");
   }
 };
 
@@ -365,20 +226,13 @@ struct ScanRequest {
   std::string prefix;
   std::uint32_t limit = 1000;
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w(prefix.size() + 8);
-    w.put_string(prefix);
-    w.put_u32(limit);
-    return std::move(w).take();
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.prefix, m.limit);
   }
-
+  [[nodiscard]] std::string encode() const { return codec::encode(*this); }
   static Result<ScanRequest> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    ScanRequest req;
-    req.prefix = r.get_string();
-    req.limit = r.get_u32();
-    if (r.failed()) return Status::Corruption("bad scan request");
-    return req;
+    return codec::decode<ScanRequest>(bytes, "bad scan request");
   }
 };
 
@@ -387,25 +241,13 @@ struct ScanReply {
   std::vector<std::string> keys;
   bool truncated = false;
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w;
-    w.put_u8(static_cast<std::uint8_t>(status));
-    w.put_vector(keys, [](BinaryWriter& out, const std::string& k) {
-      out.put_string(k);
-    });
-    w.put_bool(truncated);
-    return std::move(w).take();
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.status, m.keys, m.truncated);
   }
-
+  [[nodiscard]] std::string encode() const { return codec::encode(*this); }
   static Result<ScanReply> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    ScanReply rep;
-    rep.status = static_cast<StatusCode>(r.get_u8());
-    rep.keys = r.get_vector<std::string>(
-        [](BinaryReader& in) { return in.get_string(); });
-    rep.truncated = r.get_bool();
-    if (r.failed()) return Status::Corruption("bad scan reply");
-    return rep;
+    return codec::decode<ScanReply>(bytes, "bad scan reply");
   }
 };
 
@@ -418,20 +260,13 @@ struct PurgeVnodeRequest {
   VnodeId vnode = kInvalidVnode;
   NodeId new_owner = kInvalidNode;
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w(8);
-    w.put_u32(vnode);
-    w.put_u32(new_owner);
-    return std::move(w).take();
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.vnode, m.new_owner);
   }
-
+  [[nodiscard]] std::string encode() const { return codec::encode(*this); }
   static Result<PurgeVnodeRequest> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    PurgeVnodeRequest req;
-    req.vnode = r.get_u32();
-    req.new_owner = r.get_u32();
-    if (r.failed()) return Status::Corruption("bad purge request");
-    return req;
+    return codec::decode<PurgeVnodeRequest>(bytes, "bad purge request");
   }
 };
 
@@ -442,21 +277,13 @@ struct PurgeVnodeRequest {
 struct HintDeliverRequest {
   WriteRequest write;
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w;
-    w.put_string(write.encode());
-    return std::move(w).take();
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io.framed(m.write);
   }
-
+  [[nodiscard]] std::string encode() const { return codec::encode(*this); }
   static Result<HintDeliverRequest> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    const std::string inner = r.get_string();
-    if (r.failed()) return Status::Corruption("bad hint request");
-    auto w = WriteRequest::decode(inner);
-    if (!w.ok()) return w.status();
-    HintDeliverRequest req;
-    req.write = std::move(w.value());
-    return req;
+    return codec::decode<HintDeliverRequest>(bytes, "bad hint request");
   }
 };
 
@@ -465,18 +292,13 @@ struct HintAckReply {
   /// dropped). Anything else: keep the hint and retry later.
   StatusCode status = StatusCode::kOk;
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w(1);
-    w.put_u8(static_cast<std::uint8_t>(status));
-    return std::move(w).take();
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.status);
   }
-
+  [[nodiscard]] std::string encode() const { return codec::encode(*this); }
   static Result<HintAckReply> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    HintAckReply rep;
-    rep.status = static_cast<StatusCode>(r.get_u8());
-    if (r.failed()) return Status::Corruption("bad hint ack");
-    return rep;
+    return codec::decode<HintAckReply>(bytes, "bad hint ack");
   }
 };
 
@@ -489,26 +311,13 @@ struct VnodeDigestRequest {
   std::uint64_t root = 0;
   std::vector<std::uint64_t> buckets;
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w(16 + buckets.size() * 8);
-    w.put_u32(vnode);
-    w.put_u64(root);
-    w.put_u32(static_cast<std::uint32_t>(buckets.size()));
-    for (std::uint64_t b : buckets) w.put_u64(b);
-    return std::move(w).take();
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.vnode, m.root, m.buckets);
   }
-
+  [[nodiscard]] std::string encode() const { return codec::encode(*this); }
   static Result<VnodeDigestRequest> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    VnodeDigestRequest req;
-    req.vnode = r.get_u32();
-    req.root = r.get_u64();
-    const std::uint32_t n = r.get_u32();
-    for (std::uint32_t i = 0; i < n && !r.failed(); ++i) {
-      req.buckets.push_back(r.get_u64());
-    }
-    if (r.failed()) return Status::Corruption("bad digest request");
-    return req;
+    return codec::decode<VnodeDigestRequest>(bytes, "bad digest request");
   }
 };
 
@@ -523,8 +332,13 @@ struct KeySummary {
   /// Digest of the peer's causal record (0 = no causal state). Ordering
   /// on timestamps cannot reconcile causal keys — equal digests mean
   /// converged, different digests mean "exchange records and join".
-  /// Carried in VnodeDigestReply's trailing parallel section.
+  /// Carried in VnodeDigestReply's sparse trailing section.
   std::uint64_t causal_digest = 0;
+
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.key, m.has_latest, m.latest_ts, m.list_digest);
+  }
 };
 
 struct VnodeDigestReply {
@@ -540,68 +354,14 @@ struct VnodeDigestReply {
   /// Some divergent bucket or key was left out of this reply.
   bool truncated = false;
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w;
-    w.put_u8(static_cast<std::uint8_t>(status));
-    w.put_bool(match);
-    w.put_u32(static_cast<std::uint32_t>(mismatched.size()));
-    for (std::uint32_t b : mismatched) w.put_u32(b);
-    w.put_vector(keys, [](BinaryWriter& out, const KeySummary& k) {
-      out.put_string(k.key);
-      out.put_bool(k.has_latest);
-      out.put_u64(k.latest_ts);
-      out.put_u64(k.list_digest);
-    });
-    w.put_bool(truncated);
-    // Trailing parallel causal-digest section (same pattern as
-    // FetchVnodeReply): only keys with causal state appear.
-    std::uint32_t causal_count = 0;
-    for (const auto& k : keys) {
-      if (k.causal_digest != 0) ++causal_count;
-    }
-    if (causal_count > 0) {
-      w.put_u32(causal_count);
-      for (std::uint32_t i = 0; i < keys.size(); ++i) {
-        if (keys[i].causal_digest == 0) continue;
-        w.put_u32(i);
-        w.put_u64(keys[i].causal_digest);
-      }
-    }
-    return std::move(w).take();
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.status, m.match, m.mismatched, m.keys, m.truncated);
+    io.sparse(m.keys, &KeySummary::causal_digest);
   }
-
+  [[nodiscard]] std::string encode() const { return codec::encode(*this); }
   static Result<VnodeDigestReply> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    VnodeDigestReply rep;
-    rep.status = static_cast<StatusCode>(r.get_u8());
-    rep.match = r.get_bool();
-    const std::uint32_t n = r.get_u32();
-    for (std::uint32_t i = 0; i < n && !r.failed(); ++i) {
-      rep.mismatched.push_back(r.get_u32());
-    }
-    rep.keys = r.get_vector<KeySummary>([](BinaryReader& in) {
-      KeySummary k;
-      k.key = in.get_string();
-      k.has_latest = in.get_bool();
-      k.latest_ts = in.get_u64();
-      k.list_digest = in.get_u64();
-      return k;
-    });
-    rep.truncated = r.get_bool();
-    if (!r.failed() && !r.exhausted()) {
-      const std::uint32_t cn = r.get_u32();
-      for (std::uint32_t i = 0; i < cn && !r.failed(); ++i) {
-        const std::uint32_t idx = r.get_u32();
-        const std::uint64_t digest = r.get_u64();
-        if (idx < rep.keys.size()) {
-          rep.keys[idx].causal_digest = digest;
-        } else {
-          r.mark_failed();
-        }
-      }
-    }
-    if (r.failed()) return Status::Corruption("bad digest reply");
-    return rep;
+    return codec::decode<VnodeDigestReply>(bytes, "bad digest reply");
   }
 };
 
@@ -617,34 +377,19 @@ struct MigrateVnodeRequest {
   /// destination re-verifies against ZooKeeper at cutover time.
   NodeId from = kInvalidNode;
   /// Nodes to pull from, in preference order; empty means `{from}`. A
-  /// recovering coordinator names the surviving replicas here. Trailing
-  /// optional section, emitted only when it says more than `{from}`, so a
-  /// leader's request keeps its 8-byte layout.
+  /// recovering coordinator names the surviving replicas here, in a
+  /// trailing section sent only when it says more than `{from}`.
   std::vector<NodeId> sources;
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w(8);
-    w.put_u32(vnode);
-    w.put_u32(from);
-    if (!sources.empty() && sources != std::vector<NodeId>{from}) {
-      w.put_vector(sources, [](BinaryWriter& out, NodeId n) {
-        out.put_u32(n);
-      });
-    }
-    return std::move(w).take();
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.vnode, m.from);
+    const bool just_from = m.sources.size() == 1 && m.sources[0] == m.from;
+    io.trailing(!m.sources.empty() && !just_from, [&] { io(m.sources); });
   }
-
+  [[nodiscard]] std::string encode() const { return codec::encode(*this); }
   static Result<MigrateVnodeRequest> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    MigrateVnodeRequest req;
-    req.vnode = r.get_u32();
-    req.from = r.get_u32();
-    if (!r.failed() && !r.exhausted()) {
-      req.sources = r.get_vector<NodeId>(
-          [](BinaryReader& in) { return in.get_u32(); });
-    }
-    if (r.failed()) return Status::Corruption("bad migrate request");
-    return req;
+    return codec::decode<MigrateVnodeRequest>(bytes, "bad migrate request");
   }
 };
 
@@ -658,24 +403,43 @@ struct MigrateVnodeReply {
   /// Cutover (CAS + journal) latency in simulated microseconds.
   std::uint64_t cutover_us = 0;
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w(25);
-    w.put_u8(static_cast<std::uint8_t>(status));
-    w.put_u64(items);
-    w.put_u64(bytes);
-    w.put_u64(cutover_us);
-    return std::move(w).take();
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.status, m.items, m.bytes, m.cutover_us);
   }
-
+  [[nodiscard]] std::string encode() const { return codec::encode(*this); }
   static Result<MigrateVnodeReply> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    MigrateVnodeReply rep;
-    rep.status = static_cast<StatusCode>(r.get_u8());
-    rep.items = r.get_u64();
-    rep.bytes = r.get_u64();
-    rep.cutover_us = r.get_u64();
-    if (r.failed()) return Status::Corruption("bad migrate reply");
-    return rep;
+    return codec::decode<MigrateVnodeReply>(bytes, "bad migrate reply");
+  }
+};
+
+/// Data of a vnode's znode (/sedna/vnodes/v%06u): its owning real node.
+struct VnodeZnode {
+  NodeId owner = kInvalidNode;
+
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.owner);
+  }
+  [[nodiscard]] std::string encode() const { return codec::encode(*this); }
+  static Result<VnodeZnode> decode(std::string_view bytes) {
+    return codec::decode<VnodeZnode>(bytes, "bad vnode znode");
+  }
+};
+
+/// Data of a change-journal entry (/sedna/changes/c%010u): the vnode whose
+/// owner changed, and the owner it changed to.
+struct ChangeJournalEntry {
+  VnodeId vnode = kInvalidVnode;
+  NodeId owner = kInvalidNode;
+
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.vnode, m.owner);
+  }
+  [[nodiscard]] std::string encode() const { return codec::encode(*this); }
+  static Result<ChangeJournalEntry> decode(std::string_view bytes) {
+    return codec::decode<ChangeJournalEntry>(bytes, "bad journal entry");
   }
 };
 

@@ -284,15 +284,12 @@ void SednaNode::cas_vnode_owner(VnodeId vnode, NodeId expected,
               cb({CasOutcome::kGetFailed, got.status()});
               return;
             }
-            BinaryReader r(got->first);
-            const NodeId current = r.get_u32();
-            if (r.failed() || current != expected) {
+            const auto current = VnodeZnode::decode(got->first);
+            if (!current.ok() || current->owner != expected) {
               cb({CasOutcome::kStale, Status::Ok()});
               return;
             }
-            BinaryWriter w;
-            w.put_u32(new_owner);
-            zk_.set(vnode_znode(vnode), std::move(w).take(),
+            zk_.set(vnode_znode(vnode), VnodeZnode{new_owner}.encode(),
                     got->second.version,
                     [this, vnode, new_owner, cb](
                         const Result<zk::ZnodeStat>& set) {
@@ -465,107 +462,68 @@ void SednaNode::record_visibility_violation(SimTime acked_at,
   }
 }
 
-void SednaNode::on_message(const sim::Message& msg) {
-  switch (msg.type) {
-    case kMsgClientWrite:
-      handle_client_write(msg);
-      break;
-    case kMsgClientRead:
-      handle_client_read(msg);
-      break;
-    case kMsgReplicaWrite:
-      handle_replica_write(msg);
-      break;
-    case kMsgReplicaRead:
-      handle_replica_read(msg);
-      break;
-    case kMsgFetchVnode:
-      handle_fetch_vnode(msg);
-      break;
-    case kMsgPurgeVnode:
-      handle_purge_vnode(msg);
-      break;
-    case kMsgScan:
-      handle_scan(msg);
-      break;
-    case kMsgHintDeliver:
-      handle_hint_deliver(msg);
-      break;
-    case kMsgVnodeDigest:
-      handle_vnode_digest(msg);
-      break;
-    case kMsgMigrateVnode:
-      handle_migrate_vnode(msg);
-      break;
-    case zk::kMsgWatchEvent:
-      zk_.on_watch_event(msg.payload);
-      break;
-    default:
-      break;
+const SednaNode::Route* SednaNode::route(sim::MessageType type) {
+  // Replica fan-out waits are service time: what the coordinator
+  // experiences is "time until enough replicas answered" (the wire share
+  // of an intra-cluster hop rides along; see DESIGN.md §5g). Priority:
+  // reads, then writes, then repair / anti-entropy, then migration bulk,
+  // which loses its queue slots first; ZK watch deliveries and control
+  // traffic stay first class.
+  using S = TraceStage;
+  static constexpr Route kRoutes[] = {
+      {kMsgClientWrite, &SednaNode::handle_client_write, "rpc.client_write",
+       S::kNet, 1},
+      {kMsgClientRead, &SednaNode::handle_client_read, "rpc.client_read",
+       S::kNet, 0},
+      {kMsgReplicaWrite, &SednaNode::handle_replica_write,
+       "rpc.replica_write", S::kService, 1},
+      {kMsgReplicaRead, &SednaNode::handle_replica_read, "rpc.replica_read",
+       S::kService, 0},
+      {kMsgFetchVnode, &SednaNode::handle_fetch_vnode, "rpc.fetch_vnode",
+       S::kMigration, 3},
+      {kMsgPurgeVnode, &SednaNode::handle_purge_vnode, nullptr, S::kNet, 3},
+      {kMsgScan, &SednaNode::handle_scan, "rpc.scan", S::kRepair, 2},
+      {kMsgHintDeliver, &SednaNode::handle_hint_deliver, "rpc.hint_deliver",
+       S::kHintReplay, 2},
+      {kMsgVnodeDigest, &SednaNode::handle_vnode_digest, "rpc.vnode_digest",
+       S::kRepair, 2},
+      {kMsgMigrateVnode, &SednaNode::handle_migrate_vnode,
+       "rpc.migrate_vnode", S::kMigration, 3},
+      {zk::kMsgWatchEvent, &SednaNode::handle_watch_event, nullptr, S::kNet,
+       0},
+      {zk::kMsgClientRequest, nullptr, "rpc.zk_request", S::kZk, 0},
+      {zk::kMsgSessionPing, nullptr, "rpc.zk_ping", S::kZk, 0},
+  };
+  for (const Route& r : kRoutes) {
+    if (r.type == type) return &r;
   }
+  return nullptr;
+}
+
+void SednaNode::on_message(const sim::Message& msg) {
+  const Route* r = route(msg.type);
+  if (r != nullptr && r->handle != nullptr) (this->*r->handle)(msg);
+}
+
+void SednaNode::handle_watch_event(const sim::Message& msg) {
+  zk_.on_watch_event(msg.payload);
 }
 
 std::string SednaNode::rpc_span_name(sim::MessageType type) const {
-  switch (type) {
-    case kMsgClientWrite: return "rpc.client_write";
-    case kMsgClientRead: return "rpc.client_read";
-    case kMsgReplicaWrite: return "rpc.replica_write";
-    case kMsgReplicaRead: return "rpc.replica_read";
-    case kMsgFetchVnode: return "rpc.fetch_vnode";
-    case kMsgScan: return "rpc.scan";
-    case kMsgHintDeliver: return "rpc.hint_deliver";
-    case kMsgVnodeDigest: return "rpc.vnode_digest";
-    case kMsgMigrateVnode: return "rpc.migrate_vnode";
-    case zk::kMsgClientRequest: return "rpc.zk_request";
-    case zk::kMsgSessionPing: return "rpc.zk_ping";
-    default: return sim::Host::rpc_span_name(type);
-  }
+  const Route* r = route(type);
+  if (r == nullptr || r->span == nullptr) return sim::Host::rpc_span_name(type);
+  return r->span;
 }
 
 TraceStage SednaNode::rpc_span_stage(sim::MessageType type) const {
-  switch (type) {
-    // Replica fan-out waits: what the coordinator experiences is "time
-    // until enough replicas answered" — attributed to service (the wire
-    // share of an intra-cluster hop rides along; see DESIGN.md §5g).
-    case kMsgReplicaWrite:
-    case kMsgReplicaRead:
-      return TraceStage::kService;
-    case kMsgFetchVnode:
-    case kMsgMigrateVnode:
-      return TraceStage::kMigration;
-    case kMsgScan:
-    case kMsgVnodeDigest:
-      return TraceStage::kRepair;
-    case kMsgHintDeliver:
-      return TraceStage::kHintReplay;
-    case zk::kMsgClientRequest:
-    case zk::kMsgSessionPing:
-      return TraceStage::kZk;
-    default:
-      return sim::Host::rpc_span_stage(type);
-  }
+  const Route* r = route(type);
+  return r != nullptr ? r->stage : sim::Host::rpc_span_stage(type);
 }
 
 std::size_t SednaNode::message_priority(const sim::Message& msg) const {
   if (msg.is_response) return 0;  // responses finish work already paid for
-  switch (msg.type) {
-    case kMsgClientRead:
-    case kMsgReplicaRead:
-      return 0;
-    case kMsgClientWrite:
-    case kMsgReplicaWrite:
-      return 1;
-    case kMsgScan:
-    case kMsgHintDeliver:
-    case kMsgVnodeDigest:
-      return 2;  // repair / anti-entropy
-    case kMsgFetchVnode:
-    case kMsgPurgeVnode:
-    case kMsgMigrateVnode:
-      return 3;  // migration bulk loses its queue slots first
-    default:
-      return 0;  // ZK watch deliveries and control traffic stay first class
-  }
+  const Route* r = route(msg.type);
+  return r != nullptr ? r->priority : 0;
 }
 
 void SednaNode::on_shed(const sim::Message& msg, sim::ShedReason reason) {
@@ -1404,10 +1362,8 @@ void SednaNode::finish_recovery(VnodeId vnode) { recovering_.erase(vnode); }
 
 void SednaNode::append_change_journal(VnodeId vnode, NodeId owner,
                                       std::function<void()> done) {
-  BinaryWriter w;
-  w.put_u32(vnode);
-  w.put_u32(owner);
-  zk_.create(std::string(kZkChanges) + "/c", std::move(w).take(),
+  zk_.create(std::string(kZkChanges) + "/c",
+             ChangeJournalEntry{vnode, owner}.encode(),
              zk::CreateMode::kPersistentSequential,
              [done = std::move(done)](const Result<std::string>&) {
                if (done) done();

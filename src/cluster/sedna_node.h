@@ -213,6 +213,19 @@ class SednaNode : public sim::Host {
   void on_shed(const sim::Message& msg, sim::ShedReason reason) override;
 
  private:
+  /// One row per message type the node serves or calls: its handler (null
+  /// for types it only sends), outgoing RPC span name (null: the host
+  /// default) and stage, and ingress priority.
+  struct Route {
+    sim::MessageType type;
+    void (SednaNode::*handle)(const sim::Message&);
+    const char* span;
+    TraceStage stage;
+    std::size_t priority;
+  };
+  [[nodiscard]] static const Route* route(sim::MessageType type);
+  void handle_watch_event(const sim::Message& msg);
+
   // Coordinator paths: reads and writes share one fan-out; each keeps only
   // its own per-reply handling and settle rule.
   void handle_client_write(const sim::Message& msg);

@@ -41,6 +41,9 @@ enum class StatusCode : std::uint8_t {
   kOverloaded,
 };
 
+/// Wire range trait (common/codec.h): the last valid status byte.
+constexpr StatusCode wire_last(StatusCode) { return StatusCode::kOverloaded; }
+
 [[nodiscard]] constexpr std::string_view to_string(StatusCode code) {
   switch (code) {
     case StatusCode::kOk: return "ok";

@@ -53,12 +53,17 @@ struct VnodeLoadRow {
     return a.vnode == b.vnode && a.capacity_bytes == b.capacity_bytes &&
            a.reads == b.reads && a.writes == b.writes && a.misses == b.misses;
   }
+
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.vnode, m.capacity_bytes, m.reads, m.writes, m.misses);
+  }
 };
 
 /// One vnode's replication-lag row (consistency auditor gossip): how far
 /// this coordinator believes the vnode's replicas lag behind, plus the
 /// stale-tagged serves it issued since the previous report. Rides the
-/// RealNodeLoad row as a trailing-optional section.
+/// RealNodeLoad row as a trailing section.
 struct VnodeLagRow {
   VnodeId vnode = 0;
   std::uint64_t lag_us = 0;
@@ -67,6 +72,11 @@ struct VnodeLagRow {
   friend bool operator==(const VnodeLagRow& a, const VnodeLagRow& b) {
     return a.vnode == b.vnode && a.lag_us == b.lag_us &&
            a.stale_serves == b.stale_serves;
+  }
+
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.vnode, m.lag_us, m.stale_serves);
   }
 };
 
@@ -81,74 +91,18 @@ struct RealNodeLoad {
   std::uint64_t writes = 0;
   std::uint64_t misses = 0;
   std::vector<VnodeLoadRow> vnodes;
-  /// Trailing-optional replication-lag section (consistency auditor):
-  /// encoded only when non-empty, so rows from auditing-off nodes stay
-  /// byte-identical with the legacy layout.
+  /// Replication-lag rows (consistency auditor), in a trailing section.
   std::vector<VnodeLagRow> lags;
 
-  [[nodiscard]] std::string encode() const {
-    BinaryWriter w(56 + vnodes.size() * 40);
-    w.put_u32(node);
-    w.put_u32(vnode_count);
-    w.put_u64(capacity_bytes);
-    w.put_u64(reads);
-    w.put_u64(writes);
-    w.put_u64(misses);
-    w.put_u32(static_cast<std::uint32_t>(vnodes.size()));
-    for (const VnodeLoadRow& v : vnodes) {
-      w.put_u32(v.vnode);
-      w.put_u64(v.capacity_bytes);
-      w.put_u64(v.reads);
-      w.put_u64(v.writes);
-      w.put_u64(v.misses);
-    }
-    if (!lags.empty()) {
-      w.put_u32(static_cast<std::uint32_t>(lags.size()));
-      for (const VnodeLagRow& l : lags) {
-        w.put_u32(l.vnode);
-        w.put_u64(l.lag_us);
-        w.put_u64(l.stale_serves);
-      }
-    }
-    return std::move(w).take();
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.node, m.vnode_count, m.capacity_bytes, m.reads, m.writes, m.misses,
+       m.vnodes);
+    io.trailing(!m.lags.empty(), [&] { io(m.lags); });
   }
-
+  [[nodiscard]] std::string encode() const { return codec::encode(*this); }
   static Result<RealNodeLoad> decode(std::string_view bytes) {
-    BinaryReader r(bytes);
-    RealNodeLoad row;
-    row.node = r.get_u32();
-    row.vnode_count = r.get_u32();
-    row.capacity_bytes = r.get_u64();
-    row.reads = r.get_u64();
-    row.writes = r.get_u64();
-    row.misses = r.get_u64();
-    const std::uint32_t n = r.get_u32();
-    if (r.failed()) return Status::Corruption("bad load row");
-    row.vnodes.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      VnodeLoadRow v;
-      v.vnode = r.get_u32();
-      v.capacity_bytes = r.get_u64();
-      v.reads = r.get_u64();
-      v.writes = r.get_u64();
-      v.misses = r.get_u64();
-      if (r.failed()) return Status::Corruption("bad vnode load row");
-      row.vnodes.push_back(v);
-    }
-    if (!r.failed() && !r.exhausted()) {
-      const std::uint32_t m = r.get_u32();
-      if (r.failed()) return Status::Corruption("bad lag section");
-      row.lags.reserve(m);
-      for (std::uint32_t i = 0; i < m; ++i) {
-        VnodeLagRow l;
-        l.vnode = r.get_u32();
-        l.lag_us = r.get_u64();
-        l.stale_serves = r.get_u64();
-        if (r.failed()) return Status::Corruption("bad lag row");
-        row.lags.push_back(l);
-      }
-    }
-    return row;
+    return codec::decode<RealNodeLoad>(bytes, "bad load row");
   }
 };
 

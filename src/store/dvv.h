@@ -45,6 +45,11 @@ struct Dot {
     if (a.writer != b.writer) return a.writer < b.writer;
     return a.counter < b.counter;
   }
+
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.writer, m.counter);
+  }
 };
 
 /// Per-key version vector: sorted (writer → max contiguous counter)
@@ -102,32 +107,18 @@ class VersionVector {
     return entries_;
   }
 
-  void encode(BinaryWriter& w) const {
-    w.put_u32(static_cast<std::uint32_t>(entries_.size()));
-    for (const auto& [node, counter] : entries_) {
-      w.put_u32(node);
-      w.put_u64(counter);
-    }
-  }
-
-  static VersionVector decode(BinaryReader& r) {
-    VersionVector vv;
-    const std::uint32_t n = r.get_u32();
-    vv.entries_.reserve(std::min<std::uint32_t>(n, 256));
-    NodeId prev = 0;
-    for (std::uint32_t i = 0; i < n && !r.failed(); ++i) {
-      const NodeId node = r.get_u32();
-      const std::uint64_t counter = r.get_u64();
+  template <typename M, typename IO>
+  static void wire(M& vv, IO& io) {
+    io(vv.entries_);
+    if constexpr (IO::kReading) {
       // Reject unsorted/duplicate wire data rather than silently
       // corrupting the semilattice invariants.
-      if (i > 0 && node <= prev) {
-        r.mark_failed();
-        return {};
+      for (std::size_t i = 1; i < vv.entries_.size(); ++i) {
+        if (vv.entries_[i].first <= vv.entries_[i - 1].first) {
+          return io.fail();
+        }
       }
-      prev = node;
-      vv.entries_.push_back({node, counter});
     }
-    return vv;
   }
 
   [[nodiscard]] std::uint64_t digest() const {
@@ -171,6 +162,11 @@ struct Sibling {
   friend bool operator==(const Sibling& a, const Sibling& b) {
     return a.dot == b.dot && a.ts == b.ts && a.flags == b.flags &&
            a.value == b.value;
+  }
+
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.value, m.ts, m.flags, m.dot);
   }
 };
 
@@ -275,46 +271,18 @@ struct CausalRecord {
     return n;
   }
 
-  void encode(BinaryWriter& w) const {
-    clock.encode(w);
-    w.put_u32(static_cast<std::uint32_t>(siblings.size()));
-    for (const auto& s : siblings) {
-      w.put_string(s.value);
-      w.put_u64(s.ts);
-      w.put_u32(s.flags);
-      w.put_u32(s.dot.writer);
-      w.put_u64(s.dot.counter);
-    }
-  }
-
-  static CausalRecord decode(BinaryReader& r) {
-    CausalRecord rec;
-    rec.clock = VersionVector::decode(r);
-    const std::uint32_t n = r.get_u32();
-    rec.siblings.reserve(std::min<std::uint32_t>(n, 256));
-    for (std::uint32_t i = 0; i < n && !r.failed(); ++i) {
-      Sibling s;
-      s.value = r.get_string();
-      s.ts = r.get_u64();
-      s.flags = r.get_u32();
-      s.dot.writer = r.get_u32();
-      s.dot.counter = r.get_u64();
-      rec.siblings.push_back(std::move(s));
-    }
-    return rec;
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.clock, m.siblings);
   }
 
   [[nodiscard]] std::string encode_string() const {
-    BinaryWriter w(bytes() + 16);
-    encode(w);
-    return std::move(w).take();
+    return codec::encode(*this);
   }
 
   static CausalRecord decode_string(std::string_view payload) {
-    BinaryReader r(payload);
-    CausalRecord rec = CausalRecord::decode(r);
-    if (r.failed()) return {};
-    return rec;
+    auto rec = codec::decode<CausalRecord>(payload, "bad causal record");
+    return rec.ok() ? std::move(rec).value() : CausalRecord{};
   }
 
   /// Content digest folded into the store's Merkle cells: covers clock

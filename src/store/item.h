@@ -24,6 +24,11 @@ struct VersionedValue {
   friend bool operator==(const VersionedValue& a, const VersionedValue& b) {
     return a.ts == b.ts && a.value == b.value && a.flags == b.flags;
   }
+
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.value, m.ts, m.flags);
+  }
 };
 
 /// One element of a write_all() value list: tagged by source server.
@@ -34,6 +39,11 @@ struct SourceValue {
 
   friend bool operator==(const SourceValue& a, const SourceValue& b) {
     return a.source == b.source && a.ts == b.ts && a.value == b.value;
+  }
+
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.source, m.value, m.ts);
   }
 };
 

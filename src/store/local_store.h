@@ -183,6 +183,8 @@ class LocalStore {
 
   /// Monotonically increasing timestamp for local-origin writes.
   Timestamp next_timestamp();
+  /// The store's clock (expiry times are on it); 0 without a clock.
+  [[nodiscard]] std::uint64_t clock_now() const;
 
   // ---- Merkle anti-entropy digests --------------------------------------
   //
@@ -235,7 +237,6 @@ class LocalStore {
   [[nodiscard]] std::size_t shard_index(std::uint64_t hash) const;
   [[nodiscard]] Shard& shard_for(std::string_view key);
   [[nodiscard]] const Shard& shard_for(std::string_view key) const;
-  [[nodiscard]] std::uint64_t clock_now() const;
 
   LocalStoreConfig config_;
   ClockFn clock_;

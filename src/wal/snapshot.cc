@@ -1,48 +1,47 @@
 #include "wal/snapshot.h"
 
 #include <cstdio>
-#include <cstring>
 
 #include "common/codec.h"
-#include "common/crc32.h"
+#include "wal/wal.h"
 
 namespace sedna::wal {
 
 namespace {
 
-constexpr char kMagic[8] = {'S', 'E', 'D', 'N', 'A', 'S', 'N', 'P'};
+/// "SEDNASNP", read as a little-endian u64.
+constexpr std::uint64_t kMagic = 0x504e53414e444553ULL;
 constexpr std::uint32_t kVersion = 1;
 
-std::string encode_item(const store::Item& item) {
-  BinaryWriter w(item.key.size() + item.value_bytes() + 64);
-  w.put_string(item.key);
-  w.put_bool(item.has_latest);
-  if (item.has_latest) {
-    w.put_string(item.latest.value);
-    w.put_u64(item.latest.ts);
-    w.put_u32(item.latest.flags);
-  }
-  w.put_vector(item.value_list,
-               [](BinaryWriter& out, const store::SourceValue& sv) {
-                 out.put_u32(sv.source);
-                 out.put_string(sv.value);
-                 out.put_u64(sv.ts);
-               });
-  w.put_u64(item.expires_at);
-  // Trailing optional section: causal state, present only for keys that
-  // were causally written. Older snapshots simply end the frame here.
-  if (!item.causal.empty()) item.causal.encode(w);
-  return std::move(w).take();
-}
+struct FileHeader {
+  std::uint64_t magic = kMagic;
+  std::uint32_t version = kVersion;
 
-bool write_frame(std::FILE* f, const std::string& payload) {
-  BinaryWriter frame(payload.size() + 8);
-  frame.put_u32(static_cast<std::uint32_t>(payload.size()));
-  frame.put_u32(crc32(payload));
-  frame.put_bytes_raw(payload);
-  const std::string& b = frame.data();
-  return std::fwrite(b.data(), 1, b.size(), f) == b.size();
-}
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.magic, m.version);
+  }
+};
+
+/// One item's frame payload; the causal record rides in a trailing
+/// section, so snapshots of LWW-only stores keep the pre-causal format.
+struct ItemFrame {
+  std::string key;
+  bool has_latest = false;
+  store::VersionedValue latest;
+  std::vector<store::SourceValue> value_list;
+  /// Absolute expiry on the store's clock; 0 = never.
+  std::uint64_t expires_at = 0;
+  store::CausalRecord causal;
+
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.key, m.has_latest);
+    if (m.has_latest) io(m.latest);
+    io(m.value_list, m.expires_at);
+    io.trailing(!m.causal.empty(), [&] { io(m.causal); });
+  }
+};
 
 }  // namespace
 
@@ -52,16 +51,14 @@ Status Snapshot::write(const std::string& path,
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return Status::IoError("cannot create snapshot: " + tmp);
 
-  bool ok = std::fwrite(kMagic, 1, sizeof kMagic, f) == sizeof kMagic;
-  {
-    BinaryWriter w;
-    w.put_u32(kVersion);
-    ok = ok && std::fwrite(w.data().data(), 1, w.size(), f) == w.size();
-  }
+  const std::string header = codec::encode(FileHeader{});
+  bool ok = std::fwrite(header.data(), 1, header.size(), f) == header.size();
   if (ok) {
     store.for_each([&](const store::Item& item) {
       if (!ok) return;
-      ok = write_frame(f, encode_item(item));
+      const ItemFrame frame{item.key,        item.has_latest, item.latest,
+                            item.value_list, item.expires_at, item.causal};
+      ok = write_frame(f, codec::encode(frame)) != 0;
     });
   }
   ok = ok && std::fflush(f) == 0;
@@ -82,64 +79,34 @@ Result<std::uint64_t> Snapshot::load(const std::string& path,
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return std::uint64_t{0};  // no snapshot yet
 
-  char magic[8];
-  if (std::fread(magic, 1, sizeof magic, f) != sizeof magic ||
-      std::memcmp(magic, kMagic, sizeof magic) != 0) {
-    std::fclose(f);
-    return Status::Corruption("bad snapshot magic");
-  }
-  unsigned char vbuf[4];
-  if (std::fread(vbuf, 1, sizeof vbuf, f) != sizeof vbuf) {
+  char buf[12];
+  const std::size_t n = std::fread(buf, 1, sizeof buf, f);
+  const auto header =
+      codec::decode<FileHeader>(std::string_view(buf, n), "bad snapshot");
+  if (!header.ok() || header->magic != kMagic) {
     std::fclose(f);
     return Status::Corruption("bad snapshot header");
   }
 
+  const std::uint64_t now = store.clock_now();
   std::uint64_t restored = 0;
-  for (;;) {
-    unsigned char header[8];
-    if (std::fread(header, 1, sizeof header, f) != sizeof header) break;
-    std::uint32_t len = 0, expected_crc = 0;
-    for (int i = 0; i < 4; ++i) {
-      len |= static_cast<std::uint32_t>(header[i]) << (8 * i);
-      expected_crc |= static_cast<std::uint32_t>(header[4 + i]) << (8 * i);
+  std::string payload;
+  while (read_frame(f, payload)) {
+    auto frame = codec::decode<ItemFrame>(payload, "bad snapshot item");
+    if (!frame.ok()) break;
+    const ItemFrame& item = frame.value();
+    // An item that expired while saved stays gone; the rest keep their
+    // absolute expiry.
+    if (item.expires_at != 0 && item.expires_at <= now) continue;
+    if (item.has_latest) {
+      store.write_latest(item.key, item.latest.value, item.latest.ts,
+                         item.latest.flags);
     }
-    if (len == 0 || len > (64u << 20)) break;
-    std::string payload(len, '\0');
-    if (std::fread(payload.data(), 1, len, f) != len) break;
-    if (crc32(payload) != expected_crc) break;
-
-    BinaryReader r(payload);
-    const std::string key = r.get_string();
-    const bool has_latest = r.get_bool();
-    if (has_latest) {
-      const std::string value = r.get_string();
-      const Timestamp ts = r.get_u64();
-      const std::uint32_t flags = r.get_u32();
-      if (!r.failed()) store.write_latest(key, value, ts, flags);
+    for (const auto& sv : item.value_list) {
+      store.write_all(item.key, sv.source, sv.value, sv.ts);
     }
-    const auto list = r.get_vector<store::SourceValue>(
-        [](BinaryReader& in) {
-          store::SourceValue sv;
-          sv.source = in.get_u32();
-          sv.value = in.get_string();
-          sv.ts = in.get_u64();
-          return sv;
-        });
-    for (const auto& sv : list) {
-      store.write_all(key, sv.source, sv.value, sv.ts);
-    }
-    const std::uint64_t expires_at = r.get_u64();
-    if (expires_at != 0) {
-      // touch() takes a ttl relative to now; snapshots store absolute
-      // expiry. Restore is best-effort: an already-expired item simply
-      // never resurfaces because the clock moved past expires_at.
-      (void)expires_at;
-    }
-    if (!r.failed() && !r.exhausted()) {
-      const auto causal = store::CausalRecord::decode(r);
-      if (!r.failed() && !causal.empty()) store.merge_causal(key, causal);
-    }
-    if (r.failed()) break;
+    if (!item.causal.empty()) store.merge_causal(item.key, item.causal);
+    if (item.expires_at != 0) store.touch(item.key, item.expires_at - now);
     ++restored;
   }
   std::fclose(f);

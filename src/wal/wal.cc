@@ -1,41 +1,40 @@
 #include "wal/wal.h"
 
-#include <cstring>
-#include <vector>
-
-#include "common/codec.h"
 #include "common/crc32.h"
 
 namespace sedna::wal {
 
-std::string WalRecord::encode() const {
-  BinaryWriter w(key.size() + value.size() + 32);
-  w.put_u8(static_cast<std::uint8_t>(type));
-  w.put_string(key);
-  w.put_string(value);
-  w.put_u64(ts);
-  w.put_u32(flags);
-  w.put_u32(source);
-  return std::move(w).take();
-}
-
 Result<WalRecord> WalRecord::decode(std::string_view payload) {
-  BinaryReader r(payload);
+  codec::Reader in(payload);
   WalRecord rec;
-  rec.type = static_cast<Type>(r.get_u8());
-  rec.key = r.get_string();
-  rec.value = r.get_string();
-  rec.ts = r.get_u64();
-  rec.flags = r.get_u32();
-  rec.source = r.get_u32();
-  if (r.failed() || !r.exhausted()) {
+  in.get(rec);
+  if (in.failed() || !in.exhausted()) {
     return Status::Corruption("bad wal record");
   }
-  if (rec.type != Type::kWriteLatest && rec.type != Type::kWriteAll &&
-      rec.type != Type::kDelete && rec.type != Type::kWriteCausal) {
-    return Status::Corruption("unknown wal record type");
-  }
   return rec;
+}
+
+std::size_t write_frame(std::FILE* f, std::string_view payload) {
+  const std::string header = codec::encode(FrameHeader{
+      static_cast<std::uint32_t>(payload.size()), crc32(payload)});
+  const bool ok =
+      std::fwrite(header.data(), 1, header.size(), f) == header.size() &&
+      std::fwrite(payload.data(), 1, payload.size(), f) == payload.size();
+  return ok ? header.size() + payload.size() : 0;
+}
+
+bool read_frame(std::FILE* f, std::string& payload) {
+  char header[8];
+  if (std::fread(header, 1, sizeof header, f) != sizeof header) return false;
+  const auto h = codec::decode<FrameHeader>(
+      std::string_view(header, sizeof header), "bad frame header");
+  // Cap the payload defensively: a corrupt length must not OOM us.
+  if (!h.ok() || h->length == 0 || h->length > (64u << 20)) return false;
+  payload.resize(h->length);
+  if (std::fread(payload.data(), 1, h->length, f) != h->length) {
+    return false;  // torn tail
+  }
+  return crc32(payload) == h->crc;
 }
 
 Status WriteAheadLog::open() {
@@ -59,17 +58,10 @@ Status WriteAheadLog::append(const WalRecord& record) {
     const Status st = open();
     if (!st.ok()) return st;
   }
-  const std::string payload = record.encode();
-  BinaryWriter frame(payload.size() + 8);
-  frame.put_u32(static_cast<std::uint32_t>(payload.size()));
-  frame.put_u32(crc32(payload));
-  frame.put_bytes_raw(payload);
-  const std::string& bytes = frame.data();
-  if (std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size()) {
-    return Status::IoError("wal append failed");
-  }
+  const std::size_t written = write_frame(file_, record.encode());
+  if (written == 0) return Status::IoError("wal append failed");
   ++appended_;
-  bytes_ += bytes.size();
+  bytes_ += written;
   return Status::Ok();
 }
 
@@ -86,20 +78,8 @@ Result<std::uint64_t> WriteAheadLog::replay(
   if (f == nullptr) return std::uint64_t{0};  // no log = nothing to recover
 
   std::uint64_t recovered = 0;
-  for (;;) {
-    unsigned char header[8];
-    if (std::fread(header, 1, sizeof header, f) != sizeof header) break;
-    std::uint32_t len = 0;
-    std::uint32_t expected_crc = 0;
-    for (int i = 0; i < 4; ++i) {
-      len |= static_cast<std::uint32_t>(header[i]) << (8 * i);
-      expected_crc |= static_cast<std::uint32_t>(header[4 + i]) << (8 * i);
-    }
-    // Cap record size defensively: a corrupt length must not OOM us.
-    if (len == 0 || len > (64u << 20)) break;
-    std::string payload(len, '\0');
-    if (std::fread(payload.data(), 1, len, f) != len) break;  // torn tail
-    if (crc32(payload) != expected_crc) break;                // corrupt
+  std::string payload;
+  while (read_frame(f, payload)) {
     auto rec = WalRecord::decode(payload);
     if (!rec.ok()) break;
     fn(rec.value());

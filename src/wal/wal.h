@@ -2,8 +2,7 @@
 // (Table I, "Persistency Strategy: periodically flush or write-ahead logs
 // according [to] users' needs").
 //
-// Format: a stream of records, each framed as
-//   u32 payload_length | u32 crc32(payload) | payload
+// Format: a stream of records, each in one frame (write_frame below).
 // Replay stops cleanly at the first torn/corrupt frame — exactly the state
 // a crash mid-append leaves behind.
 #pragma once
@@ -13,6 +12,7 @@
 #include <functional>
 #include <string>
 
+#include "common/codec.h"
 #include "common/status.h"
 #include "common/types.h"
 
@@ -27,6 +27,8 @@ struct WalRecord {
     /// post-merge state, so replay is an idempotent join).
     kWriteCausal = 4,
   };
+  friend constexpr Type wire_first(Type) { return Type::kWriteLatest; }
+  friend constexpr Type wire_last(Type) { return Type::kWriteCausal; }
 
   Type type = Type::kWriteLatest;
   std::string key;
@@ -36,7 +38,12 @@ struct WalRecord {
   /// Source node for kWriteAll records.
   NodeId source = kInvalidNode;
 
-  [[nodiscard]] std::string encode() const;
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.type, m.key, m.value, m.ts, m.flags, m.source);
+  }
+  [[nodiscard]] std::string encode() const { return codec::encode(*this); }
+  /// Also rejects trailing bytes: a log record is exactly one frame.
   [[nodiscard]] static Result<WalRecord> decode(std::string_view payload);
 
   friend bool operator==(const WalRecord& a, const WalRecord& b) {
@@ -44,6 +51,26 @@ struct WalRecord {
            a.ts == b.ts && a.flags == b.flags && a.source == b.source;
   }
 };
+
+/// Header of the frame the log and snapshots are made of:
+///   u32 payload_length | u32 crc32(payload) | payload
+struct FrameHeader {
+  std::uint32_t length = 0;
+  std::uint32_t crc = 0;
+
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.length, m.crc);
+  }
+};
+
+/// Appends one frame holding `payload`; returns the bytes written, or 0
+/// when the write failed.
+std::size_t write_frame(std::FILE* f, std::string_view payload);
+
+/// Reads the next frame's payload. False at end of file and at the first
+/// torn or corrupt frame.
+bool read_frame(std::FILE* f, std::string& payload);
 
 class WriteAheadLog {
  public:

@@ -100,13 +100,11 @@ void ZkClient::start_pings() {
         // Heartbeats are background work: never attribute them to
         // whatever trace the host last dispatched.
         host_.set_trace_context({});
-        BinaryWriter w;
-        w.put_u64(session_id_);
         const NodeId member =
             config_.ensemble[member_cursor_ % config_.ensemble.size()];
         // Heartbeats are acknowledged so the client notices a dead member
         // and fails over before its own session lapses.
-        host_.call(member, kMsgSessionPing, std::move(w).take(),
+        host_.call(member, kMsgSessionPing, SessionPing{session_id_}.encode(),
                    [this](const Status& st, const std::string&) {
                      if (!st.ok()) ++member_cursor_;
                    });

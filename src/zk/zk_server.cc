@@ -366,9 +366,9 @@ void ZkServer::handle_peer_ping(const sim::Message& msg) {
   // follower that sees the leader ahead of it (a partition may have cost
   // it every commit, so gap detection via handle_commit never fires)
   // requests a full tree sync, rate-limited.
-  BinaryReader r(msg.payload);
-  const std::uint64_t peer_zxid = r.get_u64();
-  if (r.failed()) return;
+  const auto ping = PeerPing::decode(msg.payload);
+  if (!ping.ok()) return;
+  const std::uint64_t peer_zxid = ping->last_zxid;
   // Any peer ahead of us holds history we lack — ask *that peer* for the
   // image, not our current_leader(): after a restart the lowest-id member
   // believes it leads, so routing the request through current_leader()
@@ -381,9 +381,9 @@ void ZkServer::handle_peer_ping(const sim::Message& msg) {
 }
 
 void ZkServer::handle_session_ping(const sim::Message& msg) {
-  BinaryReader r(msg.payload);
-  const std::uint64_t sid = r.get_u64();
-  if (r.failed()) return;
+  const auto ping = SessionPing::decode(msg.payload);
+  if (!ping.ok()) return;
+  const std::uint64_t sid = ping->session_id;
   if (is_leader()) {
     if (sessions_.contains(sid)) session_last_heard_[sid] = sim().now();
   } else {
@@ -396,9 +396,7 @@ void ZkServer::handle_session_ping(const sim::Message& msg) {
 
 void ZkServer::peer_tick() {
   if (!alive()) return;
-  BinaryWriter w;
-  w.put_u64(last_zxid_);
-  const std::string payload = std::move(w).take();
+  const std::string payload = PeerPing{last_zxid_}.encode();
   for (NodeId member : config_.ensemble) {
     if (member != id()) send_oneway(member, kMsgPeerPing, payload);
   }

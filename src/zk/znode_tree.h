@@ -45,6 +45,11 @@ struct ZnodeStat {
   /// Owning session for ephemerals; 0 for persistent nodes.
   std::uint64_t ephemeral_owner = 0;
   std::uint32_t num_children = 0;
+
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.czxid, m.mzxid, m.version, m.ephemeral_owner, m.num_children);
+  }
 };
 
 class ZnodeTree {

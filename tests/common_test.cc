@@ -164,15 +164,12 @@ TEST(Codec, StringRoundTripIncludingEmbeddedNul) {
 }
 
 TEST(Codec, VectorRoundTrip) {
-  BinaryWriter w;
   const std::vector<std::string> items = {"x", "yy", "zzz"};
-  w.put_vector(items, [](BinaryWriter& out, const std::string& s) {
-    out.put_string(s);
-  });
-  BinaryReader r(w.data());
-  const auto back = r.get_vector<std::string>(
-      [](BinaryReader& in) { return in.get_string(); });
-  EXPECT_EQ(back, items);
+  const std::string bytes = codec::encode(items);
+  EXPECT_EQ(bytes.size(), 4u + 3 * 4 + 6);
+  const auto back = codec::decode<std::vector<std::string>>(bytes, "list");
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value(), items);
 }
 
 TEST(Codec, TruncatedBufferFailsGracefully) {
@@ -194,12 +191,9 @@ TEST(Codec, CorruptStringLengthFails) {
 
 TEST(Codec, CorruptVectorCountFails) {
   BinaryWriter w;
-  w.put_u32(0xffffffff);
-  BinaryReader r(w.data());
-  const auto items = r.get_vector<std::string>(
-      [](BinaryReader& in) { return in.get_string(); });
-  EXPECT_TRUE(items.empty());
-  EXPECT_TRUE(r.failed());
+  w.put_u32(0xffffffff);  // claims 4G elements that are not there
+  const auto items = codec::decode<std::vector<std::string>>(w.data(), "list");
+  EXPECT_FALSE(items.ok());
 }
 
 TEST(Codec, ReaderStopsAtFirstFailure) {

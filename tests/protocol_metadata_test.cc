@@ -5,6 +5,8 @@
 #include "cluster/metadata.h"
 #include "cluster/protocol.h"
 #include "cluster/sedna_cluster.h"
+#include "wal/wal.h"
+#include "zk/protocol.h"
 
 namespace sedna::cluster {
 namespace {
@@ -116,6 +118,72 @@ TEST(Protocol, DecodersRejectTruncation) {
   EXPECT_FALSE(FetchVnodeReply::decode("").ok());
 }
 
+TEST(Protocol, DecodersRejectOutOfRangeEnums) {
+  // A corrupt mode byte must not reach apply_write, which sends every
+  // non-kLatest mode to write_all; statuses and ZK ops are checked alike.
+  WriteRequest write;
+  write.key = "k1";
+  write.value = "val";
+  std::string bytes = write.encode();
+  ASSERT_TRUE(WriteRequest::decode(bytes).ok());
+  bytes[0] = 2;
+  EXPECT_FALSE(WriteRequest::decode(bytes).ok());
+
+  bytes = ReadRequest{ReadMode::kAll, "key", false}.encode();
+  bytes[0] = 2;
+  EXPECT_FALSE(ReadRequest::decode(bytes).ok());
+
+  ReadReply reply;
+  reply.has_latest = true;
+  reply.latest = {"v", 77, 3};
+  bytes = reply.encode();
+  ASSERT_TRUE(ReadReply::decode(bytes).ok());
+  bytes[0] = static_cast<char>(static_cast<int>(StatusCode::kOverloaded) + 1);
+  EXPECT_FALSE(ReadReply::decode(bytes).ok());
+  bytes[0] = static_cast<char>(StatusCode::kOverloaded);
+  EXPECT_TRUE(ReadReply::decode(bytes).ok());
+
+  bytes = zk::ClientRequest{}.encode();
+  bytes[0] = static_cast<char>(
+      static_cast<int>(zk::ClientRequest::Op::kCloseSession) + 1);
+  EXPECT_FALSE(zk::ClientRequest::decode(bytes).ok());
+
+  bytes = zk::WatchEventMsg{1, "/p", zk::WatchEventType::kDeleted}.encode();
+  bytes.back() = 4;
+  EXPECT_FALSE(zk::WatchEventMsg::decode(bytes).ok());
+
+  wal::WalRecord rec;
+  rec.type = wal::WalRecord::Type::kWriteCausal;
+  bytes = rec.encode();
+  ASSERT_TRUE(wal::WalRecord::decode(bytes).ok());
+  for (const int type : {0, 5}) {
+    bytes[0] = static_cast<char>(type);
+    EXPECT_FALSE(wal::WalRecord::decode(bytes).ok()) << type;
+  }
+}
+
+TEST(Protocol, ZnodePayloadRecords) {
+  // The vnode znode body and the journal entry keep their raw layouts:
+  // a little-endian u32 owner, and u32 vnode then u32 owner.
+  EXPECT_EQ(VnodeZnode{0x65}.encode(), std::string("\x65\0\0\0", 4));
+  EXPECT_EQ((ChangeJournalEntry{17, 104}).encode(),
+            std::string("\x11\0\0\0\x68\0\0\0", 8));
+  const auto entry = ChangeJournalEntry::decode(
+      ChangeJournalEntry{17, 104}.encode());
+  ASSERT_TRUE(entry.ok());
+  EXPECT_EQ(entry->vnode, 17u);
+  EXPECT_EQ(entry->owner, 104u);
+  EXPECT_FALSE(VnodeZnode::decode("abc").ok());
+  EXPECT_FALSE(ChangeJournalEntry::decode("abcdefg").ok());
+
+  // ZooKeeper heartbeats: one little-endian u64 each.
+  EXPECT_EQ(zk::SessionPing{7}.encode(),
+            std::string("\x07\0\0\0\0\0\0\0", 8));
+  EXPECT_EQ(zk::PeerPing{zk::make_zxid(1, 2)}.encode(),
+            std::string("\x02\0\0\0\x01\0\0\0", 8));
+  EXPECT_FALSE(zk::PeerPing::decode("1234567").ok());
+}
+
 TEST(Protocol, ClusterConfigRoundTripAndValidation) {
   ClusterConfig cfg;
   cfg.total_vnodes = 4096;
@@ -177,15 +245,11 @@ TEST(Metadata, JournalEntryPropagatesWithinLeases) {
   const VnodeId vnode = 5;
   const NodeId new_owner = cluster.node(3).id();
   bool done = false;
-  BinaryWriter w;
-  w.put_u32(new_owner);
-  node.zk().set(vnode_znode(vnode), std::move(w).take(), -1,
+  node.zk().set(vnode_znode(vnode), VnodeZnode{new_owner}.encode(), -1,
                 [&](const Result<zk::ZnodeStat>&) {
-                  BinaryWriter jw;
-                  jw.put_u32(vnode);
-                  jw.put_u32(new_owner);
                   node.zk().create(std::string(kZkChanges) + "/c",
-                                   std::move(jw).take(),
+                                   ChangeJournalEntry{vnode, new_owner}
+                                       .encode(),
                                    zk::CreateMode::kPersistentSequential,
                                    [&](const Result<std::string>&) {
                                      done = true;

@@ -669,9 +669,8 @@ TEST(MigrationFaults, CatchUpPullsRacingWritesAndNeverPushes) {
 NodeId znode_owner(SednaCluster& cluster, std::size_t member, VnodeId vnode) {
   auto got = cluster.zk_member(member).tree().get(vnode_znode(vnode));
   if (!got.ok()) return kInvalidNode;
-  BinaryReader r(got->first);
-  const NodeId owner = r.get_u32();
-  return r.failed() ? kInvalidNode : owner;
+  const auto body = VnodeZnode::decode(got->first);
+  return body.ok() ? body->owner : kInvalidNode;
 }
 
 /// The owners the change journal names for `vnode`, oldest first.
@@ -683,10 +682,8 @@ std::vector<NodeId> journaled_owners(SednaCluster& cluster, VnodeId vnode) {
   for (const auto& name : kids.value()) {
     auto got = tree.get(std::string(kZkChanges) + "/" + name);
     if (!got.ok()) continue;
-    BinaryReader r(got->first);
-    const VnodeId v = r.get_u32();
-    const NodeId owner = r.get_u32();
-    if (!r.failed() && v == vnode) owners.push_back(owner);
+    const auto entry = ChangeJournalEntry::decode(got->first);
+    if (entry.ok() && entry->vnode == vnode) owners.push_back(entry->owner);
   }
   return owners;
 }

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Builds the full test suite under AddressSanitizer + UBSan and runs it.
+# Builds the full test suite under AddressSanitizer + UBSan (plus libstdc++
+# container bounds checks, _GLIBCXX_ASSERTIONS) and runs it.
 # Usage: tests/run_sanitized.sh [extra ctest args...]
 # Uses a separate build tree (build-asan) so the regular build stays fast.
 set -euo pipefail

@@ -218,6 +218,41 @@ TEST(Snapshot, RoundTripAllItemKinds) {
   EXPECT_EQ(list->size(), 2u);
 }
 
+TEST(Snapshot, RestoreKeepsAbsoluteExpiry) {
+  TempDir tmp;
+  std::uint64_t now = 1000;
+  const auto clock = [&now] { return now; };
+  store::LocalStore source({}, clock);
+  ASSERT_TRUE(source.write_latest("ttl-key", "v", 5, 0, 500).ok());
+  ASSERT_TRUE(source.write_latest("forever", "w", 6).ok());
+  ASSERT_TRUE(Snapshot::write(tmp.path("snap.bin"), source).ok());
+
+  now = 1200;  // restored before the saved expiry (1500)
+  {
+    store::LocalStore restored({}, clock);
+    auto n = Snapshot::load(tmp.path("snap.bin"), restored);
+    ASSERT_TRUE(n.ok());
+    EXPECT_EQ(n.value(), 2u);
+    now = 1499;
+    EXPECT_TRUE(restored.read_latest("ttl-key").ok());
+    now = 1500;
+    EXPECT_FALSE(restored.read_latest("ttl-key").ok());
+    EXPECT_TRUE(restored.read_latest("forever").ok());
+  }
+
+  now = 1500;  // restored at or after the saved expiry: not restored
+  {
+    store::LocalStore restored({}, clock);
+    auto n = Snapshot::load(tmp.path("snap.bin"), restored);
+    ASSERT_TRUE(n.ok());
+    EXPECT_EQ(n.value(), 1u);
+    EXPECT_EQ(restored.size(), 1u);
+    now = 1000;  // even a clock that moves back does not resurrect it
+    EXPECT_FALSE(restored.read_latest("ttl-key").ok());
+    EXPECT_TRUE(restored.read_latest("forever").ok());
+  }
+}
+
 TEST(Snapshot, MissingFileLoadsNothing) {
   store::LocalStore store;
   auto n = Snapshot::load("/nonexistent/snap.bin", store);
