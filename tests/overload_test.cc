@@ -298,6 +298,11 @@ struct SettleCase {
   int lagging_after;    // the version it holds once the read settled
 };
 
+/// Prints a case as its name. gtest's default byte dump would print the
+/// `name` pointer and padding, which differ from run to run under address
+/// randomization, and the dump is part of each listed test name.
+void PrintTo(const SettleCase& c, std::ostream* os) { *os << c.name; }
+
 class ReadSettle : public ::testing::TestWithParam<SettleCase> {};
 
 TEST_P(ReadSettle, PinsServedValueTagAndRepairs) {
