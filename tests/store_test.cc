@@ -478,14 +478,28 @@ void expect_index_matches_scan(const LocalStore& store, std::uint32_t vnodes,
     bool has_latest;
     VersionedValue latest;
     std::vector<SourceValue> list;
+    CausalRecord causal;
   };
   std::vector<Content> content;
+  std::uint64_t bytes = 0;
+  std::uint64_t siblings = 0;
   store.for_each([&](const Item& it) {
-    content.push_back({it.key, it.has_latest, it.latest, it.value_list});
+    content.push_back(
+        {it.key, it.has_latest, it.latest, it.value_list, it.causal});
+    bytes += it.total_bytes();
+    const std::size_t n = it.causal.siblings.size();
+    siblings += n > 1 ? n - 1 : 0;
   });
+  // The incrementally kept byte total and sibling gauge equal a recount.
+  EXPECT_EQ(store.stats().bytes, bytes);
+  EXPECT_EQ(store.stats().siblings, siblings);
   LocalStore fresh;
   for (const Content& c : content) {
-    if (c.has_latest) {
+    // A causal key's latest value is its record's mirror; the join
+    // rebuilds both.
+    if (!c.causal.empty()) {
+      ASSERT_TRUE(fresh.merge_causal(c.key, c.causal).ok());
+    } else if (c.has_latest) {
       ASSERT_TRUE(fresh.write_latest(c.key, c.latest.value, c.latest.ts,
                                      c.latest.flags)
                       .ok());
@@ -530,6 +544,68 @@ TEST(VnodeIndex, MatchesWholeStoreScanThroughEveryMutationPath) {
   ASSERT_GT(store.size(), 4u * 8 * 2);  // past the 8-bucket grow threshold
   expect_index_matches_scan(store, kVnodes, kBuckets);
 
+  // The rest of the memcached surface, on the LWW keys.
+  for (int i = 0; i < 400; ++i) {
+    const std::string k = key(1000);
+    switch (i % 6) {
+      case 0: (void)store.add(k, "a"); break;
+      case 1: (void)store.replace(k, std::string(i % 30, 'r')); break;
+      case 2: (void)store.append(k, "+tail"); break;
+      case 3: (void)store.prepend(k, "head+"); break;
+      case 4: {
+        auto got = store.gets(k);
+        if (got.ok()) {
+          ASSERT_TRUE(store.cas(k, "swapped", got->second).ok());
+        }
+        break;
+      }
+      default: (void)store.touch(k, 1000);
+    }
+  }
+  for (int i = 0; i < 60; ++i) {
+    const std::string k = "n" + std::to_string(i);
+    ASSERT_TRUE(store.set(k, std::to_string(i * 7)).ok());
+    ASSERT_TRUE(store.incr(k, 1000 + i).ok());  // the value grows
+    // Every other decrement saturates at 0: the value shrinks.
+    ASSERT_TRUE(store.decr(k, i % 2 == 0 ? 3 : 1u << 20).ok());
+  }
+  expect_index_matches_scan(store, kVnodes, kBuckets);
+
+  // Causal puts and joins on their own keys: blind puts from several
+  // coordinators keep siblings, a put carrying the read context
+  // supersedes them, and a peer's records join in (re-delivered once,
+  // which must change nothing).
+  LocalStore peer;
+  for (int i = 0; i < 300; ++i) {
+    const std::string k = "c" + std::to_string(rng() % 200);
+    const auto ts = static_cast<Timestamp>(100 + i);
+    switch (i % 3) {
+      case 0:
+        ASSERT_TRUE(store.write_causal(k, {}, "blind" + std::to_string(i),
+                                       ts, 0, static_cast<NodeId>(i % 4))
+                        .ok());
+        break;
+      case 1: {
+        auto cur = store.read_causal(k);
+        const VersionVector ctx = cur.ok() ? cur->clock : VersionVector{};
+        ASSERT_TRUE(store.write_causal(k, ctx, "ctx", ts, 0, 1).ok());
+        break;
+      }
+      default: {
+        auto rec = peer.write_causal(k, {}, "peer" + std::to_string(i), ts,
+                                     0, 9);
+        ASSERT_TRUE(rec.ok());
+        bool changed = false;
+        ASSERT_TRUE(store.merge_causal(k, *rec, &changed).ok());
+        EXPECT_TRUE(changed);
+        ASSERT_TRUE(store.merge_causal(k, *rec, &changed).ok());
+        EXPECT_FALSE(changed);
+      }
+    }
+  }
+  ASSERT_GT(store.stats().siblings, 0u);
+  expect_index_matches_scan(store, kVnodes, kBuckets);
+
   // Overwrites and deletes.
   for (int i = 0; i < 800; ++i) {
     const std::string k = key(1000);
@@ -549,13 +625,16 @@ TEST(VnodeIndex, MatchesWholeStoreScanThroughEveryMutationPath) {
   ASSERT_GT(store.stats().evictions, 0u);
   expect_index_matches_scan(store, kVnodes, kBuckets);
 
-  // Lazy TTL expiry: reads find the items expired and erase them.
+  // Lazy TTL expiry: reads find the items expired and erase them. Causal
+  // keys get their expiry from touch().
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(store.set("ttl" + std::to_string(i), "t", 0, 10).ok());
+    (void)store.touch("c" + std::to_string(i), 10);
   }
   now += 20;
   for (int i = 0; i < 100; i += 2) {
     EXPECT_FALSE(store.get("ttl" + std::to_string(i)).ok());
+    EXPECT_FALSE(store.read_causal("c" + std::to_string(i)).ok());
   }
   ASSERT_GE(store.stats().expired, 50u);
   expect_index_matches_scan(store, kVnodes, kBuckets);
