@@ -92,9 +92,8 @@ void BM_StoreCas(benchmark::State& state) {
 BENCHMARK(BM_StoreCas);
 
 void BM_StoreSetWithChangeCapture(benchmark::State& state) {
-  LocalStoreConfig cfg;
-  cfg.track_changes = true;
-  LocalStore store(cfg);
+  LocalStore store;
+  store.set_track_changes(true);
   KvWorkload wl;
   std::uint64_t i = 0;
   for (auto _ : state) {

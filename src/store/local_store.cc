@@ -4,6 +4,8 @@
 #include <atomic>
 #include <cassert>
 #include <charconv>
+#include <optional>
+#include <utility>
 
 #include "common/hash.h"
 
@@ -83,17 +85,16 @@ struct LocalStore::DigestTree {
     return vnode * buckets + digest_bucket_of(key, buckets);
   }
 
-  void toggle(const Item& it, std::uint64_t digest) {
-    cells[it.digest_cell].fetch_xor(digest, std::memory_order_relaxed);
-  }
-
-  // Per-vnode resident-byte tallies, maintained on the same mutation
-  // paths as the digest cells (so they track the replicated content
-  // exactly). Feeds the imbalance row's per-vnode capacity column.
-  void add_bytes(const Item& it, std::uint64_t n) {
+  // An item's content digest toggles into and out of its cell; its `n`
+  // resident bytes go to its vnode's tally alongside, so the tally tracks
+  // the replicated content exactly (it feeds the imbalance row's
+  // per-vnode capacity column).
+  void add(const Item& it, std::uint64_t n) {
+    cells[it.digest_cell].fetch_xor(item_digest(it), std::memory_order_relaxed);
     vbytes[it.digest_cell / buckets].fetch_add(n, std::memory_order_relaxed);
   }
-  void sub_bytes(const Item& it, std::uint64_t n) {
+  void remove(const Item& it, std::uint64_t n) {
+    cells[it.digest_cell].fetch_xor(item_digest(it), std::memory_order_relaxed);
     vbytes[it.digest_cell / buckets].fetch_sub(n, std::memory_order_relaxed);
   }
 
@@ -193,42 +194,23 @@ struct LocalStore::Shard {
     lru_push_front(it);
   }
 
+  /// Puts the item as it stands into the shard's books: bytes, slabs,
+  /// digest cell, vnode bytes and the sibling gauge.
   void account_insert(Item* it) {
     const std::size_t n = it->total_bytes();
     bytes += n;
     slabs.charge(n);
-    if (digests != nullptr) {
-      digests->toggle(*it, LocalStore::item_digest(*it));
-      digests->add_bytes(*it, n);
-    }
+    stats.siblings += sibling_excess(*it);
+    if (digests != nullptr) digests->add(*it, n);
   }
 
+  /// Takes the item as it stands out of the books account_insert keeps.
   void account_remove(Item* it) {
     const std::size_t n = it->total_bytes();
     bytes -= std::min(bytes, n);
     slabs.release(n);
-    if (digests != nullptr) {
-      digests->toggle(*it, LocalStore::item_digest(*it));
-      digests->sub_bytes(*it, n);
-    }
-  }
-
-  /// Content digest of the item as it stands; 0 while digests are off.
-  /// Capture *before* mutating in place, then hand to reaccount().
-  [[nodiscard]] std::uint64_t pre_digest(const Item& it) const {
-    return digests != nullptr ? LocalStore::item_digest(it) : 0;
-  }
-
-  /// Call with the item's *pre-mutation* size and digest; re-accounts
-  /// (bytes, slabs, digest cell) afterwards.
-  void reaccount(std::size_t old_total, std::uint64_t old_digest, Item* it) {
-    bytes -= std::min(bytes, old_total);
-    slabs.release(old_total);
-    if (digests != nullptr) {
-      digests->toggle(*it, old_digest);
-      digests->sub_bytes(*it, old_total);
-    }
-    account_insert(it);
+    stats.siblings -= sibling_excess(*it);
+    if (digests != nullptr) digests->remove(*it, n);
   }
 
   void unlink_from_bucket(Item* it, std::uint64_t hash) {
@@ -244,7 +226,6 @@ struct LocalStore::Shard {
     lru_unlink(it);
     account_remove(it);
     if (digests != nullptr) digests->index_remove(it);
-    stats.siblings -= sibling_excess(*it);
     --item_count;
     delete it;
   }
@@ -333,6 +314,89 @@ struct LocalStore::Shard {
     }
     return it;
   }
+
+  Item* find_or_insert(std::string_view key, std::uint64_t now) {
+    const std::uint64_t h = bucket_hash(key);
+    Item* it = find_live(key, h, now);
+    return it != nullptr ? it : insert_new(key, h);
+  }
+
+  /// The read lookup: a live item for which `has` holds is a hit and
+  /// moves to the LRU head; anything else is a miss (null).
+  template <typename Has>
+  const Item* read(std::string_view key, std::uint64_t now, Has has) {
+    Item* it = find_live(key, bucket_hash(key), now);
+    if (it == nullptr || !has(*it)) {
+      ++stats.get_misses;
+      return nullptr;
+    }
+    lru_touch(it);
+    ++stats.get_hits;
+    return it;
+  }
+
+  /// The last-writer-wins rule of write_latest and write_all, for a write
+  /// of (`value`, `ts`) over the stored element `cur` (null when there is
+  /// none). nullopt: the write applies. Otherwise the op answers with the
+  /// returned status and leaves the item as it is.
+  template <typename Stored>
+  std::optional<Status> lww_refusal(const Stored* cur, std::string_view value,
+                                    Timestamp ts) {
+    if (cur == nullptr || cur->ts < ts) return std::nullopt;
+    // Idempotent replay: the identical write (same ts, same value) is a
+    // success, not a conflict — coordinators and clients retry writes
+    // with a pinned timestamp after partial failures.
+    if (cur->ts == ts && cur->value == value) return Status::Ok();
+    // Equal timestamps from different writers resolve by the
+    // deterministic value tie-break, never by arrival order.
+    if (cur->ts > ts || !value_wins_tie(value, cur->value)) {
+      ++stats.set_outdated;
+      return Status::Outdated();
+    }
+    return std::nullopt;
+  }
+
+  /// The mutation step: every change to a live item goes through one.
+  /// Open it just before editing the item: it keeps the old value for the
+  /// dirty table and takes the item out of the books (account_remove).
+  /// commit() puts the edited item back and settles everything else a
+  /// change owes the shard: the cas bump, LRU recency, `stats.sets`,
+  /// change capture and eviction. Eviction may free the item, so nothing
+  /// may touch it after commit(). A step dropped uncommitted puts the
+  /// item back into the books as it stands.
+  class Mutation {
+   public:
+    Mutation(Shard& s, Item* it)
+        : s_(s),
+          it_(it),
+          capture_(s.should_capture(*it)),
+          had_old_(it->has_latest),
+          old_(capture_ && had_old_ ? it->latest : VersionedValue{}) {
+      s_.account_remove(it_);
+    }
+    Mutation(const Mutation&) = delete;
+    Mutation& operator=(const Mutation&) = delete;
+    ~Mutation() {
+      if (it_ != nullptr) s_.account_insert(it_);
+    }
+
+    void commit() {
+      Item* it = std::exchange(it_, nullptr);
+      ++it->cas;
+      s_.account_insert(it);
+      s_.lru_touch(it);
+      ++s_.stats.sets;
+      if (capture_) s_.record_change(*it, had_old_, std::move(old_), false);
+      s_.evict_to_budget();
+    }
+
+   private:
+    Shard& s_;
+    Item* it_;
+    bool capture_;
+    bool had_old_;
+    VersionedValue old_;
+  };
 };
 
 LocalStore::LocalStore(LocalStoreConfig config, ClockFn clock)
@@ -349,7 +413,6 @@ LocalStore::LocalStore(LocalStoreConfig config, ClockFn clock)
             8, config_.initial_buckets_per_shard)),
         nullptr);
     shard->budget = per_shard_budget;
-    shard->track_changes = config_.track_changes;
     shards_.push_back(std::move(shard));
   }
 }
@@ -392,40 +455,16 @@ Status LocalStore::write_latest(std::string_view key, std::string_view value,
   Shard& s = shard_for(key);
   std::lock_guard lock(s.mu);
   const std::uint64_t now = clock_now();
-  const std::uint64_t h = bucket_hash(key);
-  Item* it = s.find_live(key, h, now);
-  if (it == nullptr) it = s.insert_new(key, h);
-
-  if (it->has_latest && it->latest.ts >= ts) {
-    // Idempotent replay: the identical write (same ts, same value) is a
-    // success, not a conflict — coordinators and clients retry writes
-    // with a pinned timestamp after partial failures.
-    if (it->latest.ts == ts && it->latest.value == value) {
-      return Status::Ok();
-    }
-    // Equal timestamps from different writers resolve by the
-    // deterministic value tie-break, never by arrival order.
-    if (it->latest.ts > ts || !value_wins_tie(value, it->latest.value)) {
-      ++s.stats.set_outdated;
-      return Status::Outdated();
-    }
+  Item* it = s.find_or_insert(key, now);
+  if (auto refused = s.lww_refusal(it->has_latest ? &it->latest : nullptr,
+                                   value, ts)) {
+    return *refused;
   }
-
-  const bool capture = s.should_capture(*it);
-  const bool had_old = it->has_latest;
-  VersionedValue old_val = capture && had_old ? it->latest : VersionedValue{};
-
-  const std::size_t old_total = it->total_bytes();
-  const std::uint64_t old_digest = s.pre_digest(*it);
+  Shard::Mutation step(s, it);
   it->latest = VersionedValue{std::string(value), ts, flags};
   it->has_latest = true;
   if (ttl != 0) it->expires_at = now + ttl;
-  ++it->cas;
-  s.reaccount(old_total, old_digest, it);
-  s.lru_touch(it);
-  ++s.stats.sets;
-  if (capture) s.record_change(*it, had_old, std::move(old_val), false);
-  s.evict_to_budget();
+  step.commit();
   return Status::Ok();
 }
 
@@ -433,66 +472,41 @@ Status LocalStore::write_all(std::string_view key, NodeId source,
                              std::string_view value, Timestamp ts) {
   Shard& s = shard_for(key);
   std::lock_guard lock(s.mu);
-  const std::uint64_t h = bucket_hash(key);
-  Item* it = s.find_live(key, h, clock_now());
-  if (it == nullptr) it = s.insert_new(key, h);
-
+  Item* it = s.find_or_insert(key, clock_now());
   auto elem = std::find_if(
       it->value_list.begin(), it->value_list.end(),
       [source](const SourceValue& sv) { return sv.source == source; });
-
-  if (elem != it->value_list.end() && elem->ts >= ts) {
-    if (elem->ts == ts && elem->value == value) {
-      return Status::Ok();  // idempotent replay (see write_latest)
-    }
-    // Same deterministic equal-ts tie-break as write_latest.
-    if (elem->ts > ts || !value_wins_tie(value, elem->value)) {
-      ++s.stats.set_outdated;
-      return Status::Outdated();
-    }
+  const bool found = elem != it->value_list.end();
+  if (auto refused = s.lww_refusal(found ? &*elem : nullptr, value, ts)) {
+    return *refused;
   }
-
-  const bool capture = s.should_capture(*it);
-  const std::size_t old_total = it->total_bytes();
-  const std::uint64_t old_digest = s.pre_digest(*it);
-  if (elem == it->value_list.end()) {
-    it->value_list.push_back(SourceValue{source, std::string(value), ts});
-  } else {
+  Shard::Mutation step(s, it);
+  if (found) {
     elem->value.assign(value);
     elem->ts = ts;
+  } else {
+    it->value_list.push_back(SourceValue{source, std::string(value), ts});
   }
-  ++it->cas;
-  s.reaccount(old_total, old_digest, it);
-  s.lru_touch(it);
-  ++s.stats.sets;
-  if (capture) s.record_change(*it, it->has_latest, it->latest, false);
-  s.evict_to_budget();
+  step.commit();
   return Status::Ok();
 }
 
 Result<VersionedValue> LocalStore::read_latest(std::string_view key) {
   Shard& s = shard_for(key);
   std::lock_guard lock(s.mu);
-  Item* it = s.find_live(key, bucket_hash(key), clock_now());
-  if (it == nullptr || !it->has_latest) {
-    ++s.stats.get_misses;
-    return Status::NotFound();
-  }
-  s.lru_touch(it);
-  ++s.stats.get_hits;
+  const Item* it =
+      s.read(key, clock_now(), [](const Item& i) { return i.has_latest; });
+  if (it == nullptr) return Status::NotFound();
   return it->latest;
 }
 
 Result<std::vector<SourceValue>> LocalStore::read_all(std::string_view key) {
   Shard& s = shard_for(key);
   std::lock_guard lock(s.mu);
-  Item* it = s.find_live(key, bucket_hash(key), clock_now());
-  if (it == nullptr || it->value_list.empty()) {
-    ++s.stats.get_misses;
-    return Status::NotFound();
-  }
-  s.lru_touch(it);
-  ++s.stats.get_hits;
+  const Item* it = s.read(key, clock_now(), [](const Item& i) {
+    return !i.value_list.empty();
+  });
+  if (it == nullptr) return Status::NotFound();
   return it->value_list;
 }
 
@@ -504,29 +518,13 @@ Result<CausalRecord> LocalStore::write_causal(std::string_view key,
                                               NodeId coordinator) {
   Shard& s = shard_for(key);
   std::lock_guard lock(s.mu);
-  const std::uint64_t now = clock_now();
-  const std::uint64_t h = bucket_hash(key);
-  Item* it = s.find_live(key, h, now);
-  if (it == nullptr) it = s.insert_new(key, h);
-
-  const bool capture = s.should_capture(*it);
-  const bool had_old = it->has_latest;
-  VersionedValue old_val = capture && had_old ? it->latest : VersionedValue{};
-
-  const std::size_t old_total = it->total_bytes();
-  const std::uint64_t old_digest = s.pre_digest(*it);
-  const std::uint64_t old_excess = sibling_excess(*it);
+  Item* it = s.find_or_insert(key, clock_now());
+  Shard::Mutation step(s, it);
   it->causal.update(ctx, std::string(value), ts, flags, coordinator);
   refresh_causal_mirror(*it);
-  ++it->cas;
-  s.stats.siblings += sibling_excess(*it);
-  s.stats.siblings -= old_excess;
-  s.reaccount(old_total, old_digest, it);
-  s.lru_touch(it);
-  ++s.stats.sets;
-  if (capture) s.record_change(*it, had_old, std::move(old_val), false);
-  s.evict_to_budget();
-  return it->causal;
+  CausalRecord minted = it->causal;  // commit() may evict the item
+  step.commit();
+  return minted;
 }
 
 Status LocalStore::merge_causal(std::string_view key,
@@ -536,33 +534,14 @@ Status LocalStore::merge_causal(std::string_view key,
   if (incoming.empty()) return Status::Ok();
   Shard& s = shard_for(key);
   std::lock_guard lock(s.mu);
-  const std::uint64_t now = clock_now();
-  const std::uint64_t h = bucket_hash(key);
-  Item* it = s.find_live(key, h, now);
-  if (it == nullptr) it = s.insert_new(key, h);
-
-  const bool capture = s.should_capture(*it);
-  const bool had_old = it->has_latest;
-  VersionedValue old_val = capture && had_old ? it->latest : VersionedValue{};
-
-  const std::size_t old_total = it->total_bytes();
-  const std::uint64_t old_digest = s.pre_digest(*it);
-  const std::uint64_t old_excess = sibling_excess(*it);
-  if (!it->causal.merge(incoming)) {
-    // Idempotent re-delivery (retries, hint replay, anti-entropy pushes):
-    // nothing moved, charge nothing.
-    return Status::Ok();
-  }
+  Item* it = s.find_or_insert(key, clock_now());
+  Shard::Mutation step(s, it);
+  // Idempotent re-delivery (retries, hint replay, anti-entropy pushes)
+  // moves nothing: the dropped step charges nothing.
+  if (!it->causal.merge(incoming)) return Status::Ok();
   ++s.stats.dvv_merges;
   refresh_causal_mirror(*it);
-  ++it->cas;
-  s.stats.siblings += sibling_excess(*it);
-  s.stats.siblings -= old_excess;
-  s.reaccount(old_total, old_digest, it);
-  s.lru_touch(it);
-  ++s.stats.sets;
-  if (capture) s.record_change(*it, had_old, std::move(old_val), false);
-  s.evict_to_budget();
+  step.commit();
   if (changed_out != nullptr) *changed_out = true;
   return Status::Ok();
 }
@@ -570,69 +549,48 @@ Status LocalStore::merge_causal(std::string_view key,
 Result<CausalRecord> LocalStore::read_causal(std::string_view key) {
   Shard& s = shard_for(key);
   std::lock_guard lock(s.mu);
-  Item* it = s.find_live(key, bucket_hash(key), clock_now());
-  if (it == nullptr || it->causal.empty()) {
-    ++s.stats.get_misses;
-    return Status::NotFound();
-  }
-  s.lru_touch(it);
-  ++s.stats.get_hits;
+  const Item* it = s.read(key, clock_now(), [](const Item& i) {
+    return !i.causal.empty();
+  });
+  if (it == nullptr) return Status::NotFound();
   return it->causal;
 }
 
 Status LocalStore::set(std::string_view key, std::string_view value,
                        std::uint32_t flags, std::uint64_t ttl) {
-  return set_impl(key, value, flags, ttl, /*mode=kUnconditional*/ 0);
+  return store_latest(key, value, flags, ttl, SetMode::kAlways);
 }
 
-namespace {
-enum class SetMode { kUnconditional, kAddOnly, kReplaceOnly };
-}  // namespace
+Status LocalStore::add(std::string_view key, std::string_view value,
+                       std::uint32_t flags, std::uint64_t ttl) {
+  return store_latest(key, value, flags, ttl, SetMode::kIfAbsent);
+}
 
-/// Shared body of set/add/replace: one critical section so add/replace
-/// preconditions are atomic with the store (memcached semantics).
-Status LocalStore::set_impl(std::string_view key, std::string_view value,
-                            std::uint32_t flags, std::uint64_t ttl,
-                            int mode_raw) {
-  const auto mode = static_cast<SetMode>(mode_raw);
+Status LocalStore::replace(std::string_view key, std::string_view value,
+                           std::uint32_t flags, std::uint64_t ttl) {
+  return store_latest(key, value, flags, ttl, SetMode::kIfPresent);
+}
+
+/// One critical section, so add/replace preconditions are atomic with the
+/// store (memcached semantics).
+Status LocalStore::store_latest(std::string_view key, std::string_view value,
+                                std::uint32_t flags, std::uint64_t ttl,
+                                SetMode mode) {
   Shard& s = shard_for(key);
   std::lock_guard lock(s.mu);
   const std::uint64_t now = clock_now();
   const std::uint64_t h = bucket_hash(key);
   Item* it = s.find_live(key, h, now);
   const bool exists = it != nullptr && it->has_latest;
-  if (mode == SetMode::kAddOnly && exists) return Status::AlreadyExists();
-  if (mode == SetMode::kReplaceOnly && !exists) return Status::NotFound();
+  if (mode == SetMode::kIfAbsent && exists) return Status::AlreadyExists();
+  if (mode == SetMode::kIfPresent && !exists) return Status::NotFound();
   if (it == nullptr) it = s.insert_new(key, h);
-
-  const bool capture = s.should_capture(*it);
-  const bool had_old = it->has_latest;
-  VersionedValue old_val = capture && had_old ? it->latest : VersionedValue{};
-
-  const std::size_t old_total = it->total_bytes();
-  const std::uint64_t old_digest = s.pre_digest(*it);
+  Shard::Mutation step(s, it);
   it->latest = VersionedValue{std::string(value), next_timestamp(), flags};
   it->has_latest = true;
   it->expires_at = ttl == 0 ? 0 : now + ttl;
-  ++it->cas;
-  s.reaccount(old_total, old_digest, it);
-  s.lru_touch(it);
-  ++s.stats.sets;
-  if (capture) s.record_change(*it, had_old, std::move(old_val), false);
-  s.evict_to_budget();
+  step.commit();
   return Status::Ok();
-}
-
-Status LocalStore::add(std::string_view key, std::string_view value,
-                       std::uint32_t flags, std::uint64_t ttl) {
-  return set_impl(key, value, flags, ttl,
-                  static_cast<int>(SetMode::kAddOnly));
-}
-
-Status LocalStore::replace(std::string_view key, std::string_view value,
-                           std::uint32_t flags, std::uint64_t ttl) {
-  return set_impl(key, value, flags, ttl,
-                  static_cast<int>(SetMode::kReplaceOnly));
 }
 
 Result<VersionedValue> LocalStore::get(std::string_view key) {
@@ -643,47 +601,31 @@ Result<std::pair<VersionedValue, std::uint64_t>> LocalStore::gets(
     std::string_view key) {
   Shard& s = shard_for(key);
   std::lock_guard lock(s.mu);
-  Item* it = s.find_live(key, bucket_hash(key), clock_now());
-  if (it == nullptr || !it->has_latest) {
-    ++s.stats.get_misses;
-    return Status::NotFound();
-  }
-  s.lru_touch(it);
-  ++s.stats.get_hits;
+  const Item* it =
+      s.read(key, clock_now(), [](const Item& i) { return i.has_latest; });
+  if (it == nullptr) return Status::NotFound();
   return std::make_pair(it->latest, it->cas);
 }
 
-Status LocalStore::concat_impl(std::string_view key, std::string_view piece,
-                               bool after) {
+Status LocalStore::append(std::string_view key, std::string_view suffix) {
+  return concat(key, suffix, /*after=*/true);
+}
+
+Status LocalStore::prepend(std::string_view key, std::string_view prefix) {
+  return concat(key, prefix, /*after=*/false);
+}
+
+Status LocalStore::concat(std::string_view key, std::string_view piece,
+                          bool after) {
   Shard& s = shard_for(key);
   std::lock_guard lock(s.mu);
   Item* it = s.find_live(key, bucket_hash(key), clock_now());
   if (it == nullptr || !it->has_latest) return Status::NotFound();
-  const bool capture = s.should_capture(*it);
-  VersionedValue old_val = capture ? it->latest : VersionedValue{};
-  const std::size_t old_total = it->total_bytes();
-  const std::uint64_t old_digest = s.pre_digest(*it);
-  if (after) {
-    it->latest.value.append(piece);
-  } else {
-    it->latest.value.insert(0, piece);
-  }
+  Shard::Mutation step(s, it);
+  it->latest.value.insert(after ? it->latest.value.size() : 0, piece);
   it->latest.ts = next_timestamp();
-  ++it->cas;
-  s.reaccount(old_total, old_digest, it);
-  s.lru_touch(it);
-  ++s.stats.sets;
-  if (capture) s.record_change(*it, true, std::move(old_val), false);
-  s.evict_to_budget();
+  step.commit();
   return Status::Ok();
-}
-
-Status LocalStore::append(std::string_view key, std::string_view suffix) {
-  return concat_impl(key, suffix, /*after=*/true);
-}
-
-Status LocalStore::prepend(std::string_view key, std::string_view prefix) {
-  return concat_impl(key, prefix, /*after=*/false);
 }
 
 Status LocalStore::cas(std::string_view key, std::string_view value,
@@ -691,82 +633,52 @@ Status LocalStore::cas(std::string_view key, std::string_view value,
   Shard& s = shard_for(key);
   std::lock_guard lock(s.mu);
   Item* it = s.find_live(key, bucket_hash(key), clock_now());
-  if (it == nullptr || !it->has_latest) {
+  const bool found = it != nullptr && it->has_latest;
+  if (!found || it->cas != cas_token) {
     ++s.stats.cas_misses;
-    return Status::NotFound();
+    return found ? Status::Failure("cas mismatch") : Status::NotFound();
   }
-  if (it->cas != cas_token) {
-    ++s.stats.cas_misses;
-    return Status::Failure("cas mismatch");
-  }
-  const bool capture = s.should_capture(*it);
-  VersionedValue old_val = capture ? it->latest : VersionedValue{};
-  const std::size_t old_total = it->total_bytes();
-  const std::uint64_t old_digest = s.pre_digest(*it);
+  ++s.stats.cas_hits;
+  Shard::Mutation step(s, it);
   it->latest.value.assign(value);
   it->latest.ts = next_timestamp();
-  ++it->cas;
-  s.reaccount(old_total, old_digest, it);
-  s.lru_touch(it);
-  ++s.stats.cas_hits;
-  ++s.stats.sets;
-  if (capture) s.record_change(*it, true, std::move(old_val), false);
-  s.evict_to_budget();
+  step.commit();
   return Status::Ok();
 }
 
 Result<std::uint64_t> LocalStore::incr(std::string_view key,
                                        std::uint64_t delta) {
-  Shard& s = shard_for(key);
-  std::lock_guard lock(s.mu);
-  Item* it = s.find_live(key, bucket_hash(key), clock_now());
-  if (it == nullptr || !it->has_latest) return Status::NotFound();
-  std::uint64_t current = 0;
-  const auto& v = it->latest.value;
-  auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), current);
-  if (ec != std::errc{} || ptr != v.data() + v.size()) {
-    return Status::InvalidArgument("value is not a number");
-  }
-  current += delta;
-  const bool capture = s.should_capture(*it);
-  VersionedValue old_val = capture ? it->latest : VersionedValue{};
-  const std::size_t old_total = it->total_bytes();
-  const std::uint64_t old_digest = s.pre_digest(*it);
-  it->latest.value = std::to_string(current);
-  it->latest.ts = next_timestamp();
-  ++it->cas;
-  s.reaccount(old_total, old_digest, it);
-  s.lru_touch(it);
-  ++s.stats.sets;
-  if (capture) s.record_change(*it, true, std::move(old_val), false);
-  return current;
+  return add_delta(key, delta, /*decrement=*/false);
 }
 
 Result<std::uint64_t> LocalStore::decr(std::string_view key,
                                        std::uint64_t delta) {
+  return add_delta(key, delta, /*decrement=*/true);
+}
+
+Result<std::uint64_t> LocalStore::add_delta(std::string_view key,
+                                            std::uint64_t delta,
+                                            bool decrement) {
   Shard& s = shard_for(key);
   std::lock_guard lock(s.mu);
   Item* it = s.find_live(key, bucket_hash(key), clock_now());
   if (it == nullptr || !it->has_latest) return Status::NotFound();
-  std::uint64_t current = 0;
+  std::uint64_t n = 0;
   const auto& v = it->latest.value;
-  auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), current);
+  auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
   if (ec != std::errc{} || ptr != v.data() + v.size()) {
     return Status::InvalidArgument("value is not a number");
   }
-  current = current > delta ? current - delta : 0;  // memcached saturation
-  const bool capture = s.should_capture(*it);
-  VersionedValue old_val = capture ? it->latest : VersionedValue{};
-  const std::size_t old_total = it->total_bytes();
-  const std::uint64_t old_digest = s.pre_digest(*it);
-  it->latest.value = std::to_string(current);
+  if (decrement) {
+    n = n > delta ? n - delta : 0;  // memcached saturation
+  } else {
+    n += delta;
+  }
+  Shard::Mutation step(s, it);
+  it->latest.value = std::to_string(n);
   it->latest.ts = next_timestamp();
-  ++it->cas;
-  s.reaccount(old_total, old_digest, it);
-  s.lru_touch(it);
-  ++s.stats.sets;
-  if (capture) s.record_change(*it, true, std::move(old_val), false);
-  return current;
+  step.commit();
+  return n;
 }
 
 Status LocalStore::del(std::string_view key) {
@@ -896,27 +808,14 @@ std::uint64_t LocalStore::slab_charged_bytes() const {
 void LocalStore::clear() {
   for (auto& s : shards_) {
     std::lock_guard lock(s->mu);
-    for (Item*& head : s->buckets) {
+    for (Item* head : s->buckets) {
       while (head != nullptr) {
         Item* next = head->hash_next;
-        // clear() bypasses Shard::erase, so keep the digest cells honest
-        // here too.
-        if (s->digests != nullptr) {
-          s->digests->toggle(*head, item_digest(*head));
-          s->digests->sub_bytes(*head, head->total_bytes());
-          s->digests->index_remove(head);
-        }
-        delete head;
+        s->erase(head);
         head = next;
       }
-      head = nullptr;
     }
-    s->item_count = 0;
-    s->bytes = 0;
-    s->stats.siblings = 0;  // clear() bypasses Shard::erase
-    s->lru_head = s->lru_tail = nullptr;
     s->dirty.clear();
-    s->slabs = SlabAccounting{};
   }
 }
 
@@ -943,8 +842,7 @@ void LocalStore::enable_digests(std::uint32_t vnodes,
       for (Item* it = head; it != nullptr; it = it->hash_next) {
         it->digest_cell = tree->cell_of(it->key);
         tree->index_add(it);
-        tree->toggle(*it, item_digest(*it));
-        tree->add_bytes(*it, it->total_bytes());
+        tree->add(*it, it->total_bytes());
       }
     }
   }

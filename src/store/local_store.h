@@ -38,9 +38,6 @@ struct LocalStoreConfig {
   std::size_t initial_buckets_per_shard = 1024;
   /// Total resident-byte budget across shards; 0 disables eviction.
   std::size_t memory_budget_bytes = 0;
-  /// Capture old/new values into the dirty table on every change
-  /// (enabled by the trigger runtime; costs one value copy per write).
-  bool track_changes = false;
 };
 
 /// One coalesced change, as swept by the trigger runtime's DirtyScanner.
@@ -147,6 +144,9 @@ class LocalStore {
 
   // ---- maintenance / integration ----------------------------------------
 
+  /// Capture old/new values into the dirty table on every change (off by
+  /// default; the trigger runtime turns it on; costs one value copy per
+  /// write).
   void set_track_changes(bool on);
   void set_monitored_predicate(MonitoredPredicate pred);
 
@@ -228,10 +228,13 @@ class LocalStore {
   struct Shard;
   struct DigestTree;
 
-  Status set_impl(std::string_view key, std::string_view value,
-                  std::uint32_t flags, std::uint64_t ttl, int mode_raw);
-  Status concat_impl(std::string_view key, std::string_view piece,
-                     bool after);
+  // Shared bodies of set/add/replace, append/prepend and incr/decr.
+  enum class SetMode { kAlways, kIfAbsent, kIfPresent };
+  Status store_latest(std::string_view key, std::string_view value,
+                      std::uint32_t flags, std::uint64_t ttl, SetMode mode);
+  Status concat(std::string_view key, std::string_view piece, bool after);
+  Result<std::uint64_t> add_delta(std::string_view key, std::uint64_t delta,
+                                  bool decrement);
 
   /// Shard owning a key with bucket hash `hash`.
   [[nodiscard]] std::size_t shard_index(std::uint64_t hash) const;

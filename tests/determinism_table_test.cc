@@ -509,9 +509,8 @@ TEST(AppendPrepend, BumpsCasAndBytes) {
 }
 
 TEST(AppendPrepend, ProducesChangeRecords) {
-  LocalStoreConfig cfg;
-  cfg.track_changes = true;
-  LocalStore store(cfg);
+  LocalStore store;
+  store.set_track_changes(true);
   store.set("k", "a");
   (void)store.drain_changes();
   store.append("k", "b");

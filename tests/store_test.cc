@@ -304,6 +304,44 @@ TEST(Eviction, UnlimitedBudgetNeverEvicts) {
   EXPECT_EQ(store.size(), 5000u);
 }
 
+TEST(Eviction, IncrThatGrowsTheValueEvictsLikeEveryOtherWrite) {
+  // Two items fill the budget exactly; incr turning "99" into "100" grows
+  // one of them by a byte, which must push the LRU tail out.
+  LocalStoreConfig cfg;
+  cfg.shards = 1;
+  {
+    LocalStore probe(cfg);
+    probe.set("a", "x");
+    probe.set("b", "99");
+    cfg.memory_budget_bytes = probe.stats().bytes;
+  }
+  LocalStore store(cfg);
+  store.set("a", "x");
+  store.set("b", "99");
+  ASSERT_EQ(store.stats().evictions, 0u);
+  EXPECT_EQ(store.incr("b", 1).value(), 100u);
+  EXPECT_EQ(store.stats().evictions, 1u);
+  EXPECT_LE(store.stats().bytes, cfg.memory_budget_bytes);
+  EXPECT_FALSE(store.get("a").ok());
+  EXPECT_EQ(store.get("b")->value, "100");
+}
+
+TEST(Eviction, CausalPutReturnsItsRecordWhenItEvictsItself) {
+  // A causal item bigger than the whole budget is evicted by its own
+  // write; the put still answers with the record it minted.
+  LocalStoreConfig cfg;
+  cfg.shards = 1;
+  cfg.memory_budget_bytes = 64;
+  LocalStore store(cfg);
+  auto rec = store.write_causal("k", {}, std::string(100, 'v'), 7, 0, 1);
+  ASSERT_TRUE(rec.ok());
+  ASSERT_EQ(rec->siblings.size(), 1u);
+  EXPECT_EQ(rec->siblings[0].value, std::string(100, 'v'));
+  EXPECT_EQ(rec->siblings[0].ts, 7u);
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.stats().evictions, 1u);
+}
+
 TEST(Accounting, BytesTrackValueGrowth) {
   LocalStore store;
   store.set("k", "small");
@@ -341,9 +379,8 @@ TEST(Changes, DisabledByDefault) {
 }
 
 TEST(Changes, CapturesOldAndNew) {
-  LocalStoreConfig cfg;
-  cfg.track_changes = true;
-  LocalStore store(cfg);
+  LocalStore store;
+  store.set_track_changes(true);
   store.write_latest("k", "v1", 1);
   store.write_latest("k", "v2", 2);
   auto changes = store.drain_changes();
@@ -354,9 +391,8 @@ TEST(Changes, CapturesOldAndNew) {
 }
 
 TEST(Changes, CoalesceSpansFirstOldToLastNew) {
-  LocalStoreConfig cfg;
-  cfg.track_changes = true;
-  LocalStore store(cfg);
+  LocalStore store;
+  store.set_track_changes(true);
   store.write_latest("k", "base", 1);
   (void)store.drain_changes();
   store.write_latest("k", "mid", 2);
@@ -369,18 +405,16 @@ TEST(Changes, CoalesceSpansFirstOldToLastNew) {
 }
 
 TEST(Changes, DrainClearsTable) {
-  LocalStoreConfig cfg;
-  cfg.track_changes = true;
-  LocalStore store(cfg);
+  LocalStore store;
+  store.set_track_changes(true);
   store.set("k", "v");
   EXPECT_EQ(store.drain_changes().size(), 1u);
   EXPECT_EQ(store.drain_changes().size(), 0u);
 }
 
 TEST(Changes, DeleteRecorded) {
-  LocalStoreConfig cfg;
-  cfg.track_changes = true;
-  LocalStore store(cfg);
+  LocalStore store;
+  store.set_track_changes(true);
   store.set("k", "v");
   (void)store.drain_changes();
   store.del("k");
@@ -390,9 +424,8 @@ TEST(Changes, DeleteRecorded) {
 }
 
 TEST(Changes, MonitoredPredicateFilters) {
-  LocalStoreConfig cfg;
-  cfg.track_changes = true;
-  LocalStore store(cfg);
+  LocalStore store;
+  store.set_track_changes(true);
   store.set_monitored_predicate([](std::string_view key) {
     return key.starts_with("watched/");
   });
@@ -404,9 +437,8 @@ TEST(Changes, MonitoredPredicateFilters) {
 }
 
 TEST(Changes, PredicateReevaluatedOnExistingItems) {
-  LocalStoreConfig cfg;
-  cfg.track_changes = true;
-  LocalStore store(cfg);
+  LocalStore store;
+  store.set_track_changes(true);
   store.set_monitored_predicate([](std::string_view) { return false; });
   store.set("k", "v1");
   EXPECT_EQ(store.drain_changes().size(), 0u);
@@ -416,9 +448,8 @@ TEST(Changes, PredicateReevaluatedOnExistingItems) {
 }
 
 TEST(Changes, OutdatedWritesProduceNoChange) {
-  LocalStoreConfig cfg;
-  cfg.track_changes = true;
-  LocalStore store(cfg);
+  LocalStore store;
+  store.set_track_changes(true);
   store.write_latest("k", "v", 100);
   (void)store.drain_changes();
   store.write_latest("k", "stale", 50);
@@ -662,9 +693,8 @@ TEST(VnodeIndex, EnableDigestsIndexesAPopulatedStoreAndReindexes) {
 }
 
 TEST(Misc, ClearEmptiesEverything) {
-  LocalStoreConfig cfg;
-  cfg.track_changes = true;
-  LocalStore store(cfg);
+  LocalStore store;
+  store.set_track_changes(true);
   store.set("k", "v");
   store.clear();
   EXPECT_EQ(store.size(), 0u);
