@@ -1442,7 +1442,12 @@ void SednaNode::purge_local_vnode(VnodeId vnode) {
   for_each_in_vnode(vnode, nullptr, [&doomed](const store::Item& item) {
     doomed.push_back(item.key);
   });
-  for (const auto& key : doomed) store_->del(key);
+  for (const auto& key : doomed) {
+    store_->del(key);
+    // Logged like every other store write, or a WAL replay on restart
+    // would bring the purged slice back.
+    if (persistence_ != nullptr) persistence_->on_delete(key);
+  }
   metrics_.counter("transfer.purged_items").add(doomed.size());
 }
 

@@ -7,9 +7,14 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "cluster/sedna_cluster.h"
+#include "ring/vnode_table.h"
 
 namespace sedna::cluster {
 namespace {
@@ -119,6 +124,71 @@ TEST_F(PersistentClusterTest, WholeClusterPowerLossRecovers) {
     if (got.ok() && got->value == "survives") ++recovered;
   }
   EXPECT_EQ(recovered, 60);
+}
+
+TEST_F(PersistentClusterTest, PurgedVnodeStaysGoneWhenTheExOwnerRestarts) {
+  // A move that takes a vnode's owner out of the slice's replica set
+  // purges the slice there. The purge is logged, so the ex-owner's WAL
+  // replay must not bring the slice back into RAM or its byte row.
+  SednaCluster cluster(config());
+  ASSERT_TRUE(cluster.boot().ok());
+  auto& client = cluster.make_client();
+  const ring::VnodeTable table = cluster.node(0).metadata().table();
+  auto holds = [](const std::vector<NodeId>& nodes, NodeId n) {
+    return std::find(nodes.begin(), nodes.end(), n) != nodes.end();
+  };
+  VnodeId vnode = kInvalidVnode;
+  std::size_t dst_idx = 0;
+  for (VnodeId v = 0; v < table.total_vnodes() && vnode == kInvalidVnode;
+       ++v) {
+    for (std::size_t i = 0; i < cluster.data_node_count(); ++i) {
+      const NodeId dst = cluster.node(i).id();
+      if (holds(table.replicas_for_vnode(v), dst)) continue;
+      ring::VnodeTable moved = table;
+      moved.assign(v, dst);
+      if (holds(moved.replicas_for_vnode(v), table.owner(v))) continue;
+      vnode = v;
+      dst_idx = i;
+      break;
+    }
+  }
+  ASSERT_NE(vnode, kInvalidVnode) << "no move drops the owner's replica";
+  const NodeId from = table.owner(vnode);
+  std::size_t from_idx = 0;
+  while (cluster.node(from_idx).id() != from) ++from_idx;
+
+  std::vector<std::string> keys;
+  for (int i = 0; keys.size() < 10 && i < 100000; ++i) {
+    const std::string key = "purge-" + std::to_string(i);
+    if (table.vnode_for_key(key) != vnode) continue;
+    ASSERT_TRUE(cluster.write_latest(client, key, "v").ok());
+    keys.push_back(key);
+  }
+  cluster.run_for(sim_ms(50));
+  auto& ex_owner = cluster.node(from_idx);
+  for (const auto& key : keys) {
+    ASSERT_TRUE(ex_owner.local_store().read_latest(key).ok()) << key;
+  }
+
+  std::optional<MigrateVnodeReply> out;
+  cluster.node(dst_idx).begin_migration(
+      vnode, from, [&](const MigrateVnodeReply& rep) { out = rep; });
+  ASSERT_TRUE(cluster.run_until([&] { return out.has_value(); }));
+  ASSERT_EQ(out->status, StatusCode::kOk);
+  cluster.run_for(sim_sec(3));
+  for (const auto& key : keys) {
+    ASSERT_FALSE(ex_owner.local_store().read_latest(key).ok())
+        << key << " was not purged";
+  }
+
+  cluster.crash_node(from_idx);
+  cluster.restart_node(from_idx);
+  ASSERT_TRUE(ex_owner.ready());
+  for (const auto& key : keys) {
+    EXPECT_FALSE(ex_owner.local_store().read_latest(key).ok())
+        << key << " came back from the WAL";
+  }
+  EXPECT_EQ(ex_owner.local_store().vnode_bytes(vnode), 0u);
 }
 
 // ---- ensemble-size generality ---------------------------------------------------
