@@ -42,3 +42,11 @@ echo "sanitized failure drill (attribution gates): OK"
 ss_tmp="$(mktemp -d "${reb_tmp}/ss.XXXXXX")"
 SEDNA_OUT_DIR="${ss_tmp}" "${build_dir}/bench/scenario_suite" > /dev/null
 echo "sanitized scenario suite (overload gates): OK"
+
+# One sanitized pass over the store microbenchmarks: the LocalStore's
+# real-thread paths (4-thread concurrent set, eviction under a byte
+# budget, CAS loops) run under ASan/UBSan. google-benchmark 1.7 takes
+# --benchmark_min_time as a plain number of seconds, not "0.01s".
+"${build_dir}/bench/micro_store" --benchmark_filter=BM_Store \
+  --benchmark_min_time=0.01 > /dev/null
+echo "sanitized store microbenchmarks: OK"
