@@ -1,9 +1,13 @@
 // Tests for the discrete-event substrate: event ordering, timers,
 // network delivery model, failure injection, host CPU serialization and
-#include <map>
-#include <optional>
 // the RPC layer.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "sim/host.h"
 #include "sim/network.h"
@@ -159,6 +163,243 @@ TEST(Simulation, SeededRngIsDeterministic) {
   Simulation a(99), b(99);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(a.rng().next(), b.rng().next());
+  }
+}
+
+// ---- Randomized kernel check -------------------------------------------------
+
+/// Drives a Simulation and a naive reference model with the same random
+/// mix of schedule, cancel, periodic timers, run_until, step and run, and
+/// compares the firing order, the clock and every handle's liveness after
+/// each call. The model keeps a flat list of (at, seq) entries and pops
+/// the minimum by linear scan; a cancelled event's entry stays listed, so
+/// popping it still moves the clock, which is where a drained queue leaves
+/// it. seq is taken at every arm and at every periodic re-arm, after the
+/// callback (a self-cancelled periodic still takes one, for a dead entry).
+class KernelFuzz {
+ public:
+  explicit KernelFuzz(std::uint64_t seed) : rng_(seed) {}
+
+  void run(int ops) {
+    for (int op = 0; op < ops && !::testing::Test::HasFailure(); ++op) {
+      random_op();
+      check();
+    }
+    drain();
+    check();
+  }
+
+ private:
+  enum class Kind { kPlain, kSpawn, kCancelOther, kPeriodic };
+  struct Event {
+    Kind kind = Kind::kPlain;
+    SimDuration delay = 0;  // first delay, or the period
+    int child = -1;         // kSpawn: pre-allocated child armed on firing
+    int target = -1;        // kCancelOther: event cancelled on firing
+    int limit = 0;          // kPeriodic: cancels itself on this firing (0 = never)
+    TimerHandle handle;
+    int fires = 0;
+    bool model_live = false;
+    int model_fires = 0;
+  };
+  struct Entry {
+    SimTime at;
+    std::uint64_t seq;
+    int id;
+  };
+
+  int add_event(Kind kind, SimDuration delay) {
+    Event ev;
+    ev.kind = kind;
+    ev.delay = delay;
+    events_.push_back(ev);
+    return static_cast<int>(events_.size()) - 1;
+  }
+
+  void arm(int id) {
+    Event& ev = events_[id];
+    auto fn = [this, id] { fire(id, /*model=*/false); };
+    ev.handle = ev.kind == Kind::kPeriodic
+                    ? sim_.schedule_periodic(ev.delay, fn)
+                    : sim_.schedule(ev.delay, fn);
+    model_arm(id, ev.delay);
+  }
+
+  /// The event's callback, on either side.
+  void fire(int id, bool model) {
+    Event& ev = events_[id];
+    (model ? model_log_ : log_).push_back(id);
+    int& fires = model ? ev.model_fires : ev.fires;
+    ++fires;
+    switch (ev.kind) {
+      case Kind::kPlain:
+        break;
+      case Kind::kSpawn:
+        if (model) {
+          model_arm(ev.child, events_[ev.child].delay);
+        } else {
+          const int child = ev.child;
+          events_[child].handle = sim_.schedule(
+              events_[child].delay, [this, child] { fire(child, false); });
+        }
+        break;
+      case Kind::kCancelOther:
+        cancel(ev.target, model);
+        break;
+      case Kind::kPeriodic:
+        if (ev.limit != 0 && fires == ev.limit) cancel(id, model);
+        break;
+    }
+  }
+
+  void cancel(int id, bool model) {
+    if (model) {
+      events_[id].model_live = false;
+    } else {
+      events_[id].handle.cancel();
+    }
+  }
+
+  void model_arm(int id, SimDuration delay) {
+    events_[id].model_live = true;
+    model_queue_.push_back(Entry{model_now_ + delay, model_seq_++, id});
+  }
+
+  /// Pops the (at, seq) minimum and runs it if live, as the kernel does.
+  /// Returns whether it fired; false also when the list is empty.
+  bool model_pop_and_fire() {
+    auto min = std::min_element(
+        model_queue_.begin(), model_queue_.end(),
+        [](const Entry& a, const Entry& b) {
+          return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+        });
+    const Entry entry = *min;
+    model_queue_.erase(min);
+    model_now_ = entry.at;
+    Event& ev = events_[entry.id];
+    if (!ev.model_live) return false;
+    if (ev.kind != Kind::kPeriodic) {
+      ev.model_live = false;
+      fire(entry.id, /*model=*/true);
+      return true;
+    }
+    fire(entry.id, /*model=*/true);
+    // Re-armed after the callback; dead if the callback cancelled it.
+    model_queue_.push_back(
+        Entry{model_now_ + ev.delay, model_seq_++, entry.id});
+    return true;
+  }
+
+  bool model_step() {
+    while (!model_queue_.empty()) {
+      if (model_pop_and_fire()) return true;
+    }
+    return false;
+  }
+
+  void model_run_until(SimTime deadline) {
+    for (;;) {
+      bool due = false;
+      for (const Entry& e : model_queue_) due |= e.at <= deadline;
+      if (!due) break;
+      model_pop_and_fire();
+    }
+    model_now_ = std::max(model_now_, deadline);
+  }
+
+  std::uint64_t model_run(std::uint64_t max_events) {
+    std::uint64_t n = 0;
+    while (n < max_events && model_step()) ++n;
+    return n;
+  }
+
+  void random_op() {
+    const std::uint64_t roll = rng_.next_below(100);
+    if (roll < 30) {
+      // One-shot with a short delay, so same-time ties are common.
+      const auto kind = static_cast<Kind>(rng_.next_below(3));
+      const int id = add_event(kind, rng_.next_below(21));
+      if (kind == Kind::kSpawn) {
+        events_[id].child = add_event(Kind::kPlain, rng_.next_below(21));
+      } else if (kind == Kind::kCancelOther) {
+        events_[id].target =
+            static_cast<int>(rng_.next_below(events_.size()));
+      }
+      arm(id);
+    } else if (roll < 38) {
+      const int id = add_event(Kind::kPeriodic, 1 + rng_.next_below(30));
+      // Half of them cancel themselves from their own callback.
+      if (rng_.next_below(2) == 0) {
+        events_[id].limit = 1 + static_cast<int>(rng_.next_below(4));
+      }
+      arm(id);
+    } else if (roll < 63) {
+      // Any event, fired, cancelled or never armed included.
+      const int id = static_cast<int>(rng_.next_below(events_.size() + 1));
+      if (id < static_cast<int>(events_.size())) {
+        cancel(id, false);
+        cancel(id, true);
+      }
+    } else if (roll < 78) {
+      const SimTime deadline = sim_.now() + rng_.next_below(61);
+      sim_.run_until(deadline);
+      model_run_until(deadline);
+    } else if (roll < 90) {
+      for (std::uint64_t i = 1 + rng_.next_below(5); i > 0; --i) {
+        const bool fired = sim_.step();
+        EXPECT_EQ(fired, model_step());
+      }
+    } else if (roll < 97) {
+      const std::uint64_t cap = 1 + rng_.next_below(20);
+      EXPECT_EQ(sim_.run(cap), model_run(cap));
+    } else {
+      drain();
+    }
+  }
+
+  /// Stops every periodic timer, then steps until the queue drains: the
+  /// clock must land on the last entry's time even when that entry was
+  /// cancelled.
+  void drain() {
+    for (std::size_t id = 0; id < events_.size(); ++id) {
+      if (events_[id].kind != Kind::kPeriodic) continue;
+      cancel(static_cast<int>(id), false);
+      cancel(static_cast<int>(id), true);
+    }
+    for (int guard = 0; guard < 100000; ++guard) {
+      const bool fired = sim_.step();
+      const bool model_fired = model_step();
+      ASSERT_EQ(fired, model_fired);
+      if (!fired) break;
+    }
+    EXPECT_TRUE(model_queue_.empty());
+    EXPECT_FALSE(sim_.step());
+  }
+
+  void check() {
+    ASSERT_EQ(log_, model_log_);
+    ASSERT_EQ(sim_.now(), model_now_);
+    for (std::size_t id = 0; id < events_.size(); ++id) {
+      ASSERT_EQ(events_[id].handle.active(), events_[id].model_live)
+          << "event " << id;
+    }
+  }
+
+  Rng rng_;
+  Simulation sim_;
+  std::vector<Event> events_;
+  std::vector<int> log_;
+  std::vector<int> model_log_;
+  std::vector<Entry> model_queue_;
+  SimTime model_now_ = 0;
+  std::uint64_t model_seq_ = 0;
+};
+
+TEST(Simulation, RandomizedScheduleCancelMatchesReferenceModel) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    KernelFuzz(seed).run(400);
+    if (HasFailure()) return;
   }
 }
 

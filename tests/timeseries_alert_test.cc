@@ -216,6 +216,45 @@ TEST(SpaceSavingSketch, EvictsMinimumAndInheritsItsFloor) {
   EXPECT_EQ(top[1].error, 1u);
 }
 
+TEST(SpaceSavingSketch, TiedMinimumEvictsTheSmallestKey) {
+  // Insertion order must not matter: among the minimum counts, the
+  // smallest key is the victim.
+  SpaceSavingSketch sketch(3);
+  sketch.record("m");
+  sketch.record("z");
+  sketch.record("b");
+  sketch.record("m");  // m=2, z=1, b=1
+  sketch.record("q");  // evicts b (b < z), q inherits floor 1
+  auto entries = sketch.entries();
+  ASSERT_EQ(entries.size(), 3u);
+  EXPECT_EQ(entries[0].key, "m");
+  EXPECT_EQ(entries[1].key, "q");
+  EXPECT_EQ(entries[1].count, 2u);
+  EXPECT_EQ(entries[1].error, 1u);
+  EXPECT_EQ(entries[2].key, "z");
+
+  // m=2, q=2, z=1: the lone minimum goes even though it is the largest key.
+  sketch.record("a", 5);  // evicts z, a = 1 + 5 with error 1
+  entries = sketch.entries();
+  ASSERT_EQ(entries.size(), 3u);
+  EXPECT_EQ(entries[0].key, "a");
+  EXPECT_EQ(entries[0].count, 6u);
+  EXPECT_EQ(entries[0].error, 1u);
+  EXPECT_EQ(entries[1].key, "m");
+  EXPECT_EQ(entries[2].key, "q");
+
+  // m=2, q=2 tie at the minimum: m is the smaller key.
+  sketch.record("n");
+  const auto top = sketch.top(3);
+  ASSERT_EQ(top.size(), 3u);
+  EXPECT_EQ(top[0].key, "a");
+  EXPECT_EQ(top[1].key, "n");
+  EXPECT_EQ(top[1].count, 3u);
+  EXPECT_EQ(top[1].error, 2u);
+  EXPECT_EQ(top[2].key, "q");
+  EXPECT_EQ(sketch.total(), 11u);
+}
+
 // ---- Prometheus label escaping ---------------------------------------------
 
 TEST(MetricsRegistry, HostileLabelValuesAreEscapedInExposition) {
