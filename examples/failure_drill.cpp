@@ -260,7 +260,7 @@ int main() {
     return idx;
   };
   std::string traced_key;
-  std::vector<NodeId> reps;
+  ring::ReplicaSet reps;
   for (int i = 0; i < 1000 && traced_key.empty(); ++i) {
     const std::string candidate = "traced-" + std::to_string(i);
     auto r = client.metadata().table().replicas_for_key(candidate);

@@ -32,13 +32,15 @@ struct ClusterConfig {
   std::uint32_t replicas = 3;   // N
   std::uint32_t read_quorum = 2;   // R
   std::uint32_t write_quorum = 2;  // W
-  // R + W > N and W > N/2 must hold (Section III.C).
+  // R + W > N and W > N/2 must hold (Section III.C), and N fits a
+  // ring::ReplicaSet.
 
   [[nodiscard]] bool quorum_valid() const {
     return read_quorum + write_quorum > replicas &&
            2 * write_quorum > replicas && read_quorum >= 1 &&
            replicas >= 1 && read_quorum <= replicas &&
-           write_quorum <= replicas;
+           write_quorum <= replicas &&
+           replicas <= ring::ReplicaSet::kCapacity;
   }
 
   template <typename M, typename IO>

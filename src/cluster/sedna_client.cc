@@ -1,6 +1,7 @@
 #include "cluster/sedna_client.h"
 
 #include <algorithm>
+#include <optional>
 
 namespace sedna::cluster {
 
@@ -172,7 +173,9 @@ void SednaClient::run_attempt(Req req, int attempt, SimTime deadline,
       [this, &kind, req = std::move(req), attempt, deadline, span, parent,
        cb = std::move(cb)](const Status& st,
                            const std::string& body) mutable {
-         Result<Rep> final = Status::Failure(kind.exhausted);
+         // The retryable status the coordinator answered, if any; the
+         // failure text is only built when the op fails on it.
+         std::optional<StatusCode> answered;
          if (st.ok()) {
            auto rep = Rep::decode(body);
            if (rep.ok() && !retryable(rep->status)) {
@@ -182,12 +185,12 @@ void SednaClient::run_attempt(Req req, int attempt, SimTime deadline,
              cb(std::move(rep));
              return;
            }
-           if (rep.ok()) final = Status(rep->status);
+           if (rep.ok()) answered = rep->status;
          }
          if (attempt + 1 >= config_.max_attempts) {
            metrics_.counter(kind.failures).add(1);
            end_span(span, "failure");
-           cb(final);
+           cb(answered ? Status(*answered) : Status::Failure(kind.exhausted));
            return;
          }
          if (!spend_retry_token()) {

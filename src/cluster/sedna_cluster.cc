@@ -71,9 +71,8 @@ std::vector<NodeId> SednaCluster::data_ids() const {
 bool SednaCluster::run_until(const std::function<bool()>& pred) {
   const SimTime deadline = sim_.now() + config_.max_wait;
   while (!pred()) {
-    if (sim_.pending_events() == 0) return pred();
     if (sim_.now() > deadline) return false;
-    sim_.step();
+    if (!sim_.step()) return pred();  // drained
   }
   return true;
 }

@@ -393,7 +393,7 @@ void SednaNode::probe_visibility(const std::string& key, Timestamp wts,
   // Snapshot the replica set at ack time: those are the copies the write
   // quorum was assembled from, so those are the copies the visibility
   // promise is about.
-  auto replicas = std::make_shared<std::vector<NodeId>>(
+  auto replicas = std::make_shared<ring::ReplicaSet>(
       metadata_.table().replicas_for_vnode(vnode));
   const std::size_t offsets = config_.audit.probe_offsets.size();
   for (std::size_t i = 0; i < offsets; ++i) {
@@ -595,7 +595,8 @@ void SednaNode::hydrate_after_restart(std::function<void()> done) {
       todo->size(),
       [this, todo](std::size_t i, std::function<void()> fetched) {
         const VnodeId v = (*todo)[i];
-        fetch_vnode_from(v, metadata_.table().replicas_for_vnode(v), 0,
+        const auto replicas = metadata_.table().replicas_for_vnode(v);
+        fetch_vnode_from(v, {replicas.begin(), replicas.end()}, 0,
                          [this, fetched](NodeId source, std::uint64_t) {
                            metrics_
                                .counter(source != kInvalidNode
@@ -843,7 +844,9 @@ void SednaNode::fan_out(const sim::Message& msg,
   state->deadline_bounded =
       msg.deadline != 0 && timeout < config().rpc_timeout_us;
 
-  const std::string payload = state->req.encode();
+  // The last remote send takes the encoded payload; the others copy it.
+  std::string payload = state->req.encode();
+  std::size_t remotes = replicas.size() - (replicas.contains(id()) ? 1 : 0);
   for (NodeId replica : replicas) {
     if (replica == id()) {
       ++state->responses;
@@ -851,7 +854,8 @@ void SednaNode::fan_out(const sim::Message& msg,
       continue;
     }
     call_with_timeout(
-        replica, type, payload, timeout,
+        replica, type, --remotes == 0 ? std::move(payload) : payload,
+        timeout,
         [state, replica, remote](const Status& st, const std::string& body) {
           ++state->responses;
           remote(*state, replica, st, body);
@@ -976,6 +980,7 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
   }
   auto state = std::make_shared<ReadFanout>();
   state->req = std::move(decoded).value();
+  state->replies.reserve(metadata_.table().replicas());
   coordinator_reads_->add(1);
   fan_out(
       msg, state, "coord.read", kMsgReplicaRead,
@@ -1296,7 +1301,7 @@ void SednaNode::start_recovery(VnodeId vnode, NodeId dead) {
 
   // Healthy sources for the slice: the vnode's other current replicas.
   auto sources = metadata_.table().replicas_for_vnode(vnode);
-  std::erase(sources, dead);
+  sources.erase(dead);
 
   zk_.children(
       kZkRealNodes,
@@ -1309,11 +1314,7 @@ void SednaNode::start_recovery(VnodeId vnode, NodeId dead) {
         // Candidates: live nodes not already holding this slice.
         std::vector<NodeId> candidates;
         for (NodeId n : live_node_ids(kids.value())) {
-          if (n != dead &&
-              std::find(sources.begin(), sources.end(), n) ==
-                  sources.end()) {
-            candidates.push_back(n);
-          }
+          if (n != dead && !sources.contains(n)) candidates.push_back(n);
         }
         if (sources.empty() || candidates.empty()) {
           // Nothing left to copy from, or nowhere to copy to: stay
@@ -1338,7 +1339,7 @@ void SednaNode::start_recovery(VnodeId vnode, NodeId dead) {
         // CASes itself in (transfer_vnode, Section III.C's async
         // duplication task). If several coordinators noticed, exactly one
         // CAS wins and the losing targets purge their copies.
-        MigrateVnodeRequest req{vnode, dead, sources};
+        MigrateVnodeRequest req{vnode, dead, {sources.begin(), sources.end()}};
         call_with_timeout(
             target, kMsgMigrateVnode, req.encode(), kMigrationTimeout,
             [this, vnode](const Status& st, const std::string& body) {
@@ -1434,10 +1435,7 @@ void SednaNode::handle_purge_vnode(const sim::Message& msg) {
 void SednaNode::purge_local_vnode(VnodeId vnode) {
   // Only purge if we are truly out of the slice's replica set now; the
   // previous owner often remains a successor replica on the walk.
-  const auto replicas = metadata_.table().replicas_for_vnode(vnode);
-  if (std::find(replicas.begin(), replicas.end(), id()) != replicas.end()) {
-    return;
-  }
+  if (metadata_.table().replicas_for_vnode(vnode).contains(id())) return;
   std::vector<std::string> doomed;
   for_each_in_vnode(vnode, nullptr, [&doomed](const store::Item& item) {
     doomed.push_back(item.key);

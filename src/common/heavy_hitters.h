@@ -9,14 +9,15 @@
 // hot-key detection (paper III.B records per-vnode frequency; this narrows
 // a hot vnode down to the actual keys responsible).
 //
-// Deterministic by construction: entries live in an ordered map and the
-// eviction victim is the (count, key)-lexicographic minimum, so
-// identically-seeded runs produce identical sketches.
+// Deterministic by construction: entries live in a flat array sorted by
+// key and the eviction victim is the (count, key)-lexicographic minimum,
+// so identically-seeded runs produce identical sketches. Once full, the
+// array never allocates for a new key of the same length or shorter: the
+// victim's key is overwritten in place and rotated to its sorted position.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -38,24 +39,34 @@ class SpaceSavingSketch {
 
   void record(std::string_view key, std::uint64_t weight = 1) {
     total_ += weight;
-    const auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      it->second.count += weight;
+    const auto pos = std::lower_bound(
+        entries_.begin(), entries_.end(), key,
+        [](const Entry& e, std::string_view k) { return e.key < k; });
+    if (pos != entries_.end() && pos->key == key) {
+      pos->count += weight;
       return;
     }
     if (entries_.size() < capacity_) {
-      entries_.emplace(std::string(key), Counts{weight, 0});
+      entries_.insert(pos, Entry{std::string(key), weight, 0});
       return;
     }
-    // Replace the minimum-count entry; ties broken by key order (map
-    // iteration is sorted, so the first minimum seen is the smallest key).
+    // Replace the minimum-count entry; ties broken by key order (the array
+    // is sorted, so the first minimum seen is the smallest key).
     auto victim = entries_.begin();
     for (auto e = entries_.begin(); e != entries_.end(); ++e) {
-      if (e->second.count < victim->second.count) victim = e;
+      if (e->count < victim->count) victim = e;
     }
-    const std::uint64_t floor = victim->second.count;
-    entries_.erase(victim);
-    entries_.emplace(std::string(key), Counts{floor + weight, floor});
+    const std::uint64_t floor = victim->count;
+    victim->key.assign(key);
+    victim->count = floor + weight;
+    victim->error = floor;
+    // Move the rewritten entry to its sorted place: `pos` is where the key
+    // belongs among the others.
+    if (pos > victim) {
+      std::rotate(victim, victim + 1, pos);
+    } else {
+      std::rotate(pos, victim, victim + 1);
+    }
   }
 
   /// Top `k` entries by (count desc, key asc) — the deterministic "hottest
@@ -71,14 +82,7 @@ class SpaceSavingSketch {
   }
 
   /// Every tracked entry, in key order.
-  [[nodiscard]] std::vector<Entry> entries() const {
-    std::vector<Entry> out;
-    out.reserve(entries_.size());
-    for (const auto& [key, c] : entries_) {
-      out.push_back(Entry{key, c.count, c.error});
-    }
-    return out;
-  }
+  [[nodiscard]] std::vector<Entry> entries() const { return entries_; }
 
   [[nodiscard]] std::size_t tracked() const { return entries_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
@@ -91,14 +95,10 @@ class SpaceSavingSketch {
   }
 
  private:
-  struct Counts {
-    std::uint64_t count = 0;
-    std::uint64_t error = 0;
-  };
-
   std::size_t capacity_;
   std::uint64_t total_ = 0;
-  std::map<std::string, Counts, std::less<>> entries_;
+  /// Sorted by key; at most capacity_ entries.
+  std::vector<Entry> entries_;
 };
 
 }  // namespace sedna

@@ -6,15 +6,14 @@
 
 namespace sedna::ring {
 
-std::vector<NodeId> VnodeTable::replicas_for_vnode(VnodeId v) const {
-  std::vector<NodeId> result;
-  result.reserve(replicas_);
+ReplicaSet VnodeTable::replicas_for_vnode(VnodeId v) const {
+  ReplicaSet result;
+  const std::size_t want = std::min<std::size_t>(replicas_,
+                                                 ReplicaSet::kCapacity);
   const std::uint32_t n = total_vnodes();
-  for (std::uint32_t step = 0; step < n && result.size() < replicas_;
-       ++step) {
+  for (std::uint32_t step = 0; step < n && result.size() < want; ++step) {
     const NodeId owner_id = assignment_[(v + step) % n];
-    if (owner_id == kInvalidNode) continue;
-    if (std::find(result.begin(), result.end(), owner_id) == result.end()) {
+    if (owner_id != kInvalidNode && !result.contains(owner_id)) {
       result.push_back(owner_id);
     }
   }
@@ -40,10 +39,7 @@ std::vector<VnodeId> VnodeTable::vnodes_of(NodeId n) const {
 std::vector<VnodeId> VnodeTable::replica_vnodes_of(NodeId n) const {
   std::vector<VnodeId> result;
   for (std::uint32_t v = 0; v < assignment_.size(); ++v) {
-    const std::vector<NodeId> set = replicas_for_vnode(v);
-    if (std::find(set.begin(), set.end(), n) != set.end()) {
-      result.push_back(v);
-    }
+    if (replicas_for_vnode(v).contains(n)) result.push_back(v);
   }
   return result;
 }

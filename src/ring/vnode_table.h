@@ -12,7 +12,10 @@
 // zero-hop DHT routing state (Section VII).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -23,6 +26,48 @@
 #include "common/types.h"
 
 namespace sedna::ring {
+
+/// A vnode's replica set (r1 first), held inline: it is looked up on every
+/// request, and N never exceeds kCapacity (ClusterConfig::quorum_valid).
+class ReplicaSet {
+ public:
+  static constexpr std::size_t kCapacity = 8;
+  using value_type = NodeId;
+  using iterator = const NodeId*;
+  using const_iterator = const NodeId*;
+
+  ReplicaSet() = default;
+  ReplicaSet(std::initializer_list<NodeId> nodes) {
+    for (NodeId n : nodes) push_back(n);
+  }
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] const NodeId* begin() const { return nodes_.data(); }
+  [[nodiscard]] const NodeId* end() const { return nodes_.data() + size_; }
+  [[nodiscard]] NodeId operator[](std::size_t i) const { return nodes_[i]; }
+  [[nodiscard]] NodeId front() const { return nodes_[0]; }
+  [[nodiscard]] bool contains(NodeId n) const {
+    return std::find(begin(), end(), n) != end();
+  }
+
+  /// Appends `n`; the set must hold fewer than kCapacity nodes.
+  void push_back(NodeId n) { nodes_[size_++] = n; }
+  /// Removes `n` if present, keeping the others in order.
+  void erase(NodeId n) {
+    size_ = static_cast<std::uint32_t>(
+        std::remove(nodes_.begin(), nodes_.begin() + size_, n) -
+        nodes_.begin());
+  }
+
+  friend bool operator==(const ReplicaSet& a, const ReplicaSet& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  std::array<NodeId, kCapacity> nodes_{};
+  std::uint32_t size_ = 0;
+};
 
 class VnodeTable {
  public:
@@ -45,11 +90,11 @@ class VnodeTable {
 
   /// Replica set for a vnode: the owner of `v` (r1) plus the owners of the
   /// next vnodes clockwise, skipping repeats, until `replicas` distinct
-  /// real nodes are found (or the ring is exhausted).
-  [[nodiscard]] std::vector<NodeId> replicas_for_vnode(VnodeId v) const;
+  /// real nodes are found (or the ring is exhausted). At most
+  /// ReplicaSet::kCapacity nodes.
+  [[nodiscard]] ReplicaSet replicas_for_vnode(VnodeId v) const;
 
-  [[nodiscard]] std::vector<NodeId> replicas_for_key(
-      std::string_view key) const {
+  [[nodiscard]] ReplicaSet replicas_for_key(std::string_view key) const {
     return replicas_for_vnode(vnode_for_key(key));
   }
 

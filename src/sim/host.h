@@ -22,7 +22,10 @@
 // The callback receives kOk plus the response payload, or kTimeout with an
 // empty payload when the peer crashed, the network dropped the message, or
 // the peer simply never answered. This is precisely the failure evidence
-// the paper's read/write paths act on (Section III.C).
+// the paper's read/write paths act on (Section III.C). Open RPCs live in a
+// flat slot table; an rpc_id is (generation << 32 | slot), and a slot's
+// generation is bumped when its RPC completes, so a late reply or timeout
+// for a finished RPC never reaches the call that reused the slot.
 //
 // Tracing: each host carries a current TraceContext. Incoming requests set
 // it from the message; every call() opens an RPC span under it (ended with
@@ -34,13 +37,13 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
+#include "common/inline_function.h"
+#include "common/ring_queue.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "sim/message.h"
@@ -79,8 +82,10 @@ struct HostConfig {
 
 class Host {
  public:
+  /// Move-only; a callback of up to 48 bytes of captures is stored
+  /// without a heap allocation.
   using RpcCallback =
-      std::function<void(const Status&, const std::string& payload)>;
+      InlineFunction<void(const Status&, const std::string& payload)>;
 
   Host(Network& net, NodeId id, HostConfig config = {})
       : net_(net), id_(id), config_(config) {
@@ -91,7 +96,7 @@ class Host {
     // completion, RPC timeouts): hosts may die while the simulation runs
     // on (e.g. a short-lived bootstrap client).
     cpu_timer_.cancel();
-    for (auto& [rpc_id, pending] : pending_) pending.timeout.cancel();
+    for (Pending& pending : rpcs_) pending.timeout.cancel();
     net_.detach(id_);
   }
 
@@ -112,11 +117,12 @@ class Host {
   void crash() {
     alive_ = false;
     net_.set_node_up(id_, false);
-    for (auto& [rpc_id, pending] : pending_) {
+    for (std::uint32_t slot = 0; slot < rpcs_.size(); ++slot) {
+      if (!rpcs_[slot].callback) continue;
+      Pending pending = take_rpc(slot);
       pending.timeout.cancel();
       tracer().end(pending.rpc_span, now(), "crashed");
     }
-    pending_.clear();
     for (auto& q : queues_) q.clear();
     queued_ = 0;
     cpu_busy_ = false;
@@ -165,24 +171,35 @@ class Host {
   void call_with_timeout(NodeId to, MessageType type, std::string payload,
                          SimDuration timeout, RpcCallback cb,
                          SimTime deadline = 0) {
-    const std::uint64_t rpc_id = next_rpc_id_++;
     const TraceContext caller_ctx = trace_ctx_;
     const SpanId rpc_span =
         tracer().enabled()
             ? tracer().begin(caller_ctx, rpc_span_name(type), id_, now(),
                              rpc_span_stage(type))
             : 0;
-    auto timer = sim().schedule(timeout, [this, rpc_id]() {
-      auto it = pending_.find(rpc_id);
-      if (it == pending_.end()) return;
-      Pending pending = std::move(it->second);
-      pending_.erase(it);
-      tracer().end(pending.rpc_span, now(), "timeout");
-      trace_ctx_ = pending.ctx;
-      pending.callback(Status::Timeout(), {});
+    std::uint32_t slot;
+    if (free_rpcs_.empty()) {
+      slot = static_cast<std::uint32_t>(rpcs_.size());
+      rpcs_.emplace_back();
+    } else {
+      slot = free_rpcs_.back();
+      free_rpcs_.pop_back();
+    }
+    Pending& pending = rpcs_[slot];
+    const std::uint64_t rpc_id =
+        (static_cast<std::uint64_t>(pending.gen) << 32) | slot;
+    pending.callback = std::move(cb);
+    pending.ctx = caller_ctx;
+    pending.rpc_span = rpc_span;
+    pending.timeout = sim().schedule(timeout, [this, rpc_id]() {
+      const std::uint32_t open = find_rpc(rpc_id);
+      if (open == kNoRpc) return;
+      Pending expired = take_rpc(open);
+      tracer().end(expired.rpc_span, now(), "timeout");
+      trace_ctx_ = expired.ctx;
+      expired.callback(Status::Timeout(), {});
     });
-    pending_.emplace(rpc_id,
-                     Pending{std::move(cb), timer, caller_ctx, rpc_span});
+    ++open_rpcs_;
     Message msg{id_, to, type, rpc_id, /*is_response=*/false,
                 std::move(payload)};
     msg.trace_id = caller_ctx.trace_id;
@@ -209,7 +226,7 @@ class Host {
     net_.send(std::move(msg));
   }
 
-  [[nodiscard]] std::size_t pending_rpcs() const { return pending_.size(); }
+  [[nodiscard]] std::size_t pending_rpcs() const { return open_rpcs_; }
 
   // ---- overload introspection -------------------------------------------
   /// Messages currently waiting in the ingress queue (all classes).
@@ -306,6 +323,7 @@ class Host {
   }
 
  private:
+  /// One slot of the RPC table; open while `callback` is set.
   struct Pending {
     RpcCallback callback;
     TimerHandle timeout;
@@ -313,7 +331,36 @@ class Host {
     TraceContext ctx;
     /// Span covering the request/response round trip (0 when untraced).
     SpanId rpc_span = 0;
+    /// High half of the slot's rpc_id; never 0, so no rpc_id is 0 (the
+    /// one-way marker).
+    std::uint32_t gen = 1;
   };
+
+  static constexpr std::uint32_t kNoRpc = UINT32_MAX;
+
+  /// The slot of the open RPC `rpc_id` names, or kNoRpc when that RPC
+  /// has completed (its slot's generation moved on) or never existed.
+  [[nodiscard]] std::uint32_t find_rpc(std::uint64_t rpc_id) const {
+    const auto slot = static_cast<std::uint32_t>(rpc_id);
+    const auto gen = static_cast<std::uint32_t>(rpc_id >> 32);
+    if (slot >= rpcs_.size() || rpcs_[slot].gen != gen ||
+        !rpcs_[slot].callback) {
+      return kNoRpc;
+    }
+    return slot;
+  }
+
+  /// Closes an open RPC's slot and returns its entry, so the callback can
+  /// run (and issue new calls) after the table is consistent again.
+  Pending take_rpc(std::uint32_t slot) {
+    Pending& entry = rpcs_[slot];
+    Pending out = std::move(entry);  // leaves entry.callback empty
+    entry.timeout = {};
+    if (++entry.gen == 0) entry.gen = 1;
+    free_rpcs_.push_back(slot);
+    --open_rpcs_;
+    return out;
+  }
 
   struct QueuedMessage {
     Message msg;
@@ -369,11 +416,10 @@ class Host {
   void dispatch(const Message& msg, SimTime arrival, SimTime start,
                 SimDuration cost) {
     if (msg.is_response) {
-      auto it = pending_.find(msg.rpc_id);
-      if (it == pending_.end()) return;  // response raced its own timeout
-      Pending pending = std::move(it->second);
+      const std::uint32_t slot = find_rpc(msg.rpc_id);
+      if (slot == kNoRpc) return;  // response raced its own timeout
+      Pending pending = take_rpc(slot);
       pending.timeout.cancel();
-      pending_.erase(it);
       // The response's queue/service time belongs under the RPC span it
       // answers — its stamped span id points at the *caller side* context
       // whose span may already be closed.
@@ -412,7 +458,7 @@ class Host {
   HostConfig config_;
   bool alive_ = true;
   /// Real ingress queues, one per priority class, drained by one core.
-  std::array<std::deque<QueuedMessage>, kHostPriorities> queues_;
+  std::array<RingQueue<QueuedMessage>, kHostPriorities> queues_;
   std::size_t queued_ = 0;
   bool cpu_busy_ = false;
   /// The message the CPU is servicing, its start time and its completion
@@ -422,8 +468,11 @@ class Host {
   TimerHandle cpu_timer_;
   std::uint64_t shed_queue_full_ = 0;
   std::uint64_t shed_deadline_ = 0;
-  std::uint64_t next_rpc_id_ = 1;
-  std::unordered_map<std::uint64_t, Pending> pending_;
+  /// Open RPCs by slot (see find_rpc), with the free slots and the count
+  /// of open ones.
+  std::vector<Pending> rpcs_;
+  std::vector<std::uint32_t> free_rpcs_;
+  std::size_t open_rpcs_ = 0;
   TraceContext trace_ctx_;
 };
 

@@ -9,14 +9,16 @@
 // (at, seq, slot, gen) entries; the callables live in a slot table with a
 // free list. A slot's generation is bumped whenever it is released, so a
 // heap entry or TimerHandle whose generation no longer matches is stale.
-// Cancelling releases the slot at once but leaves the heap entry in place
-// (lazy deletion): popping it still advances the clock, and
-// pending_events() still counts it.
+// Cancelling releases the slot at once and leaves the heap entry in place
+// as a dead entry; once dead entries are more than half the heap, the heap
+// is compacted. The latest `at` a compaction drops is kept as the clock
+// horizon, so a step() that drains the queue lands the clock where popping
+// every dead entry would have. pending_events() counts live events only.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -81,14 +83,13 @@ class Simulation {
     return arm(interval, std::move(fn), /*periodic=*/true);
   }
 
-  /// Runs a single event. Returns false when the queue is empty.
+  /// Runs a single event. Returns false when the queue is empty; the
+  /// clock then stands at the latest entry it held, dead ones included.
   bool step() {
-    while (!queue_.empty()) {
-      const Event ev = queue_.top();
-      queue_.pop();
-      now_ = ev.at;
-      if (fire(ev)) return true;
+    while (!heap_.empty()) {
+      if (fire(pop())) return true;
     }
+    if (now_ < horizon_) now_ = horizon_;
     return false;
   }
 
@@ -103,12 +104,7 @@ class Simulation {
   /// Runs events with timestamps <= deadline; clock lands on `deadline`
   /// afterwards (even if the queue drained earlier).
   void run_until(SimTime deadline) {
-    while (!queue_.empty() && queue_.top().at <= deadline) {
-      const Event ev = queue_.top();
-      queue_.pop();
-      now_ = ev.at;
-      fire(ev);
-    }
+    while (!heap_.empty() && heap_.front().at <= deadline) fire(pop());
     if (now_ < deadline) now_ = deadline;
   }
 
@@ -122,8 +118,11 @@ class Simulation {
     return pred();
   }
 
-  /// Heap entries, cancelled ones included until they are popped.
-  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
+  /// Events still due to fire (a periodic timer counts once); cancelled
+  /// entries awaiting compaction are not counted.
+  [[nodiscard]] std::size_t pending_events() const {
+    return heap_.size() - dead_;
+  }
 
  private:
   friend class TimerHandle;
@@ -145,7 +144,14 @@ class Simulation {
     std::uint32_t gen = 0;
     SimDuration interval = 0;
     bool periodic = false;
+    /// The slot has an entry in the heap (false while a periodic event's
+    /// callback runs: its entry is popped and not yet re-armed).
+    bool queued = false;
   };
+
+  /// The heap is compacted once dead entries are more than 1/kDeadShare
+  /// of it, which keeps compaction amortized O(1) per cancel.
+  static constexpr std::size_t kDeadShare = 2;
 
   TimerHandle arm(SimDuration delay, std::function<void()> fn,
                   bool periodic) {
@@ -161,8 +167,23 @@ class Simulation {
     s.fn = std::move(fn);
     s.interval = delay;
     s.periodic = periodic;
-    queue_.push(Event{now_ + delay, next_seq_++, slot, s.gen});
+    push(Event{now_ + delay, next_seq_++, slot, s.gen});
     return TimerHandle{this, slot, s.gen};
+  }
+
+  void push(const Event& ev) {
+    slots_[ev.slot].queued = true;
+    heap_.push_back(ev);
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+  }
+
+  /// Removes the earliest entry and moves the clock to it.
+  Event pop() {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    const Event ev = heap_.back();
+    heap_.pop_back();
+    now_ = ev.at;
+    return ev;
   }
 
   [[nodiscard]] bool live(std::uint32_t slot, std::uint32_t gen) const {
@@ -174,21 +195,42 @@ class Simulation {
     // Bookkeeping first: destroying the callable may re-enter schedule().
     std::function<void()> dead = std::move(s.fn);
     s.fn = nullptr;
+    s.queued = false;
     ++s.gen;
     free_.push_back(slot);
   }
 
   void cancel(std::uint32_t slot, std::uint32_t gen) {
-    if (live(slot, gen)) release(slot);
+    if (!live(slot, gen)) return;
+    if (slots_[slot].queued) ++dead_;
+    release(slot);
+    if (dead_ * kDeadShare > heap_.size()) compact();
   }
 
-  /// Runs a popped entry unless it is stale. A one-shot event's slot is
+  /// Drops every dead entry and re-heapifies. Live entries keep their
+  /// (at, seq) keys, so they pop in the same order as before.
+  void compact() {
+    auto dead = std::partition(heap_.begin(), heap_.end(),
+                               [this](const Event& ev) {
+                                 return live(ev.slot, ev.gen);
+                               });
+    for (auto it = dead; it != heap_.end(); ++it) {
+      horizon_ = std::max(horizon_, it->at);
+    }
+    heap_.erase(dead, heap_.end());
+    std::make_heap(heap_.begin(), heap_.end(), Later{});
+    dead_ = 0;
+  }
+
+  /// Runs a popped entry unless it is dead. A one-shot event's slot is
   /// released before its callback runs. A periodic event re-arms after its
   /// callback, taking the next seq then; if the callback cancelled it, the
-  /// re-arm entry is still pushed, as a stale entry, so the heap holds the
-  /// same entries as a kernel that only marks events cancelled.
+  /// re-arm time only raises the clock horizon.
   bool fire(const Event& ev) {
-    if (!live(ev.slot, ev.gen)) return false;
+    if (!live(ev.slot, ev.gen)) {
+      --dead_;
+      return false;
+    }
     Slot& s = slots_[ev.slot];
     std::function<void()> fn = std::move(s.fn);
     if (!s.periodic) {
@@ -196,18 +238,28 @@ class Simulation {
       fn();
       return true;
     }
+    s.queued = false;
     const SimDuration interval = s.interval;
     fn();
-    if (live(ev.slot, ev.gen)) slots_[ev.slot].fn = std::move(fn);
-    queue_.push(Event{now_ + interval, next_seq_++, ev.slot, ev.gen});
+    if (live(ev.slot, ev.gen)) {
+      slots_[ev.slot].fn = std::move(fn);
+      push(Event{now_ + interval, next_seq_++, ev.slot, ev.gen});
+    } else {
+      horizon_ = std::max(horizon_, now_ + interval);
+    }
     return true;
   }
 
   SimTime now_ = 0;
+  /// Latest `at` among entries dropped without being popped.
+  SimTime horizon_ = 0;
   std::uint64_t next_seq_ = 0;
   Rng rng_;
   Tracer tracer_;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  /// Min-heap on (at, seq) under Later.
+  std::vector<Event> heap_;
+  /// Entries in heap_ whose slot was released.
+  std::size_t dead_ = 0;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;
 };

@@ -134,19 +134,16 @@ TEST_F(PersistentClusterTest, PurgedVnodeStaysGoneWhenTheExOwnerRestarts) {
   ASSERT_TRUE(cluster.boot().ok());
   auto& client = cluster.make_client();
   const ring::VnodeTable table = cluster.node(0).metadata().table();
-  auto holds = [](const std::vector<NodeId>& nodes, NodeId n) {
-    return std::find(nodes.begin(), nodes.end(), n) != nodes.end();
-  };
   VnodeId vnode = kInvalidVnode;
   std::size_t dst_idx = 0;
   for (VnodeId v = 0; v < table.total_vnodes() && vnode == kInvalidVnode;
        ++v) {
     for (std::size_t i = 0; i < cluster.data_node_count(); ++i) {
       const NodeId dst = cluster.node(i).id();
-      if (holds(table.replicas_for_vnode(v), dst)) continue;
+      if (table.replicas_for_vnode(v).contains(dst)) continue;
       ring::VnodeTable moved = table;
       moved.assign(v, dst);
-      if (holds(moved.replicas_for_vnode(v), table.owner(v))) continue;
+      if (moved.replicas_for_vnode(v).contains(table.owner(v))) continue;
       vnode = v;
       dst_idx = i;
       break;

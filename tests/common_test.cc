@@ -2,14 +2,19 @@
 // keypath hierarchy, metrics.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
+#include <memory>
 #include <set>
+#include <string>
 
 #include "common/codec.h"
 #include "common/crc32.h"
 #include "common/hash.h"
+#include "common/inline_function.h"
 #include "common/keypath.h"
 #include "common/metrics.h"
+#include "common/ring_queue.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/trace.h"
@@ -520,6 +525,116 @@ TEST(Trace, OpenSpansRenderAsOpen) {
   EXPECT_NE(t.render_tree(root.trace_id).find("stuck @1 [+2 us] open"),
             std::string::npos);
   EXPECT_NE(t.dump_json().find("\"status\":\"open\""), std::string::npos);
+}
+
+// ---- InlineFunction ----------------------------------------------------------
+
+using IntFn = InlineFunction<int(int)>;
+
+TEST(InlineFunction, HoldsMoveOnlyCaptures) {
+  auto base = std::make_unique<int>(40);
+  IntFn fn = [base = std::move(base)](int x) { return *base + x; };
+  ASSERT_TRUE(fn);
+  EXPECT_EQ(fn(2), 42);
+  IntFn moved = std::move(fn);
+  EXPECT_FALSE(fn);  // a moved-from function is empty
+  EXPECT_EQ(moved(1), 41);
+}
+
+TEST(InlineFunction, KeepsStateAcrossCallsOfAMutableLambda) {
+  IntFn counter = [n = 0](int step) mutable { return n += step; };
+  EXPECT_EQ(counter(1), 1);
+  EXPECT_EQ(counter(2), 3);
+}
+
+TEST(InlineFunction, FallsBackToTheHeapAboveItsInlineSize) {
+  std::array<int, 8> small{};
+  std::array<int, 32> large{};
+  small[7] = 3;
+  large[31] = 5;
+  auto small_fn = [small](int x) { return small[7] * x; };
+  auto large_fn = [large](int x) { return large[31] * x; };
+  static_assert(IntFn::stores_inline<decltype(small_fn)>());
+  static_assert(!IntFn::stores_inline<decltype(large_fn)>());
+  IntFn a = small_fn;
+  IntFn b = large_fn;
+  EXPECT_EQ(a(2), 6);
+  EXPECT_EQ(b(2), 10);
+  std::swap(a, b);
+  EXPECT_EQ(a(1), 5);
+  EXPECT_EQ(b(1), 3);
+}
+
+/// Counts live instances and how many times the one original (never
+/// moved-from) instance is destroyed.
+struct Probe {
+  static inline int live = 0;
+  static inline int original_deaths = 0;
+  bool original = true;
+  Probe() { ++live; }
+  Probe(Probe&& other) noexcept : original(other.original) {
+    other.original = false;
+    ++live;
+  }
+  Probe(const Probe&) = delete;
+  Probe& operator=(const Probe&) = delete;
+  ~Probe() {
+    --live;
+    if (original) ++original_deaths;
+  }
+};
+
+template <std::size_t kPad>
+void expect_each_capture_destroyed_once(bool inline_storage) {
+  Probe::live = 0;
+  Probe::original_deaths = 0;
+  {
+    std::array<char, kPad> pad{};
+    auto lambda = [probe = Probe(), pad](int x) {
+      return static_cast<int>(pad.size()) + x;
+    };
+    EXPECT_EQ(IntFn::stores_inline<decltype(lambda)>(), inline_storage);
+    IntFn fn = std::move(lambda);
+    IntFn moved = std::move(fn);
+    IntFn assigned;
+    assigned = std::move(moved);
+    EXPECT_EQ(assigned(0), static_cast<int>(kPad));
+    EXPECT_EQ(Probe::original_deaths, 0);
+    // Assigning over a live target destroys the old capture exactly once.
+    assigned = [](int x) { return x; };
+    EXPECT_EQ(Probe::original_deaths, 1);
+    assigned = nullptr;
+    EXPECT_FALSE(assigned);
+  }
+  EXPECT_EQ(Probe::original_deaths, 1);
+  EXPECT_EQ(Probe::live, 0);
+}
+
+TEST(InlineFunction, DestroysEachCaptureExactlyOnce) {
+  expect_each_capture_destroyed_once<8>(/*inline_storage=*/true);
+  expect_each_capture_destroyed_once<128>(/*inline_storage=*/false);
+}
+
+// ---- RingQueue ---------------------------------------------------------------
+
+TEST(RingQueue, FifoAcrossWrapAndGrowth) {
+  RingQueue<std::string> q;
+  int pushed = 0;
+  int popped = 0;
+  // Interleave so the head wraps before and after the buffer grows.
+  for (int round = 0; round < 6; ++round) {
+    for (int i = 0; i < 3 + 2 * round; ++i) q.push_back(std::to_string(pushed++));
+    for (int i = 0; i < 2 + round; ++i) {
+      ASSERT_FALSE(q.empty());
+      EXPECT_EQ(q.front(), std::to_string(popped++));
+      q.pop_front();
+    }
+  }
+  EXPECT_EQ(q.size(), static_cast<std::size_t>(pushed - popped));
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  q.push_back("again");
+  EXPECT_EQ(q.front(), "again");
 }
 
 }  // namespace

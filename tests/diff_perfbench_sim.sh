@@ -1,15 +1,18 @@
 #!/usr/bin/env bash
 # Cross-commit check of the benchmark's simulated figures: runs
-# perfbench/run.py (--seed 1 --seconds 3 --trace 0) for every workload from
-# two source trees and compares the `sim_*` metrics, which are
-# deterministic virtual-time results. Wall-clock metrics are not compared.
-# A change meant to keep behaviour identical must leave every `sim_*`
-# value unchanged.
+# perfbench/run.py (--seed 1 --seconds 3) for every workload from two
+# source trees and compares deterministic results. The --trace 0 pass
+# compares the `sim_*` metrics (virtual-time latencies); the --trace 1
+# pass compares the program counts a kernel or dispatch refactor must not
+# move (events and samples, messages and bytes per op, retry and shed
+# ratios, tracer-induced sim diffs). Wall-clock metrics, `sim.pending_*`
+# (heap occupancy) and `alloc.*` are not compared. A change meant to keep
+# behaviour identical must leave every compared value unchanged.
 #
 # Usage: tests/diff_perfbench_sim.sh <parent_tree> <change_tree>
 #   Each tree builds perfbench into its own directory under a temporary
 #   root ($PERFBENCH_SIM_BUILDS to keep and reuse the builds).
-# Exits 0 when every sim_* value matches, 1 on any difference.
+# Exits 0 when every compared value matches, 1 on any difference.
 set -uo pipefail
 
 if [[ $# -ne 2 ]]; then
@@ -23,18 +26,21 @@ tmp="$(mktemp -d)"
 trap 'rm -rf "${tmp}"' EXIT
 builds="${PERFBENCH_SIM_BUILDS:-${tmp}/builds}"
 
-for workload in paper_rw ycsb_skew churn; do
-  for side in parent change; do
-    tree="${parent_tree}"
-    [[ "${side}" == change ]] && tree="${change_tree}"
-    if ! (cd "${tree}" && CARGO_TARGET_DIR="${builds}/${side}" \
-            python3 perfbench/run.py --workload "${workload}" --seed 1 \
-              --seconds 3 --trace 0 2> "${tmp}/${side}-${workload}.err" \
-            | tail -n 1 > "${tmp}/${side}-${workload}.json"); then
-      echo "perfbench failed: ${side} ${workload}" >&2
-      cat "${tmp}/${side}-${workload}.err" >&2
-      exit 2
-    fi
+for trace in 0 1; do
+  for workload in paper_rw ycsb_skew churn; do
+    for side in parent change; do
+      tree="${parent_tree}"
+      [[ "${side}" == change ]] && tree="${change_tree}"
+      out="${tmp}/${side}-${workload}-trace${trace}"
+      if ! (cd "${tree}" && CARGO_TARGET_DIR="${builds}/${side}" \
+              python3 perfbench/run.py --workload "${workload}" --seed 1 \
+                --seconds 3 --trace "${trace}" 2> "${out}.err" \
+              | tail -n 1 > "${out}.json"); then
+        echo "perfbench failed: ${side} ${workload} --trace ${trace}" >&2
+        cat "${out}.err" >&2
+        exit 2
+      fi
+    done
   done
 done
 
@@ -43,22 +49,33 @@ import json
 import sys
 
 tmp = sys.argv[1]
+# Program counts compared in the --trace 1 pass.
+COUNTS = ("sim.events_per_op", "sim.read_samples", "sim.write_samples",
+          "net.msgs_per_op", "net.bytes_per_op", "client.retry_ratio",
+          "host.shed_ratio", "obs.tracer_sim_diffs")
 differ = False
-for workload in ("paper_rw", "ycsb_skew", "churn"):
-    sides = {}
-    for side in ("parent", "change"):
-        with open(f"{tmp}/{side}-{workload}.json") as f:
-            metrics = json.load(f)["metrics"]
-        sides[side] = {k: v["value"] for k, v in metrics.items()
-                       if k.startswith("sim_")}
-    for name in sorted(set(sides["parent"]) | set(sides["change"])):
-        before = sides["parent"].get(name)
-        after = sides["change"].get(name)
-        same = before == after
-        differ |= not same
-        print(f"{workload} {name}: {before} -> {after}"
-              f"{'' if same else '  DIFFERS'}")
+for trace, compared in (("0", lambda k: k.startswith("sim_")),
+                        ("1", lambda k: k in COUNTS)):
+    for workload in ("paper_rw", "ycsb_skew", "churn"):
+        sides = {}
+        for side in ("parent", "change"):
+            with open(f"{tmp}/{side}-{workload}-trace{trace}.json") as f:
+                metrics = json.load(f)["metrics"]
+            sides[side] = {k: v["value"] for k, v in metrics.items()
+                           if compared(k)}
+        if trace == "1":
+            missing = set(COUNTS) - set(sides["parent"])
+            if missing:
+                print(f"{workload}: parent lacks {sorted(missing)}")
+                differ = True
+        for name in sorted(set(sides["parent"]) | set(sides["change"])):
+            before = sides["parent"].get(name)
+            after = sides["change"].get(name)
+            same = before == after
+            differ |= not same
+            print(f"trace{trace} {workload} {name}: {before} -> {after}"
+                  f"{'' if same else '  DIFFERS'}")
 print("diff_perfbench_sim: " +
-      ("sim_* figures differ" if differ else "all sim_* figures identical"))
+      ("figures differ" if differ else "all compared figures identical"))
 sys.exit(1 if differ else 0)
 PY

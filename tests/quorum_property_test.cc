@@ -195,5 +195,17 @@ TEST(QuorumConfig, InvalidCombinationsRejected) {
   EXPECT_TRUE(cfg.quorum_valid());
 }
 
+TEST(QuorumConfig, ReplicasAboveTheReplicaSetCapacityRejected) {
+  ClusterConfig cfg;
+  cfg.replicas = ring::ReplicaSet::kCapacity;
+  cfg.read_quorum = cfg.replicas / 2 + 1;
+  cfg.write_quorum = cfg.replicas / 2 + 1;
+  EXPECT_TRUE(cfg.quorum_valid());
+  cfg.replicas = ring::ReplicaSet::kCapacity + 1;
+  cfg.read_quorum = cfg.replicas / 2 + 1;
+  cfg.write_quorum = cfg.replicas / 2 + 1;
+  EXPECT_FALSE(cfg.quorum_valid());
+}
+
 }  // namespace
 }  // namespace sedna::cluster

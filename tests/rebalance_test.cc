@@ -887,7 +887,7 @@ TEST(TransferFaults, JoinAndRecoveryRaceForADeadDonorsVnode) {
   const VnodeId vnode = moves.front().vnode;
   const NodeId donor = moves.front().from;
   auto survivors = table.replicas_for_vnode(vnode);
-  std::erase(survivors, donor);
+  survivors.erase(donor);
   ASSERT_EQ(survivors.size(), 2u);
   const auto acked =
       write_vnode_keys(cluster, client, table, vnode, 10, "race");

@@ -44,7 +44,29 @@ TEST(VnodeTable, ReplicaWalkIsClockwise) {
   VnodeTable table(8, 3);
   for (VnodeId v = 0; v < 8; ++v) table.assign(v, 100 + v);
   const auto replicas = table.replicas_for_vnode(6);
-  EXPECT_EQ(replicas, (std::vector<NodeId>{106, 107, 100}));  // wraps
+  EXPECT_EQ(replicas, (ReplicaSet{106, 107, 100}));  // wraps
+}
+
+TEST(VnodeTable, ReplicaSetEraseKeepsOrder) {
+  ReplicaSet set{5, 9, 2, 7};
+  EXPECT_TRUE(set.contains(2));
+  set.erase(2);
+  EXPECT_EQ(set, (ReplicaSet{5, 9, 7}));
+  EXPECT_FALSE(set.contains(2));
+  set.erase(4);  // absent: no-op
+  EXPECT_EQ(set.size(), 3u);
+  EXPECT_EQ(set.front(), 5u);
+}
+
+TEST(VnodeTable, ReplicaWalkStopsAtTheReplicaSetCapacity) {
+  const std::uint32_t nodes = ReplicaSet::kCapacity + 4;
+  VnodeTable table(nodes, nodes);
+  for (VnodeId v = 0; v < nodes; ++v) table.assign(v, 100 + v);
+  const auto replicas = table.replicas_for_vnode(0);
+  ASSERT_EQ(replicas.size(), ReplicaSet::kCapacity);
+  for (std::size_t i = 0; i < replicas.size(); ++i) {
+    EXPECT_EQ(replicas[i], 100 + i);
+  }
 }
 
 TEST(VnodeTable, FewerNodesThanReplicasReturnsAll) {

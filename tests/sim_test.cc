@@ -114,11 +114,11 @@ TEST(Simulation, CancelledEventsStayQueuedAndAdvanceTheClock) {
   auto late = sim.schedule(50, [] {});
   sim.schedule(10, [&] { ran = true; });
   late.cancel();
-  EXPECT_EQ(sim.pending_events(), 2u);  // lazy deletion: still in the heap
+  EXPECT_EQ(sim.pending_events(), 1u);  // only live events count
   EXPECT_TRUE(sim.step());
   EXPECT_TRUE(ran);
   EXPECT_EQ(sim.now(), 10u);
-  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(sim.pending_events(), 0u);
   EXPECT_FALSE(sim.step());  // pops the cancelled entry, runs nothing
   EXPECT_EQ(sim.now(), 50u);
   EXPECT_EQ(sim.pending_events(), 0u);
@@ -170,12 +170,13 @@ TEST(Simulation, SeededRngIsDeterministic) {
 
 /// Drives a Simulation and a naive reference model with the same random
 /// mix of schedule, cancel, periodic timers, run_until, step and run, and
-/// compares the firing order, the clock and every handle's liveness after
-/// each call. The model keeps a flat list of (at, seq) entries and pops
-/// the minimum by linear scan; a cancelled event's entry stays listed, so
-/// popping it still moves the clock, which is where a drained queue leaves
-/// it. seq is taken at every arm and at every periodic re-arm, after the
-/// callback (a self-cancelled periodic still takes one, for a dead entry).
+/// compares the firing order, the clock, every handle's liveness and the
+/// live event count after each call. The model keeps a flat list of
+/// (at, seq) entries and pops the minimum by linear scan; a cancelled
+/// event's entry stays listed, so popping it still moves the clock, which
+/// is where a drained queue leaves it. seq is taken at every arm and at
+/// every periodic re-arm, after the callback (a self-cancelled periodic
+/// still takes one, for a dead entry).
 class KernelFuzz {
  public:
   explicit KernelFuzz(std::uint64_t seed) : rng_(seed) {}
@@ -379,10 +380,13 @@ class KernelFuzz {
   void check() {
     ASSERT_EQ(log_, model_log_);
     ASSERT_EQ(sim_.now(), model_now_);
+    std::size_t live = 0;
     for (std::size_t id = 0; id < events_.size(); ++id) {
       ASSERT_EQ(events_[id].handle.active(), events_[id].model_live)
           << "event " << id;
+      live += events_[id].model_live ? 1 : 0;
     }
+    ASSERT_EQ(sim_.pending_events(), live);
   }
 
   Rng rng_;
@@ -671,6 +675,105 @@ TEST(Rpc, CrashClearsPendingCallbacks) {
   client.crash();
   sim.run();
   EXPECT_FALSE(fired);  // the whole host died; no stray callback
+}
+
+/// Echo server that remembers the rpc_id of every request it answers.
+class RecordingEchoHost : public Host {
+ public:
+  using Host::Host;
+  std::vector<std::uint64_t> rpc_ids;
+
+ protected:
+  void on_message(const Message& msg) override {
+    rpc_ids.push_back(msg.rpc_id);
+    reply(msg, "echo:" + msg.payload);
+  }
+};
+
+TEST(Rpc, LateReplyToAReusedSlotIsDropped) {
+  Simulation sim;
+  NetworkConfig cfg;
+  cfg.base_latency_us = 2000;  // each way; slower than the first timeout
+  cfg.jitter_frac = 0.0;
+  Network net(sim, cfg);
+  RecordingEchoHost server(net, 1);
+  SinkHost client(net, 2);
+  std::vector<std::string> first;
+  std::vector<std::string> second;
+  client.call_with_timeout(1, 900, "first", 1000,
+                           [&](const Status& st, const std::string& body) {
+                             first.push_back(st.ok() ? body : "timeout");
+                           });
+  // After the first call timed out, a second call takes its slot; the
+  // first call's echo lands while the second is still open.
+  sim.schedule(1500, [&] {
+    client.call_with_timeout(1, 900, "second", 10000,
+                             [&](const Status& st, const std::string& body) {
+                               second.push_back(st.ok() ? body : "timeout");
+                             });
+  });
+  sim.run();
+  EXPECT_EQ(first, (std::vector<std::string>{"timeout"}));
+  EXPECT_EQ(second, (std::vector<std::string>{"echo:second"}));
+  EXPECT_EQ(client.pending_rpcs(), 0u);
+  ASSERT_EQ(server.rpc_ids.size(), 2u);
+  // Same slot (low half), new generation (high half).
+  EXPECT_EQ(server.rpc_ids[0] & 0xffffffffu, server.rpc_ids[1] & 0xffffffffu);
+  EXPECT_NE(server.rpc_ids[0], server.rpc_ids[1]);
+}
+
+TEST(Rpc, CrashEndsEveryOpenRpcSpanAsCrashed) {
+  Simulation sim;
+  sim.tracer().set_enabled(true);
+  Network net(sim);
+  EchoHost server(net, 1);
+  server.mute = true;
+  SinkHost client(net, 2);
+  client.begin_trace("op");
+  int callbacks = 0;
+  for (int i = 0; i < 5; ++i) {
+    client.call(1, 900, "ping",
+                [&](const Status&, const std::string&) { ++callbacks; });
+  }
+  EXPECT_EQ(client.pending_rpcs(), 5u);
+  client.crash();
+  EXPECT_EQ(client.pending_rpcs(), 0u);
+  sim.run();
+  EXPECT_EQ(callbacks, 0);
+  int rpc_spans = 0;
+  for (const Span& span : sim.tracer().spans()) {
+    if (span.name != "rpc.t900") continue;
+    ++rpc_spans;
+    EXPECT_EQ(span.status, "crashed");
+  }
+  EXPECT_EQ(rpc_spans, 5);
+}
+
+TEST(Rpc, CallbacksIssueCallsWhileTheTableGrows) {
+  Simulation sim;
+  Network net(sim);
+  EchoHost server(net, 1);
+  SinkHost client(net, 2);
+  std::vector<std::string> replies;
+  // Each reply fans out into more calls than are open, so the table grows
+  // from inside a callback, three levels deep.
+  std::function<void(int, const std::string&)> issue =
+      [&](int depth, const std::string& tag) {
+        client.call(1, 900, tag,
+                    [&, depth, tag](const Status& st, const std::string& body) {
+                      ASSERT_TRUE(st.ok());
+                      EXPECT_EQ(body, "echo:" + tag);
+                      replies.push_back(body);
+                      if (depth == 3) return;
+                      for (int i = 0; i < 6; ++i) {
+                        issue(depth + 1, tag + "." + std::to_string(i));
+                      }
+                    });
+      };
+  issue(0, "root");
+  sim.run();
+  EXPECT_EQ(replies.size(), 1u + 6u + 36u + 216u);
+  EXPECT_EQ(client.pending_rpcs(), 0u);
 }
 
 /// Host that counts the requests it handles into an outside counter, so

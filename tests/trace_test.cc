@@ -166,7 +166,7 @@ TEST(Tracing, CrashedReplicaReadShowsTimeoutRetryAndRepair) {
     if (reps.size() == 3 && reps[0] != reps[1] && reps[1] != reps[2] &&
         reps[0] != reps[2]) {
       key = std::move(candidate);
-      replicas = std::move(reps);
+      replicas.assign(reps.begin(), reps.end());
       break;
     }
   }

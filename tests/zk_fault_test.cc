@@ -60,9 +60,7 @@ class ZkFaultTest : public ::testing::Test {
 
   void run_until(const std::function<bool()>& pred) {
     const SimTime deadline = sim_->now() + sim_sec(300);
-    while (!pred() && sim_->now() < deadline &&
-           sim_->pending_events() > 0) {
-      sim_->step();
+    while (!pred() && sim_->now() < deadline && sim_->step()) {
     }
   }
 
