@@ -39,8 +39,11 @@ struct ClusterConfig {
     return read_quorum + write_quorum > replicas &&
            2 * write_quorum > replicas && read_quorum >= 1 &&
            replicas >= 1 && read_quorum <= replicas &&
-           write_quorum <= replicas &&
-           replicas <= ring::ReplicaSet::kCapacity;
+           write_quorum <= replicas && replicas_fit();
+  }
+  /// N fits a ring::ReplicaSet; a cluster refuses to boot otherwise.
+  [[nodiscard]] bool replicas_fit() const {
+    return replicas <= ring::ReplicaSet::kCapacity;
   }
 
   template <typename M, typename IO>
@@ -48,8 +51,13 @@ struct ClusterConfig {
     io(m.total_vnodes, m.replicas, m.read_quorum, m.write_quorum);
   }
   [[nodiscard]] std::string encode() const { return codec::encode(*this); }
+  /// Also rejects an N no ring::ReplicaSet can hold.
   static Result<ClusterConfig> decode(std::string_view bytes) {
-    return codec::decode<ClusterConfig>(bytes, "bad cluster config");
+    auto cfg = codec::decode<ClusterConfig>(bytes, "bad cluster config");
+    if (cfg.ok() && !cfg->replicas_fit()) {
+      return Status::Corruption("cluster config: too many replicas");
+    }
+    return cfg;
   }
 };
 

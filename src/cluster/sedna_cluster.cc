@@ -78,6 +78,9 @@ bool SednaCluster::run_until(const std::function<bool()>& pred) {
 }
 
 Status SednaCluster::boot() {
+  if (!config_.cluster.replicas_fit()) {
+    return Status::InvalidArgument("boot: replicas above ReplicaSet capacity");
+  }
   // 1. ZooKeeper ensemble.
   zk::ZkServerConfig zk_cfg;
   zk_cfg.ensemble = zk_ids();

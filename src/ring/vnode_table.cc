@@ -8,10 +8,9 @@ namespace sedna::ring {
 
 ReplicaSet VnodeTable::replicas_for_vnode(VnodeId v) const {
   ReplicaSet result;
-  const std::size_t want = std::min<std::size_t>(replicas_,
-                                                 ReplicaSet::kCapacity);
   const std::uint32_t n = total_vnodes();
-  for (std::uint32_t step = 0; step < n && result.size() < want; ++step) {
+  for (std::uint32_t step = 0; step < n && result.size() < replicas_;
+       ++step) {
     const NodeId owner_id = assignment_[(v + step) % n];
     if (owner_id != kInvalidNode && !result.contains(owner_id)) {
       result.push_back(owner_id);
@@ -75,7 +74,8 @@ Result<VnodeTable> VnodeTable::deserialize(std::string_view bytes) {
   VnodeTable table;
   table.replicas_ = r.get_u32();
   const std::uint32_t n = r.get_u32();
-  if (r.failed() || n > (1u << 24)) {
+  if (r.failed() || n > (1u << 24) ||
+      table.replicas_ > ReplicaSet::kCapacity) {
     return Status::Corruption("bad vnode table");
   }
   table.assignment_.resize(n, kInvalidNode);

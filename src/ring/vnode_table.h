@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstdlib>
 #include <initializer_list>
 #include <string>
 #include <string_view>
@@ -28,7 +29,7 @@
 namespace sedna::ring {
 
 /// A vnode's replica set (r1 first), held inline: it is looked up on every
-/// request, and N never exceeds kCapacity (ClusterConfig::quorum_valid).
+/// request, and N never exceeds kCapacity (see the VnodeTable constructor).
 class ReplicaSet {
  public:
   static constexpr std::size_t kCapacity = 8;
@@ -72,9 +73,13 @@ class ReplicaSet {
 class VnodeTable {
  public:
   VnodeTable() = default;
+  /// `replicas` must not exceed ReplicaSet::kCapacity: configs are
+  /// checked where they come in (SednaCluster::boot, ClusterConfig::decode,
+  /// deserialize), so a larger N here is a bug and aborts.
   VnodeTable(std::uint32_t total_vnodes, std::uint32_t replicas)
-      : replicas_(replicas),
-        assignment_(total_vnodes, kInvalidNode) {}
+      : replicas_(replicas), assignment_(total_vnodes, kInvalidNode) {
+    if (replicas > ReplicaSet::kCapacity) std::abort();
+  }
 
   [[nodiscard]] std::uint32_t total_vnodes() const {
     return static_cast<std::uint32_t>(assignment_.size());
@@ -90,8 +95,7 @@ class VnodeTable {
 
   /// Replica set for a vnode: the owner of `v` (r1) plus the owners of the
   /// next vnodes clockwise, skipping repeats, until `replicas` distinct
-  /// real nodes are found (or the ring is exhausted). At most
-  /// ReplicaSet::kCapacity nodes.
+  /// real nodes are found (or the ring is exhausted).
   [[nodiscard]] ReplicaSet replicas_for_vnode(VnodeId v) const;
 
   [[nodiscard]] ReplicaSet replicas_for_key(std::string_view key) const {

@@ -23,7 +23,7 @@
 // empty payload when the peer crashed, the network dropped the message, or
 // the peer simply never answered. This is precisely the failure evidence
 // the paper's read/write paths act on (Section III.C). Open RPCs live in a
-// flat slot table; an rpc_id is (generation << 32 | slot), and a slot's
+// SlotTable; an rpc_id is (generation << 32 | slot), and a slot's
 // generation is bumped when its RPC completes, so a late reply or timeout
 // for a finished RPC never reaches the call that reused the slot.
 //
@@ -40,10 +40,10 @@
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "common/inline_function.h"
 #include "common/ring_queue.h"
+#include "common/slot_table.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "sim/message.h"
@@ -96,7 +96,9 @@ class Host {
     // completion, RPC timeouts): hosts may die while the simulation runs
     // on (e.g. a short-lived bootstrap client).
     cpu_timer_.cancel();
-    for (Pending& pending : rpcs_) pending.timeout.cancel();
+    for (std::uint32_t slot = 0; slot < rpcs_.slot_count(); ++slot) {
+      rpcs_[slot].timeout.cancel();
+    }
     net_.detach(id_);
   }
 
@@ -117,9 +119,9 @@ class Host {
   void crash() {
     alive_ = false;
     net_.set_node_up(id_, false);
-    for (std::uint32_t slot = 0; slot < rpcs_.size(); ++slot) {
-      if (!rpcs_[slot].callback) continue;
-      Pending pending = take_rpc(slot);
+    for (std::uint32_t slot = 0; slot < rpcs_.slot_count(); ++slot) {
+      if (!rpcs_.in_use(slot)) continue;
+      Pending pending = rpcs_.release(slot);
       pending.timeout.cancel();
       tracer().end(pending.rpc_span, now(), "crashed");
     }
@@ -177,29 +179,21 @@ class Host {
             ? tracer().begin(caller_ctx, rpc_span_name(type), id_, now(),
                              rpc_span_stage(type))
             : 0;
-    std::uint32_t slot;
-    if (free_rpcs_.empty()) {
-      slot = static_cast<std::uint32_t>(rpcs_.size());
-      rpcs_.emplace_back();
-    } else {
-      slot = free_rpcs_.back();
-      free_rpcs_.pop_back();
-    }
-    Pending& pending = rpcs_[slot];
+    const auto ref = rpcs_.acquire();
+    Pending& pending = rpcs_[ref.slot];
     const std::uint64_t rpc_id =
-        (static_cast<std::uint64_t>(pending.gen) << 32) | slot;
+        (static_cast<std::uint64_t>(ref.gen) << 32) | ref.slot;
     pending.callback = std::move(cb);
     pending.ctx = caller_ctx;
     pending.rpc_span = rpc_span;
     pending.timeout = sim().schedule(timeout, [this, rpc_id]() {
-      const std::uint32_t open = find_rpc(rpc_id);
-      if (open == kNoRpc) return;
-      Pending expired = take_rpc(open);
+      const auto open = rpc_ref(rpc_id);
+      if (!rpcs_.live(open)) return;
+      Pending expired = rpcs_.release(open.slot);
       tracer().end(expired.rpc_span, now(), "timeout");
       trace_ctx_ = expired.ctx;
       expired.callback(Status::Timeout(), {});
     });
-    ++open_rpcs_;
     Message msg{id_, to, type, rpc_id, /*is_response=*/false,
                 std::move(payload)};
     msg.trace_id = caller_ctx.trace_id;
@@ -226,7 +220,9 @@ class Host {
     net_.send(std::move(msg));
   }
 
-  [[nodiscard]] std::size_t pending_rpcs() const { return open_rpcs_; }
+  [[nodiscard]] std::size_t pending_rpcs() const {
+    return rpcs_.in_use_count();
+  }
 
   // ---- overload introspection -------------------------------------------
   /// Messages currently waiting in the ingress queue (all classes).
@@ -323,7 +319,8 @@ class Host {
   }
 
  private:
-  /// One slot of the RPC table; open while `callback` is set.
+  /// One open RPC. Its slot's generation (never 0) is the high half of
+  /// its rpc_id, so no rpc_id is 0 (the one-way marker).
   struct Pending {
     RpcCallback callback;
     TimerHandle timeout;
@@ -331,35 +328,13 @@ class Host {
     TraceContext ctx;
     /// Span covering the request/response round trip (0 when untraced).
     SpanId rpc_span = 0;
-    /// High half of the slot's rpc_id; never 0, so no rpc_id is 0 (the
-    /// one-way marker).
-    std::uint32_t gen = 1;
   };
 
-  static constexpr std::uint32_t kNoRpc = UINT32_MAX;
-
-  /// The slot of the open RPC `rpc_id` names, or kNoRpc when that RPC
-  /// has completed (its slot's generation moved on) or never existed.
-  [[nodiscard]] std::uint32_t find_rpc(std::uint64_t rpc_id) const {
-    const auto slot = static_cast<std::uint32_t>(rpc_id);
-    const auto gen = static_cast<std::uint32_t>(rpc_id >> 32);
-    if (slot >= rpcs_.size() || rpcs_[slot].gen != gen ||
-        !rpcs_[slot].callback) {
-      return kNoRpc;
-    }
-    return slot;
-  }
-
-  /// Closes an open RPC's slot and returns its entry, so the callback can
-  /// run (and issue new calls) after the table is consistent again.
-  Pending take_rpc(std::uint32_t slot) {
-    Pending& entry = rpcs_[slot];
-    Pending out = std::move(entry);  // leaves entry.callback empty
-    entry.timeout = {};
-    if (++entry.gen == 0) entry.gen = 1;
-    free_rpcs_.push_back(slot);
-    --open_rpcs_;
-    return out;
+  /// The table reference an rpc_id encodes. Once the RPC completes its
+  /// slot's generation moves on and the reference is stale.
+  static SlotTable<Pending>::Ref rpc_ref(std::uint64_t rpc_id) {
+    return {static_cast<std::uint32_t>(rpc_id),
+            static_cast<std::uint32_t>(rpc_id >> 32)};
   }
 
   struct QueuedMessage {
@@ -416,9 +391,10 @@ class Host {
   void dispatch(const Message& msg, SimTime arrival, SimTime start,
                 SimDuration cost) {
     if (msg.is_response) {
-      const std::uint32_t slot = find_rpc(msg.rpc_id);
-      if (slot == kNoRpc) return;  // response raced its own timeout
-      Pending pending = take_rpc(slot);
+      const auto open = rpc_ref(msg.rpc_id);
+      if (!rpcs_.live(open)) return;  // response raced its own timeout
+      // Released first, so the callback may issue new calls.
+      Pending pending = rpcs_.release(open.slot);
       pending.timeout.cancel();
       // The response's queue/service time belongs under the RPC span it
       // answers — its stamped span id points at the *caller side* context
@@ -468,11 +444,8 @@ class Host {
   TimerHandle cpu_timer_;
   std::uint64_t shed_queue_full_ = 0;
   std::uint64_t shed_deadline_ = 0;
-  /// Open RPCs by slot (see find_rpc), with the free slots and the count
-  /// of open ones.
-  std::vector<Pending> rpcs_;
-  std::vector<std::uint32_t> free_rpcs_;
-  std::size_t open_rpcs_ = 0;
+  /// Open RPCs, addressed by rpc_id (see rpc_ref).
+  SlotTable<Pending> rpcs_;
   TraceContext trace_ctx_;
 };
 

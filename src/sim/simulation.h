@@ -6,14 +6,13 @@
 // bit-identically.
 //
 // Event representation (DESIGN.md §2): the heap holds plain
-// (at, seq, slot, gen) entries; the callables live in a slot table with a
-// free list. A slot's generation is bumped whenever it is released, so a
+// (at, seq, slot, gen) entries; the callables live in a SlotTable, so a
 // heap entry or TimerHandle whose generation no longer matches is stale.
 // Cancelling releases the slot at once and leaves the heap entry in place
 // as a dead entry; once dead entries are more than half the heap, the heap
-// is compacted. The latest `at` a compaction drops is kept as the clock
-// horizon, so a step() that drains the queue lands the clock where popping
-// every dead entry would have. pending_events() counts live events only.
+// is compacted. The latest `at` ever queued is kept as the clock horizon,
+// so a step() that drains the queue lands the clock where popping every
+// dead entry would have. pending_events() counts live events only.
 #pragma once
 
 #include <algorithm>
@@ -23,6 +22,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/slot_table.h"
 #include "common/trace.h"
 #include "common/types.h"
 
@@ -59,7 +59,7 @@ class Simulation {
     // Destroy the callables outside slots_, so a captured object whose
     // destructor cancels a timer sees an empty table.
     auto slots = std::move(slots_);
-    slots_.clear();
+    slots_ = {};
   }
 
   Simulation(const Simulation&) = delete;
@@ -141,7 +141,6 @@ class Simulation {
   };
   struct Slot {
     std::function<void()> fn;
-    std::uint32_t gen = 0;
     SimDuration interval = 0;
     bool periodic = false;
     /// The slot has an entry in the heap (false while a periodic event's
@@ -155,24 +154,18 @@ class Simulation {
 
   TimerHandle arm(SimDuration delay, std::function<void()> fn,
                   bool periodic) {
-    std::uint32_t slot;
-    if (free_.empty()) {
-      slot = static_cast<std::uint32_t>(slots_.size());
-      slots_.emplace_back();
-    } else {
-      slot = free_.back();
-      free_.pop_back();
-    }
-    Slot& s = slots_[slot];
+    const auto ref = slots_.acquire();
+    Slot& s = slots_[ref.slot];
     s.fn = std::move(fn);
     s.interval = delay;
     s.periodic = periodic;
-    push(Event{now_ + delay, next_seq_++, slot, s.gen});
-    return TimerHandle{this, slot, s.gen};
+    push(Event{now_ + delay, next_seq_++, ref.slot, ref.gen});
+    return TimerHandle{this, ref.slot, ref.gen};
   }
 
   void push(const Event& ev) {
     slots_[ev.slot].queued = true;
+    horizon_ = std::max(horizon_, ev.at);
     heap_.push_back(ev);
     std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
@@ -187,37 +180,26 @@ class Simulation {
   }
 
   [[nodiscard]] bool live(std::uint32_t slot, std::uint32_t gen) const {
-    return slot < slots_.size() && slots_[slot].gen == gen;
-  }
-
-  void release(std::uint32_t slot) {
-    Slot& s = slots_[slot];
-    // Bookkeeping first: destroying the callable may re-enter schedule().
-    std::function<void()> dead = std::move(s.fn);
-    s.fn = nullptr;
-    s.queued = false;
-    ++s.gen;
-    free_.push_back(slot);
+    return slots_.live({slot, gen});
   }
 
   void cancel(std::uint32_t slot, std::uint32_t gen) {
     if (!live(slot, gen)) return;
     if (slots_[slot].queued) ++dead_;
-    release(slot);
+    // The released callable dies after the table is consistent again: its
+    // destructor may re-enter schedule().
+    slots_.release(slot);
     if (dead_ * kDeadShare > heap_.size()) compact();
   }
 
   /// Drops every dead entry and re-heapifies. Live entries keep their
   /// (at, seq) keys, so they pop in the same order as before.
   void compact() {
-    auto dead = std::partition(heap_.begin(), heap_.end(),
+    heap_.erase(std::partition(heap_.begin(), heap_.end(),
                                [this](const Event& ev) {
                                  return live(ev.slot, ev.gen);
-                               });
-    for (auto it = dead; it != heap_.end(); ++it) {
-      horizon_ = std::max(horizon_, it->at);
-    }
-    heap_.erase(dead, heap_.end());
+                               }),
+                heap_.end());
     std::make_heap(heap_.begin(), heap_.end(), Later{});
     dead_ = 0;
   }
@@ -234,7 +216,7 @@ class Simulation {
     Slot& s = slots_[ev.slot];
     std::function<void()> fn = std::move(s.fn);
     if (!s.periodic) {
-      release(ev.slot);
+      slots_.release(ev.slot);
       fn();
       return true;
     }
@@ -251,7 +233,8 @@ class Simulation {
   }
 
   SimTime now_ = 0;
-  /// Latest `at` among entries dropped without being popped.
+  /// Latest `at` ever queued: where the clock stands once every entry has
+  /// been popped or dropped.
   SimTime horizon_ = 0;
   std::uint64_t next_seq_ = 0;
   Rng rng_;
@@ -260,8 +243,7 @@ class Simulation {
   std::vector<Event> heap_;
   /// Entries in heap_ whose slot was released.
   std::size_t dead_ = 0;
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> free_;
+  SlotTable<Slot> slots_;
 };
 
 inline void TimerHandle::cancel() {

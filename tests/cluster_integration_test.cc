@@ -40,6 +40,15 @@ TEST(ClusterBoot, VnodeTableCoversAllVnodesWithDataNodes) {
   }
 }
 
+TEST(ClusterBoot, RejectsReplicasAboveTheReplicaSetCapacity) {
+  SednaClusterConfig cfg = small_config();
+  cfg.cluster.replicas = ring::ReplicaSet::kCapacity + 1;
+  cfg.cluster.read_quorum = cfg.cluster.replicas / 2 + 1;
+  cfg.cluster.write_quorum = cfg.cluster.replicas / 2 + 1;
+  SednaCluster cluster(cfg);
+  EXPECT_TRUE(cluster.boot().is(StatusCode::kInvalidArgument));
+}
+
 TEST(ClusterDataPath, WriteThenReadLatest) {
   SednaCluster cluster(small_config());
   ASSERT_TRUE(cluster.boot().ok());

@@ -16,6 +16,7 @@
 #include "common/metrics.h"
 #include "common/ring_queue.h"
 #include "common/rng.h"
+#include "common/slot_table.h"
 #include "common/status.h"
 #include "common/trace.h"
 #include "common/types.h"
@@ -635,6 +636,33 @@ TEST(RingQueue, FifoAcrossWrapAndGrowth) {
   EXPECT_TRUE(q.empty());
   q.push_back("again");
   EXPECT_EQ(q.front(), "again");
+}
+
+// ---- SlotTable ---------------------------------------------------------------
+
+TEST(SlotTable, ReleaseMakesEveryEarlierReferenceStale) {
+  SlotTable<std::string> table;
+  const auto a = table.acquire();
+  EXPECT_NE(a.gen, 0u);
+  table[a.slot] = "first";
+  ASSERT_NE(table.find(a), nullptr);
+  EXPECT_EQ(*table.find(a), "first");
+  EXPECT_EQ(table.in_use_count(), 1u);
+
+  EXPECT_EQ(table.release(a.slot), "first");
+  EXPECT_FALSE(table.live(a));
+  EXPECT_EQ(table.in_use_count(), 0u);
+
+  // The freed slot is reused under a new generation, reset to T{}.
+  const auto b = table.acquire();
+  EXPECT_EQ(b.slot, a.slot);
+  EXPECT_NE(b.gen, a.gen);
+  EXPECT_EQ(*table.find(b), "");
+  EXPECT_EQ(table.find(a), nullptr);
+  // A free slot's current generation names nothing until it is acquired.
+  table.release(b.slot);
+  EXPECT_FALSE(table.live({b.slot, b.gen + 1}));
+  EXPECT_FALSE(table.live({b.slot + 1, 1}));
 }
 
 }  // namespace

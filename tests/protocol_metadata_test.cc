@@ -196,6 +196,14 @@ TEST(Protocol, ClusterConfigRoundTripAndValidation) {
   EXPECT_TRUE(back->quorum_valid());
 }
 
+TEST(Protocol, ClusterConfigDecodeRejectsReplicasAboveTheReplicaSetCapacity) {
+  ClusterConfig cfg;
+  cfg.replicas = ring::ReplicaSet::kCapacity;
+  EXPECT_TRUE(ClusterConfig::decode(cfg.encode()).ok());
+  cfg.replicas = ring::ReplicaSet::kCapacity + 1;
+  EXPECT_FALSE(ClusterConfig::decode(cfg.encode()).ok());
+}
+
 TEST(Protocol, ZnodePathHelpers) {
   EXPECT_EQ(vnode_znode(7), "/sedna/vnodes/v000007");
   EXPECT_EQ(vnode_znode(123456), "/sedna/vnodes/v123456");

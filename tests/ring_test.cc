@@ -58,15 +58,29 @@ TEST(VnodeTable, ReplicaSetEraseKeepsOrder) {
   EXPECT_EQ(set.front(), 5u);
 }
 
-TEST(VnodeTable, ReplicaWalkStopsAtTheReplicaSetCapacity) {
+TEST(VnodeTable, ReplicaWalkFillsAFullReplicaSet) {
   const std::uint32_t nodes = ReplicaSet::kCapacity + 4;
-  VnodeTable table(nodes, nodes);
+  VnodeTable table(nodes, ReplicaSet::kCapacity);
   for (VnodeId v = 0; v < nodes; ++v) table.assign(v, 100 + v);
   const auto replicas = table.replicas_for_vnode(0);
   ASSERT_EQ(replicas.size(), ReplicaSet::kCapacity);
   for (std::size_t i = 0; i < replicas.size(); ++i) {
     EXPECT_EQ(replicas[i], 100 + i);
   }
+}
+
+TEST(VnodeTableDeathTest, ReplicasAboveTheReplicaSetCapacityAbort) {
+  const auto too_many = static_cast<std::uint32_t>(ReplicaSet::kCapacity + 1);
+  EXPECT_DEATH(VnodeTable(64, too_many), "");
+}
+
+TEST(VnodeTable, DeserializeRejectsReplicasAboveTheReplicaSetCapacity) {
+  const VnodeTable table(8, ReplicaSet::kCapacity);
+  std::string bytes = table.serialize();
+  EXPECT_TRUE(VnodeTable::deserialize(bytes).ok());
+  // N is the leading little-endian u32.
+  bytes[0] = static_cast<char>(ReplicaSet::kCapacity + 1);
+  EXPECT_FALSE(VnodeTable::deserialize(bytes).ok());
 }
 
 TEST(VnodeTable, FewerNodesThanReplicasReturnsAll) {
