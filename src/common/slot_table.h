@@ -3,8 +3,9 @@
 // A flat vector of T plus a free list of released slots. acquire() hands
 // out a (slot, gen) reference; release() bumps the slot's generation, so
 // every reference handed out before it goes stale and find() rejects it
-// even after the slot is reused. Generations start at 1 and skip 0, so no
-// live reference is ever {slot, 0}.
+// even after the slot is reused. A slot's generation is odd while it is
+// held and even while it is free (both acquire and release bump it), so
+// no reference to a free slot is ever live and no live one has gen 0.
 #pragma once
 
 #include <cstddef>
@@ -32,15 +33,15 @@ class SlotTable {
       slot = free_.back();
       free_.pop_back();
     }
-    entries_[slot].in_use = true;
+    ++entries_[slot].gen;
     ++in_use_;
     return Ref{slot, entries_[slot].gen};
   }
 
   /// True while the slot `ref` names is held by the acquire that made it.
   [[nodiscard]] bool live(Ref ref) const {
-    return ref.slot < entries_.size() && entries_[ref.slot].in_use &&
-           entries_[ref.slot].gen == ref.gen;
+    return ref.slot < entries_.size() && entries_[ref.slot].gen == ref.gen &&
+           (ref.gen & 1) != 0;
   }
 
   /// The value `ref` names, or nullptr once it is stale.
@@ -55,8 +56,7 @@ class SlotTable {
     Entry& e = entries_[slot];
     T out = std::move(e.value);
     e.value = T{};
-    e.in_use = false;
-    if (++e.gen == 0) e.gen = 1;
+    ++e.gen;
     free_.push_back(slot);
     --in_use_;
     return out;
@@ -67,7 +67,7 @@ class SlotTable {
   }
   /// Whether the slot is held (slots run 0 .. slot_count()-1).
   [[nodiscard]] bool in_use(std::uint32_t slot) const {
-    return entries_[slot].in_use;
+    return (entries_[slot].gen & 1) != 0;
   }
   [[nodiscard]] std::uint32_t slot_count() const {
     return static_cast<std::uint32_t>(entries_.size());
@@ -78,8 +78,7 @@ class SlotTable {
  private:
   struct Entry {
     T value{};
-    std::uint32_t gen = 1;
-    bool in_use = false;
+    std::uint32_t gen = 0;
   };
 
   std::vector<Entry> entries_;
