@@ -2,7 +2,7 @@
 //
 // A flat vector of T plus a free list of released slots. acquire() hands
 // out a (slot, gen) reference; release() bumps the slot's generation, so
-// every reference handed out before it goes stale and find() rejects it
+// every reference handed out before it goes stale and live() rejects it
 // even after the slot is reused. A slot's generation is odd while it is
 // held and even while it is free (both acquire and release bump it), so
 // no reference to a free slot is ever live and no live one has gen 0.
@@ -42,11 +42,6 @@ class SlotTable {
   [[nodiscard]] bool live(Ref ref) const {
     return ref.slot < entries_.size() && entries_[ref.slot].gen == ref.gen &&
            (ref.gen & 1) != 0;
-  }
-
-  /// The value `ref` names, or nullptr once it is stale.
-  [[nodiscard]] T* find(Ref ref) {
-    return live(ref) ? &entries_[ref.slot].value : nullptr;
   }
 
   /// Frees a held slot and returns its value; the slot is reset to T{}.

@@ -645,20 +645,22 @@ TEST(SlotTable, ReleaseMakesEveryEarlierReferenceStale) {
   const auto a = table.acquire();
   EXPECT_NE(a.gen, 0u);
   table[a.slot] = "first";
-  ASSERT_NE(table.find(a), nullptr);
-  EXPECT_EQ(*table.find(a), "first");
+  EXPECT_TRUE(table.live(a));
+  EXPECT_TRUE(table.in_use(a.slot));
   EXPECT_EQ(table.in_use_count(), 1u);
 
   EXPECT_EQ(table.release(a.slot), "first");
   EXPECT_FALSE(table.live(a));
+  EXPECT_FALSE(table.in_use(a.slot));
   EXPECT_EQ(table.in_use_count(), 0u);
 
   // The freed slot is reused under a new generation, reset to T{}.
   const auto b = table.acquire();
   EXPECT_EQ(b.slot, a.slot);
   EXPECT_NE(b.gen, a.gen);
-  EXPECT_EQ(*table.find(b), "");
-  EXPECT_EQ(table.find(a), nullptr);
+  EXPECT_TRUE(table.live(b));
+  EXPECT_EQ(table[b.slot], "");
+  EXPECT_FALSE(table.live(a));
   // A free slot's current generation names nothing until it is acquired.
   table.release(b.slot);
   EXPECT_FALSE(table.live({b.slot, b.gen + 1}));
