@@ -6,7 +6,9 @@
 # speed-up) must leave every stdout, CSV and Prometheus dump unchanged.
 #
 # Surfaces: examples/failure_drill, bench/hotkey_skew rebalance,
-# bench/scenario_suite and bench/ablation_failure. Each run gets its own
+# bench/scenario_suite, bench/ablation_failure, bench/trigger_pipeline,
+# bench/ablation_zk_lease, bench/ycsb_mix, examples/microblog_search and
+# examples/streaming_wordcount. Each run gets its own
 # working directory and SEDNA_OUT_DIR; its exit status is recorded next to
 # its stdout, so a gate that flips also shows up as a difference.
 #
@@ -28,6 +30,11 @@ surfaces=(
   "hotkey_skew_rebalance|bench/hotkey_skew rebalance"
   "scenario_suite|bench/scenario_suite"
   "ablation_failure|bench/ablation_failure"
+  "trigger_pipeline|bench/trigger_pipeline"
+  "ablation_zk_lease|bench/ablation_zk_lease"
+  "ycsb_mix|bench/ycsb_mix"
+  "microblog_search|examples/microblog_search"
+  "streaming_wordcount|examples/streaming_wordcount"
 )
 
 tmp="$(mktemp -d)"
