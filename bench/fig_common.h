@@ -79,7 +79,7 @@ inline SweepResult run_sedna_sweep(std::uint32_t clients,
   std::vector<workload::KvWorkload> workloads;
   for (std::uint32_t c = 0; c < clients; ++c) {
     workloads.emplace_back(
-        workload::KvWorkloadConfig{14, 20, seed ^ (c * 7919ULL)});
+        workload::KvWorkloadConfig{20, seed ^ (c * 7919ULL)});
   }
 
   SweepResult result;
@@ -172,7 +172,7 @@ inline SweepResult run_memcached_sweep(std::uint32_t clients,
   std::vector<workload::KvWorkload> workloads;
   for (std::uint32_t c = 0; c < clients; ++c) {
     workloads.emplace_back(
-        workload::KvWorkloadConfig{14, 20, seed ^ (c * 7919ULL)});
+        workload::KvWorkloadConfig{20, seed ^ (c * 7919ULL)});
   }
 
   SweepResult result;

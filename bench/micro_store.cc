@@ -129,7 +129,7 @@ void BM_StoreConcurrentSet(benchmark::State& state) {
     cfg.shards = 16;
     store = new LocalStore(cfg);
   }
-  KvWorkload wl{{14, 20, static_cast<std::uint64_t>(state.thread_index())}};
+  KvWorkload wl{{20, static_cast<std::uint64_t>(state.thread_index())}};
   std::uint64_t i = 0;
   for (auto _ : state) {
     store->set(wl.key(i % 65536), wl.value());

@@ -42,7 +42,7 @@ Point run_scale(std::uint32_t data_nodes, std::uint64_t ops_per_client) {
   std::vector<workload::KvWorkload> workloads;
   for (std::uint32_t c = 0; c < clients; ++c) {
     workloads.emplace_back(
-        workload::KvWorkloadConfig{14, 20, 77 ^ (c * 131ULL)});
+        workload::KvWorkloadConfig{20, 77 ^ (c * 131ULL)});
   }
 
   const std::uint64_t zk_msgs_before =

@@ -239,7 +239,7 @@ int main() {
   const bool retention_bounded =
       tracer.retained_traces() <= tracer.policy().recent_traces +
                                       tracer.policy().tail_per_window *
-                                          tracer.policy().max_windows_per_op *
+                                          Tracer::kMaxWindowsPerOp *
                                           8 &&
       tracer.evicted_traces() > 0;
   // Reset the store (keeps the attribution CSV: it was fed by the

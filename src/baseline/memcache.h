@@ -86,14 +86,15 @@ class MemcacheNode : public sim::Host {
   store::LocalStore store_;
 };
 
-/// Client-side ketama-ish ring: each server contributes `points_per_server`
+/// Client-side ketama-ish ring: each server contributes kPointsPerServer
 /// hash points; a key maps to the first point clockwise.
 class KetamaRing {
  public:
-  explicit KetamaRing(const std::vector<NodeId>& servers,
-                      std::uint32_t points_per_server = 128) {
+  static constexpr std::uint32_t kPointsPerServer = 128;
+
+  explicit KetamaRing(const std::vector<NodeId>& servers) {
     for (NodeId server : servers) {
-      for (std::uint32_t p = 0; p < points_per_server; ++p) {
+      for (std::uint32_t p = 0; p < kPointsPerServer; ++p) {
         const std::string token =
             std::to_string(server) + "#" + std::to_string(p);
         points_[ring_hash(token)] = server;
@@ -106,15 +107,12 @@ class KetamaRing {
   [[nodiscard]] NodeId server_for(std::string_view key,
                                   std::uint32_t replica = 0) const;
 
-  [[nodiscard]] std::size_t point_count() const { return points_.size(); }
-
  private:
   std::map<std::uint64_t, NodeId> points_;
 };
 
 struct MemcacheClientConfig {
   std::vector<NodeId> servers;
-  std::uint32_t ketama_points = 128;
   sim::HostConfig host;
 };
 
@@ -126,7 +124,7 @@ class MemcacheClient : public sim::Host {
   MemcacheClient(sim::Network& net, NodeId id, MemcacheClientConfig config)
       : sim::Host(net, id, config.host),
         config_(std::move(config)),
-        ring_(config_.servers, config_.ketama_points) {}
+        ring_(config_.servers) {}
 
   /// Single set/get — the ordinary memcached client (Fig. 7b mode).
   void set(const std::string& key, const std::string& value, SetCallback cb);

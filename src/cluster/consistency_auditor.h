@@ -55,9 +55,6 @@ struct ConsistencyAuditorConfig {
   /// from every replica. The last offset is the violation deadline.
   std::vector<SimDuration> probe_offsets = {sim_ms(5), sim_ms(25),
                                             sim_ms(100), sim_ms(500)};
-  /// Per-replica probe read timeout (a timed-out replica is counted
-  /// unreachable, never a violation).
-  SimDuration probe_timeout = sim_ms(50);
   /// Retained violation records (bounded; the counter keeps the total).
   std::size_t max_violations = 256;
 };
@@ -144,10 +141,6 @@ class ConsistencyAuditor {
   /// is a per-window delta (same contract as the load row counters);
   /// only vnodes with something to say get a row.
   [[nodiscard]] std::vector<ring::VnodeLagRow> lag_rows(SimTime now);
-
-  [[nodiscard]] const std::map<VnodeId, VnodeAudit>& vnode_audit() const {
-    return vnodes_;
-  }
 
   // ---- t-visibility probes -----------------------------------------------
 

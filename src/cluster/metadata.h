@@ -79,7 +79,6 @@ class MetadataCache {
   [[nodiscard]] bool ready() const { return ready_; }
   [[nodiscard]] const ClusterConfig& config() const { return config_; }
   [[nodiscard]] const ring::VnodeTable& table() const { return table_; }
-  [[nodiscard]] ring::VnodeTable& mutable_table() { return table_; }
 
   /// Force one journal sync now (e.g. after acting on a stale entry).
   void sync_now(std::function<void()> done = {});
@@ -97,9 +96,6 @@ class MetadataCache {
 
   [[nodiscard]] std::uint64_t syncs_run() const { return syncs_; }
   [[nodiscard]] std::uint64_t vnodes_refreshed() const { return refreshed_; }
-  [[nodiscard]] std::uint64_t last_seen_change() const {
-    return last_seen_change_;
-  }
 
  private:
   void load_vnodes(std::uint32_t next, ReadyCallback on_ready);

@@ -33,32 +33,6 @@ struct MonitorConfig {
   /// Sampling cadence for the time-series recorder (and health/alert
   /// evaluation, which runs on the same tick).
   SimDuration sample_interval = sim_ms(500);
-  /// Retained samples per series (ring buffer).
-  std::size_t capacity = 512;
-  /// A non-live node is kSuspect until it has been unseen this long,
-  /// then kDead.
-  SimDuration dead_after = sim_sec(3);
-  /// Default-rule hysteresis: consecutive breaching samples to fire,
-  /// consecutive clean samples to resolve.
-  std::uint32_t alert_for_samples = 2;
-  std::uint32_t alert_clear_samples = 2;
-  /// Install the built-in heartbeat-loss / replica-lag rules.
-  bool default_rules = true;
-  /// Consecutive samples with a migration in flight before the
-  /// stuck-migration rule fires (migrations are normally far shorter than
-  /// the sampling window times this).
-  std::uint32_t stuck_migration_samples = 10;
-  /// Retained concurrent siblings (cluster-wide, beyond one per key)
-  /// tolerated before the sibling-growth rule starts counting. A handful
-  /// is healthy — racing writers are the point of DVVs — but a sustained
-  /// pile-up means clients are blind-writing without reading a context.
-  double sibling_growth_threshold = 16.0;
-  std::uint32_t sibling_growth_samples = 4;
-  /// Staleness budget (µs): the worst replication lag any coordinator may
-  /// report before the staleness-budget alert fires. Only meaningful when
-  /// the consistency auditor is enabled on the data nodes — the series
-  /// reads 0 otherwise, so the rule simply never fires.
-  double staleness_budget_us = 250000.0;
 };
 
 struct HealthTransition {
@@ -71,41 +45,31 @@ struct HealthTransition {
 class ClusterMonitor {
  public:
   ClusterMonitor(SednaCluster& cluster, MonitorConfig config = {})
-      : cluster_(cluster),
-        config_(config),
-        recorder_(config.capacity == 0 ? 1 : config.capacity) {
+      : cluster_(cluster), config_(config), recorder_(kCapacity) {
     register_series();
-    if (config_.default_rules) {
-      add_rule({"heartbeat-loss", "nodes_down", AlertOp::kGreaterThan, 0.0,
-                config_.alert_for_samples, config_.alert_clear_samples,
-                "critical"});
-      add_rule({"replica-lag", "hints_pending", AlertOp::kGreaterThan, 0.0,
-                config_.alert_for_samples, config_.alert_clear_samples,
-                "warning"});
-      add_rule({"stuck-migration", "migrations_inflight",
-                AlertOp::kGreaterThan, 0.0, config_.stuck_migration_samples,
-                config_.alert_clear_samples, "warning"});
-      // Overload rules evaluate per-window deltas, so both fire while the
-      // cluster is actively shedding/refusing and resolve when it stops.
-      add_rule({"overload-shedding", "shed_rate", AlertOp::kGreaterThan, 0.0,
-                config_.alert_for_samples, config_.alert_clear_samples,
-                "warning"});
-      add_rule({"retry-budget-exhausted", "budget_exhausted_rate",
-                AlertOp::kGreaterThan, 0.0, config_.alert_for_samples,
-                config_.alert_clear_samples, "critical"});
-      // The siblings series is a gauge, so this resolves on its own once
-      // contextual puts (or read repair) collapse the conflict frontier.
-      add_rule({"sibling-growth", "siblings", AlertOp::kGreaterThan,
-                config_.sibling_growth_threshold,
-                config_.sibling_growth_samples, config_.alert_clear_samples,
-                "warning"});
-      // Replication lag is a gauge derived from auditor state, so the rule
-      // resolves by itself once every vnode regains full-quorum reads.
-      add_rule({"staleness-budget", "replication_lag_max_us",
-                AlertOp::kGreaterThan, config_.staleness_budget_us,
-                config_.alert_for_samples, config_.alert_clear_samples,
-                "warning"});
-    }
+    add_rule({"heartbeat-loss", "nodes_down", AlertOp::kGreaterThan, 0.0,
+              kAlertForSamples, kAlertClearSamples, "critical"});
+    add_rule({"replica-lag", "hints_pending", AlertOp::kGreaterThan, 0.0,
+              kAlertForSamples, kAlertClearSamples, "warning"});
+    add_rule({"stuck-migration", "migrations_inflight", AlertOp::kGreaterThan,
+              0.0, kStuckMigrationSamples, kAlertClearSamples, "warning"});
+    // Overload rules evaluate per-window deltas, so both fire while the
+    // cluster is actively shedding/refusing and resolve when it stops.
+    add_rule({"overload-shedding", "shed_rate", AlertOp::kGreaterThan, 0.0,
+              kAlertForSamples, kAlertClearSamples, "warning"});
+    add_rule({"retry-budget-exhausted", "budget_exhausted_rate",
+              AlertOp::kGreaterThan, 0.0, kAlertForSamples,
+              kAlertClearSamples, "critical"});
+    // The siblings series is a gauge, so this resolves on its own once
+    // contextual puts (or read repair) collapse the conflict frontier.
+    add_rule({"sibling-growth", "siblings", AlertOp::kGreaterThan,
+              kSiblingGrowthThreshold, kSiblingGrowthSamples,
+              kAlertClearSamples, "warning"});
+    // Replication lag is a gauge derived from auditor state, so the rule
+    // resolves by itself once every vnode regains full-quorum reads.
+    add_rule({"staleness-budget", "replication_lag_max_us",
+              AlertOp::kGreaterThan, kStalenessBudgetUs, kAlertForSamples,
+              kAlertClearSamples, "warning"});
     alerts_.set_transition_hook(
         [this](const AlertRule& rule, const AlertEvent& e) {
           auto& tracer = cluster_.sim().tracer();
@@ -258,6 +222,31 @@ class ClusterMonitor {
   }
 
  private:
+  /// Retained samples per series (ring buffer).
+  static constexpr std::size_t kCapacity = 512;
+  /// A non-live node is kSuspect until it has been unseen this long,
+  /// then kDead.
+  static constexpr SimDuration kDeadAfter = sim_sec(3);
+  /// Default-rule hysteresis: consecutive breaching samples to fire,
+  /// consecutive clean samples to resolve.
+  static constexpr std::uint32_t kAlertForSamples = 2;
+  static constexpr std::uint32_t kAlertClearSamples = 2;
+  /// Consecutive samples with a migration in flight before the
+  /// stuck-migration rule fires (migrations are normally far shorter than
+  /// the sampling window times this).
+  static constexpr std::uint32_t kStuckMigrationSamples = 10;
+  /// Retained concurrent siblings (cluster-wide, beyond one per key)
+  /// tolerated before the sibling-growth rule starts counting. A handful
+  /// is healthy — racing writers are the point of DVVs — but a sustained
+  /// pile-up means clients are blind-writing without reading a context.
+  static constexpr double kSiblingGrowthThreshold = 16.0;
+  static constexpr std::uint32_t kSiblingGrowthSamples = 4;
+  /// Staleness budget (µs): the worst replication lag any coordinator may
+  /// report before the staleness-budget alert fires. Only meaningful when
+  /// the consistency auditor is enabled on the data nodes — the series
+  /// reads 0 otherwise, so the rule simply never fires.
+  static constexpr double kStalenessBudgetUs = 250000.0;
+
   struct NodeHealth {
     HealthState state = HealthState::kHealthy;
     SimTime last_alive = 0;
@@ -495,7 +484,7 @@ class ClusterMonitor {
         next = backlog_for(id) > 0 ? HealthState::kDegraded
                                    : HealthState::kHealthy;
       } else {
-        next = now - h.last_alive >= config_.dead_after
+        next = now - h.last_alive >= kDeadAfter
                    ? HealthState::kDead
                    : HealthState::kSuspect;
       }

@@ -7,6 +7,13 @@ namespace sedna::cluster {
 
 namespace {
 
+/// A node is "hot" (migration source) while its traffic exceeds
+/// mean * kHotHeadroom.
+constexpr double kHotHeadroom = 1.15;
+/// Fraction of its node's traffic a vnode must carry to count as
+/// dominating.
+constexpr double kSplitShare = 0.5;
+
 /// Traffic score of one load window: reads + writes. Misses are already
 /// counted inside reads; capacity is deliberately ignored here — this
 /// planner evens out *request* load, while vnode counts are levelled only
@@ -67,7 +74,7 @@ std::vector<MigrationPlan> TrafficRebalancer::plan(
   // tie-break.
   std::vector<NodeId> hot;
   for (const auto& [node, t] : traffic) {
-    if (t > mean * config_.hot_headroom) hot.push_back(node);
+    if (t > mean * kHotHeadroom) hot.push_back(node);
   }
   std::sort(hot.begin(), hot.end(), [&traffic](NodeId a, NodeId b) {
     if (traffic[a] != traffic[b]) return traffic[a] > traffic[b];
@@ -107,10 +114,10 @@ std::vector<MigrationPlan> TrafficRebalancer::plan(
     const VnodeId top = slices.front().first;
     const double top_t = static_cast<double>(slices.front().second);
     const bool dominates =
-        working[h] > 0.0 && top_t > config_.split_share * working[h];
+        working[h] > 0.0 && top_t > kSplitShare * working[h];
     bool isolate = false;
     if (dominates) {
-      isolate = ++hot_streak_[top] >= config_.split_streak;
+      isolate = ++hot_streak_[top] >= kSplitStreak;
     } else {
       hot_streak_.erase(top);
     }
@@ -133,7 +140,7 @@ std::vector<MigrationPlan> TrafficRebalancer::plan(
       working[h] -= vt;
       working[target] += vt;
       cooldown_until_[v] = now + config_.vnode_cooldown;
-      if (!isolate && working[h] <= mean * config_.hot_headroom) break;
+      if (!isolate && working[h] <= mean * kHotHeadroom) break;
     }
   }
   return moves;

@@ -45,19 +45,10 @@ struct TrafficRebalancerConfig {
   /// the cluster counts as balanced and the planner is a no-op (the
   /// fixed point of the convergence property test).
   double cv_trigger = 0.25;
-  /// A node is "hot" (migration source) while its traffic exceeds
-  /// mean * hot_headroom.
-  double hot_headroom = 1.15;
   /// Migrations planned per round (bounds transfer burstiness).
   std::uint32_t max_moves_per_round = 2;
   /// A migrated vnode is pinned this long before it may move again.
   SimDuration vnode_cooldown = sim_sec(30);
-  /// Rounds a single vnode must dominate its (hot) node before the
-  /// planner switches that node to the isolate path.
-  std::uint32_t split_streak = 3;
-  /// Fraction of its node's traffic a vnode must carry to count as
-  /// dominating.
-  double split_share = 0.5;
 };
 
 enum class MigrationReason : std::uint8_t {
@@ -80,6 +71,10 @@ struct MigrationPlan {
 class TrafficRebalancer {
  public:
   using HealthFn = std::function<HealthState(NodeId)>;
+
+  /// Rounds a single vnode must dominate its (hot) node before the
+  /// planner switches that node to the isolate path.
+  static constexpr std::uint32_t kSplitStreak = 3;
 
   explicit TrafficRebalancer(TrafficRebalancerConfig config = {})
       : config_(config) {}

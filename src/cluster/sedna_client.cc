@@ -97,14 +97,12 @@ SpanId SednaClient::attempt_span(const char* prefix, int attempt) {
 SimDuration SednaClient::retry_backoff(int next_attempt) {
   if (config_.retry_backoff_initial_us == 0) return 0;
   SimDuration base = config_.retry_backoff_initial_us;
-  for (int i = 1; i < next_attempt && base < config_.retry_backoff_max_us;
-       ++i) {
+  for (int i = 1; i < next_attempt && base < kRetryBackoffMaxUs; ++i) {
     base *= 2;
   }
-  base = std::min(base, config_.retry_backoff_max_us);
+  base = std::min(base, kRetryBackoffMaxUs);
   const double spread =
-      1.0 + config_.retry_backoff_jitter *
-                (2.0 * sim().rng().next_double() - 1.0);
+      1.0 + kRetryBackoffJitter * (2.0 * sim().rng().next_double() - 1.0);
   auto wait = static_cast<SimDuration>(static_cast<double>(base) * spread);
   if (wait == 0) wait = 1;
   metrics_.histogram("client.retry_backoff_us").record(wait);

@@ -44,13 +44,11 @@ struct SednaClientConfig {
   /// dead, and the client must still be listening when the answer comes.
   SimDuration op_timeout_us = 250 * 1000;
   /// Seeded exponential backoff before retry k: ~initial·2^(k-1), capped
-  /// at the max, with ±`retry_backoff_jitter` fractional spread so a herd
-  /// of clients retrying into a degraded coordinator decorrelates.
-  /// 0 restores the old behavior (retry immediately after the metadata
-  /// sync).
+  /// at SednaClient::kRetryBackoffMaxUs, with ±kRetryBackoffJitter
+  /// fractional spread so a herd of clients retrying into a degraded
+  /// coordinator decorrelates. 0 restores the old behavior (retry
+  /// immediately after the metadata sync).
   SimDuration retry_backoff_initial_us = 2000;
-  SimDuration retry_backoff_max_us = 100 * 1000;
-  double retry_backoff_jitter = 0.25;
   /// Whole-operation deadline (all attempts + backoffs). When set, every
   /// request message is stamped with `now + op_deadline_us` so any host on
   /// the path sheds the work once it cannot finish in time, each attempt's
@@ -80,6 +78,10 @@ class SednaClient : public sim::Host {
       std::function<void(const Result<store::VersionedValue>&)>;
   using ReadAllCallback =
       std::function<void(const Result<std::vector<store::SourceValue>>&)>;
+
+  /// Cap on the exponential retry backoff, and its ± fractional jitter.
+  static constexpr SimDuration kRetryBackoffMaxUs = 100 * 1000;
+  static constexpr double kRetryBackoffJitter = 0.25;
 
   SednaClient(sim::Network& net, NodeId id, SednaClientConfig config);
 

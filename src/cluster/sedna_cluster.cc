@@ -9,6 +9,9 @@ namespace sedna::cluster {
 
 namespace {
 
+/// Safety valve for the synchronous wrappers.
+constexpr SimDuration kMaxWait = sim_sec(600);
+
 /// Minimal host that exists only to run the bootstrap ZkClient.
 class BootstrapHost : public sim::Host {
  public:
@@ -69,7 +72,7 @@ std::vector<NodeId> SednaCluster::data_ids() const {
 }
 
 bool SednaCluster::run_until(const std::function<bool()>& pred) {
-  const SimTime deadline = sim_.now() + config_.max_wait;
+  const SimTime deadline = sim_.now() + kMaxWait;
   while (!pred()) {
     if (sim_.now() > deadline) return false;
     if (!sim_.step()) return pred();  // drained

@@ -40,8 +40,6 @@ struct SednaClusterConfig {
   SednaNodeConfig node_template;
   SednaClientConfig client_template;
   std::uint64_t seed = 2012;
-  /// Safety valve for the synchronous wrappers.
-  SimDuration max_wait = sim_sec(600);
   /// Test hook: explicit initial vnode→owner assignment (one entry per
   /// vnode, values are data-node ids 100, 101, ...). Empty = balanced
   /// round-robin. Lets tests boot intentionally skewed clusters.

@@ -41,6 +41,10 @@ constexpr std::size_t kAntiEntropyMaxKeys = 512;
 /// guaranteed tracked).
 constexpr std::size_t kHotKeyCapacity = 64;
 
+/// Per-replica visibility-probe read timeout (a timed-out replica is
+/// counted unreachable, never a violation).
+constexpr SimDuration kAuditProbeTimeout = sim_ms(50);
+
 /// Write that carries one LWW value with its original timestamp pinned,
 /// so replaying it anywhere is idempotent.
 WriteRequest latest_write(const std::string& key,
@@ -422,8 +426,7 @@ void SednaNode::probe_visibility(const std::string& key, Timestamp wts,
               continue;
             }
             call_with_timeout(
-                replica, kMsgReplicaRead, payload,
-                config_.audit.probe_timeout,
+                replica, kMsgReplicaRead, payload, kAuditProbeTimeout,
                 [this, i, final_offset, wts, acked_at, key, replica](
                     const Status& st, const std::string& body) {
                   if (auditor_ == nullptr) return;

@@ -78,13 +78,6 @@ class KeyPath {
     return key_ == other.key_;
   }
 
-  [[nodiscard]] KeyPath table_path() const {
-    return KeyPath{dataset_, table_, {}};
-  }
-  [[nodiscard]] KeyPath dataset_path() const {
-    return KeyPath{dataset_, {}, {}};
-  }
-
   friend bool operator==(const KeyPath& a, const KeyPath& b) {
     return a.dataset_ == b.dataset_ && a.table_ == b.table_ &&
            a.key_ == b.key_;

@@ -94,12 +94,6 @@ class Status {
   [[nodiscard]] static Status InvalidArgument(std::string m = {}) {
     return {StatusCode::kInvalidArgument, std::move(m)};
   }
-  [[nodiscard]] static Status QuorumFailed(std::string m = {}) {
-    return {StatusCode::kQuorumFailed, std::move(m)};
-  }
-  [[nodiscard]] static Status OutOfMemory(std::string m = {}) {
-    return {StatusCode::kOutOfMemory, std::move(m)};
-  }
   [[nodiscard]] static Status IoError(std::string m = {}) {
     return {StatusCode::kIoError, std::move(m)};
   }

@@ -119,8 +119,6 @@ struct TraceRetentionPolicy {
   std::size_t tail_per_window = 4;
   /// Reservoir window width (virtual microseconds).
   SimDuration window_us = 1'000'000;
-  /// Windows kept per operation; older windows are dropped whole.
-  std::size_t max_windows_per_op = 8;
   /// Hard cap on retained spans; oldest finished traces are force-evicted
   /// (from both tiers) once exceeded. 0 = uncapped.
   std::size_t max_spans = 262'144;
@@ -128,6 +126,10 @@ struct TraceRetentionPolicy {
 
 class Tracer {
  public:
+  /// Reservoir windows kept per operation; older windows are dropped
+  /// whole.
+  static constexpr std::size_t kMaxWindowsPerOp = 8;
+
   /// One retained trace: its spans in span-id (= event) order plus the
   /// summary fields the retention tiers key on.
   struct TraceRecord {
@@ -412,7 +414,7 @@ class Tracer {
         unreserve(dropped);
       }
       auto& windows = reservoir_[op];
-      while (windows.size() > policy_.max_windows_per_op) {
+      while (windows.size() > kMaxWindowsPerOp) {
         auto oldest = windows.begin();
         const std::vector<TailEntry> gone = std::move(oldest->second);
         windows.erase(oldest);

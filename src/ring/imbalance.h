@@ -146,9 +146,6 @@ class ImbalanceTable {
   [[nodiscard]] double vnode_imbalance() const {
     return imbalance(&RealNodeLoad::vnode_count);
   }
-  [[nodiscard]] double write_imbalance() const {
-    return imbalance(&RealNodeLoad::writes);
-  }
 
   /// The most and least loaded nodes by capacity (rebalance candidates).
   [[nodiscard]] std::pair<NodeId, NodeId> hottest_coldest() const;

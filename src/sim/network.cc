@@ -57,21 +57,13 @@ void Network::send(Message msg) {
   }
 
   const SimDuration delay = loopback ? 1 : delivery_delay(msg);
-  std::uint32_t slot;
-  if (free_in_flight_.empty()) {
-    slot = static_cast<std::uint32_t>(in_flight_.size());
-    in_flight_.push_back(std::move(msg));
-  } else {
-    slot = free_in_flight_.back();
-    free_in_flight_.pop_back();
-    in_flight_[slot] = std::move(msg);
-  }
+  const std::uint32_t slot = in_flight_.acquire().slot;
+  in_flight_[slot] = std::move(msg);
   sim_.schedule(delay, [this, slot]() { arrive(slot); });
 }
 
 void Network::arrive(std::uint32_t slot) {
-  Message m = std::move(in_flight_[slot]);
-  free_in_flight_.push_back(slot);
+  Message m = in_flight_.release(slot);
   // Re-check liveness at delivery time: the receiver may have crashed
   // while the message was in flight.
   if (down_.contains(m.to)) {

@@ -12,9 +12,9 @@
 #include <set>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "common/metrics.h"
+#include "common/slot_table.h"
 #include "common/types.h"
 #include "sim/message.h"
 #include "sim/simulation.h"
@@ -51,9 +51,6 @@ class Network {
   /// Crash/recover a node. A crashed node neither receives nor sends;
   /// in-flight messages to it are dropped on delivery.
   void set_node_up(NodeId id, bool up);
-  [[nodiscard]] bool node_up(NodeId id) const {
-    return !down_.contains(id);
-  }
 
   /// Symmetric partition between two nodes.
   void partition(NodeId a, NodeId b) { partitions_.insert(edge(a, b)); }
@@ -103,8 +100,7 @@ class Network {
   std::set<std::pair<NodeId, NodeId>> partitions_;
   /// Messages on the wire, moved in by send() and out at delivery; the
   /// delivery event carries only the slot index.
-  std::vector<Message> in_flight_;
-  std::vector<std::uint32_t> free_in_flight_;
+  SlotTable<Message> in_flight_;
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;

@@ -110,14 +110,6 @@ class Simulation {
 
   void run_for(SimDuration d) { run_until(now_ + d); }
 
-  /// Runs until `pred()` turns true or the queue drains. Returns pred().
-  bool run_while_pending(const std::function<bool()>& pred) {
-    while (!pred()) {
-      if (!step()) break;
-    }
-    return pred();
-  }
-
   /// Events still due to fire (a periodic timer counts once); cancelled
   /// entries awaiting compaction are not counted.
   [[nodiscard]] std::size_t pending_events() const {

@@ -93,14 +93,6 @@ class VersionVector {
     return changed;
   }
 
-  /// True when this clock dominates-or-equals `other` pointwise.
-  [[nodiscard]] bool includes_all(const VersionVector& other) const {
-    for (const auto& [node, counter] : other.entries_) {
-      if (get(node) < counter) return false;
-    }
-    return true;
-  }
-
   [[nodiscard]] bool empty() const { return entries_.empty(); }
   [[nodiscard]] const std::vector<std::pair<NodeId, std::uint64_t>>&
   entries() const {

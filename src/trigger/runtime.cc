@@ -4,6 +4,13 @@
 
 namespace sedna::trigger {
 
+namespace {
+
+/// Dirty-table sweep cadence (the paper's scanner threads).
+constexpr SimDuration kScanInterval = sim_ms(20);
+
+}  // namespace
+
 /// Routes action outputs through the node's own coordinator path: the
 /// write is quorum-replicated exactly like a client write and lands in
 /// the dirty tables of its replica set, enabling trigger cascades.
@@ -46,16 +53,14 @@ class TriggerRuntime::NodeResultWriter final : public ResultWriter {
   TriggerStats& stats_;
 };
 
-TriggerRuntime::TriggerRuntime(cluster::SednaNode& node,
-                               TriggerRuntimeConfig config)
-    : node_(node), config_(config) {}
+TriggerRuntime::TriggerRuntime(cluster::SednaNode& node) : node_(node) {}
 
 TriggerRuntime::~TriggerRuntime() { stop(); }
 
 void TriggerRuntime::start() {
   if (started_) return;
   started_ = true;
-  scan_timer_ = node_.sim().schedule_periodic(config_.scan_interval, [this] {
+  scan_timer_ = node_.sim().schedule_periodic(kScanInterval, [this] {
     node_.set_trace_context({});
     scan();
   });

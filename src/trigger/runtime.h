@@ -29,13 +29,6 @@
 
 namespace sedna::trigger {
 
-struct TriggerRuntimeConfig {
-  /// Dirty-table sweep cadence (the paper's scanner threads).
-  SimDuration scan_interval = sim_ms(20);
-  /// Modeled CPU cost of one user action execution.
-  SimDuration action_cost_us = 20;
-};
-
 struct TriggerStats {
   std::uint64_t changes_seen = 0;
   std::uint64_t non_primary_skipped = 0;
@@ -48,7 +41,7 @@ struct TriggerStats {
 
 class TriggerRuntime {
  public:
-  TriggerRuntime(cluster::SednaNode& node, TriggerRuntimeConfig config = {});
+  explicit TriggerRuntime(cluster::SednaNode& node);
   ~TriggerRuntime();
 
   TriggerRuntime(const TriggerRuntime&) = delete;
@@ -64,7 +57,6 @@ class TriggerRuntime {
   void stop();
 
   [[nodiscard]] const TriggerStats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t job_count() const { return jobs_.size(); }
   [[nodiscard]] std::size_t pending_activations() const;
 
  private:
@@ -94,7 +86,6 @@ class TriggerRuntime {
   void refresh_monitored_predicate();
 
   cluster::SednaNode& node_;
-  TriggerRuntimeConfig config_;
   std::map<std::string, JobState> jobs_;
   TriggerStats stats_;
   sim::TimerHandle scan_timer_;

@@ -16,11 +16,9 @@ namespace sedna::trigger {
 
 class TriggerService {
  public:
-  explicit TriggerService(cluster::SednaCluster& cluster,
-                          TriggerRuntimeConfig config = {}) {
+  explicit TriggerService(cluster::SednaCluster& cluster) {
     for (std::size_t i = 0; i < cluster.data_node_count(); ++i) {
-      runtimes_.push_back(
-          std::make_unique<TriggerRuntime>(cluster.node(i), config));
+      runtimes_.push_back(std::make_unique<TriggerRuntime>(cluster.node(i)));
     }
   }
 
@@ -50,7 +48,6 @@ class TriggerService {
     return total;
   }
 
-  [[nodiscard]] std::size_t runtime_count() const { return runtimes_.size(); }
   [[nodiscard]] TriggerRuntime& runtime(std::size_t i) {
     return *runtimes_[i];
   }

@@ -58,10 +58,10 @@ Status WriteAheadLog::append(const WalRecord& record) {
     const Status st = open();
     if (!st.ok()) return st;
   }
-  const std::size_t written = write_frame(file_, record.encode());
-  if (written == 0) return Status::IoError("wal append failed");
+  if (write_frame(file_, record.encode()) == 0) {
+    return Status::IoError("wal append failed");
+  }
   ++appended_;
-  bytes_ += written;
   return Status::Ok();
 }
 
@@ -95,7 +95,6 @@ Status WriteAheadLog::reset() {
   if (f == nullptr) return Status::IoError("cannot truncate wal");
   std::fclose(f);
   appended_ = 0;
-  bytes_ = 0;
   return open();
 }
 

@@ -100,13 +100,11 @@ class WriteAheadLog {
 
   [[nodiscard]] const std::string& path() const { return path_; }
   [[nodiscard]] std::uint64_t records_appended() const { return appended_; }
-  [[nodiscard]] std::uint64_t bytes_appended() const { return bytes_; }
 
  private:
   std::string path_;
   std::FILE* file_ = nullptr;
   std::uint64_t appended_ = 0;
-  std::uint64_t bytes_ = 0;
 };
 
 }  // namespace sedna::wal

@@ -14,7 +14,6 @@
 namespace sedna::workload {
 
 struct KvWorkloadConfig {
-  std::size_t key_digits = 14;   // "test-" + 14 digits = 19 chars ≈ 20 B
   std::size_t value_bytes = 20;
   std::uint64_t seed = 2012;
 };
@@ -31,9 +30,9 @@ class KvWorkload {
     const std::uint64_t h = mix64(i ^ config_.seed);
     char buf[40];
     const int n = std::snprintf(buf, sizeof buf, "test-%0*llu",
-                                static_cast<int>(config_.key_digits),
+                                static_cast<int>(kKeyDigits),
                                 static_cast<unsigned long long>(
-                                    h % pow10(config_.key_digits)));
+                                    h % pow10(kKeyDigits)));
     return std::string(buf, static_cast<std::size_t>(n));
   }
 
@@ -43,6 +42,9 @@ class KvWorkload {
   [[nodiscard]] const KvWorkloadConfig& config() const { return config_; }
 
  private:
+  /// "test-" + 14 digits = 19 chars ≈ 20 B.
+  static constexpr std::size_t kKeyDigits = 14;
+
   static constexpr std::uint64_t pow10(std::size_t digits) {
     std::uint64_t p = 1;
     for (std::size_t i = 0; i < digits && i < 19; ++i) p *= 10;

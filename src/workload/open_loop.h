@@ -7,8 +7,8 @@
 // testing folklore, and the regime where overload defenses matter).
 //
 // This driver schedules operation start times from a piecewise-constant
-// rate curve (flash crowds, diurnal waves, pulses) with either Poisson or
-// uniformly spaced inter-arrival times, draws randomness from the shared
+// rate curve (flash crowds, diurnal waves, pulses) with Poisson
+// inter-arrival times, draws randomness from the shared
 // simulation RNG (fully deterministic per seed), tracks outstanding /
 // succeeded / failed counts, and aggregates completions into fixed
 // windows so a scenario can gate on the goodput *shape* over time — the
@@ -38,8 +38,6 @@ struct OpenLoopConfig {
   std::vector<RatePoint> curve;
   /// Generation horizon (relative to start()); arrivals stop after this.
   SimDuration duration = 0;
-  /// Poisson arrivals (exponential inter-arrival gaps) vs. a metronome.
-  bool poisson = true;
   /// Completion-aggregation window for the goodput/throughput series.
   SimDuration window = sim_ms(100);
 };
@@ -126,8 +124,8 @@ class OpenLoopDriver {
       return;
     }
     const double mean_gap_us = 1e6 / rate;
-    double gap = config_.poisson ? sim_.rng().next_exponential(mean_gap_us)
-                                 : mean_gap_us;
+    // Poisson arrivals: exponential inter-arrival gaps.
+    double gap = sim_.rng().next_exponential(mean_gap_us);
     if (gap < 1.0) gap = 1.0;
     sim_.schedule(static_cast<SimDuration>(gap), [this] {
       fire();

@@ -20,36 +20,24 @@ struct Tweet {
   std::uint32_t retweets = 0;
 };
 
-struct TweetGeneratorConfig {
-  std::uint32_t num_users = 200;
-  std::uint32_t vocabulary = 500;
-  std::uint32_t words_per_tweet = 6;
-  double author_zipf = 1.1;
-  double word_zipf = 1.05;
-  std::uint64_t seed = 42;
-};
-
 class TweetGenerator {
  public:
-  explicit TweetGenerator(TweetGeneratorConfig config = {})
-      : config_(config),
-        rng_(config.seed),
-        authors_(config.num_users, config.author_zipf, config.seed ^ 0xa),
-        words_(config.vocabulary, config.word_zipf, config.seed ^ 0xb) {}
+  TweetGenerator()
+      : rng_(kSeed),
+        authors_(kNumUsers, kAuthorZipf, kSeed ^ 0xa),
+        words_(kVocabulary, kWordZipf, kSeed ^ 0xb) {}
 
   [[nodiscard]] Tweet next() {
     Tweet t;
     t.id = next_id_++;
     t.author = static_cast<std::uint32_t>(authors_.next());
-    for (std::uint32_t w = 0; w < config_.words_per_tweet; ++w) {
+    for (std::uint32_t w = 0; w < kWordsPerTweet; ++w) {
       if (w > 0) t.text += ' ';
       t.text += word(static_cast<std::uint32_t>(words_.next()));
     }
     t.retweets = static_cast<std::uint32_t>(rng_.next_below(50));
     return t;
   }
-
-  [[nodiscard]] const TweetGeneratorConfig& config() const { return config_; }
 
   /// Deterministic word spelling for vocabulary index i ("w17").
   [[nodiscard]] static std::string word(std::uint32_t i) {
@@ -58,12 +46,11 @@ class TweetGenerator {
 
   /// Follower edges for a user: heavier users follow more accounts.
   [[nodiscard]] std::vector<std::uint32_t> followees(std::uint32_t user) {
-    Rng local(config_.seed ^ (0x517ULL * (user + 1)));
+    Rng local(kSeed ^ (0x517ULL * (user + 1)));
     const std::uint32_t count =
         2 + static_cast<std::uint32_t>(local.next_below(8));
     std::vector<std::uint32_t> out;
-    ZipfGenerator popular(config_.num_users, 1.2,
-                          config_.seed ^ (user * 31 + 7));
+    ZipfGenerator popular(kNumUsers, 1.2, kSeed ^ (user * 31 + 7));
     for (std::uint32_t i = 0; i < count; ++i) {
       const auto target = static_cast<std::uint32_t>(popular.next());
       if (target != user) out.push_back(target);
@@ -72,7 +59,13 @@ class TweetGenerator {
   }
 
  private:
-  TweetGeneratorConfig config_;
+  static constexpr std::uint32_t kNumUsers = 200;
+  static constexpr std::uint32_t kVocabulary = 500;
+  static constexpr std::uint32_t kWordsPerTweet = 6;
+  static constexpr double kAuthorZipf = 1.1;
+  static constexpr double kWordZipf = 1.05;
+  static constexpr std::uint64_t kSeed = 42;
+
   Rng rng_;
   ZipfGenerator authors_;
   ZipfGenerator words_;

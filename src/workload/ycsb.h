@@ -34,7 +34,6 @@ struct YcsbConfig {
   YcsbMix mix = YcsbMix::kA;
   /// Records preloaded before the measured phase.
   std::uint64_t records = 2000;
-  double zipf_exponent = 0.99;
   std::uint64_t seed = 2012;
 };
 
@@ -48,10 +47,10 @@ class YcsbWorkload {
  public:
   explicit YcsbWorkload(YcsbConfig config)
       : config_(config),
-        kv_({14, 100, config.seed}),  // YCSB default-ish 100 B values
+        kv_({100, config.seed}),  // YCSB default-ish 100 B values
         rng_(config.seed ^ kSeedMarker),
         zipf_(static_cast<std::size_t>(config.records),
-              config.zipf_exponent, config.seed ^ 0x51),
+              kZipfExponent, config.seed ^ 0x51),
         inserted_(config.records) {}
 
   /// Key/value for preload record i.
@@ -100,6 +99,8 @@ class YcsbWorkload {
  private:
   /// Keeps this generator's seed space disjoint from the others'.
   static constexpr std::uint64_t kSeedMarker = 0x9c5bULL;
+  /// Request-key skew (the YCSB default zipf constant).
+  static constexpr double kZipfExponent = 0.99;
 
   YcsbConfig config_;
   KvWorkload kv_;

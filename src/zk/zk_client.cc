@@ -19,6 +19,12 @@ const char* zk_op_span_name(ClientRequest::Op op) {
   }
 }
 
+/// Ensemble members an operation tries (rotating on failure) before it
+/// fails with kUnavailable.
+constexpr int kMaxRetries = 4;
+/// Changes per sync period at which the adaptive lease halves.
+constexpr std::size_t kBusyThreshold = 1;
+
 }  // namespace
 
 void ZkClient::submit(ClientRequest req, int attempt,
@@ -63,7 +69,7 @@ void ZkClient::submit(ClientRequest req, int attempt,
         // Timeout, decode failure, or member-side unavailability: rotate
         // to the next member and retry.
         ++member_cursor_;
-        if (attempt + 1 >= config_.max_retries) {
+        if (attempt + 1 >= kMaxRetries) {
           done(Status::Unavailable("zk retries exhausted"));
           return;
         }
@@ -257,30 +263,6 @@ void ZkClient::get_and_watch(const std::string& path, GetCallback cb,
          });
 }
 
-void ZkClient::exists_and_watch(const std::string& path, SetCallback cb,
-                                WatchCallback on_event) {
-  const std::uint64_t wid = next_watch_id_++;
-  watch_callbacks_[wid] = std::move(on_event);
-  ClientRequest req;
-  req.op = ClientRequest::Op::kExists;
-  req.path = path;
-  req.session_id = session_id_;
-  req.watch = true;
-  req.watch_id = wid;
-  submit(std::move(req), 0,
-         [cb = std::move(cb)](const Result<ClientReply>& rep) {
-           if (!rep.ok()) {
-             cb(rep.status());
-             return;
-           }
-           if (rep->status != StatusCode::kOk) {
-             cb(Status(rep->status));
-             return;
-           }
-           cb(rep->stat);
-         });
-}
-
 void ZkClient::children_and_watch(const std::string& path,
                                   ChildrenCallback cb,
                                   WatchCallback on_event) {
@@ -314,7 +296,6 @@ void ZkClient::cached_get(const std::string& path, GetCallback cb) {
     cb(std::make_pair(it->second.data, it->second.stat));
     return;
   }
-  ++cache_misses_;
   get(path, std::move(cb));
 }
 
@@ -322,7 +303,7 @@ void ZkClient::note_sync_changes(std::size_t changed) {
   // Paper III.E: "lease time will reduce to half if there are lots of
   // changes in ZooKeeper in last lease time, and grow to double if no
   // change in last lease time."
-  if (changed >= config_.busy_threshold) {
+  if (changed >= kBusyThreshold) {
     lease_ = std::max(config_.lease_min, lease_ / 2);
   } else if (changed == 0) {
     lease_ = std::min(config_.lease_max, lease_ * 2);

@@ -32,13 +32,10 @@ struct ZkClientConfig {
   std::vector<NodeId> ensemble;
   SimDuration session_timeout = sim_sec(2);
   SimDuration ping_interval = sim_ms(500);
-  int max_retries = 4;
   // Adaptive lease parameters (paper III.E).
   SimDuration lease_initial = sim_sec(1);
   SimDuration lease_min = sim_ms(125);
   SimDuration lease_max = sim_sec(8);
-  /// Changes per sync period above which the lease halves.
-  std::size_t busy_threshold = 1;
 };
 
 class ZkClient {
@@ -78,8 +75,6 @@ class ZkClient {
   /// get() with a one-shot watch; `on_event` fires when the node changes.
   void get_and_watch(const std::string& path, GetCallback cb,
                      WatchCallback on_event);
-  void exists_and_watch(const std::string& path, SetCallback cb,
-                        WatchCallback on_event);
   void children_and_watch(const std::string& path, ChildrenCallback cb,
                           WatchCallback on_event);
 
@@ -87,8 +82,6 @@ class ZkClient {
   /// younger than the current lease, otherwise refetches. This is Sedna's
   /// primary defence against a ZooKeeper read bottleneck (III.E).
   void cached_get(const std::string& path, GetCallback cb);
-  void invalidate(const std::string& path) { cache_.erase(path); }
-  void invalidate_all() { cache_.clear(); }
 
   /// Feeds the adaptive-lease controller: callers report how many changed
   /// znodes the last sync period observed.
@@ -99,7 +92,6 @@ class ZkClient {
   void on_watch_event(const std::string& payload);
 
   [[nodiscard]] std::uint64_t cache_hits() const { return cache_hits_; }
-  [[nodiscard]] std::uint64_t cache_misses() const { return cache_misses_; }
   [[nodiscard]] std::uint64_t requests_sent() const { return requests_; }
 
  private:
@@ -125,7 +117,6 @@ class ZkClient {
   SimDuration lease_;
   sim::TimerHandle ping_timer_;
   std::uint64_t cache_hits_ = 0;
-  std::uint64_t cache_misses_ = 0;
   std::uint64_t requests_ = 0;
 };
 

@@ -6,6 +6,17 @@
 
 namespace sedna::zk {
 
+namespace {
+
+/// Member-to-member heartbeat cadence, and how long a silent peer still
+/// counts as live in the lowest-live-id leader choice.
+constexpr SimDuration kPeerPingInterval = sim_ms(200);
+constexpr SimDuration kPeerTimeout = sim_ms(900);
+/// Cadence of the leader's session-expiry check.
+constexpr SimDuration kSessionCheckInterval = sim_ms(500);
+
+}  // namespace
+
 ZkServer::ZkServer(sim::Network& net, NodeId id, ZkServerConfig config)
     : sim::Host(net, id, config.host), config_(std::move(config)) {
   std::sort(config_.ensemble.begin(), config_.ensemble.end());
@@ -19,11 +30,11 @@ ZkServer::ZkServer(sim::Network& net, NodeId id, ZkServerConfig config)
 void ZkServer::start() {
   // Ensemble ticks are background work; never run them under a stale
   // trace context left by the last dispatched client request.
-  sim().schedule_periodic(config_.peer_ping_interval, [this] {
+  sim().schedule_periodic(kPeerPingInterval, [this] {
     set_trace_context({});
     peer_tick();
   });
-  sim().schedule_periodic(config_.session_check_interval, [this] {
+  sim().schedule_periodic(kSessionCheckInterval, [this] {
     set_trace_context({});
     session_tick();
   });
@@ -36,7 +47,7 @@ NodeId ZkServer::current_leader() const {
     if (member == id()) return alive() ? member : kInvalidNode;
     const auto it = peer_last_heard_.find(member);
     if (it != peer_last_heard_.end() &&
-        now - it->second <= config_.peer_timeout) {
+        now - it->second <= kPeerTimeout) {
       return member;
     }
   }

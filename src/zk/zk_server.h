@@ -32,9 +32,6 @@ namespace sedna::zk {
 
 struct ZkServerConfig {
   std::vector<NodeId> ensemble;  // all member ids, any order
-  SimDuration peer_ping_interval = sim_ms(200);
-  SimDuration peer_timeout = sim_ms(900);
-  SimDuration session_check_interval = sim_ms(500);
   sim::HostConfig host;
 };
 

@@ -189,8 +189,8 @@ TEST(KvWorkload, KeysDeterministicAndDistinct) {
 }
 
 TEST(KvWorkload, SeedsChangeKeys) {
-  workload::KvWorkload a({14, 20, 1});
-  workload::KvWorkload b({14, 20, 2});
+  workload::KvWorkload a({20, 1});
+  workload::KvWorkload b({20, 2});
   EXPECT_NE(a.key(0), b.key(0));
 }
 

@@ -201,7 +201,7 @@ TEST(RebalancePlanner, PersistentlyDominantVnodeFlipsToIsolatePath) {
   const std::vector<NodeId> nodes = {1, 2, 3, 4};
   const auto ring = make_ring(12, nodes);  // node 1 owns v0, v4, v8
   // v0 dominates node 1 (900 of 1000): no single move of v0 can help
-  // (the guard refuses it), so after split_streak rounds the planner
+  // (the guard refuses it), so after kSplitStreak rounds the planner
   // sheds the *other* slices to dedicate node 1 to the star.
   const std::map<VnodeId, std::uint64_t> traffic = {
       {0, 900}, {4, 50}, {8, 50}, {1, 100}, {2, 100}, {3, 100}};
@@ -209,11 +209,12 @@ TEST(RebalancePlanner, PersistentlyDominantVnodeFlipsToIsolatePath) {
   cfg.vnode_cooldown = 0;  // isolate the streak logic from cooldowns
   TrafficRebalancer reb(cfg);
 
-  for (std::uint32_t round = 1; round <= cfg.split_streak; ++round) {
+  constexpr std::uint32_t kStreak = TrafficRebalancer::kSplitStreak;
+  for (std::uint32_t round = 1; round <= kStreak; ++round) {
     const auto moves = reb.plan(table_from(ring, traffic), ring, nodes,
                                 all_healthy(), round * sim_sec(1));
     ASSERT_FALSE(moves.empty()) << "round " << round;
-    const bool isolating = round >= cfg.split_streak;
+    const bool isolating = round >= kStreak;
     for (const MigrationPlan& m : moves) {
       EXPECT_NE(m.vnode, 0u) << "the star slice must never move";
       EXPECT_EQ(m.reason, isolating ? MigrationReason::kIsolate

@@ -455,11 +455,11 @@ TEST(ClientBackoff, RetryWaitsAreRecordedAndBounded) {
   EXPECT_GE(hist.min(),
             static_cast<std::uint64_t>(
                 static_cast<double>(ccfg.retry_backoff_initial_us) *
-                (1.0 - ccfg.retry_backoff_jitter)));
+                (1.0 - SednaClient::kRetryBackoffJitter)));
   EXPECT_LE(hist.max(),
             static_cast<std::uint64_t>(
-                static_cast<double>(ccfg.retry_backoff_max_us) *
-                (1.0 + ccfg.retry_backoff_jitter)) +
+                static_cast<double>(SednaClient::kRetryBackoffMaxUs) *
+                (1.0 + SednaClient::kRetryBackoffJitter)) +
                 1);
 }
 
