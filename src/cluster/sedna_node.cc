@@ -196,38 +196,16 @@ void SednaNode::start(ReadyCallback on_ready) {
                    // (possibly persistence-recovered) store content.
                    store_->enable_digests(metadata_.table().total_vnodes(),
                                           kDigestBuckets);
-                   sim().schedule_periodic(config_.load_report_interval,
-                                           [this] {
-                                             set_trace_context({});
-                                             report_load();
-                                           });
-                   if (config_.traffic_rebalance_interval > 0) {
-                     traffic_rebalance_timer_.cancel();
-                     traffic_rebalance_timer_ = sim().schedule_periodic(
-                         config_.traffic_rebalance_interval, [this] {
-                           set_trace_context({});
-                           traffic_rebalance_tick();
-                         });
-                   }
-                   // Repair daemons: cancel-then-reschedule so a restart
-                   // does not stack duplicate timers.
-                   if (config_.hint_max_queued > 0 &&
-                       config_.hint_replay_interval > 0) {
-                     hint_timer_.cancel();
-                     hint_timer_ = sim().schedule_periodic(
-                         config_.hint_replay_interval, [this] {
-                           set_trace_context({});
-                           hint_replay_tick();
-                         });
-                   }
-                   if (config_.anti_entropy_interval > 0) {
-                     ae_timer_.cancel();
-                     ae_timer_ = sim().schedule_periodic(
-                         config_.anti_entropy_interval, [this] {
-                           set_trace_context({});
-                           anti_entropy_tick();
-                         });
-                   }
+                   arm_daemon(config_.load_report_interval,
+                              &SednaNode::report_load);
+                   arm_daemon(config_.traffic_rebalance_interval,
+                              &SednaNode::traffic_rebalance_tick);
+                   arm_daemon(config_.hint_max_queued > 0
+                                  ? config_.hint_replay_interval
+                                  : 0,
+                              &SednaNode::hint_replay_tick);
+                   arm_daemon(config_.anti_entropy_interval,
+                              &SednaNode::anti_entropy_tick);
                    if (config_.restart_hydration && needs_hydration_) {
                      // A crash emptied the RAM store: pull our vnode
                      // slices back from peer replicas before telling the
@@ -311,18 +289,28 @@ void SednaNode::cas_vnode_owner(VnodeId vnode, NodeId expected,
           });
 }
 
+void SednaNode::arm_daemon(SimDuration interval, void (SednaNode::*tick)()) {
+  if (interval == 0) return;
+  daemons_.push_back(sim().schedule_periodic(interval, [this, tick] {
+    // Daemon ticks are background work: never run them under the trace
+    // context of the last dispatched request.
+    set_trace_context({});
+    (this->*tick)();
+  }));
+}
+
 void SednaNode::schedule_flush() {
   if (persistence_ == nullptr ||
       config_.persistence.mode != wal::PersistMode::kPeriodicFlush) {
     return;
   }
-  sim().schedule_periodic(kFlushInterval, [this] {
-    if (!alive()) return;
-    set_trace_context({});
-    if (persistence_->flush_snapshot().ok()) {
-      metrics_.counter("persistence.snapshots").add(1);
-    }
-  });
+  arm_daemon(kFlushInterval, &SednaNode::flush_tick);
+}
+
+void SednaNode::flush_tick() {
+  if (persistence_->flush_snapshot().ok()) {
+    metrics_.counter("persistence.snapshots").add(1);
+  }
 }
 
 void SednaNode::refresh_vnode_status() {
@@ -575,8 +563,10 @@ void SednaNode::on_crash() {
   hints_pending_ = 0;
   ae_last_synced_.clear();
   ae_in_flight_ = false;
-  hint_timer_.cancel();
-  ae_timer_.cancel();
+  // Every periodic daemon dies with the process; the next start() arms a
+  // fresh set.
+  for (sim::TimerHandle& daemon : daemons_) daemon.cancel();
+  daemons_.clear();
   // Transfer state is volatile too: a crashed destination simply never
   // reaches cutover (the source keeps serving), and a crashed leader's
   // in-flight round is forgotten (the next leader replans from fresh
@@ -585,7 +575,6 @@ void SednaNode::on_crash() {
   migrating_in_.clear();
   migrations_dispatched_ = 0;
   traffic_rebalancer_.reset();
-  traffic_rebalance_timer_.cancel();
   // The next start() finds an empty store where peers still hold data.
   needs_hydration_ = true;
 }

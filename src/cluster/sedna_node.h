@@ -348,8 +348,13 @@ class SednaNode : public sim::Host {
 
   void append_change_journal(VnodeId vnode, NodeId owner,
                              std::function<void()> done);
+  /// Arms a periodic daemon that calls `tick` every `interval` (none at
+  /// 0). on_crash() cancels every armed daemon, so a restart's start()
+  /// re-arms one set instead of stacking another.
+  void arm_daemon(SimDuration interval, void (SednaNode::*tick)());
   void report_load();
   void schedule_flush();
+  void flush_tick();
 
   // ---- Consistency auditor (probe driver) --------------------------------
   /// Schedules the t-visibility probes for one sampled acked write: at
@@ -483,12 +488,10 @@ class SednaNode : public sim::Host {
   std::map<NodeId, HintQueue> hint_queues_;
   std::size_t hints_pending_ = 0;
   std::uint64_t hint_seq_ = 0;
-  sim::TimerHandle hint_timer_;
 
   // Anti-entropy state.
   std::map<VnodeId, SimTime> ae_last_synced_;
   bool ae_in_flight_ = false;
-  sim::TimerHandle ae_timer_;
 
   // Traffic-aware rebalancer state.
   TrafficRebalancer traffic_rebalancer_;
@@ -501,7 +504,8 @@ class SednaNode : public sim::Host {
   /// Leader-side: dispatched migration RPCs not yet answered.
   std::size_t migrations_dispatched_ = 0;
   std::function<HealthState(NodeId)> health_provider_;
-  sim::TimerHandle traffic_rebalance_timer_;
+  /// Periodic daemons armed by the current start() (arm_daemon).
+  std::vector<sim::TimerHandle> daemons_;
 
   // Consistency observability.
   std::unique_ptr<ConsistencyAuditor> auditor_;

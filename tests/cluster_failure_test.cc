@@ -6,6 +6,7 @@
 
 #include <string>
 
+#include "cluster/protocol.h"
 #include "cluster/sedna_cluster.h"
 
 namespace sedna::cluster {
@@ -250,6 +251,36 @@ TEST(Restart, NodeRejoinsAndServesAgain) {
     auto got = cluster.read_latest(client, "r-" + std::to_string(i));
     ASSERT_TRUE(got.ok());
   }
+}
+
+TEST(Restart, DaemonsDoNotStackAcrossRestarts) {
+  // Every start() arms the node's periodic daemons. A crash must cancel
+  // them, or each restart adds another load reporter: the restarted
+  // node's load row would then be written once per start it ever ran.
+  SednaCluster cluster(base_config());
+  ASSERT_TRUE(cluster.boot().ok());
+  for (int round = 0; round < 3; ++round) {
+    cluster.crash_node(3);
+    cluster.run_for(sim_sec(3));  // session expiry drops the load row
+    cluster.restart_node(3);
+    ASSERT_TRUE(cluster.node(3).ready());
+  }
+  cluster.run_for(sim_sec(6));  // the first report recreates the row
+
+  // Load-row writes over one window: every set() bumps the version.
+  auto row_version = [&](std::size_t i) {
+    const std::string path = std::string(kZkRealNodes) + "/load-" +
+                             std::to_string(cluster.node(i).id());
+    auto got = cluster.zk_member(0).tree().get(path);
+    EXPECT_TRUE(got.ok()) << path;
+    return got.ok() ? got->second.version : 0;
+  };
+  const std::int64_t restarted_before = row_version(3);
+  const std::int64_t steady_before = row_version(0);
+  cluster.run_for(sim_sec(20));
+  const std::int64_t steady = row_version(0) - steady_before;
+  EXPECT_EQ(steady, 4);  // one 5 s reporter over 20 s
+  EXPECT_EQ(row_version(3) - restarted_before, steady);
 }
 
 TEST(DoubleFault, DegradedButMajorityDataSurvives) {

@@ -126,6 +126,31 @@ TEST_F(PersistentClusterTest, WholeClusterPowerLossRecovers) {
   EXPECT_EQ(recovered, 60);
 }
 
+TEST_F(PersistentClusterTest, PeriodicFlushKeepsOneTimerAcrossRestarts) {
+  // Each restart re-arms the snapshot daemon; the crash must have
+  // cancelled the old one, or the restarted node flushes once per timer
+  // it ever armed.
+  SednaClusterConfig cfg = config();
+  cfg.node_template.persistence.mode = wal::PersistMode::kPeriodicFlush;
+  SednaCluster cluster(cfg);
+  ASSERT_TRUE(cluster.boot().ok());
+  for (int round = 0; round < 3; ++round) {
+    cluster.crash_node(4);
+    cluster.run_for(sim_sec(3));
+    cluster.restart_node(4);
+    ASSERT_TRUE(cluster.node(4).ready());
+  }
+  auto snapshots = [&](std::size_t i) {
+    return cluster.node(i).metrics().counter("persistence.snapshots").value();
+  };
+  const std::uint64_t restarted_before = snapshots(4);
+  const std::uint64_t steady_before = snapshots(1);
+  cluster.run_for(sim_sec(120));
+  const std::uint64_t steady = snapshots(1) - steady_before;
+  EXPECT_GE(steady, 3u);  // one 30 s timer over two minutes
+  EXPECT_EQ(snapshots(4) - restarted_before, steady);
+}
+
 TEST_F(PersistentClusterTest, PurgedVnodeStaysGoneWhenTheExOwnerRestarts) {
   // A move that takes a vnode's owner out of the slice's replica set
   // purges the slice there. The purge is logged, so the ex-owner's WAL
