@@ -1517,8 +1517,10 @@ void SednaNode::queue_hint(NodeId target, const WriteRequest& req) {
       // could drop one of two concurrent writes.
       if (req.causal_tag == WriteRequest::kCausalRecord) {
         it->second.write.record.merge(req.record);
+        ++it->second.coalesced;
       } else if (req.ts > it->second.write.ts) {
         it->second.write = req;
+        ++it->second.coalesced;
       }
       return;
     }
@@ -1619,11 +1621,12 @@ void SednaNode::replay_hints_to(NodeId target) {
   auto outstanding = std::make_shared<std::size_t>(batch.size());
   auto failures = std::make_shared<std::uint32_t>(0);
   for (const auto& key : batch) {
+    const PendingHint& hint = q.hints.at(key);
     HintDeliverRequest req;
-    req.write = q.hints.at(key).write;
+    req.write = hint.write;
     call(target, kMsgHintDeliver, req.encode(),
-         [this, target, key, outstanding, failures](const Status& st,
-                                                    const std::string& body) {
+         [this, target, key, seq = hint.seq, coalesced = hint.coalesced,
+          outstanding, failures](const Status& st, const std::string& body) {
            bool delivered = false;
            if (st.ok()) {
              auto ack = HintAckReply::decode(body);
@@ -1635,7 +1638,14 @@ void SednaNode::replay_hints_to(NodeId target) {
            auto it = hint_queues_.find(target);
            if (it != hint_queues_.end()) {
              if (delivered) {
-               if (it->second.hints.erase(key) > 0) {
+               // Retire only the copy this batch sent. A write coalesced
+               // into the entry (or a fresh entry queued after an
+               // eviction) while it was in flight still needs handing
+               // off: it stays for the next round.
+               auto hit = it->second.hints.find(key);
+               if (hit != it->second.hints.end() && hit->second.seq == seq &&
+                   hit->second.coalesced == coalesced) {
+                 it->second.hints.erase(hit);
                  if (hints_pending_ > 0) --hints_pending_;
                  metrics_.counter("coordinator.hints_delivered").add(1);
                }

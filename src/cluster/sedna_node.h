@@ -372,6 +372,9 @@ class SednaNode : public sim::Host {
     WriteRequest write;
     SimTime queued_at = 0;
     std::uint64_t seq = 0;  // arrival order, for oldest-first eviction
+    /// Writes coalesced into this entry: a replay ack retires the entry
+    /// only if nothing joined it after the batch copied it.
+    std::uint32_t coalesced = 0;
   };
   struct HintQueue {
     /// Dedupe key ("L:<key>" / "A:<source>:<key>") → newest queued write.

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "cluster/admin.h"
+#include "cluster/protocol.h"
 #include "cluster/sedna_cluster.h"
 #include "common/hash.h"
 #include "store/local_store.h"
@@ -248,6 +249,65 @@ TEST(HintedHandoff, CoalescesRewritesOfTheSameKey) {
   cluster.restart_node(victim);
   cluster.run_for(sim_sec(2));
   auto got = cluster.node(victim).local_store().read_latest(key);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->value, "v2");
+}
+
+TEST(HintedHandoff, WriteCoalescedWhileItsHintIsInFlightIsNotLost) {
+  // The interleaving: v1 and v2 both miss the partitioned replica, v1's
+  // hint is replayed after the heal, and v2's replica write times out
+  // (coalescing v2 into the queued entry) while v1's copy is in flight.
+  // The ack for v1 must not retire the entry that now holds v2.
+  SednaClusterConfig cfg = base_config();
+  cfg.node_template.anti_entropy_interval = 0;  // isolate the hint path
+  cfg.node_template.hint_replay_interval = sim_ms(1);
+  SednaCluster cluster(cfg);
+  ASSERT_TRUE(cluster.boot().ok());
+  auto& client = cluster.make_client();
+
+  const std::string key = "coalesced-in-flight";
+  const auto replicas =
+      cluster.node(0).metadata().table().replicas_for_key(key);
+  const std::size_t coord = node_index(cluster, replicas[0]);
+  const std::size_t target = node_index(cluster, replicas[1]);
+  SednaNode& c = cluster.node(coord);
+  auto hints_received = [&] {
+    return cluster.node(target)
+        .metrics()
+        .counter("replica.hints_received")
+        .value();
+  };
+
+  cluster.network().partition(c.id(), cluster.node(target).id());
+  ASSERT_TRUE(cluster.write_latest(client, key, "v1").ok());
+  cluster.run_for(sim_ms(5));
+  // v2 misses the replica 5 ms after v1 did, so its replica write times
+  // out 5 ms after v1's: by then v1's hint is queued and replaying.
+  ASSERT_TRUE(cluster.write_latest(client, key, "v2").ok());
+  cluster.network().heal(c.id(), cluster.node(target).id());
+
+  // Step until the replica has applied v1's hint (its ack is on the
+  // wire), then queue a burst ahead of the ack in the coordinator's
+  // ingress queue: the ack is served after v2's write timed out, but
+  // before the hint RPC's own timeout.
+  const SimTime give_up = cluster.sim().now() + sim_sec(1);
+  while (hints_received() == 0 && cluster.sim().now() < give_up) {
+    ASSERT_TRUE(cluster.sim().step());
+  }
+  ASSERT_EQ(hints_received(), 1u);
+  ReadRequest probe;
+  probe.key = "burst";
+  const std::string payload = probe.encode();
+  for (int i = 0; i < 2500; ++i) {  // ~20 ms of service at ~8 us each
+    c.call(c.id(), kMsgReplicaRead, payload,
+           [](const Status&, const std::string&) {});
+  }
+
+  cluster.run_for(sim_sec(1));
+  // v2 was coalesced after v1's copy left, so it needs a second replay.
+  EXPECT_EQ(hints_received(), 2u);
+  EXPECT_EQ(c.hints_pending(), 0u);
+  auto got = cluster.node(target).local_store().read_latest(key);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->value, "v2");
 }
