@@ -90,8 +90,6 @@ class MemcacheNode : public sim::Host {
 /// hash points; a key maps to the first point clockwise.
 class KetamaRing {
  public:
-  static constexpr std::uint32_t kPointsPerServer = 128;
-
   explicit KetamaRing(const std::vector<NodeId>& servers) {
     for (NodeId server : servers) {
       for (std::uint32_t p = 0; p < kPointsPerServer; ++p) {
@@ -108,6 +106,8 @@ class KetamaRing {
                                   std::uint32_t replica = 0) const;
 
  private:
+  static constexpr std::uint32_t kPointsPerServer = 128;
+
   std::map<std::uint64_t, NodeId> points_;
 };
 

@@ -45,7 +45,7 @@ struct HealthTransition {
 class ClusterMonitor {
  public:
   ClusterMonitor(SednaCluster& cluster, MonitorConfig config = {})
-      : cluster_(cluster), config_(config), recorder_(kCapacity) {
+      : cluster_(cluster), recorder_(kCapacity) {
     register_series();
     add_rule({"heartbeat-loss", "nodes_down", AlertOp::kGreaterThan, 0.0,
               kAlertForSamples, kAlertClearSamples, "critical"});
@@ -86,7 +86,7 @@ class ClusterMonitor {
               std::string(e.fired ? "fired:" : "resolved:") + rule.name, buf);
         });
     timer_ = cluster_.sim().schedule_periodic(
-        config_.sample_interval == 0 ? sim_ms(500) : config_.sample_interval,
+        config.sample_interval == 0 ? sim_ms(500) : config.sample_interval,
         [this] { tick(); });
   }
 
@@ -503,7 +503,6 @@ class ClusterMonitor {
   }
 
   SednaCluster& cluster_;
-  MonitorConfig config_;
   TimeSeriesRecorder recorder_;
   AlertEngine alerts_;
   std::map<NodeId, NodeHealth> health_;
