@@ -28,14 +28,9 @@ namespace {
 void MetadataCache::start(ReadyCallback on_ready) {
   sync_timer_.cancel();  // restart-safe: drop any previous sync chain
   ready_ = false;
-  zk_.get(kZkConfig, [this, on_ready = std::move(on_ready)](
-                         const Result<std::pair<std::string,
-                                                zk::ZnodeStat>>& got) {
-    if (!got.ok()) {
-      on_ready(got.status());
-      return;
-    }
-    auto cfg = ClusterConfig::decode(got->first);
+  zk_.get(kZkConfig, [this, on_ready = std::move(on_ready)](const auto& got) {
+    auto cfg = got.ok() ? ClusterConfig::decode(got->first)
+                        : Result<ClusterConfig>(got.status());
     if (!cfg.ok()) {
       on_ready(cfg.status());
       return;
@@ -54,8 +49,7 @@ void MetadataCache::load_vnodes(std::uint32_t next, ReadyCallback on_ready) {
     // Record the journal high-water mark: everything older is already in
     // the freshly loaded table.
     zk_.children(kZkChanges, [this, on_ready = std::move(on_ready)](
-                                 const Result<std::vector<std::string>>&
-                                     kids) {
+                                 const auto& kids) {
       if (kids.ok()) {
         for (const auto& name : kids.value()) {
           last_seen_change_ = std::max(last_seen_change_, journal_seq(name));
@@ -72,25 +66,35 @@ void MetadataCache::load_vnodes(std::uint32_t next, ReadyCallback on_ready) {
   auto remaining = std::make_shared<std::uint32_t>(end - next);
   auto failed = std::make_shared<bool>(false);
   for (std::uint32_t v = next; v < end; ++v) {
-    zk_.get(vnode_znode(v),
-            [this, v, end, remaining, failed,
-             on_ready](const Result<std::pair<std::string,
-                                              zk::ZnodeStat>>& got) mutable {
-              if (got.ok()) {
-                const auto body = VnodeZnode::decode(got->first);
-                if (body.ok()) table_.assign(v, body->owner);
-              } else if (!got.status().is(StatusCode::kNotFound)) {
-                *failed = true;
-              }
-              if (--*remaining == 0) {
-                if (*failed) {
-                  on_ready(Status::Unavailable("vnode table load failed"));
-                } else {
-                  load_vnodes(end, std::move(on_ready));
-                }
-              }
-            });
+    read_vnode(v, [this, end, remaining, failed,
+                   on_ready](const Status& st) mutable {
+      // A vnode with no znode, or an unreadable one, keeps its default.
+      if (!st.ok() && !st.is(StatusCode::kNotFound) &&
+          !st.is(StatusCode::kCorruption)) {
+        *failed = true;
+      }
+      if (--*remaining == 0) {
+        if (*failed) {
+          on_ready(Status::Unavailable("vnode table load failed"));
+        } else {
+          load_vnodes(end, std::move(on_ready));
+        }
+      }
+    });
   }
+}
+
+void MetadataCache::read_vnode(VnodeId v,
+                               std::function<void(const Status&)> done) {
+  zk_.get(vnode_znode(v), [this, v, done = std::move(done)](const auto& got) {
+    if (!got.ok()) {
+      done(got.status());
+      return;
+    }
+    const auto body = VnodeZnode::decode(got->first);
+    if (body.ok()) apply_local(v, body->owner);
+    done(body.status());
+  });
 }
 
 void MetadataCache::schedule_sync() {
@@ -111,8 +115,7 @@ void MetadataCache::sync_now(std::function<void()> done) {
 void MetadataCache::run_sync(std::function<void()> done) {
   ++syncs_;
   zk_.children(kZkChanges, [this, done = std::move(done)](
-                               const Result<std::vector<std::string>>&
-                                   kids) mutable {
+                               const auto& kids) mutable {
     if (!kids.ok()) {
       zk_.note_sync_changes(0);
       if (done) done();
@@ -149,9 +152,7 @@ void MetadataCache::run_sync(std::function<void()> done) {
       // `seq` is 1-based; the znode suffix is the raw 0-based counter.
       std::snprintf(name, sizeof name, "%s/c%010llu", kZkChanges,
                     static_cast<unsigned long long>(seq - 1));
-      zk_.get(name, [this, seq, updates, finish](
-                        const Result<std::pair<std::string,
-                                               zk::ZnodeStat>>& got) mutable {
+      zk_.get(name, [this, seq, updates, finish](const auto& got) mutable {
         if (got.ok()) {
           const auto entry = ChangeJournalEntry::decode(got->first);
           if (entry.ok()) (*updates)[seq] = {entry->vnode, entry->owner};
@@ -167,18 +168,10 @@ void MetadataCache::run_sync(std::function<void()> done) {
 }
 
 void MetadataCache::refresh_vnode(VnodeId v, std::function<void()> done) {
-  zk_.get(vnode_znode(v),
-          [this, v, done = std::move(done)](
-              const Result<std::pair<std::string, zk::ZnodeStat>>& got) {
-            if (got.ok()) {
-              const auto body = VnodeZnode::decode(got->first);
-              if (body.ok()) {
-                apply_local(v, body->owner);
-                ++refreshed_;
-              }
-            }
-            if (done) done();
-          });
+  read_vnode(v, [this, done = std::move(done)](const Status& st) {
+    if (st.ok()) ++refreshed_;
+    if (done) done();
+  });
 }
 
 }  // namespace sedna::cluster

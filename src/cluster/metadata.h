@@ -99,6 +99,9 @@ class MetadataCache {
 
  private:
   void load_vnodes(std::uint32_t next, ReadyCallback on_ready);
+  /// Reads vnode `v`'s znode and applies the owner it names. `done` gets
+  /// kOk once applied, else the read's error or the body's kCorruption.
+  void read_vnode(VnodeId v, std::function<void(const Status&)> done);
   void schedule_sync();
   void run_sync(std::function<void()> done);
 

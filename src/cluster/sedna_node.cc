@@ -125,6 +125,11 @@ std::vector<NodeId> live_node_ids(const std::vector<std::string>& children) {
   return live;
 }
 
+/// The kZkRealNodes row where node `n` publishes its load report.
+std::string load_znode(NodeId n) {
+  return std::string(kZkRealNodes) + "/load-" + std::to_string(n);
+}
+
 }  // namespace
 
 SednaNode::SednaNode(sim::Network& net, NodeId id, SednaNodeConfig config)
@@ -184,39 +189,59 @@ void SednaNode::start(ReadyCallback on_ready) {
       }
       // Register liveness *after* the table is loaded so other nodes never
       // route to a node that cannot serve yet.
-      zk_.create(real_node_znode(id()), {}, zk::CreateMode::kEphemeral,
-                 [this, on_ready](const Result<std::string>& created) {
-                   if (!created.ok() &&
-                       !created.status().is(StatusCode::kAlreadyExists)) {
-                     on_ready(created.status());
-                     return;
-                   }
-                   ready_ = true;
-                   // Merkle leaf cells sized to the ring; rebuilt from the
-                   // (possibly persistence-recovered) store content.
-                   store_->enable_digests(metadata_.table().total_vnodes(),
-                                          kDigestBuckets);
-                   arm_daemon(config_.load_report_interval,
-                              &SednaNode::report_load);
-                   arm_daemon(config_.traffic_rebalance_interval,
-                              &SednaNode::traffic_rebalance_tick);
-                   arm_daemon(config_.hint_max_queued > 0
-                                  ? config_.hint_replay_interval
-                                  : 0,
-                              &SednaNode::hint_replay_tick);
-                   arm_daemon(config_.anti_entropy_interval,
-                              &SednaNode::anti_entropy_tick);
-                   if (config_.restart_hydration && needs_hydration_) {
-                     // A crash emptied the RAM store: pull our vnode
-                     // slices back from peer replicas before telling the
-                     // operator we are ready — the rolling-restart
-                     // contract is "ready means caught up".
-                     hydrate_after_restart(
-                         [on_ready] { on_ready(Status::Ok()); });
-                     return;
-                   }
-                   on_ready(Status::Ok());
-                 });
+      register_liveness([this, on_ready](const Status& live) {
+        if (!live.ok()) {
+          on_ready(live);
+          return;
+        }
+        ready_ = true;
+        // Merkle leaf cells sized to the ring; rebuilt from the (possibly
+        // persistence-recovered) store content.
+        store_->enable_digests(metadata_.table().total_vnodes(),
+                               kDigestBuckets);
+        arm_daemon(config_.load_report_interval, &SednaNode::report_load);
+        arm_daemon(config_.traffic_rebalance_interval,
+                   &SednaNode::traffic_rebalance_tick);
+        arm_daemon(
+            config_.hint_max_queued > 0 ? config_.hint_replay_interval : 0,
+            &SednaNode::hint_replay_tick);
+        arm_daemon(config_.anti_entropy_interval,
+                   &SednaNode::anti_entropy_tick);
+        if (config_.restart_hydration && needs_hydration_) {
+          // A crash emptied the RAM store: pull our vnode slices back from
+          // peer replicas before telling the operator we are ready — the
+          // rolling-restart contract is "ready means caught up".
+          hydrate_after_restart([on_ready] { on_ready(Status::Ok()); });
+          return;
+        }
+        on_ready(Status::Ok());
+      });
+    });
+  });
+}
+
+void SednaNode::register_liveness(ReadyCallback done) {
+  const std::string path = real_node_znode(id());
+  zk_.create(path, {}, zk::CreateMode::kEphemeral,
+             [this, path, done](const Result<std::string>& created) {
+    if (!created.status().is(StatusCode::kAlreadyExists)) {
+      done(created.status());
+      return;
+    }
+    // A restart inside the previous session's timeout finds that session's
+    // znode, and the ensemble deletes it when that session expires, though
+    // this node stays up. Replace it with one this session owns.
+    zk_.exists(path, [this, path, done](const Result<zk::ZnodeStat>& stat) {
+      if (stat.ok() && stat->ephemeral_owner == zk_.session_id()) {
+        done(Status::Ok());
+      } else if (stat.ok()) {
+        zk_.remove(path, stat->version,
+                   [this, done](const Status&) { register_liveness(done); });
+      } else if (stat.status().is(StatusCode::kNotFound)) {
+        register_liveness(done);  // expired meanwhile: create it afresh
+      } else {
+        done(stat.status());
+      }
     });
   });
 }
@@ -369,8 +394,7 @@ void SednaNode::report_load() {
   // window. Nothing is appended with auditing off, so the row (and its
   // network footprint) stays byte-identical.
   if (auditor_ != nullptr) row.lags = auditor_->lag_rows(now());
-  const std::string path =
-      std::string(kZkRealNodes) + "/load-" + std::to_string(id());
+  const std::string path = load_znode(id());
   // Upsert: set, create on NotFound.
   zk_.set(path, row.encode(), -1,
           [this, path, row](const Result<zk::ZnodeStat>& set) {
@@ -1997,9 +2021,7 @@ void SednaNode::traffic_rebalance_tick() {
         auto live_shared =
             std::make_shared<std::vector<NodeId>>(std::move(live));
         for (NodeId n : *live_shared) {
-          const std::string path =
-              std::string(kZkRealNodes) + "/load-" + std::to_string(n);
-          zk_.get(path,
+          zk_.get(load_znode(n),
                   [this, table, pending, live_shared](
                       const Result<std::pair<std::string, zk::ZnodeStat>>&
                           got) {

@@ -339,6 +339,9 @@ class SednaNode : public sim::Host {
   /// concurrency), then invoke done. Best effort — unreachable slices are
   /// left to read repair and anti-entropy.
   void hydrate_after_restart(std::function<void()> done);
+  /// Creates this node's ephemeral liveness znode, replacing one a
+  /// previous session left behind.
+  void register_liveness(ReadyCallback done);
   /// Pulls `vnode`'s items from the first healthy node in `sources`.
   /// `done` receives the node that served (kInvalidNode if none could)
   /// plus the approximate payload bytes applied.

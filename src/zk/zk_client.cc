@@ -25,7 +25,52 @@ constexpr int kMaxRetries = 4;
 /// Changes per sync period at which the adaptive lease halves.
 constexpr std::size_t kBusyThreshold = 1;
 
+// What each operation's callback gets from a kOk reply.
+std::string payload_of(const ClientReply& rep) { return rep.payload; }
+std::pair<std::string, ZnodeStat> data_of(const ClientReply& rep) {
+  return {rep.payload, rep.stat};
+}
+ZnodeStat stat_of(const ClientReply& rep) { return rep.stat; }
+std::vector<std::string> children_of(const ClientReply& rep) {
+  return rep.children;
+}
+Status ok_of(const ClientReply&) { return Status::Ok(); }
+
 }  // namespace
+
+ClientRequest ZkClient::request_for(ClientRequest::Op op,
+                                    const std::string& path,
+                                    WatchCallback on_event) {
+  ClientRequest req;
+  req.op = op;
+  req.path = path;
+  req.session_id = session_id_;
+  if (on_event) {
+    req.watch = true;
+    req.watch_id = next_watch_id_++;
+    watch_callbacks_[req.watch_id] = std::move(on_event);
+  }
+  return req;
+}
+
+template <typename Callback, typename Value>
+void ZkClient::request(ClientRequest req, Callback cb, Value value) {
+  const bool invalidates = req.op == ClientRequest::Op::kSet ||
+                           req.op == ClientRequest::Op::kDelete;
+  std::string path = invalidates ? req.path : std::string{};
+  submit(std::move(req), 0,
+         [this, invalidates, path = std::move(path), cb = std::move(cb),
+          value = std::move(value)](const Result<ClientReply>& rep) {
+           // Our own write makes the path's cached copy stale, whatever
+           // the outcome.
+           if (invalidates) cache_.erase(path);
+           if (rep.ok()) {
+             cb(value(*rep));
+           } else {
+             cb(rep.status());
+           }
+         });
+}
 
 void ZkClient::submit(ClientRequest req, int attempt,
                       std::function<void(const Result<ClientReply>&)> done) {
@@ -44,9 +89,7 @@ void ZkClient::submit(ClientRequest req, int attempt,
       restore = true;
       done = [this, span, inner = std::move(done)](
                  const Result<ClientReply>& rep) {
-        host_.end_span(span, rep.ok() && rep->status == StatusCode::kOk
-                                 ? "ok"
-                                 : "error");
+        host_.end_span(span, rep.ok() ? "ok" : "error");
         inner(rep);
       };
     }
@@ -62,7 +105,9 @@ void ZkClient::submit(ClientRequest req, int attempt,
           auto rep = ClientReply::decode(payload);
           if (rep.ok() && rep->status != StatusCode::kUnavailable &&
               rep->status != StatusCode::kRefused) {
-            done(std::move(rep));
+            done(rep->status == StatusCode::kOk
+                     ? std::move(rep)
+                     : Result<ClientReply>(Status(rep->status)));
             return;
           }
         }
@@ -82,20 +127,11 @@ void ZkClient::connect(ConnectCallback cb) {
   ClientRequest req;
   req.op = ClientRequest::Op::kConnect;
   req.session_timeout_us = config_.session_timeout;
-  submit(std::move(req), 0,
-         [this, cb = std::move(cb)](const Result<ClientReply>& rep) {
-           if (!rep.ok()) {
-             cb(rep.status());
-             return;
-           }
-           if (rep->status != StatusCode::kOk) {
-             cb(Status(rep->status));
-             return;
-           }
-           session_id_ = rep->session_id;
-           start_pings();
-           cb(Status::Ok());
-         });
+  request(std::move(req), std::move(cb), [this](const ClientReply& rep) {
+    session_id_ = rep.session_id;
+    start_pings();
+    return Status::Ok();
+  });
 }
 
 void ZkClient::start_pings() {
@@ -119,173 +155,54 @@ void ZkClient::start_pings() {
 
 void ZkClient::create(const std::string& path, const std::string& data,
                       CreateMode mode, CreateCallback cb) {
-  ClientRequest req;
-  req.op = ClientRequest::Op::kCreate;
-  req.path = path;
+  ClientRequest req = request_for(ClientRequest::Op::kCreate, path);
   req.data = data;
   req.mode = static_cast<std::uint8_t>(mode);
-  req.session_id = session_id_;
-  submit(std::move(req), 0,
-         [cb = std::move(cb)](const Result<ClientReply>& rep) {
-           if (!rep.ok()) {
-             cb(rep.status());
-             return;
-           }
-           if (rep->status != StatusCode::kOk) {
-             cb(Status(rep->status));
-             return;
-           }
-           cb(rep->payload);
-         });
+  request(std::move(req), std::move(cb), payload_of);
 }
 
 void ZkClient::get(const std::string& path, GetCallback cb) {
-  ClientRequest req;
-  req.op = ClientRequest::Op::kGet;
-  req.path = path;
-  req.session_id = session_id_;
-  submit(std::move(req), 0,
-         [this, path, cb = std::move(cb)](const Result<ClientReply>& rep) {
-           if (!rep.ok()) {
-             cb(rep.status());
-             return;
-           }
-           if (rep->status != StatusCode::kOk) {
-             cb(Status(rep->status));
-             return;
-           }
-           cache_[path] = CacheEntry{rep->payload, rep->stat,
-                                     host_.sim().now()};
-           cb(std::make_pair(rep->payload, rep->stat));
-         });
+  request(request_for(ClientRequest::Op::kGet, path), std::move(cb),
+          data_of);
 }
 
 void ZkClient::set(const std::string& path, const std::string& data,
                    std::int64_t expected_version, SetCallback cb) {
-  ClientRequest req;
-  req.op = ClientRequest::Op::kSet;
-  req.path = path;
+  ClientRequest req = request_for(ClientRequest::Op::kSet, path);
   req.data = data;
   req.expected_version = expected_version;
-  req.session_id = session_id_;
-  submit(std::move(req), 0,
-         [this, path, cb = std::move(cb)](const Result<ClientReply>& rep) {
-           cache_.erase(path);  // our own write invalidates the cache
-           if (!rep.ok()) {
-             cb(rep.status());
-             return;
-           }
-           if (rep->status != StatusCode::kOk) {
-             cb(Status(rep->status));
-             return;
-           }
-           cb(rep->stat);
-         });
+  request(std::move(req), std::move(cb), stat_of);
 }
 
 void ZkClient::remove(const std::string& path, std::int64_t expected_version,
                       StatusCallback cb) {
-  ClientRequest req;
-  req.op = ClientRequest::Op::kDelete;
-  req.path = path;
+  ClientRequest req = request_for(ClientRequest::Op::kDelete, path);
   req.expected_version = expected_version;
-  req.session_id = session_id_;
-  submit(std::move(req), 0,
-         [this, path, cb = std::move(cb)](const Result<ClientReply>& rep) {
-           cache_.erase(path);
-           if (!rep.ok()) {
-             cb(rep.status());
-             return;
-           }
-           cb(Status(rep->status));
-         });
+  request(std::move(req), std::move(cb), ok_of);
 }
 
 void ZkClient::exists(const std::string& path, SetCallback cb) {
-  ClientRequest req;
-  req.op = ClientRequest::Op::kExists;
-  req.path = path;
-  req.session_id = session_id_;
-  submit(std::move(req), 0,
-         [cb = std::move(cb)](const Result<ClientReply>& rep) {
-           if (!rep.ok()) {
-             cb(rep.status());
-             return;
-           }
-           if (rep->status != StatusCode::kOk) {
-             cb(Status(rep->status));
-             return;
-           }
-           cb(rep->stat);
-         });
+  request(request_for(ClientRequest::Op::kExists, path), std::move(cb),
+          stat_of);
 }
 
 void ZkClient::children(const std::string& path, ChildrenCallback cb) {
-  ClientRequest req;
-  req.op = ClientRequest::Op::kChildren;
-  req.path = path;
-  req.session_id = session_id_;
-  submit(std::move(req), 0,
-         [cb = std::move(cb)](const Result<ClientReply>& rep) {
-           if (!rep.ok()) {
-             cb(rep.status());
-             return;
-           }
-           if (rep->status != StatusCode::kOk) {
-             cb(Status(rep->status));
-             return;
-           }
-           cb(rep->children);
-         });
+  request(request_for(ClientRequest::Op::kChildren, path), std::move(cb),
+          children_of);
 }
 
 void ZkClient::get_and_watch(const std::string& path, GetCallback cb,
                              WatchCallback on_event) {
-  const std::uint64_t wid = next_watch_id_++;
-  watch_callbacks_[wid] = std::move(on_event);
-  ClientRequest req;
-  req.op = ClientRequest::Op::kGet;
-  req.path = path;
-  req.session_id = session_id_;
-  req.watch = true;
-  req.watch_id = wid;
-  submit(std::move(req), 0,
-         [cb = std::move(cb)](const Result<ClientReply>& rep) {
-           if (!rep.ok()) {
-             cb(rep.status());
-             return;
-           }
-           if (rep->status != StatusCode::kOk) {
-             cb(Status(rep->status));
-             return;
-           }
-           cb(std::make_pair(rep->payload, rep->stat));
-         });
+  request(request_for(ClientRequest::Op::kGet, path, std::move(on_event)),
+          std::move(cb), data_of);
 }
 
 void ZkClient::children_and_watch(const std::string& path,
                                   ChildrenCallback cb,
                                   WatchCallback on_event) {
-  const std::uint64_t wid = next_watch_id_++;
-  watch_callbacks_[wid] = std::move(on_event);
-  ClientRequest req;
-  req.op = ClientRequest::Op::kChildren;
-  req.path = path;
-  req.session_id = session_id_;
-  req.watch = true;
-  req.watch_id = wid;
-  submit(std::move(req), 0,
-         [cb = std::move(cb)](const Result<ClientReply>& rep) {
-           if (!rep.ok()) {
-             cb(rep.status());
-             return;
-           }
-           if (rep->status != StatusCode::kOk) {
-             cb(Status(rep->status));
-             return;
-           }
-           cb(rep->children);
-         });
+  request(
+      request_for(ClientRequest::Op::kChildren, path, std::move(on_event)),
+      std::move(cb), children_of);
 }
 
 void ZkClient::cached_get(const std::string& path, GetCallback cb) {
@@ -293,10 +210,14 @@ void ZkClient::cached_get(const std::string& path, GetCallback cb) {
   if (it != cache_.end() &&
       host_.sim().now() - it->second.fetched_at <= lease_) {
     ++cache_hits_;
-    cb(std::make_pair(it->second.data, it->second.stat));
+    cb(it->second.value);
     return;
   }
-  get(path, std::move(cb));
+  get(path, [this, path, cb = std::move(cb)](
+                const Result<std::pair<std::string, ZnodeStat>>& got) {
+    if (got.ok()) cache_[path] = CacheEntry{got.value(), host_.sim().now()};
+    cb(got);
+  });
 }
 
 void ZkClient::note_sync_changes(std::size_t changed) {

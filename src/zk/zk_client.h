@@ -1,16 +1,18 @@
 // ZkClient: the embedded client each Sedna node uses to talk to the
-// ensemble (paper Section III.D/III.E).
+// ensemble (paper Section III.D/III.E). Every operation goes through one
+// request/reply step that fails over to the next member on timeout or
+// refusal and hands the callback a Status for any failure.
 //
-// Notable Sedna behaviours implemented here:
-//   * session with heartbeat pings (ephemeral liveness, Section III.D);
-//   * member failover: operations retry against the next ensemble member
-//     on timeout / refusal;
-//   * a local read cache with an *adaptive lease*: the lease halves when
-//     the last period saw many ZooKeeper changes and doubles when it saw
-//     none (Section III.E strategy #2), clamped to [min,max];
-//   * optional watches (Section III.E explains Sedna avoids them on hot
-//     paths — we implement them anyway for completeness and to measure
-//     the watch-storm effect in the ablation bench).
+// Two read aids from Section III.E ride on top:
+//   * cached_get, a lease-cached read. Only cached_get fills the cache and
+//     only it reads the cache; set() and remove() drop the path's entry.
+//     The lease halves after a period with changes and doubles after a
+//     quiet one (strategy #2), clamped to [min,max]; callers report the
+//     changes through note_sync_changes().
+//   * one-shot watches (get_and_watch, children_and_watch).
+// Sedna's own paths use neither: they read with get() and children(),
+// paced by current_lease(), and the paper rules watches out ("an
+// uncontrollable network storm"). bench/ablation_zk_lease measures both.
 //
 // The client is a component of a sim::Host (it borrows the host's RPC
 // machinery); the host must route kMsgWatchEvent messages to
@@ -79,8 +81,8 @@ class ZkClient {
                           WatchCallback on_event);
 
   /// Lease-cached read: serves from the local cache while the entry is
-  /// younger than the current lease, otherwise refetches. This is Sedna's
-  /// primary defence against a ZooKeeper read bottleneck (III.E).
+  /// younger than the current lease, otherwise refetches and caches the
+  /// answer.
   void cached_get(const std::string& path, GetCallback cb);
 
   /// Feeds the adaptive-lease controller: callers report how many changed
@@ -96,12 +98,22 @@ class ZkClient {
 
  private:
   struct CacheEntry {
-    std::string data;
-    ZnodeStat stat;
+    std::pair<std::string, ZnodeStat> value;
     SimTime fetched_at = 0;
   };
 
+  /// A request for `op` on `path` under this client's session; a
+  /// non-empty `on_event` sets a one-shot watch it runs when that fires.
+  ClientRequest request_for(ClientRequest::Op op, const std::string& path,
+                            WatchCallback on_event = {});
+
+  /// The one request/reply step: sends `req` and calls `cb` with
+  /// `value(reply)` on a kOk reply, otherwise with the failure's Status.
+  template <typename Callback, typename Value>
+  void request(ClientRequest req, Callback cb, Value value);
+
   /// Sends `req` to the current member, rotating members on failure.
+  /// `done` gets the kOk reply or the error (a non-kOk reply included).
   void submit(ClientRequest req, int attempt,
               std::function<void(const Result<ClientReply>&)> done);
 

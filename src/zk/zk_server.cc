@@ -15,6 +15,13 @@ constexpr SimDuration kPeerTimeout = sim_ms(900);
 /// Cadence of the leader's session-expiry check.
 constexpr SimDuration kSessionCheckInterval = sim_ms(500);
 
+/// An encoded reply that carries only `code`.
+std::string status_reply(StatusCode code) {
+  ClientReply rep;
+  rep.status = code;
+  return rep.encode();
+}
+
 }  // namespace
 
 ZkServer::ZkServer(sim::Network& net, NodeId id, ZkServerConfig config)
@@ -99,9 +106,7 @@ void ZkServer::on_message(const sim::Message& msg) {
 void ZkServer::handle_client_request(const sim::Message& msg) {
   auto req = ClientRequest::decode(msg.payload);
   if (!req.ok()) {
-    ClientReply rep;
-    rep.status = StatusCode::kInvalidArgument;
-    reply(msg, rep.encode());
+    reply(msg, status_reply(StatusCode::kInvalidArgument));
     return;
   }
   if (!req->is_write()) {
@@ -109,7 +114,7 @@ void ZkServer::handle_client_request(const sim::Message& msg) {
     return;
   }
   if (is_leader()) {
-    lead_write(std::move(*req), msg, /*has_origin=*/true);
+    lead_write(std::move(*req), msg);
     return;
   }
   // Forward to the leader; relay its answer back to the client.
@@ -117,13 +122,8 @@ void ZkServer::handle_client_request(const sim::Message& msg) {
   sim::Message origin = msg;
   call(leader, kMsgForward, msg.payload,
        [this, origin](const Status& st, const std::string& payload) {
-         if (st.ok()) {
-           reply(origin, payload);
-         } else {
-           ClientReply rep;
-           rep.status = StatusCode::kUnavailable;
-           reply(origin, rep.encode());
-         }
+         reply(origin,
+               st.ok() ? payload : status_reply(StatusCode::kUnavailable));
        });
 }
 
@@ -132,22 +132,19 @@ void ZkServer::handle_forward(const sim::Message& msg) {
   if (!req.ok()) return;
   if (!is_leader()) {
     // Stale forward; the sender will time out and retry at the new leader.
-    ClientReply rep;
-    rep.status = StatusCode::kRefused;
-    reply(msg, rep.encode());
+    reply(msg, status_reply(StatusCode::kRefused));
     return;
   }
-  lead_write(std::move(*req), msg, /*has_origin=*/true);
+  lead_write(std::move(*req), msg);
 }
 
-void ZkServer::lead_write(ClientRequest op, const sim::Message& origin,
-                          bool has_origin) {
+void ZkServer::lead_write(ClientRequest op,
+                          std::optional<sim::Message> origin) {
   const std::uint64_t zxid = make_zxid(epoch_, next_counter_++);
   InFlight& inflight = in_flight_[zxid];
   inflight.op = op;
   inflight.acks.insert(id());
-  inflight.origin = origin;
-  inflight.has_origin = has_origin;
+  inflight.origin = std::move(origin);
 
   const Proposal proposal{zxid, std::move(op)};
   const std::string encoded = proposal.encode();
@@ -167,7 +164,7 @@ void ZkServer::send_proposal(NodeId member, std::uint64_t zxid,
        [this, member, zxid, encoded, attempts_left](
            const Status& st, const std::string&) {
          if (st.ok()) {
-           handle_ack(sim::Message{}, zxid, member);
+           handle_ack(zxid, member);
            return;
          }
          if (attempts_left > 1 && in_flight_.contains(zxid)) {
@@ -184,8 +181,7 @@ void ZkServer::handle_propose(const sim::Message& msg) {
   reply(msg, {});
 }
 
-void ZkServer::handle_ack(const sim::Message&, std::uint64_t zxid,
-                          NodeId from) {
+void ZkServer::handle_ack(std::uint64_t zxid, NodeId from) {
   const auto it = in_flight_.find(zxid);
   if (it == in_flight_.end()) return;
   it->second.acks.insert(from);
@@ -208,7 +204,7 @@ void ZkServer::try_commit_heads() {
       if (member == id()) continue;
       send_oneway(member, kMsgCommit, encoded);
     }
-    if (inflight.has_origin) reply(inflight.origin, rep.encode());
+    if (inflight.origin) reply(*inflight.origin, rep.encode());
   }
 }
 
@@ -264,7 +260,6 @@ ClientReply ZkServer::apply(const ClientRequest& op, std::uint64_t zxid) {
       }
       rep.payload = created.value();
       fire_watches(rep.payload, WatchEventType::kCreated);
-      fire_child_watches(parent_of(rep.payload));
       break;
     }
     case ClientRequest::Op::kSet: {
@@ -280,10 +275,7 @@ ClientReply ZkServer::apply(const ClientRequest& op, std::uint64_t zxid) {
     case ClientRequest::Op::kDelete: {
       const Status st = tree_.remove(op.path, op.expected_version);
       rep.status = st.code();
-      if (st.ok()) {
-        fire_watches(op.path, WatchEventType::kDeleted);
-        fire_child_watches(parent_of(op.path));
-      }
+      if (st.ok()) fire_watches(op.path, WatchEventType::kDeleted);
       break;
     }
     case ClientRequest::Op::kExpireSession:
@@ -293,7 +285,6 @@ ClientReply ZkServer::apply(const ClientRequest& op, std::uint64_t zxid) {
       const auto removed = tree_.remove_session_ephemerals(op.session_id);
       for (const auto& path : removed) {
         fire_watches(path, WatchEventType::kDeleted);
-        fire_child_watches(parent_of(path));
       }
       break;
     }
@@ -349,25 +340,20 @@ ClientReply ZkServer::serve_read(const ClientRequest& req, NodeId client) {
 }
 
 void ZkServer::fire_watches(const std::string& path, WatchEventType type) {
-  const auto it = data_watches_.find(path);
-  if (it == data_watches_.end()) return;
-  auto targets = std::move(it->second);
-  data_watches_.erase(it);  // ZooKeeper watches are one-shot
-  for (const auto& [client, watch_id] : targets) {
-    WatchEventMsg ev{watch_id, path, type};
-    send_oneway(client, kMsgWatchEvent, ev.encode());
-  }
-}
-
-void ZkServer::fire_child_watches(const std::string& parent_path) {
-  const auto it = child_watches_.find(parent_path);
-  if (it == child_watches_.end()) return;
-  auto targets = std::move(it->second);
-  child_watches_.erase(it);
-  for (const auto& [client, watch_id] : targets) {
-    WatchEventMsg ev{watch_id, parent_path,
-                     WatchEventType::kChildrenChanged};
-    send_oneway(client, kMsgWatchEvent, ev.encode());
+  auto fire = [this](WatchTable& watches, const std::string& at,
+                     WatchEventType event) {
+    const auto it = watches.find(at);
+    if (it == watches.end()) return;
+    auto targets = std::move(it->second);
+    watches.erase(it);  // ZooKeeper watches are one-shot
+    for (const auto& [client, watch_id] : targets) {
+      send_oneway(client, kMsgWatchEvent,
+                  WatchEventMsg{watch_id, at, event}.encode());
+    }
+  };
+  fire(data_watches_, path, type);
+  if (type != WatchEventType::kDataChanged) {
+    fire(child_watches_, parent_of(path), WatchEventType::kChildrenChanged);
   }
 }
 
@@ -433,7 +419,7 @@ void ZkServer::session_tick() {
     ClientRequest op;
     op.op = ClientRequest::Op::kExpireSession;
     op.session_id = sid;
-    lead_write(std::move(op), sim::Message{}, /*has_origin=*/false);
+    lead_write(std::move(op), std::nullopt);
   }
 }
 

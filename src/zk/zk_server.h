@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -58,15 +59,15 @@ class ZkServer : public sim::Host {
     ClientRequest op;
     std::set<NodeId> acks;
     /// Where to send the client reply once committed (the member that
-    /// forwarded, or a client directly if we are that member).
-    sim::Message origin;
-    bool has_origin = false;
+    /// forwarded, or a client directly if we are that member); empty for
+    /// the leader's own session expiries.
+    std::optional<sim::Message> origin;
   };
 
   void handle_client_request(const sim::Message& msg);
   void handle_forward(const sim::Message& msg);
   void handle_propose(const sim::Message& msg);
-  void handle_ack(const sim::Message& msg, std::uint64_t zxid, NodeId from);
+  void handle_ack(std::uint64_t zxid, NodeId from);
   void handle_commit(const sim::Message& msg);
   void handle_peer_ping(const sim::Message& msg);
   void handle_tree_sync(const sim::Message& msg);
@@ -76,8 +77,7 @@ class ZkServer : public sim::Host {
   ClientReply serve_read(const ClientRequest& req, NodeId client);
 
   /// Leader: sequence, propose and track a write.
-  void lead_write(ClientRequest op, const sim::Message& origin,
-                  bool has_origin);
+  void lead_write(ClientRequest op, std::optional<sim::Message> origin);
 
   /// Sends a proposal with bounded retransmission on timeout.
   void send_proposal(NodeId member, std::uint64_t zxid,
@@ -93,8 +93,14 @@ class ZkServer : public sim::Host {
   /// Follower: applies buffered commits while they are consecutive.
   void drain_pending_commits();
 
+  /// Watches registered by clients on this member: path → (client,
+  /// watch_id).
+  using WatchTable =
+      std::map<std::string, std::vector<std::pair<NodeId, std::uint64_t>>>;
+
+  /// Fires the data watches on `path` and, when the znode was created or
+  /// deleted, the child watches on its parent.
   void fire_watches(const std::string& path, WatchEventType type);
-  void fire_child_watches(const std::string& parent_path);
 
   void peer_tick();
   void session_tick();
@@ -133,11 +139,8 @@ class ZkServer : public sim::Host {
   /// Rate limit for anti-entropy tree-sync requests.
   SimTime last_sync_request_ = 0;
 
-  // Watches registered by clients on this member: path → (client, watch_id).
-  std::map<std::string, std::vector<std::pair<NodeId, std::uint64_t>>>
-      data_watches_;
-  std::map<std::string, std::vector<std::pair<NodeId, std::uint64_t>>>
-      child_watches_;
+  WatchTable data_watches_;
+  WatchTable child_watches_;
 };
 
 }  // namespace sedna::zk

@@ -147,30 +147,29 @@ Result<std::vector<std::string>> ZnodeTree::children(
 
 std::vector<std::string> ZnodeTree::remove_session_ephemerals(
     std::uint64_t session_id) {
-  std::vector<std::string> removed;
   // Two passes: collect paths (deepest first is unnecessary — ephemerals
   // are leaves by construction), then delete.
-  std::vector<std::string> to_delete;
-  for_each([&](const std::string& path, const std::string&,
-               const ZnodeStat& stat) {
-    if (stat.ephemeral_owner == session_id) to_delete.push_back(path);
+  std::vector<std::string> owned;
+  for_each([&](const std::string& path, const Znode& node) {
+    if (node.stat.ephemeral_owner == session_id) owned.push_back(path);
   });
-  for (const auto& path : to_delete) {
+  std::vector<std::string> removed;
+  for (const auto& path : owned) {
     if (remove(path, -1).ok()) removed.push_back(path);
   }
   return removed;
 }
 
 void ZnodeTree::for_each(
-    const std::function<void(const std::string&, const std::string&,
-                             const ZnodeStat&)>& fn) const {
-  // Iterative DFS over (path, node).
+    const std::function<void(const std::string&, const Znode&)>& fn) const {
+  // Iterative DFS over (path, node): a LIFO stack visits every parent
+  // before its children.
   std::vector<std::pair<std::string, const Znode*>> stack;
   stack.emplace_back("", root_.get());
   while (!stack.empty()) {
     auto [path, node] = stack.back();
     stack.pop_back();
-    if (!path.empty()) fn(path, node->data, node->stat);
+    fn(path, *node);
     for (const auto& [name, child] : node->children) {
       stack.emplace_back(path + "/" + name, child.get());
     }
@@ -178,43 +177,26 @@ void ZnodeTree::for_each(
 }
 
 std::string ZnodeTree::serialize() const {
-  BinaryWriter w;
-  // Count first.
-  std::uint32_t count = 0;
-  for_each([&](const std::string&, const std::string&, const ZnodeStat&) {
-    ++count;
-  });
-  w.put_u32(count);
   // Parents sort before children lexicographically? Not in general
   // ("/a-x" < "/a/x" is false since '-' < '/'), so emit in DFS order,
-  // which guarantees parent-before-child.
-  std::vector<std::tuple<std::string, std::string, ZnodeStat>> nodes;
-  for_each([&](const std::string& path, const std::string& data,
-               const ZnodeStat& stat) {
-    nodes.emplace_back(path, data, stat);
-  });
-  // for_each is DFS with a LIFO stack: parents are visited before their
-  // children, so `nodes` is already parent-first.
-  for (const auto& [path, data, stat] : nodes) {
-    w.put_string(path);
-    w.put_string(data);
-    w.put_u64(stat.czxid);
-    w.put_u64(stat.mzxid);
-    w.put_i64(stat.version);
-    w.put_u64(stat.ephemeral_owner);
-  }
-  // Sequence counters must transfer too, or a new leader would reissue
-  // sequential names. Emit (path, next_sequence) pairs including root.
-  std::vector<std::pair<std::string, const Znode*>> stack;
-  stack.emplace_back("", root_.get());
+  // which guarantees parent-before-child. Sequence counters must transfer
+  // too, or a new leader would reissue sequential names: the image ends
+  // with (path, next_sequence) pairs, the root's included.
+  std::vector<std::pair<std::string, const Znode*>> nodes;
   std::vector<std::pair<std::string, std::uint64_t>> seqs;
-  while (!stack.empty()) {
-    auto [path, node] = stack.back();
-    stack.pop_back();
-    if (node->next_sequence != 0) seqs.emplace_back(path, node->next_sequence);
-    for (const auto& [name, child] : node->children) {
-      stack.emplace_back(path + "/" + name, child.get());
-    }
+  for_each([&](const std::string& path, const Znode& node) {
+    if (!path.empty()) nodes.emplace_back(path, &node);
+    if (node.next_sequence != 0) seqs.emplace_back(path, node.next_sequence);
+  });
+  BinaryWriter w;
+  w.put_u32(static_cast<std::uint32_t>(nodes.size()));
+  for (const auto& [path, node] : nodes) {
+    w.put_string(path);
+    w.put_string(node->data);
+    w.put_u64(node->stat.czxid);
+    w.put_u64(node->stat.mzxid);
+    w.put_i64(node->stat.version);
+    w.put_u64(node->stat.ephemeral_owner);
   }
   w.put_u32(static_cast<std::uint32_t>(seqs.size()));
   for (const auto& [path, seq] : seqs) {
@@ -261,10 +243,8 @@ Result<ZnodeTree> ZnodeTree::deserialize(std::string_view bytes) {
 
 std::size_t ZnodeTree::node_count() const {
   std::size_t n = 0;
-  for_each([&](const std::string&, const std::string&, const ZnodeStat&) {
-    ++n;
-  });
-  return n;
+  for_each([&](const std::string&, const Znode&) { ++n; });
+  return n - 1;  // the root is not a znode
 }
 
 }  // namespace sedna::zk

@@ -81,11 +81,6 @@ class ZnodeTree {
   /// (used to fire watches and to tell Sedna which real nodes vanished).
   std::vector<std::string> remove_session_ephemerals(std::uint64_t session_id);
 
-  /// Deep visit of all znodes: fn(path, data, stat).
-  void for_each(const std::function<void(const std::string&,
-                                         const std::string&,
-                                         const ZnodeStat&)>& fn) const;
-
   /// Serialization for full-state transfer to (re)joining ensemble members.
   [[nodiscard]] std::string serialize() const;
   static Result<ZnodeTree> deserialize(std::string_view bytes);
@@ -103,6 +98,10 @@ class ZnodeTree {
   /// Walks to the node at `path`; nullptr when absent.
   [[nodiscard]] Znode* walk(std::string_view path);
   [[nodiscard]] const Znode* walk(std::string_view path) const;
+
+  /// Visits the root (path "") and every znode, parents before children.
+  void for_each(
+      const std::function<void(const std::string&, const Znode&)>& fn) const;
 
   /// Splits path into parent path + leaf name. Returns false on malformed
   /// paths ("", "foo", "/", trailing slash).

@@ -283,6 +283,25 @@ TEST(Restart, DaemonsDoNotStackAcrossRestarts) {
   EXPECT_EQ(row_version(3) - restarted_before, steady);
 }
 
+TEST(Restart, FastRestartOwnsItsLivenessZnode) {
+  // A node restarted before its previous ZooKeeper session expires finds
+  // that session's ephemeral liveness znode still in place. The ensemble
+  // deletes it when the old session times out, so the node must replace
+  // it with one its new session owns, or peers take it for dead.
+  SednaCluster cluster(base_config());
+  ASSERT_TRUE(cluster.boot().ok());
+  cluster.crash_node(3);
+  cluster.run_for(sim_ms(100));
+  cluster.restart_node(3);
+  ASSERT_TRUE(cluster.node(3).ready());
+  cluster.run_for(sim_sec(4));  // well past the old session's timeout
+
+  const auto stat = cluster.zk_member(0).tree().exists(
+      real_node_znode(cluster.node(3).id()));
+  ASSERT_TRUE(stat.ok()) << "liveness znode gone after the old session";
+  EXPECT_EQ(stat->ephemeral_owner, cluster.node(3).zk().session_id());
+}
+
 TEST(DoubleFault, DegradedButMajorityDataSurvives) {
   SednaCluster cluster(base_config());
   ASSERT_TRUE(cluster.boot().ok());

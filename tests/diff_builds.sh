@@ -7,8 +7,10 @@
 #
 # Surfaces: examples/failure_drill, bench/hotkey_skew rebalance,
 # bench/scenario_suite, bench/ablation_failure, bench/trigger_pipeline,
-# bench/ablation_zk_lease, bench/ycsb_mix, examples/microblog_search and
-# examples/streaming_wordcount. Each run gets its own
+# bench/ablation_zk_lease, bench/ycsb_mix, examples/microblog_search,
+# examples/streaming_wordcount, bench/ablation_bootstrap (the only one
+# that times the metadata boot load at 256–16,384 vnodes),
+# bench/ablation_quorum and bench/ablation_ring. Each run gets its own
 # working directory and SEDNA_OUT_DIR; its exit status is recorded next to
 # its stdout, so a gate that flips also shows up as a difference.
 #
@@ -35,6 +37,9 @@ surfaces=(
   "ycsb_mix|bench/ycsb_mix"
   "microblog_search|examples/microblog_search"
   "streaming_wordcount|examples/streaming_wordcount"
+  "ablation_bootstrap|bench/ablation_bootstrap"
+  "ablation_quorum|bench/ablation_quorum"
+  "ablation_ring|bench/ablation_ring"
 )
 
 tmp="$(mktemp -d)"

@@ -3,6 +3,7 @@
 // the adaptive-lease client cache.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -418,6 +419,62 @@ TEST_F(EnsembleTest, VersionedSetConflictDetected) {
   EXPECT_FALSE(s2->ok());
 }
 
+TEST_F(EnsembleTest, ErrorRepliesReachTheCallbackAsTheirStatus) {
+  // Every op goes through one request/reply step; drive each into its
+  // error reply and check the code that reaches the op's callback.
+  ASSERT_TRUE(create_sync(client_->zk(), "/dup", "v0").ok());
+  auto& zk = client_->zk();
+  using Done = std::function<void(const Status&)>;
+  struct Case {
+    const char* name;
+    std::function<void(Done)> run;
+    StatusCode want;
+  };
+  const std::vector<Case> cases = {
+      {"duplicate create",
+       [&](Done done) {
+         zk.create("/dup", "", CreateMode::kPersistent,
+                   [done](const auto& r) { done(r.status()); });
+       },
+       StatusCode::kAlreadyExists},
+      {"get of a missing path",
+       [&](Done done) {
+         zk.get("/missing", [done](const auto& r) { done(r.status()); });
+       },
+       StatusCode::kNotFound},
+      {"exists of a missing path",
+       [&](Done done) {
+         zk.exists("/missing", [done](const auto& r) { done(r.status()); });
+       },
+       StatusCode::kNotFound},
+      {"children of a missing path",
+       [&](Done done) {
+         zk.children("/missing",
+                     [done](const auto& r) { done(r.status()); });
+       },
+       StatusCode::kNotFound},
+      {"set at a stale version",
+       [&](Done done) {
+         zk.set("/dup", "v1", 7, [done](const auto& r) { done(r.status()); });
+       },
+       StatusCode::kFailure},
+      {"remove at a stale version",
+       [&](Done done) { zk.remove("/dup", 7, done); }, StatusCode::kFailure},
+  };
+  for (const Case& c : cases) {
+    std::optional<Status> got;
+    c.run([&](const Status& st) { got = st; });
+    run_until([&] { return got.has_value(); });
+    ASSERT_TRUE(got.has_value()) << c.name;
+    EXPECT_EQ(got->code(), c.want) << c.name << ": " << got->to_string();
+  }
+  // The failed set and remove left the znode as it was.
+  auto left = get_sync(zk, "/dup");
+  ASSERT_TRUE(left.ok());
+  EXPECT_EQ(left->first, "v0");
+  EXPECT_EQ(left->second.version, 0);
+}
+
 // ---- lease cache ------------------------------------------------------------------
 
 TEST_F(EnsembleTest, CachedGetServesFromCacheWithinLease) {
@@ -454,6 +511,46 @@ TEST_F(EnsembleTest, CacheExpiresAfterLease) {
   });
   run_until([&] { return value.has_value(); });
   EXPECT_EQ(*value, "v2");
+}
+
+TEST_F(EnsembleTest, PlainGetDoesNotFillTheLeaseCache) {
+  // Only cached_get fills the cache: a plain get leaves nothing behind,
+  // so the next cached_get still goes to the ensemble.
+  ASSERT_TRUE(create_sync(client_->zk(), "/plain", "v").ok());
+  auto& zk = client_->zk();
+  ASSERT_TRUE(get_sync(zk, "/plain").ok());
+
+  const auto requests_before = zk.requests_sent();
+  std::optional<std::string> value;
+  zk.cached_get("/plain", [&](const auto& r) {
+    if (r.ok()) value = r.value().first;
+  });
+  run_until([&] { return value.has_value(); });
+  EXPECT_EQ(value, "v");
+  EXPECT_GT(zk.requests_sent(), requests_before);
+  EXPECT_EQ(zk.cache_hits(), 0u);
+}
+
+TEST_F(EnsembleTest, OwnSetInvalidatesTheCachedCopy) {
+  ASSERT_TRUE(create_sync(client_->zk(), "/mine", "v1").ok());
+  auto& zk = client_->zk();
+  std::optional<bool> warm;
+  zk.cached_get("/mine", [&](const auto&) { warm = true; });
+  run_until([&] { return warm.has_value(); });
+
+  std::optional<Result<ZnodeStat>> set_done;
+  zk.set("/mine", "v2", -1, [&](const auto& r) { set_done = r; });
+  run_until([&] { return set_done.has_value(); });
+  ASSERT_TRUE(set_done->ok());
+
+  // Still inside the lease, yet the read goes out and sees our write.
+  std::optional<std::string> value;
+  zk.cached_get("/mine", [&](const auto& r) {
+    if (r.ok()) value = r.value().first;
+  });
+  run_until([&] { return value.has_value(); });
+  EXPECT_EQ(value, "v2");
+  EXPECT_EQ(zk.cache_hits(), 0u);
 }
 
 TEST(AdaptiveLease, HalvesWhenBusyDoublesWhenQuiet) {
