@@ -8,11 +8,14 @@
 # Surfaces: examples/failure_drill, bench/hotkey_skew rebalance,
 # bench/scenario_suite, bench/ablation_failure, bench/trigger_pipeline,
 # bench/ablation_zk_lease, bench/ycsb_mix, examples/microblog_search,
-# examples/streaming_wordcount, bench/ablation_bootstrap (the only one
-# that times the metadata boot load at 256–16,384 vnodes),
-# bench/ablation_quorum and bench/ablation_ring. Each run gets its own
-# working directory and SEDNA_OUT_DIR; its exit status is recorded next to
-# its stdout, so a gate that flips also shows up as a difference.
+# examples/streaming_wordcount, bench/ablation_bootstrap (times the
+# metadata boot load at 256–16,384 vnodes), bench/ablation_quorum,
+# bench/ablation_ring, bench/scalability_nodes (boots 3 to 24 nodes, so
+# the boot load runs at each size), examples/quickstart,
+# examples/realtime_analytics and examples/iterative_triggers. Each run
+# gets its own working directory and SEDNA_OUT_DIR; its exit status is
+# recorded next to its stdout, so a gate that flips also shows up as a
+# difference.
 #
 # Usage: tests/diff_builds.sh <parent_build> <change_build>
 #   e.g. build the parent commit into ../parent-build, this tree into
@@ -40,6 +43,10 @@ surfaces=(
   "ablation_bootstrap|bench/ablation_bootstrap"
   "ablation_quorum|bench/ablation_quorum"
   "ablation_ring|bench/ablation_ring"
+  "scalability_nodes|bench/scalability_nodes"
+  "quickstart|examples/quickstart"
+  "realtime_analytics|examples/realtime_analytics"
+  "iterative_triggers|examples/iterative_triggers"
 )
 
 tmp="$(mktemp -d)"
