@@ -639,7 +639,7 @@ LostUpdateArm lost_update_arm(std::uint64_t seed, bool causal) {
                             present.insert(std::move(t));
                           }
                         }
-                        // Exercise the pluggable resolver path too.
+                        // Exercise the default LWW resolver too.
                         (void)c->resolve(*r);
                       }
                       ++done;

@@ -330,12 +330,7 @@ store::Sibling SednaClient::resolve(const CausalRead& read) {
   if (read.siblings.empty()) return {};
   if (read.siblings.size() > 1) {
     metrics_.counter("client.conflicts_resolved").add(1);
-    if (resolver_) {
-      const std::size_t idx = resolver_(read.siblings);
-      return read.siblings[idx % read.siblings.size()];
-    }
   }
-  // Default LWW resolver: the record's deterministic winner.
   store::CausalRecord rec;
   rec.siblings = read.siblings;
   const store::Sibling* w = rec.winner();

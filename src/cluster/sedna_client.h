@@ -104,12 +104,6 @@ class SednaClient : public sim::Host {
   /// write context; empty on failure).
   using PutCausalCallback =
       std::function<void(const Status&, const store::VersionVector&)>;
-  /// Picks the index of the winning sibling from a conflict set (size
-  /// >= 2). Unset = the default LWW resolver, which orders by
-  /// (ts, value hash, value, dot) — byte-identical behavior to the
-  /// timestamp path for every existing workload.
-  using ConflictResolver =
-      std::function<std::size_t(const std::vector<store::Sibling>&)>;
 
   /// Causal put: `ctx` is the clock from the caller's last get_causal of
   /// this key (empty for a blind put). The coordinator prunes the
@@ -119,13 +113,11 @@ class SednaClient : public sim::Host {
                   const store::VersionVector& ctx, PutCausalCallback cb);
   /// Causal get: quorum-joined record as sibling list + read context.
   void get_causal(const std::string& key, GetCausalCallback cb);
-  /// Applies the configured conflict resolver to a sibling read; counts
-  /// client.conflicts_resolved when the set held real concurrency.
-  /// Returns a default-constructed Sibling on an empty set.
+  /// The sibling read's deterministic LWW winner, ordered by (ts, value
+  /// hash, value, dot); counts client.conflicts_resolved when the set held
+  /// real concurrency. Returns a default-constructed Sibling on an empty
+  /// set.
   [[nodiscard]] store::Sibling resolve(const CausalRead& read);
-  void set_conflict_resolver(ConflictResolver r) {
-    resolver_ = std::move(r);
-  }
 
   void write_latest(const std::string& key, const std::string& value,
                     WriteCallback cb);
@@ -261,8 +253,6 @@ class SednaClient : public sim::Host {
   /// Retry-budget token bucket; starts full so a cold client can still
   /// ride out an unlucky first op.
   double retry_tokens_ = 0.0;
-  /// Sibling conflict resolver; empty = default LWW winner.
-  ConflictResolver resolver_;
 };
 
 }  // namespace sedna::cluster
