@@ -4,10 +4,14 @@
 #include <memory>
 
 #include "cluster/protocol.h"
+#include "common/gather.h"
 
 namespace sedna::cluster {
 
 namespace {
+
+/// Concurrent znode reads per window of the boot-time vnode table load.
+constexpr std::uint32_t kLoadWindow = 64;
 
 /// Parses the numeric suffix of a journal entry name "c0000000042" and
 /// returns it 1-based (suffix + 1) so 0 unambiguously means "no entry" —
@@ -37,19 +41,39 @@ void MetadataCache::start(ReadyCallback on_ready) {
     }
     config_ = cfg.value();
     table_ = ring::VnodeTable(config_.total_vnodes, config_.replicas);
-    load_vnodes(0, std::move(on_ready));
+    load_vnodes(std::move(on_ready));
   });
 }
 
-void MetadataCache::load_vnodes(std::uint32_t next, ReadyCallback on_ready) {
-  // Bulk load in windows of 64 concurrent reads: the paper's boot-time
-  // full scan, bounded so we do not stampede the ensemble.
-  constexpr std::uint32_t kWindow = 64;
-  if (next >= config_.total_vnodes) {
+void MetadataCache::load_vnodes(ReadyCallback on_ready) {
+  // Bulk load in windows of kLoadWindow concurrent reads: the paper's
+  // boot-time full scan, bounded so we do not stampede the ensemble. A
+  // window finishes before the next starts; a failed one skips the rest.
+  const std::uint32_t total = config_.total_vnodes;
+  auto failed = std::make_shared<bool>(false);
+  auto read_window = [this, total, failed](std::size_t w, GatherDone done) {
+    const auto first = static_cast<VnodeId>(w * kLoadWindow);
+    auto read = [this, first, failed](std::size_t i, GatherDone read_done) {
+      read_vnode(static_cast<VnodeId>(first + i),
+                 [failed, read_done](const Status& st) {
+                   // A vnode with no znode, or an unreadable one, keeps its
+                   // default.
+                   *failed |= !st.ok() && !st.is(StatusCode::kNotFound) &&
+                              !st.is(StatusCode::kCorruption);
+                   read_done();
+                 });
+    };
+    run_bounded(*failed ? 0 : std::min(kLoadWindow, total - first), kNoLimit,
+                std::move(read), std::move(done));
+  };
+  auto finish = [this, failed, on_ready = std::move(on_ready)] {
+    if (*failed) {
+      on_ready(Status::Unavailable("vnode table load failed"));
+      return;
+    }
     // Record the journal high-water mark: everything older is already in
     // the freshly loaded table.
-    zk_.children(kZkChanges, [this, on_ready = std::move(on_ready)](
-                                 const auto& kids) {
+    zk_.children(kZkChanges, [this, on_ready](const auto& kids) {
       if (kids.ok()) {
         for (const auto& name : kids.value()) {
           last_seen_change_ = std::max(last_seen_change_, journal_seq(name));
@@ -59,29 +83,9 @@ void MetadataCache::load_vnodes(std::uint32_t next, ReadyCallback on_ready) {
       schedule_sync();
       on_ready(Status::Ok());
     });
-    return;
-  }
-  const std::uint32_t end =
-      std::min(next + kWindow, config_.total_vnodes);
-  auto remaining = std::make_shared<std::uint32_t>(end - next);
-  auto failed = std::make_shared<bool>(false);
-  for (std::uint32_t v = next; v < end; ++v) {
-    read_vnode(v, [this, end, remaining, failed,
-                   on_ready](const Status& st) mutable {
-      // A vnode with no znode, or an unreadable one, keeps its default.
-      if (!st.ok() && !st.is(StatusCode::kNotFound) &&
-          !st.is(StatusCode::kCorruption)) {
-        *failed = true;
-      }
-      if (--*remaining == 0) {
-        if (*failed) {
-          on_ready(Status::Unavailable("vnode table load failed"));
-        } else {
-          load_vnodes(end, std::move(on_ready));
-        }
-      }
-    });
-  }
+  };
+  run_bounded((total + kLoadWindow - 1) / kLoadWindow, 1,
+              std::move(read_window), std::move(finish));
 }
 
 void MetadataCache::read_vnode(VnodeId v,
@@ -116,43 +120,27 @@ void MetadataCache::run_sync(std::function<void()> done) {
   ++syncs_;
   zk_.children(kZkChanges, [this, done = std::move(done)](
                                const auto& kids) mutable {
-    if (!kids.ok()) {
-      zk_.note_sync_changes(0);
-      if (done) done();
-      return;
-    }
-    // Collect entries newer than our high-water mark, in order.
+    // Collect entries newer than our high-water mark, in order (none when
+    // the journal could not be listed).
     std::vector<std::uint64_t> fresh;
-    for (const auto& name : kids.value()) {
-      const std::uint64_t seq = journal_seq(name);
-      if (seq > last_seen_change_) fresh.push_back(seq);
+    if (kids.ok()) {
+      for (const auto& name : kids.value()) {
+        const std::uint64_t seq = journal_seq(name);
+        if (seq > last_seen_change_) fresh.push_back(seq);
+      }
     }
     std::sort(fresh.begin(), fresh.end());
     zk_.note_sync_changes(fresh.size());
-    if (fresh.empty()) {
-      if (done) done();
-      return;
-    }
     // Fetch the entries (vnode, owner) and apply in sequence order.
-    auto remaining = std::make_shared<std::size_t>(fresh.size());
     auto updates = std::make_shared<
         std::map<std::uint64_t, std::pair<VnodeId, NodeId>>>();
-    auto finish = [this, remaining, updates,
-                   done = std::move(done)]() mutable {
-      if (--*remaining != 0) return;
-      for (const auto& [seq, change] : *updates) {
-        apply_local(change.first, change.second);
-        ++refreshed_;
-        last_seen_change_ = std::max(last_seen_change_, seq);
-      }
-      if (done) done();
-    };
-    for (std::uint64_t seq : fresh) {
+    auto fetch = [this, updates, &fresh](std::size_t i, GatherDone fetched) {
+      const std::uint64_t seq = fresh[i];
       char name[32];
       // `seq` is 1-based; the znode suffix is the raw 0-based counter.
       std::snprintf(name, sizeof name, "%s/c%010llu", kZkChanges,
                     static_cast<unsigned long long>(seq - 1));
-      zk_.get(name, [this, seq, updates, finish](const auto& got) mutable {
+      zk_.get(name, [this, seq, updates, fetched](const auto& got) {
         if (got.ok()) {
           const auto entry = ChangeJournalEntry::decode(got->first);
           if (entry.ok()) (*updates)[seq] = {entry->vnode, entry->owner};
@@ -161,9 +149,18 @@ void MetadataCache::run_sync(std::function<void()> done) {
           // not refetch forever.
           last_seen_change_ = std::max(last_seen_change_, seq);
         }
-        finish();
+        fetched();
       });
-    }
+    };
+    run_bounded(fresh.size(), kNoLimit, fetch,
+                [this, updates, done = std::move(done)] {
+                  for (const auto& [seq, change] : *updates) {
+                    apply_local(change.first, change.second);
+                    ++refreshed_;
+                    last_seen_change_ = std::max(last_seen_change_, seq);
+                  }
+                  if (done) done();
+                });
   });
 }
 

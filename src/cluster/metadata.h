@@ -98,7 +98,7 @@ class MetadataCache {
   [[nodiscard]] std::uint64_t vnodes_refreshed() const { return refreshed_; }
 
  private:
-  void load_vnodes(std::uint32_t next, ReadyCallback on_ready);
+  void load_vnodes(ReadyCallback on_ready);
   /// Reads vnode `v`'s znode and applies the owner it names. `done` gets
   /// kOk once applied, else the read's error or the body's kCorruption.
   void read_vnode(VnodeId v, std::function<void(const Status&)> done);

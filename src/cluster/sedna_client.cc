@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <optional>
 
+#include "common/gather.h"
+
 namespace sedna::cluster {
 
 SednaClient::SednaClient(sim::Network& net, NodeId id,
@@ -364,34 +366,31 @@ void SednaClient::scan(const std::string& prefix, ScanCallback cb,
   const std::string payload = req.encode();
 
   auto result = std::make_shared<ScanResult>();
-  auto remaining = std::make_shared<std::size_t>(nodes.size());
   auto failures = std::make_shared<std::size_t>(0);
-  auto shared_cb = std::make_shared<ScanCallback>(std::move(cb));
-  for (NodeId node : nodes) {
-    call(node, kMsgScan, payload,
-         [result, remaining, failures, shared_cb, total = nodes.size()](
-             const Status& st, const std::string& body) {
-           if (st.ok()) {
-             auto rep = ScanReply::decode(body);
-             if (rep.ok() && rep->status == StatusCode::kOk) {
-               result->keys.insert(result->keys.end(), rep->keys.begin(),
-                                   rep->keys.end());
-               result->truncated |= rep->truncated;
-             } else {
-               ++*failures;
-             }
+  auto scan_node = [this, &nodes, &payload, result, failures](
+                       std::size_t i, GatherDone done) {
+    call(nodes[i], kMsgScan, payload,
+         [result, failures, done](const Status& st, const std::string& body) {
+           auto rep = st.ok() ? ScanReply::decode(body) : Result<ScanReply>(st);
+           if (rep.ok() && rep->status == StatusCode::kOk) {
+             result->keys.insert(result->keys.end(), rep->keys.begin(),
+                                 rep->keys.end());
+             result->truncated |= rep->truncated;
            } else {
              ++*failures;
            }
-           if (--*remaining != 0) return;
-           if (*failures == total) {
-             (*shared_cb)(Status::Unavailable("scan reached no node"));
-             return;
-           }
-           std::sort(result->keys.begin(), result->keys.end());
-           (*shared_cb)(*result);
+           done();
          });
-  }
+  };
+  run_bounded(nodes.size(), kNoLimit, scan_node,
+              [result, failures, total = nodes.size(), cb = std::move(cb)] {
+                if (*failures == total) {
+                  cb(Status::Unavailable("scan reached no node"));
+                  return;
+                }
+                std::sort(result->keys.begin(), result->keys.end());
+                cb(*result);
+              });
 }
 
 void SednaClient::write_all(const std::string& key, const std::string& value,
@@ -403,41 +402,31 @@ void SednaClient::write_all(const std::string& key, const std::string& value,
 void SednaClient::write_latest_batch(
     const std::vector<std::pair<std::string, std::string>>& entries,
     BatchWriteCallback cb) {
-  if (entries.empty()) {
-    cb({});
-    return;
-  }
   auto results = std::make_shared<std::vector<Status>>(entries.size());
-  auto remaining = std::make_shared<std::size_t>(entries.size());
-  auto shared_cb = std::make_shared<BatchWriteCallback>(std::move(cb));
-  for (std::size_t i = 0; i < entries.size(); ++i) {
+  auto write = [this, &entries, results](std::size_t i, GatherDone done) {
     write_latest(entries[i].first, entries[i].second,
-                 [results, remaining, shared_cb, i](const Status& st) {
+                 [results, i, done](const Status& st) {
                    (*results)[i] = st;
-                   if (--*remaining == 0) (*shared_cb)(*results);
+                   done();
                  });
-  }
+  };
+  run_bounded(entries.size(), kNoLimit, write,
+              [results, cb = std::move(cb)] { cb(*results); });
 }
 
 void SednaClient::read_latest_batch(const std::vector<std::string>& keys,
                                     BatchReadCallback cb) {
-  if (keys.empty()) {
-    cb({});
-    return;
-  }
-  auto results =
-      std::make_shared<std::vector<Result<store::VersionedValue>>>();
-  results->resize(keys.size(), Status::Unavailable("pending"));
-  auto remaining = std::make_shared<std::size_t>(keys.size());
-  auto shared_cb = std::make_shared<BatchReadCallback>(std::move(cb));
-  for (std::size_t i = 0; i < keys.size(); ++i) {
+  auto results = std::make_shared<std::vector<Result<store::VersionedValue>>>(
+      keys.size(), Status::Unavailable("pending"));
+  auto read = [this, &keys, results](std::size_t i, GatherDone done) {
     read_latest(keys[i],
-                [results, remaining, shared_cb,
-                 i](const Result<store::VersionedValue>& r) {
+                [results, i, done](const Result<store::VersionedValue>& r) {
                   (*results)[i] = r;
-                  if (--*remaining == 0) (*shared_cb)(*results);
+                  done();
                 });
-  }
+  };
+  run_bounded(keys.size(), kNoLimit, read,
+              [results, cb = std::move(cb)] { cb(*results); });
 }
 
 void SednaClient::read_latest(const std::string& key, ReadLatestCallback cb) {

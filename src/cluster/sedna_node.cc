@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 
+#include "common/gather.h"
 #include "common/logging.h"
 #include "ring/rebalancer.h"
 
@@ -78,39 +79,6 @@ WriteRequest causal_write(const std::string& key,
   w.causal_tag = WriteRequest::kCausalRecord;
   w.record = record;
   return w;
-}
-
-/// Runs `task(i, done)` for every i in [0, count) with at most
-/// kTransferParallelism tasks in flight, then calls `all_done` once.
-void run_bounded(std::size_t count,
-                 std::function<void(std::size_t, std::function<void()>)> task,
-                 std::function<void()> all_done) {
-  if (count == 0) {
-    all_done();
-    return;
-  }
-  auto next = std::make_shared<std::size_t>(0);
-  auto in_flight = std::make_shared<std::size_t>(0);
-  auto pump = std::make_shared<std::function<void()>>();
-  // The pump holds only a weak self-reference (a strong one would be a
-  // shared_ptr cycle and leak); each in-flight task's callback pins it.
-  *pump = [count, next, in_flight, task = std::move(task),
-           all_done = std::move(all_done),
-           weak = std::weak_ptr<std::function<void()>>(pump)] {
-    while (*next < count && *in_flight < kTransferParallelism) {
-      ++*in_flight;
-      task((*next)++, [count, next, in_flight, all_done,
-                       pump = weak.lock()] {
-        --*in_flight;
-        if (*next >= count && *in_flight == 0) {
-          all_done();
-          return;
-        }
-        (*pump)();
-      });
-    }
-  };
-  (*pump)();
 }
 
 /// Live data-node ids from the children of the kZkRealNodes registry
@@ -252,13 +220,12 @@ void SednaNode::start_and_join(ReadyCallback on_ready) {
       on_ready(st);
       return;
     }
-    auto moves = std::make_shared<std::vector<ring::VnodeMove>>(
-        ring::Rebalancer::plan_join(metadata_.table(), id()));
-    metrics_.counter("join.vnodes_planned").add(moves->size());
+    const auto moves = ring::Rebalancer::plan_join(metadata_.table(), id());
+    metrics_.counter("join.vnodes_planned").add(moves.size());
     run_bounded(
-        moves->size(),
-        [this, moves](std::size_t i, std::function<void()> done) {
-          const ring::VnodeMove& move = (*moves)[i];
+        moves.size(), kTransferParallelism,
+        [this, moves](std::size_t i, GatherDone done) {
+          const ring::VnodeMove& move = moves[i];
           // Pull from the donor first, then from the slice's other
           // pre-move replicas in case the donor dies mid-transfer.
           std::vector<NodeId> sources{move.from};
@@ -605,14 +572,13 @@ void SednaNode::on_crash() {
 
 void SednaNode::hydrate_after_restart(std::function<void()> done) {
   needs_hydration_ = false;
-  auto todo = std::make_shared<std::vector<VnodeId>>(
-      metadata_.table().replica_vnodes_of(id()));
+  const auto todo = metadata_.table().replica_vnodes_of(id());
   run_bounded(
-      todo->size(),
-      [this, todo](std::size_t i, std::function<void()> fetched) {
-        const VnodeId v = (*todo)[i];
+      todo.size(), kTransferParallelism,
+      [this, todo](std::size_t i, GatherDone fetched) {
+        const VnodeId v = todo[i];
         const auto replicas = metadata_.table().replicas_for_vnode(v);
-        fetch_vnode_from(v, {replicas.begin(), replicas.end()}, 0,
+        fetch_vnode_from(v, {replicas.begin(), replicas.end()},
                          [this, fetched](NodeId source, std::uint64_t) {
                            metrics_
                                .counter(source != kInvalidNode
@@ -1242,18 +1208,17 @@ void SednaNode::read_repair(const WriteRequest& fresh,
   const SpanId span = begin_span("coord.read_repair", TraceStage::kRepair);
   const TraceContext prev = enter_span(span);
   const std::string payload = fresh.encode();
-  auto remaining = std::make_shared<std::size_t>(stale.size());
-  for (NodeId node : stale) {
-    if (node == id()) {
-      apply_write(fresh);
-      if (--*remaining == 0) end_span(span);
-    } else {
-      call(node, kMsgReplicaWrite, payload,
-           [this, span, remaining](const Status&, const std::string&) {
-             if (--*remaining == 0) end_span(span);
-           });
+  auto push = [this, &fresh, &stale, &payload](std::size_t i,
+                                               GatherDone done) {
+    if (stale[i] != id()) {
+      call(stale[i], kMsgReplicaWrite, payload,
+           [done](const Status&, const std::string&) { done(); });
+      return;
     }
-  }
+    apply_write(fresh);
+    done();
+  };
+  run_bounded(stale.size(), kNoLimit, push, [this, span] { end_span(span); });
   set_trace_context(prev);
 }
 
@@ -1466,50 +1431,53 @@ void SednaNode::purge_local_vnode(VnodeId vnode) {
 }
 
 void SednaNode::fetch_vnode_from(
-    VnodeId vnode, std::vector<NodeId> sources, std::size_t idx,
+    VnodeId vnode, std::vector<NodeId> sources,
     std::function<void(NodeId, std::uint64_t)> done) {
-  // Skip ourselves (we may appear in a replica walk) and exhausted lists.
-  while (idx < sources.size() && sources[idx] == id()) ++idx;
-  if (idx >= sources.size()) {
-    done(kInvalidNode, 0);
-    return;
-  }
-  FetchVnodeRequest req;
-  req.vnode = vnode;
-  const NodeId source = sources[idx];  // read before the capture moves it
-  call(source, kMsgFetchVnode, req.encode(),
-       [this, vnode, source, sources = std::move(sources), idx,
-        done = std::move(done)](const Status& st,
-                                const std::string& body) mutable {
-         if (!st.ok()) {
-           fetch_vnode_from(vnode, std::move(sources), idx + 1,
-                            std::move(done));
-           return;
-         }
-         auto rep = FetchVnodeReply::decode(body);
-         if (!rep.ok() || rep->status != StatusCode::kOk) {
-           fetch_vnode_from(vnode, std::move(sources), idx + 1,
-                            std::move(done));
-           return;
-         }
-         std::uint64_t bytes = 0;
-         for (const auto& item : rep->items) {
-           bytes += item.key.size();
-           if (item.has_latest) bytes += item.latest.value.size();
-           for (const auto& sv : item.value_list) bytes += sv.value.size();
-           if (!item.causal.empty()) {
-             // Causal item: join the record; the LWW mirror refreshes
-             // from the winner, so no separate kLatest apply is needed.
-             bool changed = false;
-             apply_causal(item.key, item.causal, changed);
-           } else if (item.has_latest) {
-             apply_write(latest_write(item.key, item.latest));
+  // One source at a time, skipping ourselves (we may appear in a replica
+  // walk); once one has served, the rest are skipped.
+  auto served = std::make_shared<std::pair<NodeId, std::uint64_t>>(
+      kInvalidNode, 0);
+  auto fetch = [this, vnode, sources, served](std::size_t i,
+                                              GatherDone next) {
+    const NodeId source = sources[i];
+    if (source == id() || served->first != kInvalidNode) {
+      next();
+      return;
+    }
+    FetchVnodeRequest req;
+    req.vnode = vnode;
+    call(source, kMsgFetchVnode, req.encode(),
+         [this, source, served, next](const Status& st,
+                                      const std::string& body) {
+           auto rep = st.ok() ? FetchVnodeReply::decode(body)
+                              : Result<FetchVnodeReply>(st);
+           if (!rep.ok() || rep->status != StatusCode::kOk) {
+             next();
+             return;
            }
-           apply_value_list(item.key, item.value_list);
-         }
-         metrics_.counter("transfer.items_received").add(rep->items.size());
-         done(source, bytes);
-       });
+           std::uint64_t bytes = 0;
+           for (const auto& item : rep->items) {
+             bytes += item.key.size();
+             if (item.has_latest) bytes += item.latest.value.size();
+             for (const auto& sv : item.value_list) bytes += sv.value.size();
+             if (!item.causal.empty()) {
+               // Causal item: join the record; the LWW mirror refreshes
+               // from the winner, so no separate kLatest apply is needed.
+               bool changed = false;
+               apply_causal(item.key, item.causal, changed);
+             } else if (item.has_latest) {
+               apply_write(latest_write(item.key, item.latest));
+             }
+             apply_value_list(item.key, item.value_list);
+           }
+           metrics_.counter("transfer.items_received").add(rep->items.size());
+           *served = {source, bytes};
+           next();
+         });
+  };
+  run_bounded(sources.size(), 1, fetch, [served, done = std::move(done)] {
+    done(served->first, served->second);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -1642,15 +1610,16 @@ void SednaNode::replay_hints_to(NodeId target) {
       begin_trace("hints.replay", TraceStage::kHintReplay);
   q.replay_span = replay_ctx.span_id;
   tracer().annotate(q.replay_span, "target=" + std::to_string(target));
-  auto outstanding = std::make_shared<std::size_t>(batch.size());
   auto failures = std::make_shared<std::uint32_t>(0);
-  for (const auto& key : batch) {
+  auto deliver = [this, &q, &batch, target, failures](std::size_t i,
+                                                      GatherDone done) {
+    const std::string& key = batch[i];
     const PendingHint& hint = q.hints.at(key);
     HintDeliverRequest req;
     req.write = hint.write;
     call(target, kMsgHintDeliver, req.encode(),
          [this, target, key, seq = hint.seq, coalesced = hint.coalesced,
-          outstanding, failures](const Status& st, const std::string& body) {
+          failures, done](const Status& st, const std::string& body) {
            bool delivered = false;
            if (st.ok()) {
              auto ack = HintAckReply::decode(body);
@@ -1677,11 +1646,12 @@ void SednaNode::replay_hints_to(NodeId target) {
                ++*failures;
              }
            }
-           if (--*outstanding == 0) {
-             finish_hint_batch(target, *failures > 0);
-           }
+           done();
          });
-  }
+  };
+  run_bounded(batch.size(), kNoLimit, deliver, [this, target, failures] {
+    finish_hint_batch(target, *failures > 0);
+  });
   set_trace_context({});
 }
 
@@ -1749,18 +1719,16 @@ void SednaNode::anti_entropy_tick() {
   for (std::size_t i = 0; i < take; ++i) mine.push_back(order[i].second);
   ae_in_flight_ = true;
   metrics_.counter("antientropy.rounds").add(1);
-  sync_vnodes(std::make_shared<std::vector<VnodeId>>(std::move(mine)), 0);
-}
-
-void SednaNode::sync_vnodes(std::shared_ptr<std::vector<VnodeId>> vnodes,
-                            std::size_t next) {
-  if (!alive() || !ready_ || next >= vnodes->size()) {
-    ae_in_flight_ = false;
-    return;
-  }
-  const VnodeId v = (*vnodes)[next];
-  ae_last_synced_[v] = now();
-  sync_vnode(v, [this, vnodes, next] { sync_vnodes(vnodes, next + 1); });
+  // One vnode at a time; a crash or restart skips the rest.
+  auto sync = [this, mine](std::size_t i, GatherDone done) {
+    if (!alive() || !ready_) {
+      done();
+      return;
+    }
+    ae_last_synced_[mine[i]] = now();
+    sync_vnode(mine[i], done);
+  };
+  run_bounded(mine.size(), 1, sync, [this] { ae_in_flight_ = false; });
 }
 
 void SednaNode::sync_vnode(VnodeId vnode, std::function<void()> done) {
@@ -1776,40 +1744,32 @@ void SednaNode::sync_vnode(VnodeId vnode, std::function<void()> done) {
   // so repair exchanges show up in trace dumps (no-op while disabled).
   const TraceContext ctx =
       begin_trace("antientropy.sync", TraceStage::kRepair);
-  auto finish = [this, root = ctx.span_id, done = std::move(done)] {
-    end_span(root);
+  auto sync_peer = [this, vnode, peers](std::size_t i, GatherDone next) {
+    if (!alive()) {
+      next();
+      return;
+    }
+    const NodeId peer = peers[i];
+    metrics_.counter("antientropy.digest_requests").add(1);
+    request_digest(vnode, peer,
+                   [this, vnode, peer, next](const Status& st,
+                                             const VnodeDigestReply* rep) {
+                     if (!st.ok()) {
+                       metrics_.counter("antientropy.peer_timeouts").add(1);
+                     }
+                     if (rep == nullptr || rep->match) {
+                       next();
+                       return;
+                     }
+                     metrics_.counter("antientropy.digest_mismatches").add(1);
+                     reconcile_with_peer(vnode, peer, *rep, next);
+                   });
+  };
+  run_bounded(peers.size(), 1, sync_peer, [this, ctx, done] {
+    end_span(ctx.span_id);
     set_trace_context({});
     done();
-  };
-  sync_vnode_peer(vnode, std::make_shared<std::vector<NodeId>>(peers), 0,
-                  std::move(finish));
-}
-
-void SednaNode::sync_vnode_peer(VnodeId vnode,
-                                std::shared_ptr<std::vector<NodeId>> peers,
-                                std::size_t idx, std::function<void()> done) {
-  if (!alive() || idx >= peers->size()) {
-    done();
-    return;
-  }
-  const NodeId peer = (*peers)[idx];
-  auto next = [this, vnode, peers, idx, done = std::move(done)] {
-    sync_vnode_peer(vnode, peers, idx + 1, done);
-  };
-  metrics_.counter("antientropy.digest_requests").add(1);
-  request_digest(vnode, peer,
-                 [this, vnode, peer, next = std::move(next)](
-                     const Status& st, const VnodeDigestReply* rep) {
-                   if (!st.ok()) {
-                     metrics_.counter("antientropy.peer_timeouts").add(1);
-                   }
-                   if (rep == nullptr || rep->match) {
-                     next();
-                     return;
-                   }
-                   metrics_.counter("antientropy.digest_mismatches").add(1);
-                   reconcile_with_peer(vnode, peer, *rep, next);
-                 });
+  });
 }
 
 void SednaNode::reconcile_with_peer(VnodeId vnode, NodeId peer,
@@ -1819,22 +1779,22 @@ void SednaNode::reconcile_with_peer(VnodeId vnode, NodeId peer,
   const TraceContext prev = enter_span(span);
   const VnodeDelta delta = diff_vnode(vnode, rep);
   if (rep.truncated) metrics_.counter("antientropy.truncated_replies").add(1);
-  // One slot per push, one for the pull batch, one guard.
-  auto outstanding = std::make_shared<std::size_t>(delta.pushes.size() + 2);
-  auto finish = [this, span, outstanding, done = std::move(done)] {
-    if (--*outstanding == 0) {
-      end_span(span);
-      done();
+  // One task per push, then the pull batch.
+  auto send = [this, peer, prev, &delta](std::size_t i, GatherDone finish) {
+    if (i < delta.pushes.size()) {
+      metrics_.counter("antientropy.keys_pushed").add(1);
+      call(peer, kMsgReplicaWrite, delta.pushes[i].encode(),
+           [finish](const Status&, const std::string&) { finish(); });
+      return;
     }
+    pull_keys(peer, delta.pulls, finish);
+    // Restored before `done` can run, even when nothing was in flight.
+    set_trace_context(prev);
   };
-  for (const WriteRequest& w : delta.pushes) {
-    metrics_.counter("antientropy.keys_pushed").add(1);
-    call(peer, kMsgReplicaWrite, w.encode(),
-         [finish](const Status&, const std::string&) { finish(); });
-  }
-  pull_keys(peer, delta.pulls, finish);
-  set_trace_context(prev);
-  finish();  // releases the guard
+  run_bounded(delta.pushes.size() + 1, kNoLimit, send, [this, span, done] {
+    end_span(span);
+    done();
+  });
 }
 
 void SednaNode::request_digest(
@@ -1947,12 +1907,10 @@ SednaNode::VnodeDelta SednaNode::diff_vnode(VnodeId vnode,
 
 void SednaNode::pull_keys(NodeId peer, const std::vector<KeyPull>& pulls,
                           std::function<void()> done) {
-  auto outstanding = std::make_shared<std::size_t>(pulls.size() + 1);
-  auto finish = [outstanding, done = std::move(done)] {
-    if (--*outstanding == 0) done();
+  auto pull = [this, peer, &pulls](std::size_t i, GatherDone pulled) {
+    pull_key(peer, pulls[i], pulled);
   };
-  for (const KeyPull& pull : pulls) pull_key(peer, pull, finish);
-  finish();  // releases the +1 guard
+  run_bounded(pulls.size(), kNoLimit, pull, std::move(done));
 }
 
 void SednaNode::pull_key(NodeId peer, const KeyPull& pull,
@@ -2017,23 +1975,21 @@ void SednaNode::traffic_rebalance_tick() {
         // reported row (missing rows — a node that has not reported yet —
         // simply count as zero traffic).
         auto table = std::make_shared<ring::ImbalanceTable>();
-        auto pending = std::make_shared<std::size_t>(live.size());
-        auto live_shared =
-            std::make_shared<std::vector<NodeId>>(std::move(live));
-        for (NodeId n : *live_shared) {
-          zk_.get(load_znode(n),
-                  [this, table, pending, live_shared](
-                      const Result<std::pair<std::string, zk::ZnodeStat>>&
-                          got) {
+        auto fetch_row = [this, table, &live](std::size_t i, GatherDone done) {
+          zk_.get(load_znode(live[i]),
+                  [table, done](const Result<
+                                std::pair<std::string, zk::ZnodeStat>>& got) {
                     if (got.ok()) {
                       auto row = ring::RealNodeLoad::decode(got->first);
                       if (row.ok()) table->update(*row);
                     }
-                    if (--*pending == 0) {
-                      run_traffic_plan(*table, std::move(*live_shared));
-                    }
+                    done();
                   });
-        }
+        };
+        run_bounded(live.size(), kNoLimit, fetch_row,
+                    [this, table, live]() mutable {
+                      run_traffic_plan(*table, std::move(live));
+                    });
       });
 }
 
@@ -2179,7 +2135,7 @@ bool SednaNode::transfer_vnode(
   // later phase reads from that same source.
   const SpanId snap = enter_phase("migrate.snapshot");
   fetch_vnode_from(
-      vnode, std::move(sources), 0,
+      vnode, std::move(sources),
       [this, vnode, expected, state, finish, enter_phase,
        snap](NodeId source, std::uint64_t bytes) {
         if (!migrating_in_.contains(vnode)) return;

@@ -346,7 +346,6 @@ class SednaNode : public sim::Host {
   /// `done` receives the node that served (kInvalidNode if none could)
   /// plus the approximate payload bytes applied.
   void fetch_vnode_from(VnodeId vnode, std::vector<NodeId> sources,
-                        std::size_t idx,
                         std::function<void(NodeId, std::uint64_t)> done);
 
   void append_change_journal(VnodeId vnode, NodeId owner,
@@ -403,12 +402,8 @@ class SednaNode : public sim::Host {
   /// Daemon tick: pick the least-recently-synced replicated vnodes and
   /// reconcile them with the other replica holders.
   void anti_entropy_tick();
-  void sync_vnodes(std::shared_ptr<std::vector<VnodeId>> vnodes,
-                   std::size_t next);
+  /// Reconciles `vnode` with each other replica holder in turn.
   void sync_vnode(VnodeId vnode, std::function<void()> done);
-  void sync_vnode_peer(VnodeId vnode,
-                       std::shared_ptr<std::vector<NodeId>> peers,
-                       std::size_t idx, std::function<void()> done);
   void reconcile_with_peer(VnodeId vnode, NodeId peer,
                            const VnodeDigestReply& rep,
                            std::function<void()> done);

@@ -1,15 +1,19 @@
 // Unit tests for src/common: status/result, hashing, codec, crc32, rng,
-// keypath hierarchy, metrics.
+// keypath hierarchy, metrics, and the bounded fan-out.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <deque>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/codec.h"
 #include "common/crc32.h"
+#include "common/gather.h"
 #include "common/hash.h"
 #include "common/inline_function.h"
 #include "common/keypath.h"
@@ -665,6 +669,127 @@ TEST(SlotTable, ReleaseMakesEveryEarlierReferenceStale) {
   table.release(b.slot);
   EXPECT_FALSE(table.live({b.slot, b.gen + 1}));
   EXPECT_FALSE(table.live({b.slot + 1, 1}));
+}
+
+// ---- run_bounded ---------------------------------------------------------------
+
+TEST(RunBounded, ZeroTasksFinishAtOnce) {
+  int finished = 0;
+  run_bounded(
+      0, 4, [](std::size_t, GatherDone) { ADD_FAILURE() << "no task"; },
+      [&finished] { ++finished; });
+  EXPECT_EQ(finished, 1);
+}
+
+TEST(RunBounded, InFlightNeverExceedsTheLimit) {
+  constexpr std::size_t kTasks = 10;
+  constexpr std::size_t kLimit = 3;
+  std::deque<GatherDone> open;  // handles of the tasks in flight
+  std::vector<std::size_t> issued;
+  std::size_t max_in_flight = 0;
+  int finished = 0;
+  run_bounded(
+      kTasks, kLimit,
+      [&](std::size_t i, GatherDone done) {
+        issued.push_back(i);
+        open.push_back(std::move(done));
+        max_in_flight = std::max(max_in_flight, open.size());
+      },
+      [&finished] { ++finished; });
+  EXPECT_EQ(issued.size(), kLimit);
+  // Finish the oldest task in flight, one at a time.
+  while (!open.empty()) {
+    EXPECT_EQ(finished, 0);
+    const GatherDone oldest = open.front();
+    open.pop_front();
+    oldest();
+  }
+  EXPECT_EQ(max_in_flight, kLimit);
+  EXPECT_EQ(issued.size(), kTasks);
+  EXPECT_EQ(finished, 1);
+}
+
+TEST(RunBounded, IssuesInIndexOrder) {
+  // Odd tasks finish inside their own call, even ones later; either way
+  // the next index goes out next.
+  std::vector<std::size_t> issued;
+  std::vector<GatherDone> open;
+  int finished = 0;
+  run_bounded(
+      9, 2,
+      [&](std::size_t i, GatherDone done) {
+        issued.push_back(i);
+        if (i % 2 == 1) {
+          done();
+        } else {
+          open.push_back(std::move(done));
+        }
+      },
+      [&finished] { ++finished; });
+  while (!open.empty()) {
+    const GatherDone last = open.back();
+    open.pop_back();
+    last();
+  }
+  const std::vector<std::size_t> want{0, 1, 2, 3, 4, 5, 6, 7, 8};
+  EXPECT_EQ(issued, want);
+  EXPECT_EQ(finished, 1);
+}
+
+TEST(RunBounded, AllDoneRunsExactlyOnce) {
+  // Every copy of a task's handle shares its one slot; the gather state
+  // is freed with the last handle.
+  auto token = std::make_shared<int>(0);
+  std::vector<GatherDone> open;
+  int finished = 0;
+  run_bounded(
+      5, kNoLimit,
+      [&open, token](std::size_t, GatherDone done) {
+        const GatherDone copy = done;
+        open.push_back(copy);
+      },
+      [&finished, token] { ++finished; });
+  EXPECT_EQ(open.size(), 5u);
+  for (GatherDone& done : open) done();
+  EXPECT_EQ(finished, 1);
+  open.clear();
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(RunBounded, AllDoneWaitsForTheIssuingCallToReturn) {
+  // Every task finishes inside its own call: all_done still runs only
+  // after the last task call has returned, at any limit.
+  for (const std::size_t limit : {std::size_t{1}, std::size_t{2}, kNoLimit}) {
+    std::vector<std::string> log;
+    run_bounded(
+        3, limit,
+        [&log](std::size_t i, GatherDone done) {
+          done();
+          log.push_back("returned " + std::to_string(i));
+        },
+        [&log] { log.push_back("all_done"); });
+    const std::vector<std::string> want{"returned 0", "returned 1",
+                                        "returned 2", "all_done"};
+    EXPECT_EQ(log, want) << "limit " << limit;
+  }
+}
+
+TEST(RunBounded, DoneIsOnePointerAndFitsAnInlineCallback) {
+  static_assert(sizeof(GatherDone) == sizeof(void*));
+  using Callback = InlineFunction<void(const Status&, const std::string&)>;
+  int* owner = nullptr;
+  run_bounded(
+      1, 1,
+      [owner](std::size_t, GatherDone done) {
+        auto cb = [owner, done](const Status&, const std::string&) {
+          (void)owner;
+          done();
+        };
+        EXPECT_TRUE(Callback::stores_inline<decltype(cb)>());
+        Callback inline_cb = std::move(cb);
+        inline_cb(Status::Ok(), "");
+      },
+      [] {});
 }
 
 }  // namespace
