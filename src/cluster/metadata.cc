@@ -53,11 +53,10 @@ void MetadataCache::load_vnodes(ReadyCallback on_ready) {
   auto failed = std::make_shared<bool>(false);
   auto read_window = [this, total, failed](std::size_t w, GatherDone done) {
     const auto first = static_cast<VnodeId>(w * kLoadWindow);
+    // A vnode with no znode, or an unreadable one, keeps its default.
     auto read = [this, first, failed](std::size_t i, GatherDone read_done) {
       read_vnode(static_cast<VnodeId>(first + i),
                  [failed, read_done](const Status& st) {
-                   // A vnode with no znode, or an unreadable one, keeps its
-                   // default.
                    *failed |= !st.ok() && !st.is(StatusCode::kNotFound) &&
                               !st.is(StatusCode::kCorruption);
                    read_done();

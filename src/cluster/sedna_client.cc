@@ -367,8 +367,7 @@ void SednaClient::scan(const std::string& prefix, ScanCallback cb,
 
   auto result = std::make_shared<ScanResult>();
   auto failures = std::make_shared<std::size_t>(0);
-  auto scan_node = [this, &nodes, &payload, result, failures](
-                       std::size_t i, GatherDone done) {
+  auto scan_node = [&](std::size_t i, GatherDone done) {
     call(nodes[i], kMsgScan, payload,
          [result, failures, done](const Status& st, const std::string& body) {
            auto rep = st.ok() ? ScanReply::decode(body) : Result<ScanReply>(st);

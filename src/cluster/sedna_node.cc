@@ -1208,8 +1208,7 @@ void SednaNode::read_repair(const WriteRequest& fresh,
   const SpanId span = begin_span("coord.read_repair", TraceStage::kRepair);
   const TraceContext prev = enter_span(span);
   const std::string payload = fresh.encode();
-  auto push = [this, &fresh, &stale, &payload](std::size_t i,
-                                               GatherDone done) {
+  auto push = [&](std::size_t i, GatherDone done) {
     if (stale[i] != id()) {
       call(stale[i], kMsgReplicaWrite, payload,
            [done](const Status&, const std::string&) { done(); });
@@ -1437,16 +1436,13 @@ void SednaNode::fetch_vnode_from(
   // walk); once one has served, the rest are skipped.
   auto served = std::make_shared<std::pair<NodeId, std::uint64_t>>(
       kInvalidNode, 0);
-  auto fetch = [this, vnode, sources, served](std::size_t i,
-                                              GatherDone next) {
+  auto fetch = [this, vnode, sources, served](std::size_t i, GatherDone next) {
     const NodeId source = sources[i];
     if (source == id() || served->first != kInvalidNode) {
       next();
       return;
     }
-    FetchVnodeRequest req;
-    req.vnode = vnode;
-    call(source, kMsgFetchVnode, req.encode(),
+    call(source, kMsgFetchVnode, FetchVnodeRequest{vnode}.encode(),
          [this, source, served, next](const Status& st,
                                       const std::string& body) {
            auto rep = st.ok() ? FetchVnodeReply::decode(body)
@@ -1611,8 +1607,7 @@ void SednaNode::replay_hints_to(NodeId target) {
   q.replay_span = replay_ctx.span_id;
   tracer().annotate(q.replay_span, "target=" + std::to_string(target));
   auto failures = std::make_shared<std::uint32_t>(0);
-  auto deliver = [this, &q, &batch, target, failures](std::size_t i,
-                                                      GatherDone done) {
+  auto deliver = [&](std::size_t i, GatherDone done) {
     const std::string& key = batch[i];
     const PendingHint& hint = q.hints.at(key);
     HintDeliverRequest req;

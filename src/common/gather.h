@@ -5,8 +5,8 @@
 // before it returns; all_done still waits for the call that issued the
 // last tasks to return (issuing holds one more reference, the "+1 guard").
 // At kNoLimit every task is issued before run_bounded returns, so tasks may
-// capture the caller's locals by reference. `done` is one pointer, so it
-// fits an inline callback. Single-threaded, like the simulation.
+// capture the caller's locals by reference. `done` is one pointer, and
+// the counts are plain integers: single-threaded, like the simulation.
 #pragma once
 
 #include <cstddef>
@@ -32,8 +32,7 @@ class GatherDone {
   explicit GatherDone(State* s) noexcept : s_(s) { ++s_->refs; }
   GatherDone(const GatherDone& other) noexcept : GatherDone(other.s_) {}
   GatherDone& operator=(const GatherDone&) = delete;
-  // Never inlined: GCC 12 cannot see that another handle still holds a
-  // reference, and flags inlined pairs of these as -Wuse-after-free.
+  // Not inlined: GCC 12 flags inlined pairs of it as -Wuse-after-free.
   [[gnu::noinline]] ~GatherDone() {
     if (--s_->refs == 0) delete s_;
   }
