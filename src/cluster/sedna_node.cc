@@ -157,7 +157,7 @@ void SednaNode::start(ReadyCallback on_ready) {
       }
       // Register liveness *after* the table is loaded so other nodes never
       // route to a node that cannot serve yet.
-      register_liveness([this, on_ready](const Status& live) {
+      own_znode(real_node_znode(id()), {}, [this, on_ready](const Status& live) {
         if (!live.ok()) {
           on_ready(live);
           return;
@@ -188,30 +188,37 @@ void SednaNode::start(ReadyCallback on_ready) {
   });
 }
 
-void SednaNode::register_liveness(ReadyCallback done) {
-  const std::string path = real_node_znode(id());
-  zk_.create(path, {}, zk::CreateMode::kEphemeral,
-             [this, path, done](const Result<std::string>& created) {
+void SednaNode::own_znode(const std::string& path, std::string body,
+                          ReadyCallback done) {
+  zk_.create(path, body, zk::CreateMode::kEphemeral,
+             [this, path, body, done](const Result<std::string>& created) {
     if (!created.status().is(StatusCode::kAlreadyExists)) {
       done(created.status());
       return;
     }
+    zk_.exists(path, [this, path, body, done](const auto& stat) {
+      claim_znode(path, body, stat, done);
+    });
+  });
+}
+
+void SednaNode::claim_znode(const std::string& path, std::string body,
+                            const Result<zk::ZnodeStat>& stat,
+                            ReadyCallback done) {
+  if (stat.ok() && stat->ephemeral_owner == zk_.session_id()) {
+    done(Status::Ok());
+  } else if (stat.ok()) {
     // A restart inside the previous session's timeout finds that session's
     // znode, and the ensemble deletes it when that session expires, though
     // this node stays up. Replace it with one this session owns.
-    zk_.exists(path, [this, path, done](const Result<zk::ZnodeStat>& stat) {
-      if (stat.ok() && stat->ephemeral_owner == zk_.session_id()) {
-        done(Status::Ok());
-      } else if (stat.ok()) {
-        zk_.remove(path, stat->version,
-                   [this, done](const Status&) { register_liveness(done); });
-      } else if (stat.status().is(StatusCode::kNotFound)) {
-        register_liveness(done);  // expired meanwhile: create it afresh
-      } else {
-        done(stat.status());
-      }
+    zk_.remove(path, stat->version, [this, path, body, done](const Status&) {
+      own_znode(path, body, done);
     });
-  });
+  } else if (stat.status().is(StatusCode::kNotFound)) {
+    own_znode(path, body, done);  // gone (or never made): create it
+  } else {
+    done(stat.status());
+  }
 }
 
 void SednaNode::start_and_join(ReadyCallback on_ready) {
@@ -362,13 +369,12 @@ void SednaNode::report_load() {
   // network footprint) stays byte-identical.
   if (auditor_ != nullptr) row.lags = auditor_->lag_rows(now());
   const std::string path = load_znode(id());
-  // Upsert: set, create on NotFound.
-  zk_.set(path, row.encode(), -1,
-          [this, path, row](const Result<zk::ZnodeStat>& set) {
-            if (set.ok() || !set.status().is(StatusCode::kNotFound)) return;
-            zk_.create(path, row.encode(), zk::CreateMode::kEphemeral,
-                       [](const Result<std::string>&) {});
-          });
+  const std::string body = row.encode();
+  // Upsert: set, then create on NotFound or replace a row the previous
+  // session still owns.
+  zk_.set(path, body, -1, [this, path, body](const auto& set) {
+    claim_znode(path, body, set, [](const Status&) {});
+  });
 }
 
 void SednaNode::probe_visibility(const std::string& key, Timestamp wts,

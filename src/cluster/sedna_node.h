@@ -339,9 +339,14 @@ class SednaNode : public sim::Host {
   /// concurrency), then invoke done. Best effort — unreachable slices are
   /// left to read repair and anti-entropy.
   void hydrate_after_restart(std::function<void()> done);
-  /// Creates this node's ephemeral liveness znode, replacing one a
-  /// previous session left behind.
-  void register_liveness(ReadyCallback done);
+  /// Creates the ephemeral znode `path` (the liveness znode, the load row)
+  /// holding `body`, owned by this session.
+  void own_znode(const std::string& path, std::string body,
+                 ReadyCallback done);
+  /// Given `stat`, the result of an exists or set on `path`: done if this
+  /// session owns it, else replaces it (or creates it if it is gone).
+  void claim_znode(const std::string& path, std::string body,
+                   const Result<zk::ZnodeStat>& stat, ReadyCallback done);
   /// Pulls `vnode`'s items from the first healthy node in `sources`.
   /// `done` receives the node that served (kInvalidNode if none could)
   /// plus the approximate payload bytes applied.

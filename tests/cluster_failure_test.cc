@@ -302,6 +302,36 @@ TEST(Restart, FastRestartOwnsItsLivenessZnode) {
   EXPECT_EQ(stat->ephemeral_owner, cluster.node(3).zk().session_id());
 }
 
+TEST(Restart, FastRestartOwnsItsLoadRow) {
+  // The load row is ephemeral too. A restart inside the previous
+  // session's timeout finds that session's row, and a plain set keeps the
+  // old owner: the ensemble then deletes the row when that session times
+  // out, and the rebalancer reads the node as idle until it is recreated.
+  SednaClusterConfig cfg = base_config();
+  cfg.node_template.load_report_interval = sim_ms(300);
+  SednaCluster cluster(cfg);
+  ASSERT_TRUE(cluster.boot().ok());
+  const std::string row = std::string(kZkRealNodes) + "/load-" +
+                          std::to_string(cluster.node(3).id());
+  cluster.run_for(sim_ms(400));  // the row exists, owned by the session
+  const std::uint64_t first_session = cluster.node(3).zk().session_id();
+  ASSERT_TRUE(cluster.zk_member(0).tree().exists(row).ok()) << row;
+  cluster.crash_node(3);
+  cluster.run_for(sim_ms(100));
+  cluster.restart_node(3);
+  ASSERT_TRUE(cluster.node(3).ready());
+  ASSERT_NE(cluster.node(3).zk().session_id(), first_session);
+  cluster.run_for(sim_ms(400));  // the first report since the restart
+
+  auto stat = cluster.zk_member(0).tree().exists(row);
+  ASSERT_TRUE(stat.ok()) << row;
+  EXPECT_EQ(stat->ephemeral_owner, cluster.node(3).zk().session_id());
+  cluster.run_for(sim_sec(4));  // well past the old session's timeout
+  stat = cluster.zk_member(0).tree().exists(row);
+  ASSERT_TRUE(stat.ok()) << "load row gone after the old session";
+  EXPECT_EQ(stat->ephemeral_owner, cluster.node(3).zk().session_id());
+}
+
 TEST(DoubleFault, DegradedButMajorityDataSurvives) {
   SednaCluster cluster(base_config());
   ASSERT_TRUE(cluster.boot().ok());
