@@ -16,6 +16,7 @@
 #include "sim/message.h"
 #include "store/dvv.h"
 #include "store/item.h"
+#include "zk/protocol.h"
 
 namespace sedna::cluster {
 
@@ -29,6 +30,40 @@ constexpr sim::MessageType kMsgScan = 230;         // client → every node
 constexpr sim::MessageType kMsgHintDeliver = 240;  // coordinator → healed replica
 constexpr sim::MessageType kMsgVnodeDigest = 241;  // anti-entropy digest exchange
 constexpr sim::MessageType kMsgMigrateVnode = 250;  // leader or recovering coordinator → new owner
+
+/// How nodes and clients treat each message type they send or serve:
+/// span name and stage of the outgoing RPC, ingress priority of the
+/// request. The client-to-coordinator hop is the one true network stage
+/// of a request; replica fan-out waits are service time (what the
+/// coordinator experiences is "time until enough replicas answered"; the
+/// wire share of an intra-cluster hop rides along, see DESIGN.md §5g).
+/// Priority: reads, then writes, then repair / anti-entropy, then
+/// migration bulk, which loses its queue slots first; ZooKeeper watch
+/// deliveries and control traffic stay first class.
+inline sim::MessageTraits message_traits(sim::MessageType type) {
+  using S = TraceStage;
+  static constexpr struct {
+    sim::MessageType type;
+    sim::MessageTraits traits;
+  } kTable[] = {
+      {kMsgClientWrite, {"rpc.client_write", S::kNet, 1}},
+      {kMsgClientRead, {"rpc.client_read", S::kNet, 0}},
+      {kMsgReplicaWrite, {"rpc.replica_write", S::kService, 1}},
+      {kMsgReplicaRead, {"rpc.replica_read", S::kService, 0}},
+      {kMsgFetchVnode, {"rpc.fetch_vnode", S::kMigration, 3}},
+      {kMsgPurgeVnode, {nullptr, S::kNet, 3}},
+      {kMsgScan, {"rpc.scan", S::kNet, 2}},
+      {kMsgHintDeliver, {"rpc.hint_deliver", S::kHintReplay, 2}},
+      {kMsgVnodeDigest, {"rpc.vnode_digest", S::kRepair, 2}},
+      {kMsgMigrateVnode, {"rpc.migrate_vnode", S::kMigration, 3}},
+      {zk::kMsgClientRequest, {"rpc.zk_request", S::kZk, 0}},
+      {zk::kMsgSessionPing, {"rpc.zk_ping", S::kZk, 0}},
+  };
+  for (const auto& row : kTable) {
+    if (row.type == type) return row.traits;
+  }
+  return {};
+}
 
 enum class WriteMode : std::uint8_t { kLatest = 0, kAll = 1 };
 enum class ReadMode : std::uint8_t { kLatest = 0, kAll = 1 };

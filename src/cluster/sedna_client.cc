@@ -1,7 +1,6 @@
 #include "cluster/sedna_client.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/gather.h"
 
@@ -11,12 +10,7 @@ SednaClient::SednaClient(sim::Network& net, NodeId id,
                          SednaClientConfig config)
     : sim::Host(net, id, config.host),
       config_(std::move(config)),
-      zk_(*this,
-          [this] {
-            auto zc = config_.zk_client;
-            zc.ensemble = config_.zk_ensemble;
-            return zc;
-          }()),
+      zk_(*this, zk::ZkClientConfig{config_.zk_ensemble}),
       metadata_(zk_, *this) {
   retry_tokens_ = config_.retry_budget_capacity;
 }
@@ -40,12 +34,6 @@ void SednaClient::refill_retry_budget() {
                            retry_tokens_ + config_.retry_budget_refill);
 }
 
-Timestamp SednaClient::next_ts() {
-  const auto seq = static_cast<std::uint16_t>(
-      ((id() & 0xff) << 8) | (write_seq_++ & 0xff));
-  return make_timestamp(now(), seq);
-}
-
 void SednaClient::start(ReadyCallback on_ready) {
   zk_.connect([this, on_ready = std::move(on_ready)](const Status& st) {
     if (!st.ok()) {
@@ -61,34 +49,6 @@ void SednaClient::start(ReadyCallback on_ready) {
 
 void SednaClient::on_message(const sim::Message& msg) {
   if (msg.type == zk::kMsgWatchEvent) zk_.on_watch_event(msg.payload);
-}
-
-std::string SednaClient::rpc_span_name(sim::MessageType type) const {
-  switch (type) {
-    case kMsgClientWrite: return "rpc.client_write";
-    case kMsgClientRead: return "rpc.client_read";
-    case kMsgScan: return "rpc.scan";
-    case zk::kMsgClientRequest: return "rpc.zk_request";
-    case zk::kMsgSessionPing: return "rpc.zk_ping";
-    default: return sim::Host::rpc_span_name(type);
-  }
-}
-
-TraceStage SednaClient::rpc_span_stage(sim::MessageType type) const {
-  switch (type) {
-    // The client-to-coordinator hop is the one true "network" stage of a
-    // request: the coordinator decomposes its own share into queue /
-    // service / replica waits under this span.
-    case kMsgClientWrite:
-    case kMsgClientRead:
-    case kMsgScan:
-      return TraceStage::kNet;
-    case zk::kMsgClientRequest:
-    case zk::kMsgSessionPing:
-      return TraceStage::kZk;
-    default:
-      return sim::Host::rpc_span_stage(type);
-  }
 }
 
 SpanId SednaClient::attempt_span(const char* prefix, int attempt) {
@@ -168,29 +128,24 @@ void SednaClient::run_attempt(Req req, int attempt, SimTime deadline,
   // Encode before the lambda capture moves `req` (argument evaluation
   // order is unspecified).
   std::string payload = req.encode();
-  call_with_timeout(
+  call<Rep>(
       coordinator, kind.type, std::move(payload), attempt_timeout(deadline),
       [this, &kind, req = std::move(req), attempt, deadline, span, parent,
-       cb = std::move(cb)](const Status& st,
-                           const std::string& body) mutable {
-         // The retryable status the coordinator answered, if any; the
-         // failure text is only built when the op fails on it.
-         std::optional<StatusCode> answered;
-         if (st.ok()) {
-           auto rep = Rep::decode(body);
-           if (rep.ok() && !retryable(rep->status)) {
-             (this->*kind.successes)->add(1);
-             refill_retry_budget();
-             end_span(span, to_string(rep->status));
-             cb(std::move(rep));
-             return;
-           }
-           if (rep.ok()) answered = rep->status;
+       cb = std::move(cb)](Result<Rep> rep) mutable {
+         if (rep.ok() && !retryable(rep->status)) {
+           (this->*kind.successes)->add(1);
+           refill_retry_budget();
+           end_span(span, to_string(rep->status));
+           cb(std::move(rep));
+           return;
          }
          if (attempt + 1 >= config_.max_attempts) {
            metrics_.counter(kind.failures).add(1);
            end_span(span, "failure");
-           cb(answered ? Status(*answered) : Status::Failure(kind.exhausted));
+           // The retryable status the coordinator answered, if any; the
+           // failure text is only built when the op fails on it.
+           cb(rep.ok() ? Status(rep->status)
+                       : Status::Failure(kind.exhausted));
            return;
          }
          if (!spend_retry_token()) {
@@ -202,7 +157,8 @@ void SednaClient::run_attempt(Req req, int attempt, SimTime deadline,
          // Refresh routing state, wait out the jittered backoff, then
          // retry via the next replica.
          metrics_.counter(kind.retries).add(1);
-         end_span(span, st.ok() ? "retry" : "timeout");
+         end_span(span, rep.status().is(StatusCode::kTimeout) ? "timeout"
+                                                              : "retry");
          const SimDuration backoff = retry_backoff(attempt + 1);
          // The metadata re-sync + backoff sleep before the next attempt
          // is real client-visible latency — span it as retry time.
@@ -368,18 +324,18 @@ void SednaClient::scan(const std::string& prefix, ScanCallback cb,
   auto result = std::make_shared<ScanResult>();
   auto failures = std::make_shared<std::size_t>(0);
   auto scan_node = [&](std::size_t i, GatherDone done) {
-    call(nodes[i], kMsgScan, payload,
-         [result, failures, done](const Status& st, const std::string& body) {
-           auto rep = st.ok() ? ScanReply::decode(body) : Result<ScanReply>(st);
-           if (rep.ok() && rep->status == StatusCode::kOk) {
-             result->keys.insert(result->keys.end(), rep->keys.begin(),
-                                 rep->keys.end());
-             result->truncated |= rep->truncated;
-           } else {
-             ++*failures;
-           }
-           done();
-         });
+    call<ScanReply>(
+        nodes[i], kMsgScan, payload,
+        [result, failures, done](const Result<ScanReply>& rep) {
+          if (rep.ok() && rep->status == StatusCode::kOk) {
+            result->keys.insert(result->keys.end(), rep->keys.begin(),
+                                rep->keys.end());
+            result->truncated |= rep->truncated;
+          } else {
+            ++*failures;
+          }
+          done();
+        });
   };
   run_bounded(nodes.size(), kNoLimit, scan_node,
               [result, failures, total = nodes.size(), cb = std::move(cb)] {

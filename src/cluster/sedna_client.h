@@ -66,7 +66,6 @@ struct SednaClientConfig {
   /// (legacy unbudgeted retries).
   double retry_budget_capacity = 0.0;
   double retry_budget_refill = 0.1;
-  zk::ZkClientConfig zk_client;
   sim::HostConfig host;
 };
 
@@ -160,14 +159,13 @@ class SednaClient : public sim::Host {
 
   [[nodiscard]] MetadataCache& metadata() { return metadata_; }
   [[nodiscard]] MetricRegistry& metrics() { return metrics_; }
-  [[nodiscard]] Timestamp next_ts();
 
  protected:
   void on_message(const sim::Message& msg) override;
-  [[nodiscard]] std::string rpc_span_name(
-      sim::MessageType type) const override;
-  [[nodiscard]] TraceStage rpc_span_stage(
-      sim::MessageType type) const override;
+  [[nodiscard]] sim::MessageTraits message_traits(
+      sim::MessageType type) const override {
+    return cluster::message_traits(type);
+  }
 
  private:
   template <typename Rep>
@@ -249,7 +247,6 @@ class SednaClient : public sim::Host {
   MetricHandle<Histogram> write_latency_{metrics_, "client.write_latency_us"};
   MetricHandle<Histogram> read_latency_{metrics_, "client.read_latency_us"};
   bool ready_ = false;
-  std::uint16_t write_seq_ = 0;
   /// Retry-budget token bucket; starts full so a cold client can still
   /// ride out an unlucky first op.
   double retry_tokens_ = 0.0;

@@ -4,9 +4,9 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <type_traits>
 
 #include "common/gather.h"
-#include "common/logging.h"
 #include "ring/rebalancer.h"
 
 namespace sedna::cluster {
@@ -103,17 +103,12 @@ std::string load_znode(NodeId n) {
 SednaNode::SednaNode(sim::Network& net, NodeId id, SednaNodeConfig config)
     : sim::Host(net, id, config.host),
       config_(std::move(config)),
-      zk_(*this,
-          [this] {
-            auto zc = config_.zk_client;
-            zc.ensemble = config_.zk_ensemble;
-            return zc;
-          }()),
+      zk_(*this, zk::ZkClientConfig{config_.zk_ensemble}),
       metadata_(zk_, *this),
       hot_keys_(kHotKeyCapacity),
       traffic_rebalancer_(config_.traffic_rebalance) {
   store_ = std::make_unique<store::LocalStore>(
-      config_.store, [this] { return sim().now(); });
+      store::LocalStoreConfig{}, [this] { return sim().now(); });
   if (config_.persistence.mode != wal::PersistMode::kNone) {
     persistence_ = std::make_unique<wal::PersistenceManager>(
         config_.persistence, *store_);
@@ -124,14 +119,6 @@ SednaNode::SednaNode(sim::Network& net, NodeId id, SednaNodeConfig config)
 }
 
 SednaNode::~SednaNode() = default;
-
-Timestamp SednaNode::next_ts() {
-  // Writer-unique tie-break: node id in the high byte, a rolling sequence
-  // in the low byte, under the microsecond clock.
-  const auto seq = static_cast<std::uint16_t>(
-      ((id() & 0xff) << 8) | (write_seq_++ & 0xff));
-  return make_timestamp(now(), seq);
-}
 
 void SednaNode::start(ReadyCallback on_ready) {
   if (persistence_ != nullptr) {
@@ -410,19 +397,13 @@ void SednaNode::probe_visibility(const std::string& key, Timestamp wts,
               }
               continue;
             }
-            call_with_timeout(
+            call<ReadReply>(
                 replica, kMsgReplicaRead, payload, kAuditProbeTimeout,
-                [this, i, final_offset, wts, acked_at, key, replica](
-                    const Status& st, const std::string& body) {
+                [this, i, final_offset, wts, acked_at, key,
+                 replica](const Result<ReadReply>& rep) {
                   if (auditor_ == nullptr) return;
-                  if (!st.ok()) {
-                    auditor_->on_probe_check(i, false, false);
-                    return;
-                  }
-                  auto rep = ReadReply::decode(body);
-                  if (!rep.ok() ||
-                      rep->status == StatusCode::kOverloaded) {
-                    // Shed probes are abandonment, not evidence.
+                  if (!rep.ok() || rep->status == StatusCode::kOverloaded) {
+                    // Lost and shed probes are abandonment, not evidence.
                     auditor_->on_probe_check(i, false, false);
                     return;
                   }
@@ -450,68 +431,45 @@ void SednaNode::record_visibility_violation(SimTime acked_at,
   }
 }
 
-const SednaNode::Route* SednaNode::route(sim::MessageType type) {
-  // Replica fan-out waits are service time: what the coordinator
-  // experiences is "time until enough replicas answered" (the wire share
-  // of an intra-cluster hop rides along; see DESIGN.md §5g). Priority:
-  // reads, then writes, then repair / anti-entropy, then migration bulk,
-  // which loses its queue slots first; ZK watch deliveries and control
-  // traffic stay first class.
-  using S = TraceStage;
-  static constexpr Route kRoutes[] = {
-      {kMsgClientWrite, &SednaNode::handle_client_write, "rpc.client_write",
-       S::kNet, 1},
-      {kMsgClientRead, &SednaNode::handle_client_read, "rpc.client_read",
-       S::kNet, 0},
-      {kMsgReplicaWrite, &SednaNode::handle_replica_write,
-       "rpc.replica_write", S::kService, 1},
-      {kMsgReplicaRead, &SednaNode::handle_replica_read, "rpc.replica_read",
-       S::kService, 0},
-      {kMsgFetchVnode, &SednaNode::handle_fetch_vnode, "rpc.fetch_vnode",
-       S::kMigration, 3},
-      {kMsgPurgeVnode, &SednaNode::handle_purge_vnode, nullptr, S::kNet, 3},
-      {kMsgScan, &SednaNode::handle_scan, "rpc.scan", S::kRepair, 2},
-      {kMsgHintDeliver, &SednaNode::handle_hint_deliver, "rpc.hint_deliver",
-       S::kHintReplay, 2},
-      {kMsgVnodeDigest, &SednaNode::handle_vnode_digest, "rpc.vnode_digest",
-       S::kRepair, 2},
-      {kMsgMigrateVnode, &SednaNode::handle_migrate_vnode,
-       "rpc.migrate_vnode", S::kMigration, 3},
-      {zk::kMsgWatchEvent, &SednaNode::handle_watch_event, nullptr, S::kNet,
-       0},
-      {zk::kMsgClientRequest, nullptr, "rpc.zk_request", S::kZk, 0},
-      {zk::kMsgSessionPing, nullptr, "rpc.zk_ping", S::kZk, 0},
-  };
-  for (const Route& r : kRoutes) {
-    if (r.type == type) return &r;
+template <typename Rep, typename Req>
+void SednaNode::serve(const sim::Message& msg,
+                      void (SednaNode::*handle)(const sim::Message&, Req)) {
+  auto req = Req::decode(msg.payload);
+  if (req.ok()) {
+    (this->*handle)(msg, std::move(req).value());
+  } else if constexpr (!std::is_void_v<Rep>) {
+    reply_status<Rep>(msg, StatusCode::kInvalidArgument);
   }
-  return nullptr;
 }
 
 void SednaNode::on_message(const sim::Message& msg) {
-  const Route* r = route(msg.type);
-  if (r != nullptr && r->handle != nullptr) (this->*r->handle)(msg);
-}
-
-void SednaNode::handle_watch_event(const sim::Message& msg) {
-  zk_.on_watch_event(msg.payload);
-}
-
-std::string SednaNode::rpc_span_name(sim::MessageType type) const {
-  const Route* r = route(type);
-  if (r == nullptr || r->span == nullptr) return sim::Host::rpc_span_name(type);
-  return r->span;
-}
-
-TraceStage SednaNode::rpc_span_stage(sim::MessageType type) const {
-  const Route* r = route(type);
-  return r != nullptr ? r->stage : sim::Host::rpc_span_stage(type);
-}
-
-std::size_t SednaNode::message_priority(const sim::Message& msg) const {
-  if (msg.is_response) return 0;  // responses finish work already paid for
-  const Route* r = route(msg.type);
-  return r != nullptr ? r->priority : 0;
+  using N = SednaNode;
+  switch (msg.type) {
+    case kMsgClientWrite:
+      return serve<WriteReply>(msg, &N::handle_client_write);
+    case kMsgClientRead:
+      return serve<ReadReply>(msg, &N::handle_client_read);
+    case kMsgReplicaWrite:
+      return serve<WriteReply>(msg, &N::handle_replica_write);
+    case kMsgReplicaRead:
+      return serve<ReadReply>(msg, &N::handle_replica_read);
+    case kMsgFetchVnode:
+      return serve<FetchVnodeReply>(msg, &N::handle_fetch_vnode);
+    case kMsgPurgeVnode:
+      return serve<void>(msg, &N::handle_purge_vnode);
+    case kMsgScan:
+      return serve<ScanReply>(msg, &N::handle_scan);
+    case kMsgHintDeliver:
+      return serve<HintAckReply>(msg, &N::handle_hint_deliver);
+    case kMsgVnodeDigest:
+      return serve<VnodeDigestReply>(msg, &N::handle_vnode_digest);
+    case kMsgMigrateVnode:
+      return serve<MigrateVnodeReply>(msg, &N::handle_migrate_vnode);
+    case zk::kMsgWatchEvent:
+      return zk_.on_watch_event(msg.payload);
+    default:
+      return;
+  }
 }
 
 void SednaNode::on_shed(const sim::Message& msg, sim::ShedReason reason) {
@@ -526,19 +484,13 @@ void SednaNode::on_shed(const sim::Message& msg, sim::ShedReason reason) {
   instant_span("node.shed", "overloaded", TraceStage::kQueue);
   switch (msg.type) {
     case kMsgClientWrite:
-    case kMsgReplicaWrite: {
-      WriteReply rep;
-      rep.status = StatusCode::kOverloaded;
-      reply(msg, rep.encode());
+    case kMsgReplicaWrite:
+      reply_status<WriteReply>(msg, StatusCode::kOverloaded);
       break;
-    }
     case kMsgClientRead:
-    case kMsgReplicaRead: {
-      ReadReply rep;
-      rep.status = StatusCode::kOverloaded;
-      reply(msg, rep.encode());
+    case kMsgReplicaRead:
+      reply_status<ReadReply>(msg, StatusCode::kOverloaded);
       break;
-    }
     default:
       break;  // background daemons retry on their own cadence
   }
@@ -714,29 +666,18 @@ ReadReply SednaNode::local_read(const ReadRequest& req) {
   return rep;
 }
 
-void SednaNode::handle_replica_write(const sim::Message& msg) {
-  auto req = WriteRequest::decode(msg.payload);
-  WriteReply rep;
-  if (!req.ok()) {
-    rep.status = StatusCode::kInvalidArgument;
-  } else {
-    rep.status = apply_write(*req);
-    replica_writes_->add(1);
-  }
-  instant_span("replica.write", to_string(rep.status), TraceStage::kService);
-  reply(msg, rep.encode());
+void SednaNode::handle_replica_write(const sim::Message& msg,
+                                     WriteRequest req) {
+  const StatusCode st = apply_write(req);
+  replica_writes_->add(1);
+  instant_span("replica.write", to_string(st), TraceStage::kService);
+  reply_status<WriteReply>(msg, st);
 }
 
-void SednaNode::handle_replica_read(const sim::Message& msg) {
-  auto req = ReadRequest::decode(msg.payload);
-  if (!req.ok()) {
-    ReadReply rep;
-    rep.status = StatusCode::kInvalidArgument;
-    reply(msg, rep.encode());
-    return;
-  }
+void SednaNode::handle_replica_read(const sim::Message& msg,
+                                    ReadRequest req) {
   replica_reads_->add(1);
-  ReadReply rep = local_read(*req);
+  ReadReply rep = local_read(req);
   instant_span("replica.read", to_string(rep.status), TraceStage::kService);
   reply(msg, rep.encode());
 }
@@ -762,6 +703,7 @@ struct SednaNode::Fanout {
 };
 
 struct SednaNode::WriteFanout : Fanout {
+  using Reply = WriteReply;
   WriteRequest req;
   bool causal_put = false;
   store::VersionVector causal_clock;
@@ -770,6 +712,7 @@ struct SednaNode::WriteFanout : Fanout {
 };
 
 struct SednaNode::ReadFanout : Fanout {
+  using Reply = ReadReply;
   ReadRequest req;
   std::vector<std::pair<NodeId, ReadReply>> replies;
   /// The answer served to the client — the LWW value (`answer`, kLatest
@@ -841,29 +784,26 @@ void SednaNode::fan_out(const sim::Message& msg,
       local(*state);
       continue;
     }
-    call_with_timeout(
+    call<typename State::Reply>(
         replica, type, --remotes == 0 ? std::move(payload) : payload,
         timeout,
-        [state, replica, remote](const Status& st, const std::string& body) {
+        [state, replica, remote](Result<typename State::Reply> rep) {
           ++state->responses;
-          remote(*state, replica, st, body);
+          remote(*state, replica, std::move(rep));
         },
         msg.deadline);
   }
   set_trace_context(prev_ctx);
 }
 
-void SednaNode::handle_client_write(const sim::Message& msg) {
-  auto decoded = WriteRequest::decode(msg.payload);
-  if (!decoded.ok() || !ready_) {
-    WriteReply rep;
-    rep.status = decoded.ok() ? StatusCode::kUnavailable
-                              : StatusCode::kInvalidArgument;
-    reply(msg, rep.encode());
+void SednaNode::handle_client_write(const sim::Message& msg,
+                                    WriteRequest decoded) {
+  if (!ready_) {
+    reply_status<WriteReply>(msg, StatusCode::kUnavailable);
     return;
   }
   auto state = std::make_shared<WriteFanout>();
-  state->req = std::move(decoded).value();
+  state->req = std::move(decoded);
   WriteRequest& req = state->req;
   if (req.ts == 0) req.ts = next_ts();
   if (req.source == kInvalidNode) req.source = msg.from;
@@ -878,9 +818,7 @@ void SednaNode::handle_client_write(const sim::Message& msg) {
     auto minted = store_->write_causal(req.key, req.ctx, req.value, req.ts,
                                        req.flags, id());
     if (!minted.ok()) {
-      WriteReply rep;
-      rep.status = StatusCode::kFailure;
-      reply(msg, rep.encode());
+      reply_status<WriteReply>(msg, StatusCode::kFailure);
       return;
     }
     if (persistence_ != nullptr) {
@@ -902,13 +840,12 @@ void SednaNode::handle_client_write(const sim::Message& msg) {
                      TraceStage::kService);
         settle_write(s, st);
       },
-      [this](WriteFanout& s, NodeId replica, const Status& st,
-             const std::string& body) {
+      [this](WriteFanout& s, NodeId replica, Result<WriteReply> rep) {
         StatusCode answer = StatusCode::kFailure;
-        if (st.ok()) {
-          auto rep = WriteReply::decode(body);
-          if (rep.ok()) answer = rep->status;
-        } else if (!s.deadline_bounded) {
+        if (rep.ok()) {
+          answer = rep->status;
+        } else if (rep.status().is(StatusCode::kTimeout) &&
+                   !s.deadline_bounded) {
           // The replica missed an acknowledged-at-W write: remember it
           // and replay once the replica re-registers (hinted handoff).
           queue_hint(replica, s.req);
@@ -957,17 +894,14 @@ void SednaNode::settle_write(WriteFanout& s, StatusCode answer) {
   reply(s.origin, rep.encode());
 }
 
-void SednaNode::handle_client_read(const sim::Message& msg) {
-  auto decoded = ReadRequest::decode(msg.payload);
-  if (!decoded.ok() || !ready_) {
-    ReadReply rep;
-    rep.status = decoded.ok() ? StatusCode::kUnavailable
-                              : StatusCode::kInvalidArgument;
-    reply(msg, rep.encode());
+void SednaNode::handle_client_read(const sim::Message& msg,
+                                   ReadRequest decoded) {
+  if (!ready_) {
+    reply_status<ReadReply>(msg, StatusCode::kUnavailable);
     return;
   }
   auto state = std::make_shared<ReadFanout>();
-  state->req = std::move(decoded).value();
+  state->req = std::move(decoded);
   state->replies.reserve(metadata_.table().replicas());
   coordinator_reads_->add(1);
   fan_out(
@@ -980,30 +914,24 @@ void SednaNode::handle_client_read(const sim::Message& msg) {
         settle_read(s);
         audit_read(s);
       },
-      [this](ReadFanout& s, NodeId replica, const Status& st,
-             const std::string& body) {
-        if (!st.ok()) {
+      [this](ReadFanout& s, NodeId replica, Result<ReadReply> rep) {
+        if (!rep.ok() || rep->status == StatusCode::kOverloaded) {
+          // A timeout is failure evidence. An overloaded replica is alive
+          // but shedding: count it as failed for quorum purposes, but do
+          // not suspect it and do not read-repair it (pushing writes at a
+          // node that just shed a read would deepen the overload).
           ++s.failures;
-          if (!s.deadline_bounded) suspect_node(replica, s.vnode);
-        } else {
-          auto rep = ReadReply::decode(body);
-          if (rep.ok() && rep->status == StatusCode::kOverloaded) {
-            // An overloaded replica is alive but shedding: count it as
-            // failed for quorum purposes, but do not suspect it and do
-            // not read-repair it (pushing writes at a node that just
-            // shed a read would deepen the overload).
-            ++s.failures;
-          } else if (rep.ok()) {
-            // Replies arriving after the read settled still feed read
-            // repair: a replica that is behind (or brand new, after a
-            // membership change) gets the answer pushed.
-            if (s.replied && s.has_answer && s.behind(*rep)) {
-              read_repair(s.answer_write(), {replica});
-            }
-            s.replies.emplace_back(replica, std::move(rep).value());
-          } else {
-            ++s.failures;
+          if (rep.status().is(StatusCode::kTimeout) && !s.deadline_bounded) {
+            suspect_node(replica, s.vnode);
           }
+        } else {
+          // Replies arriving after the read settled still feed read
+          // repair: a replica that is behind (or brand new, after a
+          // membership change) gets the answer pushed.
+          if (s.replied && s.has_answer && s.behind(*rep)) {
+            read_repair(s.answer_write(), {replica});
+          }
+          s.replies.emplace_back(replica, std::move(rep).value());
         }
         settle_read(s);
         audit_read(s);
@@ -1326,11 +1254,9 @@ void SednaNode::start_recovery(VnodeId vnode, NodeId dead) {
         // duplication task). If several coordinators noticed, exactly one
         // CAS wins and the losing targets purge their copies.
         MigrateVnodeRequest req{vnode, dead, {sources.begin(), sources.end()}};
-        call_with_timeout(
+        call<MigrateVnodeReply>(
             target, kMsgMigrateVnode, req.encode(), kMigrationTimeout,
-            [this, vnode](const Status& st, const std::string& body) {
-              auto rep = st.ok() ? MigrateVnodeReply::decode(body)
-                                 : Result<MigrateVnodeReply>(st);
+            [this, vnode](const Result<MigrateVnodeReply>& rep) {
               if (rep.ok() && rep->status == StatusCode::kOk) {
                 metrics_.counter("failure.recoveries_completed").add(1);
                 instant_span("recovery.reassigned", "ok",
@@ -1357,15 +1283,14 @@ void SednaNode::append_change_journal(VnodeId vnode, NodeId owner,
              });
 }
 
-void SednaNode::handle_fetch_vnode(const sim::Message& msg) {
-  auto req = FetchVnodeRequest::decode(msg.payload);
-  FetchVnodeReply rep;
-  if (!req.ok() || !ready_) {
-    rep.status = StatusCode::kUnavailable;
-    reply(msg, rep.encode());
+void SednaNode::handle_fetch_vnode(const sim::Message& msg,
+                                   FetchVnodeRequest req) {
+  if (!ready_) {
+    reply_status<FetchVnodeReply>(msg, StatusCode::kUnavailable);
     return;
   }
-  for_each_in_vnode(req->vnode, nullptr, [&rep](const store::Item& item) {
+  FetchVnodeReply rep;
+  for_each_in_vnode(req.vnode, nullptr, [&rep](const store::Item& item) {
     TransferItem out;
     out.key = item.key;
     out.has_latest = item.has_latest;
@@ -1379,19 +1304,17 @@ void SednaNode::handle_fetch_vnode(const sim::Message& msg) {
   reply(msg, rep.encode());
 }
 
-void SednaNode::handle_scan(const sim::Message& msg) {
-  auto req = ScanRequest::decode(msg.payload);
-  ScanReply rep;
-  if (!req.ok() || !ready_) {
-    rep.status = StatusCode::kUnavailable;
-    reply(msg, rep.encode());
+void SednaNode::handle_scan(const sim::Message& msg, ScanRequest req) {
+  if (!ready_) {
+    reply_status<ScanReply>(msg, StatusCode::kUnavailable);
     return;
   }
   // Report only keys whose primary vnode we own: the client scatters to
   // every node, so replica copies must not triple the result set.
+  ScanReply rep;
   const auto& table = metadata_.table();
-  const std::string& prefix = req->prefix;
-  const std::uint32_t limit = req->limit;
+  const std::string& prefix = req.prefix;
+  const std::uint32_t limit = req.limit;
   store_->for_each_matching(
       [&](std::string_view key) {
         return key.substr(0, prefix.size()) == prefix &&
@@ -1408,13 +1331,12 @@ void SednaNode::handle_scan(const sim::Message& msg) {
   reply(msg, rep.encode());
 }
 
-void SednaNode::handle_purge_vnode(const sim::Message& msg) {
-  auto req = PurgeVnodeRequest::decode(msg.payload);
-  if (!req.ok()) return;
+void SednaNode::handle_purge_vnode(const sim::Message&,
+                                   PurgeVnodeRequest req) {
   // Re-read the znode first: the journal entry naming the new owner may
   // not have reached us yet, and the sender's claim may be older than a
   // later move we already applied.
-  const VnodeId vnode = req->vnode;
+  const VnodeId vnode = req.vnode;
   metadata_.refresh_vnode(vnode, [this, vnode] { purge_local_vnode(vnode); });
 }
 
@@ -1448,34 +1370,32 @@ void SednaNode::fetch_vnode_from(
       next();
       return;
     }
-    call(source, kMsgFetchVnode, FetchVnodeRequest{vnode}.encode(),
-         [this, source, served, next](const Status& st,
-                                      const std::string& body) {
-           auto rep = st.ok() ? FetchVnodeReply::decode(body)
-                              : Result<FetchVnodeReply>(st);
-           if (!rep.ok() || rep->status != StatusCode::kOk) {
-             next();
-             return;
-           }
-           std::uint64_t bytes = 0;
-           for (const auto& item : rep->items) {
-             bytes += item.key.size();
-             if (item.has_latest) bytes += item.latest.value.size();
-             for (const auto& sv : item.value_list) bytes += sv.value.size();
-             if (!item.causal.empty()) {
-               // Causal item: join the record; the LWW mirror refreshes
-               // from the winner, so no separate kLatest apply is needed.
-               bool changed = false;
-               apply_causal(item.key, item.causal, changed);
-             } else if (item.has_latest) {
-               apply_write(latest_write(item.key, item.latest));
-             }
-             apply_value_list(item.key, item.value_list);
-           }
-           metrics_.counter("transfer.items_received").add(rep->items.size());
-           *served = {source, bytes};
-           next();
-         });
+    call<FetchVnodeReply>(
+        source, kMsgFetchVnode, FetchVnodeRequest{vnode}.encode(),
+        [this, source, served, next](const Result<FetchVnodeReply>& rep) {
+          if (!rep.ok() || rep->status != StatusCode::kOk) {
+            next();
+            return;
+          }
+          std::uint64_t bytes = 0;
+          for (const auto& item : rep->items) {
+            bytes += item.key.size();
+            if (item.has_latest) bytes += item.latest.value.size();
+            for (const auto& sv : item.value_list) bytes += sv.value.size();
+            if (!item.causal.empty()) {
+              // Causal item: join the record; the LWW mirror refreshes
+              // from the winner, so no separate kLatest apply is needed.
+              bool changed = false;
+              apply_causal(item.key, item.causal, changed);
+            } else if (item.has_latest) {
+              apply_write(latest_write(item.key, item.latest));
+            }
+            apply_value_list(item.key, item.value_list);
+          }
+          metrics_.counter("transfer.items_received").add(rep->items.size());
+          *served = {source, bytes};
+          next();
+        });
   };
   run_bounded(sources.size(), 1, fetch, [served, done = std::move(done)] {
     done(served->first, served->second);
@@ -1618,37 +1538,35 @@ void SednaNode::replay_hints_to(NodeId target) {
     const PendingHint& hint = q.hints.at(key);
     HintDeliverRequest req;
     req.write = hint.write;
-    call(target, kMsgHintDeliver, req.encode(),
-         [this, target, key, seq = hint.seq, coalesced = hint.coalesced,
-          failures, done](const Status& st, const std::string& body) {
-           bool delivered = false;
-           if (st.ok()) {
-             auto ack = HintAckReply::decode(body);
-             // kOutdated means the replica already holds newer data — the
-             // hint's job is done either way.
-             delivered = ack.ok() && (ack->status == StatusCode::kOk ||
-                                      ack->status == StatusCode::kOutdated);
-           }
-           auto it = hint_queues_.find(target);
-           if (it != hint_queues_.end()) {
-             if (delivered) {
-               // Retire only the copy this batch sent. A write coalesced
-               // into the entry (or a fresh entry queued after an
-               // eviction) while it was in flight still needs handing
-               // off: it stays for the next round.
-               auto hit = it->second.hints.find(key);
-               if (hit != it->second.hints.end() && hit->second.seq == seq &&
-                   hit->second.coalesced == coalesced) {
-                 it->second.hints.erase(hit);
-                 if (hints_pending_ > 0) --hints_pending_;
-                 metrics_.counter("coordinator.hints_delivered").add(1);
-               }
-             } else {
-               ++*failures;
-             }
-           }
-           done();
-         });
+    call<HintAckReply>(
+        target, kMsgHintDeliver, req.encode(),
+        [this, target, key, seq = hint.seq, coalesced = hint.coalesced,
+         failures, done](const Result<HintAckReply>& ack) {
+          // kOutdated means the replica already holds newer data — the
+          // hint's job is done either way.
+          const bool delivered =
+              ack.ok() && (ack->status == StatusCode::kOk ||
+                           ack->status == StatusCode::kOutdated);
+          auto it = hint_queues_.find(target);
+          if (it != hint_queues_.end()) {
+            if (delivered) {
+              // Retire only the copy this batch sent. A write coalesced
+              // into the entry (or a fresh entry queued after an
+              // eviction) while it was in flight still needs handing
+              // off: it stays for the next round.
+              auto hit = it->second.hints.find(key);
+              if (hit != it->second.hints.end() && hit->second.seq == seq &&
+                  hit->second.coalesced == coalesced) {
+                it->second.hints.erase(hit);
+                if (hints_pending_ > 0) --hints_pending_;
+                metrics_.counter("coordinator.hints_delivered").add(1);
+              }
+            } else {
+              ++*failures;
+            }
+          }
+          done();
+        });
   };
   run_bounded(batch.size(), kNoLimit, deliver, [this, target, failures] {
     finish_hint_batch(target, *failures > 0);
@@ -1674,21 +1592,16 @@ void SednaNode::finish_hint_batch(NodeId target, bool failed) {
   if (q.hints.empty()) hint_queues_.erase(it);
 }
 
-void SednaNode::handle_hint_deliver(const sim::Message& msg) {
-  auto req = HintDeliverRequest::decode(msg.payload);
-  HintAckReply rep;
-  if (!req.ok()) {
-    rep.status = StatusCode::kInvalidArgument;
-  } else if (!ready_) {
-    // Not serving yet: refuse so the coordinator keeps the hint.
-    rep.status = StatusCode::kUnavailable;
-  } else {
-    rep.status = apply_write(req->write);
+void SednaNode::handle_hint_deliver(const sim::Message& msg,
+                                    HintDeliverRequest req) {
+  // Not serving yet: refuse so the coordinator keeps the hint.
+  StatusCode st = StatusCode::kUnavailable;
+  if (ready_) {
+    st = apply_write(req.write);
     metrics_.counter("replica.hints_received").add(1);
   }
-  instant_span("replica.hint_apply", to_string(rep.status),
-               TraceStage::kHintReplay);
-  reply(msg, rep.encode());
+  instant_span("replica.hint_apply", to_string(st), TraceStage::kHintReplay);
+  reply_status<HintAckReply>(msg, st);
 }
 
 // ---------------------------------------------------------------------------
@@ -1753,12 +1666,12 @@ void SednaNode::sync_vnode(VnodeId vnode, std::function<void()> done) {
     const NodeId peer = peers[i];
     metrics_.counter("antientropy.digest_requests").add(1);
     request_digest(vnode, peer,
-                   [this, vnode, peer, next](const Status& st,
-                                             const VnodeDigestReply* rep) {
-                     if (!st.ok()) {
+                   [this, vnode, peer,
+                    next](const Result<VnodeDigestReply>& rep) {
+                     if (rep.status().is(StatusCode::kTimeout)) {
                        metrics_.counter("antientropy.peer_timeouts").add(1);
                      }
-                     if (rep == nullptr || rep->match) {
+                     if (!rep.ok() || rep->match) {
                        next();
                        return;
                      }
@@ -1800,21 +1713,19 @@ void SednaNode::reconcile_with_peer(VnodeId vnode, NodeId peer,
 
 void SednaNode::request_digest(
     VnodeId vnode, NodeId peer,
-    std::function<void(const Status&, const VnodeDigestReply*)> done) {
+    std::function<void(const Result<VnodeDigestReply>&)> done) {
   VnodeDigestRequest req;
   req.vnode = vnode;
   req.root = store_->digest_root(vnode);
   req.buckets = store_->digest_buckets(vnode);
-  call(peer, kMsgVnodeDigest, req.encode(),
-       [done = std::move(done)](const Status& st, const std::string& body) {
-         if (!st.ok()) {
-           done(st, nullptr);
-           return;
-         }
-         auto rep = VnodeDigestReply::decode(body);
-         const bool usable = rep.ok() && rep->status == StatusCode::kOk;
-         done(st, usable ? &*rep : nullptr);
-       });
+  call<VnodeDigestReply>(
+      peer, kMsgVnodeDigest, req.encode(),
+      [done = std::move(done)](Result<VnodeDigestReply> rep) {
+        if (rep.ok() && rep->status != StatusCode::kOk) {
+          rep = Status(rep->status);
+        }
+        done(rep);
+      });
 }
 
 SednaNode::VnodeDelta SednaNode::diff_vnode(VnodeId vnode,
@@ -1920,37 +1831,32 @@ void SednaNode::pull_key(NodeId peer, const KeyPull& pull,
   latest_req.mode = ReadMode::kLatest;
   latest_req.key = pull.key;
   latest_req.causal = pull.want_causal;
-  call(peer, kMsgReplicaRead, latest_req.encode(),
-       [this, peer, pull, done = std::move(done)](const Status& st,
-                                                  const std::string& body) {
-         if (st.ok()) {
-           auto rep = ReadReply::decode(body);
-           bool pulled = false;
-           if (rep.ok() && pull.want_causal && rep->has_causal) {
-             apply_causal(pull.key, rep->causal, pulled);
-           } else if (rep.ok() && !pull.want_causal && rep->has_latest) {
-             pulled = apply_write(latest_write(pull.key, rep->latest)) ==
-                      StatusCode::kOk;
-           }
-           if (pulled) metrics_.counter("antientropy.keys_pulled").add(1);
-         }
-         if (!pull.want_list) {
-           done();
-           return;
-         }
-         ReadRequest list_req;
-         list_req.mode = ReadMode::kAll;
-         list_req.key = pull.key;
-         call(peer, kMsgReplicaRead, list_req.encode(),
-              [this, key = pull.key, done](const Status& st2,
-                                           const std::string& body2) {
-                if (st2.ok()) {
-                  auto rep2 = ReadReply::decode(body2);
-                  if (rep2.ok()) apply_value_list(key, rep2->value_list);
-                }
-                done();
-              });
-       });
+  call<ReadReply>(
+      peer, kMsgReplicaRead, latest_req.encode(),
+      [this, peer, pull,
+       done = std::move(done)](const Result<ReadReply>& rep) {
+        bool pulled = false;
+        if (rep.ok() && pull.want_causal && rep->has_causal) {
+          apply_causal(pull.key, rep->causal, pulled);
+        } else if (rep.ok() && !pull.want_causal && rep->has_latest) {
+          pulled = apply_write(latest_write(pull.key, rep->latest)) ==
+                   StatusCode::kOk;
+        }
+        if (pulled) metrics_.counter("antientropy.keys_pulled").add(1);
+        if (!pull.want_list) {
+          done();
+          return;
+        }
+        ReadRequest list_req;
+        list_req.mode = ReadMode::kAll;
+        list_req.key = pull.key;
+        call<ReadReply>(
+            peer, kMsgReplicaRead, list_req.encode(),
+            [this, key = pull.key, done](const Result<ReadReply>& list) {
+              if (list.ok()) apply_value_list(key, list->value_list);
+              done();
+            });
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -2015,13 +1921,10 @@ void SednaNode::run_traffic_plan(const ring::ImbalanceTable& table,
                           " from=" + std::to_string(m.from) +
                           " to=" + std::to_string(m.to));
     MigrateVnodeRequest req{m.vnode, m.from, {}};
-    call_with_timeout(
+    call<MigrateVnodeReply>(
         m.to, kMsgMigrateVnode, req.encode(), kMigrationTimeout,
-        [this, root = mroot.span_id](const Status& st,
-                                     const std::string& body) {
+        [this, root = mroot.span_id](const Result<MigrateVnodeReply>& rep) {
           if (migrations_dispatched_ > 0) --migrations_dispatched_;
-          auto rep = st.ok() ? MigrateVnodeReply::decode(body)
-                             : Result<MigrateVnodeReply>(st);
           if (!rep.ok() || rep->status != StatusCode::kOk) {
             // Completion metrics live on the destination; the leader only
             // tracks dispatches that came back without a commit.
@@ -2036,16 +1939,15 @@ void SednaNode::run_traffic_plan(const ring::ImbalanceTable& table,
   set_trace_context({});
 }
 
-void SednaNode::handle_migrate_vnode(const sim::Message& msg) {
-  auto req = MigrateVnodeRequest::decode(msg.payload);
-  if (!req.ok()) return;
+void SednaNode::handle_migrate_vnode(const sim::Message& msg,
+                                     MigrateVnodeRequest req) {
   auto respond = [this, msg](const MigrateVnodeReply& rep) {
     reply(msg, rep.encode());
   };
   // No source list: a leader's traffic move out of the current owner.
-  if (req->sources.empty()) {
-    begin_migration(req->vnode, req->from, respond);
-  } else if (!transfer_vnode(req->vnode, req->from, std::move(req->sources),
+  if (req.sources.empty()) {
+    begin_migration(req.vnode, req.from, respond);
+  } else if (!transfer_vnode(req.vnode, req.from, std::move(req.sources),
                              respond)) {
     respond(MigrateVnodeReply{StatusCode::kRefused});
   }
@@ -2257,8 +2159,8 @@ void SednaNode::migration_catchup(VnodeId vnode, NodeId source,
                                   std::function<void(bool, std::size_t)> done) {
   request_digest(vnode, source,
                  [this, vnode, source, done = std::move(done)](
-                     const Status&, const VnodeDigestReply* rep) {
-                   if (rep == nullptr) {
+                     const Result<VnodeDigestReply>& rep) {
+                   if (!rep.ok()) {
                      done(false, 0);
                      return;
                    }
@@ -2278,28 +2180,27 @@ void SednaNode::migration_catchup(VnodeId vnode, NodeId source,
                  });
 }
 
-void SednaNode::handle_vnode_digest(const sim::Message& msg) {
-  auto req = VnodeDigestRequest::decode(msg.payload);
-  VnodeDigestReply rep;
-  if (!req.ok() || !ready_ || !store_->digests_enabled()) {
-    rep.status = StatusCode::kUnavailable;
-    reply(msg, rep.encode());
+void SednaNode::handle_vnode_digest(const sim::Message& msg,
+                                    VnodeDigestRequest req) {
+  if (!ready_ || !store_->digests_enabled()) {
+    reply_status<VnodeDigestReply>(msg, StatusCode::kUnavailable);
     return;
   }
   metrics_.counter("antientropy.digest_serves").add(1);
-  const auto local = store_->digest_buckets(req->vnode);
-  if (local.size() == req->buckets.size() &&
-      store_->digest_root(req->vnode) == req->root) {
+  VnodeDigestReply rep;
+  const auto local = store_->digest_buckets(req.vnode);
+  if (local.size() == req.buckets.size() &&
+      store_->digest_root(req.vnode) == req.root) {
     rep.match = true;
     instant_span("antientropy.digest_match", "ok", TraceStage::kRepair);
     reply(msg, rep.encode());
     return;
   }
   // A bucket-count mismatch marks every bucket divergent.
-  const bool same_shape = local.size() == req->buckets.size();
+  const bool same_shape = local.size() == req.buckets.size();
   std::set<std::uint32_t> mismatched;
   for (std::uint32_t b = 0; b < local.size(); ++b) {
-    if (!same_shape || local[b] != req->buckets[b]) mismatched.insert(b);
+    if (!same_shape || local[b] != req.buckets[b]) mismatched.insert(b);
   }
   // Summaries in store visit order, each tagged with its bucket. Past the
   // key cap, list whole mismatched buckets, lowest first, while they fit,
@@ -2308,7 +2209,7 @@ void SednaNode::handle_vnode_digest(const sim::Message& msg) {
   // moves on. A first bucket over the cap alone is listed up to the cap.
   std::vector<std::pair<std::uint32_t, KeySummary>> found;
   const auto n = static_cast<std::uint32_t>(local.size());
-  for_each_in_vnode(req->vnode, &mismatched,
+  for_each_in_vnode(req.vnode, &mismatched,
                     [&found, n](const store::Item& item) {
                       KeySummary ks;
                       ks.key = item.key;

@@ -55,7 +55,6 @@ namespace sedna::cluster {
 
 struct SednaNodeConfig {
   std::vector<NodeId> zk_ensemble;
-  store::LocalStoreConfig store;
   wal::PersistenceConfig persistence;
   /// Push the imbalance-table row to ZooKeeper this often (Section III.B).
   SimDuration load_report_interval = sim_sec(5);
@@ -111,7 +110,6 @@ struct SednaNodeConfig {
   /// the probes add replica reads, which would perturb seeded runs.
   ConsistencyAuditorConfig audit;
 
-  zk::ZkClientConfig zk_client;  // ensemble is filled from zk_ensemble
   sim::HostConfig host;
 };
 
@@ -143,9 +141,6 @@ class SednaNode : public sim::Host {
   [[nodiscard]] wal::PersistenceManager* persistence() {
     return persistence_.get();
   }
-
-  /// Writer-unique monotone timestamp (Section III.F LWW ordering).
-  Timestamp next_ts();
 
   /// Hints currently queued for later delivery (all targets).
   [[nodiscard]] std::size_t hints_pending() const { return hints_pending_; }
@@ -199,37 +194,29 @@ class SednaNode : public sim::Host {
  protected:
   void on_message(const sim::Message& msg) override;
   void on_crash() override;
-  [[nodiscard]] std::string rpc_span_name(
-      sim::MessageType type) const override;
-  [[nodiscard]] TraceStage rpc_span_stage(
-      sim::MessageType type) const override;
-  /// Ingress classing for admission control: client/replica reads first,
-  /// then writes, then repair/anti-entropy, then migration bulk.
-  [[nodiscard]] std::size_t message_priority(
-      const sim::Message& msg) const override;
+  /// The data path's table (cluster::message_traits): client/replica
+  /// reads first, then writes, then repair/anti-entropy, then migration.
+  [[nodiscard]] sim::MessageTraits message_traits(
+      sim::MessageType type) const override {
+    return cluster::message_traits(type);
+  }
   /// Shed work is answered with an explicit kOverloaded reply on the
   /// client/replica data path (background traffic is silently dropped —
   /// its daemons already retry) and counted per reason.
   void on_shed(const sim::Message& msg, sim::ShedReason reason) override;
 
  private:
-  /// One row per message type the node serves or calls: its handler (null
-  /// for types it only sends), outgoing RPC span name (null: the host
-  /// default) and stage, and ingress priority.
-  struct Route {
-    sim::MessageType type;
-    void (SednaNode::*handle)(const sim::Message&);
-    const char* span;
-    TraceStage stage;
-    std::size_t priority;
-  };
-  [[nodiscard]] static const Route* route(sim::MessageType type);
-  void handle_watch_event(const sim::Message& msg);
+  /// The one typed serve step: decodes `msg` as the handler's request and
+  /// runs the handler; a request that does not decode is answered with a
+  /// Rep carrying kInvalidArgument (Rep = void: one-way, dropped).
+  template <typename Rep, typename Req>
+  void serve(const sim::Message& msg,
+             void (SednaNode::*handle)(const sim::Message&, Req));
 
   // Coordinator paths: reads and writes share one fan-out; each keeps only
   // its own per-reply handling and settle rule.
-  void handle_client_write(const sim::Message& msg);
-  void handle_client_read(const sim::Message& msg);
+  void handle_client_write(const sim::Message& msg, WriteRequest req);
+  void handle_client_read(const sim::Message& msg, ReadRequest req);
   struct Fanout;  // the header every fan-out state carries
   struct WriteFanout;
   struct ReadFanout;
@@ -259,17 +246,18 @@ class SednaNode : public sim::Host {
   /// The auditor's measured-staleness sample, once every replica answered.
   void audit_read(ReadFanout& s);
   // Replica paths.
-  void handle_replica_write(const sim::Message& msg);
-  void handle_replica_read(const sim::Message& msg);
+  void handle_replica_write(const sim::Message& msg, WriteRequest req);
+  void handle_replica_read(const sim::Message& msg, ReadRequest req);
   // Recovery / transfer paths.
-  void handle_fetch_vnode(const sim::Message& msg);
-  void handle_purge_vnode(const sim::Message& msg);
-  void handle_scan(const sim::Message& msg);
+  void handle_fetch_vnode(const sim::Message& msg, FetchVnodeRequest req);
+  void handle_purge_vnode(const sim::Message& msg, PurgeVnodeRequest req);
+  void handle_scan(const sim::Message& msg, ScanRequest req);
   // Repair paths.
-  void handle_hint_deliver(const sim::Message& msg);
-  void handle_vnode_digest(const sim::Message& msg);
+  void handle_hint_deliver(const sim::Message& msg, HintDeliverRequest req);
+  void handle_vnode_digest(const sim::Message& msg, VnodeDigestRequest req);
   // Transfer dispatch (rebalance leader or recovering coordinator).
-  void handle_migrate_vnode(const sim::Message& msg);
+  void handle_migrate_vnode(const sim::Message& msg,
+                            MigrateVnodeRequest req);
 
   /// Applies a write to the local store + persistence. Used by both the
   /// replica handler and the coordinator's own local copy.
@@ -427,11 +415,11 @@ class SednaNode : public sim::Host {
     std::vector<WriteRequest> pushes;
   };
   /// Step 1: sends our Merkle digest of `vnode` to `peer`. `done` gets the
-  /// transport status and the decoded reply (nullptr when the call failed
-  /// or the peer could not serve it).
+  /// peer's reply, or an error: kTimeout when the call failed, the reply's
+  /// own code when the peer could not serve it.
   void request_digest(
       VnodeId vnode, NodeId peer,
-      std::function<void(const Status&, const VnodeDigestReply*)> done);
+      std::function<void(const Result<VnodeDigestReply>&)> done);
   /// Step 2: scans the local copies of the reply's mismatched buckets and
   /// decides every key's pulls and pushes.
   VnodeDelta diff_vnode(VnodeId vnode, const VnodeDigestReply& rep);
@@ -476,7 +464,6 @@ class SednaNode : public sim::Host {
   /// Set by on_crash: the next start() must hydrate the empty store from
   /// peer replicas before reporting ready (see restart_hydration).
   bool needs_hydration_ = false;
-  std::uint16_t write_seq_ = 0;
   /// Per-vnode capacity/read/write/miss counters, sized at metadata load.
   std::vector<ring::VnodeStatus> vnode_status_;
   /// Top-k hot keys by client-request frequency (coordinator view, so

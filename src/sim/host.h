@@ -22,8 +22,10 @@
 // The callback receives kOk plus the response payload, or kTimeout with an
 // empty payload when the peer crashed, the network dropped the message, or
 // the peer simply never answered. This is precisely the failure evidence
-// the paper's read/write paths act on (Section III.C). Open RPCs live in a
-// SlotTable; an rpc_id is (generation << 32 | slot), and a slot's
+// the paper's read/write paths act on (Section III.C). The typed
+// call<Rep>() decodes the reply for the callback, and reply_status<Rep>()
+// answers a request with a reply that carries only a status. Open RPCs
+// live in a SlotTable; an rpc_id is (generation << 32 | slot), and a slot's
 // generation is bumped when its RPC completes, so a late reply or timeout
 // for a finished RPC never reaches the call that reused the slot.
 //
@@ -142,7 +144,9 @@ class Host {
   /// it behind the CPU in its priority class.
   void deliver(Message msg) {
     if (!alive_) return;
-    const std::size_t prio = clamp_priority(message_priority(msg));
+    // Responses stay in class 0: they finish work already paid for.
+    const std::size_t prio =
+        msg.is_response ? 0 : clamp_priority(message_traits(msg.type).priority);
     if (!msg.is_response && config_.max_ingress_queue > 0) {
       const std::size_t cap = config_.max_ingress_queue *
                               (kHostPriorities - prio) / kHostPriorities;
@@ -174,11 +178,15 @@ class Host {
                          SimDuration timeout, RpcCallback cb,
                          SimTime deadline = 0) {
     const TraceContext caller_ctx = trace_ctx_;
-    const SpanId rpc_span =
-        tracer().enabled()
-            ? tracer().begin(caller_ctx, rpc_span_name(type), id_, now(),
-                             rpc_span_stage(type))
-            : 0;
+    SpanId rpc_span = 0;
+    if (tracer().enabled()) {
+      const MessageTraits traits = message_traits(type);
+      rpc_span = tracer().begin(
+          caller_ctx,
+          traits.span != nullptr ? traits.span
+                                 : "rpc.t" + std::to_string(type),
+          id_, now(), traits.stage);
+    }
     const auto ref = rpcs_.acquire();
     Pending& pending = rpcs_[ref.slot];
     const std::uint64_t rpc_id =
@@ -202,6 +210,28 @@ class Host {
     net_.send(std::move(msg));
   }
 
+  /// Typed call: `cb` gets a Result<Rep> — kTimeout when the call failed
+  /// on the wire, kCorruption when the reply does not decode as Rep, else
+  /// the reply, whose own status field is left to the caller. The wrapper
+  /// captures only `cb`, so a callback that fits RpcCallback's inline
+  /// buffer still does.
+  template <typename Rep, typename Callback>
+  void call(NodeId to, MessageType type, std::string payload, Callback cb) {
+    call<Rep>(to, type, std::move(payload), config_.rpc_timeout_us,
+              std::move(cb));
+  }
+  template <typename Rep, typename Callback>
+  void call(NodeId to, MessageType type, std::string payload,
+            SimDuration timeout, Callback cb, SimTime deadline = 0) {
+    call_with_timeout(
+        to, type, std::move(payload), timeout,
+        [cb = std::move(cb)](const Status& st,
+                             const std::string& body) mutable {
+          cb(st.ok() ? Rep::decode(body) : Result<Rep>(st));
+        },
+        deadline);
+  }
+
   /// One-way message; no response expected.
   void send_oneway(NodeId to, MessageType type, std::string payload) {
     Message msg{id_, to, type, /*rpc_id=*/0, /*is_response=*/false,
@@ -218,6 +248,23 @@ class Host {
     msg.trace_id = trace_ctx_.trace_id;
     msg.span_id = trace_ctx_.span_id;
     net_.send(std::move(msg));
+  }
+
+  /// Replies to `request` with a Rep that carries only `code`.
+  template <typename Rep>
+  void reply_status(const Message& request, StatusCode code) {
+    Rep rep;
+    rep.status = code;
+    reply(request, rep.encode());
+  }
+
+  /// Writer-unique monotone timestamp: this host's id in the high byte of
+  /// the tie-break, a rolling sequence in the low byte, under the
+  /// microsecond clock (Section III.F LWW ordering).
+  Timestamp next_ts() {
+    const auto seq = static_cast<std::uint16_t>(((id_ & 0xff) << 8) |
+                                                (write_seq_++ & 0xff));
+    return make_timestamp(now(), seq);
   }
 
   [[nodiscard]] std::size_t pending_rpcs() const {
@@ -274,14 +321,14 @@ class Host {
   virtual void on_crash() {}
   virtual void on_restart() {}
 
-  /// Ingress priority class for a message (0 = served first). The base
-  /// host treats all traffic equally — strict FIFO, exactly the old
-  /// timeline model. Protocol subclasses classify their request types;
-  /// responses should stay in class 0 (they finish work in flight).
-  [[nodiscard]] virtual std::size_t message_priority(
-      const Message& msg) const {
-    (void)msg;
-    return 0;
+  /// The span name and stage of an outgoing RPC of `type`, and the
+  /// ingress priority class of an incoming request of it. The base host
+  /// names spans "rpc.t<type>" at the network stage and treats all
+  /// traffic equally — strict FIFO, exactly the old timeline model.
+  /// Protocol subclasses look their message types up in their table.
+  [[nodiscard]] virtual MessageTraits message_traits(MessageType type) const {
+    (void)type;
+    return {};
   }
 
   /// A message was dropped instead of serviced. Runs at shed time with no
@@ -291,20 +338,6 @@ class Host {
   virtual void on_shed(const Message& msg, ShedReason reason) {
     (void)msg;
     (void)reason;
-  }
-
-  /// Name given to the span opened around an outgoing RPC. Subclasses
-  /// that know their protocol override this with readable names.
-  [[nodiscard]] virtual std::string rpc_span_name(MessageType type) const {
-    return "rpc.t" + std::to_string(type);
-  }
-
-  /// Attribution stage for an outgoing RPC span. The base host only knows
-  /// "it went over the wire"; protocol subclasses override this alongside
-  /// rpc_span_name (replica fan-out → service, ZooKeeper → zk, ...).
-  [[nodiscard]] virtual TraceStage rpc_span_stage(MessageType type) const {
-    (void)type;
-    return TraceStage::kNet;
   }
 
   /// CPU cost model; override for per-type costs.
@@ -444,6 +477,7 @@ class Host {
   TimerHandle cpu_timer_;
   std::uint64_t shed_queue_full_ = 0;
   std::uint64_t shed_deadline_ = 0;
+  std::uint16_t write_seq_ = 0;
   /// Open RPCs, addressed by rpc_id (see rpc_ref).
   SlotTable<Pending> rpcs_;
   TraceContext trace_ctx_;

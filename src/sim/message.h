@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/trace.h"
 #include "common/types.h"
 
 namespace sedna::sim {
@@ -16,6 +17,16 @@ namespace sedna::sim {
 ///   400–499  Trigger runtime control
 /// Tests may use 900+ freely.
 using MessageType = std::uint32_t;
+
+/// How a host's protocol treats one message type: the name and stage of
+/// the span around an outgoing RPC, and the ingress priority class of an
+/// incoming request (0 = served first).
+struct MessageTraits {
+  /// nullptr: "rpc.t<type>".
+  const char* span = nullptr;
+  TraceStage stage = TraceStage::kNet;
+  std::size_t priority = 0;
+};
 
 struct Message {
   NodeId from = kInvalidNode;

@@ -208,14 +208,4 @@ void TriggerRuntime::run_action(JobState& state, const std::string& key,
   job.action().action(key, values, writer);
 }
 
-std::size_t TriggerRuntime::pending_activations() const {
-  std::size_t n = 0;
-  for (const auto& [name, state] : jobs_) {
-    for (const auto& [key, ks] : state.keys) {
-      if (ks.has_pending) ++n;
-    }
-  }
-  return n;
-}
-
 }  // namespace sedna::trigger

@@ -57,7 +57,6 @@ class TriggerRuntime {
   void stop();
 
   [[nodiscard]] const TriggerStats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t pending_activations() const;
 
  private:
   struct JobState {

@@ -97,19 +97,16 @@ void ZkClient::submit(ClientRequest req, int attempt,
   const NodeId member =
       config_.ensemble[member_cursor_ % config_.ensemble.size()];
   ++requests_;
-  host_.call(
+  host_.call<ClientReply>(
       member, kMsgClientRequest, req.encode(),
-      [this, req, attempt, done = std::move(done)](
-          const Status& st, const std::string& payload) mutable {
-        if (st.ok()) {
-          auto rep = ClientReply::decode(payload);
-          if (rep.ok() && rep->status != StatusCode::kUnavailable &&
-              rep->status != StatusCode::kRefused) {
-            done(rep->status == StatusCode::kOk
-                     ? std::move(rep)
-                     : Result<ClientReply>(Status(rep->status)));
-            return;
-          }
+      [this, req, attempt,
+       done = std::move(done)](Result<ClientReply> rep) mutable {
+        if (rep.ok() && rep->status != StatusCode::kUnavailable &&
+            rep->status != StatusCode::kRefused) {
+          done(rep->status == StatusCode::kOk
+                   ? std::move(rep)
+                   : Result<ClientReply>(Status(rep->status)));
+          return;
         }
         // Timeout, decode failure, or member-side unavailability: rotate
         // to the next member and retry.

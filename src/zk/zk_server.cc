@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
-
 namespace sedna::zk {
 
 namespace {

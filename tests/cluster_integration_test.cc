@@ -1,7 +1,10 @@
 // End-to-end tests of the simulated Sedna deployment: boot, quorum
 // reads/writes, write_all value lists, node failure + read-triggered
-// recovery, runtime join, and client routing.
+// recovery, runtime join, client routing, and the node's answer to a
+// request it cannot decode.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "cluster/sedna_cluster.h"
 
@@ -221,6 +224,72 @@ TEST(ClusterMembership, NewNodeJoinsAndTakesLoad) {
     auto got = cluster.read_latest(client, "j" + std::to_string(i));
     ASSERT_TRUE(got.ok());
   }
+}
+
+/// A peer that sends whatever bytes it is told to and serves nothing.
+class RawPeer : public sim::Host {
+ public:
+  using Host::Host;
+
+ protected:
+  void on_message(const sim::Message&) override {}
+};
+
+/// Sends a payload that does not decode as Req to `to` as a `type`
+/// request; returns the reply's status, or the typed call's own error.
+template <typename Req, typename Rep>
+std::string answer_to_garbage(SednaCluster& cluster, RawPeer& peer, NodeId to,
+                              sim::MessageType type) {
+  const std::string garbage(1, '\xff');
+  EXPECT_FALSE(Req::decode(garbage).ok());
+  std::string answer = "none";
+  peer.call<Rep>(to, type, garbage, [&answer](const Result<Rep>& rep) {
+    answer = rep.ok() ? to_string(rep->status) : to_string(rep.status().code());
+  });
+  cluster.run_for(sim_sec(1));
+  return answer;
+}
+
+TEST(ClusterProtocol, UndecodableRequestOfEveryTypeGetsInvalidArgument) {
+  SednaCluster cluster(small_config());
+  ASSERT_TRUE(cluster.boot().ok());
+  RawPeer peer(cluster.network(), 999);
+  const NodeId node = cluster.node(0).id();
+  EXPECT_EQ((answer_to_garbage<WriteRequest, WriteReply>(
+                cluster, peer, node, kMsgClientWrite)),
+            "invalid_argument");
+  EXPECT_EQ((answer_to_garbage<ReadRequest, ReadReply>(cluster, peer, node,
+                                                       kMsgClientRead)),
+            "invalid_argument");
+  EXPECT_EQ((answer_to_garbage<WriteRequest, WriteReply>(
+                cluster, peer, node, kMsgReplicaWrite)),
+            "invalid_argument");
+  EXPECT_EQ((answer_to_garbage<ReadRequest, ReadReply>(cluster, peer, node,
+                                                       kMsgReplicaRead)),
+            "invalid_argument");
+  EXPECT_EQ((answer_to_garbage<FetchVnodeRequest, FetchVnodeReply>(
+                cluster, peer, node, kMsgFetchVnode)),
+            "invalid_argument");
+  EXPECT_EQ((answer_to_garbage<ScanRequest, ScanReply>(cluster, peer, node,
+                                                       kMsgScan)),
+            "invalid_argument");
+  EXPECT_EQ((answer_to_garbage<HintDeliverRequest, HintAckReply>(
+                cluster, peer, node, kMsgHintDeliver)),
+            "invalid_argument");
+  EXPECT_EQ((answer_to_garbage<VnodeDigestRequest, VnodeDigestReply>(
+                cluster, peer, node, kMsgVnodeDigest)),
+            "invalid_argument");
+  EXPECT_EQ((answer_to_garbage<MigrateVnodeRequest, MigrateVnodeReply>(
+                cluster, peer, node, kMsgMigrateVnode)),
+            "invalid_argument");
+  // A purge is one-way: an undecodable one is dropped, never answered.
+  EXPECT_EQ((answer_to_garbage<PurgeVnodeRequest, WriteReply>(
+                cluster, peer, node, kMsgPurgeVnode)),
+            "timeout");
+  // The node still serves.
+  auto& client = cluster.make_client();
+  ASSERT_TRUE(cluster.write_latest(client, "after", "garbage").ok());
+  EXPECT_EQ(cluster.read_latest(client, "after")->value, "garbage");
 }
 
 TEST(ClusterZk, EnsembleElectsSingleLeader) {

@@ -12,10 +12,14 @@
 # metadata boot load at 256–16,384 vnodes), bench/ablation_quorum,
 # bench/ablation_ring, bench/scalability_nodes (boots 3 to 24 nodes, so
 # the boot load runs at each size), examples/quickstart,
-# examples/realtime_analytics and examples/iterative_triggers. Each run
-# gets its own working directory and SEDNA_OUT_DIR; its exit status is
-# recorded next to its stdout, so a gate that flips also shows up as a
-# difference.
+# examples/realtime_analytics, examples/iterative_triggers, and the
+# paper's Fig. 7, bench/fig7a_memcached3_vs_sedna and
+# bench/fig7b_memcached1_vs_sedna (the only surfaces that run the
+# memcache baseline hosts). Each run gets its own working directory,
+# which is also its SEDNA_OUT_DIR, given as "." because the Fig. 7
+# benches print their CSV's path and an absolute one would differ between
+# the two sides. Its exit status is recorded next to its stdout, so a
+# gate that flips also shows up as a difference.
 #
 # Usage: tests/diff_builds.sh <parent_build> <change_build>
 #   e.g. build the parent commit into ../parent-build, this tree into
@@ -47,6 +51,8 @@ surfaces=(
   "quickstart|examples/quickstart"
   "realtime_analytics|examples/realtime_analytics"
   "iterative_triggers|examples/iterative_triggers"
+  "fig7a_memcached3_vs_sedna|bench/fig7a_memcached3_vs_sedna"
+  "fig7b_memcached1_vs_sedna|bench/fig7b_memcached1_vs_sedna"
 )
 
 tmp="$(mktemp -d)"
@@ -56,7 +62,7 @@ run_surface() {  # <build_dir> <out_dir> <binary> [args...]
   local build="$1" out="$2" bin="$3"
   shift 3
   mkdir -p "${out}"
-  (cd "${out}" && SEDNA_OUT_DIR="${out}" "${build}/${bin}" "$@" \
+  (cd "${out}" && SEDNA_OUT_DIR=. "${build}/${bin}" "$@" \
      > stdout.txt 2> stderr.txt)
   echo "exit status $?" > "${out}/exit_status.txt"
 }

@@ -35,9 +35,9 @@ class ToyHost : public sim::Host {
   void on_message(const sim::Message& msg) override {
     serviced.push_back(msg.type);
   }
-  [[nodiscard]] std::size_t message_priority(
-      const sim::Message& msg) const override {
-    return msg.type;
+  [[nodiscard]] sim::MessageTraits message_traits(
+      sim::MessageType type) const override {
+    return {nullptr, TraceStage::kNet, type};
   }
   void on_shed(const sim::Message& msg, sim::ShedReason reason) override {
     shed_types.push_back(msg.type);

@@ -7,6 +7,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/host.h"
@@ -641,6 +642,37 @@ TEST(Rpc, LateResponseAfterTimeoutIsIgnored) {
                            });
   sim.run();
   EXPECT_EQ(callbacks, 1);  // the late echo must not double-invoke
+}
+
+/// Reply record for the typed-call test: only the body "echo:ok" decodes.
+struct EchoReply {
+  StatusCode status = StatusCode::kOk;
+  static Result<EchoReply> decode(std::string_view body) {
+    if (body != "echo:ok") return Status::Corruption("not an echo of ok");
+    return EchoReply{};
+  }
+};
+
+TEST(Rpc, TypedCallDecodesTheReplyOrSaysWhyNot) {
+  Simulation sim;
+  Network net(sim);
+  EchoHost server(net, 1);
+  SinkHost client(net, 2);
+  std::vector<StatusCode> got;
+  auto record = [&got](const Result<EchoReply>& rep) {
+    got.push_back(rep.ok() ? rep->status : rep.status().code());
+  };
+  client.call<EchoReply>(1, 900, "ok", record);
+  sim.run();
+  client.call<EchoReply>(1, 900, "garbage", record);  // body will not decode
+  sim.run();
+  server.mute = true;  // the reply never comes
+  client.call<EchoReply>(1, 900, "ok", /*timeout=*/1000, record);
+  sim.run();
+  EXPECT_EQ(got, (std::vector<StatusCode>{StatusCode::kOk,
+                                          StatusCode::kCorruption,
+                                          StatusCode::kTimeout}));
+  EXPECT_EQ(client.pending_rpcs(), 0u);
 }
 
 TEST(Rpc, ConcurrentCallsMatchTheRightResponses) {
