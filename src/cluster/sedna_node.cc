@@ -364,7 +364,7 @@ void SednaNode::report_load() {
   });
 }
 
-void SednaNode::probe_visibility(const std::string& key, Timestamp wts,
+void SednaNode::probe_visibility(std::string key, Timestamp wts,
                                  VnodeId vnode, SimTime acked_at) {
   // Snapshot the replica set at ack time: those are the copies the write
   // quorum was assembled from, so those are the copies the visibility
@@ -742,7 +742,7 @@ struct SednaNode::ReadFanout : Fanout {
 
 template <typename State, typename Local, typename Remote>
 void SednaNode::fan_out(const sim::Message& msg,
-                        const std::shared_ptr<State>& state,
+                        std::shared_ptr<State> state,
                         const char* span_name, sim::MessageType type,
                         Local local, Remote remote) {
   const VnodeId vnode = metadata_.table().vnode_for_key(state->req.key);
@@ -833,7 +833,7 @@ void SednaNode::handle_client_write(const sim::Message& msg,
 
   coordinator_writes_->add(1);
   fan_out(
-      msg, state, "coord.write", kMsgReplicaWrite,
+      msg, std::move(state), "coord.write", kMsgReplicaWrite,
       [this](WriteFanout& s) {
         const StatusCode st = apply_write(s.req);
         instant_span("coord.local_write", to_string(st),
@@ -905,7 +905,7 @@ void SednaNode::handle_client_read(const sim::Message& msg,
   state->replies.reserve(metadata_.table().replicas());
   coordinator_reads_->add(1);
   fan_out(
-      msg, state, "coord.read", kMsgReplicaRead,
+      msg, std::move(state), "coord.read", kMsgReplicaRead,
       [this](ReadFanout& s) {
         ReadReply rep = local_read(s.req);
         instant_span("coord.local_read", to_string(rep.status),
@@ -1534,14 +1534,14 @@ void SednaNode::replay_hints_to(NodeId target) {
   tracer().annotate(q.replay_span, "target=" + std::to_string(target));
   auto failures = std::make_shared<std::uint32_t>(0);
   auto deliver = [&](std::size_t i, GatherDone done) {
-    const std::string& key = batch[i];
-    const PendingHint& hint = q.hints.at(key);
+    const PendingHint& hint = q.hints.at(batch[i]);
     HintDeliverRequest req;
     req.write = hint.write;
     call<HintAckReply>(
         target, kMsgHintDeliver, req.encode(),
-        [this, target, key, seq = hint.seq, coalesced = hint.coalesced,
-         failures, done](const Result<HintAckReply>& ack) {
+        [this, target, key = batch[i], seq = hint.seq,
+         coalesced = hint.coalesced, failures,
+         done](const Result<HintAckReply>& ack) {
           // kOutdated means the replica already holds newer data — the
           // hint's job is done either way.
           const bool delivered =
@@ -1825,7 +1825,7 @@ void SednaNode::pull_keys(NodeId peer, const std::vector<KeyPull>& pulls,
   run_bounded(pulls.size(), kNoLimit, pull, std::move(done));
 }
 
-void SednaNode::pull_key(NodeId peer, const KeyPull& pull,
+void SednaNode::pull_key(NodeId peer, KeyPull pull,
                          std::function<void()> done) {
   ReadRequest latest_req;
   latest_req.mode = ReadMode::kLatest;
@@ -1833,7 +1833,7 @@ void SednaNode::pull_key(NodeId peer, const KeyPull& pull,
   latest_req.causal = pull.want_causal;
   call<ReadReply>(
       peer, kMsgReplicaRead, latest_req.encode(),
-      [this, peer, pull,
+      [this, peer, pull = std::move(pull),
        done = std::move(done)](const Result<ReadReply>& rep) {
         bool pulled = false;
         if (rep.ok() && pull.want_causal && rep->has_causal) {

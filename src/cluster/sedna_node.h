@@ -225,7 +225,7 @@ class SednaNode : public sim::Host {
   /// by the client's deadline, then serves the local replica in place
   /// (`local`) and calls every other one (`remote` gets its answer).
   template <typename State, typename Local, typename Remote>
-  void fan_out(const sim::Message& msg, const std::shared_ptr<State>& state,
+  void fan_out(const sim::Message& msg, std::shared_ptr<State> state,
                const char* span_name, sim::MessageType type, Local local,
                Remote remote);
   /// Counts one replica's write answer; replies once W acks are in or the
@@ -355,7 +355,7 @@ class SednaNode : public sim::Host {
   /// Schedules the t-visibility probes for one sampled acked write: at
   /// each configured offset, re-read the key from every replica and
   /// tally whether the write (or something newer) is visible.
-  void probe_visibility(const std::string& key, Timestamp wts, VnodeId vnode,
+  void probe_visibility(std::string key, Timestamp wts, VnodeId vnode,
                         SimTime acked_at);
   /// A final-offset probe found a *reachable* replica still missing the
   /// acked write: count it, retain the record, journal a flight event.
@@ -415,8 +415,9 @@ class SednaNode : public sim::Host {
     std::vector<WriteRequest> pushes;
   };
   /// Step 1: sends our Merkle digest of `vnode` to `peer`. `done` gets the
-  /// peer's reply, or an error: kTimeout when the call failed, the reply's
-  /// own code when the peer could not serve it.
+  /// peer's reply, or an error: kTimeout when the call failed, kCorruption
+  /// when the reply did not decode, the reply's own code when the peer
+  /// could not serve it.
   void request_digest(
       VnodeId vnode, NodeId peer,
       std::function<void(const Result<VnodeDigestReply>&)> done);
@@ -426,7 +427,7 @@ class SednaNode : public sim::Host {
   /// Step 3: pulls each key from `peer`; `done` fires once all finished.
   void pull_keys(NodeId peer, const std::vector<KeyPull>& pulls,
                  std::function<void()> done);
-  void pull_key(NodeId peer, const KeyPull& pull,
+  void pull_key(NodeId peer, KeyPull pull,
                 std::function<void()> done);
 
   // ---- Traffic-aware rebalancer ------------------------------------------
