@@ -38,7 +38,7 @@ void BM_StoreGetHit(benchmark::State& state) {
   }
   std::uint64_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(store.get(wl.key(i % 100000)));
+    benchmark::DoNotOptimize(store.read_latest(wl.key(i % 100000)));
     ++i;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(i));
@@ -50,7 +50,7 @@ void BM_StoreGetMiss(benchmark::State& state) {
   KvWorkload wl;
   std::uint64_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(store.get(wl.key(i % 100000)));
+    benchmark::DoNotOptimize(store.read_latest(wl.key(i % 100000)));
     ++i;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(i));
@@ -80,16 +80,6 @@ void BM_StoreWriteAll(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(ts));
 }
 BENCHMARK(BM_StoreWriteAll);
-
-void BM_StoreCas(benchmark::State& state) {
-  LocalStore store;
-  store.set("k", "v0");
-  for (auto _ : state) {
-    auto got = store.gets("k");
-    benchmark::DoNotOptimize(store.cas("k", "v1", got->second));
-  }
-}
-BENCHMARK(BM_StoreCas);
 
 void BM_StoreSetWithChangeCapture(benchmark::State& state) {
   LocalStore store;

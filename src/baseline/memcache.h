@@ -60,7 +60,7 @@ class MemcacheNode : public sim::Host {
       }
       case kMsgMcGet: {
         BinaryWriter w;
-        auto got = store_.get(key);
+        auto got = store_.read_latest(key);
         if (got.ok()) {
           w.put_u8(static_cast<std::uint8_t>(StatusCode::kOk));
           w.put_string(got->value);

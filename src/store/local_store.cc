@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <charconv>
 #include <optional>
 #include <utility>
 
@@ -89,11 +88,11 @@ struct LocalStore::DigestTree {
   // resident bytes go to its vnode's tally alongside, so the tally tracks
   // the replicated content exactly (it feeds the imbalance row's
   // per-vnode capacity column).
-  void add(const Item& it, std::uint64_t n) {
+  void charge(const Item& it, std::uint64_t n) {
     cells[it.digest_cell].fetch_xor(item_digest(it), std::memory_order_relaxed);
     vbytes[it.digest_cell / buckets].fetch_add(n, std::memory_order_relaxed);
   }
-  void remove(const Item& it, std::uint64_t n) {
+  void release(const Item& it, std::uint64_t n) {
     cells[it.digest_cell].fetch_xor(item_digest(it), std::memory_order_relaxed);
     vbytes[it.digest_cell / buckets].fetch_sub(n, std::memory_order_relaxed);
   }
@@ -201,7 +200,7 @@ struct LocalStore::Shard {
     bytes += n;
     slabs.charge(n);
     stats.siblings += sibling_excess(*it);
-    if (digests != nullptr) digests->add(*it, n);
+    if (digests != nullptr) digests->charge(*it, n);
   }
 
   /// Takes the item as it stands out of the books account_insert keeps.
@@ -210,7 +209,7 @@ struct LocalStore::Shard {
     bytes -= std::min(bytes, n);
     slabs.release(n);
     stats.siblings -= sibling_excess(*it);
-    if (digests != nullptr) digests->remove(*it, n);
+    if (digests != nullptr) digests->release(*it, n);
   }
 
   void unlink_from_bucket(Item* it, std::uint64_t hash) {
@@ -558,127 +557,16 @@ Result<CausalRecord> LocalStore::read_causal(std::string_view key) {
 
 Status LocalStore::set(std::string_view key, std::string_view value,
                        std::uint32_t flags, std::uint64_t ttl) {
-  return store_latest(key, value, flags, ttl, SetMode::kAlways);
-}
-
-Status LocalStore::add(std::string_view key, std::string_view value,
-                       std::uint32_t flags, std::uint64_t ttl) {
-  return store_latest(key, value, flags, ttl, SetMode::kIfAbsent);
-}
-
-Status LocalStore::replace(std::string_view key, std::string_view value,
-                           std::uint32_t flags, std::uint64_t ttl) {
-  return store_latest(key, value, flags, ttl, SetMode::kIfPresent);
-}
-
-/// One critical section, so add/replace preconditions are atomic with the
-/// store (memcached semantics).
-Status LocalStore::store_latest(std::string_view key, std::string_view value,
-                                std::uint32_t flags, std::uint64_t ttl,
-                                SetMode mode) {
   Shard& s = shard_for(key);
   std::lock_guard lock(s.mu);
   const std::uint64_t now = clock_now();
-  const std::uint64_t h = bucket_hash(key);
-  Item* it = s.find_live(key, h, now);
-  const bool exists = it != nullptr && it->has_latest;
-  if (mode == SetMode::kIfAbsent && exists) return Status::AlreadyExists();
-  if (mode == SetMode::kIfPresent && !exists) return Status::NotFound();
-  if (it == nullptr) it = s.insert_new(key, h);
+  Item* it = s.find_or_insert(key, now);
   Shard::Mutation step(s, it);
   it->latest = VersionedValue{std::string(value), next_timestamp(), flags};
   it->has_latest = true;
   it->expires_at = ttl == 0 ? 0 : now + ttl;
   step.commit();
   return Status::Ok();
-}
-
-Result<VersionedValue> LocalStore::get(std::string_view key) {
-  return read_latest(key);
-}
-
-Result<std::pair<VersionedValue, std::uint64_t>> LocalStore::gets(
-    std::string_view key) {
-  Shard& s = shard_for(key);
-  std::lock_guard lock(s.mu);
-  const Item* it =
-      s.read(key, clock_now(), [](const Item& i) { return i.has_latest; });
-  if (it == nullptr) return Status::NotFound();
-  return std::make_pair(it->latest, it->cas);
-}
-
-Status LocalStore::append(std::string_view key, std::string_view suffix) {
-  return concat(key, suffix, /*after=*/true);
-}
-
-Status LocalStore::prepend(std::string_view key, std::string_view prefix) {
-  return concat(key, prefix, /*after=*/false);
-}
-
-Status LocalStore::concat(std::string_view key, std::string_view piece,
-                          bool after) {
-  Shard& s = shard_for(key);
-  std::lock_guard lock(s.mu);
-  Item* it = s.find_live(key, bucket_hash(key), clock_now());
-  if (it == nullptr || !it->has_latest) return Status::NotFound();
-  Shard::Mutation step(s, it);
-  it->latest.value.insert(after ? it->latest.value.size() : 0, piece);
-  it->latest.ts = next_timestamp();
-  step.commit();
-  return Status::Ok();
-}
-
-Status LocalStore::cas(std::string_view key, std::string_view value,
-                       std::uint64_t cas_token) {
-  Shard& s = shard_for(key);
-  std::lock_guard lock(s.mu);
-  Item* it = s.find_live(key, bucket_hash(key), clock_now());
-  const bool found = it != nullptr && it->has_latest;
-  if (!found || it->cas != cas_token) {
-    ++s.stats.cas_misses;
-    return found ? Status::Failure("cas mismatch") : Status::NotFound();
-  }
-  ++s.stats.cas_hits;
-  Shard::Mutation step(s, it);
-  it->latest.value.assign(value);
-  it->latest.ts = next_timestamp();
-  step.commit();
-  return Status::Ok();
-}
-
-Result<std::uint64_t> LocalStore::incr(std::string_view key,
-                                       std::uint64_t delta) {
-  return add_delta(key, delta, /*decrement=*/false);
-}
-
-Result<std::uint64_t> LocalStore::decr(std::string_view key,
-                                       std::uint64_t delta) {
-  return add_delta(key, delta, /*decrement=*/true);
-}
-
-Result<std::uint64_t> LocalStore::add_delta(std::string_view key,
-                                            std::uint64_t delta,
-                                            bool decrement) {
-  Shard& s = shard_for(key);
-  std::lock_guard lock(s.mu);
-  Item* it = s.find_live(key, bucket_hash(key), clock_now());
-  if (it == nullptr || !it->has_latest) return Status::NotFound();
-  std::uint64_t n = 0;
-  const auto& v = it->latest.value;
-  auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
-  if (ec != std::errc{} || ptr != v.data() + v.size()) {
-    return Status::InvalidArgument("value is not a number");
-  }
-  if (decrement) {
-    n = n > delta ? n - delta : 0;  // memcached saturation
-  } else {
-    n += delta;
-  }
-  Shard::Mutation step(s, it);
-  it->latest.value = std::to_string(n);
-  it->latest.ts = next_timestamp();
-  step.commit();
-  return n;
 }
 
 Status LocalStore::del(std::string_view key) {
@@ -753,28 +641,6 @@ std::size_t LocalStore::pending_changes() const {
   return n;
 }
 
-std::size_t LocalStore::expire_sweep(std::size_t max_items) {
-  const std::uint64_t now = clock_now();
-  std::size_t removed = 0;
-  for (auto& s : shards_) {
-    std::lock_guard lock(s->mu);
-    for (std::size_t b = 0; b < s->buckets.size() && removed < max_items;
-         ++b) {
-      Item* it = s->buckets[b];
-      while (it != nullptr && removed < max_items) {
-        Item* next = it->hash_next;
-        if (Shard::is_expired(*it, now)) {
-          ++s->stats.expired;
-          s->erase(it);
-          ++removed;
-        }
-        it = next;
-      }
-    }
-  }
-  return removed;
-}
-
 StoreStats LocalStore::stats() const {
   StoreStats total;
   for (const auto& s : shards_) {
@@ -842,7 +708,7 @@ void LocalStore::enable_digests(std::uint32_t vnodes,
       for (Item* it = head; it != nullptr; it = it->hash_next) {
         it->digest_cell = tree->cell_of(it->key);
         tree->index_add(it);
-        tree->add(*it, it->total_bytes());
+        tree->charge(*it, it->total_bytes());
       }
     }
   }

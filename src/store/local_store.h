@@ -3,7 +3,7 @@
 // Stands in for the "modified Memcached" the paper uses on every server
 // (Section VI): a sharded, mutex-per-shard hash table with intrusive
 // bucket chains, per-shard LRU eviction under a byte budget, slab-class
-// accounting, CAS, expiry — plus the Sedna extensions:
+// accounting, expiry — plus the Sedna extensions:
 //
 //   * timestamped last-writer-wins writes  (write_latest, Section III.F)
 //   * per-source value lists               (write_all,    Section III.F)
@@ -18,7 +18,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <utility>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -112,33 +111,12 @@ class LocalStore {
   /// key is absent or was never causally written.
   [[nodiscard]] Result<CausalRecord> read_causal(std::string_view key);
 
-  // ---- memcached-compatible surface -------------------------------------
+  // ---- memcached-style surface -------------------------------------------
 
-  /// Unconditional store; timestamp auto-assigned from the clock.
+  /// Unconditional store; timestamp auto-assigned from the clock. Unlike
+  /// write_latest, a zero `ttl` clears any earlier expiry.
   Status set(std::string_view key, std::string_view value,
              std::uint32_t flags = 0, std::uint64_t ttl = 0);
-  /// Store only if the key does not exist.
-  Status add(std::string_view key, std::string_view value,
-             std::uint32_t flags = 0, std::uint64_t ttl = 0);
-  /// Store only if the key exists.
-  Status replace(std::string_view key, std::string_view value,
-                 std::uint32_t flags = 0, std::uint64_t ttl = 0);
-  /// Lookup; bumps LRU recency.
-  [[nodiscard]] Result<VersionedValue> get(std::string_view key);
-  /// Lookup returning the CAS token alongside the value.
-  [[nodiscard]] Result<std::pair<VersionedValue, std::uint64_t>> gets(
-      std::string_view key);
-  /// Concatenates after/before the existing value (memcached semantics:
-  /// fails with kNotFound when the key is absent).
-  Status append(std::string_view key, std::string_view suffix);
-  Status prepend(std::string_view key, std::string_view prefix);
-  /// Compare-and-store against a token from gets().
-  Status cas(std::string_view key, std::string_view value,
-             std::uint64_t cas_token);
-  /// Numeric increment/decrement on a decimal-string value (memcached
-  /// semantics: decrement saturates at 0; non-numeric => kInvalidArgument).
-  Result<std::uint64_t> incr(std::string_view key, std::uint64_t delta);
-  Result<std::uint64_t> decr(std::string_view key, std::uint64_t delta);
   Status del(std::string_view key);
   Status touch(std::string_view key, std::uint64_t ttl);
 
@@ -153,9 +131,6 @@ class LocalStore {
   /// Swaps out and returns the coalesced dirty table (all shards).
   [[nodiscard]] std::vector<ChangeRecord> drain_changes();
   [[nodiscard]] std::size_t pending_changes() const;
-
-  /// Proactively removes up to `max_items` expired items; returns count.
-  std::size_t expire_sweep(std::size_t max_items = SIZE_MAX);
 
   [[nodiscard]] StoreStats stats() const;
   [[nodiscard]] std::size_t size() const;
@@ -227,14 +202,6 @@ class LocalStore {
  private:
   struct Shard;
   struct DigestTree;
-
-  // Shared bodies of set/add/replace, append/prepend and incr/decr.
-  enum class SetMode { kAlways, kIfAbsent, kIfPresent };
-  Status store_latest(std::string_view key, std::string_view value,
-                      std::uint32_t flags, std::uint64_t ttl, SetMode mode);
-  Status concat(std::string_view key, std::string_view piece, bool after);
-  Result<std::uint64_t> add_delta(std::string_view key, std::uint64_t delta,
-                                  bool decrement);
 
   /// Shard owning a key with bucket hash `hash`.
   [[nodiscard]] std::size_t shard_index(std::uint64_t hash) const;

@@ -124,7 +124,7 @@ TEST(Memcache, SetNWritesNDistinctServers) {
 
   int copies = 0;
   for (auto& server : fx.servers) {
-    if (server->local_store().get("multi").ok()) ++copies;
+    if (server->local_store().read_latest("multi").ok()) ++copies;
   }
   EXPECT_EQ(copies, 3);
 }

@@ -1,6 +1,5 @@
 // Determinism property of the whole simulated stack (identical seeds →
-// bit-identical behaviour), the Table/Dataset wrappers, and the extra
-// memcached-surface ops (append/prepend).
+// bit-identical behaviour) and the Table/Dataset wrappers.
 #include <gtest/gtest.h>
 
 #include "cluster/admin.h"
@@ -478,47 +477,3 @@ TEST(TableApi, PutAllAccumulatesPerClient) {
 
 }  // namespace
 }  // namespace sedna::cluster
-
-// ---- append / prepend (store surface) -------------------------------------------
-
-namespace sedna::store {
-namespace {
-
-TEST(AppendPrepend, ConcatenateExistingValue) {
-  LocalStore store;
-  store.set("k", "middle");
-  EXPECT_TRUE(store.append("k", "-end").ok());
-  EXPECT_TRUE(store.prepend("k", "start-").ok());
-  EXPECT_EQ(store.get("k")->value, "start-middle-end");
-}
-
-TEST(AppendPrepend, MissingKeyIsNotFound) {
-  LocalStore store;
-  EXPECT_TRUE(store.append("k", "x").is(StatusCode::kNotFound));
-  EXPECT_TRUE(store.prepend("k", "x").is(StatusCode::kNotFound));
-}
-
-TEST(AppendPrepend, BumpsCasAndBytes) {
-  LocalStore store;
-  store.set("k", "v");
-  const auto before = store.gets("k");
-  const auto bytes_before = store.stats().bytes;
-  ASSERT_TRUE(store.append("k", std::string(100, 'x')).ok());
-  EXPECT_NE(store.gets("k")->second, before->second);
-  EXPECT_GT(store.stats().bytes, bytes_before + 90);
-}
-
-TEST(AppendPrepend, ProducesChangeRecords) {
-  LocalStore store;
-  store.set_track_changes(true);
-  store.set("k", "a");
-  (void)store.drain_changes();
-  store.append("k", "b");
-  auto changes = store.drain_changes();
-  ASSERT_EQ(changes.size(), 1u);
-  EXPECT_EQ(changes[0].old_value.value, "a");
-  EXPECT_EQ(changes[0].new_value.value, "ab");
-}
-
-}  // namespace
-}  // namespace sedna::store

@@ -102,14 +102,14 @@ TEST(Lru, EvictionFollowsExactAccessOrder) {
   }
   ASSERT_EQ(store.size(), 4u);
   // Touch 0 and 1 so 2 becomes the coldest.
-  (void)store.get("sample-0");
-  (void)store.get("sample-1");
+  (void)store.read_latest("sample-0");
+  (void)store.read_latest("sample-1");
   store.set("sample-4", std::string(100, 'v'));  // forces one eviction
-  EXPECT_FALSE(store.get("sample-2").ok());  // the coldest went
-  EXPECT_TRUE(store.get("sample-0").ok());
-  EXPECT_TRUE(store.get("sample-1").ok());
-  EXPECT_TRUE(store.get("sample-3").ok());
-  EXPECT_TRUE(store.get("sample-4").ok());
+  EXPECT_FALSE(store.read_latest("sample-2").ok());  // the coldest went
+  EXPECT_TRUE(store.read_latest("sample-0").ok());
+  EXPECT_TRUE(store.read_latest("sample-1").ok());
+  EXPECT_TRUE(store.read_latest("sample-3").ok());
+  EXPECT_TRUE(store.read_latest("sample-4").ok());
 }
 
 TEST(Lru, WritesAlsoRefreshRecency) {
@@ -125,8 +125,8 @@ TEST(Lru, WritesAlsoRefreshRecency) {
   store.set("c", std::string(100, 'v'));
   store.set("a", std::string(100, 'w'));  // rewrite refreshes 'a'
   store.set("d", std::string(100, 'v'));  // evicts 'b', the coldest
-  EXPECT_TRUE(store.get("a").ok());
-  EXPECT_FALSE(store.get("b").ok());
+  EXPECT_TRUE(store.read_latest("a").ok());
+  EXPECT_FALSE(store.read_latest("b").ok());
 }
 
 TEST(Lru, MultiEvictionWhenOversizedItemArrives) {
@@ -142,7 +142,7 @@ TEST(Lru, MultiEvictionWhenOversizedItemArrives) {
   }
   // One item worth three slots of budget evicts several cold entries.
   store.set("jumbo", std::string(300, 'v'));
-  EXPECT_TRUE(store.get("jumbo").ok());
+  EXPECT_TRUE(store.read_latest("jumbo").ok());
   EXPECT_GE(store.stats().evictions, 2u);
   EXPECT_LE(store.stats().bytes, cfg.memory_budget_bytes);
 }

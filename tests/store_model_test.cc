@@ -3,6 +3,7 @@
 // by seed. Catches interaction bugs no example-based test enumerates.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
 
@@ -13,13 +14,17 @@
 namespace sedna::store {
 namespace {
 
-/// The oracle: straightforward maps with the documented semantics.
+/// The oracle: straightforward maps with the documented semantics, on the
+/// same clock as the store under test.
 class OracleStore {
  public:
   struct Entry {
     std::optional<VersionedValue> latest;
     std::map<NodeId, SourceValue> list;
+    std::uint64_t expires_at = 0;  // 0 = never
   };
+
+  explicit OracleStore(const std::uint64_t& now) : now_(now) {}
 
   /// The store's deterministic equal-timestamp tie-break: higher value
   /// hash wins, then the lexicographically larger value — never arrival
@@ -32,9 +37,10 @@ class OracleStore {
     return incoming > stored;
   }
 
+  /// Keeps its old expiry unless `ttl` sets a new one.
   StatusCode write_latest(const std::string& key, const std::string& value,
-                          Timestamp ts) {
-    auto& e = entries_[key];
+                          Timestamp ts, std::uint64_t ttl) {
+    auto& e = live(key);
     if (e.latest.has_value() && e.latest->ts >= ts) {
       if (e.latest->ts == ts && e.latest->value == value) {
         return StatusCode::kOk;  // idempotent replay
@@ -44,12 +50,24 @@ class OracleStore {
       }
     }
     e.latest = VersionedValue{value, ts, 0};
+    if (ttl != 0) e.expires_at = now_ + ttl;
+    return StatusCode::kOk;
+  }
+
+  /// Unconditional, stamped from the clock (strictly monotone), and resets
+  /// the expiry.
+  StatusCode set(const std::string& key, const std::string& value,
+                 std::uint64_t ttl) {
+    auto& e = live(key);
+    last_ts_ = std::max(make_timestamp(now_, seq_++), last_ts_ + 1);
+    e.latest = VersionedValue{value, last_ts_, 0};
+    e.expires_at = ttl == 0 ? 0 : now_ + ttl;
     return StatusCode::kOk;
   }
 
   StatusCode write_all(const std::string& key, NodeId source,
                        const std::string& value, Timestamp ts) {
-    auto& e = entries_[key];
+    auto& e = live(key);
     auto it = e.list.find(source);
     if (it != e.list.end() && it->second.ts >= ts) {
       if (it->second.ts == ts && it->second.value == value) {
@@ -63,29 +81,50 @@ class OracleStore {
     return StatusCode::kOk;
   }
 
-  [[nodiscard]] std::optional<VersionedValue> read_latest(
-      const std::string& key) const {
-    const auto it = entries_.find(key);
-    if (it == entries_.end()) return std::nullopt;
-    return it->second.latest;
+  StatusCode touch(const std::string& key, std::uint64_t ttl) {
+    if (!expire(key)) return StatusCode::kNotFound;
+    entries_[key].expires_at = ttl == 0 ? 0 : now_ + ttl;
+    return StatusCode::kOk;
   }
 
-  [[nodiscard]] std::size_t list_size(const std::string& key) const {
-    const auto it = entries_.find(key);
-    return it == entries_.end() ? 0 : it->second.list.size();
+  [[nodiscard]] std::optional<VersionedValue> read_latest(
+      const std::string& key) {
+    if (!expire(key)) return std::nullopt;
+    return entries_[key].latest;
   }
 
   StatusCode del(const std::string& key) {
-    return entries_.erase(key) > 0 ? StatusCode::kOk
-                                   : StatusCode::kNotFound;
+    return expire(key) && entries_.erase(key) > 0 ? StatusCode::kOk
+                                                  : StatusCode::kNotFound;
   }
 
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-  [[nodiscard]] const std::map<std::string, Entry>& entries() const {
+  /// Drops every entry whose expiry has passed; returns what is left.
+  [[nodiscard]] const std::map<std::string, Entry>& live_entries() {
+    std::erase_if(entries_, [this](const auto& kv) { return due(kv.second); });
     return entries_;
   }
 
  private:
+  [[nodiscard]] bool due(const Entry& e) const {
+    return e.expires_at != 0 && now_ >= e.expires_at;
+  }
+  /// Lazy expiry: false when the key is absent or has just expired.
+  bool expire(const std::string& key) {
+    const auto it = entries_.find(key);
+    if (it == entries_.end()) return false;
+    if (!due(it->second)) return true;
+    entries_.erase(it);
+    return false;
+  }
+  /// The key's entry, a fresh one when it was absent or expired.
+  Entry& live(const std::string& key) {
+    expire(key);
+    return entries_[key];
+  }
+
+  const std::uint64_t& now_;
+  std::uint16_t seq_ = 0;
+  Timestamp last_ts_ = 0;
   std::map<std::string, Entry> entries_;
 };
 
@@ -94,22 +133,32 @@ class ModelSweep : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(ModelSweep, RandomOpsAgreeWithOracle) {
   const std::uint64_t seed = GetParam();
   Rng rng(seed);
+  std::uint64_t now = 1000;
   LocalStoreConfig cfg;
   cfg.shards = 1 + rng.next_below(8);
-  LocalStore store(cfg);
-  OracleStore oracle;
+  LocalStore store(cfg, [&now] { return now; });
+  OracleStore oracle(now);
 
   constexpr int kOps = 5000;
   constexpr int kKeySpace = 60;  // small: forces heavy interaction
   for (int i = 0; i < kOps; ++i) {
+    now += rng.next_below(3);
     const std::string key = "k" + std::to_string(rng.next_below(kKeySpace));
-    const auto ts = static_cast<Timestamp>(1 + rng.next_below(500));
+    // Explicit timestamps straddle the clock-stamped ones of set(), so
+    // LWW writes land both before and after them, and tie among
+    // themselves.
+    const auto ts = make_timestamp(now - rng.next_below(40),
+                                   static_cast<std::uint16_t>(
+                                       rng.next_below(3)));
     const std::string value = "v" + std::to_string(rng.next_below(1000));
-    switch (rng.next_below(5)) {
+    // Mostly no TTL; otherwise one short enough to expire mid-run.
+    const std::uint64_t ttl =
+        rng.next_below(4) == 0 ? 1 + rng.next_below(60) : 0;
+    switch (rng.next_below(7)) {
       case 0:
       case 1: {  // write_latest
-        const Status got = store.write_latest(key, value, ts);
-        const StatusCode want = oracle.write_latest(key, value, ts);
+        const Status got = store.write_latest(key, value, ts, 0, ttl);
+        const StatusCode want = oracle.write_latest(key, value, ts, ttl);
         ASSERT_EQ(got.code(), want)
             << "op " << i << " write_latest " << key << " ts " << ts;
         break;
@@ -142,11 +191,22 @@ TEST_P(ModelSweep, RandomOpsAgreeWithOracle) {
         }
         break;
       }
+      case 5: {  // set
+        ASSERT_EQ(store.set(key, value, 0, ttl).code(),
+                  oracle.set(key, value, ttl))
+            << "op " << i << " set " << key;
+        break;
+      }
+      case 6: {  // touch
+        ASSERT_EQ(store.touch(key, ttl).code(), oracle.touch(key, ttl))
+            << "op " << i << " touch " << key;
+        break;
+      }
     }
   }
 
   // Full final-state audit.
-  for (const auto& [key, entry] : oracle.entries()) {
+  for (const auto& [key, entry] : oracle.live_entries()) {
     if (entry.latest.has_value()) {
       auto got = store.read_latest(key);
       ASSERT_TRUE(got.ok()) << key;

@@ -1,4 +1,4 @@
-// Unit and property tests for the LocalStore engine: memcached surface,
+// Unit and property tests for the LocalStore engine: set/delete/touch,
 // Sedna LWW / value-list semantics, expiry, LRU eviction, slab accounting,
 // dirty-table change capture, the per-vnode item index, and thread
 // safety.
@@ -106,94 +106,28 @@ TEST(WriteAll, LatestAndListCoexistOnOneKey) {
   EXPECT_EQ(store.read_all("k")->size(), 1u);
 }
 
-// ---- memcached surface ------------------------------------------------------
+// ---- set / delete -----------------------------------------------------------
 
 TEST(McSet, UnconditionalOverwrite) {
   LocalStore store;
   EXPECT_TRUE(store.set("k", "a").ok());
   EXPECT_TRUE(store.set("k", "b").ok());
-  EXPECT_EQ(store.get("k")->value, "b");
+  EXPECT_EQ(store.read_latest("k")->value, "b");
 }
 
 TEST(McSet, AutoTimestampsIncrease) {
   LocalStore store;
   store.set("k", "a");
-  const Timestamp t1 = store.get("k")->ts;
+  const Timestamp t1 = store.read_latest("k")->ts;
   store.set("k", "b");
-  EXPECT_GT(store.get("k")->ts, t1);
-}
-
-TEST(McAdd, FailsIfPresent) {
-  LocalStore store;
-  EXPECT_TRUE(store.add("k", "a").ok());
-  EXPECT_TRUE(store.add("k", "b").is(StatusCode::kAlreadyExists));
-  EXPECT_EQ(store.get("k")->value, "a");
-}
-
-TEST(McReplace, FailsIfAbsent) {
-  LocalStore store;
-  EXPECT_TRUE(store.replace("k", "a").is(StatusCode::kNotFound));
-  store.set("k", "a");
-  EXPECT_TRUE(store.replace("k", "b").ok());
-  EXPECT_EQ(store.get("k")->value, "b");
-}
-
-TEST(McCas, SucceedsWithFreshToken) {
-  LocalStore store;
-  store.set("k", "a");
-  auto got = store.gets("k");
-  ASSERT_TRUE(got.ok());
-  EXPECT_TRUE(store.cas("k", "b", got->second).ok());
-  EXPECT_EQ(store.get("k")->value, "b");
-  EXPECT_EQ(store.stats().cas_hits, 1u);
-}
-
-TEST(McCas, FailsWithStaleToken) {
-  LocalStore store;
-  store.set("k", "a");
-  auto got = store.gets("k");
-  store.set("k", "b");  // bumps the cas token
-  EXPECT_FALSE(store.cas("k", "c", got->second).ok());
-  EXPECT_EQ(store.get("k")->value, "b");
-  EXPECT_EQ(store.stats().cas_misses, 1u);
-}
-
-TEST(McCas, MissingKeyIsNotFound) {
-  LocalStore store;
-  EXPECT_TRUE(store.cas("k", "v", 1).is(StatusCode::kNotFound));
-}
-
-TEST(McIncrDecr, NumericStrings) {
-  LocalStore store;
-  store.set("n", "10");
-  EXPECT_EQ(store.incr("n", 5).value(), 15u);
-  EXPECT_EQ(store.decr("n", 3).value(), 12u);
-  EXPECT_EQ(store.get("n")->value, "12");
-}
-
-TEST(McDecr, SaturatesAtZeroLikeMemcached) {
-  LocalStore store;
-  store.set("n", "3");
-  EXPECT_EQ(store.decr("n", 100).value(), 0u);
-}
-
-TEST(McIncr, NonNumericRejected) {
-  LocalStore store;
-  store.set("n", "abc");
-  EXPECT_TRUE(store.incr("n", 1).status().is(StatusCode::kInvalidArgument));
-}
-
-TEST(McIncr, TrailingGarbageRejected) {
-  LocalStore store;
-  store.set("n", "12x");
-  EXPECT_FALSE(store.incr("n", 1).ok());
+  EXPECT_GT(store.read_latest("k")->ts, t1);
 }
 
 TEST(McDelete, RemovesKey) {
   LocalStore store;
   store.set("k", "v");
   EXPECT_TRUE(store.del("k").ok());
-  EXPECT_FALSE(store.get("k").ok());
+  EXPECT_FALSE(store.read_latest("k").ok());
   EXPECT_TRUE(store.del("k").is(StatusCode::kNotFound));
   EXPECT_EQ(store.stats().deletes, 1u);
 }
@@ -209,9 +143,9 @@ TEST(Expiry, ItemExpiresLazily) {
   LocalStore store({}, [&clock] { return clock.now; });
   store.set("k", "v", 0, /*ttl=*/100);
   clock.now = 50;
-  EXPECT_TRUE(store.get("k").ok());
+  EXPECT_TRUE(store.read_latest("k").ok());
   clock.now = 100;
-  EXPECT_FALSE(store.get("k").ok());
+  EXPECT_FALSE(store.read_latest("k").ok());
   EXPECT_EQ(store.stats().expired, 1u);
 }
 
@@ -222,9 +156,9 @@ TEST(Expiry, TouchExtendsLife) {
   clock.now = 90;
   EXPECT_TRUE(store.touch("k", 100).ok());
   clock.now = 150;
-  EXPECT_TRUE(store.get("k").ok());  // now expires at 190
+  EXPECT_TRUE(store.read_latest("k").ok());  // now expires at 190
   clock.now = 190;
-  EXPECT_FALSE(store.get("k").ok());
+  EXPECT_FALSE(store.read_latest("k").ok());
 }
 
 TEST(Expiry, ZeroTtlNeverExpires) {
@@ -232,29 +166,7 @@ TEST(Expiry, ZeroTtlNeverExpires) {
   LocalStore store({}, [&clock] { return clock.now; });
   store.set("k", "v");
   clock.now = UINT32_MAX;
-  EXPECT_TRUE(store.get("k").ok());
-}
-
-TEST(Expiry, SweepReclaimsProactively) {
-  FakeClock clock;
-  LocalStore store({}, [&clock] { return clock.now; });
-  for (int i = 0; i < 100; ++i) {
-    store.set("k" + std::to_string(i), "v", 0, 10);
-  }
-  clock.now = 11;
-  EXPECT_EQ(store.expire_sweep(), 100u);
-  EXPECT_EQ(store.size(), 0u);
-}
-
-TEST(Expiry, SweepHonoursLimit) {
-  FakeClock clock;
-  LocalStore store({}, [&clock] { return clock.now; });
-  for (int i = 0; i < 100; ++i) {
-    store.set("k" + std::to_string(i), "v", 0, 10);
-  }
-  clock.now = 11;
-  EXPECT_EQ(store.expire_sweep(30), 30u);
-  EXPECT_EQ(store.size(), 70u);
+  EXPECT_TRUE(store.read_latest("k").ok());
 }
 
 TEST(Expiry, ExpiredSlotReusableForWriteLatest) {
@@ -290,9 +202,9 @@ TEST(Eviction, RecentlyUsedSurvive) {
   store.set("hot", "v");
   for (int i = 0; i < 4000; ++i) {
     store.set("cold-" + std::to_string(i), std::string(64, 'v'));
-    (void)store.get("hot");  // keep it at the LRU head
+    (void)store.read_latest("hot");  // keep it at the LRU head
   }
-  EXPECT_TRUE(store.get("hot").ok());
+  EXPECT_TRUE(store.read_latest("hot").ok());
 }
 
 TEST(Eviction, UnlimitedBudgetNeverEvicts) {
@@ -304,26 +216,27 @@ TEST(Eviction, UnlimitedBudgetNeverEvicts) {
   EXPECT_EQ(store.size(), 5000u);
 }
 
-TEST(Eviction, IncrThatGrowsTheValueEvictsLikeEveryOtherWrite) {
-  // Two items fill the budget exactly; incr turning "99" into "100" grows
-  // one of them by a byte, which must push the LRU tail out.
+TEST(Eviction, GrowingWriteLatestEvictsLikeEveryOtherWrite) {
+  // Two items fill the budget exactly; an LWW overwrite that turns "99"
+  // into "100" grows one of them by a byte, which must push the LRU tail
+  // out.
   LocalStoreConfig cfg;
   cfg.shards = 1;
   {
     LocalStore probe(cfg);
     probe.set("a", "x");
-    probe.set("b", "99");
+    probe.write_latest("b", "99", 1);
     cfg.memory_budget_bytes = probe.stats().bytes;
   }
   LocalStore store(cfg);
   store.set("a", "x");
-  store.set("b", "99");
+  store.write_latest("b", "99", 1);
   ASSERT_EQ(store.stats().evictions, 0u);
-  EXPECT_EQ(store.incr("b", 1).value(), 100u);
+  EXPECT_TRUE(store.write_latest("b", "100", 2).ok());
   EXPECT_EQ(store.stats().evictions, 1u);
   EXPECT_LE(store.stats().bytes, cfg.memory_budget_bytes);
-  EXPECT_FALSE(store.get("a").ok());
-  EXPECT_EQ(store.get("b")->value, "100");
+  EXPECT_FALSE(store.read_latest("a").ok());
+  EXPECT_EQ(store.read_latest("b")->value, "100");
 }
 
 TEST(Eviction, CausalPutReturnsItsRecordWhenItEvictsItself) {
@@ -575,30 +488,26 @@ TEST(VnodeIndex, MatchesWholeStoreScanThroughEveryMutationPath) {
   ASSERT_GT(store.size(), 4u * 8 * 2);  // past the 8-bucket grow threshold
   expect_index_matches_scan(store, kVnodes, kBuckets);
 
-  // The rest of the memcached surface, on the LWW keys.
+  // Overwrites that grow and shrink values in place: unconditional sets,
+  // LWW writes (newer, tied and outdated timestamps) and TTL touches.
   for (int i = 0; i < 400; ++i) {
     const std::string k = key(1000);
-    switch (i % 6) {
-      case 0: (void)store.add(k, "a"); break;
-      case 1: (void)store.replace(k, std::string(i % 30, 'r')); break;
-      case 2: (void)store.append(k, "+tail"); break;
-      case 3: (void)store.prepend(k, "head+"); break;
-      case 4: {
-        auto got = store.gets(k);
-        if (got.ok()) {
-          ASSERT_TRUE(store.cas(k, "swapped", got->second).ok());
-        }
+    switch (i % 3) {
+      case 0: ASSERT_TRUE(store.set(k, std::string(i % 30, 'r')).ok()); break;
+      case 1:
+        (void)store.write_latest(k, std::string(i % 45, 'w'),
+                                 static_cast<Timestamp>(100 + rng() % 900));
         break;
-      }
       default: (void)store.touch(k, 1000);
     }
   }
   for (int i = 0; i < 60; ++i) {
     const std::string k = "n" + std::to_string(i);
-    ASSERT_TRUE(store.set(k, std::to_string(i * 7)).ok());
-    ASSERT_TRUE(store.incr(k, 1000 + i).ok());  // the value grows
-    // Every other decrement saturates at 0: the value shrinks.
-    ASSERT_TRUE(store.decr(k, i % 2 == 0 ? 3 : 1u << 20).ok());
+    ASSERT_TRUE(store.write_latest(k, std::to_string(i * 7), 1).ok());
+    ASSERT_TRUE(store.write_latest(k, std::to_string(i * 7 + 1000 + i), 2)
+                    .ok());  // the value grows
+    // Every other overwrite shrinks the value; the rest grow it again.
+    ASSERT_TRUE(store.write_latest(k, i % 2 == 0 ? "0" : "12345678", 3).ok());
   }
   expect_index_matches_scan(store, kVnodes, kBuckets);
 
@@ -664,7 +573,7 @@ TEST(VnodeIndex, MatchesWholeStoreScanThroughEveryMutationPath) {
   }
   now += 20;
   for (int i = 0; i < 100; i += 2) {
-    EXPECT_FALSE(store.get("ttl" + std::to_string(i)).ok());
+    EXPECT_FALSE(store.read_latest("ttl" + std::to_string(i)).ok());
     EXPECT_FALSE(store.read_causal("c" + std::to_string(i)).ok());
   }
   ASSERT_GE(store.stats().expired, 50u);
@@ -699,7 +608,7 @@ TEST(Misc, ClearEmptiesEverything) {
   store.clear();
   EXPECT_EQ(store.size(), 0u);
   EXPECT_EQ(store.pending_changes(), 0u);
-  EXPECT_FALSE(store.get("k").ok());
+  EXPECT_FALSE(store.read_latest("k").ok());
   EXPECT_TRUE(store.set("k", "again").ok());
 }
 
@@ -723,7 +632,7 @@ TEST(Misc, ManyKeysTriggerBucketGrowth) {
   }
   EXPECT_EQ(store.size(), 10000u);
   for (int i = 0; i < 10000; i += 997) {
-    EXPECT_TRUE(store.get("grow-" + std::to_string(i)).ok());
+    EXPECT_TRUE(store.read_latest("grow-" + std::to_string(i)).ok());
   }
 }
 
@@ -753,7 +662,7 @@ TEST_P(ShardSweep, StatsAggregateAcrossShards) {
   cfg.shards = GetParam();
   LocalStore store(cfg);
   for (int i = 0; i < 100; ++i) store.set("k" + std::to_string(i), "v");
-  for (int i = 0; i < 100; ++i) (void)store.get("k" + std::to_string(i));
+  for (int i = 0; i < 100; ++i) (void)store.read_latest("k" + std::to_string(i));
   EXPECT_EQ(store.stats().sets, 100u);
   EXPECT_EQ(store.stats().get_hits, 100u);
   EXPECT_EQ(store.stats().curr_items, 100u);
@@ -801,31 +710,6 @@ TEST(Concurrency, LwwIsRaceFreePerKey) {
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->ts, static_cast<Timestamp>(1000 * kThreads));
   EXPECT_EQ(got->value, "w" + std::to_string(1000 * kThreads));
-}
-
-TEST(Concurrency, CasLosesExactlyNMinus1PerRound) {
-  LocalStore store;
-  store.set("counter", "0");
-  constexpr int kThreads = 4;
-  constexpr int kIncrements = 500;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&store] {
-      for (int i = 0; i < kIncrements; ++i) {
-        for (;;) {  // classic CAS loop
-          auto got = store.gets("counter");
-          const auto current = std::stoull(got->first.value);
-          if (store.cas("counter", std::to_string(current + 1),
-                        got->second).ok()) {
-            break;
-          }
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(store.get("counter")->value,
-            std::to_string(kThreads * kIncrements));
 }
 
 TEST(Concurrency, VnodeVisitsRaceMutationsAcrossShards) {

@@ -279,7 +279,7 @@ TEST(Snapshot, OverwriteIsAtomic) {
   EXPECT_FALSE(std::filesystem::exists(tmp.path("snap.bin.tmp")));
   store::LocalStore restored;
   ASSERT_TRUE(Snapshot::load(tmp.path("snap.bin"), restored).ok());
-  EXPECT_EQ(restored.get("gen")->value, "2");
+  EXPECT_EQ(restored.read_latest("gen")->value, "2");
 }
 
 // ---- persistence manager ---------------------------------------------------------
@@ -343,7 +343,7 @@ TEST(Persistence, WalModeRecoversDeletes) {
   PersistenceManager pm(cfg, restored);
   ASSERT_TRUE(pm.start().ok());
   ASSERT_TRUE(pm.recover().ok());
-  EXPECT_FALSE(restored.get("k").ok());
+  EXPECT_FALSE(restored.read_latest("k").ok());
 }
 
 TEST(Persistence, SnapshotBoundsWalReplay) {
