@@ -3,7 +3,10 @@
 // Section IV.C / Fig. 5: every row carries two extra columns, Dirty and
 // Monitors, besides the value. Section III.F: values are timestamped and
 // write_all() keeps one element per *source server* in a value list,
-// while write_latest() keeps a single last-writer-wins value.
+// while write_latest() keeps a single last-writer-wins value. Beyond
+// those, an item holds only the store's own bookkeeping: its expiry, its
+// hash-chain and LRU links, and its digest cell and vnode-index slot (no
+// memcached CAS token: nothing compares one).
 #pragma once
 
 #include <cstdint>
@@ -72,9 +75,6 @@ struct Item {
   /// Absolute expiry time (same clock as the store's ClockFn); 0 = never.
   std::uint64_t expires_at = 0;
 
-  /// CAS token, bumped on every mutation (memcached-compatible surface).
-  std::uint64_t cas = 0;
-
   /// Extended columns (paper Fig. 5). `dirty` is cleared when the dirty
   /// table drains; `monitored` caches "some monitor watches this key or an
   /// enclosing table/dataset" so the write path can skip old-value capture
@@ -105,10 +105,10 @@ struct Item {
 };
 
 // total_bytes() feeds slab accounting, the per-vnode byte rows and the
-// rebalancer's capacity column, so a bigger Item would move every seeded
+// rebalancer's capacity column, so resizing Item moves every seeded
 // output that reports them. New per-item fields go into padding holes.
 #if defined(__GLIBCXX__) && UINTPTR_MAX == UINT64_MAX
-static_assert(sizeof(Item) == 208, "Item layout changed: see total_bytes()");
+static_assert(sizeof(Item) == 200, "Item layout changed: see total_bytes()");
 #endif
 
 }  // namespace sedna::store

@@ -359,10 +359,10 @@ struct LocalStore::Shard {
   /// Open it just before editing the item: it keeps the old value for the
   /// dirty table and takes the item out of the books (account_remove).
   /// commit() puts the edited item back and settles everything else a
-  /// change owes the shard: the cas bump, LRU recency, `stats.sets`,
-  /// change capture and eviction. Eviction may free the item, so nothing
-  /// may touch it after commit(). A step dropped uncommitted puts the
-  /// item back into the books as it stands.
+  /// change owes the shard: LRU recency, `stats.sets`, change capture and
+  /// eviction. Eviction may free the item, so nothing may touch it after
+  /// commit(). A step dropped uncommitted puts the item back into the
+  /// books as it stands.
   class Mutation {
    public:
     Mutation(Shard& s, Item* it)
@@ -381,7 +381,6 @@ struct LocalStore::Shard {
 
     void commit() {
       Item* it = std::exchange(it_, nullptr);
-      ++it->cas;
       s_.account_insert(it);
       s_.lru_touch(it);
       ++s_.stats.sets;
@@ -772,7 +771,7 @@ std::uint32_t LocalStore::digest_bucket_of(std::string_view key,
 
 std::uint64_t LocalStore::item_digest(const Item& it) {
   // Covers only replicated content: key, latest (value, ts, flags) and
-  // the per-source value list. LRU/cas/expiry bookkeeping legitimately
+  // the per-source value list. LRU/expiry bookkeeping legitimately
   // differs between healthy replicas and must not perturb the digest.
   std::uint64_t d = mix64(fnv1a64(it.key) ^ 0x2545f4914f6cdd1dULL);
   if (it.has_latest) {

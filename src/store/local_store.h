@@ -192,7 +192,7 @@ class LocalStore {
   /// from both ring placement and shard selection.
   [[nodiscard]] static std::uint32_t digest_bucket_of(std::string_view key,
                                                       std::uint32_t buckets);
-  /// Digest of one item's replicated content (excludes LRU/cas/expiry
+  /// Digest of one item's replicated content (excludes LRU/expiry
   /// bookkeeping, which legitimately differs between replicas).
   [[nodiscard]] static std::uint64_t item_digest(const Item& it);
   /// Order-independent digest of a write_all value list.

@@ -11,8 +11,6 @@ struct StoreStats {
   std::uint64_t sets = 0;
   std::uint64_t set_outdated = 0;  // write rejected by timestamp LWW
   std::uint64_t deletes = 0;
-  std::uint64_t cas_hits = 0;
-  std::uint64_t cas_misses = 0;
   std::uint64_t evictions = 0;
   std::uint64_t expired = 0;
   std::uint64_t curr_items = 0;
@@ -28,8 +26,6 @@ struct StoreStats {
     sets += o.sets;
     set_outdated += o.set_outdated;
     deletes += o.deletes;
-    cas_hits += o.cas_hits;
-    cas_misses += o.cas_misses;
     evictions += o.evictions;
     expired += o.expired;
     curr_items += o.curr_items;
