@@ -172,12 +172,10 @@ int main() {
     cluster.run_for(sim_ms(50));
 
     for (std::size_t n = 0; n < cluster.data_node_count(); ++n) {
-      const auto& counters = cluster.node(n).metrics().counters();
-      const auto audited = counters.find("audit.reads_audited");
-      if (audited != counters.end()) sp.audited += audited->second.value();
-      const auto behind = counters.find("audit.reads_behind");
-      if (behind != counters.end()) sp.behind += behind->second.value();
-      const auto& histos = cluster.node(n).metrics().histograms();
+      const MetricRegistry& metrics = cluster.node(n).metrics();
+      sp.audited += metrics.counter_value("audit.reads_audited");
+      sp.behind += metrics.counter_value("audit.reads_behind");
+      const auto& histos = metrics.histograms();
       const auto lag = histos.find("audit.confirm_lag_us");
       if (lag != histos.end()) {
         sp.lag_sum += lag->second.sum();

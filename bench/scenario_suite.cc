@@ -97,9 +97,7 @@ struct Harness {
   [[nodiscard]] std::uint64_t client_counter(const std::string& name) const {
     std::uint64_t n = 0;
     for (std::size_t i = 0; i < cluster->client_count(); ++i) {
-      const auto& counters = cluster->client(i).metrics().counters();
-      const auto it = counters.find(name);
-      if (it != counters.end()) n += it->second.value();
+      n += cluster->client(i).metrics().counter_value(name);
     }
     return n;
   }
@@ -107,9 +105,7 @@ struct Harness {
   [[nodiscard]] std::uint64_t node_counter(const std::string& name) const {
     std::uint64_t n = 0;
     for (std::size_t i = 0; i < cluster->data_node_count(); ++i) {
-      const auto& counters = cluster->node(i).metrics().counters();
-      const auto it = counters.find(name);
-      if (it != counters.end()) n += it->second.value();
+      n += cluster->node(i).metrics().counter_value(name);
     }
     return n;
   }

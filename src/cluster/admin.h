@@ -96,18 +96,15 @@ class ClusterInspector {
               status[v].reads + status[v].writes;
         }
       }
-      row.recoveries = node.metrics()
-                           .counter("failure.recoveries_completed")
-                           .value();
-      row.read_repairs =
-          node.metrics().counter("coordinator.read_repairs").value();
+      const MetricRegistry& metrics = node.metrics();
+      row.recoveries = metrics.counter_value("failure.recoveries_completed");
+      row.read_repairs = metrics.counter_value("coordinator.read_repairs");
       row.hints_pending = node.hints_pending();
       row.hints_delivered =
-          node.metrics().counter("coordinator.hints_delivered").value();
-      row.ae_rounds = node.metrics().counter("antientropy.rounds").value();
-      row.keys_repaired =
-          node.metrics().counter("antientropy.keys_pushed").value() +
-          node.metrics().counter("antientropy.keys_pulled").value();
+          metrics.counter_value("coordinator.hints_delivered");
+      row.ae_rounds = metrics.counter_value("antientropy.rounds");
+      row.keys_repaired = metrics.counter_value("antientropy.keys_pushed") +
+                          metrics.counter_value("antientropy.keys_pulled");
       row.queue_depth = node.queue_depth();
       row.sheds = node.shed_queue_full() + node.shed_deadline();
       report.total_items += row.items;

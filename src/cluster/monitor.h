@@ -429,9 +429,7 @@ class ClusterMonitor {
   [[nodiscard]] double counter_sum(const std::string& name) const {
     double n = 0;
     for (std::size_t i = 0; i < cluster_.data_node_count(); ++i) {
-      const auto& counters = cluster_.node(i).metrics().counters();
-      const auto it = counters.find(name);
-      if (it != counters.end()) n += static_cast<double>(it->second.value());
+      n += static_cast<double>(cluster_.node(i).metrics().counter_value(name));
     }
     return n;
   }
@@ -441,9 +439,8 @@ class ClusterMonitor {
   [[nodiscard]] double client_counter_sum(const std::string& name) const {
     double n = 0;
     for (std::size_t i = 0; i < cluster_.client_count(); ++i) {
-      const auto& counters = cluster_.client(i).metrics().counters();
-      const auto it = counters.find(name);
-      if (it != counters.end()) n += static_cast<double>(it->second.value());
+      n += static_cast<double>(
+          cluster_.client(i).metrics().counter_value(name));
     }
     return n;
   }

@@ -136,6 +136,13 @@ class MetricRegistry {
   Counter& counter(const std::string& name) { return counters_[name]; }
   Histogram& histogram(const std::string& name) { return histograms_[name]; }
 
+  /// A counter's value, 0 when it was never created. Unlike counter(), a
+  /// read that adds no row to the registry (and so to its dumps).
+  [[nodiscard]] std::uint64_t counter_value(const std::string& name) const {
+    const auto it = counters_.find(name);
+    return it == counters_.end() ? 0 : it->second.value();
+  }
+
   [[nodiscard]] const std::map<std::string, Counter>& counters() const {
     return counters_;
   }

@@ -85,6 +85,18 @@ TEST(Inspector, SnapshotAggregatesStorageAndLiveness) {
   EXPECT_FALSE(report.hottest.empty());
 }
 
+TEST(Inspector, SnapshotLeavesTheMetricsDumpUnchanged) {
+  // A report reads counters a quiet cluster never created (recoveries,
+  // hints delivered, anti-entropy keys); reading must not create them.
+  SednaCluster cluster(small_config());
+  ASSERT_TRUE(cluster.boot().ok());
+  ClusterInspector inspector(cluster);
+  const std::string before = inspector.metrics_text();
+  ASSERT_EQ(before.find("failure_recoveries_completed"), std::string::npos);
+  (void)inspector.snapshot();
+  EXPECT_EQ(inspector.metrics_text(), before);
+}
+
 TEST(Inspector, ReflectsCrashes) {
   SednaCluster cluster(small_config());
   ASSERT_TRUE(cluster.boot().ok());

@@ -399,6 +399,14 @@ TEST(Metrics, RegistryIsNameKeyed) {
   EXPECT_EQ(reg.counters().size(), 1u);
 }
 
+TEST(Metrics, CounterValueReadsWithoutCreating) {
+  MetricRegistry reg;
+  reg.counter("x").add(3);
+  EXPECT_EQ(reg.counter_value("x"), 3u);
+  EXPECT_EQ(reg.counter_value("absent"), 0u);
+  EXPECT_EQ(reg.counters().size(), 1u);
+}
+
 // Exact pinned quantile values. Bucket i covers [2^i, 2^(i+1)); the
 // estimate interpolates target rank within the bucket and clamps to the
 // observed [min, max]. In particular bucket 0's lower bound is 1.0, not

@@ -274,13 +274,6 @@ TEST(DegradedReads, BelowQuorumFallbackIsTaggedStaleEvenWhenDisabled) {
 
 // ---- read settle outcomes ---------------------------------------------------
 
-/// Counter value, 0 when the counter was never created.
-std::uint64_t counter_value(const MetricRegistry& metrics,
-                            const std::string& name) {
-  const auto it = metrics.counters().find(name);
-  return it == metrics.counters().end() ? 0 : it->second.value();
-}
-
 /// One read-settle shape over a key's three replicas (replicas[0]
 /// coordinates): the version each replica holds before the read, and what
 /// the read must serve, tag and repair.
@@ -383,7 +376,7 @@ TEST_P(ReadSettle, PinsServedValueTagAndRepairs) {
 
   EXPECT_EQ(served, "v2");
   const auto& cm = client.metrics();
-  EXPECT_EQ(counter_value(cm, "client.stale_reads"), c.stale ? 1u : 0u);
+  EXPECT_EQ(cm.counter_value("client.stale_reads"), c.stale ? 1u : 0u);
   if (c.causal) {
     EXPECT_EQ(served_stale, c.stale);
   }
@@ -393,12 +386,12 @@ TEST_P(ReadSettle, PinsServedValueTagAndRepairs) {
     ASSERT_NE(it, cm.histograms().end());
     EXPECT_EQ(it->second.count(), 1u);
     EXPECT_GT(it->second.min(), 0u);
-    EXPECT_EQ(counter_value(cm, "client.stale_unbounded"), 0u);
+    EXPECT_EQ(cm.counter_value("client.stale_unbounded"), 0u);
   }
   const auto& nm =
       cluster.node(node_index(cluster, replicas[0])).metrics();
-  EXPECT_EQ(counter_value(nm, "coordinator.read_repairs"), c.read_repairs);
-  EXPECT_EQ(counter_value(nm, "coordinator.degraded_reads"),
+  EXPECT_EQ(nm.counter_value("coordinator.read_repairs"), c.read_repairs);
+  EXPECT_EQ(nm.counter_value("coordinator.degraded_reads"),
             c.degraded_reads);
 
   store::LocalStore& lagging = *stores[c.lagging];
@@ -464,17 +457,17 @@ TEST(DeadlineFanout, DeadlineLapsedInServiceIsNotFailureEvidence) {
   cluster.crash_node(node_index(cluster, replicas[1]));
   const auto& metrics = coordinator.metrics();
   const std::uint64_t writes_before =
-      counter_value(metrics, "coordinator.writes");
+      metrics.counter_value("coordinator.writes");
 
   EXPECT_EQ(cluster.write_latest(client, key, "v").code(),
             StatusCode::kTimeout);
   cluster.run_for(sim_ms(200));  // past every replica RPC timeout
 
   // The coordinator ran the write: its deadline was live at dequeue.
-  EXPECT_EQ(counter_value(metrics, "coordinator.writes"), writes_before + 1);
+  EXPECT_EQ(metrics.counter_value("coordinator.writes"), writes_before + 1);
   EXPECT_EQ(coordinator.hints_pending(), 0u);
-  EXPECT_EQ(counter_value(metrics, "coordinator.hints_queued"), 0u);
-  EXPECT_EQ(counter_value(metrics, "failure.suspicions"), 0u);
+  EXPECT_EQ(metrics.counter_value("coordinator.hints_queued"), 0u);
+  EXPECT_EQ(metrics.counter_value("failure.suspicions"), 0u);
 }
 
 // ---- retry-storm metastability (miniature) ----------------------------------
