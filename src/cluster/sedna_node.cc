@@ -299,17 +299,6 @@ void SednaNode::flush_tick() {
   }
 }
 
-void SednaNode::refresh_vnode_status() {
-  const auto bytes = store_->vnode_bytes_all();
-  if (bytes.empty()) return;  // digests off: keep the write-volume estimate
-  if (vnode_status_.size() < bytes.size()) {
-    vnode_status_.resize(bytes.size());
-  }
-  for (std::size_t v = 0; v < bytes.size(); ++v) {
-    vnode_status_[v].capacity_bytes = bytes[v];
-  }
-}
-
 void SednaNode::report_load() {
   if (!alive() || !ready_) return;
   // The row is computed from the per-vnode statuses (paper III.B: "a[n]
@@ -321,8 +310,16 @@ void SednaNode::report_load() {
   // report, not lifetime totals: the traffic rebalancer compares recent
   // load across nodes, and a lifetime counter would keep crediting a
   // migrated vnode's whole history to its old owner. Capacity stays
-  // absolute (resident bytes are a level, not a rate).
-  refresh_vnode_status();
+  // absolute (resident bytes are a level, not a rate): the store's
+  // per-vnode tallies, which are exact and eviction-aware (digests are
+  // on from the moment the node is ready).
+  const auto bytes = store_->vnode_bytes_all();
+  if (vnode_status_.size() < bytes.size()) {
+    vnode_status_.resize(bytes.size());
+  }
+  for (std::size_t v = 0; v < bytes.size(); ++v) {
+    vnode_status_[v].capacity_bytes = bytes[v];
+  }
   ring::RealNodeLoad row;
   row.node = id();
   row.vnode_count = 0;
@@ -550,14 +547,14 @@ void SednaNode::hydrate_after_restart(std::function<void()> done) {
 }
 
 StatusCode SednaNode::apply_write(const WriteRequest& req) {
-  // Per-vnode write frequency + rough capacity delta (paper III.B).
+  // Per-vnode write frequency (paper III.B); report_load takes the
+  // capacity column from the store.
   if (metadata_.ready()) {
     const VnodeId v = metadata_.table().vnode_for_key(req.key);
     if (vnode_status_.size() < metadata_.table().total_vnodes()) {
       vnode_status_.resize(metadata_.table().total_vnodes());
     }
     ++vnode_status_[v].writes;
-    vnode_status_[v].capacity_bytes += req.key.size() + req.value.size();
   }
   Status st;
   if (req.causal_tag == WriteRequest::kCausalRecord) {

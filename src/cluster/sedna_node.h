@@ -131,7 +131,8 @@ class SednaNode : public sim::Host {
   [[nodiscard]] bool ready() const { return ready_; }
   [[nodiscard]] store::LocalStore& local_store() { return *store_; }
   /// Per-vnode counters (paper III.B: "we record all the virtual nodes'
-  /// status including its capacity, read/write frequency").
+  /// status including its capacity, read/write frequency"). Capacity is
+  /// the store's resident bytes as of the last load report.
   [[nodiscard]] const std::vector<ring::VnodeStatus>& vnode_status() const {
     return vnode_status_;
   }
@@ -154,11 +155,6 @@ class SednaNode : public sim::Host {
   [[nodiscard]] const SpaceSavingSketch& hot_keys() const {
     return hot_keys_;
   }
-
-  /// Re-derives per-vnode resident bytes from the store's digest-tree
-  /// tallies (exact, eviction-aware), replacing the rough write-volume
-  /// estimate accumulated in apply_write.
-  void refresh_vnode_status();
 
   /// Health oracle the traffic rebalancer consults before picking a
   /// migration target (the cluster status manager's view; wired to the
