@@ -20,35 +20,35 @@ class TriggerRuntime::NodeResultWriter final : public ResultWriter {
       : node_(node), stats_(stats) {}
 
   void put(const std::string& key, const std::string& value) override {
-    cluster::WriteRequest req;
-    req.mode = cluster::WriteMode::kLatest;
-    req.key = key;
-    req.value = value;
-    req.ts = node_.next_ts();
-    req.source = node_.id();
-    node_.call(node_.id(), cluster::kMsgClientWrite, req.encode(),
-               [](const Status&, const std::string&) {});
-    ++stats_.emits;
+    emit(cluster::WriteMode::kLatest, key, value, node_.id());
   }
 
   void put_all(const std::string& key, const std::string& value) override {
-    put_all_tagged(key, value, node_.id());
+    emit(cluster::WriteMode::kAll, key, value, node_.id());
   }
 
   void put_all_tagged(const std::string& key, const std::string& value,
                       std::uint32_t source_tag) override {
-    cluster::WriteRequest req;
-    req.mode = cluster::WriteMode::kAll;
-    req.key = key;
-    req.value = value;
-    req.ts = node_.next_ts();
-    req.source = source_tag;
-    node_.call(node_.id(), cluster::kMsgClientWrite, req.encode(),
-               [](const Status&, const std::string&) {});
-    ++stats_.emits;
+    emit(cluster::WriteMode::kAll, key, value, source_tag);
   }
 
  private:
+  /// Fire-and-forget: an action's output is not retried, so the reply
+  /// (or its timeout) is dropped.
+  void emit(cluster::WriteMode mode, const std::string& key,
+            const std::string& value, NodeId source) {
+    cluster::WriteRequest req;
+    req.mode = mode;
+    req.key = key;
+    req.value = value;
+    req.ts = node_.next_ts();
+    req.source = source;
+    node_.call<cluster::WriteReply>(node_.id(), cluster::kMsgClientWrite,
+                                    req.encode(),
+                                    [](const Result<cluster::WriteReply>&) {});
+    ++stats_.emits;
+  }
+
   cluster::SednaNode& node_;
   TriggerStats& stats_;
 };
