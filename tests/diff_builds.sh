@@ -12,13 +12,15 @@
 # metadata boot load at 256–16,384 vnodes), bench/ablation_quorum,
 # bench/ablation_ring, bench/scalability_nodes (boots 3 to 24 nodes, so
 # the boot load runs at each size), examples/quickstart,
-# examples/realtime_analytics, examples/iterative_triggers, and the
-# paper's Fig. 7, bench/fig7a_memcached3_vs_sedna and
+# examples/realtime_analytics, examples/iterative_triggers, the paper's
+# Fig. 7, bench/fig7a_memcached3_vs_sedna and
 # bench/fig7b_memcached1_vs_sedna (the only surfaces that run the
-# memcache baseline hosts). Each run gets its own working directory,
-# which is also its SEDNA_OUT_DIR, given as "." because the Fig. 7
-# benches print their CSV's path and an absolute one would differ between
-# the two sides. Its exit status is recorded next to its stdout, so a
+# memcache baseline hosts), and the paper's Fig. 8,
+# bench/fig8_multiclient (nine closed-loop clients against one; the
+# slowest surface, ~15 s). Each run gets its own working directory,
+# which is also its SEDNA_OUT_DIR, given as "." because the Fig. 7 and
+# Fig. 8 benches print their CSV's path and an absolute one would differ
+# between the two sides. Its exit status is recorded next to its stdout, so a
 # gate that flips also shows up as a difference.
 #
 # Usage: tests/diff_builds.sh <parent_build> <change_build>
@@ -53,6 +55,7 @@ surfaces=(
   "iterative_triggers|examples/iterative_triggers"
   "fig7a_memcached3_vs_sedna|bench/fig7a_memcached3_vs_sedna"
   "fig7b_memcached1_vs_sedna|bench/fig7b_memcached1_vs_sedna"
+  "fig8_multiclient|bench/fig8_multiclient"
 )
 
 tmp="$(mktemp -d)"
