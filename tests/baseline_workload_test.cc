@@ -6,6 +6,8 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
+#include <string_view>
 
 #include "baseline/memcache.h"
 #include "workload/closed_loop.h"
@@ -165,6 +167,125 @@ TEST(Memcache, NoReplicationMeansCrashLosesData) {
   fx.client->get("fragile", [&](const Result<std::string>& r) { got = r; });
   fx.run_until([&] { return got.has_value(); });
   EXPECT_FALSE(got->ok());
+}
+
+// ---- Memcache wire bytes -------------------------------------------------------
+
+std::string hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xf]);
+  }
+  return out;
+}
+
+std::string unhex(std::string_view digits) {
+  std::string out;
+  for (std::size_t i = 0; i + 1 < digits.size(); i += 2) {
+    out.push_back(static_cast<char>(
+        std::stoi(std::string(digits.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+/// The far end of a memcache wire: keeps the bytes of every request it
+/// gets and answers each with `answer`; `ask` sends raw request bytes.
+class WireProbe : public sim::Host {
+ public:
+  WireProbe(sim::Network& net, NodeId id) : sim::Host(net, id) {}
+
+  std::string answer;
+  std::vector<std::string> requests;
+
+  void ask(NodeId to, sim::MessageType type, std::string payload,
+           std::optional<std::string>& reply_hex) {
+    call(to, type, std::move(payload),
+         [&reply_hex](const Status& st, const std::string& body) {
+           reply_hex = st.ok() ? hex(body) : st.to_string();
+         });
+  }
+
+ protected:
+  void on_message(const sim::Message& msg) override {
+    requests.push_back(msg.payload);
+    reply(msg, answer);
+  }
+};
+
+/// A memcache server and a client whose only server is the probe.
+struct McWire {
+  McWire() : net(simulation), node(net, 10), probe(net, 20) {
+    baseline::MemcacheClientConfig cfg;
+    cfg.servers = {20};
+    client = std::make_unique<baseline::MemcacheClient>(net, 100, cfg);
+  }
+
+  /// The server's reply to raw request bytes, as hex.
+  std::string ask(sim::MessageType type, std::string_view request_hex) {
+    std::optional<std::string> reply_hex;
+    probe.ask(10, type, unhex(request_hex), reply_hex);
+    while (!reply_hex.has_value() && simulation.step()) {
+    }
+    return reply_hex.value_or("no reply");
+  }
+
+  Status set(const std::string& key, const std::string& value) {
+    std::optional<Status> st;
+    client->set(key, value, [&](const Status& s) { st = s; });
+    while (!st.has_value() && simulation.step()) {
+    }
+    return st.value_or(Status::Timeout());
+  }
+
+  Result<std::string> get(const std::string& key) {
+    std::optional<Result<std::string>> got;
+    client->get(key, [&](const Result<std::string>& r) { got = r; });
+    while (!got.has_value() && simulation.step()) {
+    }
+    return got.value_or(Status::Timeout());
+  }
+
+  sim::Simulation simulation{5};
+  sim::Network net;
+  baseline::MemcacheNode node;
+  WireProbe probe;
+  std::unique_ptr<baseline::MemcacheClient> client;
+};
+
+TEST(MemcacheWire, ClientRequestBytes) {
+  McWire w;
+  w.probe.answer = unhex("00");
+  ASSERT_TRUE(w.set("k1", "val").ok());
+  ASSERT_EQ(w.probe.requests.size(), 1u);
+  EXPECT_EQ(hex(w.probe.requests[0]), "020000006b310300000076616c");
+
+  w.probe.answer = unhex("000300000076616c");
+  const auto got = w.get("k1");
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.value(), "val");
+  ASSERT_EQ(w.probe.requests.size(), 2u);
+  EXPECT_EQ(hex(w.probe.requests[1]), "020000006b31");
+
+  w.probe.answer = unhex("0500000000");
+  EXPECT_EQ(w.get("k1").status().code(), StatusCode::kNotFound);
+}
+
+TEST(MemcacheWire, ServerReplyBytes) {
+  McWire w;
+  const std::string set_k1 = "020000006b310300000076616c";
+  const std::string key_k1 = "020000006b31";
+  EXPECT_EQ(w.ask(baseline::kMsgMcSet, set_k1), "00");
+  EXPECT_EQ(w.ask(baseline::kMsgMcGet, key_k1), "000300000076616c");
+  EXPECT_EQ(w.ask(baseline::kMsgMcDelete, key_k1), "00");
+  // A get miss still carries an empty value.
+  EXPECT_EQ(w.ask(baseline::kMsgMcGet, key_k1), "0500000000");
+  EXPECT_EQ(w.ask(baseline::kMsgMcDelete, key_k1), "05");
+  // A set without its value is refused.
+  EXPECT_EQ(w.ask(baseline::kMsgMcSet, key_k1), "07");
+  EXPECT_FALSE(w.node.local_store().read_latest("k1").ok());
 }
 
 // ---- Workloads -----------------------------------------------------------------

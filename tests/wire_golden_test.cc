@@ -28,6 +28,7 @@
 #include "wal/snapshot.h"
 #include "wal/wal.h"
 #include "zk/protocol.h"
+#include "zk/znode_tree.h"
 
 namespace sedna {
 namespace {
@@ -424,6 +425,61 @@ TEST(WireGolden, VnodeZnodeAndChangeJournal) {
   auto entry = after.get(std::string(kZkChanges) + "/" + journal->front());
   ASSERT_TRUE(entry.ok());
   EXPECT_EQ(hex(entry->first), "1100000068000000");
+}
+
+// ---- ZooKeeper tree image (zk/znode_tree.h) ---------------------------------
+
+std::string unhex(std::string_view digits) {
+  std::string out;
+  for (std::size_t i = 0; i + 1 < digits.size(); i += 2) {
+    out.push_back(static_cast<char>(
+        std::stoi(std::string(digits.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+TEST(WireGolden, ZnodeTreeImage) {
+  // A nested path with a data update, an ephemeral znode and a parent
+  // whose sequence counter has advanced: every part of the image a new
+  // leader sends at boot.
+  zk::ZnodeTree tree;
+  ASSERT_TRUE(tree.create("/a", "", zk::CreateMode::kPersistent, 0, 1).ok());
+  ASSERT_TRUE(
+      tree.create("/a/b", "x", zk::CreateMode::kPersistent, 0, 2).ok());
+  ASSERT_TRUE(tree.set("/a/b", "yz", -1, 3).ok());
+  ASSERT_TRUE(tree.create("/e", "", zk::CreateMode::kEphemeral, 7, 4).ok());
+  ASSERT_TRUE(
+      tree.create("/a/q-", "", zk::CreateMode::kPersistentSequential, 0, 5)
+          .ok());
+  const std::string image = tree.serialize();
+  EXPECT_EQ(hex(image),
+      "04000000020000002f6500000000040000000000000004000000000000000000"
+      "0000000000000700000000000000020000002f61000000000100000000000000"
+      "0100000000000000000000000000000000000000000000000f0000002f612f71"
+      "2d30303030303030303030000000000500000000000000050000000000000000"
+      "000000000000000000000000000000040000002f612f6202000000797a020000"
+      "0000000000030000000000000001000000000000000000000000000000010000"
+      "00020000002f610100000000000000");
+  const auto copy = zk::ZnodeTree::deserialize(image);
+  ASSERT_TRUE(copy.ok()) << copy.status().to_string();
+  EXPECT_EQ(hex(copy->serialize()), hex(image));
+  for (std::size_t n = 0; n < image.size(); ++n) {
+    EXPECT_FALSE(
+        zk::ZnodeTree::deserialize(std::string_view(image).substr(0, n)).ok())
+        << "prefix of " << n;
+  }
+
+  // One znode, "/x/y", whose parent the image never creates.
+  EXPECT_FALSE(zk::ZnodeTree::deserialize(
+                   unhex("01000000"                   // one znode
+                         "040000002f782f79"           // "/x/y"
+                         "00000000"                   // no data
+                         "0100000000000000"           // czxid
+                         "0100000000000000"           // mzxid
+                         "0000000000000000"           // version
+                         "0000000000000000"           // persistent
+                         "00000000"))                 // no counters
+                   .ok());
 }
 
 }  // namespace
