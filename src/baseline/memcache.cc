@@ -4,6 +4,39 @@
 
 namespace sedna::baseline {
 
+void MemcacheNode::on_message(const sim::Message& msg) {
+  switch (msg.type) {
+    case kMsgMcSet: {
+      const auto req = McSetRequest::decode(msg.payload);
+      if (req.ok()) store_.set(req->key, req->value);
+      reply(msg, McStatusReply{req.ok() ? StatusCode::kOk
+                                        : StatusCode::kInvalidArgument}
+                     .encode());
+      break;
+    }
+    case kMsgMcGet: {
+      const auto req = McKeyRequest::decode(msg.payload);
+      McGetReply rep{StatusCode::kInvalidArgument, {}};
+      if (req.ok()) {
+        auto got = store_.read_latest(req->key);
+        rep.status = got.ok() ? StatusCode::kOk : StatusCode::kNotFound;
+        if (got.ok()) rep.value = std::move(got->value);
+      }
+      reply(msg, rep.encode());
+      break;
+    }
+    case kMsgMcDelete: {
+      const auto req = McKeyRequest::decode(msg.payload);
+      reply(msg, McStatusReply{req.ok() ? store_.del(req->key).code()
+                                        : StatusCode::kInvalidArgument}
+                     .encode());
+      break;
+    }
+    default:
+      break;
+  }
+}
+
 NodeId KetamaRing::server_for(std::string_view key,
                               std::uint32_t replica) const {
   if (points_.empty()) return kInvalidNode;
@@ -49,21 +82,14 @@ void MemcacheClient::set_chain(const std::string& key,
     cb(Status::Unavailable("no memcached servers"));
     return;
   }
-  BinaryWriter w(key.size() + value.size() + 8);
-  w.put_string(key);
-  w.put_string(value);
-  call(server, kMsgMcSet, std::move(w).take(),
-       [this, key, value, copies, idx, cb = std::move(cb)](
-           const Status& st, const std::string& body) mutable {
+  call<McStatusReply>(
+      server, kMsgMcSet, McSetRequest{key, value}.encode(),
+      [this, key, value, copies, idx, cb = std::move(cb)](
+          const Result<McStatusReply>& rep) mutable {
          metrics_.counter("mc.sets").add(1);
+         const Status st = rep.ok() ? Status(rep->status) : rep.status();
          if (!st.ok()) {
            cb(st);
-           return;
-         }
-         BinaryReader r(body);
-         const auto code = static_cast<StatusCode>(r.get_u8());
-         if (code != StatusCode::kOk) {
-           cb(Status(code));
            return;
          }
          if (idx + 1 >= copies) {
@@ -83,21 +109,17 @@ void MemcacheClient::get_chain(const std::string& key, std::uint32_t copies,
     cb(Status::Unavailable("no memcached servers"));
     return;
   }
-  BinaryWriter w(key.size() + 8);
-  w.put_string(key);
-  call(server, kMsgMcGet, std::move(w).take(),
-       [this, key, copies, idx, cb = std::move(cb)](
-           const Status& st, const std::string& body) mutable {
+  call<McGetReply>(
+      server, kMsgMcGet, McKeyRequest{key}.encode(),
+      [this, key, copies, idx, cb = std::move(cb)](
+          Result<McGetReply> rep) mutable {
          metrics_.counter("mc.gets").add(1);
-         Result<std::string> result = Status::Timeout();
-         if (st.ok()) {
-           BinaryReader r(body);
-           const auto code = static_cast<StatusCode>(r.get_u8());
-           std::string value = r.get_string();
-           if (code == StatusCode::kOk) {
-             result = std::move(value);
+         Result<std::string> result = rep.status();
+         if (rep.ok()) {
+           if (rep->status == StatusCode::kOk) {
+             result = std::move(rep->value);
            } else {
-             result = Status(code);
+             result = Status(rep->status);
            }
          }
          if (idx + 1 >= copies) {

@@ -8,7 +8,10 @@
 //     servers one after another — "in Memcached these reads and writes
 //     requests were issued sequentially" (Fig. 7a).
 //
-// Message types 300–399.
+// Message types 300–399. Each request and reply is a field-list record
+// (common/codec.h): the server refuses a request that does not decode with
+// kInvalidArgument, and a reply that does not decode reaches the client's
+// callback as kCorruption.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/codec.h"
@@ -30,6 +34,55 @@ constexpr sim::MessageType kMsgMcSet = 300;
 constexpr sim::MessageType kMsgMcGet = 301;
 constexpr sim::MessageType kMsgMcDelete = 302;
 
+struct McSetRequest {
+  std::string key;
+  std::string value;
+
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) { io(m.key, m.value); }
+  [[nodiscard]] std::string encode() const { return codec::encode(*this); }
+  static Result<McSetRequest> decode(std::string_view bytes) {
+    return codec::decode<McSetRequest>(bytes, "bad memcache set");
+  }
+};
+
+/// A get or a delete.
+struct McKeyRequest {
+  std::string key;
+
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) { io(m.key); }
+  [[nodiscard]] std::string encode() const { return codec::encode(*this); }
+  static Result<McKeyRequest> decode(std::string_view bytes) {
+    return codec::decode<McKeyRequest>(bytes, "bad memcache key request");
+  }
+};
+
+/// The answer to a set or a delete.
+struct McStatusReply {
+  StatusCode status = StatusCode::kOk;
+
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) { io(m.status); }
+  [[nodiscard]] std::string encode() const { return codec::encode(*this); }
+  static Result<McStatusReply> decode(std::string_view bytes) {
+    return codec::decode<McStatusReply>(bytes, "bad memcache status reply");
+  }
+};
+
+/// The answer to a get; a miss carries an empty value.
+struct McGetReply {
+  StatusCode status = StatusCode::kOk;
+  std::string value;
+
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) { io(m.status, m.value); }
+  [[nodiscard]] std::string encode() const { return codec::encode(*this); }
+  static Result<McGetReply> decode(std::string_view bytes) {
+    return codec::decode<McGetReply>(bytes, "bad memcache get reply");
+  }
+};
+
 /// A memcached server: just a LocalStore behind the simulated NIC.
 class MemcacheNode : public sim::Host {
  public:
@@ -42,45 +95,9 @@ class MemcacheNode : public sim::Host {
   [[nodiscard]] store::LocalStore& local_store() { return store_; }
 
  protected:
-  void on_message(const sim::Message& msg) override {
-    BinaryReader r(msg.payload);
-    const std::string key = r.get_string();
-    switch (msg.type) {
-      case kMsgMcSet: {
-        const std::string value = r.get_string();
-        BinaryWriter w;
-        if (r.failed()) {
-          w.put_u8(static_cast<std::uint8_t>(StatusCode::kInvalidArgument));
-        } else {
-          store_.set(key, value);
-          w.put_u8(static_cast<std::uint8_t>(StatusCode::kOk));
-        }
-        reply(msg, std::move(w).take());
-        break;
-      }
-      case kMsgMcGet: {
-        BinaryWriter w;
-        auto got = store_.read_latest(key);
-        if (got.ok()) {
-          w.put_u8(static_cast<std::uint8_t>(StatusCode::kOk));
-          w.put_string(got->value);
-        } else {
-          w.put_u8(static_cast<std::uint8_t>(StatusCode::kNotFound));
-          w.put_string("");
-        }
-        reply(msg, std::move(w).take());
-        break;
-      }
-      case kMsgMcDelete: {
-        BinaryWriter w;
-        w.put_u8(static_cast<std::uint8_t>(store_.del(key).code()));
-        reply(msg, std::move(w).take());
-        break;
-      }
-      default:
-        break;
-    }
-  }
+  /// A request that does not decode is answered kInvalidArgument and
+  /// leaves the store untouched.
+  void on_message(const sim::Message& msg) override;
 
  private:
   store::LocalStore store_;

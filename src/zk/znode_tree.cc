@@ -176,68 +176,76 @@ void ZnodeTree::for_each(
   }
 }
 
+namespace {
+
+/// One znode of a tree image. `num_children` is not sent: the replica's
+/// creates rebuild it, which is why ZnodeStat::wire does not fit here.
+struct ImageZnode {
+  std::string path;
+  std::string data;
+  std::uint64_t czxid = 0;
+  std::uint64_t mzxid = 0;
+  std::int64_t version = 0;
+  std::uint64_t ephemeral_owner = 0;
+
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.path, m.data, m.czxid, m.mzxid, m.version, m.ephemeral_owner);
+  }
+};
+
+/// The full-state image: every znode, parents before children, then the
+/// (path, next_sequence) counter of each parent that has issued one.
+struct TreeImage {
+  std::vector<ImageZnode> znodes;
+  std::vector<std::pair<std::string, std::uint64_t>> sequences;
+
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) { io(m.znodes, m.sequences); }
+};
+
+}  // namespace
+
 std::string ZnodeTree::serialize() const {
   // Parents sort before children lexicographically? Not in general
   // ("/a-x" < "/a/x" is false since '-' < '/'), so emit in DFS order,
   // which guarantees parent-before-child. Sequence counters must transfer
   // too, or a new leader would reissue sequential names: the image ends
   // with (path, next_sequence) pairs, the root's included.
-  std::vector<std::pair<std::string, const Znode*>> nodes;
-  std::vector<std::pair<std::string, std::uint64_t>> seqs;
+  TreeImage image;
   for_each([&](const std::string& path, const Znode& node) {
-    if (!path.empty()) nodes.emplace_back(path, &node);
-    if (node.next_sequence != 0) seqs.emplace_back(path, node.next_sequence);
+    if (!path.empty()) {
+      image.znodes.push_back({path, node.data, node.stat.czxid,
+                              node.stat.mzxid, node.stat.version,
+                              node.stat.ephemeral_owner});
+    }
+    if (node.next_sequence != 0) {
+      image.sequences.emplace_back(path, node.next_sequence);
+    }
   });
-  BinaryWriter w;
-  w.put_u32(static_cast<std::uint32_t>(nodes.size()));
-  for (const auto& [path, node] : nodes) {
-    w.put_string(path);
-    w.put_string(node->data);
-    w.put_u64(node->stat.czxid);
-    w.put_u64(node->stat.mzxid);
-    w.put_i64(node->stat.version);
-    w.put_u64(node->stat.ephemeral_owner);
-  }
-  w.put_u32(static_cast<std::uint32_t>(seqs.size()));
-  for (const auto& [path, seq] : seqs) {
-    w.put_string(path);
-    w.put_u64(seq);
-  }
-  return std::move(w).take();
+  return codec::encode(image);
 }
 
 Result<ZnodeTree> ZnodeTree::deserialize(std::string_view bytes) {
-  BinaryReader r(bytes);
+  auto image = codec::decode<TreeImage>(bytes, "bad tree image");
+  if (!image.ok()) return image.status();
   ZnodeTree tree;
-  const std::uint32_t count = r.get_u32();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::string path = r.get_string();
-    const std::string data = r.get_string();
-    ZnodeStat stat;
-    stat.czxid = r.get_u64();
-    stat.mzxid = r.get_u64();
-    stat.version = r.get_i64();
-    stat.ephemeral_owner = r.get_u64();
-    if (r.failed()) return Status::Corruption("bad tree image");
-    const CreateMode mode = stat.ephemeral_owner != 0
-                                ? CreateMode::kEphemeral
-                                : CreateMode::kPersistent;
-    auto created = tree.create(path, data, mode, stat.ephemeral_owner,
-                               stat.czxid);
-    if (!created.ok()) return Status::Corruption("bad tree order");
-    // Restore the full stat (version history) directly.
-    Znode* node = tree.walk(path);
-    node->stat = stat;
+  for (const ImageZnode& z : image->znodes) {
+    const CreateMode mode = z.ephemeral_owner != 0 ? CreateMode::kEphemeral
+                                                   : CreateMode::kPersistent;
+    if (!tree.create(z.path, z.data, mode, z.ephemeral_owner, z.czxid)
+             .ok()) {
+      return Status::Corruption("bad tree order");
+    }
+    // Restore the version history the create reset.
+    ZnodeStat& stat = tree.walk(z.path)->stat;
+    stat.mzxid = z.mzxid;
+    stat.version = z.version;
   }
-  const std::uint32_t nseq = r.get_u32();
-  for (std::uint32_t i = 0; i < nseq; ++i) {
-    const std::string path = r.get_string();
-    const std::uint64_t seq = r.get_u64();
-    if (r.failed()) return Status::Corruption("bad tree image");
+  for (const auto& [path, seq] : image->sequences) {
     Znode* node = path.empty() ? tree.root_.get() : tree.walk(path);
     if (node != nullptr) node->next_sequence = seq;
   }
-  if (r.failed()) return Status::Corruption("bad tree image");
   return tree;
 }
 

@@ -7,6 +7,8 @@
 // variants (a zero-padded, parent-scoped counter is appended to the name).
 // Every mutation carries the zxid that caused it, so replicas that apply
 // the same committed operations in the same order converge byte-for-byte.
+// A whole tree travels as one image (serialize/deserialize), a field-list
+// record (common/codec.h) that a new leader sends each member at boot.
 #pragma once
 
 #include <cstdint>
@@ -81,7 +83,9 @@ class ZnodeTree {
   /// (used to fire watches and to tell Sedna which real nodes vanished).
   std::vector<std::string> remove_session_ephemerals(std::uint64_t session_id);
 
-  /// Serialization for full-state transfer to (re)joining ensemble members.
+  /// Full-state transfer to (re)joining ensemble members. deserialize
+  /// rejects a truncated image and one that creates a child before its
+  /// parent (kCorruption).
   [[nodiscard]] std::string serialize() const;
   static Result<ZnodeTree> deserialize(std::string_view bytes);
 

@@ -288,6 +288,31 @@ TEST(MemcacheWire, ServerReplyBytes) {
   EXPECT_FALSE(w.node.local_store().read_latest("k1").ok());
 }
 
+TEST(MemcacheWire, ReplyThatDoesNotDecodeIsCorruption) {
+  McWire w;
+  w.probe.answer = unhex("ff");  // no such status
+  EXPECT_EQ(w.set("k", "v").code(), StatusCode::kCorruption);
+  w.probe.answer = unhex("ff00000000");
+  EXPECT_EQ(w.get("k").status().code(), StatusCode::kCorruption);
+  w.probe.answer = "";  // no status at all
+  EXPECT_EQ(w.set("k", "v").code(), StatusCode::kCorruption);
+  EXPECT_EQ(w.get("k").status().code(), StatusCode::kCorruption);
+}
+
+TEST(MemcacheWire, KeyRequestThatDoesNotDecodeIsRefusedUntouched) {
+  McWire w;
+  auto& store = w.node.local_store();
+  ASSERT_TRUE(store.set("", "kept").ok());
+  // A key length that claims more bytes than follow.
+  EXPECT_EQ(w.ask(baseline::kMsgMcGet, "0500000061"), "0700000000");
+  EXPECT_EQ(w.ask(baseline::kMsgMcDelete, "0500000061"), "07");
+  EXPECT_EQ(store.stats().get_hits + store.stats().get_misses, 0u);
+  EXPECT_EQ(store.stats().deletes, 0u);
+  const auto kept = store.read_latest("");
+  ASSERT_TRUE(kept.ok());
+  EXPECT_EQ(kept->value, "kept");
+}
+
 // ---- Workloads -----------------------------------------------------------------
 
 TEST(KvWorkload, KeysMatchPaperShape) {

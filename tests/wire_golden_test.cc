@@ -20,6 +20,7 @@
 #include <string>
 #include <string_view>
 
+#include "baseline/memcache.h"
 #include "cluster/metadata.h"
 #include "cluster/protocol.h"
 #include "cluster/sedna_cluster.h"
@@ -425,6 +426,19 @@ TEST(WireGolden, VnodeZnodeAndChangeJournal) {
   auto entry = after.get(std::string(kZkChanges) + "/" + journal->front());
   ASSERT_TRUE(entry.ok());
   EXPECT_EQ(hex(entry->first), "1100000068000000");
+}
+
+// ---- memcache baseline messages (baseline/memcache.h) -----------------------
+
+TEST(WireGolden, MemcacheMessages) {
+  expect_golden(baseline::McSetRequest{"k1", "val"},
+                "020000006b310300000076616c");
+  expect_golden(baseline::McKeyRequest{"k1"}, "020000006b31");
+  expect_golden(baseline::McStatusReply{StatusCode::kNotFound}, "05");
+  expect_golden(baseline::McGetReply{StatusCode::kOk, "val"},
+                "000300000076616c");
+  expect_golden(baseline::McGetReply{StatusCode::kNotFound, {}},
+                "0500000000");
 }
 
 // ---- ZooKeeper tree image (zk/znode_tree.h) ---------------------------------
