@@ -5,7 +5,7 @@
 
 #include <thread>
 
-#include "common/codec.h"
+#include "cluster/protocol.h"
 #include "common/crc32.h"
 #include "ring/rebalancer.h"
 #include "ring/vnode_table.h"
@@ -145,20 +145,17 @@ void BM_RingLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_RingLookup)->Arg(1024)->Arg(8192)->Arg(100000);
 
+/// Encode plus decode of the data path's client write, the message every
+/// write_latest sends.
 void BM_CodecRoundTrip(benchmark::State& state) {
   KvWorkload wl;
+  sedna::cluster::WriteRequest req;
+  req.key = wl.key(7);
+  req.value = wl.value();
+  req.ts = 123456789;
   for (auto _ : state) {
-    sedna::BinaryWriter w;
-    w.put_u8(1);
-    w.put_string(wl.key(7));
-    w.put_string(wl.value());
-    w.put_u64(123456789);
-    const std::string buf = std::move(w).take();
-    sedna::BinaryReader r(buf);
-    benchmark::DoNotOptimize(r.get_u8());
-    benchmark::DoNotOptimize(r.get_string());
-    benchmark::DoNotOptimize(r.get_string());
-    benchmark::DoNotOptimize(r.get_u64());
+    const std::string buf = req.encode();
+    benchmark::DoNotOptimize(sedna::cluster::WriteRequest::decode(buf));
   }
 }
 BENCHMARK(BM_CodecRoundTrip);

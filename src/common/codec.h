@@ -1,10 +1,13 @@
-// Binary serialization for RPC payloads, ZooKeeper payloads, WAL records
-// and snapshot frames.
+// Binary serialization for RPC payloads (data path, ZooKeeper, the
+// memcache baseline), the ZooKeeper tree image, WAL records and snapshot
+// frames.
 //
 // Little-endian fixed-width integers, varint-free (messages are tiny and
 // simplicity beats a few bytes), u32-length-prefixed strings and vectors.
-// The reader is bounds-checked and reports kCorruption instead of crashing
-// on truncated or malformed input — WAL tail records after a crash are
+// There is one writer (codec::Writer) and one reader (codec::Reader), and
+// nothing else in the program writes or parses bytes by hand. The reader
+// is bounds-checked and reports kCorruption instead of crashing on
+// truncated or malformed input — WAL tail records after a crash are
 // expected to be torn.
 //
 // Records. Every wire and on-disk record states its layout once, as a
@@ -57,119 +60,6 @@
 #include "common/status.h"
 
 namespace sedna {
-
-class BinaryWriter {
- public:
-  BinaryWriter() = default;
-  explicit BinaryWriter(std::size_t reserve) { buf_.reserve(reserve); }
-
-  void put_u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void put_bool(bool v) { put_u8(v ? 1 : 0); }
-
-  void put_u16(std::uint16_t v) { put_fixed(v); }
-  void put_u32(std::uint32_t v) { put_fixed(v); }
-  void put_u64(std::uint64_t v) { put_fixed(v); }
-  void put_i64(std::int64_t v) { put_fixed(static_cast<std::uint64_t>(v)); }
-
-  void put_double(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    put_u64(bits);
-  }
-
-  void put_string(std::string_view s) {
-    put_u32(static_cast<std::uint32_t>(s.size()));
-    buf_.append(s.data(), s.size());
-  }
-
-  void put_bytes_raw(std::string_view s) { buf_.append(s.data(), s.size()); }
-
-  [[nodiscard]] const std::string& data() const& { return buf_; }
-  [[nodiscard]] std::string take() && { return std::move(buf_); }
-  [[nodiscard]] std::size_t size() const { return buf_.size(); }
-
- private:
-  template <typename T>
-  void put_fixed(T v) {
-    char tmp[sizeof(T)];
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      tmp[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-    }
-    buf_.append(tmp, sizeof(T));
-  }
-
-  std::string buf_;
-};
-
-class BinaryReader {
- public:
-  explicit BinaryReader(std::string_view data) : data_(data) {}
-
-  [[nodiscard]] bool failed() const { return failed_; }
-  /// Lets a decoder reject semantically invalid (not just truncated) data.
-  void mark_failed() { failed_ = true; }
-  [[nodiscard]] bool exhausted() const { return pos_ >= data_.size(); }
-  [[nodiscard]] std::size_t remaining() const {
-    return failed_ ? 0 : data_.size() - pos_;
-  }
-
-  std::uint8_t get_u8() { return get_fixed<std::uint8_t>(); }
-  bool get_bool() { return get_u8() != 0; }
-
-  std::uint16_t get_u16() { return get_fixed<std::uint16_t>(); }
-  std::uint32_t get_u32() { return get_fixed<std::uint32_t>(); }
-  std::uint64_t get_u64() { return get_fixed<std::uint64_t>(); }
-  std::int64_t get_i64() {
-    return static_cast<std::int64_t>(get_fixed<std::uint64_t>());
-  }
-
-  double get_double() {
-    const std::uint64_t bits = get_u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-  }
-
-  std::string get_string() { return std::string(get_bytes_raw(get_u32())); }
-
-  /// The next `n` bytes, unframed (empty and failed if fewer remain).
-  std::string_view get_bytes_raw(std::size_t n) {
-    if (!ensure(n)) return {};
-    const std::string_view s = data_.substr(pos_, n);
-    pos_ += n;
-    return s;
-  }
-
-  template <std::unsigned_integral T>
-  T get_fixed() {
-    if (!ensure(sizeof(T))) return T{};
-    T v{};
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v |= static_cast<T>(static_cast<std::uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += sizeof(T);
-    return v;
-  }
-
-  [[nodiscard]] Status status() const {
-    return failed_ ? Status::Corruption("truncated or malformed buffer")
-                   : Status::Ok();
-  }
-
- private:
-  bool ensure(std::size_t n) {
-    if (failed_ || data_.size() - pos_ < n) {
-      failed_ = true;
-      return false;
-    }
-    return true;
-  }
-
-  std::string_view data_;
-  std::size_t pos_ = 0;
-  bool failed_ = false;
-};
 
 namespace codec {
 
@@ -311,7 +201,7 @@ class Reader {
  public:
   static constexpr bool kReading = true;
 
-  explicit Reader(std::string_view data) : in_(data) {}
+  explicit Reader(std::string_view data) : data_(data) {}
 
   template <typename... F>
   void operator()(F&... fields) {
@@ -320,7 +210,7 @@ class Reader {
 
   template <typename Fn>
   void trailing(bool /*carries*/, Fn&& section) {
-    if (!in_.failed() && !in_.exhausted()) section();
+    if (!failed() && !exhausted()) section();
   }
 
   template <typename E, typename V>
@@ -339,19 +229,21 @@ class Reader {
 
   template <typename R>
   void framed(R& rec) {
-    Reader inner(in_.get_bytes_raw(in_.get_u32()));
+    std::uint32_t n = 0;
+    get(n);
+    Reader inner(take(n));
     inner.get(rec);
     if (inner.failed()) fail();
   }
 
-  void fail() { in_.mark_failed(); }
-  [[nodiscard]] bool failed() const { return in_.failed(); }
-  [[nodiscard]] bool exhausted() const { return in_.exhausted(); }
+  void fail() { failed_ = true; }
+  [[nodiscard]] bool failed() const { return failed_; }
+  [[nodiscard]] bool exhausted() const { return pos_ >= data_.size(); }
 
   template <typename T>
   void get(T& v) {
     if constexpr (std::is_same_v<T, bool>) {
-      v = in_.get_u8() != 0;
+      v = get_fixed<std::uint8_t>() != 0;
     } else if constexpr (std::is_enum_v<T>) {
       using U = std::underlying_type_t<T>;
       U raw{};
@@ -362,15 +254,15 @@ class Reader {
       }
       v = static_cast<T>(raw);
     } else if constexpr (std::is_integral_v<T>) {
-      v = static_cast<T>(in_.get_fixed<std::make_unsigned_t<T>>());
+      v = static_cast<T>(get_fixed<std::make_unsigned_t<T>>());
     } else if constexpr (std::is_same_v<T, std::string>) {
       // Built at its exact size, then moved in: assigning into the empty
       // string would round its capacity up to at least 30 bytes.
-      v = in_.get_string();
+      v = std::string(take(get_fixed<std::uint32_t>()));
     } else if constexpr (IsVector<T>::value) {
-      const std::uint32_t n = in_.get_u32();
+      const std::uint32_t n = get_fixed<std::uint32_t>();
       // A corrupt count must not allocate: each element needs >= 1 byte.
-      if (n > in_.remaining()) return fail();
+      if (n > data_.size() - pos_) return fail();
       v.resize(n);
       for (auto& e : v) {
         if (failed()) break;
@@ -385,7 +277,32 @@ class Reader {
   }
 
  private:
-  BinaryReader in_;
+  /// The next `n` bytes (empty, and the reader failed, if fewer remain).
+  std::string_view take(std::size_t n) {
+    if (failed_ || data_.size() - pos_ < n) {
+      failed_ = true;
+      return {};
+    }
+    const std::string_view s = data_.substr(pos_, n);
+    pos_ += n;
+    return s;
+  }
+
+  /// A little-endian integer; 0 once the reader has failed.
+  template <std::unsigned_integral T>
+  T get_fixed() {
+    const char* p = take(sizeof(T)).data();
+    if (failed_) return T{};
+    T v{};
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v |= static_cast<T>(static_cast<std::uint8_t>(p[i])) << (8 * i);
+    }
+    return v;
+  }
+
+  std::string_view data_;
+  std::size_t pos_ = 0;
+  bool failed_ = false;
 };
 
 template <typename T>

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/codec.h"
-
 namespace sedna::ring {
 
 ReplicaSet VnodeTable::replicas_for_vnode(VnodeId v) const {
@@ -59,29 +57,6 @@ std::uint32_t VnodeTable::moved_vnodes(const VnodeTable& before,
     if (before.assignment_[v] != after.assignment_[v]) ++moved;
   }
   return moved;
-}
-
-std::string VnodeTable::serialize() const {
-  BinaryWriter w(assignment_.size() * 4 + 16);
-  w.put_u32(replicas_);
-  w.put_u32(static_cast<std::uint32_t>(assignment_.size()));
-  for (NodeId n : assignment_) w.put_u32(n);
-  return std::move(w).take();
-}
-
-Result<VnodeTable> VnodeTable::deserialize(std::string_view bytes) {
-  BinaryReader r(bytes);
-  VnodeTable table;
-  table.replicas_ = r.get_u32();
-  const std::uint32_t n = r.get_u32();
-  if (r.failed() || n > (1u << 24) ||
-      table.replicas_ > ReplicaSet::kCapacity) {
-    return Status::Corruption("bad vnode table");
-  }
-  table.assignment_.resize(n, kInvalidNode);
-  for (std::uint32_t v = 0; v < n; ++v) table.assignment_[v] = r.get_u32();
-  if (r.failed()) return Status::Corruption("bad vnode table");
-  return table;
 }
 
 }  // namespace sedna::ring

@@ -17,13 +17,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <initializer_list>
-#include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "common/hash.h"
-#include "common/status.h"
 #include "common/types.h"
 
 namespace sedna::ring {
@@ -74,8 +72,8 @@ class VnodeTable {
  public:
   VnodeTable() = default;
   /// `replicas` must not exceed ReplicaSet::kCapacity: configs are
-  /// checked where they come in (SednaCluster::boot, ClusterConfig::decode,
-  /// deserialize), so a larger N here is a bug and aborts.
+  /// checked where they come in (SednaCluster::boot, ClusterConfig::decode),
+  /// so a larger N here is a bug and aborts.
   VnodeTable(std::uint32_t total_vnodes, std::uint32_t replicas)
       : replicas_(replicas), assignment_(total_vnodes, kInvalidNode) {
     if (replicas > ReplicaSet::kCapacity) std::abort();
@@ -121,9 +119,6 @@ class VnodeTable {
   /// minimal-movement property benches/tests).
   [[nodiscard]] static std::uint32_t moved_vnodes(const VnodeTable& before,
                                                   const VnodeTable& after);
-
-  [[nodiscard]] std::string serialize() const;
-  static Result<VnodeTable> deserialize(std::string_view bytes);
 
   friend bool operator==(const VnodeTable& a, const VnodeTable& b) {
     return a.replicas_ == b.replicas_ && a.assignment_ == b.assignment_;

@@ -35,7 +35,7 @@ struct Message {
   /// Matches a response to its request; 0 for one-way messages.
   std::uint64_t rpc_id = 0;
   bool is_response = false;
-  /// Serialized payload (BinaryWriter/BinaryReader framing).
+  /// Serialized payload: a field-list record (common/codec.h).
   std::string payload;
   /// Distributed-tracing context: the sender's trace and the span this
   /// message descends from (for a request, the caller's RPC span). Zero

@@ -9,6 +9,8 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/codec.h"
@@ -141,36 +143,49 @@ TEST(Timestamp, ClockRecoverable) {
 
 // ---- Codec ------------------------------------------------------------------
 
+/// One field of each fixed-width kind, then a string.
+struct CodecSample {
+  std::uint8_t u8 = 0;
+  bool flag = false;
+  std::uint16_t u16 = 0;
+  std::uint32_t u32 = 0;
+  std::uint64_t u64 = 0;
+  std::int64_t i64 = 0;
+  std::string text;
+
+  template <typename M, typename IO>
+  static void wire(M& m, IO& io) {
+    io(m.u8, m.flag, m.u16, m.u32, m.u64, m.i64, m.text);
+  }
+  friend bool operator==(const CodecSample&, const CodecSample&) = default;
+};
+
+CodecSample codec_sample() {
+  return {0xab, true, 0x1234, 0xdeadbeef, 0x0123456789abcdefULL, -42, "hi"};
+}
+
 TEST(Codec, ScalarRoundTrip) {
-  BinaryWriter w;
-  w.put_u8(0xab);
-  w.put_bool(true);
-  w.put_u16(0x1234);
-  w.put_u32(0xdeadbeef);
-  w.put_u64(0x0123456789abcdefULL);
-  w.put_i64(-42);
-  w.put_double(3.25);
-  BinaryReader r(w.data());
-  EXPECT_EQ(r.get_u8(), 0xab);
-  EXPECT_TRUE(r.get_bool());
-  EXPECT_EQ(r.get_u16(), 0x1234);
-  EXPECT_EQ(r.get_u32(), 0xdeadbeefu);
-  EXPECT_EQ(r.get_u64(), 0x0123456789abcdefULL);
-  EXPECT_EQ(r.get_i64(), -42);
-  EXPECT_EQ(r.get_double(), 3.25);
-  EXPECT_TRUE(r.exhausted());
-  EXPECT_FALSE(r.failed());
+  const CodecSample sample = codec_sample();
+  const std::string bytes = codec::encode(sample);
+  // Little-endian, fixed width, no padding.
+  EXPECT_EQ(bytes, std::string("\xab\x01\x34\x12\xef\xbe\xad\xde"
+                               "\xef\xcd\xab\x89\x67\x45\x23\x01"
+                               "\xd6\xff\xff\xff\xff\xff\xff\xff"
+                               "\x02\x00\x00\x00hi",
+                               30));
+  const auto back = codec::decode<CodecSample>(bytes, "sample");
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value(), sample);
 }
 
 TEST(Codec, StringRoundTripIncludingEmbeddedNul) {
-  BinaryWriter w;
-  const std::string s("a\0b\0c", 5);
-  w.put_string(s);
-  w.put_string("");
-  BinaryReader r(w.data());
-  EXPECT_EQ(r.get_string(), s);
-  EXPECT_EQ(r.get_string(), "");
-  EXPECT_FALSE(r.failed());
+  using Strings = std::pair<std::string, std::string>;
+  const Strings strings{std::string("a\0b\0c", 5), ""};
+  const std::string bytes = codec::encode(strings);
+  EXPECT_EQ(bytes.size(), 4u + 5 + 4);
+  const auto back = codec::decode<Strings>(bytes, "strings");
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value(), strings);
 }
 
 TEST(Codec, VectorRoundTrip) {
@@ -183,35 +198,42 @@ TEST(Codec, VectorRoundTrip) {
 }
 
 TEST(Codec, TruncatedBufferFailsGracefully) {
-  BinaryWriter w;
-  w.put_u64(7);
-  BinaryReader r(std::string_view(w.data()).substr(0, 3));
-  EXPECT_EQ(r.get_u64(), 0u);
-  EXPECT_TRUE(r.failed());
-  EXPECT_FALSE(r.status().ok());
+  const std::string bytes = codec::encode(codec_sample());
+  for (std::size_t n = 0; n < bytes.size(); ++n) {
+    const auto cut = codec::decode<CodecSample>(
+        std::string_view(bytes).substr(0, n), "sample");
+    ASSERT_FALSE(cut.ok()) << "prefix of " << n;
+    EXPECT_TRUE(cut.status().is(StatusCode::kCorruption));
+  }
 }
 
 TEST(Codec, CorruptStringLengthFails) {
-  BinaryWriter w;
-  w.put_u32(1000000);  // claims a megabyte that is not there
-  BinaryReader r(w.data());
-  EXPECT_EQ(r.get_string(), "");
-  EXPECT_TRUE(r.failed());
+  // Claims a megabyte that is not there.
+  const std::string bytes = codec::encode(std::uint32_t{1000000}) + "ab";
+  EXPECT_FALSE(codec::decode<std::string>(bytes, "string").ok());
 }
 
 TEST(Codec, CorruptVectorCountFails) {
-  BinaryWriter w;
-  w.put_u32(0xffffffff);  // claims 4G elements that are not there
-  const auto items = codec::decode<std::vector<std::string>>(w.data(), "list");
-  EXPECT_FALSE(items.ok());
+  // Claims 4G elements that are not there.
+  const std::string bytes = codec::encode(std::uint32_t{0xffffffff});
+  EXPECT_FALSE(codec::decode<std::vector<std::string>>(bytes, "list").ok());
 }
 
 TEST(Codec, ReaderStopsAtFirstFailure) {
-  BinaryReader r("ab");
-  (void)r.get_u64();
-  EXPECT_TRUE(r.failed());
-  EXPECT_EQ(r.get_u32(), 0u);  // still failed, still safe
-  EXPECT_EQ(r.remaining(), 0u);
+  // Two bytes hold neither the u64 nor, after that failure, the u16 that
+  // would otherwise fit.
+  codec::Reader in("ab");
+  std::uint64_t wide = 7;
+  in.get(wide);
+  EXPECT_TRUE(in.failed());
+  EXPECT_EQ(wide, 0u);
+  std::uint16_t narrow = 7;
+  in.get(narrow);
+  EXPECT_TRUE(in.failed());  // still failed, still safe
+  EXPECT_EQ(narrow, 0u);
+  std::string text = "x";
+  in.get(text);
+  EXPECT_EQ(text, "");
 }
 
 // ---- CRC32 ------------------------------------------------------------------

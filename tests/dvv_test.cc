@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "store/dvv.h"
@@ -138,14 +139,11 @@ TEST(DvvAlgebra, WireRoundTripIsExact) {
 }
 
 TEST(DvvAlgebra, DecodeRejectsUnsortedClock) {
-  BinaryWriter w;
-  w.put_u32(2);  // two clock entries, deliberately out of order
-  w.put_u32(5);
-  w.put_u64(1);
-  w.put_u32(3);
-  w.put_u64(1);
-  w.put_u32(0);  // no siblings
-  const std::string payload = std::move(w).take();
+  // Two clock entries, deliberately out of order, and no siblings.
+  using Clock = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
+  const std::string payload =
+      codec::encode(std::pair{Clock{{5, 1}, {3, 1}}, std::uint32_t{0}});
+  EXPECT_EQ(payload.size(), 4u + 2 * 12 + 4);
   EXPECT_TRUE(CausalRecord::decode_string(payload).empty());
 }
 

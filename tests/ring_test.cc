@@ -74,15 +74,6 @@ TEST(VnodeTableDeathTest, ReplicasAboveTheReplicaSetCapacityAbort) {
   EXPECT_DEATH(VnodeTable(64, too_many), "");
 }
 
-TEST(VnodeTable, DeserializeRejectsReplicasAboveTheReplicaSetCapacity) {
-  const VnodeTable table(8, ReplicaSet::kCapacity);
-  std::string bytes = table.serialize();
-  EXPECT_TRUE(VnodeTable::deserialize(bytes).ok());
-  // N is the leading little-endian u32.
-  bytes[0] = static_cast<char>(ReplicaSet::kCapacity + 1);
-  EXPECT_FALSE(VnodeTable::deserialize(bytes).ok());
-}
-
 TEST(VnodeTable, FewerNodesThanReplicasReturnsAll) {
   auto table = Rebalancer::initial_assignment(16, 3, make_nodes(2));
   const auto replicas = table.replicas_for_key("k");
@@ -103,17 +94,6 @@ TEST(VnodeTable, VnodesOfInverseOfOwner) {
       EXPECT_EQ(table.owner(v), node);
     }
   }
-}
-
-TEST(VnodeTable, SerializeRoundTrip) {
-  auto table = Rebalancer::initial_assignment(64, 3, make_nodes(5));
-  auto copy = VnodeTable::deserialize(table.serialize());
-  ASSERT_TRUE(copy.ok());
-  EXPECT_TRUE(copy.value() == table);
-}
-
-TEST(VnodeTable, DeserializeRejectsGarbage) {
-  EXPECT_FALSE(VnodeTable::deserialize("nope").ok());
 }
 
 TEST(VnodeTable, MovedVnodesCountsDifferences) {
