@@ -106,15 +106,8 @@ Status SednaCluster::boot() {
   // gave up on it.
   for (std::uint32_t i = 0; i < config_.data_nodes; ++i) {
     const NodeId id = next_data_id_++;
-    SednaNodeConfig cfg = config_.node_template;
-    cfg.zk_ensemble = zk_ids();
-    if (!cfg.persistence.dir.empty()) {
-      cfg.persistence.dir += "/node-" + std::to_string(id);
-    }
-    nodes_.push_back(std::make_unique<SednaNode>(net_, id, cfg));
-    nodes_.back()->set_flight_recorder(&flight_);
     auto outcome = std::make_shared<std::optional<Status>>();
-    nodes_.back()->start(
+    add_node(id).start(
         [outcome](const Status& node_st) { *outcome = node_st; });
     if (!run_until([&] { return outcome->has_value(); }) ||
         !(*outcome)->ok()) {
@@ -123,6 +116,22 @@ Status SednaCluster::boot() {
     }
   }
   return Status::Ok();
+}
+
+SednaNode& SednaCluster::add_node(NodeId id) {
+  SednaNodeConfig cfg = config_.node_template;
+  cfg.zk_ensemble = zk_ids();
+  if (!cfg.persistence.dir.empty()) {
+    cfg.persistence.dir += "/node-" + std::to_string(id);
+  }
+  SednaNode& node =
+      *nodes_.emplace_back(std::make_unique<SednaNode>(net_, id, cfg));
+  node.set_flight_recorder(&flight_);
+  if (monitor_ != nullptr) {
+    node.set_health_provider(
+        [m = monitor_.get()](NodeId n) { return m->health(n); });
+  }
+  return node;
 }
 
 Status SednaCluster::bootstrap_metadata() {
@@ -216,19 +225,8 @@ SednaClient& SednaCluster::make_client() {
 
 Result<NodeId> SednaCluster::join_new_node() {
   const NodeId id = next_data_id_++;
-  SednaNodeConfig cfg = config_.node_template;
-  cfg.zk_ensemble = zk_ids();
-  if (!cfg.persistence.dir.empty()) {
-    cfg.persistence.dir += "/node-" + std::to_string(id);
-  }
-  nodes_.push_back(std::make_unique<SednaNode>(net_, id, cfg));
-  nodes_.back()->set_flight_recorder(&flight_);
-  if (monitor_ != nullptr) {
-    nodes_.back()->set_health_provider(
-        [m = monitor_.get()](NodeId n) { return m->health(n); });
-  }
   std::optional<Status> done;
-  nodes_.back()->start_and_join([&](const Status& st) { done = st; });
+  add_node(id).start_and_join([&](const Status& st) { done = st; });
   if (!run_until([&] { return done.has_value(); })) {
     return Status::Timeout("join timed out");
   }

@@ -111,6 +111,9 @@ class SednaCluster {
  private:
   /// Creates the /sedna layout + per-vnode znodes via a bootstrap host.
   Status bootstrap_metadata();
+  /// Constructs data node `id` from the template config, wired to the
+  /// flight recorder and, when one is attached, the monitor.
+  SednaNode& add_node(NodeId id);
 
   SednaClusterConfig config_;
   sim::Simulation sim_;

@@ -15,9 +15,11 @@
 # examples/realtime_analytics, examples/iterative_triggers, the paper's
 # Fig. 7, bench/fig7a_memcached3_vs_sedna and
 # bench/fig7b_memcached1_vs_sedna (the only surfaces that run the
-# memcache baseline hosts), and the paper's Fig. 8,
+# memcache baseline hosts), the paper's Fig. 8,
 # bench/fig8_multiclient (nine closed-loop clients against one; the
-# slowest surface, ~15 s). Each run gets its own working directory,
+# slowest surface, ~15 s), and bench/hotkey_skew in its default mode (the
+# imbalance table, the hot-key sketch's precision gates and per-stage
+# attribution). Each run gets its own working directory,
 # which is also its SEDNA_OUT_DIR, given as "." because the Fig. 7 and
 # Fig. 8 benches print their CSV's path and an absolute one would differ
 # between the two sides. Its exit status is recorded next to its stdout, so a
@@ -56,6 +58,7 @@ surfaces=(
   "fig7a_memcached3_vs_sedna|bench/fig7a_memcached3_vs_sedna"
   "fig7b_memcached1_vs_sedna|bench/fig7b_memcached1_vs_sedna"
   "fig8_multiclient|bench/fig8_multiclient"
+  "hotkey_skew|bench/hotkey_skew"
 )
 
 tmp="$(mktemp -d)"
