@@ -227,7 +227,7 @@ std::string ZnodeTree::serialize() const {
 }
 
 Result<ZnodeTree> ZnodeTree::deserialize(std::string_view bytes) {
-  auto image = codec::decode<TreeImage>(bytes, "bad tree image");
+  const auto image = codec::decode<TreeImage>(bytes, "bad tree image");
   if (!image.ok()) return image.status();
   ZnodeTree tree;
   for (const ImageZnode& z : image->znodes) {
