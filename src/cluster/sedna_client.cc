@@ -1,6 +1,7 @@
 #include "cluster/sedna_client.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/gather.h"
 
@@ -15,17 +16,25 @@ SednaClient::SednaClient(sim::Network& net, NodeId id,
   retry_tokens_ = config_.retry_budget_capacity;
 }
 
-bool SednaClient::spend_retry_token() {
+SednaClient::~SednaClient() {
+  reads_.hedge_timer.cancel();
+  writes_.hedge_timer.cancel();
+}
+
+bool SednaClient::take_retry_token() {
   if (config_.retry_budget_capacity <= 0) return true;  // budget disabled
-  if (retry_tokens_ < 1.0) {
-    // Exhausted: this retry would have exceeded the allowed fraction of
-    // fresh traffic. Counted under the shed family — it is load the
-    // budget refused to send.
-    metrics_.counter("node.shed.retry_budget").add(1);
-    return false;
-  }
+  if (retry_tokens_ < 1.0) return false;
   retry_tokens_ -= 1.0;
   return true;
+}
+
+bool SednaClient::spend_retry_token() {
+  if (take_retry_token()) return true;
+  // Exhausted: this retry would have exceeded the allowed fraction of
+  // fresh traffic. Counted under the shed family — it is load the budget
+  // refused to send.
+  budget_sheds_->add(1);
+  return false;
 }
 
 void SednaClient::refill_retry_budget() {
@@ -67,7 +76,7 @@ SimDuration SednaClient::retry_backoff(int next_attempt) {
       1.0 + kRetryBackoffJitter * (2.0 * sim().rng().next_double() - 1.0);
   auto wait = static_cast<SimDuration>(static_cast<double>(base) * spread);
   if (wait == 0) wait = 1;
-  metrics_.histogram("client.retry_backoff_us").record(wait);
+  retry_backoff_->record(wait);
   return wait;
 }
 
@@ -82,11 +91,15 @@ namespace {
 
 /// kUnavailable (node not ready), kFailure (quorum broken — often stale
 /// routing at the coordinator while recovery is in flight) and kOverloaded
-/// (explicit shed) are retryable. A write's timestamp is pinned at the
-/// first attempt, so a replayed write is idempotent under LWW (and a causal
-/// replay re-sends the same context — the coordinator mints a fresh dot,
-/// but the earlier attempt's ack never reached the client, so the extra
-/// sibling is pruned by the client's next contextual put).
+/// (explicit shed) are retryable, and so is a timeout. Such an answer ends
+/// an attempt but not the op: if the op's other attempt (attempt 0 or its
+/// hedge) is still out, its answer decides; else the driver retries on the
+/// next replica. A write's timestamp is pinned at attempt 0, so a retried
+/// or hedged LWW write is an idempotent replay. A causal put re-sends the
+/// same context, but the coordinator mints a fresh dot: a retry after a
+/// lost ack leaves an extra sibling until the client's next contextual put
+/// prunes it. Causal puts are therefore never hedged, since a hedge would
+/// mint that second dot on every slow attempt, not only on a lost ack.
 bool retryable(StatusCode code) {
   return code == StatusCode::kUnavailable || code == StatusCode::kFailure ||
          code == StatusCode::kOverloaded;
@@ -94,133 +107,233 @@ bool retryable(StatusCode code) {
 
 }  // namespace
 
-const SednaClient::AttemptKind SednaClient::kWriteKind{
-    kMsgClientWrite,         "client.write.attempt#",
-    "write attempts exhausted", "client.write_retries",
-    "client.write_failures", &SednaClient::writes_,
-    &SednaClient::write_latency_};
-const SednaClient::AttemptKind SednaClient::kReadKind{
-    kMsgClientRead,         "client.read.attempt#",
-    "read attempts exhausted", "client.read_retries",
-    "client.read_failures", &SednaClient::reads_,
-    &SednaClient::read_latency_};
-
-template <typename Rep, typename Req>
-void SednaClient::run_attempt(Req req, int attempt, SimTime deadline,
-                              ReplyCallback<Rep> cb) {
-  const AttemptKind& kind = kind_of(req);
-  const NodeId coordinator = coordinator_for(req.key, attempt);
+template <typename Req, typename Rep>
+void SednaClient::send_attempt(Lane<Req, Rep>& lane,
+                               typename Lane<Req, Rep>::Ref ref,
+                               int attempt) {
+  auto& op = lane.ops[ref.slot];
+  const NodeId coordinator = coordinator_for(op.req.key, attempt);
   if (coordinator == kInvalidNode) {
-    cb(Status::Unavailable("no replicas for key"));
+    finish(lane, ref, Status::Unavailable("no replicas for key"));
     return;
   }
   // The whole-op deadline may have lapsed during a backoff sleep; give up
   // here rather than launch an attempt whose answer nobody wants.
-  if (deadline != 0 && now() >= deadline) {
-    metrics_.counter(kind.failures).add(1);
-    cb(Status::Timeout("op deadline exceeded"));
+  if (op.deadline != 0 && now() >= op.deadline) {
+    lane.failures->add(1);
+    finish(lane, ref, Status::Timeout("op deadline exceeded"));
     return;
   }
+  op.attempt = attempt;
+  op.open = 1;
+  dispatch(lane, ref, coordinator, /*hedge=*/false);
+  // Only attempt 0 is hedged, and only once the lane's latency histogram
+  // is deep enough for its p99 to mean something.
+  if (attempt != 0 || !hedgeable(op.req) || config_.max_attempts < 2 ||
+      !lane.latency.resolved() ||
+      lane.latency->count() < kHedgeSampleFloor) {
+    return;
+  }
+  op.sent = now();
+  op.first = coordinator;
+  op.hedge_due = true;
+  lane.hedge_queue.push_back(ref);
+  if (!lane.hedge_timer.active()) arm_hedge(lane);
+}
+
+template <typename Req, typename Rep>
+void SednaClient::cancel_hedge(Lane<Req, Rep>& lane,
+                               typename Lane<Req, Rep>::Ref ref) {
+  lane.ops[ref.slot].hedge_due = false;
+  const auto& front = lane.hedge_queue.front();
+  if (front.slot != ref.slot || front.gen != ref.gen) return;
+  // The timer was armed for this op: re-arm it for the next due one.
+  lane.hedge_timer.cancel();
+  arm_hedge(lane);
+}
+
+template <typename Req, typename Rep>
+void SednaClient::arm_hedge(Lane<Req, Rep>& lane) {
+  auto& queue = lane.hedge_queue;
+  while (!queue.empty() && !lane.due(queue.front())) queue.pop_front();
+  if (queue.empty()) return;
+  lane.hedge_delay = static_cast<SimDuration>(
+      lane.latency->quantile(kHedgeQuantile));
+  const SimTime at = lane.ops[queue.front().slot].sent + lane.hedge_delay;
+  lane.hedge_timer = sim().schedule(at > now() ? at - now() : 0,
+                                    [this, &lane] { fire_hedges(lane); });
+}
+
+template <typename Req, typename Rep>
+void SednaClient::fire_hedges(Lane<Req, Rep>& lane) {
+  auto& queue = lane.hedge_queue;
+  while (!queue.empty()) {
+    const auto ref = queue.front();
+    if (lane.due(ref)) {
+      auto& op = lane.ops[ref.slot];
+      if (op.sent + lane.hedge_delay > now()) break;
+      op.hedge_due = false;
+      send_hedge(lane, ref);
+    }
+    queue.pop_front();
+  }
+  arm_hedge(lane);
+}
+
+template <typename Req, typename Rep>
+void SednaClient::send_hedge(Lane<Req, Rep>& lane,
+                             typename Lane<Req, Rep>::Ref ref) {
+  auto& op = lane.ops[ref.slot];
+  const NodeId coordinator = coordinator_for(op.req.key, 1);
+  if (coordinator == kInvalidNode || coordinator == op.first) return;
+  if (op.deadline != 0 && now() >= op.deadline) return;
+  // A hedge is optional load: an empty bucket just means no hedge, not a
+  // shed op.
+  if (!take_retry_token()) return;
+  hedges_->add(1);
+  op.attempt = 1;
+  ++op.open;
+  // The wait since attempt 0 went out is failover time: attempt 0's
+  // coordinator has not answered within the client's own p99.
+  tracer().end(tracer().begin(op.root, "client.hedge_wait", id(), op.sent,
+                              TraceStage::kRetry),
+               now());
+  const TraceContext prev = trace_context();
+  set_trace_context(op.root);
+  dispatch(lane, ref, coordinator, /*hedge=*/true);
+  set_trace_context(prev);
+}
+
+template <typename Req, typename Rep>
+void SednaClient::dispatch(Lane<Req, Rep>& lane,
+                           typename Lane<Req, Rep>::Ref ref,
+                           NodeId coordinator, bool hedge) {
+  auto& op = lane.ops[ref.slot];
   // Attempt span: one per coordinator tried. Siblings under the op root,
   // so a retried op reads as attempt#0 (timeout) then attempt#1 (ok).
-  const SpanId span = attempt_span(kind.span_prefix, attempt);
+  SpanId& span = op.spans[hedge ? 1 : 0];
+  span = attempt_span(lane.span_prefix, op.attempt);
   const TraceContext parent = enter_span(span);
-  // Encode before the lambda capture moves `req` (argument evaluation
-  // order is unspecified).
-  std::string payload = req.encode();
   call<Rep>(
-      coordinator, kind.type, std::move(payload), attempt_timeout(deadline),
-      [this, &kind, req = std::move(req), attempt, deadline, span, parent,
-       cb = std::move(cb)](Result<Rep> rep) mutable {
-         if (rep.ok() && !retryable(rep->status)) {
-           (this->*kind.successes)->add(1);
-           refill_retry_budget();
-           end_span(span, to_string(rep->status));
-           cb(std::move(rep));
-           return;
-         }
-         if (attempt + 1 >= config_.max_attempts) {
-           metrics_.counter(kind.failures).add(1);
-           end_span(span, "failure");
-           // The retryable status the coordinator answered, if any; the
-           // failure text is only built when the op fails on it.
-           cb(rep.ok() ? Status(rep->status)
-                       : Status::Failure(kind.exhausted));
-           return;
-         }
-         if (!spend_retry_token()) {
-           metrics_.counter(kind.failures).add(1);
-           end_span(span, "overloaded");
-           cb(Status::Overloaded("retry budget exhausted"));
-           return;
-         }
-         // Refresh routing state, wait out the jittered backoff, then
-         // retry via the next replica.
-         metrics_.counter(kind.retries).add(1);
-         end_span(span, rep.status().is(StatusCode::kTimeout) ? "timeout"
-                                                              : "retry");
-         const SimDuration backoff = retry_backoff(attempt + 1);
-         // The metadata re-sync + backoff sleep before the next attempt
-         // is real client-visible latency — span it as retry time.
-         const SpanId wait = tracer().begin(parent, "client.retry_wait", id(),
-                                            now(), TraceStage::kRetry);
-         metadata_.sync_now([this, req = std::move(req), attempt, deadline,
-                             parent, backoff, wait,
-                             cb = std::move(cb)]() mutable {
-           sim().schedule(backoff, [this, req = std::move(req), attempt,
-                                    deadline, parent, wait,
-                                    cb = std::move(cb)]() mutable {
-             tracer().end(wait, now());
-             set_trace_context(parent);
-             run_attempt<Rep>(std::move(req), attempt + 1, deadline,
-                              std::move(cb));
-           });
-         });
-       },
-      deadline);
+      coordinator, lane.type, op.req.encode(), attempt_timeout(op.deadline),
+      [this, &lane, ref, hedge](const Result<Rep>& rep) {
+        on_answer(lane, ref, hedge, rep);
+      },
+      op.deadline);
   set_trace_context(parent);
 }
 
-template <typename Rep, typename Req, typename Callback>
+template <typename Req, typename Rep>
+void SednaClient::on_answer(Lane<Req, Rep>& lane,
+                            typename Lane<Req, Rep>::Ref ref, bool hedge,
+                            const Result<Rep>& rep) {
+  // The op already completed on its other attempt: drop this answer.
+  if (!lane.ops.live(ref)) return;
+  auto& op = lane.ops[ref.slot];
+  if (op.hedge_due) cancel_hedge(lane, ref);
+  --op.open;
+  const SpanId span = std::exchange(op.spans[hedge ? 1 : 0], 0);
+  if (rep.ok() && !retryable(rep->status)) {
+    lane.successes->add(1);
+    refill_retry_budget();
+    end_span(span, to_string(rep->status));
+    end_span(op.spans[hedge ? 0 : 1], "hedged");  // the loser, if open
+    if (hedge) hedge_wins_->add(1);
+    finish(lane, ref, rep);
+    return;
+  }
+  const char* why =
+      rep.status().is(StatusCode::kTimeout) ? "timeout" : "retry";
+  if (op.open > 0) {
+    // The other attempt is still out; its answer decides.
+    end_span(span, why);
+    return;
+  }
+  if (op.attempt + 1 >= config_.max_attempts) {
+    lane.failures->add(1);
+    end_span(span, "failure");
+    // The retryable status the coordinator answered, if any; the failure
+    // text is only built when the op fails on it.
+    finish(lane, ref,
+           rep.ok() ? Result<Rep>(Status(rep->status))
+                    : Result<Rep>(Status::Failure(lane.exhausted)));
+    return;
+  }
+  if (!spend_retry_token()) {
+    lane.failures->add(1);
+    end_span(span, "overloaded");
+    finish(lane, ref, Status::Overloaded("retry budget exhausted"));
+    return;
+  }
+  // Refresh routing state, wait out the jittered backoff, then retry via
+  // the next replica.
+  lane.retries->add(1);
+  end_span(span, why);
+  const SimDuration backoff = retry_backoff(op.attempt + 1);
+  // The metadata re-sync + backoff sleep before the next attempt is real
+  // client-visible latency — span it as retry time.
+  const SpanId wait = tracer().begin(op.root, "client.retry_wait", id(),
+                                     now(), TraceStage::kRetry);
+  metadata_.sync_now([this, &lane, ref, backoff, wait] {
+    sim().schedule(backoff, [this, &lane, ref, wait] {
+      tracer().end(wait, now());
+      if (!lane.ops.live(ref)) return;
+      auto& waiting = lane.ops[ref.slot];
+      set_trace_context(waiting.root);
+      send_attempt(lane, ref, waiting.attempt + 1);
+    });
+  });
+}
+
+template <typename Req, typename Rep>
+void SednaClient::finish(Lane<Req, Rep>& lane,
+                         typename Lane<Req, Rep>::Ref ref,
+                         const std::type_identity_t<Result<Rep>>& rep) {
+  auto op = lane.ops.release(ref.slot);
+  lane.latency->record(now() - op.started, op.root.trace_id);
+  end_span(op.root.span_id,
+           to_string(rep.ok() ? rep->status : rep.status().code()));
+  op.cb(rep);
+}
+
+template <typename Req, typename Callback>
 void SednaClient::submit(Req req, const char* op, Callback cb) {
-  const TraceContext root = begin_trace(op, TraceStage::kService);
-  const SimTime started = now();
-  const auto latency = kind_of(req).latency;
-  run_attempt<Rep>(
-      std::move(req), 0, op_deadline(),
-      [this, root, started, latency,
-       cb = std::move(cb)](const Result<Rep>& rep) {
-        (this->*latency)->record(now() - started, root.trace_id);
-        end_span(root.span_id,
-                 to_string(rep.ok() ? rep->status : rep.status().code()));
-        cb(rep);
-      });
+  auto& lane = lane_of(req);
+  const auto ref = lane.ops.acquire();
+  auto& state = lane.ops[ref.slot];
+  state.req = std::move(req);
+  static_assert(decltype(state.cb)::template stores_inline<Callback>(),
+                "an op's callback must not allocate");
+  state.cb = std::move(cb);
+  state.root = begin_trace(op, TraceStage::kService);
+  state.started = now();
+  state.deadline = op_deadline();
+  send_attempt(lane, ref, 0);
 }
 
 void SednaClient::submit_write(WriteRequest req, const char* op,
                                WriteCallback cb) {
-  submit<WriteReply>(std::move(req), op,
-                     [cb = std::move(cb)](const Result<WriteReply>& rep) {
-                       cb(rep.ok() ? Status(rep->status) : rep.status());
-                     });
+  submit(std::move(req), op,
+         [cb = std::move(cb)](const Result<WriteReply>& rep) {
+           cb(rep.ok() ? Status(rep->status) : rep.status());
+         });
 }
 
 template <typename Callback>
 void SednaClient::submit_read(ReadRequest req, const char* op, Callback cb) {
-  submit<ReadReply>(
+  submit(
       std::move(req), op,
       [this, cb = std::move(cb)](const Result<ReadReply>& rep) {
         if (rep.ok() && rep->stale) {
-          metrics_.counter("client.stale_reads").add(1);
+          stale_reads_->add(1);
           // The coordinator's staleness bound rides the reply when auditing
           // is on; a stale read *without* one is exactly the
           // unlabeled-staleness hole the auditor exists to close, so count
           // the two cases apart.
           if (rep->staleness_us > 0) {
-            metrics_.histogram("client.staleness_bound_us")
-                .record(rep->staleness_us);
+            staleness_bound_->record(rep->staleness_us);
           } else {
-            metrics_.counter("client.stale_unbounded").add(1);
+            stale_unbounded_->add(1);
           }
         }
         cb(rep);
@@ -244,7 +357,7 @@ void SednaClient::put_causal(const std::string& key, const std::string& value,
   WriteRequest req = make_write(WriteMode::kLatest, key, value);
   req.causal_tag = WriteRequest::kCausalCtx;
   req.ctx = ctx;
-  submit<WriteReply>(
+  submit(
       std::move(req), "client.put_causal",
       [cb = std::move(cb)](const Result<WriteReply>& rep) {
         if (!rep.ok()) {
@@ -278,7 +391,7 @@ void SednaClient::get_causal(const std::string& key, GetCausalCallback cb) {
         out.ctx = rep->causal.clock;
         out.stale = rep->stale;
         if (out.siblings.size() > 1) {
-          metrics_.counter("client.sibling_reads").add(1);
+          sibling_reads_->add(1);
         }
         cb(out);
       });
@@ -287,7 +400,7 @@ void SednaClient::get_causal(const std::string& key, GetCausalCallback cb) {
 store::Sibling SednaClient::resolve(const CausalRead& read) {
   if (read.siblings.empty()) return {};
   if (read.siblings.size() > 1) {
-    metrics_.counter("client.conflicts_resolved").add(1);
+    conflicts_resolved_->add(1);
   }
   store::CausalRecord rec;
   rec.siblings = read.siblings;

@@ -13,20 +13,42 @@
 //   read_all(k)         → the full per-source value list
 //
 // Every call, causal ones included, runs through one attempt driver
-// (run_attempt): the same coordinator choice, deadline check, retryable-
-// status test, retry budget, metadata re-sync and backoff for reads and
-// writes. A read differs only in its message type and counter names, and
-// in the stale-read accounting its caller adds on top.
+// (send_attempt / on_answer): the same coordinator choice, deadline check,
+// retryable-status test, retry budget, metadata re-sync and backoff for
+// reads and writes. A read differs only in its message type and counter
+// names, and in the stale-read accounting its caller adds on top. Each
+// open op lives in one slot of its kind's table; RPC callbacks and timers
+// capture only the slot reference.
+//
+// Hedged attempts. A dead coordinator stays in the vnode table until
+// recovery's CAS reaches the client's lease sync, so attempt 0 would wait
+// out the whole op_timeout_us against it before retrying. Instead, an
+// attempt 0 still unanswered after the client's own p99 latency for that
+// op kind (kHedgeQuantile, trusted once kHedgeSampleFloor samples are in)
+// is *hedged*: the same request, its timestamp still pinned, goes to the
+// key's next replica, and the first answer that is not retryable
+// completes the op (Dean & Barroso, "The Tail at Scale"). A hedge spends
+// one retry-budget token and is not sent when the bucket is empty. Reads
+// and LWW writes (write_latest, write_latest_ttl, write_all) hedge; an LWW
+// replay with the same timestamp and value is an idempotent kOk at every
+// replica. Causal puts do not: the coordinator that serves an attempt
+// mints the dot, so two served attempts would leave two siblings for one
+// client write. Retries after a failed attempt are unchanged.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cluster/metadata.h"
 #include "cluster/protocol.h"
+#include "common/inline_function.h"
 #include "common/metrics.h"
+#include "common/ring_queue.h"
+#include "common/slot_table.h"
 #include "sim/host.h"
 #include "store/item.h"
 #include "zk/zk_client.h"
@@ -81,8 +103,14 @@ class SednaClient : public sim::Host {
   /// Cap on the exponential retry backoff, and its ± fractional jitter.
   static constexpr SimDuration kRetryBackoffMaxUs = 100 * 1000;
   static constexpr double kRetryBackoffJitter = 0.25;
+  /// An attempt 0 is hedged once it has gone this quantile of the client's
+  /// own latency for its op kind without an answer ...
+  static constexpr double kHedgeQuantile = 0.99;
+  /// ... and only once that latency histogram holds this many samples.
+  static constexpr std::uint64_t kHedgeSampleFloor = 100;
 
   SednaClient(sim::Network& net, NodeId id, SednaClientConfig config);
+  ~SednaClient() override;
 
   /// Connects the session and loads the vnode table.
   void start(ReadyCallback on_ready);
@@ -168,39 +196,122 @@ class SednaClient : public sim::Host {
   }
 
  private:
+  /// An op's final-answer callback: move-only, and stored inline, so an
+  /// op's wrapped user callback costs no allocation.
   template <typename Rep>
-  using ReplyCallback = std::function<void(const Result<Rep>&)>;
+  using ReplyCallback = InlineFunction<void(const Result<Rep>&)>;
 
-  /// What a read attempt and a write attempt differ in. Counter names are
-  /// looked up on first use, so an op that never retries or fails adds no
-  /// zero-valued row to the metric dumps.
-  struct AttemptKind {
+  /// One client op from submit to its final answer.
+  template <typename Req, typename Rep>
+  struct Op {
+    Req req;
+    ReplyCallback<Rep> cb;
+    TraceContext root;  // the op's root span; parent of its attempt spans
+    SimTime started = 0;
+    SimTime deadline = 0;  // absolute op deadline, 0 = none
+    SimTime sent = 0;      // when attempt 0 went out: the hedge clock
+    NodeId first = kInvalidNode;  // attempt 0's coordinator
+    /// Open attempt spans: [0] the current attempt, [1] its hedge.
+    std::array<SpanId, 2> spans{};
+    int attempt = 0;        // highest attempt number sent
+    std::uint8_t open = 0;  // attempts still awaiting an answer
+    /// Queued for a hedge: attempt 0 is out, unanswered and unhedged.
+    bool hedge_due = false;
+  };
+
+  /// Everything one op kind (reads or writes) keeps: what its attempts
+  /// differ in, its metrics (resolved on first use, so an op that never
+  /// retries or fails adds no zero-valued row to the dumps), its open ops
+  /// and its hedge queue.
+  template <typename Req, typename Rep>
+  struct Lane {
+    using Ref = typename SlotTable<Op<Req, Rep>>::Ref;
+    Lane(MetricRegistry& metrics, sim::MessageType type,
+         const char* span_prefix, const char* exhausted,
+         const char* successes, const char* retries, const char* failures,
+         const char* latency)
+        : type(type),
+          span_prefix(span_prefix),
+          exhausted(exhausted),
+          successes(metrics, successes),
+          retries(metrics, retries),
+          failures(metrics, failures),
+          latency(metrics, latency) {}
     sim::MessageType type;
     const char* span_prefix;  // + attempt number
     const char* exhausted;    // status text when every attempt failed
-    const char* retries;
-    const char* failures;
-    MetricHandle<Counter> SednaClient::*successes;
-    MetricHandle<Histogram> SednaClient::*latency;
-  };
-  static const AttemptKind kWriteKind;
-  static const AttemptKind kReadKind;
-  static const AttemptKind& kind_of(const WriteRequest&) { return kWriteKind; }
-  static const AttemptKind& kind_of(const ReadRequest&) { return kReadKind; }
+    MetricHandle<Counter> successes;
+    MetricHandle<Counter> retries;
+    MetricHandle<Counter> failures;
+    MetricHandle<Histogram> latency;
+    SlotTable<Op<Req, Rep>> ops;
+    /// Ops whose attempt 0 may still be hedged, in send order. Entries
+    /// whose op has since been answered are dropped when they reach the
+    /// front.
+    RingQueue<Ref> hedge_queue;
+    /// Armed for the front entry while the queue holds a due one, with
+    /// the delay it was armed with.
+    sim::TimerHandle hedge_timer;
+    SimDuration hedge_delay = 0;
 
-  /// The one attempt driver for reads and writes: picks attempt k's
-  /// coordinator, gives up once the op deadline has passed, opens the
-  /// attempt span, and on a retryable answer (or a timeout) spends a retry
-  /// token, re-syncs the metadata, backs off and tries the next replica.
-  template <typename Rep, typename Req>
-  void run_attempt(Req req, int attempt, SimTime deadline,
-                   ReplyCallback<Rep> cb);
-  /// One public op: opens its root span, runs the driver from attempt 0
-  /// under the op deadline, then records the op latency and closes the
-  /// span with the final status code. `cb` takes a `const Result<Rep>&`;
-  /// it is held by value, so an op builds one std::function, not one per
-  /// wrapper layer.
-  template <typename Rep, typename Req, typename Callback>
+    /// Whether a queue entry's op is still waiting for its hedge.
+    bool due(Ref ref) { return ops.live(ref) && ops[ref.slot].hedge_due; }
+  };
+  using ReadLane = Lane<ReadRequest, ReadReply>;
+  using WriteLane = Lane<WriteRequest, WriteReply>;
+  ReadLane& lane_of(const ReadRequest&) { return reads_; }
+  WriteLane& lane_of(const WriteRequest&) { return writes_; }
+
+  /// Sends attempt `attempt` of the op in `ref`: picks the coordinator,
+  /// gives up once the op deadline has passed, opens the attempt span and
+  /// queues attempt 0 for a hedge when the op may be hedged.
+  template <typename Req, typename Rep>
+  void send_attempt(Lane<Req, Rep>& lane, typename Lane<Req, Rep>::Ref ref,
+                    int attempt);
+  /// Opens the span of the op's latest attempt under the current context
+  /// and sends its request to `coordinator`; `hedge` marks attempt 0's
+  /// hedge, which keeps its own span and answer slot.
+  template <typename Req, typename Rep>
+  void dispatch(Lane<Req, Rep>& lane, typename Lane<Req, Rep>::Ref ref,
+                NodeId coordinator, bool hedge);
+  /// An attempt's answer (`hedge`: from the hedge). The first answer that
+  /// is not retryable completes the op; a retryable one waits for the
+  /// other attempt if one is still out, else spends a retry token,
+  /// re-syncs the metadata, backs off and tries the next replica.
+  template <typename Req, typename Rep>
+  void on_answer(Lane<Req, Rep>& lane, typename Lane<Req, Rep>::Ref ref,
+                 bool hedge, const Result<Rep>& rep);
+  /// Ends the op: records its latency, closes its root span with the final
+  /// status code, frees its slot, then runs its callback.
+  template <typename Req, typename Rep>
+  void finish(Lane<Req, Rep>& lane, typename Lane<Req, Rep>::Ref ref,
+              const std::type_identity_t<Result<Rep>>& rep);
+
+  /// Whether an op of this request may be hedged: every read, and every
+  /// write but a causal put.
+  static bool hedgeable(const ReadRequest&) { return true; }
+  static bool hedgeable(const WriteRequest& req) {
+    return req.causal_tag == WriteRequest::kCausalNone;
+  }
+  /// Takes the op in `ref` off the hedge queue once attempt 0 answered.
+  template <typename Req, typename Rep>
+  void cancel_hedge(Lane<Req, Rep>& lane, typename Lane<Req, Rep>::Ref ref);
+  /// Drops answered entries off the queue's front and arms the timer for
+  /// the first due one, with the lane's current p99 as the delay.
+  template <typename Req, typename Rep>
+  void arm_hedge(Lane<Req, Rep>& lane);
+  /// The timer: hedges every queued op that has waited out the delay.
+  template <typename Req, typename Rep>
+  void fire_hedges(Lane<Req, Rep>& lane);
+  /// Sends the hedge of the op in `ref` to its key's next replica, unless
+  /// that is attempt 0's coordinator again (a one-replica key), the op
+  /// deadline has passed or the budget is empty.
+  template <typename Req, typename Rep>
+  void send_hedge(Lane<Req, Rep>& lane, typename Lane<Req, Rep>::Ref ref);
+
+  /// One public op: opens its root span and runs the driver from attempt
+  /// 0 under the op deadline. `cb` takes a `const Result<Rep>&`.
+  template <typename Req, typename Callback>
   void submit(Req req, const char* op, Callback cb);
   /// submit for writes whose caller wants only the status.
   void submit_write(WriteRequest req, const char* op, WriteCallback cb);
@@ -221,6 +332,8 @@ class SednaClient : public sim::Host {
     if (deadline == 0 || deadline <= now()) return config_.op_timeout_us;
     return std::min<SimDuration>(config_.op_timeout_us, deadline - now());
   }
+  /// Takes one token; false = bucket empty. Counts nothing.
+  [[nodiscard]] bool take_retry_token();
   /// Charges one token for a retry; false = bucket empty, fail fast.
   [[nodiscard]] bool spend_retry_token();
   void refill_retry_budget();
@@ -241,11 +354,34 @@ class SednaClient : public sim::Host {
   zk::ZkClient zk_;
   MetadataCache metadata_;
   MetricRegistry metrics_;
-  // Per-op metrics, resolved once.
-  MetricHandle<Counter> writes_{metrics_, "client.writes"};
-  MetricHandle<Counter> reads_{metrics_, "client.reads"};
-  MetricHandle<Histogram> write_latency_{metrics_, "client.write_latency_us"};
-  MetricHandle<Histogram> read_latency_{metrics_, "client.read_latency_us"};
+  ReadLane reads_{metrics_,
+                  kMsgClientRead,
+                  "client.read.attempt#",
+                  "read attempts exhausted",
+                  "client.reads",
+                  "client.read_retries",
+                  "client.read_failures",
+                  "client.read_latency_us"};
+  WriteLane writes_{metrics_,
+                    kMsgClientWrite,
+                    "client.write.attempt#",
+                    "write attempts exhausted",
+                    "client.writes",
+                    "client.write_retries",
+                    "client.write_failures",
+                    "client.write_latency_us"};
+  // Client metrics outside the lanes, resolved on first use.
+  MetricHandle<Counter> hedges_{metrics_, "client.hedges"};
+  MetricHandle<Counter> hedge_wins_{metrics_, "client.hedge_wins"};
+  MetricHandle<Counter> budget_sheds_{metrics_, "node.shed.retry_budget"};
+  MetricHandle<Histogram> retry_backoff_{metrics_, "client.retry_backoff_us"};
+  MetricHandle<Counter> stale_reads_{metrics_, "client.stale_reads"};
+  MetricHandle<Histogram> staleness_bound_{metrics_,
+                                           "client.staleness_bound_us"};
+  MetricHandle<Counter> stale_unbounded_{metrics_, "client.stale_unbounded"};
+  MetricHandle<Counter> sibling_reads_{metrics_, "client.sibling_reads"};
+  MetricHandle<Counter> conflicts_resolved_{metrics_,
+                                            "client.conflicts_resolved"};
   bool ready_ = false;
   /// Retry-budget token bucket; starts full so a cold client can still
   /// ride out an unlucky first op.

@@ -172,6 +172,9 @@ class MetricHandle {
       : registry_(&registry), name_(name) {}
 
   Metric* operator->() { return &get(); }
+  /// Whether the metric has been looked up (so exists in the registry).
+  /// An unresolved handle's metric has recorded nothing through it.
+  [[nodiscard]] bool resolved() const { return metric_ != nullptr; }
 
  private:
   Metric& get() {

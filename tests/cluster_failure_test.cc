@@ -1,10 +1,16 @@
 // Failure-injection tests beyond the basic crash cases: lossy networks,
 // partitions, coordinator failures, the client's attempt driver (retry,
-// deadline and retry-budget exits), restarts, stale routing state, and
-// double faults leaving the cluster degraded but available.
+// deadline and retry-budget exits, hedged attempts), restarts, stale
+// routing state, and double faults leaving the cluster degraded but
+// available.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <optional>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "cluster/protocol.h"
 #include "cluster/sedna_cluster.h"
@@ -126,7 +132,21 @@ class AttemptDriver : public ::testing::TestWithParam<const char*> {
     const auto it = counters.find(name);
     return it == counters.end() ? 0 : it->second.value();
   }
+  /// Runs enough ops of this kind for the client's latency histogram to
+  /// pass the hedge sample floor. Reads of absent keys count too.
+  void warm(SednaCluster& cluster, SednaClient& client) const {
+    for (std::uint64_t i = 0; i < SednaClient::kHedgeSampleFloor; ++i) {
+      (void)run_op(cluster, client, "warm-" + std::to_string(i));
+    }
+  }
 };
+
+std::uint64_t hedges(SednaClient& client) {
+  return client.metrics().counter_value("client.hedges");
+}
+std::uint64_t hedge_wins(SednaClient& client) {
+  return client.metrics().counter_value("client.hedge_wins");
+}
 
 std::size_t index_of(SednaCluster& cluster, NodeId id) {
   for (std::size_t i = 0; i < cluster.data_node_count(); ++i) {
@@ -227,11 +247,230 @@ TEST_P(AttemptDriver, EmptyRetryBudgetFailsFastWithOverloaded) {
   EXPECT_EQ(client.metrics().counter("node.shed.retry_budget").value(), 1u);
 }
 
+TEST_P(AttemptDriver, WarmClientHedgesPastADeadFirstCoordinator) {
+  SednaCluster cluster(base_config());
+  ASSERT_TRUE(cluster.boot().ok());
+  auto& client = cluster.make_client();
+  const std::string key = "driver-hedge";
+  ASSERT_TRUE(cluster.write_latest(client, key, "v").ok());
+  warm(cluster, client);
+  const auto replicas = client.metadata().table().replicas_for_key(key);
+  cluster.crash_node(index_of(cluster, replicas[0]));
+  const std::uint64_t retries = client_counter(client, "retries");
+  const std::uint64_t sent = hedges(client);
+  const std::uint64_t won = hedge_wins(client);
+
+  // Without the hedge this op would wait out the 250 ms attempt timeout.
+  const SimTime started = cluster.sim().now();
+  EXPECT_TRUE(run_op(cluster, client, key).ok());
+  EXPECT_LT(cluster.sim().now() - started, sim_ms(10));
+  EXPECT_EQ(client_counter(client, "retries"), retries);
+  EXPECT_EQ(hedges(client), sent + 1);
+  EXPECT_EQ(hedge_wins(client), won + 1);
+}
+
+TEST_P(AttemptDriver, EmptyRetryBudgetSendsNoHedge) {
+  SednaClusterConfig cfg = base_config();
+  cfg.client_template.retry_budget_capacity = 0.5;  // under one token
+  cfg.client_template.retry_budget_refill = 0.0;
+  SednaCluster cluster(cfg);
+  ASSERT_TRUE(cluster.boot().ok());
+  auto& client = cluster.make_client();
+  const std::string key = "driver-hedge-budget";
+  ASSERT_TRUE(cluster.write_latest(client, key, "v").ok());
+  warm(cluster, client);
+  const auto replicas = client.metadata().table().replicas_for_key(key);
+  cluster.crash_node(index_of(cluster, replicas[0]));
+
+  // No token for a hedge, so attempt 0 times out; then no token for the
+  // retry either. Only the refused retry counts as a budget shed.
+  EXPECT_EQ(run_op(cluster, client, key).code(), StatusCode::kOverloaded);
+  EXPECT_EQ(hedges(client), 0u);
+  EXPECT_EQ(client_counter(client, "retries"), 0u);
+  EXPECT_EQ(client.metrics().counter_value("node.shed.retry_budget"), 1u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Ops, AttemptDriver,
                          ::testing::Values("read", "write"),
                          [](const ::testing::TestParamInfo<const char*>& info) {
                            return std::string(info.param);
                          });
+
+/// Write-only driver cases: the causal exclusion and a hedged LWW write
+/// that both coordinators applied.
+class HedgedWrite : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(cluster_.boot().ok());
+    client_ = &cluster_.make_client();
+    for (std::uint64_t i = 0; i < SednaClient::kHedgeSampleFloor; ++i) {
+      ASSERT_TRUE(
+          cluster_.write_latest(*client_, "warm-" + std::to_string(i), "v")
+              .ok());
+    }
+  }
+  std::size_t primary_index(const std::string& key) {
+    return index_of(cluster_,
+                    client_->metadata().table().replicas_for_key(key)[0]);
+  }
+
+  SednaCluster cluster_{base_config()};
+  SednaClient* client_ = nullptr;
+};
+
+TEST_F(HedgedWrite, CausalPutOnADeadPrimaryIsNeverHedged) {
+  const std::string key = "causal-dead";
+  cluster_.crash_node(primary_index(key));
+
+  std::optional<Status> done;
+  client_->put_causal(key, "v", {},
+                      [&](const Status& st, const store::VersionVector&) {
+                        done = st;
+                      });
+  ASSERT_TRUE(cluster_.run_until([&] { return done.has_value(); }));
+  EXPECT_TRUE(done->ok()) << done->to_string();
+  // Attempt 0 waited out its timeout and the retry served the put.
+  EXPECT_EQ(hedges(*client_), 0u);
+  EXPECT_EQ(client_->metrics().counter_value("client.write_retries"), 1u);
+}
+
+TEST_F(HedgedWrite, BothCoordinatorsApplyingLeavesOneVersion) {
+  const std::string key = "hedged-twice";
+  const auto replicas = client_->metadata().table().replicas_for_key(key);
+  SednaNode& primary = cluster_.node(primary_index(key));
+  SednaNode& second = cluster_.node(index_of(cluster_, replicas[1]));
+  const std::uint64_t primary_writes =
+      primary.metrics().counter_value("coordinator.writes");
+  const std::uint64_t second_writes =
+      second.metrics().counter_value("coordinator.writes");
+
+  std::optional<Status> done;
+  client_->write_latest(key, "v2", [&](const Status& st) { done = st; });
+  // The primary takes the write and coordinates it; its ack to the client
+  // is then lost, so attempt 0 goes unanswered and the hedge re-sends the
+  // same write to the next replica.
+  ASSERT_TRUE(cluster_.run_until([&] {
+    return primary.metrics().counter_value("coordinator.writes") >
+           primary_writes;
+  }));
+  cluster_.network().partition(client_->id(), primary.id());
+  ASSERT_TRUE(cluster_.run_until([&] { return done.has_value(); }));
+  EXPECT_EQ(done->code(), StatusCode::kOk) << done->to_string();
+  EXPECT_EQ(hedges(*client_), 1u);
+  EXPECT_EQ(hedge_wins(*client_), 1u);
+  EXPECT_EQ(second.metrics().counter_value("coordinator.writes"),
+            second_writes + 1);
+  cluster_.network().heal_all();
+  cluster_.run_for(sim_ms(300));  // attempt 0's timeout passes unheard
+
+  // Every replica holds the one version: same value, same timestamp.
+  std::optional<Timestamp> ts;
+  for (NodeId id : replicas) {
+    const auto got =
+        cluster_.node(index_of(cluster_, id)).local_store().read_latest(key);
+    ASSERT_TRUE(got.ok()) << "replica " << id;
+    EXPECT_EQ(got->value, "v2");
+    if (!ts) ts = got->ts;
+    EXPECT_EQ(got->ts, *ts) << "replica " << id;
+  }
+  EXPECT_EQ(client_->metrics().counter_value("client.write_retries"), 0u);
+}
+
+// ---- seeded invariant: hedged failover loses no acked write -----------------
+
+/// Warm clients stream concurrent LWW writes and reads, the primary of a
+/// hot key range crashes mid-stream, and the cluster settles. Each key has
+/// one writer issuing one op at a time, so its acked writes are ordered;
+/// values carry the writer's sequence number. After quiesce, every acked
+/// key must read back at or past its last acked write.
+class HedgedFailover : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(HedgedFailover, AckedWritesSurviveAPrimaryCrash) {
+  SednaClusterConfig cfg = base_config();
+  cfg.seed = GetParam();
+  SednaCluster cluster(cfg);
+  ASSERT_TRUE(cluster.boot().ok());
+  constexpr int kClients = 3;
+  constexpr int kWorkers = 4;  // concurrent ops per client
+  constexpr int kKeysPerWorker = 4;
+  std::vector<SednaClient*> clients;
+  for (int c = 0; c < kClients; ++c) clients.push_back(&cluster.make_client());
+  std::mt19937_64 rng(GetParam());
+
+  // Half of every worker's keys have the doomed node as their primary.
+  const NodeId doomed = cluster.node(1).id();
+  auto primary_of = [&](const std::string& key) {
+    return clients[0]->metadata().table().replicas_for_key(key)[0];
+  };
+  std::vector<std::vector<std::string>> keys(kClients * kWorkers);
+  int hot = 0, cold = 0;
+  for (int i = 0; hot + cold < kClients * kWorkers * kKeysPerWorker; ++i) {
+    const std::string key = "inv-" + std::to_string(i);
+    const bool is_hot = primary_of(key) == doomed;
+    int& n = is_hot ? hot : cold;
+    if (n >= kClients * kWorkers * kKeysPerWorker / 2) continue;
+    keys[static_cast<std::size_t>(n % (kClients * kWorkers))].push_back(key);
+    ++n;
+  }
+
+  // Past the sample floor of both op kinds, on unrelated keys.
+  for (SednaClient* client : clients) {
+    for (std::uint64_t i = 0; i < SednaClient::kHedgeSampleFloor; ++i) {
+      const std::string key = "warm-" + std::to_string(i);
+      ASSERT_TRUE(cluster.write_latest(*client, key, "v").ok());
+      ASSERT_TRUE(cluster.read_latest(*client, key).ok());
+    }
+  }
+
+  std::map<std::string, std::uint64_t> acked;  // key -> last acked seq
+  std::map<std::string, std::uint64_t> issued;
+  bool streaming = true;
+  int in_flight = 0;
+  std::function<void(int)> next_op = [&](int worker) {
+    if (!streaming) return;
+    SednaClient& client = *clients[static_cast<std::size_t>(worker / kWorkers)];
+    const auto& mine = keys[static_cast<std::size_t>(worker)];
+    const std::string& key = mine[rng() % mine.size()];
+    ++in_flight;
+    if (rng() % 2 == 0) {
+      client.read_latest(key, [&, worker](const auto&) {
+        --in_flight;
+        next_op(worker);
+      });
+      return;
+    }
+    const std::uint64_t seq = ++issued[key];
+    client.write_latest(key, std::to_string(seq),
+                        [&, worker, key, seq](const Status& st) {
+                          if (st.ok()) acked[key] = seq;
+                          --in_flight;
+                          next_op(worker);
+                        });
+  };
+  for (int w = 0; w < kClients * kWorkers; ++w) next_op(w);
+  cluster.run_for(sim_ms(300));
+  cluster.crash_node(1);
+  cluster.run_for(sim_ms(2000));
+  streaming = false;
+  ASSERT_TRUE(cluster.run_until([&] { return in_flight == 0; }));
+  cluster.run_for(sim_sec(5));
+
+  std::uint64_t wins = 0;
+  for (SednaClient* client : clients) wins += hedge_wins(*client);
+  EXPECT_GT(wins, 0u) << "the crash never exercised a hedge";
+  ASSERT_FALSE(acked.empty());
+  for (const auto& [key, seq] : acked) {
+    const auto got = cluster.read_latest(*clients[0], key);
+    ASSERT_TRUE(got.ok()) << key << ": " << got.status().to_string();
+    EXPECT_GE(std::stoull(got->value), seq) << key << " read back older";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, HedgedFailover, ::testing::Values(1, 2, 3, 4, 5),
+    [](const ::testing::TestParamInfo<std::uint64_t>& info) {
+      return "seed" + std::to_string(info.param);
+    });
 
 TEST(Restart, NodeRejoinsAndServesAgain) {
   SednaCluster cluster(base_config());
