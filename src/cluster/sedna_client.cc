@@ -125,13 +125,13 @@ void SednaClient::send_attempt(Lane<Req, Rep>& lane,
     return;
   }
   op.attempt = attempt;
+  op.retried = attempt > 0;
   op.open = 1;
   dispatch(lane, ref, coordinator, /*hedge=*/false);
-  // Only attempt 0 is hedged, and only once the lane's latency histogram
-  // is deep enough for its p99 to mean something.
+  // Only attempt 0 is hedged, and only once the lane's recent window is
+  // deep enough for its p99 to mean something.
   if (attempt != 0 || !hedgeable(op.req) || config_.max_attempts < 2 ||
-      !lane.latency.resolved() ||
-      lane.latency->count() < kHedgeSampleFloor) {
+      lane.recent.count() < kHedgeSampleFloor) {
     return;
   }
   op.sent = now();
@@ -157,8 +157,8 @@ void SednaClient::arm_hedge(Lane<Req, Rep>& lane) {
   auto& queue = lane.hedge_queue;
   while (!queue.empty() && !lane.due(queue.front())) queue.pop_front();
   if (queue.empty()) return;
-  lane.hedge_delay = static_cast<SimDuration>(
-      lane.latency->quantile(kHedgeQuantile));
+  lane.hedge_delay =
+      static_cast<SimDuration>(lane.recent.quantile(kHedgeQuantile));
   const SimTime at = lane.ops[queue.front().slot].sent + lane.hedge_delay;
   lane.hedge_timer = sim().schedule(at > now() ? at - now() : 0,
                                     [this, &lane] { fire_hedges(lane); });
@@ -194,7 +194,7 @@ void SednaClient::send_hedge(Lane<Req, Rep>& lane,
   op.attempt = 1;
   ++op.open;
   // The wait since attempt 0 went out is failover time: attempt 0's
-  // coordinator has not answered within the client's own p99.
+  // coordinator has not answered within the client's recent p99.
   tracer().end(tracer().begin(op.root, "client.hedge_wait", id(), op.sent,
                               TraceStage::kRetry),
                now());
@@ -238,7 +238,15 @@ void SednaClient::on_answer(Lane<Req, Rep>& lane,
     refill_retry_budget();
     end_span(span, to_string(rep->status));
     end_span(op.spans[hedge ? 0 : 1], "hedged");  // the loser, if open
-    if (hedge) hedge_wins_->add(1);
+    if (hedge) {
+      hedge_wins_->add(1);
+    } else if (!op.retried) {
+      // Attempt 0's own answer: the only latency the hedge delay learns
+      // from. A hedge win or a retry says how long a dead or slow
+      // coordinator took to route around, not how long a healthy one
+      // takes, and would push the delay up exactly when it must stay low.
+      lane.recent.record(now() - op.started, now());
+    }
     finish(lane, ref, rep);
     return;
   }

@@ -23,17 +23,28 @@
 // Hedged attempts. A dead coordinator stays in the vnode table until
 // recovery's CAS reaches the client's lease sync, so attempt 0 would wait
 // out the whole op_timeout_us against it before retrying. Instead, an
-// attempt 0 still unanswered after the client's own p99 latency for that
-// op kind (kHedgeQuantile, trusted once kHedgeSampleFloor samples are in)
-// is *hedged*: the same request, its timestamp still pinned, goes to the
-// key's next replica, and the first answer that is not retryable
-// completes the op (Dean & Barroso, "The Tail at Scale"). A hedge spends
-// one retry-budget token and is not sent when the bucket is empty. Reads
-// and LWW writes (write_latest, write_latest_ttl, write_all) hedge; an LWW
-// replay with the same timestamp and value is an idempotent kOk at every
-// replica. Causal puts do not: the coordinator that serves an attempt
-// mints the dot, so two served attempts would leave two siblings for one
-// client write. Retries after a failed attempt are unchanged.
+// attempt 0 still unanswered after the client's recent p99 latency for
+// that op kind (kHedgeQuantile) is *hedged*: the same request, its
+// timestamp still pinned, goes to the key's next replica, and the first
+// answer that is not retryable completes the op (Dean & Barroso, "The
+// Tail at Scale"). A hedge spends one retry-budget token and is not sent
+// when the bucket is empty.
+//
+// The delay comes from each lane's LatencyWindow, not from the lifetime
+// client.{read,write}_latency_us histograms. Its samples are the ops that
+// ended on attempt 0's own answer, hedged or not; hedge wins and retried
+// ops are left out, so time spent routing around a dead coordinator never
+// raises the delay that routes around it. A window half retires once it
+// spans kHedgeWindow and holds kHedgeSampleFloor samples: a busy client
+// forgets an old regime (a preload burst, say) within a second or two, an
+// idle one keeps its last window, and one with fewer than
+// kHedgeSampleFloor samples does not hedge.
+//
+// Reads and LWW writes (write_latest, write_latest_ttl, write_all) hedge;
+// an LWW replay with the same timestamp and value is an idempotent kOk at
+// every replica. Causal puts do not: the coordinator that serves an
+// attempt mints the dot, so two served attempts would leave two siblings
+// for one client write. Retries after a failed attempt are unchanged.
 #pragma once
 
 #include <algorithm>
@@ -104,10 +115,12 @@ class SednaClient : public sim::Host {
   static constexpr SimDuration kRetryBackoffMaxUs = 100 * 1000;
   static constexpr double kRetryBackoffJitter = 0.25;
   /// An attempt 0 is hedged once it has gone this quantile of the client's
-  /// own latency for its op kind without an answer ...
+  /// recent first-attempt latency for its op kind without an answer ...
   static constexpr double kHedgeQuantile = 0.99;
-  /// ... and only once that latency histogram holds this many samples.
+  /// ... and only once that recent window holds this many samples. A
+  /// window half retires once it holds this many and spans kHedgeWindow.
   static constexpr std::uint64_t kHedgeSampleFloor = 100;
+  static constexpr SimDuration kHedgeWindow = 1000 * 1000;
 
   SednaClient(sim::Network& net, NodeId id, SednaClientConfig config);
   ~SednaClient() override;
@@ -215,14 +228,15 @@ class SednaClient : public sim::Host {
     std::array<SpanId, 2> spans{};
     int attempt = 0;        // highest attempt number sent
     std::uint8_t open = 0;  // attempts still awaiting an answer
+    bool retried = false;   // a retry has gone out (a hedge is not one)
     /// Queued for a hedge: attempt 0 is out, unanswered and unhedged.
     bool hedge_due = false;
   };
 
   /// Everything one op kind (reads or writes) keeps: what its attempts
   /// differ in, its metrics (resolved on first use, so an op that never
-  /// retries or fails adds no zero-valued row to the dumps), its open ops
-  /// and its hedge queue.
+  /// retries or fails adds no zero-valued row to the dumps), its open ops,
+  /// its recent first-attempt latency and its hedge queue.
   template <typename Req, typename Rep>
   struct Lane {
     using Ref = typename SlotTable<Op<Req, Rep>>::Ref;
@@ -245,6 +259,9 @@ class SednaClient : public sim::Host {
     MetricHandle<Counter> failures;
     MetricHandle<Histogram> latency;
     SlotTable<Op<Req, Rep>> ops;
+    /// Latency of ops that ended on attempt 0's own answer; the hedge
+    /// delay is its kHedgeQuantile.
+    LatencyWindow recent{kHedgeWindow, kHedgeSampleFloor};
     /// Ops whose attempt 0 may still be hedged, in send order. Entries
     /// whose op has since been answered are dropped when they reach the
     /// front.
@@ -297,7 +314,7 @@ class SednaClient : public sim::Host {
   template <typename Req, typename Rep>
   void cancel_hedge(Lane<Req, Rep>& lane, typename Lane<Req, Rep>::Ref ref);
   /// Drops answered entries off the queue's front and arms the timer for
-  /// the first due one, with the lane's current p99 as the delay.
+  /// the first due one, with the lane's recent p99 as the delay.
   template <typename Req, typename Rep>
   void arm_hedge(Lane<Req, Rep>& lane);
   /// The timer: hedges every queued op that has waited out the delay.

@@ -22,6 +22,43 @@ class Counter {
   std::uint64_t value_ = 0;
 };
 
+/// Bucket of `v` in a log2-bucketed distribution: [2^i, 2^(i+1)), with
+/// bucket 0 also holding value 0.
+inline std::size_t log2_bucket(std::uint64_t v) {
+  if (v < 2) return 0;
+  return static_cast<std::size_t>(63 - __builtin_clzll(v));
+}
+
+/// Quantile q in [0, 1] of `count` samples spread over 64 log2 buckets
+/// (`bucket(i)` is bucket i's count), interpolated inside its bucket and
+/// clamped to the observed [min, max].
+template <typename BucketCount>
+double log2_quantile(double q, std::uint64_t count, std::uint64_t min,
+                     std::uint64_t max, BucketCount bucket) {
+  if (count == 0) return 0.0;
+  const auto target =
+      static_cast<std::uint64_t>(q * static_cast<double>(count - 1));
+  std::uint64_t seen = 0;
+  for (std::size_t i = 0; i < 64; ++i) {
+    const std::uint64_t n = bucket(i);
+    if (seen + n > target) {
+      // Bucket i covers [2^i, 2^(i+1)); bucket 0 additionally absorbs
+      // value 0, so its lower bound is 2^0 like every other bucket
+      // rather than 0.0 (which dragged estimates below the smallest
+      // recordable latency — simulated durations are clamped >= 1).
+      const double lo = static_cast<double>(1ULL << i);
+      const double hi = static_cast<double>(2ULL << i);
+      const double frac =
+          static_cast<double>(target - seen) / static_cast<double>(n);
+      // Interpolation never needs to leave the observed range.
+      return std::clamp(lo + frac * (hi - lo), static_cast<double>(min),
+                        static_cast<double>(max));
+    }
+    seen += n;
+  }
+  return static_cast<double>(max);
+}
+
 /// Log-bucketed histogram for latency-like quantities (microseconds).
 /// Buckets are [2^i, 2^(i+1)); quantile estimates interpolate inside a
 /// bucket. Cheap enough to record every simulated request.
@@ -45,8 +82,8 @@ class Histogram {
     sum_ += v;
     min_ = std::min(min_, v);
     max_ = std::max(max_, v);
-    ++buckets_[bucket_index(v)];
-    if (trace != 0) offer_exemplar(bucket_index(v), Exemplar{v, trace});
+    ++buckets_[log2_bucket(v)];
+    if (trace != 0) offer_exemplar(log2_bucket(v), Exemplar{v, trace});
   }
 
   /// Bucket index → exemplar, for populated buckets with a traced sample.
@@ -65,31 +102,8 @@ class Histogram {
 
   /// q in [0, 1].
   [[nodiscard]] double quantile(double q) const {
-    if (count_ == 0) return 0.0;
-    const auto target = static_cast<std::uint64_t>(
-        q * static_cast<double>(count_ - 1));
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-      if (seen + buckets_[i] > target) {
-        // Bucket i covers [2^i, 2^(i+1)); bucket 0 additionally absorbs
-        // value 0, so its lower bound is 2^0 like every other bucket
-        // rather than 0.0 (which dragged estimates below the smallest
-        // recordable latency — simulated durations are clamped >= 1).
-        const double lo = static_cast<double>(1ULL << i);
-        const double hi = static_cast<double>(2ULL << i);
-        const double frac =
-            buckets_[i] == 0
-                ? 0.0
-                : static_cast<double>(target - seen) /
-                      static_cast<double>(buckets_[i]);
-        // Interpolation never needs to leave the observed range.
-        return std::clamp(lo + frac * (hi - lo),
-                          static_cast<double>(count_ ? min_ : 0),
-                          static_cast<double>(max_));
-      }
-      seen += buckets_[i];
-    }
-    return static_cast<double>(max_);
+    return log2_quantile(q, count_, min(), max_,
+                         [&](std::size_t i) { return buckets_[i]; });
   }
 
   void reset() { *this = Histogram{}; }
@@ -108,11 +122,6 @@ class Histogram {
   }
 
  private:
-  static std::size_t bucket_index(std::uint64_t v) {
-    if (v < 2) return 0;
-    return static_cast<std::size_t>(63 - __builtin_clzll(v));
-  }
-
   void offer_exemplar(std::size_t bucket, Exemplar e) {
     Exemplar& cur = exemplars_[bucket];
     if (cur.trace == 0 || e.value > cur.value ||
@@ -127,6 +136,62 @@ class Histogram {
   std::uint64_t max_ = 0;
   std::array<std::uint64_t, 64> buckets_{};
   std::map<std::size_t, Exemplar> exemplars_;
+};
+
+/// Recent latency, for delays that must track the current regime: two
+/// log2-bucketed halves of samples. Samples go into the current half. It
+/// retires (becomes the previous half, and the old previous half is
+/// dropped) once it spans at least `span` since its first sample and holds
+/// at least `floor` samples. Quantiles read both halves, so a busy window
+/// forgets an old regime within one to two spans, while one that gets no
+/// samples keeps what it has.
+class LatencyWindow {
+ public:
+  LatencyWindow(std::uint64_t span, std::uint64_t floor)
+      : span_(span), floor_(floor) {}
+
+  /// Records `v`, observed at time `now` (the same clock as `span`).
+  void record(std::uint64_t v, std::uint64_t now) {
+    Half* cur = &halves_[cur_];
+    if (cur->count >= floor_ && now - cur->start >= span_) {
+      cur_ ^= 1;
+      cur = &halves_[cur_];
+      *cur = Half{};
+    }
+    if (cur->count == 0) cur->start = now;
+    ++cur->count;
+    cur->min = std::min(cur->min, v);
+    cur->max = std::max(cur->max, v);
+    ++cur->buckets[log2_bucket(v)];
+  }
+
+  /// Samples in both halves.
+  [[nodiscard]] std::uint64_t count() const {
+    return halves_[0].count + halves_[1].count;
+  }
+
+  /// q in [0, 1], over both halves.
+  [[nodiscard]] double quantile(double q) const {
+    const Half& a = halves_[0];
+    const Half& b = halves_[1];
+    return log2_quantile(
+        q, count(), std::min(a.min, b.min), std::max(a.max, b.max),
+        [&](std::size_t i) { return a.buckets[i] + b.buckets[i]; });
+  }
+
+ private:
+  struct Half {
+    std::array<std::uint64_t, 64> buckets{};
+    std::uint64_t count = 0;
+    std::uint64_t min = static_cast<std::uint64_t>(-1);
+    std::uint64_t max = 0;
+    std::uint64_t start = 0;  // time of the half's first sample
+  };
+
+  std::uint64_t span_;
+  std::uint64_t floor_;
+  std::array<Half, 2> halves_{};
+  std::size_t cur_ = 0;
 };
 
 /// Named metric registry; one per node / per bench run. (For the
@@ -172,9 +237,6 @@ class MetricHandle {
       : registry_(&registry), name_(name) {}
 
   Metric* operator->() { return &get(); }
-  /// Whether the metric has been looked up (so exists in the registry).
-  /// An unresolved handle's metric has recorded nothing through it.
-  [[nodiscard]] bool resolved() const { return metric_ != nullptr; }
 
  private:
   Metric& get() {

@@ -1,14 +1,16 @@
 // Failure-injection tests beyond the basic crash cases: lossy networks,
 // partitions, coordinator failures, the client's attempt driver (retry,
-// deadline and retry-budget exits, hedged attempts), restarts, stale
-// routing state, and double faults leaving the cluster degraded but
-// available.
+// deadline and retry-budget exits, hedged attempts and their delay),
+// restarts, stale routing state, and double faults leaving the cluster
+// degraded but available.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <optional>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -132,8 +134,8 @@ class AttemptDriver : public ::testing::TestWithParam<const char*> {
     const auto it = counters.find(name);
     return it == counters.end() ? 0 : it->second.value();
   }
-  /// Runs enough ops of this kind for the client's latency histogram to
-  /// pass the hedge sample floor. Reads of absent keys count too.
+  /// Runs enough ops of this kind for the client's recent latency window
+  /// to pass the hedge sample floor. Reads of absent keys count too.
   void warm(SednaCluster& cluster, SednaClient& client) const {
     for (std::uint64_t i = 0; i < SednaClient::kHedgeSampleFloor; ++i) {
       (void)run_op(cluster, client, "warm-" + std::to_string(i));
@@ -471,6 +473,154 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::uint64_t>& info) {
       return "seed" + std::to_string(info.param);
     });
+
+// ---- the hedge delay: recent first-attempt latency ---------------------------
+
+/// What the hedge delay learns from and what it forgets. Node 1 is the
+/// coordinator that dies.
+class HedgeDelay : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(cluster_.boot().ok());
+    client_ = &cluster_.make_client();
+  }
+  [[nodiscard]] NodeId doomed() { return cluster_.node(1).id(); }
+  /// `n` keys whose primary is the doomed node, each in its own vnode, so
+  /// recovery set off by one key's ops leaves the others' routing alone.
+  /// Each is written, since a read of an absent key finds no positive
+  /// quorum once a replica is dead.
+  std::vector<std::string> doomed_keys(std::size_t n) {
+    const auto& table = client_->metadata().table();
+    std::vector<std::string> out;
+    std::set<VnodeId> vnodes;
+    for (int i = 0; out.size() < n; ++i) {
+      const std::string key = "doomed-" + std::to_string(i);
+      if (table.replicas_for_key(key)[0] == doomed() &&
+          vnodes.insert(table.vnode_for_key(key)).second) {
+        EXPECT_TRUE(cluster_.write_latest(*client_, key, "v").ok()) << key;
+        out.push_back(key);
+      }
+    }
+    return out;
+  }
+  /// `n` keys none of whose replicas is the doomed node.
+  std::vector<std::string> safe_keys(std::size_t n) {
+    std::vector<std::string> out;
+    for (int i = 0; out.size() < n; ++i) {
+      const std::string key = "safe-" + std::to_string(i);
+      if (!client_->metadata().table().replicas_for_key(key).contains(
+              doomed())) {
+        out.push_back(key);
+      }
+    }
+    return out;
+  }
+  /// Sim time one read (or write) of `key` takes; the op must succeed.
+  SimDuration timed_read(const std::string& key) {
+    const SimTime started = cluster_.sim().now();
+    const auto got = cluster_.read_latest(*client_, key);
+    EXPECT_TRUE(got.ok() || got.status().is(StatusCode::kNotFound))
+        << key << ": " << got.status().to_string();
+    return cluster_.sim().now() - started;
+  }
+  SimDuration timed_write(const std::string& key) {
+    const SimTime started = cluster_.sim().now();
+    EXPECT_TRUE(cluster_.write_latest(*client_, key, "v").ok()) << key;
+    return cluster_.sim().now() - started;
+  }
+  std::uint64_t read_retries() {
+    return client_->metrics().counter_value("client.read_retries");
+  }
+
+  SednaCluster cluster_{base_config()};
+  SednaClient* client_ = nullptr;
+};
+
+TEST_F(HedgeDelay, ColdReadsThatTimedOutDoNotSetTheDelay) {
+  const auto keys = doomed_keys(4);
+  cluster_.crash_node(1);
+  // The client's first reads meet the dead primary, wait out the attempt
+  // timeout and retry.
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_GT(timed_read(keys[i]), sim_ms(200));
+  }
+  EXPECT_EQ(read_retries(), 3u);
+  for (const std::string& key : safe_keys(SednaClient::kHedgeSampleFloor)) {
+    (void)timed_read(key);
+  }
+
+  // The delay is the healthy reads' p99, not the timeouts'.
+  EXPECT_LT(timed_read(keys[3]), sim_ms(10));
+  EXPECT_EQ(hedge_wins(*client_), 1u);
+  EXPECT_EQ(read_retries(), 3u);
+}
+
+TEST_F(HedgeDelay, RetriedOpsAddNoSample) {
+  const auto keys = doomed_keys(4);
+  cluster_.crash_node(1);
+  for (std::size_t i = 0; i < 3; ++i) (void)timed_read(keys[i]);
+  // Three retried reads and one short of the floor of healthy ones: the
+  // window is still cold, so this read waits out its timeout unhedged.
+  for (const std::string& key :
+       safe_keys(SednaClient::kHedgeSampleFloor - 1)) {
+    (void)timed_read(key);
+  }
+  EXPECT_GT(timed_read(keys[3]), sim_ms(200));
+  EXPECT_EQ(hedges(*client_), 0u);
+  EXPECT_EQ(read_retries(), 4u);
+}
+
+TEST_F(HedgeDelay, HedgeWinsAddNoSample) {
+  for (const std::string& key : safe_keys(SednaClient::kHedgeSampleFloor)) {
+    (void)timed_read(key);
+  }
+  const auto keys = doomed_keys(20);
+  cluster_.crash_node(1);
+  // Every read is a hedge win. Were the wins sampled, they would become the
+  // window's p99 and each hedge would wait longer than the last.
+  std::vector<SimDuration> took;
+  for (const std::string& key : keys) took.push_back(timed_read(key));
+  EXPECT_EQ(hedge_wins(*client_), keys.size());
+  EXPECT_EQ(read_retries(), 0u);
+  const auto [fastest, slowest] = std::minmax_element(took.begin(), took.end());
+  EXPECT_LT(*slowest - *fastest, sim_ms(1))
+      << "hedged reads took " << *fastest << " to " << *slowest << " us";
+}
+
+TEST_F(HedgeDelay, LightTrafficReplacesABurstWithinTwoWindows) {
+  // A burst of concurrent writes sets a high p99 ...
+  constexpr int kBurst = 400;
+  int done = 0;
+  for (int i = 0; i < kBurst; ++i) {
+    client_->write_latest("burst-" + std::to_string(i), "v",
+                          [&](const Status& st) {
+                            EXPECT_TRUE(st.ok()) << st.to_string();
+                            ++done;
+                          });
+  }
+  ASSERT_TRUE(cluster_.run_until([&] { return done == kBurst; }));
+  const double burst_p99 =
+      client_->metrics().histogram("client.write_latency_us").quantile(0.99);
+  ASSERT_GE(burst_p99, 3000.0);
+
+  // ... then light traffic runs for two window spans.
+  Histogram light;
+  const SimTime light_until =
+      cluster_.sim().now() + 2 * SednaClient::kHedgeWindow + sim_ms(100);
+  for (int i = 0; cluster_.sim().now() < light_until; ++i) {
+    light.record(timed_write("light-" + std::to_string(i)));
+    cluster_.run_for(sim_ms(5));
+  }
+  ASSERT_LT(light.quantile(0.99) + light.max(), burst_p99);
+
+  // The hedge waits out the light-load p99, not the burst's: one more
+  // healthy op after it and the write is done.
+  const std::string key = doomed_keys(1)[0];
+  cluster_.crash_node(1);
+  EXPECT_LT(static_cast<double>(timed_write(key)),
+            light.quantile(0.99) + static_cast<double>(light.max()));
+  EXPECT_EQ(hedge_wins(*client_), 1u);
+}
 
 TEST(Restart, NodeRejoinsAndServesAgain) {
   SednaCluster cluster(base_config());

@@ -463,6 +463,58 @@ TEST(Metrics, HistogramQuantilePinnedValues) {
   EXPECT_DOUBLE_EQ(empty.quantile(0.5), 0.0);
 }
 
+TEST(Metrics, LatencyWindowQuantileMatchesHistogramBeforeItRotates) {
+  LatencyWindow window(/*span=*/1000, /*floor=*/4);
+  Histogram h;
+  Rng rng(7);
+  for (std::uint64_t t = 0; t < 500; ++t) {
+    const std::uint64_t v = 1 + rng.next_below(5000);
+    window.record(v, t);
+    h.record(v);
+  }
+  EXPECT_EQ(window.count(), h.count());
+  for (double q : {0.0, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_DOUBLE_EQ(window.quantile(q), h.quantile(q)) << q;
+  }
+  EXPECT_DOUBLE_EQ(LatencyWindow(1000, 4).quantile(0.99), 0.0);
+}
+
+TEST(Metrics, LatencyWindowRotatesOnlyOnceSpanAndCountBothHold) {
+  LatencyWindow window(/*span=*/1000, /*floor=*/4);
+  // Spans 2,000 but holds one sample: the half stays current.
+  window.record(100, 0);
+  window.record(100, 2000);
+  EXPECT_EQ(window.count(), 2u);
+  window.record(100, 2001);
+  window.record(100, 2002);
+  // Holds the floor and spans the window: the next sample starts a new
+  // half, and the retired one still counts.
+  window.record(5000, 2003);
+  EXPECT_EQ(window.count(), 5u);
+  EXPECT_DOUBLE_EQ(window.quantile(0.0), 100.0);
+  // The new half holds the floor but does not span the window yet.
+  for (std::uint64_t t = 2004; t < 2010; ++t) window.record(5000, t);
+  EXPECT_EQ(window.count(), 11u);
+  // Now it does: it retires, and the 100 µs half is dropped.
+  window.record(5000, 3003);
+  EXPECT_EQ(window.count(), 8u);
+  EXPECT_DOUBLE_EQ(window.quantile(0.0), 5000.0);
+}
+
+TEST(Metrics, LatencyWindowKeepsItsSamplesWhileIdle) {
+  LatencyWindow window(/*span=*/1000, /*floor=*/4);
+  for (std::uint64_t t = 0; t < 4; ++t) window.record(100, t);
+  // No samples for a long time: nothing ages out ...
+  EXPECT_EQ(window.count(), 4u);
+  EXPECT_DOUBLE_EQ(window.quantile(0.99), 100.0);
+  // ... and the first sample after the gap retires the old half but still
+  // reads it, so the window is never emptied by time alone.
+  window.record(256, 1'000'000);
+  EXPECT_EQ(window.count(), 5u);
+  EXPECT_DOUBLE_EQ(window.quantile(0.0), 100.0);
+  EXPECT_DOUBLE_EQ(window.quantile(1.0), 256.0);
+}
+
 TEST(Metrics, MetricsRegistryMergesAndRendersPrometheusText) {
   MetricRegistry a, b;
   a.counter("ops").add(3);

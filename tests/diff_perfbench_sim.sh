@@ -9,6 +9,13 @@
 # (heap occupancy) and `alloc.*` are not compared. A change meant to keep
 # behaviour identical must leave every compared value unchanged.
 #
+# A change that moves figures on purpose gets them tabulated: each
+# differing figure also prints its change/parent ratio and, for a metric
+# with a `bound` in the change tree's BENCHMARK.json (read, never
+# written), whether the move stays inside it, i.e. is no worse than the
+# parent by more than that fraction. This is information only: any
+# difference still fails the script.
+#
 # Usage: tests/diff_perfbench_sim.sh <parent_tree> <change_tree>
 #   Each tree builds perfbench into its own directory under a temporary
 #   root ($PERFBENCH_SIM_BUILDS to keep and reuse the builds).
@@ -44,11 +51,38 @@ for trace in 0 1; do
   done
 done
 
-python3 - "${tmp}" <<'PY'
+python3 - "${tmp}" "${change_tree}/BENCHMARK.json" <<'PY'
 import json
+import os
 import sys
 
-tmp = sys.argv[1]
+tmp, benchmark = sys.argv[1], sys.argv[2]
+# name -> (bound, better) for every end-to-end metric that declares a bound.
+bounds = {}
+if os.path.isfile(benchmark):
+    with open(benchmark) as f:
+        for m in json.load(f).get("end_to_end", []):
+            if "bound" in m:
+                bounds[m["name"]] = (m["bound"], m.get("better", "lower"))
+
+
+def move(name, before, after):
+    """The ratio and bound verdict printed beside a differing figure."""
+    if not isinstance(before, (int, float)) or \
+            not isinstance(after, (int, float)):
+        return ""
+    if before == 0:
+        return "  ratio n/a (parent is 0)"
+    ratio = after / before
+    text = f"  ratio {ratio:.4f}"
+    if name not in bounds:
+        return text + " (no bound)"
+    bound, better = bounds[name]
+    inside = ratio <= 1 + bound if better == "lower" else ratio >= 1 - bound
+    return text + (f" {'inside' if inside else 'OUTSIDE'} bound {bound}"
+                   f" ({better} is better)")
+
+
 # Program counts compared in the --trace 1 pass.
 COUNTS = ("sim.events_per_op", "sim.read_samples", "sim.write_samples",
           "net.msgs_per_op", "net.bytes_per_op", "client.retry_ratio",
@@ -74,7 +108,7 @@ for trace, compared in (("0", lambda k: k.startswith("sim_")),
             same = before == after
             differ |= not same
             print(f"trace{trace} {workload} {name}: {before} -> {after}"
-                  f"{'' if same else '  DIFFERS'}")
+                  f"{'' if same else '  DIFFERS' + move(name, before, after)}")
 print("diff_perfbench_sim: " +
       ("figures differ" if differ else "all compared figures identical"))
 sys.exit(1 if differ else 0)
