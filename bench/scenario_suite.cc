@@ -117,7 +117,6 @@ Harness make_harness(std::uint64_t seed, Defenses defenses) {
   // Fast failure detection so scenarios play out in seconds of sim time.
   cfg.node_template.host.rpc_timeout_us = 10'000;
   cfg.client_template.op_timeout_us = 30'000;
-  cfg.client_template.max_attempts = 3;
   if (defenses.on) {
     cfg.node_template.host.max_ingress_queue = 96;
     cfg.node_template.degraded_reads = true;

@@ -237,10 +237,9 @@ int main() {
               static_cast<unsigned long long>(tracer.evicted_traces()),
               static_cast<unsigned long long>(tracer.evicted_spans()));
   const bool retention_bounded =
-      tracer.retained_traces() <= tracer.policy().recent_traces +
-                                      tracer.policy().tail_per_window *
-                                          Tracer::kMaxWindowsPerOp *
-                                          8 &&
+      tracer.retained_traces() <= Tracer::kRecentTraces +
+                                      Tracer::kTailPerWindow *
+                                          Tracer::kMaxWindowsPerOp * 8 &&
       tracer.evicted_traces() > 0;
   // Reset the store (keeps the attribution CSV: it was fed by the
   // finished hook) so t8's single-trace walkthrough stays readable.

@@ -374,21 +374,17 @@ class ClusterInspector {
   /// PBS-style t-visibility curve: per probe offset, how many sampled
   /// acked writes were already readable on every probed replica. Offsets
   /// are merged across all data-node auditors positionally (every node
-  /// shares the node_template's offset ladder). Header-only when auditing
-  /// is disabled.
+  /// probes at ConsistencyAuditor::kProbeOffsets). Header-only when
+  /// auditing is disabled.
   [[nodiscard]] std::string visibility_csv() const {
-    std::vector<std::uint64_t> offsets;
+    const auto& offsets = ConsistencyAuditor::kProbeOffsets;
     std::vector<ConsistencyAuditor::OffsetStats> merged;
     for (std::size_t i = 0; i < cluster_.data_node_count(); ++i) {
       const ConsistencyAuditor* aud = cluster_.node(i).auditor();
       if (aud == nullptr) continue;
-      const auto& ladder = aud->config().probe_offsets;
       const auto& stats = aud->offset_stats();
-      if (offsets.empty()) {
-        offsets.assign(ladder.begin(), ladder.end());
-        merged.resize(offsets.size());
-      }
-      for (std::size_t o = 0; o < merged.size() && o < stats.size(); ++o) {
+      merged.resize(offsets.size());
+      for (std::size_t o = 0; o < merged.size(); ++o) {
         merged[o].probes += stats[o].probes;
         merged[o].checked += stats[o].checked;
         merged[o].visible += stats[o].visible;

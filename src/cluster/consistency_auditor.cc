@@ -8,7 +8,7 @@ ConsistencyAuditor::ConsistencyAuditor(ConsistencyAuditorConfig config,
                                        MetricRegistry& metrics)
     : config_(std::move(config)),
       metrics_(metrics),
-      offsets_(config_.probe_offsets.size()) {}
+      offsets_(kProbeOffsets.size()) {}
 
 void ConsistencyAuditor::on_full_quorum(VnodeId vnode, SimTime now) {
   VnodeAudit& v = vnodes_[vnode];
@@ -79,9 +79,7 @@ std::vector<ring::VnodeLagRow> ConsistencyAuditor::lag_rows(SimTime now) {
 }
 
 bool ConsistencyAuditor::should_probe() {
-  if (config_.probe_sample_every == 0 || config_.probe_offsets.empty()) {
-    return false;
-  }
+  if (config_.probe_sample_every == 0) return false;
   return (write_counter_++ % config_.probe_sample_every) == 0;
 }
 
@@ -106,7 +104,7 @@ void ConsistencyAuditor::on_violation(SimTime acked_at, SimTime detected_at,
                                       const std::string& key,
                                       NodeId replica) {
   metrics_.counter("audit.visibility_violations").add(1);
-  if (violations_.size() < config_.max_violations) {
+  if (violations_.size() < kMaxViolations) {
     violations_.push_back(Violation{acked_at, detected_at, key, replica});
   }
 }

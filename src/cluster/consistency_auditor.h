@@ -33,6 +33,7 @@
 // scheduler and RPC machinery); everything here is deterministic state.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -51,12 +52,6 @@ struct ConsistencyAuditorConfig {
   /// Probe every Nth acked LWW write (deterministic counter sampling).
   /// 0 disables probing while keeping read-side auditing.
   std::uint32_t probe_sample_every = 16;
-  /// Δt offsets after the ack at which each sampled write is re-read
-  /// from every replica. The last offset is the violation deadline.
-  std::vector<SimDuration> probe_offsets = {sim_ms(5), sim_ms(25),
-                                            sim_ms(100), sim_ms(500)};
-  /// Retained violation records (bounded; the counter keeps the total).
-  std::size_t max_violations = 256;
 };
 
 /// What the coordinator learned from one fully-answered kLatest read.
@@ -109,11 +104,14 @@ class ConsistencyAuditor {
     NodeId replica = kInvalidNode;
   };
 
-  ConsistencyAuditor(ConsistencyAuditorConfig config, MetricRegistry& metrics);
+  /// Δt offsets after the ack at which each sampled write is re-read
+  /// from every replica. The last offset is the violation deadline.
+  static constexpr std::array<SimDuration, 4> kProbeOffsets = {
+      sim_ms(5), sim_ms(25), sim_ms(100), sim_ms(500)};
+  /// Retained violation records (bounded; the counter keeps the total).
+  static constexpr std::size_t kMaxViolations = 256;
 
-  [[nodiscard]] const ConsistencyAuditorConfig& config() const {
-    return config_;
-  }
+  ConsistencyAuditor(ConsistencyAuditorConfig config, MetricRegistry& metrics);
 
   // ---- read-side staleness sampling --------------------------------------
 

@@ -17,7 +17,7 @@ constexpr double kSplitShare = 0.5;
 /// Traffic score of one load window: reads + writes. Misses are already
 /// counted inside reads; capacity is deliberately ignored here — this
 /// planner evens out *request* load, while vnode counts are levelled only
-/// by membership changes (ring::Rebalancer's join/leave plans).
+/// when a node joins (ring::Rebalancer::plan_join).
 [[nodiscard]] std::uint64_t row_traffic(const ring::VnodeLoadRow& v) {
   return v.reads + v.writes;
 }

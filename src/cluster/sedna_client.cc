@@ -66,8 +66,7 @@ SpanId SednaClient::attempt_span(const char* prefix, int attempt) {
 }
 
 SimDuration SednaClient::retry_backoff(int next_attempt) {
-  if (config_.retry_backoff_initial_us == 0) return 0;
-  SimDuration base = config_.retry_backoff_initial_us;
+  SimDuration base = kRetryBackoffInitialUs;
   for (int i = 1; i < next_attempt && base < kRetryBackoffMaxUs; ++i) {
     base *= 2;
   }
@@ -130,7 +129,7 @@ void SednaClient::send_attempt(Lane<Req, Rep>& lane,
   dispatch(lane, ref, coordinator, /*hedge=*/false);
   // Only attempt 0 is hedged, and only once the lane's recent window is
   // deep enough for its p99 to mean something.
-  if (attempt != 0 || !hedgeable(op.req) || config_.max_attempts < 2 ||
+  if (attempt != 0 || !hedgeable(op.req) ||
       lane.recent.count() < kHedgeSampleFloor) {
     return;
   }
@@ -257,7 +256,7 @@ void SednaClient::on_answer(Lane<Req, Rep>& lane,
     end_span(span, why);
     return;
   }
-  if (op.attempt + 1 >= config_.max_attempts) {
+  if (op.attempt + 1 >= kMaxAttempts) {
     lane.failures->add(1);
     end_span(span, "failure");
     // The retryable status the coordinator answered, if any; the failure
@@ -473,36 +472,6 @@ void SednaClient::write_all(const std::string& key, const std::string& value,
                             WriteCallback cb) {
   submit_write(make_write(WriteMode::kAll, key, value), "client.write_all",
                std::move(cb));
-}
-
-void SednaClient::write_latest_batch(
-    const std::vector<std::pair<std::string, std::string>>& entries,
-    BatchWriteCallback cb) {
-  auto results = std::make_shared<std::vector<Status>>(entries.size());
-  auto write = [this, &entries, results](std::size_t i, GatherDone done) {
-    write_latest(entries[i].first, entries[i].second,
-                 [results, i, done](const Status& st) {
-                   (*results)[i] = st;
-                   done();
-                 });
-  };
-  run_bounded(entries.size(), kNoLimit, write,
-              [results, cb = std::move(cb)] { cb(*results); });
-}
-
-void SednaClient::read_latest_batch(const std::vector<std::string>& keys,
-                                    BatchReadCallback cb) {
-  auto results = std::make_shared<std::vector<Result<store::VersionedValue>>>(
-      keys.size(), Status::Unavailable("pending"));
-  auto read = [this, &keys, results](std::size_t i, GatherDone done) {
-    read_latest(keys[i],
-                [results, i, done](const Result<store::VersionedValue>& r) {
-                  (*results)[i] = r;
-                  done();
-                });
-  };
-  run_bounded(keys.size(), kNoLimit, read,
-              [results, cb = std::move(cb)] { cb(*results); });
 }
 
 void SednaClient::read_latest(const std::string& key, ReadLatestCallback cb) {

@@ -11,14 +11,19 @@
 //   write_all(k, v)     → ok | outdated | failure   (source = this client)
 //   read_latest(k)      → freshest value regardless of writer
 //   read_all(k)         → the full per-source value list
+// plus write_latest_ttl, the causal pair (put_causal / get_causal) and a
+// prefix scan. There is no batch call: every call is asynchronous, so a
+// caller pipelines by issuing the next one before the last has answered.
 //
 // Every call, causal ones included, runs through one attempt driver
 // (send_attempt / on_answer): the same coordinator choice, deadline check,
 // retryable-status test, retry budget, metadata re-sync and backoff for
-// reads and writes. A read differs only in its message type and counter
-// names, and in the stale-read accounting its caller adds on top. Each
-// open op lives in one slot of its kind's table; RPC callbacks and timers
-// capture only the slot reference.
+// reads and writes. An op gets kMaxAttempts attempts; the backoff before
+// retry k is kRetryBackoffInitialUs doubled k-1 times, capped at
+// kRetryBackoffMaxUs and jittered. A read differs only in its message
+// type and counter names, and in the stale-read accounting its caller
+// adds on top. Each open op lives in one slot of its kind's table; RPC
+// callbacks and timers capture only the slot reference.
 //
 // Hedged attempts. A dead coordinator stays in the vnode table until
 // recovery's CAS reaches the client's lease sync, so attempt 0 would wait
@@ -68,20 +73,11 @@ namespace sedna::cluster {
 
 struct SednaClientConfig {
   std::vector<NodeId> zk_ensemble;
-  /// Attempts per operation; each retry targets the next replica as
-  /// coordinator after refreshing the metadata cache.
-  int max_attempts = 3;
   /// Client-side deadline per attempt. Must comfortably exceed the
   /// coordinator's replica RPC timeout: the coordinator may legitimately
   /// take one full replica timeout to settle a quorum when a replica is
   /// dead, and the client must still be listening when the answer comes.
   SimDuration op_timeout_us = 250 * 1000;
-  /// Seeded exponential backoff before retry k: ~initial·2^(k-1), capped
-  /// at SednaClient::kRetryBackoffMaxUs, with ±kRetryBackoffJitter
-  /// fractional spread so a herd of clients retrying into a degraded
-  /// coordinator decorrelates. 0 restores the old behavior (retry
-  /// immediately after the metadata sync).
-  SimDuration retry_backoff_initial_us = 2000;
   /// Whole-operation deadline (all attempts + backoffs). When set, every
   /// request message is stamped with `now + op_deadline_us` so any host on
   /// the path sheds the work once it cannot finish in time, each attempt's
@@ -111,7 +107,14 @@ class SednaClient : public sim::Host {
   using ReadAllCallback =
       std::function<void(const Result<std::vector<store::SourceValue>>&)>;
 
-  /// Cap on the exponential retry backoff, and its ± fractional jitter.
+  /// Attempts per operation; each retry targets the next replica as
+  /// coordinator after refreshing the metadata cache.
+  static constexpr int kMaxAttempts = 3;
+  /// Seeded exponential backoff before retry k: kRetryBackoffInitialUs ·
+  /// 2^(k-1), capped at kRetryBackoffMaxUs, with ±kRetryBackoffJitter
+  /// fractional spread so a herd of clients retrying into a degraded
+  /// coordinator decorrelates.
+  static constexpr SimDuration kRetryBackoffInitialUs = 2000;
   static constexpr SimDuration kRetryBackoffMaxUs = 100 * 1000;
   static constexpr double kRetryBackoffJitter = 0.25;
   /// An attempt 0 is hedged once it has gone this quantile of the client's
@@ -169,22 +172,6 @@ class SednaClient : public sim::Host {
                  WriteCallback cb);
   void read_latest(const std::string& key, ReadLatestCallback cb);
   void read_all(const std::string& key, ReadAllCallback cb);
-
-  /// Pipelined batch variants: all operations are issued concurrently
-  /// (each still routed to its own key's coordinator); the callback fires
-  /// once with the per-key outcomes in input order. Throughput-oriented
-  /// realtime ingest (crawlers, event firehoses) should prefer these —
-  /// a closed loop per key wastes a full round trip per datum.
-  using BatchWriteCallback =
-      std::function<void(const std::vector<Status>&)>;
-  using BatchReadCallback = std::function<void(
-      const std::vector<Result<store::VersionedValue>>&)>;
-
-  void write_latest_batch(
-      const std::vector<std::pair<std::string, std::string>>& entries,
-      BatchWriteCallback cb);
-  void read_latest_batch(const std::vector<std::string>& keys,
-                         BatchReadCallback cb);
 
   /// Prefix scan across the cluster (extension — the paper has no
   /// enumeration API): scatter to every data node, gather the primary

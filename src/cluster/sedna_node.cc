@@ -368,11 +368,11 @@ void SednaNode::probe_visibility(std::string key, Timestamp wts,
   // promise is about.
   auto replicas = std::make_shared<ring::ReplicaSet>(
       metadata_.table().replicas_for_vnode(vnode));
-  const std::size_t offsets = config_.audit.probe_offsets.size();
-  for (std::size_t i = 0; i < offsets; ++i) {
-    const bool final_offset = i + 1 == offsets;
+  const auto& offsets = ConsistencyAuditor::kProbeOffsets;
+  for (std::size_t i = 0; i < offsets.size(); ++i) {
+    const bool final_offset = i + 1 == offsets.size();
     sim().schedule(
-        config_.audit.probe_offsets[i],
+        offsets[i],
         [this, key, wts, acked_at, replicas, i, final_offset] {
           if (!alive() || !ready_ || auditor_ == nullptr) return;
           set_trace_context({});
@@ -1441,7 +1441,6 @@ void SednaNode::queue_hint(NodeId target, const WriteRequest& req) {
   if (hints_pending_ >= config_.hint_max_queued) evict_oldest_hint();
   PendingHint hint;
   hint.write = req;
-  hint.queued_at = now();
   hint.seq = hint_seq_++;
   hint_queues_[target].hints.emplace(hint_dedupe_key(req), std::move(hint));
   ++hints_pending_;

@@ -361,7 +361,6 @@ class SednaNode : public sim::Host {
   // ---- Hinted handoff ----------------------------------------------------
   struct PendingHint {
     WriteRequest write;
-    SimTime queued_at = 0;
     std::uint64_t seq = 0;  // arrival order, for oldest-first eviction
     /// Writes coalesced into this entry: a replay ack retires the entry
     /// only if nothing joined it after the batch copied it.

@@ -108,27 +108,24 @@ struct Span {
   [[nodiscard]] bool finished() const { return !status.empty(); }
 };
 
-/// Deterministic two-tier retention policy. The defaults are generous
-/// enough that short test runs never evict; long-running benches stay
-/// bounded. `max_spans` is the hard memory cap (satellite: a long sim
-/// must not grow span storage without limit).
-struct TraceRetentionPolicy {
-  /// Most recently finished traces kept regardless of duration.
-  std::size_t recent_traces = 512;
-  /// Slowest traces kept per (operation, window) — the tail reservoir.
-  std::size_t tail_per_window = 4;
-  /// Reservoir window width (virtual microseconds).
-  SimDuration window_us = 1'000'000;
-  /// Hard cap on retained spans; oldest finished traces are force-evicted
-  /// (from both tiers) once exceeded. 0 = uncapped.
-  std::size_t max_spans = 262'144;
-};
-
+/// Deterministic two-tier retention. The tiers are generous enough that
+/// short test runs never evict; long-running benches stay bounded, and
+/// kMaxSpans is the hard memory cap: a long sim must not grow span
+/// storage without limit.
 class Tracer {
  public:
+  /// Most recently finished traces kept regardless of duration.
+  static constexpr std::size_t kRecentTraces = 512;
+  /// Slowest traces kept per (operation, window): the tail reservoir.
+  static constexpr std::size_t kTailPerWindow = 4;
+  /// Reservoir window width (virtual microseconds).
+  static constexpr SimDuration kWindowUs = 1'000'000;
   /// Reservoir windows kept per operation; older windows are dropped
   /// whole.
   static constexpr std::size_t kMaxWindowsPerOp = 8;
+  /// Hard cap on retained spans; the oldest finished traces are
+  /// force-evicted (from both tiers) once it is exceeded.
+  static constexpr std::size_t kMaxSpans = 262'144;
 
   /// One retained trace: its spans in span-id (= event) order plus the
   /// summary fields the retention tiers key on.
@@ -147,9 +144,6 @@ class Tracer {
 
   void set_enabled(bool on) { enabled_ = on; }
   [[nodiscard]] bool enabled() const { return enabled_; }
-
-  void set_policy(const TraceRetentionPolicy& policy) { policy_ = policy; }
-  [[nodiscard]] const TraceRetentionPolicy& policy() const { return policy_; }
 
   /// Called on every trace the moment its root span ends — before any
   /// retention decision, so aggregators see 100% of finished traces even
@@ -394,37 +388,31 @@ class Tracer {
 
     // Tier 1: recent ring. Admit before the reservoir so a trace the
     // reservoir rejects is still pinned by its ring slot.
-    if (policy_.recent_traces > 0) {
-      rec.in_recent = true;
-      recent_.push_back(id);
-    }
+    rec.in_recent = true;
+    recent_.push_back(id);
 
     // Tier 2: slowest-K reservoir keyed by (operation, window).
-    if (policy_.tail_per_window > 0) {
-      const std::uint64_t window =
-          policy_.window_us > 0 ? rec.start_us / policy_.window_us : 0;
-      const std::string op = rec.op;  // copy: eviction may drop `rec`
-      auto& slot = reservoir_[op][window];
-      slot.push_back(TailEntry{rec.duration_us, id});
-      rec.in_reservoir = true;
-      std::sort(slot.begin(), slot.end(), slower_first);
-      if (slot.size() > policy_.tail_per_window) {
-        const TraceId dropped = slot.back().trace;
-        slot.pop_back();
-        unreserve(dropped);
-      }
-      auto& windows = reservoir_[op];
-      while (windows.size() > kMaxWindowsPerOp) {
-        auto oldest = windows.begin();
-        const std::vector<TailEntry> gone = std::move(oldest->second);
-        windows.erase(oldest);
-        for (const TailEntry& e : gone) unreserve(e.trace);
-      }
+    const std::string op = rec.op;  // copy: eviction may drop `rec`
+    auto& slot = reservoir_[op][rec.start_us / kWindowUs];
+    slot.push_back(TailEntry{rec.duration_us, id});
+    rec.in_reservoir = true;
+    std::sort(slot.begin(), slot.end(), slower_first);
+    if (slot.size() > kTailPerWindow) {
+      const TraceId dropped = slot.back().trace;
+      slot.pop_back();
+      unreserve(dropped);
+    }
+    auto& windows = reservoir_[op];
+    while (windows.size() > kMaxWindowsPerOp) {
+      auto oldest = windows.begin();
+      const std::vector<TailEntry> gone = std::move(oldest->second);
+      windows.erase(oldest);
+      for (const TailEntry& e : gone) unreserve(e.trace);
     }
 
     // Trim the ring after both admissions so a fresh trace cannot be
     // evicted in between.
-    while (recent_.size() > policy_.recent_traces) {
+    while (recent_.size() > kRecentTraces) {
       const TraceId old = recent_.front();
       recent_.pop_front();
       auto oit = traces_.find(old);
@@ -458,9 +446,9 @@ class Tracer {
   /// Hard cap: force-evict the oldest finished traces (removing their
   /// tier references first) until the retained span count fits.
   void enforce_span_cap() {
-    if (policy_.max_spans == 0 || live_spans_ <= policy_.max_spans) return;
+    if (live_spans_ <= kMaxSpans) return;
     auto it = traces_.begin();
-    while (live_spans_ > policy_.max_spans && it != traces_.end()) {
+    while (live_spans_ > kMaxSpans && it != traces_.end()) {
       auto cur = it++;
       TraceRecord& rec = cur->second;
       if (!rec.finished) continue;
@@ -474,9 +462,7 @@ class Tracer {
         rec.in_reservoir = false;
         const auto oit = reservoir_.find(rec.op);
         if (oit != reservoir_.end()) {
-          const std::uint64_t window =
-              policy_.window_us > 0 ? rec.start_us / policy_.window_us : 0;
-          const auto wit = oit->second.find(window);
+          const auto wit = oit->second.find(rec.start_us / kWindowUs);
           if (wit != oit->second.end()) {
             auto& slot = wit->second;
             slot.erase(std::remove_if(slot.begin(), slot.end(),
@@ -529,7 +515,6 @@ class Tracer {
   }
 
   bool enabled_ = false;
-  TraceRetentionPolicy policy_;
   TraceId next_trace_ = 1;
   SpanId next_span_ = 1;
   /// Retention store: spans grouped per trace, trace-id ordered.

@@ -406,10 +406,7 @@ LocalStore::LocalStore(LocalStoreConfig config, ClockFn clock)
       config_.memory_budget_bytes == 0 ? 0 : config_.memory_budget_bytes / n;
   for (std::size_t i = 0; i < n; ++i) {
     auto shard = std::make_unique<Shard>();
-    shard->buckets.assign(
-        round_up_pow2(std::max<std::size_t>(
-            8, config_.initial_buckets_per_shard)),
-        nullptr);
+    shard->buckets.assign(kInitialBucketsPerShard, nullptr);
     shard->budget = per_shard_budget;
     shards_.push_back(std::move(shard));
   }

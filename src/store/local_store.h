@@ -34,7 +34,6 @@ namespace sedna::store {
 struct LocalStoreConfig {
   /// Number of independently locked shards; rounded up to a power of two.
   std::size_t shards = 8;
-  std::size_t initial_buckets_per_shard = 1024;
   /// Total resident-byte budget across shards; 0 disables eviction.
   std::size_t memory_budget_bytes = 0;
 };
@@ -59,6 +58,10 @@ class LocalStore {
   using ClockFn = std::function<std::uint64_t()>;
   /// Consulted (when set) to decide if a key's changes are captured.
   using MonitoredPredicate = std::function<bool(std::string_view)>;
+
+  /// Hash buckets each shard starts with (a power of two); a shard
+  /// doubles them once it holds a quarter more items than buckets.
+  static constexpr std::size_t kInitialBucketsPerShard = 1024;
 
   explicit LocalStore(LocalStoreConfig config = {}, ClockFn clock = {});
   ~LocalStore();

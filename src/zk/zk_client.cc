@@ -123,7 +123,7 @@ void ZkClient::submit(ClientRequest req, int attempt,
 void ZkClient::connect(ConnectCallback cb) {
   ClientRequest req;
   req.op = ClientRequest::Op::kConnect;
-  req.session_timeout_us = config_.session_timeout;
+  req.session_timeout_us = kSessionTimeout;
   request(std::move(req), std::move(cb), [this](const ClientReply& rep) {
     session_id_ = rep.session_id;
     start_pings();
@@ -134,7 +134,7 @@ void ZkClient::connect(ConnectCallback cb) {
 void ZkClient::start_pings() {
   ping_timer_.cancel();
   ping_timer_ = host_.sim().schedule_periodic(
-      config_.ping_interval, [this] {
+      kPingInterval, [this] {
         if (session_id_ == 0 || !host_.alive()) return;
         // Heartbeats are background work: never attribute them to
         // whatever trace the host last dispatched.

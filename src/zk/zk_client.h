@@ -32,8 +32,6 @@ namespace sedna::zk {
 
 struct ZkClientConfig {
   std::vector<NodeId> ensemble;
-  SimDuration session_timeout = sim_sec(2);
-  SimDuration ping_interval = sim_ms(500);
   // Adaptive lease parameters (paper III.E).
   SimDuration lease_initial = sim_sec(1);
   SimDuration lease_min = sim_ms(125);
@@ -51,6 +49,11 @@ class ZkClient {
   using ChildrenCallback =
       std::function<void(const Result<std::vector<std::string>>&)>;
   using WatchCallback = std::function<void(const WatchEventMsg&)>;
+
+  /// The session this client asks the ensemble for, and the heartbeat
+  /// that keeps it alive while the host is up.
+  static constexpr SimDuration kSessionTimeout = sim_sec(2);
+  static constexpr SimDuration kPingInterval = sim_ms(500);
 
   ZkClient(sim::Host& host, ZkClientConfig config)
       : host_(host), config_(std::move(config)), lease_(config_.lease_initial) {}

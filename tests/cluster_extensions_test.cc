@@ -1,5 +1,5 @@
 // Tests for the production-hardening extensions: vnode purge after
-// handoff, join transfer fail-over, and batch client APIs.
+// handoff and join transfer fail-over.
 #include <gtest/gtest.h>
 
 #include "cluster/sedna_cluster.h"
@@ -136,103 +136,6 @@ TEST(Join, DonorCrashMidSnapshotFallsBackToOtherReplicas) {
     EXPECT_TRUE(joiner.local_store().read_latest(key).ok()) << key;
   }
   EXPECT_GT(slice_keys, 0u);
-}
-
-TEST(BatchApi, WriteBatchAllSucceedAndAreReadable) {
-  SednaCluster cluster(base_config());
-  ASSERT_TRUE(cluster.boot().ok());
-  auto& client = cluster.make_client();
-
-  std::vector<std::pair<std::string, std::string>> entries;
-  for (int i = 0; i < 100; ++i) {
-    entries.emplace_back("batch-" + std::to_string(i),
-                         "v" + std::to_string(i));
-  }
-  std::optional<std::vector<Status>> results;
-  client.write_latest_batch(entries,
-                            [&](const std::vector<Status>& r) { results = r; });
-  cluster.run_until([&] { return results.has_value(); });
-  ASSERT_TRUE(results.has_value());
-  ASSERT_EQ(results->size(), 100u);
-  for (const auto& st : *results) EXPECT_TRUE(st.ok());
-
-  std::vector<std::string> keys;
-  for (const auto& [k, v] : entries) keys.push_back(k);
-  std::optional<std::vector<Result<store::VersionedValue>>> reads;
-  client.read_latest_batch(
-      keys, [&](const std::vector<Result<store::VersionedValue>>& r) {
-        reads = r;
-      });
-  cluster.run_until([&] { return reads.has_value(); });
-  ASSERT_TRUE(reads.has_value());
-  for (std::size_t i = 0; i < reads->size(); ++i) {
-    ASSERT_TRUE((*reads)[i].ok()) << i;
-    EXPECT_EQ((*reads)[i]->value, "v" + std::to_string(i));
-  }
-}
-
-TEST(BatchApi, BatchIsFasterThanClosedLoop) {
-  SednaCluster cluster(base_config());
-  ASSERT_TRUE(cluster.boot().ok());
-  auto& client = cluster.make_client();
-
-  // Closed loop: 50 writes, one at a time.
-  const SimTime loop_start = cluster.sim().now();
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(cluster.write_latest(client, "loop-" + std::to_string(i),
-                                     "v").ok());
-  }
-  const SimDuration loop_cost = cluster.sim().now() - loop_start;
-
-  // Batch: 50 writes pipelined.
-  std::vector<std::pair<std::string, std::string>> entries;
-  for (int i = 0; i < 50; ++i) {
-    entries.emplace_back("pipe-" + std::to_string(i), "v");
-  }
-  std::optional<std::vector<Status>> results;
-  const SimTime batch_start = cluster.sim().now();
-  client.write_latest_batch(entries,
-                            [&](const std::vector<Status>& r) { results = r; });
-  cluster.run_until([&] { return results.has_value(); });
-  const SimDuration batch_cost = cluster.sim().now() - batch_start;
-
-  EXPECT_LT(batch_cost * 3, loop_cost);  // at least 3x faster pipelined
-}
-
-TEST(BatchApi, EmptyBatchCompletesImmediately) {
-  SednaCluster cluster(base_config());
-  ASSERT_TRUE(cluster.boot().ok());
-  auto& client = cluster.make_client();
-  bool write_done = false, read_done = false;
-  client.write_latest_batch({}, [&](const std::vector<Status>& r) {
-    EXPECT_TRUE(r.empty());
-    write_done = true;
-  });
-  client.read_latest_batch({}, [&](const auto& r) {
-    EXPECT_TRUE(r.empty());
-    read_done = true;
-  });
-  EXPECT_TRUE(write_done);
-  EXPECT_TRUE(read_done);
-}
-
-TEST(BatchApi, MixedOutcomesReportedPerKey) {
-  SednaCluster cluster(base_config());
-  ASSERT_TRUE(cluster.boot().ok());
-  auto& client = cluster.make_client();
-  ASSERT_TRUE(cluster.write_latest(client, "exists", "v").ok());
-
-  std::optional<std::vector<Result<store::VersionedValue>>> reads;
-  client.read_latest_batch(
-      {"exists", "missing-1", "missing-2"},
-      [&](const std::vector<Result<store::VersionedValue>>& r) {
-        reads = r;
-      });
-  cluster.run_until([&] { return reads.has_value(); });
-  ASSERT_TRUE(reads.has_value());
-  EXPECT_TRUE((*reads)[0].ok());
-  EXPECT_FALSE((*reads)[1].ok());
-  EXPECT_FALSE((*reads)[2].ok());
 }
 
 }  // namespace

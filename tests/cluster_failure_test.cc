@@ -211,10 +211,14 @@ TEST_P(AttemptDriver, EveryAttemptFailingReturnsTheLastStatus) {
 
 TEST_P(AttemptDriver, DeadlineLapsedDuringBackoffEndsTheOp) {
   SednaClusterConfig cfg = base_config();
-  // Attempt 0 times out at 250 ms; the ~100 ms backoff then outlives the
-  // 260 ms op deadline.
-  cfg.client_template.op_deadline_us = 260'000;
-  cfg.client_template.retry_backoff_initial_us = 100'000;
+  // Attempt 0 times out at the 250 ms attempt timeout; the backoff, at
+  // least kRetryBackoffInitialUs less its jitter, then outlives an op
+  // deadline just past that timeout.
+  constexpr SimDuration kPast = 1'000;
+  static_assert(kPast < SednaClient::kRetryBackoffInitialUs *
+                            (1.0 - SednaClient::kRetryBackoffJitter));
+  cfg.client_template.op_deadline_us =
+      cfg.client_template.op_timeout_us + kPast;
   SednaCluster cluster(cfg);
   ASSERT_TRUE(cluster.boot().ok());
   auto& client = cluster.make_client();

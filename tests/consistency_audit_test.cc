@@ -141,14 +141,13 @@ TEST(ConsistencyAuditor, DeterministicWriteSampling) {
 
 TEST(ConsistencyAuditor, OffsetStatsSeparateUnreachableFromInvisible) {
   MetricRegistry metrics;
-  ConsistencyAuditorConfig cfg;
-  cfg.probe_offsets = {sim_ms(5), sim_ms(50)};
-  ConsistencyAuditor aud(cfg, metrics);
+  ConsistencyAuditor aud(ConsistencyAuditorConfig{}, metrics);
   aud.on_probe_fire(0);
   aud.on_probe_check(0, true, true);
   aud.on_probe_check(0, true, false);
   aud.on_probe_check(0, false, false);  // timed out: never a violation
-  ASSERT_EQ(aud.offset_stats().size(), 2u);
+  ASSERT_EQ(aud.offset_stats().size(),
+            ConsistencyAuditor::kProbeOffsets.size());
   EXPECT_EQ(aud.offset_stats()[0].probes, 1u);
   EXPECT_EQ(aud.offset_stats()[0].checked, 2u);
   EXPECT_EQ(aud.offset_stats()[0].visible, 1u);
@@ -162,16 +161,17 @@ TEST(ConsistencyAuditor, OffsetStatsSeparateUnreachableFromInvisible) {
 
 TEST(ConsistencyAuditor, ViolationRecordsAreBoundedButCounted) {
   MetricRegistry metrics;
-  ConsistencyAuditorConfig cfg;
-  cfg.max_violations = 2;
-  ConsistencyAuditor aud(cfg, metrics);
-  for (int i = 0; i < 5; ++i) {
+  ConsistencyAuditor aud(ConsistencyAuditorConfig{}, metrics);
+  constexpr std::size_t kCap = ConsistencyAuditor::kMaxViolations;
+  for (std::size_t i = 0; i < kCap + 3; ++i) {
     aud.on_violation(100 * i, 1000 + i, "k" + std::to_string(i), 101);
   }
-  EXPECT_EQ(aud.violations().size(), 2u);
+  EXPECT_EQ(aud.violations().size(), kCap);
   EXPECT_EQ(aud.violations()[0].key, "k0");
   EXPECT_EQ(aud.violations()[1].acked_at, 100u);
-  EXPECT_EQ(metrics.counter("audit.visibility_violations").value(), 5u);
+  // The oldest records are the ones kept.
+  EXPECT_EQ(aud.violations().back().key, "k" + std::to_string(kCap - 1));
+  EXPECT_EQ(metrics.counter("audit.visibility_violations").value(), kCap + 3);
 }
 
 // ---- wire format ---------------------------------------------------------------

@@ -298,7 +298,6 @@ ObservabilityDump run_overloaded(std::uint64_t seed) {
   cfg.node_template.host.base_service_us = 80;
   cfg.node_template.degraded_reads = true;
   cfg.client_template.op_timeout_us = 30'000;
-  cfg.client_template.max_attempts = 3;
   cfg.client_template.op_deadline_us = 90'000;
   cfg.client_template.retry_budget_capacity = 10.0;
   cfg.client_template.retry_budget_refill = 0.3;

@@ -484,7 +484,6 @@ double late_over_pre_goodput(bool defenses_on) {
   cfg.node_template.host.base_service_us = 400;  // ~1.2k reads/s capacity
   cfg.client_template.host.base_service_us = 8;
   cfg.client_template.op_timeout_us = 30'000;
-  cfg.client_template.max_attempts = 3;
   if (defenses_on) {
     cfg.node_template.host.max_ingress_queue = 64;
     cfg.node_template.degraded_reads = true;

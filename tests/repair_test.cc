@@ -1,12 +1,14 @@
 // Repair-subsystem tests: LocalStore Merkle digests, hinted handoff,
 // anti-entropy convergence with zero reads (also past truncated digest
-// replies), hint eviction fallback,
-// client retry backoff, and the per-reason network drop counters.
+// replies), hint eviction (oldest first, across targets) and its
+// anti-entropy fallback, client retry backoff, and the per-reason network
+// drop counters.
 //
 // The convergence tests deliberately never read the keys under test:
 // read repair must not be the mechanism that heals them.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -407,6 +409,103 @@ TEST(AntiEntropy, CoversHintsLostToEviction) {
   EXPECT_EQ(inspector.under_replicated(keys, 3), 0u);
 }
 
+TEST(HintedHandoff, EvictsTheOldestHintAcrossTargets) {
+  SednaClusterConfig cfg = base_config();
+  cfg.node_template.hint_max_queued = 2;
+  // A restarted node comes back empty and is filled only by hints and
+  // anti-entropy, so the test can tell which path brought each key.
+  cfg.node_template.restart_hydration = false;
+  // Anti-entropy covers every vnode once a round, and rounds are far
+  // enough apart that the hint replay below finishes between two.
+  cfg.node_template.anti_entropy_interval = sim_sec(10);
+  cfg.node_template.anti_entropy_vnodes_per_round = kVnodes;
+  // Node 100's first vnodes replicate to 101 and 102, its last ones to
+  // 103 and 104: vnodes 0..17 go round-robin, 18..31 in the order 100,
+  // 103, 104, 101, 102, 105.
+  constexpr std::array<NodeId, 6> kTail = {100, 103, 104, 101, 102, 105};
+  for (std::uint32_t v = 0; v < kVnodes; ++v) {
+    cfg.initial_owners.push_back(v < 18 ? 100 + v % 6 : kTail[(v - 18) % 6]);
+  }
+  SednaCluster cluster(cfg);
+  ASSERT_TRUE(cluster.boot().ok());
+  auto& client = cluster.make_client();
+
+  // Three keys coordinated by node 100: the oldest's replicas are 101 and
+  // 102, the two newer ones' 103 and 104. One of each set is dead, so each
+  // write still meets W=2 and leaves one hint, for `first` or `second`.
+  const NodeId coord = 100;
+  const NodeId first = 101;
+  const NodeId second = 103;
+  const ring::VnodeTable table = cluster.node(0).metadata().table();
+  std::vector<std::string> keys;
+  std::vector<std::string> newer;
+  for (int i = 0; newer.size() < 2 && i < 10000; ++i) {
+    std::string key = "evict-" + std::to_string(i);
+    const auto set = table.replicas_for_key(key);
+    if (keys.empty() && set == ring::ReplicaSet{coord, first, 102}) {
+      keys.push_back(std::move(key));
+    } else if (set == ring::ReplicaSet{coord, second, 104}) {
+      newer.push_back(std::move(key));
+    }
+  }
+  ASSERT_EQ(keys.size(), 1u);
+  ASSERT_EQ(newer.size(), 2u);
+  keys.insert(keys.end(), newer.begin(), newer.end());
+  const std::size_t c = node_index(cluster, coord);
+  const std::size_t f = node_index(cluster, first);
+  const std::size_t s = node_index(cluster, second);
+
+  // Start right after every node's first anti-entropy round.
+  auto rounds_everywhere = [&] {
+    for (std::size_t i = 0; i < cluster.data_node_count(); ++i) {
+      if (cluster.node(i).metrics().counter("antientropy.rounds").value() ==
+          0) {
+        return false;
+      }
+    }
+    return true;
+  };
+  while (!rounds_everywhere()) cluster.run_for(sim_ms(1));
+
+  cluster.crash_node(f);
+  cluster.crash_node(s);
+  for (const auto& key : keys) {
+    ASSERT_TRUE(cluster.write_latest(client, key, "v").ok()) << key;
+  }
+  cluster.run_for(sim_ms(200));
+  // The third hint evicted the oldest queued one, which was for another
+  // target than the third's: the eviction looks across targets.
+  EXPECT_EQ(cluster.node(c).metrics().counter("coordinator.hints_evicted")
+                .value(),
+            1u);
+  EXPECT_EQ(cluster.node(c).hints_pending_for(first), 0u);
+  EXPECT_EQ(cluster.node(c).hints_pending_for(second), 2u);
+
+  // Past session expiry, as in TransientCrashHealsWithZeroReads.
+  cluster.run_for(sim_sec(3));
+  cluster.restart_node(f);
+  cluster.restart_node(s);
+  cluster.run_for(sim_sec(2));
+  auto received = [&](std::size_t i) {
+    return cluster.node(i).metrics().counter("replica.hints_received")
+        .value();
+  };
+  // The two newest keys came back as hints; the oldest did not.
+  EXPECT_EQ(received(s), 2u);
+  EXPECT_EQ(received(f), 0u);
+  for (const auto& key : newer) {
+    EXPECT_TRUE(cluster.node(s).local_store().read_latest(key).ok()) << key;
+  }
+  EXPECT_FALSE(cluster.node(f).local_store().read_latest(keys[0]).ok());
+
+  // The next anti-entropy round brings the oldest key back.
+  cluster.run_for(sim_sec(10));
+  EXPECT_TRUE(cluster.node(f).local_store().read_latest(keys[0]).ok());
+  EXPECT_EQ(received(f), 0u);
+  ClusterInspector inspector(cluster);
+  EXPECT_EQ(inspector.under_replicated(keys, 3), 0u);
+}
+
 TEST(AntiEntropy, TruncatedDigestReplyStillConverges) {
   SednaClusterConfig cfg = base_config();
   cfg.cluster.total_vnodes = 4;  // hundreds of keys land in one vnode
@@ -511,10 +610,9 @@ TEST(ClientBackoff, RetryWaitsAreRecordedAndBounded) {
 
   const auto& hist = client.metrics().histogram("client.retry_backoff_us");
   ASSERT_GE(hist.count(), 1u);
-  const auto& ccfg = cluster.config().client_template;
   EXPECT_GE(hist.min(),
             static_cast<std::uint64_t>(
-                static_cast<double>(ccfg.retry_backoff_initial_us) *
+                static_cast<double>(SednaClient::kRetryBackoffInitialUs) *
                 (1.0 - SednaClient::kRetryBackoffJitter)));
   EXPECT_LE(hist.max(),
             static_cast<std::uint64_t>(

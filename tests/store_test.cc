@@ -463,10 +463,16 @@ TEST(VnodeIndex, MatchesWholeStoreScanThroughEveryMutationPath) {
   constexpr std::uint32_t kVnodes = 16;
   constexpr std::uint32_t kBuckets = 8;
   std::uint64_t now = 1;
+  // Enough distinct keys to take the shards past their grow threshold,
+  // so the inserts force maybe_grow rehashes.
+  constexpr std::size_t kShards = 4;
+  constexpr std::size_t kGrowAt =
+      kShards * (LocalStore::kInitialBucketsPerShard +
+                 LocalStore::kInitialBucketsPerShard / 4);
+  constexpr int kInserts = static_cast<int>(kGrowAt + kGrowAt / 4);
   LocalStoreConfig cfg;
-  cfg.shards = 4;
-  cfg.initial_buckets_per_shard = 8;  // inserts force maybe_grow rehashes
-  cfg.memory_budget_bytes = 4 * 256 * 1024;
+  cfg.shards = kShards;
+  cfg.memory_budget_bytes = 4 * 1024 * 1024;
   LocalStore store(cfg, [&now] { return now; });
   store.enable_digests(kVnodes, kBuckets);
   std::mt19937 rng(7);
@@ -475,8 +481,8 @@ TEST(VnodeIndex, MatchesWholeStoreScanThroughEveryMutationPath) {
   };
 
   // Inserts through every write API.
-  for (int i = 0; i < 600; ++i) {
-    const std::string k = key(1000);
+  for (int i = 0; i < kInserts; ++i) {
+    const std::string k = "k" + std::to_string(i);
     switch (i % 3) {
       case 0: ASSERT_TRUE(store.set(k, "v").ok()); break;
       case 1: (void)store.write_latest(k, "w", 100 + i); break;
@@ -485,7 +491,8 @@ TEST(VnodeIndex, MatchesWholeStoreScanThroughEveryMutationPath) {
                                     100 + i).ok());
     }
   }
-  ASSERT_GT(store.size(), 4u * 8 * 2);  // past the 8-bucket grow threshold
+  ASSERT_EQ(store.stats().evictions, 0u);
+  ASSERT_GT(store.size(), kGrowAt);  // some shard is past its threshold
   expect_index_matches_scan(store, kVnodes, kBuckets);
 
   // Overwrites that grow and shrink values in place: unconditional sets,
@@ -558,7 +565,7 @@ TEST(VnodeIndex, MatchesWholeStoreScanThroughEveryMutationPath) {
   expect_index_matches_scan(store, kVnodes, kBuckets);
 
   // LRU eviction under the byte budget.
-  for (int i = 0; i < 600; ++i) {
+  for (int i = 0; i < 2400; ++i) {
     ASSERT_TRUE(store.set("big" + std::to_string(i), std::string(2048, 'b'))
                     .ok());
   }
@@ -586,18 +593,20 @@ TEST(VnodeIndex, MatchesWholeStoreScanThroughEveryMutationPath) {
 }
 
 TEST(VnodeIndex, EnableDigestsIndexesAPopulatedStoreAndReindexes) {
+  // Enough keys to rehash the shards before the index exists.
+  constexpr int kKeys = 4 * static_cast<int>(
+      LocalStore::kInitialBucketsPerShard * 3 / 2);
   LocalStoreConfig cfg;
   cfg.shards = 4;
-  cfg.initial_buckets_per_shard = 8;
   LocalStore store(cfg);
-  for (int i = 0; i < 500; ++i) store.set("k" + std::to_string(i), "v");
+  for (int i = 0; i < kKeys; ++i) store.set("k" + std::to_string(i), "v");
   EXPECT_TRUE(keys_in_vnode(store, 0).empty());  // no index while off
   store.enable_digests(16, 8);
   expect_index_matches_scan(store, 16, 8);
   // A second enable_digests rebuilds under a different shape.
   store.enable_digests(7, 4);
   expect_index_matches_scan(store, 7, 4);
-  for (int i = 0; i < 500; i += 3) store.del("k" + std::to_string(i));
+  for (int i = 0; i < kKeys; i += 3) store.del("k" + std::to_string(i));
   expect_index_matches_scan(store, 7, 4);
 }
 
@@ -625,8 +634,9 @@ TEST(Misc, NextTimestampMonotone) {
 TEST(Misc, ManyKeysTriggerBucketGrowth) {
   LocalStoreConfig cfg;
   cfg.shards = 1;
-  cfg.initial_buckets_per_shard = 8;
   LocalStore store(cfg);
+  // Enough keys to double the buckets more than once.
+  static_assert(10000 > 4 * LocalStore::kInitialBucketsPerShard);
   for (int i = 0; i < 10000; ++i) {
     store.set("grow-" + std::to_string(i), "v");
   }
@@ -716,7 +726,6 @@ TEST(Concurrency, VnodeVisitsRaceMutationsAcrossShards) {
   constexpr std::uint32_t kVnodes = 8;
   LocalStoreConfig cfg;
   cfg.shards = 8;
-  cfg.initial_buckets_per_shard = 16;
   LocalStore store(cfg);
   store.enable_digests(kVnodes, 4);
   constexpr int kWriters = 4;
@@ -727,10 +736,11 @@ TEST(Concurrency, VnodeVisitsRaceMutationsAcrossShards) {
     threads.emplace_back([&store, &go, &writers_left, t] {
       while (!go.load()) std::this_thread::yield();
       for (int i = 0; i < 20000; ++i) {
-        // Inserts, overwrites and deletes over a small per-thread key set
-        // whose keys spread over every shard and vnode.
+        // Inserts, overwrites and deletes over a per-thread key set whose
+        // keys spread over every shard and vnode, and which together take
+        // the shards past their grow threshold while the visits run.
         const std::string k =
-            "c" + std::to_string(t) + "-" + std::to_string(i % 300);
+            "c" + std::to_string(t) + "-" + std::to_string(i % 4000);
         if (i % 7 == 3) {
           (void)store.del(k);
         } else {

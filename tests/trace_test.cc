@@ -347,32 +347,31 @@ TEST(CriticalPath, AggregatorTailDominantAndCoverage) {
 
 TEST(TraceRetention, RecentRingPlusTailReservoirEvictTheRest) {
   Tracer t;
-  TraceRetentionPolicy policy;
-  policy.recent_traces = 4;
-  policy.tail_per_window = 2;
-  policy.window_us = 1'000'000;  // everything lands in window 0
-  t.set_policy(policy);
   t.set_enabled(true);
 
-  // Ten single-span traces of op "op", durations 100,200,...,1000.
-  for (int i = 1; i <= 10; ++i) {
+  // Single-span traces of op "op", trace i lasting 100·i us, all started
+  // inside reservoir window 0; six more than the ring holds.
+  const std::size_t n = Tracer::kRecentTraces + 6;
+  for (std::size_t i = 1; i <= n; ++i) {
     const SimTime at = static_cast<SimTime>(i);
     const TraceContext root = t.start_trace("op", 1, at);
     t.end(root.span_id, at + static_cast<SimDuration>(i) * 100);
   }
+  static_assert(Tracer::kRecentTraces + 6 < Tracer::kWindowUs / 100);
 
-  // Recent ring holds the newest four; the reservoir pins the two
-  // slowest (traces 9 and 10, durations 900/1000); the rest is evicted.
+  // The ring holds the newest kRecentTraces; the reservoir pins the
+  // kTailPerWindow slowest (the newest, here); the rest is evicted.
   EXPECT_GT(t.evicted_traces(), 0u);
   EXPECT_GT(t.evicted_spans(), 0u);
-  EXPECT_LE(t.retained_traces(), 6u);
+  EXPECT_LE(t.retained_traces(),
+            Tracer::kRecentTraces + Tracer::kTailPerWindow);
 
   const auto tails = t.tail_trace_ids();
   ASSERT_EQ(tails.size(), 1u);
   EXPECT_EQ(tails[0].first, "op");
-  ASSERT_EQ(tails[0].second.size(), 2u);
-  EXPECT_EQ(tails[0].second[0], 10u);  // slowest first
-  EXPECT_EQ(tails[0].second[1], 9u);
+  ASSERT_EQ(tails[0].second.size(), Tracer::kTailPerWindow);
+  EXPECT_EQ(tails[0].second[0], n);  // slowest first
+  EXPECT_EQ(tails[0].second[1], n - 1);
 
   // Trace 1 was evicted: no record, and a child span can no longer be
   // attached to its root (begin() refuses resurrected parents).
@@ -382,52 +381,51 @@ TEST(TraceRetention, RecentRingPlusTailReservoirEvictTheRest) {
 
 TEST(TraceRetention, SlowTraceSurvivesRingChurn) {
   Tracer t;
-  TraceRetentionPolicy policy;
-  policy.recent_traces = 2;
-  policy.tail_per_window = 1;
-  policy.window_us = 1'000'000'000;
-  t.set_policy(policy);
   t.set_enabled(true);
 
   const TraceContext slow = t.start_trace("op", 1, 0);
   t.end(slow.span_id, 500'000);
-  for (int i = 0; i < 20; ++i) {
+  for (std::size_t i = 0; i < Tracer::kRecentTraces + 20; ++i) {
     const SimTime at = 600'000 + static_cast<SimTime>(i) * 10;
     const TraceContext fast = t.start_trace("op", 1, at);
     t.end(fast.span_id, at + 5);
   }
-  // Twenty fast traces churned through the 2-slot ring, but the slowest
-  // trace is pinned by the reservoir.
+  // More fast traces than the ring holds churned through it, all in the
+  // slow trace's reservoir window, but the slowest trace is pinned by the
+  // reservoir.
   ASSERT_NE(t.trace(slow.trace_id), nullptr);
+  EXPECT_FALSE(t.trace(slow.trace_id)->in_recent);
   EXPECT_TRUE(t.trace(slow.trace_id)->in_reservoir);
   EXPECT_GT(t.evicted_traces(), 0u);
 }
 
 TEST(TraceRetention, HardSpanCapForceEvictsOldestFinished) {
   Tracer t;
-  TraceRetentionPolicy policy;
-  policy.recent_traces = 1000;  // the ring alone would keep everything
-  policy.max_spans = 8;
-  t.set_policy(policy);
   t.set_enabled(true);
 
-  for (int i = 0; i < 6; ++i) {
+  // Five traces of 65,536 spans each: few enough for the ring alone to
+  // keep every one, more spans than the cap.
+  constexpr std::size_t kTraces = 5;
+  constexpr std::size_t kSpansPerTrace = 65'536;
+  static_assert(kTraces < Tracer::kRecentTraces);
+  static_assert(kTraces * kSpansPerTrace > Tracer::kMaxSpans);
+  for (std::size_t i = 0; i < kTraces; ++i) {
     const SimTime at = static_cast<SimTime>(i) * 10;
     const TraceContext root = t.start_trace("op", 1, at);
-    const SpanId kid = t.begin(root, "kid", 1, at);
-    t.end(kid, at + 1);
+    for (std::size_t k = 1; k < kSpansPerTrace; ++k) {
+      t.end(t.begin(root, "kid", 1, at), at + 1);
+    }
     t.end(root.span_id, at + 2);
   }
-  EXPECT_LE(t.retained_spans(), 8u);
+  EXPECT_LE(t.retained_spans(), Tracer::kMaxSpans);
   EXPECT_GT(t.evicted_spans(), 0u);
+  // The oldest trace went first.
+  EXPECT_EQ(t.trace(1), nullptr);
+  EXPECT_NE(t.trace(kTraces), nullptr);
 }
 
 TEST(TraceRetention, FinishedHookSeesEveryTraceBeforeEviction) {
   Tracer t;
-  TraceRetentionPolicy policy;
-  policy.recent_traces = 1;
-  policy.tail_per_window = 1;
-  t.set_policy(policy);
   t.set_enabled(true);
   std::size_t seen = 0;
   t.set_on_trace_finished(
@@ -435,13 +433,15 @@ TEST(TraceRetention, FinishedHookSeesEveryTraceBeforeEviction) {
         EXPECT_TRUE(rec.finished);
         ++seen;
       });
-  for (int i = 0; i < 5; ++i) {
+  // More traces than both tiers together hold.
+  const std::size_t n = Tracer::kRecentTraces + Tracer::kTailPerWindow + 1;
+  for (std::size_t i = 0; i < n; ++i) {
     const SimTime at = static_cast<SimTime>(i) * 10;
     const TraceContext root = t.start_trace("op", 1, at);
     t.end(root.span_id, at + 1);
   }
-  EXPECT_EQ(seen, 5u);
-  EXPECT_LT(t.retained_traces(), 5u);
+  EXPECT_EQ(seen, n);
+  EXPECT_LT(t.retained_traces(), n);
 }
 
 // ---- exemplar-linked histograms ----------------------------------------

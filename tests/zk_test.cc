@@ -265,22 +265,27 @@ TEST_F(EnsembleTest, CommitsApplyInOrderOnFollowers) {
 }
 
 TEST_F(EnsembleTest, SessionExpiryRemovesEphemerals) {
-  ZkClientConfig cfg;
-  cfg.session_timeout = sim_ms(800);
-  cfg.ping_interval = sim_ms(200);
   auto ephemeral_owner = std::make_unique<ClientHost>(
-      *net_, 101, std::vector<NodeId>{0, 1, 2}, cfg);
+      *net_, 101, std::vector<NodeId>{0, 1, 2});
   connect(*ephemeral_owner);
   ASSERT_TRUE(create_sync(ephemeral_owner->zk(), "/live", "",
                           CreateMode::kEphemeral).ok());
 
-  // While the owner pings, the node persists.
-  sim_->run_for(sim_sec(3));
+  // While the owner pings, the node persists past several session
+  // timeouts.
+  sim_->run_for(3 * ZkClient::kSessionTimeout);
   EXPECT_TRUE(get_sync(client_->zk(), "/live").ok());
 
-  // Crash the owner: pings stop, the session expires, the znode goes.
+  // Crash the owner: pings stop, and the session outlives its last ping
+  // (at most one ping interval before the crash) by the session timeout,
+  // so the node is still there a timeout less two ping intervals after
+  // the crash ...
   ephemeral_owner->crash();
-  sim_->run_for(sim_sec(4));
+  sim_->run_for(ZkClient::kSessionTimeout - 2 * ZkClient::kPingInterval);
+  EXPECT_TRUE(get_sync(client_->zk(), "/live").ok());
+
+  // ... and gone once the session has expired.
+  sim_->run_for(2 * ZkClient::kSessionTimeout);
   EXPECT_TRUE(get_sync(client_->zk(), "/live")
                   .status()
                   .is(StatusCode::kNotFound));
@@ -356,11 +361,8 @@ TEST_F(EnsembleTest, LeaderFailoverElectsNextAndServesWrites) {
 }
 
 TEST_F(EnsembleTest, SessionsSurviveLeaderFailover) {
-  ZkClientConfig cfg;
-  cfg.session_timeout = sim_sec(2);
-  cfg.ping_interval = sim_ms(300);
   auto owner = std::make_unique<ClientHost>(
-      *net_, 103, std::vector<NodeId>{0, 1, 2}, cfg);
+      *net_, 103, std::vector<NodeId>{0, 1, 2});
   connect(*owner);
   ASSERT_TRUE(create_sync(owner->zk(), "/surviving", "",
                           CreateMode::kEphemeral).ok());
