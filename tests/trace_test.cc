@@ -351,13 +351,13 @@ TEST(TraceRetention, RecentRingPlusTailReservoirEvictTheRest) {
 
   // Single-span traces of op "op", trace i lasting 100·i us, all started
   // inside reservoir window 0; six more than the ring holds.
-  const std::size_t n = Tracer::kRecentTraces + 6;
+  constexpr std::size_t n = Tracer::kRecentTraces + 6;
+  static_assert(n < Tracer::kWindowUs);  // trace i starts at i us
   for (std::size_t i = 1; i <= n; ++i) {
     const SimTime at = static_cast<SimTime>(i);
     const TraceContext root = t.start_trace("op", 1, at);
     t.end(root.span_id, at + static_cast<SimDuration>(i) * 100);
   }
-  static_assert(Tracer::kRecentTraces + 6 < Tracer::kWindowUs / 100);
 
   // The ring holds the newest kRecentTraces; the reservoir pins the
   // kTailPerWindow slowest (the newest, here); the rest is evicted.
