@@ -378,12 +378,13 @@ class ClusterInspector {
   /// auditing is disabled.
   [[nodiscard]] std::string visibility_csv() const {
     const auto& offsets = ConsistencyAuditor::kProbeOffsets;
-    std::vector<ConsistencyAuditor::OffsetStats> merged;
+    ConsistencyAuditor::OffsetStatsArray merged{};
+    bool audited = false;
     for (std::size_t i = 0; i < cluster_.data_node_count(); ++i) {
       const ConsistencyAuditor* aud = cluster_.node(i).auditor();
       if (aud == nullptr) continue;
+      audited = true;
       const auto& stats = aud->offset_stats();
-      merged.resize(offsets.size());
       for (std::size_t o = 0; o < merged.size(); ++o) {
         merged[o].probes += stats[o].probes;
         merged[o].checked += stats[o].checked;
@@ -392,6 +393,7 @@ class ClusterInspector {
       }
     }
     std::string out = "offset_us,probes,checked,visible,unreachable,p_visible\n";
+    if (!audited) return out;
     char buf[160];
     for (std::size_t o = 0; o < merged.size(); ++o) {
       const double p =

@@ -6,9 +6,7 @@ namespace sedna::cluster {
 
 ConsistencyAuditor::ConsistencyAuditor(ConsistencyAuditorConfig config,
                                        MetricRegistry& metrics)
-    : config_(std::move(config)),
-      metrics_(metrics),
-      offsets_(kProbeOffsets.size()) {}
+    : config_(std::move(config)), metrics_(metrics) {}
 
 void ConsistencyAuditor::on_full_quorum(VnodeId vnode, SimTime now) {
   VnodeAudit& v = vnodes_[vnode];

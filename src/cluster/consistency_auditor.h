@@ -110,6 +110,8 @@ class ConsistencyAuditor {
       sim_ms(5), sim_ms(25), sim_ms(100), sim_ms(500)};
   /// Retained violation records (bounded; the counter keeps the total).
   static constexpr std::size_t kMaxViolations = 256;
+  /// One OffsetStats per probe offset, in kProbeOffsets order.
+  using OffsetStatsArray = std::array<OffsetStats, kProbeOffsets.size()>;
 
   ConsistencyAuditor(ConsistencyAuditorConfig config, MetricRegistry& metrics);
 
@@ -158,7 +160,7 @@ class ConsistencyAuditor {
   void on_violation(SimTime acked_at, SimTime detected_at,
                     const std::string& key, NodeId replica);
 
-  [[nodiscard]] const std::vector<OffsetStats>& offset_stats() const {
+  [[nodiscard]] const OffsetStatsArray& offset_stats() const {
     return offsets_;
   }
   [[nodiscard]] const std::vector<Violation>& violations() const {
@@ -172,7 +174,7 @@ class ConsistencyAuditor {
   ConsistencyAuditorConfig config_;
   MetricRegistry& metrics_;
   std::map<VnodeId, VnodeAudit> vnodes_;
-  std::vector<OffsetStats> offsets_;
+  OffsetStatsArray offsets_{};
   std::vector<Violation> violations_;
   std::uint64_t write_counter_ = 0;
 };

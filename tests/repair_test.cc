@@ -430,21 +430,23 @@ TEST(HintedHandoff, EvictsTheOldestHintAcrossTargets) {
   ASSERT_TRUE(cluster.boot().ok());
   auto& client = cluster.make_client();
 
-  // Three keys coordinated by node 100: the oldest's replicas are 101 and
-  // 102, the two newer ones' 103 and 104. One of each set is dead, so each
+  // Three keys coordinated by node 100: the oldest's replicas are 103 and
+  // 104, the two newer ones' 101 and 102. One of each set is dead, so each
   // write still meets W=2 and leaves one hint, for `first` or `second`.
+  // The oldest hint's target has the higher id, so evicting from the
+  // lowest-id target's queue would take a newer hint instead.
   const NodeId coord = 100;
-  const NodeId first = 101;
-  const NodeId second = 103;
+  const NodeId first = 103;
+  const NodeId second = 101;
   const ring::VnodeTable table = cluster.node(0).metadata().table();
   std::vector<std::string> keys;
   std::vector<std::string> newer;
   for (int i = 0; newer.size() < 2 && i < 10000; ++i) {
     std::string key = "evict-" + std::to_string(i);
     const auto set = table.replicas_for_key(key);
-    if (keys.empty() && set == ring::ReplicaSet{coord, first, 102}) {
+    if (keys.empty() && set == ring::ReplicaSet{coord, first, 104}) {
       keys.push_back(std::move(key));
-    } else if (set == ring::ReplicaSet{coord, second, 104}) {
+    } else if (set == ring::ReplicaSet{coord, second, 102}) {
       newer.push_back(std::move(key));
     }
   }

@@ -464,12 +464,12 @@ TEST(VnodeIndex, MatchesWholeStoreScanThroughEveryMutationPath) {
   constexpr std::uint32_t kBuckets = 8;
   std::uint64_t now = 1;
   // Enough distinct keys to take the shards past their grow threshold,
-  // so the inserts force maybe_grow rehashes.
+  // so the fill below forces maybe_grow rehashes.
   constexpr std::size_t kShards = 4;
   constexpr std::size_t kGrowAt =
       kShards * (LocalStore::kInitialBucketsPerShard +
                  LocalStore::kInitialBucketsPerShard / 4);
-  constexpr int kInserts = static_cast<int>(kGrowAt + kGrowAt / 4);
+  constexpr int kFill = static_cast<int>(kGrowAt + kGrowAt / 4);
   LocalStoreConfig cfg;
   cfg.shards = kShards;
   cfg.memory_budget_bytes = 4 * 1024 * 1024;
@@ -480,9 +480,10 @@ TEST(VnodeIndex, MatchesWholeStoreScanThroughEveryMutationPath) {
     return "k" + std::to_string(rng() % static_cast<unsigned>(space));
   };
 
-  // Inserts through every write API.
-  for (int i = 0; i < kInserts; ++i) {
-    const std::string k = "k" + std::to_string(i);
+  // Inserts through every write API. A quarter of them land on keys an
+  // earlier write made, so write_all also appends to existing items.
+  for (int i = 0; i < 600; ++i) {
+    const std::string k = key(1000);
     switch (i % 3) {
       case 0: ASSERT_TRUE(store.set(k, "v").ok()); break;
       case 1: (void)store.write_latest(k, "w", 100 + i); break;
@@ -490,6 +491,10 @@ TEST(VnodeIndex, MatchesWholeStoreScanThroughEveryMutationPath) {
         ASSERT_TRUE(store.write_all(k, static_cast<NodeId>(i % 4), "l",
                                     100 + i).ok());
     }
+  }
+  // Distinct keys past the grow threshold.
+  for (int i = 0; i < kFill; ++i) {
+    ASSERT_TRUE(store.set("g" + std::to_string(i), "v").ok());
   }
   ASSERT_EQ(store.stats().evictions, 0u);
   ASSERT_GT(store.size(), kGrowAt);  // some shard is past its threshold
